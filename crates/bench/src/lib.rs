@@ -1,9 +1,11 @@
 //! # mudock-bench — the paper's evaluation harness
 //!
 //! One binary per table and figure of the CLUSTER 2025 paper (run them
-//! all via `paper_all`), plus Criterion microbenchmarks and ablation
-//! studies. Binaries print the same rows/series the paper reports and
-//! drop CSV files under `results/`.
+//! all via `paper_all`), plus ablation studies and two drivers for the
+//! serve layer (`net_churn`, `cache_replay`). Binaries print the same
+//! rows/series the paper reports and drop CSV files under `results/`.
+//! Kernel and end-to-end timings are `bench_ladder/`'s job (the
+//! stand-alone crate at the repo root), not this crate's.
 //!
 //! Two kinds of numbers appear:
 //!

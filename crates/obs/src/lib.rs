@@ -45,7 +45,7 @@ pub mod trace;
 pub use jobtrace::{GridSource, JobTrace, StageTimings};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::Registry;
-pub use trace::{SpanRecord, TraceWriter};
+pub use trace::{push_json_escaped, SpanRecord, TraceWriter};
 
 use std::sync::OnceLock;
 use std::time::Instant;

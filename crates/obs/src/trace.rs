@@ -164,7 +164,16 @@ fn encode(span: &SpanRecord<'_>) -> String {
     s
 }
 
-fn push_json_escaped(out: &mut String, v: &str) {
+/// Append `v` to `out`, escaped for a JSON string literal — the one
+/// escaper behind every JSONL file this workspace writes.
+///
+/// Handles every mandatory escape (`"`, `\`, and all C0 controls), and
+/// additionally escapes DEL (0x7f) and the C1 range (0x80–0x9f): legal
+/// in JSON but invisible in logs and mangled by some line-oriented
+/// consumers, and this output goes to JSONL files tailed by exactly
+/// such tools. Rust strings are always valid UTF-8, so unpaired
+/// surrogates cannot occur on the encode side.
+pub fn push_json_escaped(out: &mut String, v: &str) {
     for ch in v.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -172,7 +181,7 @@ fn push_json_escaped(out: &mut String, v: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
+            c if (c as u32) < 0x20 || (0x7f..=0x9f).contains(&(c as u32)) => {
                 out.push_str(&format!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
@@ -252,7 +261,7 @@ mod tests {
             job: None,
             stage: "total",
             dur_ns: 0,
-            attrs: &[("name", "a\"b\\c\nd")],
+            attrs: &[("name", "a\"b\\c\nd"), ("ctl", "x\u{7f}y\u{85}z\u{9f}")],
         });
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
@@ -261,6 +270,10 @@ mod tests {
             "newline in value must stay escaped"
         );
         assert!(text.contains(r#"a\"b\\c\nd"#));
+        // DEL and the C1 controls (NEL, 0x85, is a line break to some
+        // line-oriented tools) never reach the file raw.
+        assert!(text.contains(r#"x\u007fy\u0085z\u009f"#), "got: {text}");
+        assert!(text.chars().all(|c| !(0x7f..=0x9f).contains(&(c as u32))));
         std::fs::remove_file(&path).ok();
     }
 }

@@ -15,8 +15,9 @@
 //! Each entry is an [`OnceLock`] slot: the first job to miss installs the
 //! slot and builds into it; concurrent jobs for the same key find the
 //! slot (a *hit* — the build runs once either way) and block inside
-//! `get_or_init` until it is ready. Build wall time and bytes produced
-//! are recorded into a [`PerfMonitor`] region (`"serve::grid_build"`).
+//! `get_or_init` until it is ready. Build wall time is recorded into
+//! the cache's `mudock_grid_build_seconds` histogram, one observation
+//! per AutoGrid run (hits, reloads and prefetches record nothing).
 //!
 //! # The spill tier
 //!
@@ -83,15 +84,14 @@ use std::time::Instant;
 
 use mudock_grids::{grid_cache_key, GridBuilder, GridDims, GridSet, SimdLevel};
 use mudock_mol::Molecule;
-use mudock_obs::{Counter, GridSource};
-use mudock_perf::PerfMonitor;
+use mudock_obs::{Counter, GridSource, Histogram, Registry};
 use parking_lot::Mutex;
 
 use policy::CachePolicy;
 use trace::{CacheTracer, TraceEventKind, TraceHeader};
 
-/// Perf region name under which grid builds are recorded.
-pub const GRID_BUILD_REGION: &str = "serve::grid_build";
+/// Histogram of grid-build wall time, one observation per AutoGrid run.
+pub const GRID_BUILD_METRIC: &str = "mudock_grid_build_seconds";
 
 /// Bounded on-disk spill tier for evicted grid sets.
 #[derive(Clone, Debug)]
@@ -207,7 +207,8 @@ pub struct GridCache {
     inner: Mutex<Inner>,
     tracer: Option<CacheTracer>,
     prefetch_busy: AtomicBool,
-    prefetch_metric: Option<Arc<Counter>>,
+    prefetch_metric: Arc<Counter>,
+    build_seconds: Arc<Histogram>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -226,7 +227,8 @@ pub struct GridCacheBuilder {
     spill: Option<SpillConfig>,
     trace_path: Option<PathBuf>,
     prefetch: bool,
-    prefetch_metric: Option<Arc<Counter>>,
+    prefetch_metric: Arc<Counter>,
+    build_seconds: Arc<Histogram>,
 }
 
 impl GridCacheBuilder {
@@ -258,10 +260,21 @@ impl GridCacheBuilder {
         self
     }
 
-    /// Also count completed prefetches into `counter` (a registry
-    /// handle, so `/metrics` sees them).
-    pub fn prefetch_counter(mut self, counter: Arc<Counter>) -> GridCacheBuilder {
-        self.prefetch_metric = Some(counter);
+    /// Register the cache's instruments in `registry`, so `/metrics`
+    /// sees them: grid-build wall time ([`GRID_BUILD_METRIC`]) and
+    /// completed prefetches (`mudock_grid_prefetch_total`). Without
+    /// this the cache still records both, into instruments of its own.
+    pub fn registry(mut self, registry: &Registry) -> GridCacheBuilder {
+        self.build_seconds = registry.histogram(
+            GRID_BUILD_METRIC,
+            &[],
+            "Grid-set build wall-clock, one observation per AutoGrid run",
+        );
+        self.prefetch_metric = registry.counter(
+            "mudock_grid_prefetch_total",
+            &[],
+            "Spilled grid sets reloaded ahead of demand on a router hint",
+        );
         self
     }
 
@@ -323,6 +336,7 @@ impl GridCacheBuilder {
             tracer,
             prefetch_busy: AtomicBool::new(false),
             prefetch_metric: self.prefetch_metric,
+            build_seconds: self.build_seconds,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -434,7 +448,8 @@ impl GridCache {
             spill: None,
             trace_path: None,
             prefetch: false,
-            prefetch_metric: None,
+            prefetch_metric: Arc::new(Counter::new()),
+            build_seconds: Arc::new(Histogram::new()),
         }
     }
 
@@ -528,14 +543,13 @@ impl GridCache {
         receptor: &Molecule,
         dims: GridDims,
         level: SimdLevel,
-        monitor: Option<&PerfMonitor>,
     ) -> (Arc<GridSet>, GridSource) {
         let key = (grid_cache_key(receptor, &dims), level);
         let t0 = Instant::now();
 
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let grids = Self::build(receptor, dims, level, monitor);
+            let grids = self.build(receptor, dims, level);
             self.trace_event(TraceEventKind::Access {
                 key,
                 source: GridSource::Built,
@@ -645,7 +659,7 @@ impl GridCache {
                     }
                 }
             }
-            Self::build(receptor, dims, level, monitor)
+            self.build(receptor, dims, level)
         }));
         let source = source.get();
         self.trace_event(TraceEventKind::Access {
@@ -738,9 +752,7 @@ impl GridCache {
                     }
                     self.reloads.fetch_add(1, Ordering::Relaxed);
                     self.prefetches.fetch_add(1, Ordering::Relaxed);
-                    if let Some(m) = &self.prefetch_metric {
-                        m.inc();
-                    }
+                    self.prefetch_metric.inc();
                     self.trace_event(TraceEventKind::Prefetch {
                         key,
                         dur_ns: elapsed_ns(t0),
@@ -893,18 +905,10 @@ impl GridCache {
         }
     }
 
-    fn build(
-        receptor: &Molecule,
-        dims: GridDims,
-        level: SimdLevel,
-        monitor: Option<&PerfMonitor>,
-    ) -> Arc<GridSet> {
-        let t0 = std::time::Instant::now();
+    fn build(&self, receptor: &Molecule, dims: GridDims, level: SimdLevel) -> Arc<GridSet> {
+        let t0 = Instant::now();
         let grids = GridBuilder::new(receptor, dims).build_simd(level);
-        if let Some(m) = monitor {
-            let bytes = (grids.data.len() * std::mem::size_of::<f32>()) as u64;
-            m.record(GRID_BUILD_REGION, t0.elapsed(), 0, 0, bytes);
-        }
+        self.build_seconds.record(t0.elapsed());
         Arc::new(grids)
     }
 
@@ -949,8 +953,8 @@ mod tests {
     fn second_lookup_hits_and_shares_the_build() {
         let cache = GridCache::new(2);
         let rec = synthetic_receptor(3, 40, 5.0);
-        let (a, src_a) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), None);
-        let (b, src_b) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), None);
+        let (a, src_a) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        let (b, src_b) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
         assert_eq!(src_a, GridSource::Built);
         assert_eq!(src_b, GridSource::Hit);
         assert!(Arc::ptr_eq(&a, &b));
@@ -965,8 +969,8 @@ mod tests {
         let rec = synthetic_receptor(3, 40, 5.0);
         let mut renamed = rec.clone();
         renamed.name = "other".into();
-        let (_, first) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), None);
-        let (_, second) = cache.get_or_build(&renamed, dims(), SimdLevel::detect(), None);
+        let (_, first) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        let (_, second) = cache.get_or_build(&renamed, dims(), SimdLevel::detect());
         assert_eq!(first, GridSource::Built);
         assert_eq!(
             second,
@@ -981,7 +985,7 @@ mod tests {
         let rec = synthetic_receptor(3, 40, 5.0);
         let levels = SimdLevel::available();
         for &l in &levels {
-            let (_, src) = cache.get_or_build(&rec, dims(), l, None);
+            let (_, src) = cache.get_or_build(&rec, dims(), l);
             assert_eq!(
                 src,
                 GridSource::Built,
@@ -990,7 +994,7 @@ mod tests {
         }
         assert_eq!(cache.stats().entries, levels.len().min(4));
         // Revisiting a level is a hit on that level's entry.
-        let (_, src) = cache.get_or_build(&rec, dims(), levels[0], None);
+        let (_, src) = cache.get_or_build(&rec, dims(), levels[0]);
         assert_eq!(src, GridSource::Hit);
     }
 
@@ -1000,18 +1004,18 @@ mod tests {
         let r1 = synthetic_receptor(1, 30, 5.0);
         let r2 = synthetic_receptor(2, 30, 5.0);
         let r3 = synthetic_receptor(3, 30, 5.0);
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
-        cache.get_or_build(&r2, dims(), SimdLevel::detect(), None);
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), None); // r1 hot, r2 cold
-        cache.get_or_build(&r3, dims(), SimdLevel::detect(), None); // evicts r2
+        cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        cache.get_or_build(&r2, dims(), SimdLevel::detect());
+        cache.get_or_build(&r1, dims(), SimdLevel::detect()); // r1 hot, r2 cold
+        cache.get_or_build(&r3, dims(), SimdLevel::detect()); // evicts r2
         assert_eq!(cache.stats().evictions, 1);
-        let (_, r1_src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
+        let (_, r1_src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
         assert_eq!(
             r1_src,
             GridSource::Hit,
             "the hot entry must survive the eviction"
         );
-        let (_, r2_src) = cache.get_or_build(&r2, dims(), SimdLevel::detect(), None);
+        let (_, r2_src) = cache.get_or_build(&r2, dims(), SimdLevel::detect());
         assert_eq!(
             r2_src,
             GridSource::Built,
@@ -1029,12 +1033,12 @@ mod tests {
         let scan: Vec<_> = (2..=4).map(|s| synthetic_receptor(s, 30, 5.0)).collect();
         let run = |policy: CachePolicy| {
             let cache = GridCache::builder(2).policy(policy).build().unwrap();
-            cache.get_or_build(&r_a, dims(), SimdLevel::detect(), None);
-            cache.get_or_build(&r_a, dims(), SimdLevel::detect(), None);
+            cache.get_or_build(&r_a, dims(), SimdLevel::detect());
+            cache.get_or_build(&r_a, dims(), SimdLevel::detect());
             for r in &scan {
-                cache.get_or_build(r, dims(), SimdLevel::detect(), None);
+                cache.get_or_build(r, dims(), SimdLevel::detect());
             }
-            let (_, src) = cache.get_or_build(&r_a, dims(), SimdLevel::detect(), None);
+            let (_, src) = cache.get_or_build(&r_a, dims(), SimdLevel::detect());
             src
         };
         assert_eq!(
@@ -1053,23 +1057,29 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = GridCache::new(0);
         let rec = synthetic_receptor(5, 30, 5.0);
-        let (_, s1) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), None);
-        let (_, s2) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), None);
+        let (_, s1) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        let (_, s2) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
         assert_eq!((s1, s2), (GridSource::Built, GridSource::Built));
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
-    fn build_time_lands_in_the_perf_region() {
-        let cache = GridCache::new(1);
-        let monitor = PerfMonitor::new();
+    fn build_time_lands_in_the_registry_histogram() {
+        let registry = Registry::new();
+        let cache = GridCache::builder(1).registry(&registry).build().unwrap();
         let rec = synthetic_receptor(6, 30, 5.0);
-        cache.get_or_build(&rec, dims(), SimdLevel::detect(), Some(&monitor));
-        cache.get_or_build(&rec, dims(), SimdLevel::detect(), Some(&monitor));
-        let region = monitor.region(GRID_BUILD_REGION).expect("region recorded");
-        assert_eq!(region.invocations, 1, "the hit must not rebuild");
-        assert!(region.bytes_written > 0);
+        cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        let builds = cache.build_seconds.snapshot();
+        assert_eq!(builds.count, 1, "the hit must not rebuild");
+        assert!(builds.sum_ns > 0);
+        assert!(
+            registry
+                .render_prometheus()
+                .contains("mudock_grid_build_seconds_count 1\n"),
+            "the cache's histogram is the one /metrics renders"
+        );
     }
 
     fn spill_dir(name: &str) -> std::path::PathBuf {
@@ -1093,12 +1103,12 @@ mod tests {
         let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
         let r1 = synthetic_receptor(1, 30, 5.0);
         let r2 = synthetic_receptor(2, 30, 5.0);
-        let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
-        cache.get_or_build(&r2, dims(), SimdLevel::detect(), None); // evicts + spills r1
+        let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        cache.get_or_build(&r2, dims(), SimdLevel::detect()); // evicts + spills r1
         let s = cache.stats();
         assert_eq!((s.evictions, s.spills, s.spilled), (1, 1, 1));
 
-        let (reloaded, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
+        let (reloaded, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
         assert_eq!(
             src,
             GridSource::Reloaded,
@@ -1133,7 +1143,7 @@ mod tests {
         // three spills, but only the two newest files survive on disk.
         for seed in 1..=4 {
             let r = synthetic_receptor(seed, 25, 5.0);
-            cache.get_or_build(&r, dims(), SimdLevel::detect(), None);
+            cache.get_or_build(&r, dims(), SimdLevel::detect());
         }
         let s = cache.stats();
         assert_eq!((s.evictions, s.spills, s.spilled), (3, 3, 2));
@@ -1149,13 +1159,13 @@ mod tests {
         let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
         let r1 = synthetic_receptor(1, 30, 5.0);
         let r2 = synthetic_receptor(2, 30, 5.0);
-        let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
-        cache.get_or_build(&r2, dims(), SimdLevel::detect(), None);
+        let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        cache.get_or_build(&r2, dims(), SimdLevel::detect());
         // Stomp the spilled file: the reload must fail closed into a
         // rebuild, and the ghost entry must be forgotten.
         let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
         std::fs::write(file.path(), b"not a grid file").unwrap();
-        let (rebuilt, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
+        let (rebuilt, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
         assert_eq!(src, GridSource::Built);
         let s = cache.stats();
         assert_eq!(s.reloads, 0, "a corrupt file is not a reload");
@@ -1174,9 +1184,9 @@ mod tests {
         let r2 = synthetic_receptor(2, 30, 5.0);
         let built = {
             let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
-            let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
-            cache.get_or_build(&r2, dims(), SimdLevel::detect(), None); // spills r1
-            cache.get_or_build(&r1, dims(), SimdLevel::detect(), None); // spills r2, reloads r1
+            let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
+            cache.get_or_build(&r2, dims(), SimdLevel::detect()); // spills r1
+            cache.get_or_build(&r1, dims(), SimdLevel::detect()); // spills r2, reloads r1
             built
         }; // "crash": the process's in-memory state is gone, the dir is not
 
@@ -1184,15 +1194,15 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.spilled, 2, "the rescan must re-register both spill files");
         assert_eq!(s.quarantined, 0);
-        let monitor = PerfMonitor::new();
-        let (reloaded, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), Some(&monitor));
+        let (reloaded, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
         assert_eq!(
             src,
             GridSource::Reloaded,
             "the first job after a warm restart must not rebuild"
         );
-        assert!(
-            monitor.region(GRID_BUILD_REGION).is_none(),
+        assert_eq!(
+            cache.build_seconds.count(),
+            0,
             "zero grid builds across the restart"
         );
         for (a, b) in built.data.iter().zip(&reloaded.data) {
@@ -1209,8 +1219,8 @@ mod tests {
         let r2 = synthetic_receptor(2, 30, 5.0);
         {
             let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
-            cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
-            cache.get_or_build(&r2, dims(), SimdLevel::detect(), None); // spills r1
+            cache.get_or_build(&r1, dims(), SimdLevel::detect());
+            cache.get_or_build(&r2, dims(), SimdLevel::detect()); // spills r1
         }
         // A name that does not parse as a spill key…
         std::fs::write(dir.join("notaspill.grid"), b"junk").unwrap();
@@ -1237,7 +1247,7 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".bad"))
             .collect();
         assert_eq!(bad.len(), 2, "damaged files are renamed aside, not deleted");
-        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
+        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
         assert_eq!(
             src,
             GridSource::Reloaded,
@@ -1264,10 +1274,10 @@ mod tests {
             .trace(&trace_path)
             .build()
             .unwrap();
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), None); // build
-        cache.get_or_build(&r2, dims(), SimdLevel::detect(), None); // build, spills r1
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), None); // reload, spills r2
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), None); // hit
+        cache.get_or_build(&r1, dims(), SimdLevel::detect()); // build
+        cache.get_or_build(&r2, dims(), SimdLevel::detect()); // build, spills r1
+        cache.get_or_build(&r1, dims(), SimdLevel::detect()); // reload, spills r2
+        cache.get_or_build(&r1, dims(), SimdLevel::detect()); // hit
         let s = cache.stats();
 
         let t = trace::read_trace(&trace_path).unwrap();
@@ -1333,8 +1343,8 @@ mod tests {
         );
         let r1 = synthetic_receptor(1, 30, 5.0);
         let r2 = synthetic_receptor(2, 30, 5.0);
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), None);
-        cache.get_or_build(&r2, dims(), SimdLevel::detect(), None); // spills r1
+        cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        cache.get_or_build(&r2, dims(), SimdLevel::detect()); // spills r1
 
         cache.hint(grid_cache_key(&r1, &dims()), SimdLevel::detect());
         for _ in 0..500 {
@@ -1347,15 +1357,16 @@ mod tests {
         assert_eq!(s.prefetches, 1, "the hint must trigger a background reload");
         assert_eq!(s.reloads, 1, "a prefetch is counted as a reload too");
 
-        let monitor = PerfMonitor::new();
-        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), Some(&monitor));
+        let builds_before = cache.build_seconds.count();
+        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
         assert_eq!(
             src,
             GridSource::Hit,
             "the demand lookup must find the prefetched entry resident"
         );
-        assert!(
-            monitor.region(GRID_BUILD_REGION).is_none(),
+        assert_eq!(
+            cache.build_seconds.count(),
+            builds_before,
             "no build may run for a prefetched key"
         );
 
@@ -1375,7 +1386,7 @@ mod tests {
             let cache = Arc::clone(&cache);
             let rec = Arc::clone(&rec);
             handles.push(std::thread::spawn(move || {
-                cache.get_or_build(&rec, dims(), SimdLevel::detect(), None)
+                cache.get_or_build(&rec, dims(), SimdLevel::detect())
             }));
         }
         let results: Vec<(Arc<GridSet>, GridSource)> =

@@ -253,7 +253,7 @@ impl Costs {
             .and_then(mean)
             .or(mean(self.global_reload))
             // No reload ever recorded: assume a reload costs a fifth of
-            // a build (BENCH_serve.json's spill-tax ballpark).
+            // a build.
             .unwrap_or_else(|| self.build_ns(k) / 5)
     }
 }

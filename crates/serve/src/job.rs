@@ -268,6 +268,10 @@ impl JobShared {
     pub fn try_outcome(&self) -> Option<JobOutcome> {
         self.state.lock().unwrap().1.clone()
     }
+
+    pub fn state_and_outcome(&self) -> (JobState, Option<JobOutcome>) {
+        self.state.lock().unwrap().clone()
+    }
 }
 
 /// Client-side handle to a submitted job.
@@ -325,6 +329,15 @@ impl JobHandle {
     /// The outcome, if the job already reached a terminal state.
     pub fn try_outcome(&self) -> Option<JobOutcome> {
         self.shared.try_outcome()
+    }
+
+    /// The state and the outcome as of one instant. Reading them
+    /// through [`JobHandle::state`] and [`JobHandle::try_outcome`]
+    /// takes the lock twice, and a job finishing in between shows a
+    /// terminal state with no outcome; here a terminal state always
+    /// comes with its outcome.
+    pub fn state_and_outcome(&self) -> (JobState, Option<JobOutcome>) {
+        self.shared.state_and_outcome()
     }
 }
 

@@ -20,10 +20,11 @@
 //! * **grid cache** ([`cache`]) — built [`GridSet`](mudock_grids::GridSet)s
 //!   are LRU-cached by receptor/geometry content fingerprints
 //!   ([`mudock_grids::hash`]), so repeat jobs against a hot target skip
-//!   the dominant fixed cost; hit/miss counters and build timings are
-//!   surfaced through [`mudock_perf::PerfMonitor`]; with a
-//!   [`SpillConfig`], evicted grid sets spill to a bounded on-disk tier
-//!   and reload bit-identically instead of rebuilding;
+//!   the dominant fixed cost; hit/miss counters surface in `/stats` and
+//!   build timings in the `mudock_grid_build_seconds` histogram on
+//!   `/metrics`; with a [`SpillConfig`], evicted grid sets spill to a
+//!   bounded on-disk tier and reload bit-identically instead of
+//!   rebuilding;
 //! * **streaming ingest** ([`ingest`]) — ligands are pulled lazily in
 //!   chunks (from synthetic generators or multi-model PDBQT via
 //!   [`mudock_molio::stream`]) and fanned out over `mudock-pool`'s
@@ -41,16 +42,16 @@
 //! `GET /healthz`, `GET /stats`) speaking the hand-rolled JSON
 //! [`wire`] codec. A pool of event-loop threads
 //! ([`NetConfig::event_loops`]) multiplexes the connections, each loop
-//! owning its own [`reactor`] ([`reactor::Reactor`] — epoll on Linux,
-//! kqueue on mac/BSD, `poll(2)` elsewhere) and connection table, with
-//! connections pinned to one loop for life (per-loop `SO_REUSEPORT`
-//! listeners on Linux, an accept-thread round-robin handoff elsewhere),
-//! keep-alive and pipelining, per-state plus per-request deadlines that
-//! evict slow, idle, and wedged peers, incremental body parsing through
-//! the resumable [`wire::PushParser`], and the same
-//! bounded-backpressure discipline at the socket edge (a capped
-//! connection count that sheds overload with `503` instead of unbounded
-//! buffering). The HTTP machinery is route-agnostic
+//! owning its own listener, [`reactor`] ([`reactor::Reactor`]) and
+//! connection table, with connections pinned to the loop that accepted
+//! them for life. There is one path per platform: `epoll` and per-loop
+//! `SO_REUSEPORT` listeners on Linux, `poll(2)` and a single loop on
+//! every other unix. On top of that: keep-alive and pipelining,
+//! per-state plus per-request deadlines that evict slow, idle, and
+//! wedged peers, incremental body parsing through the resumable
+//! [`wire::PushParser`], and the same bounded-backpressure discipline
+//! at the socket edge (a capped connection count that sheds overload
+//! with `503` instead of unbounded buffering). The HTTP machinery is route-agnostic
 //! ([`net::HttpRoutes`] mounted on a [`net::HttpFrontend`]) — the
 //! cluster coordinator reuses it wholesale. A matching keep-alive
 //! client lives in [`net::client`].

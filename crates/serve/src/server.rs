@@ -19,7 +19,6 @@ use mudock_core::{dock_ligand, DockingEngine, ScreenResult, StopCheck, StopPolic
 use mudock_grids::{grid_cache_key, Fnv64, GridDims};
 use mudock_mol::Molecule;
 use mudock_obs::{now_ns, Counter, GridSource, Registry};
-use mudock_perf::PerfMonitor;
 
 use crate::cache::policy::CachePolicy;
 use crate::cache::{CacheStats, GridCache, SpillConfig};
@@ -143,7 +142,6 @@ impl Counters {
 /// Shared executor context.
 struct ExecCtx {
     cache: Arc<GridCache>,
-    monitor: Arc<PerfMonitor>,
     counters: Arc<Counters>,
     active: Arc<AtomicUsize>,
     router: Arc<ShardRouter>,
@@ -162,7 +160,6 @@ pub fn default_dims(receptor: &Molecule) -> GridDims {
 pub struct ScreenService {
     queue: Arc<JobQueue>,
     cache: Arc<GridCache>,
-    monitor: Arc<PerfMonitor>,
     counters: Arc<Counters>,
     active: Arc<AtomicUsize>,
     router: Arc<ShardRouter>,
@@ -189,14 +186,13 @@ impl ScreenService {
             cfg.queue_capacity,
             Arc::clone(&router),
         ));
-        let monitor = Arc::new(PerfMonitor::new());
         let registry = Registry::new();
         let counters = Arc::new(Counters::register(&registry));
         let obs = Arc::new(ServeObs::new(registry, cfg.trace.as_ref())?);
         let mut builder = GridCache::builder(cfg.cache_capacity)
             .policy(cfg.cache_policy)
             .prefetch(cfg.cache_prefetch)
-            .prefetch_counter(obs.grid_prefetch_counter());
+            .registry(obs.registry());
         if let Some(spill) = cfg.spill {
             builder = builder.spill(spill);
         }
@@ -210,7 +206,6 @@ impl ScreenService {
             let queue = Arc::clone(&queue);
             let ctx = ExecCtx {
                 cache: Arc::clone(&cache),
-                monitor: Arc::clone(&monitor),
                 counters: Arc::clone(&counters),
                 active: Arc::clone(&active),
                 router: Arc::clone(&router),
@@ -255,7 +250,6 @@ impl ScreenService {
         Ok(ScreenService {
             queue,
             cache,
-            monitor,
             counters,
             active,
             router,
@@ -300,11 +294,6 @@ impl ScreenService {
             cache: self.cache.stats(),
             shards: self.router.snapshot(),
         }
-    }
-
-    /// Perf regions (grid build timings, …) accumulated by the service.
-    pub fn monitor(&self) -> &PerfMonitor {
-        &self.monitor
     }
 
     /// The service's observability state: stage histograms, job/grid
@@ -426,12 +415,9 @@ fn run_job(
     let dims = spec.campaign.dims_for(&spec.receptor);
     let params = spec.campaign.dock_params();
     let grid_t0 = now_ns();
-    let (grids, grid_source) = ctx.cache.get_or_build(
-        &spec.receptor,
-        dims,
-        spec.campaign.grid_level(),
-        Some(&ctx.monitor),
-    );
+    let (grids, grid_source) =
+        ctx.cache
+            .get_or_build(&spec.receptor, dims, spec.campaign.grid_level());
     ctx.obs.job_grid(
         shared.id,
         &shared.trace,

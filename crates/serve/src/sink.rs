@@ -25,30 +25,11 @@ use mudock_core::ScreenResult;
 
 use crate::job::RankedLigand;
 
-/// Escape a string for a JSON string literal.
-///
-/// Handles every mandatory escape (`"`, `\`, and all C0 controls), and
-/// additionally escapes DEL (0x7f) and the C1 range (0x80–0x9f): legal
-/// in JSON but invisible in logs and mangled by some line-oriented
-/// consumers, and this output is written to JSONL files tailed by
-/// exactly such tools. Rust strings are always valid UTF-8, so unpaired
-/// surrogates cannot occur on the encode side (the wire parser rejects
-/// them on decode).
+/// Escape a string for a JSON string literal: the owned-`String` form
+/// of [`mudock_obs::push_json_escaped`], which documents the rules.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || (0x7f..=0x9f).contains(&(c as u32)) => {
-                out.push_str(&format!("\\u{:04x}", c as u32))
-            }
-            c => out.push(c),
-        }
-    }
+    mudock_obs::push_json_escaped(&mut out, s);
     out
 }
 

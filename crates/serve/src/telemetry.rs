@@ -53,7 +53,6 @@ pub struct ServeObs {
     grid_hit: Arc<Counter>,
     grid_built: Arc<Counter>,
     grid_reloaded: Arc<Counter>,
-    grid_prefetch: Arc<Counter>,
     pool_tasks: Arc<Counter>,
     pool_steals: Arc<Counter>,
     trace: Option<TraceWriter>,
@@ -84,11 +83,6 @@ impl ServeObs {
             grid_hit: fetch(GridSource::Hit),
             grid_built: fetch(GridSource::Built),
             grid_reloaded: fetch(GridSource::Reloaded),
-            grid_prefetch: registry.counter(
-                "mudock_grid_prefetch_total",
-                &[],
-                "Spilled grid sets reloaded ahead of demand on a router hint",
-            ),
             pool_tasks: registry.counter(
                 "mudock_pool_tasks_total",
                 &[],
@@ -112,12 +106,6 @@ impl ServeObs {
     /// The trace file path, when tracing is on.
     pub fn trace_path(&self) -> Option<&std::path::Path> {
         self.trace.as_ref().map(|t| t.path())
-    }
-
-    /// The `mudock_grid_prefetch_total` handle — the grid cache's
-    /// prefetcher bumps it so `/metrics` sees ahead-of-demand reloads.
-    pub fn grid_prefetch_counter(&self) -> Arc<Counter> {
-        Arc::clone(&self.grid_prefetch)
     }
 
     fn span(&self, job: JobId, stage: &str, ns: u64, attrs: &[(&str, &str)]) {

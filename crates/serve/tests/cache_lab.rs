@@ -56,7 +56,7 @@ proptest! {
         let dims = GridDims::centered(Vec3::ZERO, 3.0, 1.0);
         let level = SimdLevel::detect();
         for &i in &accesses {
-            cache.get_or_build(&receptors[i], dims, level, None);
+            cache.get_or_build(&receptors[i], dims, level);
         }
         let live = cache.stats();
 

@@ -112,13 +112,17 @@ fn main() {
         stats.cache.misses,
         100.0 * stats.cache.hit_rate()
     );
-    if let Some(build) = service
-        .monitor()
-        .region(mudock::serve::cache::GRID_BUILD_REGION)
-    {
+    // The same histogram `GET /metrics` renders: registering a name
+    // the cache already registered hands back its instrument.
+    let builds = service
+        .registry()
+        .histogram(mudock::serve::cache::GRID_BUILD_METRIC, &[], "")
+        .snapshot();
+    if builds.count > 0 {
         println!(
             "grid builds: {} × {:.2?} total",
-            build.invocations, build.elapsed
+            builds.count,
+            std::time::Duration::from_nanos(builds.sum_ns)
         );
     }
     service.shutdown();
