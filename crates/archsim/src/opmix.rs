@@ -96,18 +96,24 @@ pub struct KernelMix {
 }
 
 /// Intra-energy, per pair. Counted from
-/// `mudock_core::scoring::intra::intra_energy_kernel` +
-/// `mudock_ff::vterms::{vdw_hbond, electrostatic, desolvation}`.
+/// `mudock_core::scoring::intra::{add_pair_vector, walk_packed}` +
+/// `mudock_ff::vterms::pair_energy` (its `rsqrt_nr`, two `recip_nr`s,
+/// `smooth_r` and the r⁻⁶/r⁻¹⁰/r⁻¹² chain; the two bounded-domain
+/// exponentials are the `exp` entries). No `sqrt`: `r = r²·rsqrt(r²)`.
+/// This is the packed walk, which every level uses for most ligand
+/// sizes; the half-shell rows walk of large ligands trades the 6 gathers
+/// and 2 index loads for 3 contiguous loads and 3 broadcasts over 1.2–1.4×
+/// as many slots.
 pub const INTRA_PER_PAIR: KernelMix = KernelMix {
     name: "intra",
     per_element: OpMix {
-        fma: 10.0,
+        fma: 9.0,
         add: 10.0,
-        mul: 14.0,
+        mul: 20.0,
         cmp_sel: 9.0,
-        sqrt: 1.0,
-        recip: 3.0,
-        exp: 2.0, // dielectric + desolvation Gaussian
+        sqrt: 0.0,
+        recip: 3.0, // rsqrt(r²), 1/r_smooth², 1/(A·d + B)
+        exp: 2.0,   // dielectric + desolvation Gaussian
         gather: 6.0,
         load: 6.0,
         store: 0.0,
@@ -206,7 +212,7 @@ mod tests {
     #[test]
     fn scaling_and_sum() {
         let m = INTRA_PER_PAIR.per_element.scaled(2.0);
-        assert_eq!(m.fma, 20.0);
+        assert_eq!(m.fma, 18.0);
         assert_eq!(m.exp, 4.0);
         let s = m.plus(&INTER_PER_ATOM.per_element);
         assert_eq!(s.gather, 12.0 + 24.0);

@@ -5,11 +5,14 @@
 //! binary scores the same pair list with (a) an array-of-structs layout
 //! with per-pair force-field lookups — the "natural" OOP layout — and
 //! (b) the SoA layout with premultiplied coefficients the engine uses,
-//! at every SIMD level.
+//! at every SIMD level. A second table times the SoA kernel's two pair
+//! layouts — packed list and half-shell rows — against each other per
+//! ligand size, which is where the crossover constant of `PairsSoA::build`'s
+//! selection rule comes from.
 
 use std::time::Instant;
 
-use mudock_core::scoring::{intra_energy_simd, PairsSoA};
+use mudock_core::scoring::{intra_energy_simd, PairLayout, PairsSoA};
 use mudock_core::LigandPrep;
 use mudock_ff::params::{PairTable, NB_CUTOFF};
 use mudock_ff::terms;
@@ -40,19 +43,35 @@ fn intra_aos(atoms: &[AtomRec], pairs: &[(u32, u32)], table: &PairTable) -> f32 
     total
 }
 
-fn main() {
+/// Seconds per call of `f`, after a warm-up tenth.
+fn time(reps: usize, f: &mut dyn FnMut() -> f32) -> f64 {
+    let mut sink = 0.0;
+    for _ in 0..reps / 10 {
+        sink += f(); // warm-up
+    }
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        sink += f();
+    }
+    std::hint::black_box(sink);
+    t0.elapsed().as_secs_f64() / reps as f64
+}
+
+fn prep(heavy_atoms: usize) -> LigandPrep {
     let ligand = mudock_molio::synthetic_ligand(
         7,
         mudock_molio::LigandSpec {
-            heavy_atoms: 40,
-            torsions: 8,
+            heavy_atoms,
+            torsions: heavy_atoms / 5,
         },
     );
-    let prep = LigandPrep::new(ligand).expect("valid ligand");
+    LigandPrep::new(ligand).expect("valid ligand")
+}
+
+fn aos_vs_soa() {
+    let prep = prep(40);
     let conf = ConformSoA::from_molecule(&prep.mol);
     let table = PairTable::new();
-    let pairs_soa = PairsSoA::build(&prep.mol, &prep.topo, &table);
-
     let atoms: Vec<AtomRec> = prep
         .mol
         .atoms
@@ -65,32 +84,19 @@ fn main() {
         .collect();
     let reps = 2000;
 
-    let time = |f: &mut dyn FnMut() -> f32| {
-        let mut sink = 0.0;
-        for _ in 0..reps / 10 {
-            sink += f(); // warm-up
-        }
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            sink += f();
-        }
-        std::hint::black_box(sink);
-        t0.elapsed().as_secs_f64() / reps as f64
-    };
-
     println!("ABLATION: AoS + per-pair FF lookups vs SoA + premultiplied coefficients");
     println!(
         "ligand: {} atoms, {} scored pairs\n",
         prep.base.n, prep.pairs.n
     );
-    let t_aos = time(&mut || intra_aos(&atoms, &prep.topo.pairs, &table));
+    let t_aos = time(reps, &mut || intra_aos(&atoms, &prep.topo.pairs, &table));
     println!(
         "{:22} {:10.2} µs/eval  (baseline)",
         "aos+lookup+libm",
         t_aos * 1e6
     );
     for level in SimdLevel::available() {
-        let t = time(&mut || intra_energy_simd(level, &conf, &pairs_soa));
+        let t = time(reps, &mut || intra_energy_simd(level, &conf, &prep.pairs));
         println!(
             "{:22} {:10.2} µs/eval  ({:.2}x)",
             format!("soa {level}"),
@@ -102,4 +108,53 @@ fn main() {
     println!("(it evaluates every term for every pair, no early cutoff exit) — the");
     println!("layout pays off only through the vector widths it unlocks, which is");
     println!("precisely the paper's point about restructuring for vectorization.");
+}
+
+/// Packed list vs half-shell rows per ligand size and level: the data
+/// behind the 1.4× slot-ratio crossover in `PairsSoA::build`. `ratio` is
+/// row slots over packed slots; `*` marks the layout `build` picks. One
+/// lane is listed for the record only — that kernel never walks rows.
+fn packed_vs_rows() {
+    let table = PairTable::new();
+    println!("\nABLATION: packed pair list (gathers) vs half-shell rows (contiguous loads)");
+    println!(
+        "{:>5} {:>5} {:>6} {:>6}  {:8} {:>11} {:>11} {:>7}",
+        "heavy", "atoms", "pairs", "ratio", "level", "packed ns", "rows ns", "rows/pk"
+    );
+    for heavy in [10, 16, 24, 32, 40, 48, 56, 64] {
+        let prep = prep(heavy);
+        let conf = ConformSoA::from_molecule(&prep.mol);
+        let [packed, rows] = [PairLayout::Packed, PairLayout::Rows]
+            .map(|l| PairsSoA::build_as(&prep.mol, &prep.topo, &table, l));
+        let slots = prep.base.n * mudock_mol::padded_len(prep.base.n / 2);
+        let (mp, mr) = match prep.pairs.layout() {
+            PairLayout::Packed => ('*', ' '),
+            PairLayout::Rows => (' ', '*'),
+        };
+        // The two layouts alternate, best of five, so a slow stretch of
+        // the host cannot favour one of them.
+        for level in SimdLevel::available() {
+            let (mut tp, mut tr) = (f64::MAX, f64::MAX);
+            for _ in 0..5 {
+                tp = tp.min(time(4000, &mut || intra_energy_simd(level, &conf, &packed)));
+                tr = tr.min(time(4000, &mut || intra_energy_simd(level, &conf, &rows)));
+            }
+            println!(
+                "{:>5} {:>5} {:>6} {:>6.2}  {:8} {:>10.0}{mp} {:>10.0}{mr} {:>7.2}",
+                heavy,
+                prep.base.n,
+                prep.pairs.n,
+                slots as f64 / packed.len_padded() as f64,
+                level.to_string(),
+                tp * 1e9,
+                tr * 1e9,
+                tr / tp
+            );
+        }
+    }
+}
+
+fn main() {
+    aos_vs_soa();
+    packed_vs_rows();
 }

@@ -106,6 +106,7 @@ pub fn solis_wets(
     let mut best = start.clone();
     let mut best_score = start_score;
     let mut bias = vec![0.0f32; n];
+    let mut dev = vec![0.0f32; n];
     let mut rho = params.rho_start;
     let mut successes = 0usize;
     let mut failures = 0usize;
@@ -114,10 +115,8 @@ pub fn solis_wets(
     let mut candidate = best.clone();
     while evaluations < params.max_evals as u64 && rho > params.rho_min {
         // Forward step: x + (N(0, ρ)·scale + bias).
-        let dev: Vec<f32> = (0..n)
-            .map(|k| gauss(rng) * rho * gene_scale(k) + bias[k])
-            .collect();
         for k in 0..n {
+            dev[k] = gauss(rng) * rho * gene_scale(k) + bias[k];
             candidate.genes[k] = best.genes[k] + dev[k];
         }
         clamp_translation(&mut candidate, center, bound);

@@ -11,4 +11,4 @@ pub use inter::{
     inter_energy_reference, inter_energy_simd, inter_energy_traced, GridAccess, OUT_OF_BOX_PENALTY,
 };
 pub use intra::{intra_energy_reference, intra_energy_simd};
-pub use pairs::PairsSoA;
+pub use pairs::{PairLayout, PairsSoA};

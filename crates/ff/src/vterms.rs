@@ -1,9 +1,23 @@
 //! Vectorized force-field terms, generic over a [`Simd`] backend.
 //!
-//! Lane-for-lane equivalents of [`crate::terms`]; the grid builder
-//! (`mudock-grids`) and the intra-energy kernel (`mudock-core`) instantiate
-//! these at every SIMD level, and the equivalence tests in this module pin
-//! them to the scalar reference within documented tolerances.
+//! Lane-for-lane equivalents of [`crate::terms`], instantiated at every
+//! SIMD level by two callers with different needs:
+//!
+//! * the grid builder (`mudock-grids`) evaluates [`dielectric`],
+//!   [`vdw_hbond`] and [`desolv_gauss`] separately, at receptor–probe
+//!   distances that are **unbounded** — they use the full-range
+//!   [`math::exp`];
+//! * the intra-energy kernel (`mudock-core`) evaluates one fused
+//!   [`pair_energy`] per pair-vector. Only pairs inside the
+//!   [`NB_CUTOFF`] survive that kernel's mask, so `pair_energy` holds `r`
+//!   in `[RMIN, NB_CUTOFF]`, which bounds both of its exponentials'
+//!   arguments to `[−2.53, 0]` and lets them use the ten-FMA
+//!   [`math::exp_bounded`]. It takes `r²` and never calls `sqrt`: `1/r`
+//!   comes from a Newton-refined `rsqrt`, `r = r²·(1/r)`, and the same
+//!   `1/r` folds `qq/(ε(r)·r)` into one reciprocal.
+//!
+//! The equivalence tests in this module pin both to the scalar reference
+//! within documented tolerances.
 //!
 //! All branches of the scalar code become mask/select operations — the
 //! "complex control flow" → "branchless data flow" transformation the paper
@@ -11,20 +25,26 @@
 
 use mudock_simd::{math, Simd};
 
-use crate::params::{weights, COULOMB, DESOLV_SIGMA, SMOOTH};
+use crate::params::{weights, COULOMB, DESOLV_SIGMA, NB_CUTOFF, SMOOTH};
 use crate::terms::{ECLAMP, RMIN};
+
+// Mehler–Solmajer dielectric `ε(r) = A + B/(1 + K·exp(−λB·r))`.
+const DIEL_LAMBDA: f32 = 0.003_627;
+const DIEL_A: f32 = -8.5525;
+const DIEL_B: f32 = 78.4 - DIEL_A;
+const DIEL_K: f32 = 7.7839;
+/// `1/2σ²` of the desolvation Gaussian.
+const DESOLV_K: f32 = 1.0 / (2.0 * DESOLV_SIGMA * DESOLV_SIGMA);
 
 /// Vectorized Mehler–Solmajer dielectric `ε(r)`.
 #[inline(always)]
 pub fn dielectric<S: Simd>(s: S, r: S::V) -> S::V {
-    const LAMBDA: f32 = 0.003_627;
-    const EPS0: f32 = 78.4;
-    const A: f32 = -8.5525;
-    const B: f32 = EPS0 - A;
-    const K: f32 = 7.7839;
-    let e = math::exp(s, s.mul(r, s.splat(-LAMBDA * B)));
-    let denom = s.mul_add(e, s.splat(K), s.splat(1.0));
-    s.add(s.splat(A), s.mul(s.splat(B), math::recip_nr(s, denom)))
+    let e = math::exp(s, s.mul(r, s.splat(-DIEL_LAMBDA * DIEL_B)));
+    let denom = s.mul_add(e, s.splat(DIEL_K), s.splat(1.0));
+    s.add(
+        s.splat(DIEL_A),
+        s.mul(s.splat(DIEL_B), math::recip_nr(s, denom)),
+    )
 }
 
 /// Vectorized AutoGrid smoothing: snap `r` to the pair's well distance
@@ -44,37 +64,81 @@ pub fn smooth_r<S: Simd>(s: S, r: S::V, rij: S::V) -> S::V {
 /// [`crate::params::PairTable`]), which makes the power selection free.
 #[inline(always)]
 pub fn vdw_hbond<S: Simd>(s: S, r: S::V, rij: S::V, c12: S::V, c6: S::V, c10: S::V) -> S::V {
-    let r = smooth_r(s, s.max(r, s.splat(RMIN)), rij);
-    let inv_r2 = math::recip_nr(s, s.mul(r, r));
-    let inv_r6 = s.mul(s.mul(inv_r2, inv_r2), inv_r2);
-    let inv_r10 = s.mul(s.mul(inv_r6, inv_r2), inv_r2);
-    let inv_r12 = s.mul(inv_r6, inv_r6);
-    let att = s.mul_add(c6, inv_r6, s.mul(c10, inv_r10));
-    let e = s.sub(s.mul(c12, inv_r12), att);
-    s.min(e, s.splat(ECLAMP))
+    vdw_hbond_clamped(s, s.max(r, s.splat(RMIN)), rij, c12, c6, c10)
 }
 
-/// Vectorized electrostatic term. `qq` is the premultiplied
-/// `W_e · 332.06 · q_i · q_j` per lane.
+/// [`vdw_hbond`] for an `r` already held at or above `RMIN`.
 #[inline(always)]
-pub fn electrostatic<S: Simd>(s: S, qq: S::V, r: S::V) -> S::V {
-    let r = s.max(r, s.splat(RMIN));
-    let denom = s.mul(dielectric(s, r), r);
-    s.mul(qq, math::recip_nr(s, denom))
+fn vdw_hbond_clamped<S: Simd>(s: S, r: S::V, rij: S::V, c12: S::V, c6: S::V, c10: S::V) -> S::V {
+    let r = smooth_r(s, r, rij);
+    let inv_r2 = math::recip_nr(s, s.mul(r, r));
+    let inv_r4 = s.mul(inv_r2, inv_r2);
+    let inv_r6 = s.mul(inv_r4, inv_r2);
+    // c12·r⁻¹² − c6·r⁻⁶ − c10·r⁻¹⁰ = −r⁻⁶·((c6 + c10·r⁻⁴) − c12·r⁻⁶)
+    let att = s.mul_add(c10, inv_r4, c6);
+    let net = s.neg_mul_add(c12, inv_r6, att);
+    let e = s.neg_mul_add(net, inv_r6, s.zero());
+    s.min(e, s.splat(ECLAMP))
 }
 
 /// Vectorized Gaussian desolvation envelope `exp(−r²/2σ²)`.
 #[inline(always)]
 pub fn desolv_gauss<S: Simd>(s: S, r2: S::V) -> S::V {
-    let k = -1.0 / (2.0 * DESOLV_SIGMA * DESOLV_SIGMA);
-    math::exp(s, s.mul(r2, s.splat(k)))
+    math::exp(s, s.mul(r2, s.splat(-DESOLV_K)))
 }
 
-/// Vectorized weighted desolvation term. `sv` is the premultiplied
-/// `W_d · (S_i·V_j + S_j·V_i)` per lane.
+/// Premultiplied per-pair coefficients, one vector of lanes each — what
+/// `PairsSoA` in `mudock-core` stores per scored pair.
+#[derive(Clone, Copy, Debug)]
+pub struct PairCoefs<V> {
+    /// Pair equilibrium distance (for smoothing).
+    pub rij: V,
+    /// Weighted 12-power coefficient.
+    pub c12: V,
+    /// Weighted 6-power coefficient (0 for H-bond pairs).
+    pub c6: V,
+    /// Weighted 10-power coefficient (0 for non-H-bond pairs).
+    pub c10: V,
+    /// [`premult::qq`].
+    pub qq: V,
+    /// [`premult::sv`].
+    pub sv: V,
+}
+
+/// All four weighted terms of one ligand-internal pair, from its squared
+/// distance: van der Waals / H-bond + electrostatics + desolvation —
+/// lane-for-lane [`crate::terms::pair_energy`]`.total()` for
+/// `r ≤ NB_CUTOFF`.
+///
+/// `r²` is clamped to `NB_CUTOFF²` first, so a lane beyond the cutoff gets
+/// the (finite) energy of the cutoff distance; the caller masks those
+/// lanes out. That clamp is what puts both exponentials inside
+/// [`math::exp_bounded`]'s domain: `λB·r ≤ 0.3154·8 = 2.53` and
+/// `r²/2σ² ≤ 64/25.92 = 2.47`. All-zero coefficients (with any
+/// `rij > 0`) give exactly `±0`.
 #[inline(always)]
-pub fn desolvation<S: Simd>(s: S, sv: S::V, r2: S::V) -> S::V {
-    s.mul(sv, desolv_gauss(s, r2))
+pub fn pair_energy<S: Simd>(s: S, r2: S::V, c: PairCoefs<S::V>) -> S::V {
+    const _: () = assert!(
+        DIEL_LAMBDA * DIEL_B * NB_CUTOFF <= -math::EXP_BOUNDED_LO
+            && DESOLV_K * NB_CUTOFF * NB_CUTOFF <= -math::EXP_BOUNDED_LO
+    );
+    let r2 = s.min(r2, s.splat(NB_CUTOFF * NB_CUTOFF));
+    // r = max(√r², RMIN) without a sqrt: r = r²·rsqrt(r²).
+    let r2_clamped = s.max(r2, s.splat(RMIN * RMIN));
+    let inv_r = math::rsqrt_nr(s, r2_clamped);
+    let r = s.mul(r2_clamped, inv_r);
+
+    let vdw = vdw_hbond_clamped(s, r, c.rij, c.c12, c.c6, c.c10);
+
+    // qq/(ε(r)·r) with ε = A + B/d, d = 1 + K·e  ⇒  qq·(1/r)·d/(A·d + B).
+    let e = math::exp_bounded(s, s.mul(r, s.splat(-DIEL_LAMBDA * DIEL_B)));
+    let d = s.mul_add(e, s.splat(DIEL_K), s.splat(1.0));
+    let denom = s.mul_add(d, s.splat(DIEL_A), s.splat(DIEL_B));
+    let elec = s.mul(s.mul(c.qq, inv_r), s.mul(d, math::recip_nr(s, denom)));
+
+    // The Gaussian takes the distance as measured, not raised to RMIN.
+    let gauss = math::exp_bounded(s, s.mul(r2, s.splat(-DESOLV_K)));
+    s.mul_add(c.sv, gauss, s.add(vdw, elec))
 }
 
 /// Free-energy weight constants re-exported for kernels that premultiply.
@@ -181,39 +245,133 @@ mod tests {
         }
     }
 
+    /// One lane's worth of `pair_energy` inputs and the scalar answer.
+    struct Case {
+        r: f32,
+        coefs: [f32; 6], // rij, c12, c6, c10, qq, sv
+        want: f32,
+    }
+
+    fn cases() -> Vec<Case> {
+        let table = PairTable::new();
+        let atoms = [
+            (AtomType::C, 0.12f32),
+            (AtomType::OA, -0.38),
+            (AtomType::HD, 0.21),
+            (AtomType::NA, -0.30),
+            (AtomType::A, 0.02),
+            (AtomType::S, -0.10),
+        ];
+        let mut out = Vec::new();
+        for (ia, &(ta, qa)) in atoms.iter().enumerate() {
+            for &(tb, qb) in &atoms[ia..] {
+                // Below RMIN, through the wells, up to the cutoff itself.
+                for i in 0..=64 {
+                    let r = 0.3 + (NB_CUTOFF - 0.3) * i as f32 / 64.0;
+                    let k = PairTable::index(ta, tb);
+                    let (pa, pb) = (
+                        crate::params::type_params(ta),
+                        crate::params::type_params(tb),
+                    );
+                    let sv = premult::sv(
+                        terms::solvation_param(ta, qa),
+                        pa.vol,
+                        terms::solvation_param(tb, qb),
+                        pb.vol,
+                    );
+                    out.push(Case {
+                        r,
+                        coefs: [
+                            table.rij[k],
+                            table.c12[k],
+                            table.c6[k],
+                            table.c10[k],
+                            premult::qq(qa, qb),
+                            sv,
+                        ],
+                        want: terms::pair_energy(&table, ta, qa, tb, qb, r).total(),
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    #[inline(always)]
+    fn pair_energy_lanes<S: Simd>(s: S, cases: &[Case], got: &mut Vec<f32>) {
+        for chunk in cases.chunks_exact(S::LANES) {
+            let col = |f: &dyn Fn(&Case) -> f32| {
+                let mut buf = [0.0f32; mudock_simd::MAX_LANES];
+                for (b, c) in buf.iter_mut().zip(chunk) {
+                    *b = f(c);
+                }
+                s.load(&buf)
+            };
+            let coefs = PairCoefs {
+                rij: col(&|c| c.coefs[0]),
+                c12: col(&|c| c.coefs[1]),
+                c6: col(&|c| c.coefs[2]),
+                c10: col(&|c| c.coefs[3]),
+                qq: col(&|c| c.coefs[4]),
+                sv: col(&|c| c.coefs[5]),
+            };
+            let e = pair_energy(s, col(&|c| c.r * c.r), coefs);
+            for lane in 0..S::LANES {
+                got.push(s.extract(e, lane));
+            }
+        }
+    }
+
     #[test]
-    fn electrostatic_matches_scalar_all_levels() {
+    fn pair_energy_matches_scalar_lane_for_lane_all_levels() {
+        let mut cases = cases();
+        cases.truncate(cases.len() / mudock_simd::MAX_LANES * mudock_simd::MAX_LANES);
         for level in SimdLevel::available() {
-            for i in 1..60 {
-                let r = 0.4 + i as f32 * 0.12;
-                let (qi, qj) = (0.35f32, -0.42f32);
-                let want = terms::electrostatic(qi, qj, r);
-                let qqv = premult::qq(qi, qj);
-                let got = lane0!(level, |s| electrostatic(s, s.splat(qqv), s.splat(r)));
+            let mut got = Vec::with_capacity(cases.len());
+            dispatch!(level, |s| pair_energy_lanes(s, &cases, &mut got));
+            assert_eq!(got.len(), cases.len());
+            for (c, &g) in cases.iter().zip(&got) {
+                // The r^-12 wall amplifies a 2-ulp r into ~25 ulp.
                 assert!(
-                    (got - want).abs() < 5e-4 * want.abs().max(1e-3),
-                    "{level} r={r}: {got} vs {want}"
+                    (g - c.want).abs() <= 2e-5 * c.want.abs().max(1.0),
+                    "{level} r={}: {g} vs {}",
+                    c.r,
+                    c.want
                 );
             }
         }
     }
 
     #[test]
-    fn desolvation_matches_scalar_all_levels() {
-        let si = terms::solvation_param(AtomType::C, 0.1);
-        let sj = terms::solvation_param(AtomType::OA, -0.3);
-        let vi = crate::params::type_params(AtomType::C).vol;
-        let vj = crate::params::type_params(AtomType::OA).vol;
+    fn pair_energy_is_finite_beyond_the_cutoff_and_zero_for_zero_coefficients() {
         for level in SimdLevel::available() {
-            for i in 0..60 {
-                let r = i as f32 * 0.13;
-                let want = terms::desolvation(si, vi, sj, vj, r);
-                let svv = premult::sv(si, vi, sj, vj);
-                let got = lane0!(level, |s| desolvation(s, s.splat(svv), s.splat(r * r)));
-                assert!(
-                    (got - want).abs() < 1e-5 + 1e-4 * want.abs(),
-                    "{level} r={r}: {got} vs {want}"
-                );
+            for r2 in [0.0f32, 1.0, 63.9, 64.0, 65.0, 1.0e4, 3.0e12] {
+                let zero = lane0!(level, |s| pair_energy(
+                    s,
+                    s.splat(r2),
+                    PairCoefs {
+                        rij: s.splat(1.0),
+                        c12: s.zero(),
+                        c6: s.zero(),
+                        c10: s.zero(),
+                        qq: s.zero(),
+                        sv: s.zero(),
+                    }
+                ));
+                assert_eq!(zero, 0.0, "{level} r2={r2}");
+                let some = lane0!(level, |s| pair_energy(
+                    s,
+                    s.splat(r2),
+                    PairCoefs {
+                        rij: s.splat(4.0),
+                        c12: s.splat(1.0e5),
+                        c6: s.splat(1.0e2),
+                        c10: s.zero(),
+                        qq: s.splat(-3.0),
+                        sv: s.splat(0.01),
+                    }
+                ));
+                assert!(some.is_finite(), "{level} r2={r2}: {some}");
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Width-generic vector math: `exp`, `log`, `powf`, refined reciprocals.
+//! Width-generic vector math: `exp`, a bounded-domain `exp`, `log`, `powf`,
+//! refined reciprocals.
 //!
 //! The reproduced paper shows that availability of *vectorized math
 //! functions* is the single biggest portability cliff: compilers that cannot
@@ -52,6 +53,45 @@ pub fn exp<S: Simd>(s: S, x: S::V) -> S::V {
     // y * 2^n via exponent-field construction.
     let scale = s.bitcast_i32_f32(s.i32_shl::<23>(s.i32_add(n_i, s.splat_i32(127))));
     s.mul(y, scale)
+}
+
+/// Lower end of [`exp_bounded`]'s domain.
+pub const EXP_BOUNDED_LO: f32 = -2.6;
+
+/// Vectorized `e^x` for `x` in `[EXP_BOUNDED_LO, 0]` only: one degree-9
+/// minimax polynomial in `t = x/1.3 + 1 ∈ [−1, 1]` — ten FMAs, against
+/// the ~20 operations of [`exp`], because there is no clamp, no range
+/// reduction, no float→int conversion and no exponent-field scale.
+///
+/// The domain is the caller's obligation (`debug_assert`ed, unchecked in
+/// release builds; outside it the polynomial diverges from `e^x` without
+/// warning). The intra-energy pair term meets it by construction: both of
+/// its exponentials, `exp(−λB·r)` and `exp(−r²/2σ²)`, have arguments in
+/// `[−2.53, 0]` once `r` is held inside the 8 Å cutoff.
+///
+/// Accuracy: the polynomial is within 7.2e-9 (relative) of `e^x` in exact
+/// arithmetic; evaluated in `f32` by Horner's rule it stays ≤ 4 ulp on
+/// backends with a fused multiply-add and ≤ 6 ulp where `mul_add` rounds
+/// twice (scalar, SSE2) — the cancellation near `t = −1`, where terms of
+/// magnitude 0.27 sum to 0.074, is what costs the last ulps.
+#[inline(always)]
+pub fn exp_bounded<S: Simd>(s: S, x: S::V) -> S::V {
+    debug_assert!(
+        s.all(s.mask_and(s.ge(x, s.splat(EXP_BOUNDED_LO)), s.le(x, s.zero()))),
+        "exp_bounded argument outside [{EXP_BOUNDED_LO}, 0]: {x:?}"
+    );
+    // Remez fit of e^(1.3(t−1)) on [−1, 1], relative error.
+    let t = s.mul_add(x, s.splat(1.0 / 1.3), s.splat(1.0));
+    let mut p = s.splat(7.663_754e-6);
+    p = s.mul_add(p, t, s.splat(5.758_401_7e-5));
+    p = s.mul_add(p, t, s.splat(3.403_673e-4));
+    p = s.mul_add(p, t, s.splat(1.825_084_1e-3));
+    p = s.mul_add(p, t, s.splat(8.431_564e-3));
+    p = s.mul_add(p, t, s.splat(3.243_301_8e-2));
+    p = s.mul_add(p, t, s.splat(9.979_23e-2));
+    p = s.mul_add(p, t, s.splat(2.302_893_1e-1));
+    p = s.mul_add(p, t, s.splat(3.542_913_2e-1));
+    s.mul_add(p, t, s.splat(2.725_318e-1))
 }
 
 const SQRT_HALF: f32 = std::f32::consts::FRAC_1_SQRT_2;
@@ -176,6 +216,67 @@ mod tests {
         assert!(exp(s, -100.0) < 1.2e-38);
         assert!(exp(s, 200.0).is_finite());
         assert!((exp(s, 1.0) - std::f32::consts::E).abs() < 1e-6);
+    }
+
+    #[inline(always)]
+    fn exp_bounded_slice<S: Simd>(s: S, xs: &[f32], out: &mut [f32]) {
+        for (x, y) in xs
+            .chunks_exact(S::LANES)
+            .zip(out.chunks_exact_mut(S::LANES))
+        {
+            s.store(exp_bounded(s, s.load(x)), y);
+        }
+    }
+
+    /// Worst error of `exp_bounded` at `level`, in ulps of the `f64`
+    /// reference rounded to `f32`, over every `stride`-th float of the
+    /// domain plus both endpoints.
+    fn exp_bounded_worst_ulp(level: crate::SimdLevel, stride: usize) -> f64 {
+        // Bit patterns of the negative floats ascend from -0.0 to -2.6.
+        let mut xs: Vec<f32> = ((-0.0f32).to_bits()..=EXP_BOUNDED_LO.to_bits())
+            .step_by(stride)
+            .map(f32::from_bits)
+            .collect();
+        xs.extend([0.0, EXP_BOUNDED_LO]);
+        xs.resize(xs.len().next_multiple_of(crate::MAX_LANES), 0.0);
+        let mut got = vec![0.0f32; xs.len()];
+        crate::dispatch!(level, |s| exp_bounded_slice(s, &xs, &mut got));
+        xs.iter()
+            .zip(&got)
+            .map(|(&x, &y)| {
+                let want = (x as f64).exp();
+                let w32 = want as f32;
+                let ulp = (f32::from_bits(w32.to_bits() + 1) - w32) as f64;
+                (y as f64 - want).abs() / ulp
+            })
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn exp_bounded_accuracy_all_levels() {
+        for level in crate::SimdLevel::available() {
+            // Two roundings per Horner step without a fused multiply-add.
+            let fused = matches!(level, crate::SimdLevel::Avx2 | crate::SimdLevel::Avx512);
+            let bound = if fused { 4.0 } else { 6.0 };
+            let worst = exp_bounded_worst_ulp(level, 997);
+            assert!(worst <= bound, "{level}: {worst} ulp");
+        }
+    }
+
+    #[test]
+    fn exp_bounded_endpoints() {
+        let s = Scalar::new();
+        assert_eq!(exp_bounded(s, 0.0), 1.0);
+        assert_eq!(exp_bounded(s, -0.0), 1.0);
+        let lo = exp_bounded(s, EXP_BOUNDED_LO);
+        assert!(rel_err(lo, (EXP_BOUNDED_LO as f64).exp()) < 3e-7, "{lo}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exp_bounded argument outside")]
+    fn exp_bounded_asserts_its_domain() {
+        exp_bounded(Scalar::new(), -2.7);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! backbone of the whole explicit-vectorization arm.
 
 use mudock::core::scoring::{
-    inter_energy_reference, inter_energy_simd, intra_energy_reference, intra_energy_simd, PairsSoA,
+    inter_energy_reference, inter_energy_simd, intra_energy_reference, intra_energy_simd,
+    PairLayout, PairsSoA,
 };
 use mudock::core::transform::{apply_pose_reference, apply_pose_simd};
 use mudock::core::{Genotype, LigandPrep};
@@ -17,8 +18,8 @@ use proptest::prelude::*;
 fn spec_strategy() -> impl Strategy<Value = (u64, usize, usize, u64)> {
     (
         0u64..1000, // ligand seed
-        8usize..36, // heavy atoms
-        0usize..8,  // torsions
+        4usize..65, // heavy atoms: both sides of the pair-layout selection
+        0usize..15, // torsions
         0u64..1000, // pose seed
     )
 }
@@ -59,19 +60,64 @@ proptest! {
             mudock::molio::LigandSpec { heavy_atoms: heavy, torsions: tors },
         );
         let prep = LigandPrep::new(lig).unwrap();
-        let pairs = PairsSoA::build(&prep.mol, &prep.topo, &PairTable::new());
         // Score a *transformed* conformation, not just the base one.
         let g = random_pose(pose_seed, prep.n_torsions());
         let mut conf = ConformSoA::with_capacity(prep.base.n);
         apply_pose_reference(&prep.base, &prep.plans, &g, &mut conf);
-        let want = intra_energy_reference(&conf, &pairs);
+        let want = intra_energy_reference(&conf, &prep.pairs);
+        // Whichever layout `LigandPrep` chose, both walks must agree.
+        for layout in [PairLayout::Packed, PairLayout::Rows] {
+            let pairs = PairsSoA::build_as(&prep.mol, &prep.topo, &PairTable::new(), layout);
+            for level in SimdLevel::available() {
+                let got = intra_energy_simd(level, &conf, &pairs);
+                let tol = 3e-3 * want.abs().max(1.0);
+                prop_assert!(
+                    (got - want).abs() <= tol,
+                    "{level} {layout:?}: {got} vs {want} (tol {tol})"
+                );
+            }
+        }
+    }
+}
+
+/// A 48-heavy-atom ligand: dense enough in scored pairs that
+/// `LigandPrep` lays them out as half-shell rows.
+fn large_prep() -> LigandPrep {
+    let lig = mudock::molio::synthetic_ligand(
+        11,
+        mudock::molio::LigandSpec {
+            heavy_atoms: 48,
+            torsions: 10,
+        },
+    );
+    let prep = LigandPrep::new(lig).unwrap();
+    assert_eq!(prep.pairs.layout(), PairLayout::Rows);
+    prep
+}
+
+#[test]
+fn large_ligand_stretched_beyond_the_cutoff_scores_zero() {
+    let prep = large_prep();
+    let mut conf = prep.base.clone();
+    for i in 0..conf.n {
+        conf.x[i] += 100.0 * i as f32; // > 8 Å between every pair
+    }
+    assert_eq!(intra_energy_reference(&conf, &prep.pairs), 0.0);
+    for level in SimdLevel::available() {
+        assert_eq!(intra_energy_simd(level, &conf, &prep.pairs), 0.0, "{level}");
+    }
+}
+
+#[test]
+fn large_ligand_without_scored_pairs_scores_zero() {
+    let prep = large_prep();
+    let no_topology = mudock::mol::Topology::default();
+    for layout in [PairLayout::Packed, PairLayout::Rows] {
+        let empty = PairsSoA::build_as(&prep.mol, &no_topology, &PairTable::new(), layout);
+        assert_eq!(empty.n, 0);
+        assert_eq!(intra_energy_reference(&prep.base, &empty), 0.0);
         for level in SimdLevel::available() {
-            let got = intra_energy_simd(level, &conf, &pairs);
-            let tol = 3e-3 * want.abs().max(1.0);
-            prop_assert!(
-                (got - want).abs() <= tol,
-                "{level}: {got} vs {want} (tol {tol})"
-            );
+            assert_eq!(intra_energy_simd(level, &prep.base, &empty), 0.0, "{level}");
         }
     }
 }
