@@ -96,14 +96,17 @@ pub struct KernelMix {
 }
 
 /// Intra-energy, per pair. Counted from
-/// `mudock_core::scoring::intra::{add_pair_vector, walk_packed}` +
+/// `mudock_core::scoring::intra::{add_pair_vector, walk_gathered}` +
 /// `mudock_ff::vterms::pair_energy` (its `rsqrt_nr`, two `recip_nr`s,
 /// `smooth_r` and the r⁻⁶/r⁻¹⁰/r⁻¹² chain; the two bounded-domain
 /// exponentials are the `exp` entries). No `sqrt`: `r = r²·rsqrt(r²)`.
-/// This is the packed walk, which every level uses for most ligand
-/// sizes; the half-shell rows walk of large ligands trades the 6 gathers
-/// and 2 index loads for 3 contiguous loads and 3 broadcasts over 1.2–1.4×
-/// as many slots.
+/// This is the gathered walk — 6 gathers and 2 index loads per pair —
+/// which is what every level below AVX-512 runs for every ligand rows do
+/// not cover. The other two walks fetch the same six coordinates without
+/// a gather: the table walk (AVX-512, ligands of at most 32 atoms) with 6
+/// in-register permutes (`cmp_sel` + 6, `gather` 0), the half-shell rows
+/// walk of large ligands with 3 contiguous loads and 3 broadcasts
+/// (`gather` 0, `load` − 2 + 3) over 1.2–1.4× as many slots.
 pub const INTRA_PER_PAIR: KernelMix = KernelMix {
     name: "intra",
     per_element: OpMix {
@@ -123,23 +126,27 @@ pub const INTRA_PER_PAIR: KernelMix = KernelMix {
 };
 
 /// Inter-energy, per atom. Counted from
-/// `mudock_core::scoring::inter::{inter_energy_kernel, trilerp}`: 24
-/// corner gathers (3 maps × 8), trilinear FMA chains, clamp/penalty math,
-/// integer index arithmetic.
+/// `mudock_core::scoring::inter::{inter_kernel, trilerp}`: 12 paired
+/// corner gathers (3 maps × 4 x-adjacent pairs, one 8-byte element load
+/// each — `Simd::gather_pair_unchecked` on AVX-512 and AVX2; two single
+/// gathers where the operation is its default), the 24 lane permutes that
+/// split them into 24 corner values (under `cmp_sel`, with the clamps),
+/// trilinear FMA chains, clamp/penalty math, integer index arithmetic
+/// (3 corner offsets per map instead of 7).
 pub const INTER_PER_ATOM: KernelMix = KernelMix {
     name: "inter",
     per_element: OpMix {
         fma: 25.0,
         add: 14.0,
         mul: 8.0,
-        cmp_sel: 10.0,
+        cmp_sel: 14.0 + 24.0, // 6 penalty max, 8 clamp min/max + the pair splits
         sqrt: 1.0,
         recip: 0.0,
         exp: 0.0,
-        gather: 24.0,
+        gather: 12.0,
         load: 6.0,
         store: 0.0,
-        int_ops: 24.0,
+        int_ops: 12.0,
     },
     contains_exp: false,
 };
@@ -215,7 +222,7 @@ mod tests {
         assert_eq!(m.fma, 18.0);
         assert_eq!(m.exp, 4.0);
         let s = m.plus(&INTER_PER_ATOM.per_element);
-        assert_eq!(s.gather, 12.0 + 24.0);
+        assert_eq!(s.gather, 12.0 + 12.0);
     }
 
     #[test]
@@ -256,11 +263,12 @@ mod tests {
     #[test]
     fn intra_is_compute_heavy_inter_is_gather_heavy() {
         // The paper's characterization (Section V): intra = compute-bound,
-        // inter = memory lookups.
+        // inter = memory lookups — fewer FLOPs per gathered load, and each
+        // of inter's loads is an 8-byte pair.
         let intra = INTRA_PER_PAIR.per_element;
         let inter = INTER_PER_ATOM.per_element;
-        let intra_ratio = intra.issue_slots(true) / (intra.gather + intra.load);
-        let inter_ratio = inter.issue_slots(true) / (inter.gather + inter.load);
-        assert!(intra_ratio > inter_ratio);
+        let intra_ratio = intra.flops(13.0) / intra.gather;
+        let inter_ratio = inter.flops(13.0) / inter.gather;
+        assert!(intra_ratio > 1.5 * inter_ratio);
     }
 }

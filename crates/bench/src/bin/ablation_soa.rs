@@ -5,14 +5,17 @@
 //! binary scores the same pair list with (a) an array-of-structs layout
 //! with per-pair force-field lookups — the "natural" OOP layout — and
 //! (b) the SoA layout with premultiplied coefficients the engine uses,
-//! at every SIMD level. A second table times the SoA kernel's two pair
-//! layouts — packed list and half-shell rows — against each other per
-//! ligand size, which is where the crossover constant of `PairsSoA::build`'s
-//! selection rule comes from.
+//! at every SIMD level. A second table times the SoA kernel's three walks
+//! — the packed list through an in-register table or through memory
+//! gathers, and half-shell rows — against each other per ligand size,
+//! which is where the crossover constant of `PairsSoA::build`'s selection
+//! rule and the table's precedence over rows come from.
 
 use std::time::Instant;
 
-use mudock_core::scoring::{intra_energy_simd, PairLayout, PairsSoA};
+use mudock_core::scoring::{
+    intra_energy_simd, intra_energy_simd_walk, IntraWalk, PairLayout, PairsSoA,
+};
 use mudock_core::LigandPrep;
 use mudock_ff::params::{PairTable, NB_CUTOFF};
 use mudock_ff::terms;
@@ -110,45 +113,58 @@ fn aos_vs_soa() {
     println!("precisely the paper's point about restructuring for vectorization.");
 }
 
-/// Packed list vs half-shell rows per ligand size and level: the data
-/// behind the 1.4× slot-ratio crossover in `PairsSoA::build`. `ratio` is
-/// row slots over packed slots; `*` marks the layout `build` picks. One
-/// lane is listed for the record only — that kernel never walks rows.
-fn packed_vs_rows() {
+/// The three walks per ligand size and level: the data behind the 1.4×
+/// slot-ratio crossover in `PairsSoA::build` and behind the table's
+/// precedence over rows. `ratio` is row slots over packed slots; `*`
+/// marks the walk the kernel takes for what `build` lays out. The table
+/// column is empty where two registers of that level cannot hold the
+/// ligand; below AVX-512 it times the default `lookup2` (a stack copy),
+/// which is why those levels never select it. One lane is listed for the
+/// record only — that kernel always gathers.
+fn walks() {
     let table = PairTable::new();
-    println!("\nABLATION: packed pair list (gathers) vs half-shell rows (contiguous loads)");
+    println!("\nABLATION: packed list via in-register table / via gathers vs half-shell rows");
     println!(
-        "{:>5} {:>5} {:>6} {:>6}  {:8} {:>11} {:>11} {:>7}",
-        "heavy", "atoms", "pairs", "ratio", "level", "packed ns", "rows ns", "rows/pk"
+        "{:>5} {:>5} {:>6} {:>6}  {:8} {:>11} {:>11} {:>11}",
+        "heavy", "atoms", "pairs", "ratio", "level", "table ns", "gathered ns", "rows ns"
     );
     for heavy in [10, 16, 24, 32, 40, 48, 56, 64] {
         let prep = prep(heavy);
         let conf = ConformSoA::from_molecule(&prep.mol);
-        let [packed, rows] = [PairLayout::Packed, PairLayout::Rows]
-            .map(|l| PairsSoA::build_as(&prep.mol, &prep.topo, &table, l));
+        let rows = PairsSoA::build_as(&prep.mol, &prep.topo, &table, PairLayout::Rows);
         let slots = prep.base.n * mudock_mol::padded_len(prep.base.n / 2);
-        let (mp, mr) = match prep.pairs.layout() {
-            PairLayout::Packed => ('*', ' '),
-            PairLayout::Rows => (' ', '*'),
-        };
-        // The two layouts alternate, best of five, so a slow stretch of
-        // the host cannot favour one of them.
         for level in SimdLevel::available() {
-            let (mut tp, mut tr) = (f64::MAX, f64::MAX);
+            let walks = [IntraWalk::Table, IntraWalk::Gathered, IntraWalk::Rows];
+            let runnable = |w| w != IntraWalk::Table || prep.base.n <= 2 * level.lanes();
+            // The walks alternate, best of five, so a slow stretch of the
+            // host cannot favour one of them.
+            let mut best = [f64::MAX; 3];
             for _ in 0..5 {
-                tp = tp.min(time(4000, &mut || intra_energy_simd(level, &conf, &packed)));
-                tr = tr.min(time(4000, &mut || intra_energy_simd(level, &conf, &rows)));
+                for (t, w) in best.iter_mut().zip(walks) {
+                    if runnable(w) {
+                        *t = t.min(time(4000, &mut || {
+                            intra_energy_simd_walk(level, &conf, &rows, w)
+                        }));
+                    }
+                }
             }
+            let selected = IntraWalk::selected(level, &prep.pairs);
+            let cells: String = best
+                .iter()
+                .zip(walks)
+                .map(|(t, w)| match (runnable(w), w == selected) {
+                    (false, _) => format!(" {:>11}", "-"),
+                    (true, true) => format!(" {:>10.0}*", t * 1e9),
+                    (true, false) => format!(" {:>10.0} ", t * 1e9),
+                })
+                .collect();
             println!(
-                "{:>5} {:>5} {:>6} {:>6.2}  {:8} {:>10.0}{mp} {:>10.0}{mr} {:>7.2}",
+                "{:>5} {:>5} {:>6} {:>6.2}  {:8}{cells}",
                 heavy,
                 prep.base.n,
                 prep.pairs.n,
-                slots as f64 / packed.len_padded() as f64,
+                slots as f64 / rows.len_padded() as f64,
                 level.to_string(),
-                tp * 1e9,
-                tr * 1e9,
-                tr / tp
             );
         }
     }
@@ -156,5 +172,5 @@ fn packed_vs_rows() {
 
 fn main() {
     aos_vs_soa();
-    packed_vs_rows();
+    walks();
 }

@@ -375,6 +375,9 @@ pub enum CampaignError {
     InvalidShard(String),
     /// The pinned backend is not runnable on this host.
     UnsupportedBackend(String),
+    /// Pinned grid lattice with an axis of fewer than 2 points (no cell to
+    /// interpolate in).
+    InvalidGrid([u32; 3]),
 }
 
 impl std::fmt::Display for CampaignError {
@@ -392,6 +395,12 @@ impl std::fmt::Display for CampaignError {
             CampaignError::InvalidShard(why) => write!(f, "invalid shard policy: {why}"),
             CampaignError::UnsupportedBackend(which) => {
                 write!(f, "backend {which} is not supported on this host")
+            }
+            CampaignError::InvalidGrid(npts) => {
+                write!(
+                    f,
+                    "grid lattice {npts:?} needs at least 2 points on every axis"
+                )
             }
         }
     }
@@ -688,6 +697,11 @@ impl CampaignBuilder {
                 self.backend
             )));
         }
+        if let Some(dims) = &self.grid_dims {
+            if dims.npts.iter().any(|&n| n < 2) {
+                return Err(CampaignError::InvalidGrid(dims.npts));
+            }
+        }
         Ok(CampaignSpec {
             name: self.name,
             ga,
@@ -827,6 +841,28 @@ mod tests {
                 .build(),
             Err(CampaignError::InvalidStop(_))
         ));
+    }
+
+    #[test]
+    fn pinned_lattices_need_a_cell_on_every_axis() {
+        let lattice = |npts| GridDims {
+            npts,
+            spacing: 0.5,
+            origin: Vec3::ZERO,
+        };
+        for npts in [[1, 1, 1], [2, 1, 2], [1, 5, 5], [0, 3, 3]] {
+            assert_eq!(
+                Campaign::builder()
+                    .grid_dims(lattice(npts))
+                    .build()
+                    .unwrap_err(),
+                CampaignError::InvalidGrid(npts)
+            );
+        }
+        assert!(Campaign::builder()
+            .grid_dims(lattice([2, 2, 2]))
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -1006,6 +1042,7 @@ mod tests {
                 CampaignError::UnsupportedBackend("avx512".into()),
                 "not supported",
             ),
+            (CampaignError::InvalidGrid([1, 5, 5]), "at least 2 points"),
         ] {
             let msg = err.to_string();
             assert!(msg.contains(needle), "{msg:?} should mention {needle:?}");

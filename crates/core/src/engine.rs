@@ -7,7 +7,7 @@ use mudock_mol::{AtomStatics, ConformSoA, Molecule, MoleculeError, Topology, Vec
 use mudock_simd::SimdLevel;
 use rand::SeedableRng as _;
 
-use crate::ga::{Ga, GaParams};
+use crate::ga::{rank_best_first, Ga, GaParams};
 use crate::genotype::Genotype;
 use crate::scoring::inter::{inter_energy_reference, inter_energy_simd};
 use crate::scoring::intra::{intra_energy_reference, intra_energy_simd};
@@ -100,6 +100,9 @@ pub enum DockError {
     MissingMap { type_idx: usize },
     /// The grid buffer is too large for exact f32 index arithmetic.
     GridTooLarge { cells: usize },
+    /// An axis of the lattice has fewer than 2 points: no cell to
+    /// interpolate in.
+    GridTooThin { npts: [u32; 3] },
 }
 
 impl std::fmt::Display for DockError {
@@ -116,6 +119,12 @@ impl std::fmt::Display for DockError {
                 write!(
                     f,
                     "grid buffer of {cells} cells exceeds exact-f32 indexing (2^24)"
+                )
+            }
+            DockError::GridTooThin { npts } => {
+                write!(
+                    f,
+                    "grid lattice {npts:?} needs at least 2 points on every axis"
                 )
             }
         }
@@ -225,6 +234,13 @@ impl<'a> DockingEngine<'a> {
                 cells: grids.data.len(),
             });
         }
+        // The scoring kernels interpolate inside cells `0 ..= n−2` of
+        // every axis; a one-point axis has none.
+        if grids.dims.npts.iter().any(|&n| n < 2) {
+            return Err(DockError::GridTooThin {
+                npts: grids.dims.npts,
+            });
+        }
         let lo = grids.dims.origin;
         let hi = grids.dims.max_corner();
         Ok(DockingEngine {
@@ -321,6 +337,10 @@ impl<'a> DockingEngine<'a> {
         );
         let mut ls_rng = rand::rngs::StdRng::seed_from_u64(params.seed ^ 0x6c73);
         let mut pop = ga.init_population();
+        // The generation being bred; swapped with `pop` every generation.
+        let mut next = Vec::new();
+        // Refinement order of the Solis–Wets block.
+        let mut order: Vec<usize> = Vec::new();
         let mut fitness = vec![0.0f32; pop.len()];
         let mut scratch = ConformSoA::with_capacity(prep.base.n);
 
@@ -337,15 +357,14 @@ impl<'a> DockingEngine<'a> {
                 evaluations += 1;
                 if *fit < best_score {
                     best_score = *fit;
-                    best_genotype = ind.clone();
+                    best_genotype.clone_from(ind);
                 }
             }
             // Optional Lamarckian refinement: Solis–Wets on the best
             // fraction, refined genotypes written back into the population.
             if let Some(ls) = &params.local_search {
                 let refine = ((pop.len() as f32 * ls.fraction).ceil() as usize).max(1);
-                let mut order: Vec<usize> = (0..pop.len()).collect();
-                order.sort_by(|&a, &b| fitness[a].total_cmp(&fitness[b]));
+                rank_best_first(&fitness, &mut order);
                 for &idx in order.iter().take(refine) {
                     let r = crate::local_search::solis_wets(
                         self,
@@ -366,7 +385,7 @@ impl<'a> DockingEngine<'a> {
                     }
                     if fitness[idx] < best_score {
                         best_score = fitness[idx];
-                        best_genotype = pop[idx].clone();
+                        best_genotype.clone_from(&pop[idx]);
                     }
                 }
             }
@@ -381,7 +400,8 @@ impl<'a> DockingEngine<'a> {
             if stop_check.should_stop(stop, evaluations, &[(best_score, 0)]) {
                 break;
             }
-            pop = ga.evolve(&pop, &fitness);
+            ga.evolve_into(&pop, &fitness, &mut next);
+            std::mem::swap(&mut pop, &mut next);
         }
 
         Ok(DockReport {

@@ -13,10 +13,24 @@ pub const FIRST_TORSION: usize = 7;
 
 /// A docking pose chromosome. Stored as a flat gene vector so genetic
 /// operators (crossover, per-gene mutation) are uniform.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Genotype {
     /// `[tx, ty, tz, qw, qx, qy, qz, θ_0, …, θ_{T-1}]`
     pub genes: Vec<f32>,
+}
+
+impl Clone for Genotype {
+    fn clone(&self) -> Genotype {
+        Genotype {
+            genes: self.genes.clone(),
+        }
+    }
+
+    /// Reuses `self`'s gene buffer (the derive would allocate a new one):
+    /// the GA and the engine overwrite genotypes every generation.
+    fn clone_from(&mut self, source: &Genotype) {
+        self.genes.clone_from(&source.genes);
+    }
 }
 
 impl Genotype {

@@ -3,15 +3,48 @@
 //! atom-type map plus charge-scaled lookups in the electrostatic and
 //! desolvation maps.
 //!
-//! This is the paper's *memory-bound* kernel: 24 gathers per atom-vector
-//! into maps that are megabytes large, stressing cache hierarchy and
-//! memory bandwidth (Sections V and VIII-b).
+//! This is the paper's *memory-bound* kernel: 24 corner values per atom
+//! and map triple, fetched from maps that are megabytes large, stressing
+//! cache hierarchy and memory bandwidth (Sections V and VIII-b).
 //!
 //! Atoms outside the grid box are clamped to it and charged a linear
 //! penalty per Å of excursion, keeping the GA inside the sampled region.
+//!
+//! # Paired corners
+//!
+//! The maps are x-fastest, so the eight corners of a cell are four
+//! x-adjacent pairs `(c000,c100) (c010,c110) (c001,c101) (c011,c111)`,
+//! each 8 contiguous bytes. `trilerp` fetches each pair with one
+//! [`Simd::gather_pair_unchecked`]: on AVX-512 and AVX2 that is one 8-byte
+//! load per lane, split into the two corners in registers — 12 gathers and
+//! 192 element loads per 16-lane atom-vector where single gathers issue
+//! 24 and 384. Everywhere else the operation's default *is* the two single
+//! gathers. Either way the same floats reach the same interpolation
+//! arithmetic, so energies are bit-identical to single gathers
+//! ([`inter_energy_simd_single_gathers`] keeps that form for tests).
+//!
+//! # Why the unchecked gathers stay inside `GridSet::data`
+//!
+//! Per call the kernel asserts, on the lattice itself: every axis has
+//! `n ≥ 2` points, `data.len() == NUM_MAPS · nx·ny·nz`, and
+//! `data.len() < 2²⁴` (so all f32 index arithmetic is exact). Per
+//! atom-vector it clamps, in registers: each grid coordinate to
+//! `[0, h]` with `h = min((n−1) − 1e-4, pred(n−1))`, where `pred` is the
+//! next float below — so `trunc` gives a cell index in `0 ..= n−2` (NaN
+//! coordinates clamp to 0: `max(NaN, 0) = 0` at every level), *also* on
+//! axes of 2050 points and more, where `(n−1) − 1e-4` alone rounds back to
+//! `n−1`; and the atom-type index to `0 ..= NUM_TYPES−1`. The lowest
+//! corner index of a lane is then `m·stride + cell ≥ 0` and the highest,
+//! `+ nx·ny + nx + 1`, at most `m·stride + stride − 1` for a map slot
+//! `m < NUM_MAPS`: `idx ≥ 0` and `idx + 1 < data.len()` for each of the
+//! four pair gathers. [`DockingEngine::new`](crate::DockingEngine::new)
+//! and `CampaignBuilder::build` reject one-point axes with a typed error
+//! long before a kernel would trip the assert.
 
-use mudock_grids::{GridSet, DESOLV_MAP, ELEC_MAP};
+use mudock_ff::types::NUM_TYPES;
+use mudock_grids::{GridSet, DESOLV_MAP, ELEC_MAP, NUM_MAPS};
 use mudock_mol::{AtomStatics, ConformSoA};
+use mudock_simd::traits::gather_pair_default;
 use mudock_simd::{dispatch, Simd, SimdLevel};
 
 /// Penalty slope for atoms outside the grid box (kcal/mol per Å).
@@ -92,7 +125,12 @@ fn cell000(gs: &GridSet, p: mudock_mol::Vec3) -> u32 {
 }
 
 /// Width-generic inter-energy kernel: vectorized trilinear interpolation
-/// with gathers into the concatenated map buffer.
+/// with paired gathers into the concatenated map buffer (module docs).
+///
+/// # Panics
+/// If `gs` has an axis of fewer than 2 points, a `data` buffer that is not
+/// `NUM_MAPS` maps of its lattice, or 2²⁴ values or more; if `conf` or
+/// `st` are shorter than `conf`'s padded length.
 #[inline(always)]
 pub fn inter_energy_kernel<S: Simd>(
     s: S,
@@ -100,11 +138,36 @@ pub fn inter_energy_kernel<S: Simd>(
     conf: &ConformSoA,
     st: &AtomStatics,
 ) -> f32 {
+    inter_kernel::<S, false>(s, gs, conf, st)
+}
+
+/// The kernel body; `SINGLE` replaces every paired gather by the
+/// operation's default (two single gathers), whatever the backend has.
+#[inline(always)]
+fn inter_kernel<S: Simd, const SINGLE: bool>(
+    s: S,
+    gs: &GridSet,
+    conf: &ConformSoA,
+    st: &AtomStatics,
+) -> f32 {
     let dims = &gs.dims;
+    let (nx, ny, nz) = (dims.npts[0], dims.npts[1], dims.npts[2]);
+    let data = gs.data.as_slice();
+    // What the SAFETY argument below stands on (module docs); the length
+    // bound also keeps every integer in the f32 index arithmetic inside
+    // the 24-bit mantissa.
+    assert!(
+        nx >= 2 && ny >= 2 && nz >= 2,
+        "lattice {:?} has an axis without a cell",
+        dims.npts
+    );
+    assert!(
+        data.len() == NUM_MAPS * gs.stride() && data.len() < (1 << 24),
+        "grid buffer of {} values for lattice {:?}",
+        data.len(),
+        dims.npts
+    );
     let stride = gs.stride() as f32;
-    // All f32 index arithmetic must stay exact: every integer involved has
-    // to fit the 24-bit mantissa.
-    debug_assert!((gs.data.len() as f64) < (1u64 << 24) as f64);
 
     let inv_sp = s.splat(1.0 / dims.spacing);
     let (ox, oy, oz) = (
@@ -112,16 +175,18 @@ pub fn inter_energy_kernel<S: Simd>(
         s.splat(dims.origin.y),
         s.splat(dims.origin.z),
     );
-    let (nx, ny, nz) = (dims.npts[0], dims.npts[1], dims.npts[2]);
-    // Upper clamp slightly inside the last cell so trunc() lands on n-2.
-    let hx = s.splat((nx - 1) as f32 - 1e-4);
-    let hy = s.splat((ny - 1) as f32 - 1e-4);
-    let hz = s.splat((nz - 1) as f32 - 1e-4);
-    let (bx, by, bz) = (
-        s.splat((nx - 1) as f32),
-        s.splat((ny - 1) as f32),
-        s.splat((nz - 1) as f32),
+    let (bx, by, bz) = ((nx - 1) as f32, (ny - 1) as f32, (nz - 1) as f32);
+    // Upper clamp strictly inside the last cell so trunc() lands on n-2:
+    // `b − 1e-4` below 2050 points, where it is at least one float below
+    // `b`; the next float below `b` from there on, where it would round
+    // back to `b`.
+    let inside = |b: f32| (b - 1e-4).min(b.next_down());
+    let (hx, hy, hz) = (
+        s.splat(inside(bx)),
+        s.splat(inside(by)),
+        s.splat(inside(bz)),
     );
+    let (bx, by, bz) = (s.splat(bx), s.splat(by), s.splat(bz));
     let zero = s.zero();
     let nxf = s.splat(nx as f32);
     let nyf = s.splat(ny as f32);
@@ -130,9 +195,9 @@ pub fn inter_energy_kernel<S: Simd>(
     let elec_base = s.splat_i32((ELEC_MAP * gs.stride()) as i32);
     let des_base = s.splat_i32((DESOLV_MAP * gs.stride()) as i32);
     let stride_f = s.splat(stride);
+    let max_ty = s.splat((NUM_TYPES - 1) as f32);
     let pen_slope = s.splat(OUT_OF_BOX_PENALTY * dims.spacing);
 
-    let data = gs.data.as_slice();
     let mut acc = s.zero();
     let len = conf.len_padded();
     let mut i = 0;
@@ -169,19 +234,27 @@ pub fn inter_energy_kernel<S: Simd>(
         // cell = (iz*ny + iy)*nx + ix — exact in f32 (< 2^24).
         let cell_f = s.mul_add(s.mul_add(izf, nyf, iyf), nxf, ixf);
 
-        // Type map base = ty * stride, again exact in f32.
+        // Type map base = ty * stride, again exact in f32. The clamp is
+        // the identity on every index `AtomStatics::from_molecule` writes.
         let ty_f = s.i32_to_f32(s.load_i32(&st.ty[i..]));
+        let ty_f = s.min(s.max(ty_f, zero), max_ty);
         let t_idx = s.round_i32(s.mul_add(ty_f, stride_f, cell_f));
         let cell_i = s.round_i32(cell_f);
         let e_idx = s.i32_add(elec_base, cell_i);
         let d_idx = s.i32_add(des_base, cell_i);
 
-        // SAFETY: ix ≤ nx-2 etc. by the clamp above, so every corner index
-        // (base + cell + {0,1,sy,sz} combinations) stays inside its map;
-        // type indices are validated against built maps at prep time.
-        let e_t = unsafe { trilerp(s, data, t_idx, sy, sz, fx, fy, fz) };
-        let e_e = unsafe { trilerp(s, data, e_idx, sy, sz, fx, fy, fz) };
-        let e_d = unsafe { trilerp(s, data, d_idx, sy, sz, fx, fy, fz) };
+        // SAFETY: the two asserts above and the coordinate and type clamps
+        // of this iteration put every lane's 000-corner at
+        // `m·stride + cell` with `m < NUM_MAPS`, `cell ≥ 0` and
+        // `cell + sz + sy + 1 ≤ stride − 1` (ix ≤ nx−2, iy ≤ ny−2,
+        // iz ≤ nz−2), which is `trilerp`'s contract for `data`.
+        let (e_t, e_e, e_d) = unsafe {
+            (
+                trilerp::<S, SINGLE>(s, data, t_idx, sy, sz, fx, fy, fz),
+                trilerp::<S, SINGLE>(s, data, e_idx, sy, sz, fx, fy, fz),
+                trilerp::<S, SINGLE>(s, data, d_idx, sy, sz, fx, fy, fz),
+            )
+        };
 
         let q = s.load(&st.charge[i..]);
         let qa = s.abs(q);
@@ -193,14 +266,30 @@ pub fn inter_energy_kernel<S: Simd>(
     s.reduce_add(acc)
 }
 
-/// Gather the 8 trilinear corners starting at `idx000` and interpolate.
+/// `(data[idx], data[idx + 1])`: the backend's paired gather, or with
+/// `SINGLE` the two single gathers that are its default.
 ///
 /// # Safety
-/// All eight corner indices must be in range for `data` (guaranteed by the
-/// caller's clamping).
+/// Every lane needs `0 <= idx` and `idx + 1 < data.len()`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // eight corner indices of the lattice cell
-unsafe fn trilerp<S: Simd>(
+unsafe fn corner_pair<S: Simd, const SINGLE: bool>(s: S, data: &[f32], idx: S::VI) -> (S::V, S::V) {
+    if SINGLE {
+        gather_pair_default(s, data, idx)
+    } else {
+        s.gather_pair_unchecked(data, idx)
+    }
+}
+
+/// Fetch the 8 trilinear corners of the cell at `idx000` as four
+/// x-adjacent pairs and interpolate.
+///
+/// # Safety
+/// Every lane needs `0 <= idx000` and `idx000 + sz + sy + 1 < data.len()`
+/// with `sy, sz ≥ 0`: the four pair gathers start at `idx000`, `+ sy`,
+/// `+ sz` and `+ sz + sy`, and each reads its index and the one after.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // one cell: base index, two strides, three fractions
+unsafe fn trilerp<S: Simd, const SINGLE: bool>(
     s: S,
     data: &[f32],
     idx000: S::VI,
@@ -210,22 +299,20 @@ unsafe fn trilerp<S: Simd>(
     fy: S::V,
     fz: S::V,
 ) -> S::V {
-    let i100 = s.i32_add(idx000, s.splat_i32(1));
     let i010 = s.i32_add(idx000, s.splat_i32(sy));
-    let i110 = s.i32_add(i010, s.splat_i32(1));
     let i001 = s.i32_add(idx000, s.splat_i32(sz));
-    let i101 = s.i32_add(i001, s.splat_i32(1));
     let i011 = s.i32_add(i001, s.splat_i32(sy));
-    let i111 = s.i32_add(i011, s.splat_i32(1));
 
-    let c000 = s.gather_unchecked(data, idx000);
-    let c100 = s.gather_unchecked(data, i100);
-    let c010 = s.gather_unchecked(data, i010);
-    let c110 = s.gather_unchecked(data, i110);
-    let c001 = s.gather_unchecked(data, i001);
-    let c101 = s.gather_unchecked(data, i101);
-    let c011 = s.gather_unchecked(data, i011);
-    let c111 = s.gather_unchecked(data, i111);
+    // SAFETY: the caller's contract bounds the largest of the four,
+    // `i011`, by `i011 + 1 < data.len()`, and the smallest, `idx000`, by 0.
+    let ((c000, c100), (c010, c110), (c001, c101), (c011, c111)) = unsafe {
+        (
+            corner_pair::<S, SINGLE>(s, data, idx000),
+            corner_pair::<S, SINGLE>(s, data, i010),
+            corner_pair::<S, SINGLE>(s, data, i001),
+            corner_pair::<S, SINGLE>(s, data, i011),
+        )
+    };
 
     let c00 = s.mul_add(fx, s.sub(c100, c000), c000);
     let c10 = s.mul_add(fx, s.sub(c110, c010), c010);
@@ -237,6 +324,9 @@ unsafe fn trilerp<S: Simd>(
 }
 
 /// Dispatch the inter kernel at a runtime-selected level.
+///
+/// # Panics
+/// As [`inter_energy_kernel`].
 pub fn inter_energy_simd(
     level: SimdLevel,
     gs: &GridSet,
@@ -244,6 +334,17 @@ pub fn inter_energy_simd(
     st: &AtomStatics,
 ) -> f32 {
     dispatch!(level, |s| inter_energy_kernel(s, gs, conf, st))
+}
+
+/// [`inter_energy_simd`] with every paired corner gather replaced by two
+/// single gathers — the oracle the paired path is pinned to, bit for bit.
+pub fn inter_energy_simd_single_gathers(
+    level: SimdLevel,
+    gs: &GridSet,
+    conf: &ConformSoA,
+    st: &AtomStatics,
+) -> f32 {
+    dispatch!(level, |s| inter_kernel::<_, true>(s, gs, conf, st))
 }
 
 #[cfg(test)]

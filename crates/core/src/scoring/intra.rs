@@ -18,24 +18,42 @@
 //! * [`intra_energy_kernel`] at SSE2/AVX2/AVX-512 — explicit vectorization
 //!   (the Highway arm).
 //!
-//! # One kernel, two walks
+//! # One kernel body, three ways to fetch coordinates
 //!
 //! The kernel's body — squared distance, cutoff mask, `pair_energy`,
 //! masked accumulate — is the same for every pair-vector; what differs is
-//! where the coordinates come from (layouts and the selection rule are in
-//! [`super::pairs`]):
+//! where its six coordinate vectors come from ([`IntraWalk`]; the pair
+//! layouts and the packed-vs-rows rule are in [`super::pairs`]):
 //!
-//! * **packed walk**: load 16 `i`s and `j`s, gather six coordinate
-//!   vectors. Used for ligands too sparse in scored pairs for rows, and by
-//!   every one-lane instantiation — at one lane a row walk would visit each
-//!   neutral slot individually, while the packed list holds none but
-//!   padding.
-//! * **rows walk**: for row `i`, splat atom `i` and load its partners
-//!   `i+1 … i+stride` contiguously from a copy of the pose's coordinates
-//!   that wraps around past `N`. The copy (`N + stride ≤ 256` floats per
-//!   axis) is made on the stack at every call: callers hand in a plain
-//!   [`ConformSoA`], and ~1 KB of `memcpy` is not measurable against the
-//!   ~2 µs the walk takes. No gathers, no index arrays, no `unsafe`.
+//! * **table walk** — ligands of at most [`Simd::TABLE_LANES`] atoms (32
+//!   on AVX-512, 0 — never — at every other level): load `conf.{x,y,z}`
+//!   into two registers per axis *once per call*, then look the packed
+//!   list's `i`s and `j`s up in them with [`Simd::lookup2`]. Six
+//!   in-register permutes per pair-vector instead of six memory gathers
+//!   (96 load µops at 16 lanes): 30 → 20 ns per pair-vector on the
+//!   31-atom class, where the gathers were a third of the cost. No
+//!   `unsafe`: the permute reads only the low five index bits, so it
+//!   cannot leave the table whatever `i`/`j` hold. Takes precedence over
+//!   rows, which lose to it at these sizes (`ablation_soa`).
+//! * **rows walk** — larger ligands dense in scored pairs: for row `i`,
+//!   splat atom `i` and load its partners `i+1 … i+stride` contiguously
+//!   from a copy of the pose's coordinates that wraps around past `N`.
+//!   The copy (`N + stride ≤ 256` floats per axis) is made on the stack at
+//!   every call: callers hand in a plain [`ConformSoA`], and ~1 KB of
+//!   `memcpy` is not measurable against the ~2 µs the walk takes. No
+//!   gathers, no index arrays, no `unsafe`.
+//! * **gathered walk** — everything else: load 16 `i`s and `j`s, gather
+//!   six coordinate vectors from memory. Ligands above the table size
+//!   that are too sparse in scored pairs for rows, every ligand on AVX2
+//!   and SSE2 that rows do not cover (a 16-entry AVX2 table was measured
+//!   no faster than its 8-lane gather), and every one-lane instantiation
+//!   — at one lane a row walk would visit each neutral slot individually,
+//!   while the packed list holds none but padding.
+//!
+//! The table and gathered walks visit the same pair-vectors in the same
+//! order and fetch the same floats, so their energies are bit-identical;
+//! [`intra_energy_simd_walk`] forces a walk so tests can pin that and
+//! `ablation_soa` can time all three side by side.
 //!
 //! `pair_energy` needs `r ≤ NB_CUTOFF` for its bounded-domain
 //! exponentials; it clamps `r²` itself, and the lanes it clamped are
@@ -82,14 +100,59 @@ pub fn intra_energy_reference(conf: &ConformSoA, pairs: &PairsSoA) -> f32 {
     total
 }
 
+/// How the kernel fetches a pair-vector's coordinates (module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum IntraWalk {
+    /// Packed list, `i`/`j` looked up in a two-register table per axis.
+    Table,
+    /// Packed list, `i`/`j` gathered from memory.
+    Gathered,
+    /// Half-shell rows, contiguous loads.
+    Rows,
+}
+
+impl IntraWalk {
+    /// The walk [`intra_energy_simd`] takes for `pairs` at `level`.
+    pub fn selected(level: SimdLevel, pairs: &PairsSoA) -> IntraWalk {
+        dispatch!(level, |s| IntraWalk::select(s, pairs))
+    }
+
+    /// The walk [`intra_energy_kernel`] takes for `pairs` at backend `S`.
+    #[inline(always)]
+    fn select<S: Simd>(_: S, pairs: &PairsSoA) -> IntraWalk {
+        if pairs.atoms() <= S::TABLE_LANES {
+            IntraWalk::Table
+        } else if S::LANES > 1 && pairs.rows().is_some() {
+            IntraWalk::Rows
+        } else {
+            IntraWalk::Gathered
+        }
+    }
+}
+
 /// Width-generic intra-energy kernel (see module docs for the three roles
-/// it plays depending on the instantiating backend, and its two walks).
+/// it plays depending on the instantiating backend, and its three walks).
 ///
 /// # Panics
 /// If `conf` is not a conformation of the molecule `pairs` was built from
 /// (atom counts differ, or a coordinate array is shorter than that).
 #[inline(always)]
 pub fn intra_energy_kernel<S: Simd>(s: S, conf: &ConformSoA, pairs: &PairsSoA) -> f32 {
+    intra_energy_kernel_walk(s, conf, pairs, IntraWalk::select(s, pairs))
+}
+
+/// [`intra_energy_kernel`] with the walk forced.
+///
+/// # Panics
+/// As [`intra_energy_kernel`]; also if `walk` is `Table` for a ligand of
+/// more than `2 · LANES` atoms, or `Rows` for `pairs` built without them.
+#[inline(always)]
+fn intra_energy_kernel_walk<S: Simd>(
+    s: S,
+    conf: &ConformSoA,
+    pairs: &PairsSoA,
+    walk: IntraWalk,
+) -> f32 {
     let n = pairs.atoms();
     assert!(
         conf.n == n && conf.x.len() >= n && conf.y.len() >= n && conf.z.len() >= n,
@@ -99,9 +162,13 @@ pub fn intra_energy_kernel<S: Simd>(s: S, conf: &ConformSoA, pairs: &PairsSoA) -
     if pairs.n == 0 {
         return 0.0;
     }
-    let acc = match pairs.rows() {
-        Some(rows) if S::LANES > 1 => walk_rows(s, conf, rows),
-        _ => walk_packed(s, conf, pairs),
+    let acc = match walk {
+        IntraWalk::Table => walk_table(s, conf, pairs),
+        IntraWalk::Gathered => walk_gathered(s, conf, pairs),
+        IntraWalk::Rows => {
+            let rows = pairs.rows().expect("rows walk of pairs built without rows");
+            walk_rows(s, conf, rows)
+        }
     };
     s.reduce_add(acc)
 }
@@ -125,8 +192,49 @@ fn add_pair_vector<S: Simd>(
     s.add(acc, s.select(in_cut, e, s.zero()))
 }
 
+/// The first `2 · LANES` of `coords` as a [`Simd::lookup2`] table, zeros
+/// where `coords` is shorter. Handed the whole padded array, so both
+/// halves are plain loads; the entries past the last atom are never
+/// looked up, every `i`/`j` of a pair list being an atom index.
 #[inline(always)]
-fn walk_packed<S: Simd>(s: S, conf: &ConformSoA, pairs: &PairsSoA) -> S::V {
+fn table_of<S: Simd>(s: S, coords: &[f32]) -> (S::V, S::V) {
+    let (lo, hi) = coords.split_at(coords.len().min(S::LANES));
+    (s.load_or(lo, 0.0), s.load_or(hi, 0.0))
+}
+
+#[inline(always)]
+fn walk_table<S: Simd>(s: S, conf: &ConformSoA, pairs: &PairsSoA) -> S::V {
+    let n = conf.n;
+    assert!(
+        n <= 2 * S::LANES,
+        "{n} atoms exceed a two-register table of {} lanes",
+        S::LANES
+    );
+    let (tx, ty, tz) = (
+        table_of(s, &conf.x),
+        table_of(s, &conf.y),
+        table_of(s, &conf.z),
+    );
+    let len = pairs.len_padded();
+    debug_assert_eq!(len % S::LANES, 0);
+    let mut acc = s.zero();
+    let mut k = 0;
+    while k < len {
+        let vi = s.load_i32(&pairs.i[k..]);
+        let vj = s.load_i32(&pairs.j[k..]);
+        let d = (
+            s.sub(s.lookup2(tx.0, tx.1, vi), s.lookup2(tx.0, tx.1, vj)),
+            s.sub(s.lookup2(ty.0, ty.1, vi), s.lookup2(ty.0, ty.1, vj)),
+            s.sub(s.lookup2(tz.0, tz.1, vi), s.lookup2(tz.0, tz.1, vj)),
+        );
+        acc = add_pair_vector(s, acc, d, &pairs.coefs, k);
+        k += S::LANES;
+    }
+    acc
+}
+
+#[inline(always)]
+fn walk_gathered<S: Simd>(s: S, conf: &ConformSoA, pairs: &PairsSoA) -> S::V {
     let len = pairs.len_padded();
     debug_assert_eq!(len % S::LANES, 0);
     let mut acc = s.zero();
@@ -137,9 +245,9 @@ fn walk_packed<S: Simd>(s: S, conf: &ConformSoA, pairs: &PairsSoA) -> S::V {
         // SAFETY: `PairsSoA::build_as` checks every pair index against its
         // molecule's atom count and writes 0 into padding, and the caller
         // reaches this walk only with `pairs.n > 0` (so that count is ≥ 2)
-        // and after `intra_energy_kernel`'s assert that `conf.x/y/z` hold
-        // at least that many elements. `i`/`j` are public for reading;
-        // code that overwrites them after `build` voids this.
+        // and after `intra_energy_kernel_walk`'s assert that `conf.x/y/z`
+        // hold at least that many elements. `i`/`j` are public for
+        // reading; code that overwrites them after `build` voids this.
         let (xi, yi, zi, xj, yj, zj) = unsafe {
             (
                 s.gather_unchecked(&conf.x, vi),
@@ -213,6 +321,23 @@ pub fn intra_energy_simd(level: SimdLevel, conf: &ConformSoA, pairs: &PairsSoA) 
     dispatch!(level, |s| intra_energy_kernel(s, conf, pairs))
 }
 
+/// [`intra_energy_simd`] with the walk forced instead of selected — for
+/// testing the walks against each other and for `ablation_soa`, as
+/// [`PairsSoA::build_as`] forces a layout.
+///
+/// # Panics
+/// As [`intra_energy_simd`]; also if `walk` is `Table` for a ligand of
+/// more than `2 · level.lanes()` atoms, or `Rows` for `pairs` built
+/// without them.
+pub fn intra_energy_simd_walk(
+    level: SimdLevel,
+    conf: &ConformSoA,
+    pairs: &PairsSoA,
+    walk: IntraWalk,
+) -> f32 {
+    dispatch!(level, |s| intra_energy_kernel_walk(s, conf, pairs, walk))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +380,27 @@ mod tests {
             .map(|layout| PairsSoA::build_as(m, topo, &PairTable::new(), layout))
     }
 
+    /// The energy by every walk that can run `pairs` at `level`: the
+    /// selected one first, then each forced.
+    fn all_walks(level: SimdLevel, conf: &ConformSoA, pairs: &PairsSoA) -> Vec<(String, f32)> {
+        let mut out = vec![(
+            "selected".to_string(),
+            intra_energy_simd(level, conf, pairs),
+        )];
+        let mut walks = vec![IntraWalk::Gathered];
+        if pairs.atoms() <= 2 * level.lanes() {
+            walks.push(IntraWalk::Table);
+        }
+        if pairs.layout() == PairLayout::Rows {
+            walks.push(IntraWalk::Rows);
+        }
+        for walk in walks {
+            let e = intra_energy_simd_walk(level, conf, pairs, walk);
+            out.push((format!("{walk:?}"), e));
+        }
+        out
+    }
+
     #[test]
     fn reference_matches_force_field_pair_sum() {
         // Independent ground truth: sum ff::pair_energy over the topology
@@ -295,11 +441,33 @@ mod tests {
                 for pairs in both_layouts(&m, &topo) {
                     let want = intra_energy_reference(&conf, &pairs);
                     for level in SimdLevel::available() {
-                        let got = intra_energy_simd(level, &conf, &pairs);
+                        for (walk, got) in all_walks(level, &conf, &pairs) {
+                            assert!(
+                                (got - want).abs() < 2e-3 * want.abs().max(1.0),
+                                "{heavy} heavy, seed {seed}, {level} {walk}: {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_ligands_score_the_same_by_every_walk() {
+        // Rows shorter than one vector, N below the widest lane count, a
+        // wrapped copy that laps the molecule more than once; tables with
+        // an empty upper register.
+        for heavy in 2..12 {
+            let (m, topo, conf) = prep_sized(heavy as u64, heavy, 0);
+            for pairs in both_layouts(&m, &topo) {
+                let want = intra_energy_reference(&conf, &pairs);
+                for level in SimdLevel::available() {
+                    for (walk, got) in all_walks(level, &conf, &pairs) {
                         assert!(
                             (got - want).abs() < 2e-3 * want.abs().max(1.0),
-                            "{heavy} heavy, seed {seed}, {:?}, {level}: {got} vs {want}",
-                            pairs.layout()
+                            "{} atoms, {level} {walk}: {got} vs {want}",
+                            conf.n
                         );
                     }
                 }
@@ -308,24 +476,40 @@ mod tests {
     }
 
     #[test]
-    fn tiny_ligands_score_the_same_in_rows() {
-        // Rows shorter than one vector, N below the widest lane count, a
-        // wrapped copy that laps the molecule more than once.
-        for heavy in 2..12 {
-            let (m, topo, conf) = prep_sized(heavy as u64, heavy, 0);
+    fn selection_prefers_the_table_where_the_backend_has_one() {
+        let (m, topo, _) = prep_sized(1, 25, 5);
+        assert!(m.atoms.len() <= 32);
+        let (l, _, _) = prep_sized(1, 48, 10);
+        assert!(l.atoms.len() > 32);
+        let large = PairsSoA::build(&l, &Topology::build(&l), &PairTable::new());
+        assert_eq!(large.layout(), PairLayout::Rows);
+        for level in SimdLevel::available() {
             for pairs in both_layouts(&m, &topo) {
-                let want = intra_energy_reference(&conf, &pairs);
-                for level in SimdLevel::available() {
-                    let got = intra_energy_simd(level, &conf, &pairs);
-                    assert!(
-                        (got - want).abs() < 2e-3 * want.abs().max(1.0),
-                        "{} atoms, {:?}, {level}: {got} vs {want}",
-                        conf.n,
-                        pairs.layout()
-                    );
-                }
+                let want = match (level, pairs.layout()) {
+                    (SimdLevel::Avx512, _) => IntraWalk::Table,
+                    (SimdLevel::Scalar, _) | (_, PairLayout::Packed) => IntraWalk::Gathered,
+                    (_, PairLayout::Rows) => IntraWalk::Rows,
+                };
+                assert_eq!(IntraWalk::selected(level, &pairs), want, "{level}");
             }
+            let want = match level {
+                SimdLevel::Scalar => IntraWalk::Gathered,
+                _ => IntraWalk::Rows,
+            };
+            assert_eq!(IntraWalk::selected(level, &large), want, "{level}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed a two-register table")]
+    fn a_forced_table_walk_refuses_a_ligand_it_cannot_hold() {
+        let (_m, _t, conf, pairs) = prep(3);
+        intra_energy_simd_walk(
+            SimdLevel::Sse2.min(SimdLevel::detect()),
+            &conf,
+            &pairs,
+            IntraWalk::Table,
+        );
     }
 
     #[test]

@@ -10,5 +10,5 @@ pub mod pairs;
 pub use inter::{
     inter_energy_reference, inter_energy_simd, inter_energy_traced, GridAccess, OUT_OF_BOX_PENALTY,
 };
-pub use intra::{intra_energy_reference, intra_energy_simd};
+pub use intra::{intra_energy_reference, intra_energy_simd, intra_energy_simd_walk, IntraWalk};
 pub use pairs::{PairLayout, PairsSoA};

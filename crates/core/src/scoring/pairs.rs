@@ -47,6 +47,9 @@
 //! second condition bounds the kernel's on-stack wrapped copy. Kernels
 //! with one lane always walk the packed list: a row walk at one lane
 //! visits every neutral slot one by one (−13…16 % end to end when tried).
+//! So does the AVX-512 kernel for ligands of at most 32 atoms, whatever
+//! was built here: it holds their coordinates in registers
+//! ([`super::intra`], the table walk), which beats rows at those sizes.
 
 use mudock_ff::params::PairTable;
 use mudock_ff::terms::solvation_param;

@@ -287,6 +287,46 @@ fn delete_cancels_a_running_job_over_the_socket() {
     assert_eq!(h.service.stats().jobs_cancelled, 1);
 }
 
+/// A lattice with a one-point axis has no cell to interpolate in: at the
+/// parent the job was accepted and the inter-energy kernel gathered past
+/// the end of the grid buffer. It must be refused as a campaign error
+/// before a grid is built, and the node must go on serving.
+#[test]
+fn a_lattice_without_a_cell_is_a_422_and_the_node_keeps_serving() {
+    let h = Harness::start(
+        "thin-lattice",
+        ServeConfig {
+            total_threads: 1,
+            job_slots: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let addr = h.addr();
+    for npts in ["[1,1,1]", "[2,1,2]", "[1,5,5]"] {
+        let body = format!(
+            r#"{{"campaign": {{"name": "thin", "grid_dims":
+                   {{"npts": {npts}, "spacing": 0.7, "origin": [0, 0, 0]}}}},
+                "receptor": {{"synth": {{"seed": 7, "atoms": 30, "radius": 5.0}}}},
+                "ligands": {{"synth": {{"seed": 1, "count": 2}}}}}}"#
+        );
+        let reply = client::request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+        assert_eq!(reply.status, 422, "npts {npts}: {}", reply.body);
+        assert!(reply.body.contains("at least 2 points"), "{}", reply.body);
+    }
+    assert_eq!(h.service.stats().jobs_submitted, 0, "nothing was queued");
+
+    let id = client::submit(
+        &addr,
+        &campaign("after-thin"),
+        &receptor_source(),
+        &LigandSource::synth(SEED, 4),
+        Priority::Normal,
+    )
+    .expect("the node still takes jobs");
+    let status = client::wait(&addr, id, Duration::from_millis(20)).unwrap();
+    assert_eq!(status.state, JobState::Completed);
+}
+
 #[test]
 fn queued_priorities_and_results_paths_hold_under_concurrent_submissions() {
     let h = Harness::start(

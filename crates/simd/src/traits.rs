@@ -8,6 +8,21 @@
 //!
 //! This mirrors the role Google Highway plays for C++ in the reproduced
 //! paper: one kernel source, instantiated per target vector ISA.
+//!
+//! # Two lookup operations with measured per-ISA implementations
+//!
+//! [`Simd::lookup2`] (a `2 · LANES`-entry table held in two registers,
+//! indices *wrap*) and [`Simd::gather_pair_unchecked`] (`table[idx]` and
+//! `table[idx + 1]` in one 8-byte gather element) each have a default
+//! written in the trait's other operations — [`lookup2_default`],
+//! [`gather_pair_default`], callable at every level as the test oracle —
+//! and a backend overrides one only where a measurement says so:
+//! `lookup2` on AVX-512 (one `vpermi2ps`; an AVX2 version of two `vpermps`
+//! and a blend was no faster than that level's 8-lane gather, so
+//! [`Simd::TABLE_LANES`] stays 0 there and kernels keep gathering), the
+//! paired gather on AVX-512 and AVX2 (22–50 % faster than two single
+//! gathers on tables up to 8 MiB). `ablation_soa` and `ablation_gather` in
+//! `mudock-bench` re-measure both on another host.
 
 /// Width-generic SIMD operations over `f32` lanes (with the `i32` support
 /// operations needed by vector math and table lookups).
@@ -48,6 +63,11 @@ pub trait Simd: Copy + Send + Sync + 'static {
     const NAME: &'static str;
     /// Vector register width in bits (e.g. 256 for AVX2).
     const WIDTH_BITS: usize;
+    /// Size of the table [`Simd::lookup2`] searches with *one instruction*
+    /// (`2 · LANES` entries), or 0 where `lookup2` is the default and a
+    /// memory gather is at least as fast. Kernels take their in-register
+    /// table path only for tables of at most `TABLE_LANES` entries.
+    const TABLE_LANES: usize = 0;
 
     /// Packed `f32` vector.
     type V: Copy + core::fmt::Debug;
@@ -195,9 +215,73 @@ pub trait Simd: Copy + Send + Sync + 'static {
         unsafe { self.gather_unchecked(table, idx) }
     }
 
+    /// Gather the adjacent pair `(table[idx], table[idx + 1])` for each
+    /// lane **without bounds checks** — the two x-neighbours of a lattice
+    /// cell. Returns exactly the floats two [`Simd::gather_unchecked`]
+    /// calls at `idx` and `idx + 1` return (that is the default); backends
+    /// with a 64-bit gather fetch each lane's pair with *one* 8-byte load
+    /// and split the halves in registers, halving the load µops.
+    ///
+    /// # Safety
+    /// Every lane of `idx` must satisfy `0 <= idx` and
+    /// `idx + 1 < table.len()`.
+    #[inline(always)]
+    unsafe fn gather_pair_unchecked(self, table: &[f32], idx: Self::VI) -> (Self::V, Self::V) {
+        gather_pair_default(self, table, idx)
+    }
+
+    // ---- in-register tables ---------------------------------------------
+
+    /// Look `idx` up in the `2 · LANES`-entry table held in two registers:
+    /// lane ℓ of the result is `(lo ‖ hi)[idx[ℓ] mod 2·LANES]`. Only the
+    /// low `log2(2·LANES)` bits of an index are read, so any `idx` —
+    /// negative or beyond the table — *wraps* instead of reading out of
+    /// bounds; the operation is safe for every input. One `vpermi2ps` on
+    /// AVX-512 ([`Simd::TABLE_LANES`] = 32); everywhere else the default,
+    /// a stack copy indexed lane by lane ([`lookup2_default`]).
+    #[inline(always)]
+    fn lookup2(self, lo: Self::V, hi: Self::V, idx: Self::VI) -> Self::V {
+        lookup2_default(self, lo, hi, idx)
+    }
+
     // ---- horizontal reductions ------------------------------------------
 
     fn reduce_add(self, v: Self::V) -> f32;
     fn reduce_min(self, v: Self::V) -> f32;
     fn reduce_max(self, v: Self::V) -> f32;
+}
+
+/// The default of [`Simd::lookup2`], callable at every level: the oracle
+/// the intrinsic implementations are tested against.
+#[inline(always)]
+pub fn lookup2_default<S: Simd>(s: S, lo: S::V, hi: S::V, idx: S::VI) -> S::V {
+    let mut table = [0.0f32; 2 * crate::MAX_LANES];
+    s.store(lo, &mut table[..S::LANES]);
+    s.store(hi, &mut table[S::LANES..]);
+    let mut ix = [0i32; crate::MAX_LANES];
+    s.store_i32(idx, &mut ix[..S::LANES]);
+    let mut out = [0.0f32; crate::MAX_LANES];
+    for (o, &i) in out.iter_mut().zip(&ix[..S::LANES]) {
+        // LANES is a power of two: the mask is `mod 2·LANES`, also for
+        // negative indices (two's complement).
+        *o = table[i as usize & (2 * S::LANES - 1)];
+    }
+    s.load(&out[..S::LANES])
+}
+
+/// The default of [`Simd::gather_pair_unchecked`], callable at every
+/// level: two single gathers, at `idx` and at `idx + 1`.
+///
+/// # Safety
+/// As [`Simd::gather_pair_unchecked`]: every lane needs `0 <= idx` and
+/// `idx + 1 < table.len()`.
+#[inline(always)]
+pub unsafe fn gather_pair_default<S: Simd>(s: S, table: &[f32], idx: S::VI) -> (S::V, S::V) {
+    // SAFETY: the caller guarantees both index vectors are in range.
+    unsafe {
+        (
+            s.gather_unchecked(table, idx),
+            s.gather_unchecked(table, s.i32_add(idx, s.splat_i32(1))),
+        )
+    }
 }

@@ -242,6 +242,34 @@ impl Simd for Avx2 {
     }
 
     #[inline(always)]
+    unsafe fn gather_pair_unchecked(self, table: &[f32], idx: __m256i) -> (__m256, __m256) {
+        #[cfg(debug_assertions)]
+        {
+            let mut ix = [0i32; 8];
+            _mm256_storeu_si256(ix.as_mut_ptr() as *mut __m256i, idx);
+            debug_assert!(ix.iter().all(|&i| i >= 0 && (i as usize) + 1 < table.len()));
+        }
+        // One 8-byte load per lane at byte offset 4·idx: floats `idx` and
+        // `idx + 1`, both inside `table` by the caller's contract. Hardware
+        // gathers have no alignment requirement, and the `*const f64` is
+        // only ever handed to the instruction, never dereferenced by Rust.
+        let base = table.as_ptr() as *const f64;
+        let lo = _mm256_castsi256_si128(idx);
+        let hi = _mm256_extracti128_si256::<1>(idx);
+        let a = _mm256_castpd_ps(_mm256_i32gather_pd::<4>(base, lo));
+        let b = _mm256_castpd_ps(_mm256_i32gather_pd::<4>(base, hi));
+        // a = [t0 t0' t1 t1' | t2 t2' t3 t3'], b likewise for lanes 4–7.
+        // shufps picks per 128-bit half, leaving the 64-bit quarters in
+        // the order 0 2 1 3, which vpermpd undoes.
+        let even = _mm256_castps_pd(_mm256_shuffle_ps::<0b10_00_10_00>(a, b));
+        let odd = _mm256_castps_pd(_mm256_shuffle_ps::<0b11_01_11_01>(a, b));
+        (
+            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(even)),
+            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(odd)),
+        )
+    }
+
+    #[inline(always)]
     fn reduce_add(self, v: __m256) -> f32 {
         unsafe {
             let lo = _mm256_castps256_ps128(v);

@@ -37,6 +37,7 @@ impl Simd for Avx512 {
     const LANES: usize = 16;
     const NAME: &'static str = "avx512";
     const WIDTH_BITS: usize = 512;
+    const TABLE_LANES: usize = 32;
 
     type V = __m512;
     type VI = __m512i;
@@ -245,6 +246,39 @@ impl Simd for Avx512 {
             debug_assert!(ix.iter().all(|&i| i >= 0 && (i as usize) < table.len()));
         }
         _mm512_i32gather_ps::<4>(idx, table.as_ptr())
+    }
+
+    #[inline(always)]
+    unsafe fn gather_pair_unchecked(self, table: &[f32], idx: __m512i) -> (__m512, __m512) {
+        #[cfg(debug_assertions)]
+        {
+            let mut ix = [0i32; 16];
+            _mm512_storeu_si512(ix.as_mut_ptr() as *mut __m512i, idx);
+            debug_assert!(ix.iter().all(|&i| i >= 0 && (i as usize) + 1 < table.len()));
+        }
+        // One 8-byte load per lane at byte offset 4·idx: floats `idx` and
+        // `idx + 1`, both inside `table` by the caller's contract. Hardware
+        // gathers have no alignment requirement, and the `*const f64` is
+        // only ever handed to the instruction, never dereferenced by Rust.
+        let base = table.as_ptr() as *const f64;
+        let lo = _mm512_castsi512_si256(idx);
+        let hi = _mm512_extracti64x4_epi64::<1>(idx);
+        let a = _mm512_castpd_ps(_mm512_i32gather_pd::<4>(lo, base));
+        let b = _mm512_castpd_ps(_mm512_i32gather_pd::<4>(hi, base));
+        // a ‖ b = [t(i0) t(i0+1) t(i1) t(i1+1) …]: evens are `table[idx]`.
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        let odd = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31);
+        (
+            _mm512_permutex2var_ps(a, even, b),
+            _mm512_permutex2var_ps(a, odd, b),
+        )
+    }
+
+    #[inline(always)]
+    fn lookup2(self, lo: __m512, hi: __m512, idx: __m512i) -> __m512 {
+        // vpermi2ps reads bits 0–3 as the lane and bit 4 as the source
+        // register, and ignores the rest: the documented wrap.
+        unsafe { _mm512_permutex2var_ps(lo, idx, hi) }
     }
 
     #[inline(always)]

@@ -2,6 +2,7 @@
 //! scalar reference, operation by operation, over randomized inputs.
 //! This is the contract that makes `dispatch!`-based kernels portable.
 
+use mudock_simd::traits::{gather_pair_default, lookup2_default};
 use mudock_simd::{dispatch, math, Simd, SimdLevel};
 use proptest::prelude::*;
 
@@ -165,6 +166,88 @@ proptest! {
             });
             for i in 0..MAX {
                 prop_assert_eq!(got[i], table[idx[i] as usize], "{} lane {}", level, i);
+            }
+        }
+    }
+
+    #[test]
+    fn lookup2_matches_the_default_and_wraps(
+        lo in lanes(),
+        hi in lanes(),
+        // Inside the table, just outside it on both sides, anywhere.
+        idx in prop::collection::vec(
+            prop_oneof![0i32..32, -40i32..72, (0u64..1 << 32).prop_map(|u| u as u32 as i32)],
+            MAX..=MAX,
+        ),
+    ) {
+        for level in SimdLevel::available() {
+            let (got, want) = dispatch!(level, |s| {
+                fn go<S: Simd>(s: S, lo: &[f32], hi: &[f32], idx: &[i32]) -> (Vec<f32>, Vec<f32>) {
+                    let (mut got, mut want) = (vec![0.0f32; MAX], vec![0.0f32; MAX]);
+                    let mut i = 0;
+                    while i + S::LANES <= MAX {
+                        let (l, h) = (s.load(&lo[i..]), s.load(&hi[i..]));
+                        let ix = s.load_i32(&idx[i..]);
+                        s.store(s.lookup2(l, h, ix), &mut got[i..]);
+                        s.store(lookup2_default(s, l, h, ix), &mut want[i..]);
+                        i += S::LANES;
+                    }
+                    (got, want)
+                }
+                go(s, &lo, &hi, &idx)
+            });
+            let n = level.lanes();
+            for i in 0..MAX {
+                prop_assert_eq!(got[i].to_bits(), want[i].to_bits(), "{} lane {}", level, i);
+                // The documented semantics, independent of both.
+                let base = i / n * n;
+                let k = idx[i].rem_euclid(2 * n as i32) as usize;
+                let entry = if k < n { lo[base + k] } else { hi[base + k - n] };
+                prop_assert_eq!(got[i].to_bits(), entry.to_bits(), "{} lane {} wraps to {}", level, i, k);
+            }
+        }
+    }
+
+    #[test]
+    fn paired_gathers_match_two_single_gathers(
+        table in prop::collection::vec(finite(), 2..600),
+        raw in prop::collection::vec(0usize..1 << 20, MAX..=MAX),
+        last_pair_everywhere in prop::sample::select(vec![false, true]),
+    ) {
+        // Every index in 0 ..= len − 2; optionally the last legal pair in
+        // every lane. Table lengths are odd as often as even.
+        let top = table.len() - 2;
+        let idx: Vec<i32> = raw
+            .iter()
+            .map(|&r| if last_pair_everywhere { top } else { r % (top + 1) } as i32)
+            .collect();
+        for level in SimdLevel::available() {
+            let got = dispatch!(level, |s| {
+                fn go<S: Simd>(s: S, table: &[f32], idx: &[i32]) -> [Vec<f32>; 4] {
+                    let mut out = [(); 4].map(|_| vec![0.0f32; MAX]);
+                    let mut i = 0;
+                    while i + S::LANES <= MAX {
+                        let ix = s.load_i32(&idx[i..]);
+                        // SAFETY: every index is ≤ table.len() − 2.
+                        let (a, b) = unsafe { s.gather_pair_unchecked(table, ix) };
+                        let (c, d) = unsafe { gather_pair_default(s, table, ix) };
+                        for (v, o) in [a, b, c, d].into_iter().zip(&mut out) {
+                            s.store(v, &mut o[i..]);
+                        }
+                        i += S::LANES;
+                    }
+                    out
+                }
+                go(s, &table, &idx)
+            });
+            for i in 0..MAX {
+                let k = idx[i] as usize;
+                for (half, o) in got.iter().enumerate() {
+                    prop_assert_eq!(
+                        o[i].to_bits(), table[k + half % 2].to_bits(),
+                        "{} lane {} half {} of table[{}..] (len {})", level, i, half, k, table.len()
+                    );
+                }
             }
         }
     }
