@@ -45,14 +45,6 @@ impl Cache {
 
     /// Access a byte address; returns `true` on hit. Misses allocate.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.access_evicting(addr).0
-    }
-
-    /// Like [`Cache::access`], but also reports the *line address* a
-    /// miss evicted (`None` when an invalid way was filled instead).
-    /// This is what trace replayers build victim-tier models on: the
-    /// evicted line is exactly what a lower tier would admit.
-    pub fn access_evicting(&mut self, addr: u64) -> (bool, Option<u64>) {
         self.clock += 1;
         self.accesses += 1;
         let line = addr >> self.line_shift;
@@ -61,59 +53,25 @@ impl Cache {
         let slots = &mut self.tags[base..base + self.ways];
         if let Some(w) = slots.iter().position(|&t| t == line) {
             self.stamps[base + w] = self.clock;
-            return (true, None);
+            return true;
         }
         self.misses += 1;
-        // Evict the LRU way.
+        // Fill an invalid way, else evict the LRU way.
         let mut victim = 0;
         let mut oldest = u64::MAX;
-        let mut filled_invalid = false;
         for w in 0..self.ways {
-            let stamp = self.stamps[base + w];
             if self.tags[base + w] == u64::MAX {
                 victim = w;
-                filled_invalid = true;
                 break;
-            }
-            if stamp < oldest {
-                oldest = stamp;
-                victim = w;
-            }
-        }
-        let evicted = if filled_invalid {
-            None
-        } else {
-            Some(self.tags[base + victim] << self.line_shift)
-        };
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        (false, evicted)
-    }
-
-    /// What an access of `addr` *would* do, without doing it: `(hit,
-    /// victim line)`. The victim is `None` on a hit or while an invalid
-    /// way remains. Admission-filtered policies (TinyLFU-style) peek the
-    /// victim first and only commit the access when the candidate earns
-    /// its slot.
-    pub fn peek(&self, addr: u64) -> (bool, Option<u64>) {
-        let line = addr >> self.line_shift;
-        let set = (line % self.sets as u64) as usize;
-        let base = set * self.ways;
-        if self.tags[base..base + self.ways].contains(&line) {
-            return (true, None);
-        }
-        let mut victim = None;
-        let mut oldest = u64::MAX;
-        for w in 0..self.ways {
-            if self.tags[base + w] == u64::MAX {
-                return (false, None);
             }
             if self.stamps[base + w] < oldest {
                 oldest = self.stamps[base + w];
-                victim = Some(self.tags[base + w] << self.line_shift);
+                victim = w;
             }
         }
-        (false, victim)
+        self.tags[base + victim] = line;
+        self.stamps[base + victim] = self.clock;
+        false
     }
 
     pub fn miss_rate(&self) -> f64 {
@@ -275,24 +233,6 @@ mod tests {
         assert!(!c.access(0x2000));
         assert_eq!(c.misses, 2);
         assert_eq!(c.accesses, 4);
-    }
-
-    #[test]
-    fn access_evicting_reports_the_victim_line() {
-        // 2-way, 1 set: evictions surface the displaced line address.
-        let mut c = Cache::new(128, 2, 64);
-        assert_eq!(c.access_evicting(0x000), (false, None), "invalid fill");
-        assert_eq!(c.access_evicting(0x100), (false, None), "invalid fill");
-        assert_eq!(c.access_evicting(0x000), (true, None), "hit");
-        assert_eq!(
-            c.access_evicting(0x200),
-            (false, Some(0x100)),
-            "the LRU line is the victim"
-        );
-        // peek agrees with access but mutates nothing.
-        assert_eq!(c.peek(0x000), (true, None));
-        assert_eq!(c.peek(0x300), (false, Some(0x000)));
-        assert!(c.access_evicting(0x000).0, "peek preserved recency");
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //! * [`pipeline`] — throughput/latency/stall estimation per
 //!   (architecture, compiler);
 //! * [`portability`] — the Pennycook harmonic-mean metric of Figure 6;
+//! * [`roofline`] — the Figure 5 model (bandwidth diagonal + compute
+//!   ceilings), and [`peak`], `likwid-bench`-style measurements of
+//!   *this* host to anchor it;
 //! * [`scenario::Study`] — computes every table and figure series.
 //!
 //! The model's purpose is the paper's *shape* — who wins, by what factor,
@@ -26,8 +29,10 @@ pub mod arch;
 pub mod cache;
 pub mod compiler;
 pub mod opmix;
+pub mod peak;
 pub mod pipeline;
 pub mod portability;
+pub mod roofline;
 pub mod scenario;
 pub mod workload;
 
@@ -37,5 +42,6 @@ pub use compiler::{all_compilers, codegen, compiler_by_key, Codegen, CompilerPro
 pub use opmix::OpMix;
 pub use pipeline::{estimate, RunEstimate};
 pub use portability::PortabilityMatrix;
+pub use roofline::{Ceiling, KernelPoint, Roofline};
 pub use scenario::Study;
 pub use workload::{mediate_workload, reduced_workload, Workload};

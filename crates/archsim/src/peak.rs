@@ -1,8 +1,8 @@
 //! Host microbenchmarks in the spirit of `likwid-bench`: the paper uses
 //! its `peakflops` and `load` kernels to anchor the roofline ceilings
 //! (Section VII-d). These are *measurements of this host*, used by the
-//! `roofline` example; the cross-architecture figures use modeled peaks
-//! from `mudock-archsim` instead.
+//! `roofline` example; the cross-architecture figures use the modeled
+//! peaks of [`crate::arch`] instead.
 
 use std::time::Instant;
 

@@ -5,13 +5,12 @@
 
 use std::collections::HashMap;
 
-use mudock_perf::Roofline;
-
 use crate::arch::{all_archs, ArchConfig};
 use crate::cache::CacheOutcome;
 use crate::compiler::{self, all_compilers, CompilerProfile};
 use crate::pipeline::{estimate, RunEstimate};
 use crate::portability::PortabilityMatrix;
+use crate::roofline::Roofline;
 use crate::workload::{self, Workload};
 
 /// SMT throughput bonus for the embarrassingly-parallel ligand workload

@@ -10,30 +10,33 @@
 //! `TRACE` is a file recorded by a serve node started with
 //! `--cache-trace` (every admission, hit, eviction, spill, reload, and
 //! router hint, with timestamps and per-acquisition wall-clock). The
-//! replayer drives the recorded access/hint stream through each policy
-//! model in `mudock_serve`'s `cache::policy` module and prints one
-//! comparison row per policy — so "would SLRU have helped this
-//! campaign?" is answered from production evidence, not intuition.
+//! replayer drives the recorded access/hint stream through the cache's
+//! own `Directory` (`mudock_serve`'s `cache::policy` module) once per
+//! row and prints the rows side by side — so "would a frequency filter
+//! have helped this campaign?" is answered from production evidence,
+//! not intuition.
 //!
-//! Swept by default: `lru`, `slru`, `tinylfu`, `lru+prefetch`,
-//! `slru+prefetch`. Capacities default to what the trace header
-//! recorded (the live node's configuration); `--capacity`/`--spill-cap`
-//! ask "what if the node were sized differently" against the same
-//! workload.
+//! Swept by default: `slru` (what the node runs), the what-if rows
+//! `lru` (protected segment of 0) and `tinylfu` (frequency admission in
+//! front of the directory), and `lru+prefetch` / `slru+prefetch`.
+//! Capacities default to what the trace header recorded (the live
+//! node's configuration); `--capacity`/`--spill-cap` ask "what if the
+//! node were sized differently" against the same workload.
 //!
 //! Two assertions make the tool CI-able:
 //!
-//! * `--live H,M,SP,RL` — the model matching the trace header's policy
-//!   must reproduce the live node's hits/misses/spills/reloads
-//!   *exactly* (the models mirror the live bookkeeping; any drift is a
-//!   bug in one of them). Exits 1 on mismatch.
-//! * `--assert-default` — the shipped default policy's hit rate must be
-//!   at least plain LRU's on this trace. Exits 1 if the default ever
-//!   regresses the workload it ships for.
+//! * `--live H,M,SP,RL` — the row named by the trace header, at the
+//!   recorded sizes, must reproduce the live node's
+//!   hits/misses/spills/reloads *exactly* (both sides run the same
+//!   directory; any drift is a bug in the glue). Exits 1 on mismatch.
+//! * `--assert-default` — the shipped policy's hit rate must be at
+//!   least the `lru` what-if row's on this trace. Exits 1 if what ships
+//!   ever regresses the workload it ships for.
 
 use std::process::ExitCode;
 
-use mudock_serve::{read_trace, CachePolicy, ModelConfig, ModelStats};
+use mudock_serve::cache::directory::POLICY_NAME;
+use mudock_serve::{read_trace, ModelConfig, ModelStats};
 
 const DEFAULT_POLICIES: &[&str] = &["lru", "slru", "tinylfu", "lru+prefetch", "slru+prefetch"];
 
@@ -127,22 +130,19 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     if let Some([hits, misses, spills, reloads]) = live {
-        // The live node ran one concrete policy; compare against the
-        // model replaying that same policy at the recorded sizes. Only
-        // meaningful at the trace's own capacities.
+        // Compare against the row the header names (`lru` in traces
+        // recorded before plain LRU stopped being a live option) at the
+        // recorded sizes. Only meaningful at the trace's own capacities.
         let live_policy = header
             .as_ref()
             .map(|h| h.policy.clone())
-            .unwrap_or_else(|| CachePolicy::default().name().to_string());
-        let cfg = ModelConfig::for_policy(
-            &live_policy,
-            header.as_ref().map(|h| h.capacity).unwrap_or(capacity),
-            header
-                .as_ref()
-                .map(|h| h.spill_capacity)
-                .unwrap_or(spill_cap),
-        )
-        .expect("trace header names a live policy");
+            .unwrap_or_else(|| POLICY_NAME.to_string());
+        let recorded = header.as_ref().map(|h| (h.capacity, h.spill_capacity));
+        let (live_capacity, live_spill) = recorded.unwrap_or((capacity, spill_cap));
+        let Some(cfg) = ModelConfig::for_policy(&live_policy, live_capacity, live_spill) else {
+            eprintln!("cache_replay: trace header names unknown policy {live_policy:?}");
+            return ExitCode::FAILURE;
+        };
         let m = mudock_serve::cache::policy::replay(&trace.events, cfg);
         let model = [m.hits, m.misses, m.spills, m.reloads];
         if model == [hits, misses, spills, reloads] {
@@ -155,19 +155,19 @@ fn main() -> ExitCode {
         }
     }
     if assert_default {
-        let default_name = CachePolicy::default().name();
+        let default_name = POLICY_NAME;
         let find = |name: &str| rows.iter().find(|r| r.label == name).map(|r| &r.stats);
         match (find(default_name), find("lru")) {
             (Some(d), Some(l)) => {
                 if d.hit_rate() + 1e-12 >= l.hit_rate() {
                     println!(
-                        "default policy {default_name}: hit rate {:.4} >= lru {:.4}",
+                        "shipped policy {default_name}: hit rate {:.4} >= lru what-if {:.4}",
                         d.hit_rate(),
                         l.hit_rate()
                     );
                 } else {
                     eprintln!(
-                        "default policy {default_name} REGRESSES lru on this trace: {:.4} < {:.4}",
+                        "shipped policy {default_name} REGRESSES the lru what-if on this trace: {:.4} < {:.4}",
                         d.hit_rate(),
                         l.hit_rate()
                     );

@@ -19,76 +19,71 @@
 //! the cache's `mudock_grid_build_seconds` histogram, one observation
 //! per AutoGrid run (hits, reloads and prefetches record nothing).
 //!
+//! # One directory, two drivers
+//!
+//! Which key is resident, which is evicted, what spills and what is
+//! pruned is decided in one place: the I/O-free [`Directory`]. The
+//! cache holds one under its mutex beside the slots, asks it what an
+//! access does, and performs the disk work it plans *outside* the lock
+//! (only same-key lookups ever wait on disk or a build, inside their
+//! shared `OnceLock`). The offline replayer ([`policy`], driven by
+//! `cache_replay` in `mudock-bench`) feeds the same type from a
+//! recorded [`trace`]. Replacement steers *performance* only: reloads
+//! and prefetched grids are byte-equal to fresh builds, and the
+//! build-once-per-key invariant holds whatever is evicted.
+//!
 //! # The spill tier
 //!
-//! With many receptors in flight, the resident capacity thrashes: a
-//! grid set evicted today is rebuilt tomorrow at full AutoGrid cost.
-//! A cache built with a [`SpillConfig`] adds a bounded on-disk tier: on
-//! eviction, the built [`GridSet`] is written through
-//! [`mudock_grids::io::save`] into the spill directory (atomically —
-//! temp file + rename), and the next miss on that key *reloads* it
-//! instead of rebuilding. Loads are bit-exact (the format round-trips
-//! f32 bit patterns), so a reloaded grid scores ligands identically to
-//! the original build. The directory is bounded by
-//! [`SpillConfig::capacity`]; the oldest spill files are deleted beyond
-//! it. Spills and reloads are counted in [`CacheStats`] and surface in
+//! A cache built with a [`SpillConfig`] writes an evicted [`GridSet`]
+//! through [`mudock_grids::io::save`] into the spill directory
+//! (atomically — temp file + rename), and the next miss on that key
+//! *reloads* it instead of rebuilding. Loads are bit-exact (the format
+//! round-trips f32 bit patterns), so a reloaded grid scores ligands
+//! identically to the original build. The directory holds at most
+//! [`SpillConfig::capacity`] files; the oldest are deleted beyond it.
+//! Spills and reloads are counted in [`CacheStats`] and surface in
 //! `GET /stats`.
 //!
-//! # Warm restarts
-//!
-//! Spill files persist across process restarts. At construction, a
-//! cache with a spill tier rescans its directory: files whose names
-//! parse and whose contents pass [`mudock_grids::io::probe`] are
-//! re-registered (oldest first), so a restarted node serves its first
-//! job on a previously-seen receptor from disk instead of rebuilding.
-//! Anything else — truncated writes, foreign bytes, unparseable names —
-//! is *quarantined*: renamed with a `.bad` suffix and counted in
+//! Spill files persist across process restarts. At construction the
+//! spill directory is rescanned: files with a canonical name whose
+//! contents pass [`mudock_grids::io::probe`] are restored (oldest
+//! first), so a restarted node serves its first job on a
+//! previously-seen receptor from disk instead of rebuilding. Anything
+//! else — truncated writes, foreign bytes, unparseable names — is
+//! *quarantined*: renamed with a `.bad` suffix and counted in
 //! [`CacheStats::quarantined`], never loaded and never silently
 //! deleted, so an operator can inspect what went wrong.
 //!
-//! # Policies, prefetch, and the trace lab
+//! # Prefetch and the trace
 //!
-//! Eviction victims are chosen by a [`policy::CachePolicy`] (default:
-//! segmented LRU). A cache built with
-//! [`GridCacheBuilder::prefetch`] additionally acts on *hints* from the
-//! shard router ([`GridCache::hint`]): when the next queued job's grids
-//! sit in the spill tier, a background thread reloads them before the
-//! job is dequeued, overlapping disk latency with the previous job's
-//! docking. Every event (accesses, evictions, spills, hints,
-//! prefetches) can be recorded to a `*.trace` file
-//! ([`GridCacheBuilder::trace`]) and replayed offline against
-//! alternative policies — see [`trace`] for the format and
-//! [`policy`] for the models; `cache_replay` in `mudock-bench` is the
-//! driver. Policy choices steer *performance* only: reloads and
-//! prefetched grids are byte-equal to fresh builds, and the
-//! build-once-per-key invariant holds under every policy.
-//!
-//! # Lock ordering
-//!
-//! There are two locks: the cache's entry/file-table mutex and the
-//! tracer's writer mutex. Spill I/O, grid builds, and trace writes all
-//! happen *outside* the entry mutex (only same-key lookups ever wait on
-//! disk or a build, inside their shared `OnceLock`), and the tracer
-//! never takes the entry mutex — so the order is strictly
-//! entries-then-nothing, and neither lock is ever held across the
+//! A cache built with [`GridCacheBuilder::prefetch`] acts on *hints*
+//! from the shard router ([`GridCache::hint`]): when the next queued
+//! job's grids sit in the spill tier, a background thread reloads them
+//! before the job is dequeued, overlapping disk latency with the
+//! previous job's docking. Every event (accesses, evictions, spills,
+//! hints, prefetches) can be recorded to a `*.trace` file
+//! ([`GridCacheBuilder::trace`]); the tracer has its own writer mutex
+//! and never takes the cache's, so neither lock is held across the
 //! other.
 #![deny(missing_docs)]
 
+pub mod directory;
 pub mod policy;
 pub mod trace;
 
-use std::path::PathBuf;
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use mudock_grids::{grid_cache_key, GridBuilder, GridDims, GridSet, SimdLevel};
+use mudock_grids::{grid_cache_key, GridBuilder, GridDims, GridIoError, GridSet, SimdLevel};
 use mudock_mol::Molecule;
 use mudock_obs::{Counter, GridSource, Histogram, Registry};
 use parking_lot::Mutex;
 
-use policy::CachePolicy;
-use trace::{CacheTracer, TraceEventKind, TraceHeader};
+use directory::{Admission, Directory, Lookup};
+use trace::{CacheTracer, TraceEventKind, TraceHeader, TraceKey as Key};
 
 /// Histogram of grid-build wall time, one observation per AutoGrid run.
 pub const GRID_BUILD_METRIC: &str = "mudock_grid_build_seconds";
@@ -137,7 +132,7 @@ pub struct CacheStats {
     pub entries: usize,
     /// Spill files currently on disk.
     pub spilled: usize,
-    /// Canonical name of the replacement policy in force.
+    /// Name of the replacement policy ([`directory::POLICY_NAME`]).
     pub policy: &'static str,
 }
 
@@ -153,57 +148,42 @@ impl CacheStats {
     }
 }
 
-struct Entry {
-    key: (u64, SimdLevel),
-    slot: Arc<OnceLock<Arc<GridSet>>>,
-    /// Logical timestamp of the last lookup — the LRU ordering.
-    last_use: u64,
-    /// SLRU segment: promoted on first hit, victims come from the
-    /// probation (unprotected) segment first. Always `false` under
-    /// plain LRU.
-    protected: bool,
-}
-
-/// One spilled grid set on disk.
-struct SpillFile {
-    key: (u64, SimdLevel),
-    path: PathBuf,
-    /// Logical timestamp of the spill — the oldest file goes first
-    /// when the directory is over capacity.
-    tick: u64,
-}
-
-struct SpillState {
-    cfg: SpillConfig,
-    files: Vec<SpillFile>,
-    /// Last age handed out to a file. Bumped on *every* table touch
-    /// (register, refresh, reload) so ages are strictly increasing:
-    /// two files touched by the same access — a reload refresh and an
-    /// eviction's spill — still have a well-defined oldest, and the
-    /// prune order matches the offline policy models exactly.
-    seq: u64,
-}
+type Slot = Arc<OnceLock<Arc<GridSet>>>;
 
 struct Inner {
-    entries: Vec<Entry>,
-    tick: u64,
-    spill: Option<SpillState>,
+    dir: Directory<Key>,
+    /// One slot per resident key of `dir`.
+    slots: HashMap<Key, Slot>,
 }
 
-/// An eviction's disk work, planned under the lock, performed outside
-/// it: the grid set to write, its key, target path, and spill tick.
-type PlannedSpill = (Arc<GridSet>, (u64, SimdLevel), PathBuf, u64);
+/// Whether a victim's grids can be written out: an entry evicted while
+/// its build is in flight has nothing to spill yet.
+fn spillable(slots: &HashMap<Key, Slot>) -> impl FnOnce(Key) -> bool + '_ {
+    |victim| slots.get(&victim).is_some_and(|s| s.get().is_some())
+}
 
-/// Thread-safe cache of built grid sets with a selectable replacement
-/// policy, an optional on-disk spill tier (warm across restarts), an
-/// optional router-hint prefetcher, and an optional event trace.
-/// Construct through [`GridCache::new`], [`GridCache::with_spill`], or
-/// the full [`GridCache::builder`].
+/// Make the slot table follow an admission of `key`; returns the
+/// evicted entry's slot.
+fn install(
+    slots: &mut HashMap<Key, Slot>,
+    key: Key,
+    slot: Slot,
+    plan: &Admission<Key>,
+) -> Option<Slot> {
+    let evicted = plan.evicted.and_then(|k| slots.remove(&k));
+    slots.insert(key, slot);
+    evicted
+}
+
+/// Thread-safe cache of built grid sets with segmented-LRU replacement,
+/// an optional on-disk spill tier (warm across restarts), an optional
+/// router-hint prefetcher, and an optional event trace. Construct
+/// through [`GridCache::new`], [`GridCache::with_spill`], or the full
+/// [`GridCache::builder`].
 pub struct GridCache {
     capacity: usize,
-    policy: CachePolicy,
-    protected_cap: usize,
     prefetch: bool,
+    spill_dir: Option<PathBuf>,
     inner: Mutex<Inner>,
     tracer: Option<CacheTracer>,
     prefetch_busy: AtomicBool,
@@ -218,12 +198,11 @@ pub struct GridCache {
     quarantined: AtomicU64,
 }
 
-/// Configures a [`GridCache`] beyond its capacity: policy, spill tier,
+/// Configures a [`GridCache`] beyond its capacity: spill tier,
 /// prefetch, trace recording, and metrics. Obtained from
 /// [`GridCache::builder`].
 pub struct GridCacheBuilder {
     capacity: usize,
-    policy: CachePolicy,
     spill: Option<SpillConfig>,
     trace_path: Option<PathBuf>,
     prefetch: bool,
@@ -232,12 +211,6 @@ pub struct GridCacheBuilder {
 }
 
 impl GridCacheBuilder {
-    /// Select the replacement policy (default: [`CachePolicy::Slru`]).
-    pub fn policy(mut self, policy: CachePolicy) -> GridCacheBuilder {
-        self.policy = policy;
-        self
-    }
-
     /// Add a bounded on-disk spill tier; its directory is rescanned at
     /// build time so the tier comes up warm across restarts.
     pub fn spill(mut self, spill: SpillConfig) -> GridCacheBuilder {
@@ -283,55 +256,59 @@ impl GridCacheBuilder {
     /// cannot be created or rescanned, or if the trace file cannot be
     /// created — all at service start, not mid-traffic.
     pub fn build(self) -> std::io::Result<GridCache> {
+        if self.spill.is_some() && self.capacity == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a spill tier needs cache capacity >= 1 (capacity 0 disables caching, \
+                 so nothing would ever spill or reload)",
+            ));
+        }
+        let spill_capacity = self.spill.as_ref().map_or(0, |s| s.capacity.max(1));
+        let mut dir = Directory::new(
+            self.capacity.max(1),
+            directory::default_protected(self.capacity),
+            spill_capacity,
+        );
         let mut quarantined = 0u64;
-        let spill = match self.spill {
-            Some(cfg) => {
-                if self.capacity == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidInput,
-                        "a spill tier needs cache capacity >= 1 (capacity 0 disables caching, \
-                         so nothing would ever spill or reload)",
-                    ));
+        if let Some(cfg) = &self.spill {
+            std::fs::create_dir_all(&cfg.dir)?;
+            // The tier bound holds from the first instant: beyond it the
+            // oldest restores are valid files, so this is the ordinary
+            // prune (delete), not quarantine.
+            for key in rescan_spill_dir(&cfg.dir, &mut quarantined)? {
+                if let Some(old) = dir.restore(key) {
+                    std::fs::remove_file(spill_path(&cfg.dir, old)).ok();
                 }
-                std::fs::create_dir_all(&cfg.dir)?;
-                let files = rescan_spill_dir(&cfg, &mut quarantined)?;
-                let seq = files.len() as u64;
-                Some(SpillState { cfg, files, seq })
-            }
-            None => None,
-        };
-        let tracer = match &self.trace_path {
-            Some(path) => {
-                let header = TraceHeader {
-                    version: 1,
-                    capacity: self.capacity,
-                    spill_capacity: spill.as_ref().map_or(0, |s| s.cfg.capacity.max(1)),
-                    policy: self.policy.name().to_string(),
-                    prefetch: self.prefetch,
-                };
-                Some(CacheTracer::create(path, &header)?)
-            }
-            None => None,
-        };
-        if let (Some(t), Some(s)) = (&tracer, &spill) {
-            t.emit(TraceEventKind::Warm {
-                restored: s.files.len() as u64,
-                quarantined,
-            });
-            for f in &s.files {
-                t.emit(TraceEventKind::Restore { key: f.key });
             }
         }
-        let tick0 = spill.as_ref().map_or(0, |s| s.files.len() as u64);
+        let header = TraceHeader {
+            version: 1,
+            capacity: self.capacity,
+            spill_capacity,
+            policy: directory::POLICY_NAME.to_string(),
+            prefetch: self.prefetch,
+        };
+        let trace_path = self.trace_path.as_deref();
+        let tracer = trace_path
+            .map(|p| CacheTracer::create(p, &header))
+            .transpose()?;
+        if let (Some(t), Some(_)) = (&tracer, &self.spill) {
+            let restored = dir.spilled();
+            t.emit(TraceEventKind::Warm {
+                restored: restored.len() as u64,
+                quarantined,
+            });
+            for key in restored {
+                t.emit(TraceEventKind::Restore { key });
+            }
+        }
         Ok(GridCache {
             capacity: self.capacity,
-            policy: self.policy,
-            protected_cap: self.policy.protected_capacity(self.capacity),
             prefetch: self.prefetch,
+            spill_dir: self.spill.map(|s| s.dir),
             inner: Mutex::new(Inner {
-                entries: Vec::new(),
-                tick: tick0,
-                spill,
+                dir,
+                slots: HashMap::new(),
             }),
             tracer,
             prefetch_busy: AtomicBool::new(false),
@@ -348,79 +325,62 @@ impl GridCacheBuilder {
     }
 }
 
-/// Parse a spill file name (`{key:016x}-{level}.grid`) back to its key.
-fn parse_spill_name(name: &str) -> Option<(u64, SimdLevel)> {
+/// The spill file of `key` under `dir`: `{fingerprint:016x}-{level}.grid`.
+fn spill_path(dir: &Path, key: Key) -> PathBuf {
+    dir.join(format!("{:016x}-{}.grid", key.0, key.1.name()))
+}
+
+/// Parse a spill file name back to its key; only the canonical spelling
+/// [`spill_path`] writes is accepted, so a key always maps to one file.
+fn parse_spill_name(name: &str) -> Option<Key> {
     let stem = name.strip_suffix(".grid")?;
     let hex = stem.get(..16)?;
     let level = stem.get(16..)?.strip_prefix('-')?;
-    Some((u64::from_str_radix(hex, 16).ok()?, SimdLevel::parse(level)?))
+    let key = (u64::from_str_radix(hex, 16).ok()?, SimdLevel::parse(level)?);
+    (spill_path(Path::new(""), key) == Path::new(name)).then_some(key)
 }
 
 /// Rename a damaged spill-dir file aside (`<name>.bad`) instead of
 /// loading or deleting it.
-fn quarantine(path: &std::path::Path) {
+fn quarantine(path: &Path) {
     let mut bad = path.as_os_str().to_os_string();
     bad.push(".bad");
     std::fs::rename(path, &bad).ok();
 }
 
-/// Rescan a spill directory at startup: re-register valid spill files
-/// (oldest first, bounded by the tier capacity), quarantine everything
-/// else. `.bad` files from earlier quarantines are left untouched.
-fn rescan_spill_dir(cfg: &SpillConfig, quarantined: &mut u64) -> std::io::Result<Vec<SpillFile>> {
-    let mut found: Vec<(std::time::SystemTime, SpillFile)> = Vec::new();
-    for entry in std::fs::read_dir(&cfg.dir)? {
+/// Rescan a spill directory at startup: the keys of its valid spill
+/// files, oldest first; everything else is quarantined. `.bad` files
+/// from earlier quarantines are left untouched.
+fn rescan_spill_dir(dir: &Path, quarantined: &mut u64) -> std::io::Result<Vec<Key>> {
+    let mut found: Vec<(std::time::SystemTime, Key)> = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         if !entry.file_type()?.is_file() {
             continue;
         }
         let path = entry.path();
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("")
-            .to_string();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if name.ends_with(".bad") {
             continue;
         }
-        let key = parse_spill_name(&name);
-        if key.is_none() || mudock_grids::io::probe(&path).is_err() {
-            quarantine(&path);
-            *quarantined += 1;
-            continue;
+        match parse_spill_name(name) {
+            Some(key) if mudock_grids::io::probe(&path).is_ok() => {
+                let mtime = entry.metadata()?.modified();
+                found.push((mtime.unwrap_or(std::time::SystemTime::UNIX_EPOCH), key));
+            }
+            _ => {
+                quarantine(&path);
+                *quarantined += 1;
+            }
         }
-        let mtime = entry
-            .metadata()?
-            .modified()
-            .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-        found.push((
-            mtime,
-            SpillFile {
-                key: key.expect("checked above"),
-                path,
-                tick: 0,
-            },
-        ));
     }
     found.sort_by_key(|(mtime, _)| *mtime);
-    let mut files: Vec<SpillFile> = found.into_iter().map(|(_, f)| f).collect();
-    // The tier bound holds from the first instant: beyond-capacity
-    // restores are valid files, so this is the ordinary prune (delete),
-    // not quarantine.
-    while files.len() > cfg.capacity.max(1) {
-        let f = files.remove(0);
-        std::fs::remove_file(&f.path).ok();
-    }
-    for (i, f) in files.iter_mut().enumerate() {
-        f.tick = (i + 1) as u64;
-    }
-    Ok(files)
+    Ok(found.into_iter().map(|(_, key)| key).collect())
 }
 
 impl GridCache {
-    /// Cache holding up to `capacity` grid sets under the default
-    /// policy. Capacity 0 disables caching (every lookup builds and
-    /// counts as a miss).
+    /// Cache holding up to `capacity` grid sets. Capacity 0 disables
+    /// caching (every lookup builds and counts as a miss).
     pub fn new(capacity: usize) -> GridCache {
         Self::builder(capacity)
             .build()
@@ -430,12 +390,8 @@ impl GridCache {
     /// Like [`GridCache::new`], but evicted grid sets spill to disk
     /// under `spill.dir` and are reloaded — bit-identically — on the
     /// next miss instead of being rebuilt, and files already present in
-    /// the directory are re-registered (warm restart). The directory is
-    /// created eagerly so a misconfigured path fails at service start,
-    /// not at the first eviction. `capacity` must be at least 1:
-    /// capacity 0 disables caching (lookups never install entries, so
-    /// nothing would ever spill) — refusing it here beats silently
-    /// ignoring the spill tier the caller configured.
+    /// the directory are restored (warm restart). Fails as
+    /// [`GridCacheBuilder::build`] does.
     pub fn with_spill(capacity: usize, spill: SpillConfig) -> std::io::Result<GridCache> {
         Self::builder(capacity).spill(spill).build()
     }
@@ -444,23 +400,12 @@ impl GridCache {
     pub fn builder(capacity: usize) -> GridCacheBuilder {
         GridCacheBuilder {
             capacity,
-            policy: CachePolicy::default(),
             spill: None,
             trace_path: None,
             prefetch: false,
             prefetch_metric: Arc::new(Counter::new()),
             build_seconds: Arc::new(Histogram::new()),
         }
-    }
-
-    /// The replacement policy in force.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
-    /// Whether router hints trigger background spill reloads.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetch
     }
 
     fn trace_event(&self, kind: TraceEventKind) {
@@ -473,59 +418,11 @@ impl GridCache {
         (grids.data.len() * std::mem::size_of::<f32>()) as u64
     }
 
-    /// The victim slot under the configured policy: the least-recently
-    /// used *probation* entry when a protected segment exists (SLRU),
-    /// the global LRU entry otherwise. The probation segment is never
-    /// empty while over capacity (the protected segment is bounded to
-    /// at most half), so the fallback only guards degenerate states.
-    fn victim_index(protected_cap: usize, entries: &[Entry]) -> usize {
-        let probation = if protected_cap > 0 {
-            entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| !e.protected)
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(i, _)| i)
-        } else {
-            None
-        };
-        probation.unwrap_or_else(|| {
-            entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(i, _)| i)
-                .expect("capacity > 0 and entries is non-empty")
-        })
-    }
-
-    /// Caller holds the lock. When the resident set is at capacity,
-    /// evict the policy's victim: returns its key, the spill write to
-    /// perform outside the lock, and any files the spill-tier bound
-    /// prunes. Spills only finished builds: an in-flight eviction has
-    /// nothing to write yet (its slot fills after the detached build
-    /// completes).
-    #[allow(clippy::type_complexity)]
-    fn evict_if_full(
-        &self,
-        inner: &mut Inner,
-        tick: u64,
-    ) -> (
-        Option<(u64, SimdLevel)>,
-        Option<PlannedSpill>,
-        Vec<SpillFile>,
-    ) {
-        if inner.entries.len() < self.capacity {
-            return (None, None, Vec::new());
-        }
-        let victim = Self::victim_index(self.protected_cap, &inner.entries);
-        let evicted = inner.entries.swap_remove(victim);
-        let mut save = None;
-        let mut delete = Vec::new();
-        if let (Some(state), Some(grids)) = (inner.spill.as_mut(), evicted.slot.get()) {
-            save = Self::plan_spill(state, evicted.key, Arc::clone(grids), tick, &mut delete);
-        }
-        (Some(evicted.key), save, delete)
+    /// `key`'s spill file; the directory plans reloads, spills and
+    /// prunes only over a spill tier.
+    fn spill_file(&self, key: Key) -> PathBuf {
+        let dir = self.spill_dir.as_deref().expect("plans need a spill tier");
+        spill_path(dir, key)
     }
 
     /// The grid set for `receptor` on `dims` built at `level`, building
@@ -559,104 +456,44 @@ impl GridCache {
             return (grids, GridSource::Built);
         }
 
-        let (slot, hit, reload_from, evicted_key, spill_save, spill_delete) = {
+        let (slot, admitted) = {
             let mut inner = self.inner.lock();
-            inner.tick += 1;
-            let tick = inner.tick;
-            match inner.entries.iter().position(|e| e.key == key) {
-                Some(i) => {
-                    inner.entries[i].last_use = tick;
-                    if self.protected_cap > 0 && !inner.entries[i].protected {
-                        inner.entries[i].protected = true;
-                        // Keep the protected segment bounded: demote its
-                        // own LRU entries back to probation. The entry
-                        // just promoted carries the newest stamp, so it
-                        // is never its own demotion victim.
-                        while inner.entries.iter().filter(|e| e.protected).count()
-                            > self.protected_cap
-                        {
-                            if let Some(d) = inner
-                                .entries
-                                .iter_mut()
-                                .filter(|e| e.protected)
-                                .min_by_key(|e| e.last_use)
-                            {
-                                d.protected = false;
-                            }
-                        }
-                    }
-                    let slot = Arc::clone(&inner.entries[i].slot);
-                    (slot, true, None, None, None, Vec::new())
-                }
-                None => {
-                    // A spilled copy of this key is about to get hot
-                    // again: refresh its age so the over-capacity prune
-                    // below prefers genuinely cold files.
-                    let reload = inner.spill.as_mut().and_then(|s| {
-                        let i = s.files.iter().position(|f| f.key == key)?;
-                        s.seq += 1;
-                        s.files[i].tick = s.seq;
-                        Some(s.files[i].path.clone())
-                    });
-                    let (evicted, save, delete) = self.evict_if_full(&mut inner, tick);
-                    let slot = Arc::new(OnceLock::new());
-                    inner.entries.push(Entry {
-                        key,
-                        slot: Arc::clone(&slot),
-                        last_use: tick,
-                        protected: false,
-                    });
-                    (slot, false, reload, evicted, save, delete)
+            let Inner { dir, slots } = &mut *inner;
+            match dir.lookup(key, spillable(slots)) {
+                Lookup::Hit => (Arc::clone(&slots[&key]), None),
+                Lookup::Miss(plan) => {
+                    let slot = Slot::default();
+                    let evicted = install(slots, key, Arc::clone(&slot), &plan);
+                    (slot, Some((plan, evicted)))
                 }
             }
         };
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(k) = evicted_key {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            self.trace_event(TraceEventKind::Evict { key: k });
-        }
-        // All spill I/O runs outside the cache lock: only same-key
-        // lookups ever wait on disk (or on a build, in `get_or_init`),
-        // never the whole cache.
-        self.commit_spill_io(spill_save, spill_delete);
         // Disambiguated only by the thread that actually initializes the
         // slot: a concurrent same-key caller that joins an in-flight
         // build reports `Hit` (the work ran once either way).
-        let source = std::cell::Cell::new(if hit {
-            GridSource::Hit
+        let source = std::cell::Cell::new(GridSource::Hit);
+        let mut reload = false;
+        if let Some((plan, evicted)) = admitted {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            source.set(GridSource::Built);
+            reload = plan.reload;
+            // Consumes the evicted grids, so they are freed before their
+            // replacement is built.
+            self.commit(plan, evicted);
         } else {
-            GridSource::Built
-        });
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
         let grids = Arc::clone(slot.get_or_init(|| {
-            if let Some(path) = &reload_from {
-                match mudock_grids::io::load(path) {
+            if reload {
+                match mudock_grids::io::load(&self.spill_file(key)) {
                     Ok(gs) => {
                         self.reloads.fetch_add(1, Ordering::Relaxed);
                         source.set(GridSource::Reloaded);
                         return Arc::new(gs);
                     }
-                    // Registered but not on disk yet: a concurrent
-                    // spill's rename has not landed. Deregister and
-                    // rebuild (the spiller re-registers once its write
-                    // completes) — but delete nothing, or we could
-                    // race ahead and remove the valid file it is about
-                    // to produce.
-                    Err(mudock_grids::GridIoError::Io(ref io))
-                        if io.kind() == std::io::ErrorKind::NotFound =>
-                    {
-                        self.forget_spill_file(path);
-                    }
-                    // Truncated, corrupt, or foreign: drop the file
-                    // and rebuild — the spill tier is an optimization,
-                    // never a correctness dependency.
-                    Err(_) => {
-                        self.forget_spill_file(path);
-                        std::fs::remove_file(path).ok();
-                    }
+                    // The spill tier is an optimization, never a
+                    // correctness dependency: rebuild.
+                    Err(e) => self.reload_failed(key, &e),
                 }
             }
             self.build(receptor, dims, level)
@@ -687,26 +524,13 @@ impl GridCache {
         if !self.prefetch || self.capacity == 0 {
             return;
         }
-        let path = {
-            let inner = self.inner.lock();
-            if inner.entries.iter().any(|e| e.key == key) {
-                return;
-            }
-            match inner
-                .spill
-                .as_ref()
-                .and_then(|s| s.files.iter().find(|f| f.key == key))
-            {
-                Some(f) => f.path.clone(),
-                None => return,
-            }
-        };
-        if self.prefetch_busy.swap(true, Ordering::AcqRel) {
+        let found = self.inner.lock().dir.peek(key);
+        if found.resident || !found.spilled || self.prefetch_busy.swap(true, Ordering::AcqRel) {
             return;
         }
         let cache = Arc::clone(self);
         std::thread::spawn(move || {
-            cache.prefetch_load(key, &path);
+            cache.prefetch_load(key);
             cache.prefetch_busy.store(false, Ordering::Release);
         });
     }
@@ -714,195 +538,98 @@ impl GridCache {
     /// Background half of [`GridCache::hint`]: load the spilled grids,
     /// then admit them as a pre-filled entry (load-before-admit, so a
     /// failed load admits nothing and the demand path simply rebuilds).
-    fn prefetch_load(&self, key: (u64, SimdLevel), path: &std::path::Path) {
+    fn prefetch_load(&self, key: Key) {
         let t0 = Instant::now();
-        match mudock_grids::io::load(path) {
-            Ok(gs) => {
-                let slot = Arc::new(OnceLock::new());
-                let _ = slot.set(Arc::new(gs));
-                let (installed, evicted_key, save, delete) = {
-                    let mut inner = self.inner.lock();
-                    inner.tick += 1;
-                    let tick = inner.tick;
-                    if inner.entries.iter().any(|e| e.key == key) {
-                        // A demand lookup admitted it while we loaded;
-                        // drop our copy, its slot is authoritative.
-                        (false, None, None, Vec::new())
-                    } else {
-                        if let Some(s) = inner.spill.as_mut() {
-                            if let Some(i) = s.files.iter().position(|f| f.key == key) {
-                                s.seq += 1;
-                                s.files[i].tick = s.seq;
-                            }
-                        }
-                        let (evicted, save, delete) = self.evict_if_full(&mut inner, tick);
-                        inner.entries.push(Entry {
-                            key,
-                            slot,
-                            last_use: tick,
-                            protected: false,
-                        });
-                        (true, evicted, save, delete)
-                    }
-                };
-                if installed {
-                    if let Some(k) = evicted_key {
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                        self.trace_event(TraceEventKind::Evict { key: k });
-                    }
-                    self.reloads.fetch_add(1, Ordering::Relaxed);
-                    self.prefetches.fetch_add(1, Ordering::Relaxed);
-                    self.prefetch_metric.inc();
-                    self.trace_event(TraceEventKind::Prefetch {
-                        key,
-                        dur_ns: elapsed_ns(t0),
-                    });
-                    self.commit_spill_io(save, delete);
-                }
-            }
-            Err(e) => {
-                // Same semantics as the demand reload path: a missing
-                // file means a racing spill has not landed (deregister,
-                // delete nothing); anything else is damage (deregister
-                // and remove).
-                self.forget_spill_file(path);
-                let racing = matches!(
-                    &e,
-                    mudock_grids::GridIoError::Io(io) if io.kind() == std::io::ErrorKind::NotFound
-                );
-                if !racing {
-                    std::fs::remove_file(path).ok();
-                }
-            }
+        let grids = match mudock_grids::io::load(&self.spill_file(key)) {
+            Ok(gs) => Arc::new(gs),
+            Err(e) => return self.reload_failed(key, &e),
+        };
+        let admitted = {
+            let mut inner = self.inner.lock();
+            let Inner { dir, slots } = &mut *inner;
+            // `None`: a demand lookup admitted the key while we loaded;
+            // drop our copy, its slot is authoritative.
+            dir.admit_prefetched(key, spillable(slots)).map(|plan| {
+                let evicted = install(slots, key, Arc::new(OnceLock::from(grids)), &plan);
+                (plan, evicted)
+            })
+        };
+        if let Some((plan, evicted)) = admitted {
+            self.reloads.fetch_add(1, Ordering::Relaxed);
+            self.prefetches.fetch_add(1, Ordering::Relaxed);
+            self.prefetch_metric.inc();
+            self.trace_event(TraceEventKind::Prefetch {
+                key,
+                dur_ns: elapsed_ns(t0),
+            });
+            self.commit(plan, evicted);
         }
     }
 
-    /// Perform an eviction's planned disk work (outside the lock):
-    /// prune over-capacity files, write the spill, and keep the file
-    /// table honest against racing reload-misses.
-    fn commit_spill_io(&self, save: Option<PlannedSpill>, delete: Vec<SpillFile>) {
-        for f in delete {
-            std::fs::remove_file(&f.path).ok();
-            self.trace_event(TraceEventKind::SpillDrop { key: f.key });
-        }
-        if let Some((grids, spill_key, path, tick)) = save {
-            if Self::save_atomic(&grids, &path, tick).is_ok() {
-                self.spills.fetch_add(1, Ordering::Relaxed);
-                self.trace_event(TraceEventKind::Spill {
-                    key: spill_key,
-                    bytes: Self::grid_bytes(&grids),
-                });
-                // A concurrent reload-miss may have hit ENOENT in the
-                // window before our rename landed and deregistered the
-                // file. The file is on disk now: re-register it, or it
-                // would escape the capacity bound (and pruning) for
-                // good.
-                for stale in self.reregister_spill_file(spill_key, &path) {
-                    std::fs::remove_file(&stale.path).ok();
-                    self.trace_event(TraceEventKind::SpillDrop { key: stale.key });
-                }
-            } else {
-                // Nothing usable landed on disk; deregister the file so
-                // a later miss rebuilds instead of chasing a ghost.
-                self.forget_spill_file(&path);
-            }
+    /// A planned reload did not load. A missing file means a concurrent
+    /// spill's rename has not landed: deregister it (the spiller
+    /// re-registers once its write completes) but delete nothing, or we
+    /// could race ahead and remove the valid file it is about to
+    /// produce. Anything else is damage: deregister and remove.
+    fn reload_failed(&self, key: Key, err: &GridIoError) {
+        self.inner.lock().dir.forget_file(key);
+        let racing =
+            matches!(err, GridIoError::Io(io) if io.kind() == std::io::ErrorKind::NotFound);
+        if !racing {
+            std::fs::remove_file(self.spill_file(key)).ok();
         }
     }
 
-    /// Register the eviction in the spill file table (bounding it to
-    /// the configured capacity) and hand back what to write — `None`
-    /// when the key is already spilled: grid content is immutable per
-    /// key, so the bytes on disk are identical and rewriting them
-    /// every time a reloaded entry is re-evicted (the steady state of
-    /// targets ping-ponging through a small cache) would be pure
-    /// wasted I/O. The write itself happens outside the cache lock.
-    fn plan_spill(
-        state: &mut SpillState,
-        key: (u64, SimdLevel),
-        grids: Arc<GridSet>,
-        tick: u64,
-        delete: &mut Vec<SpillFile>,
-    ) -> Option<PlannedSpill> {
-        let path = state
-            .cfg
-            .dir
-            .join(format!("{:016x}-{}.grid", key.0, key.1.name()));
-        Self::register_spill_file(state, key, &path, delete).then_some((grids, key, path, tick))
+    fn drop_file(&self, pruned: Option<Key>) {
+        if let Some(key) = pruned {
+            std::fs::remove_file(self.spill_file(key)).ok();
+            self.trace_event(TraceEventKind::SpillDrop { key });
+        }
     }
 
-    /// Insert `key` into the file table and collect over-capacity
-    /// victims into `delete`. Returns whether the key is *new* (needs
-    /// its file written); an existing entry just has its age
-    /// refreshed. Either way the file takes the next age from
-    /// `state.seq`.
-    fn register_spill_file(
-        state: &mut SpillState,
-        key: (u64, SimdLevel),
-        path: &std::path::Path,
-        delete: &mut Vec<SpillFile>,
-    ) -> bool {
-        state.seq += 1;
-        let age = state.seq;
-        if let Some(f) = state.files.iter_mut().find(|f| f.key == key) {
-            f.tick = age;
-            return false;
+    /// Count an admission's eviction and perform the disk work the
+    /// directory planned for it — outside the lock.
+    fn commit(&self, plan: Admission<Key>, evicted: Option<Slot>) {
+        let Some(key) = plan.evicted else { return };
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        self.trace_event(TraceEventKind::Evict { key });
+        self.drop_file(plan.pruned);
+        if !plan.spill {
+            return;
         }
-        state.files.push(SpillFile {
-            key,
-            path: path.to_path_buf(),
-            tick: age,
-        });
-        while state.files.len() > state.cfg.capacity.max(1) {
-            let oldest = state
-                .files
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, f)| f.tick)
-                .map(|(i, _)| i)
-                .expect("len > capacity >= 1");
-            delete.push(state.files.swap_remove(oldest));
+        let grids = evicted.as_ref().and_then(|s| s.get());
+        let grids = grids.expect("the directory spills only what `spillable` vouched for");
+        if Self::save_atomic(grids, &self.spill_file(key)).is_ok() {
+            self.spills.fetch_add(1, Ordering::Relaxed);
+            self.trace_event(TraceEventKind::Spill {
+                key,
+                bytes: Self::grid_bytes(grids),
+            });
+            // A concurrent reload-miss may have hit ENOENT in the window
+            // before our rename landed and deregistered the file. It is
+            // on disk now: restore it, or it would escape the capacity
+            // bound (and pruning) for good.
+            let stale = self.inner.lock().dir.restore(key);
+            self.drop_file(stale);
+        } else {
+            // Nothing usable landed on disk; deregister the file so a
+            // later miss rebuilds instead of chasing a ghost.
+            self.inner.lock().dir.forget_file(key);
         }
-        true
-    }
-
-    /// Put a just-written spill file back in the table if a racing
-    /// reload-miss deregistered it mid-write; returns any files the
-    /// capacity bound now prunes.
-    fn reregister_spill_file(
-        &self,
-        key: (u64, SimdLevel),
-        path: &std::path::Path,
-    ) -> Vec<SpillFile> {
-        let mut inner = self.inner.lock();
-        let mut delete = Vec::new();
-        if let Some(state) = inner.spill.as_mut() {
-            Self::register_spill_file(state, key, path, &mut delete);
-        }
-        delete
     }
 
     /// Write-then-rename so a reader never sees a torn spill file; the
-    /// temp name carries the spill tick so two racing spills of the
-    /// same key cannot interleave into one temp file.
-    fn save_atomic(
-        grids: &GridSet,
-        path: &std::path::Path,
-        tick: u64,
-    ) -> Result<(), mudock_grids::GridIoError> {
-        let tmp = path.with_extension(format!("tmp{tick}"));
+    /// temp name is unique per write so two racing spills of the same
+    /// key cannot interleave into one temp file.
+    fn save_atomic(grids: &GridSet, path: &Path) -> Result<(), GridIoError> {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let tmp = path.with_extension(format!("tmp{}", WRITES.fetch_add(1, Ordering::Relaxed)));
         mudock_grids::io::save(grids, &tmp)?;
         if let Err(e) = std::fs::rename(&tmp, path) {
             std::fs::remove_file(&tmp).ok();
             return Err(e.into());
         }
         Ok(())
-    }
-
-    fn forget_spill_file(&self, path: &std::path::Path) {
-        let mut inner = self.inner.lock();
-        if let Some(s) = &mut inner.spill {
-            s.files.retain(|f| f.path != path);
-        }
     }
 
     fn build(&self, receptor: &Molecule, dims: GridDims, level: SimdLevel) -> Arc<GridSet> {
@@ -914,7 +641,7 @@ impl GridCache {
 
     /// A counter snapshot (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let (entries, spilled) = self.inner.lock().dir.sizes();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -923,15 +650,10 @@ impl GridCache {
             reloads: self.reloads.load(Ordering::Relaxed),
             prefetches: self.prefetches.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
-            entries: inner.entries.len(),
-            spilled: inner.spill.as_ref().map_or(0, |s| s.files.len()),
-            policy: self.policy.name(),
+            entries,
+            spilled,
+            policy: directory::POLICY_NAME,
         }
-    }
-
-    /// Drop every resident entry (counters are preserved).
-    pub fn clear(&self) {
-        self.inner.lock().entries.clear();
     }
 }
 
@@ -996,61 +718,6 @@ mod tests {
         // Revisiting a level is a hit on that level's entry.
         let (_, src) = cache.get_or_build(&rec, dims(), levels[0]);
         assert_eq!(src, GridSource::Hit);
-    }
-
-    #[test]
-    fn lru_evicts_the_coldest_entry() {
-        let cache = GridCache::new(2);
-        let r1 = synthetic_receptor(1, 30, 5.0);
-        let r2 = synthetic_receptor(2, 30, 5.0);
-        let r3 = synthetic_receptor(3, 30, 5.0);
-        cache.get_or_build(&r1, dims(), SimdLevel::detect());
-        cache.get_or_build(&r2, dims(), SimdLevel::detect());
-        cache.get_or_build(&r1, dims(), SimdLevel::detect()); // r1 hot, r2 cold
-        cache.get_or_build(&r3, dims(), SimdLevel::detect()); // evicts r2
-        assert_eq!(cache.stats().evictions, 1);
-        let (_, r1_src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
-        assert_eq!(
-            r1_src,
-            GridSource::Hit,
-            "the hot entry must survive the eviction"
-        );
-        let (_, r2_src) = cache.get_or_build(&r2, dims(), SimdLevel::detect());
-        assert_eq!(
-            r2_src,
-            GridSource::Built,
-            "the cold entry must have been evicted"
-        );
-    }
-
-    #[test]
-    fn slru_protects_a_hot_entry_from_a_scan() {
-        // A is accessed twice (promoted to the protected segment), then
-        // a scan of one-shot keys pours through. Under SLRU the scan
-        // churns the probation segment and A survives; under plain LRU
-        // the same sequence evicts A.
-        let r_a = synthetic_receptor(1, 30, 5.0);
-        let scan: Vec<_> = (2..=4).map(|s| synthetic_receptor(s, 30, 5.0)).collect();
-        let run = |policy: CachePolicy| {
-            let cache = GridCache::builder(2).policy(policy).build().unwrap();
-            cache.get_or_build(&r_a, dims(), SimdLevel::detect());
-            cache.get_or_build(&r_a, dims(), SimdLevel::detect());
-            for r in &scan {
-                cache.get_or_build(r, dims(), SimdLevel::detect());
-            }
-            let (_, src) = cache.get_or_build(&r_a, dims(), SimdLevel::detect());
-            src
-        };
-        assert_eq!(
-            run(CachePolicy::Slru),
-            GridSource::Hit,
-            "slru must keep the twice-accessed key through the scan"
-        );
-        assert_eq!(
-            run(CachePolicy::Lru),
-            GridSource::Built,
-            "plain lru loses the hot key to the scan (the contrast slru exists for)"
-        );
     }
 
     #[test]

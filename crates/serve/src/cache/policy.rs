@@ -1,107 +1,33 @@
-//! Replacement policies: the live cache's selectable policy plus the
-//! offline replay models the `cache_replay` tool sweeps over recorded
-//! traces.
+//! The offline replayer: [`Directory`] driven from a recorded trace.
 //!
-//! # Live policies
+//! [`replay`] feeds the accesses, hints and restores of a trace (see
+//! [`super::trace`]) to the same [`Directory`] the live
+//! [`GridCache`](super::GridCache) holds, so replaying a trace at the
+//! geometry it was recorded under reproduces the live counters — there
+//! is no second implementation to drift. What this module adds is only
+//! what is genuinely offline:
 //!
-//! [`CachePolicy`] is what a running [`GridCache`](super::GridCache)
-//! uses to pick eviction victims:
-//!
-//! - **`lru`** — classic least-recently-used over all resident entries.
-//! - **`slru`** (default) — segmented LRU: a new entry lands in a
-//!   *probation* segment; its first hit promotes it to a *protected*
-//!   segment holding at most half the capacity. Victims come from
-//!   probation first, so a burst of one-shot receptors cannot flush the
-//!   proven-hot ones. At capacity 1 the protected segment is empty and
-//!   `slru` degenerates to exactly `lru` — which is why switching the
-//!   default did not move the gated `multi.{spills,reloads}` bench
-//!   fields (that leg runs a capacity-1 cache).
-//!
-//! Policies only reorder *evictions*; every lookup still lands in the
-//! same shared-`OnceLock` entry, so the bit-identity and
-//! build-once-per-key invariants of the cache are policy-independent.
-//!
-//! # Replay models
-//!
-//! [`replay`] drives a [`ModelConfig`] over the events of a recorded
-//! trace (see [`super::trace`]). The LRU resident set reuses
-//! `mudock-archsim`'s set-associative cache scaffolding ([`ArchCache`])
-//! configured as one fully-associative set with one-byte lines, so the
-//! grid key *is* the address and archsim's true-LRU stamp machinery is
-//! the model; SLRU and the TinyLFU-style admission filter extend it.
-//! The models mirror the live cache's bookkeeping exactly — same
-//! file-table touch order, same spill-once-per-key rule — which is what
-//! lets a proptest assert that replaying a live-recorded trace under
-//! the matching model reproduces the live hit/miss/spill counters
-//! bit-for-bit.
+//! - **what-if rows** — other capacities, and other protected bounds:
+//!   `lru` is the directory with a protected segment of 0, `slru` the
+//!   shipped half-capacity bound;
+//! - **`tinylfu`** — a frequency-admission filter *in front of* the
+//!   directory: a miss whose key is estimated colder than the would-be
+//!   victim is served without being admitted. Not a live option: a
+//!   bypassed key would be built outside the shared slot, which is a
+//!   performance change that needs its own measurement;
+//! - **`+prefetch`** — act on recorded router hints, and account for
+//!   the part of a reload that the hint-to-demand gap hides;
+//! - **the stall model** — per-key build and reload costs learned from
+//!   the trace, charged where a row's outcome diverges from the
+//!   recorded one.
 
 use std::collections::HashMap;
 
-use mudock_archsim::Cache as ArchCache;
-
+use super::directory::{default_protected, Admission, Directory, Lookup};
 use super::trace::{TraceEvent, TraceEventKind, TraceKey};
 use mudock_obs::GridSource;
 
-/// Replacement policy of a live [`GridCache`](super::GridCache).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Least-recently-used over all resident entries.
-    Lru,
-    /// Segmented LRU: probation + protected halves, victims from
-    /// probation first. The shipped default.
-    #[default]
-    Slru,
-}
-
-impl CachePolicy {
-    /// Every live policy, in sweep order.
-    pub const ALL: [CachePolicy; 2] = [CachePolicy::Lru, CachePolicy::Slru];
-
-    /// The policy's canonical (CLI / trace-header / `/stats`) name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CachePolicy::Lru => "lru",
-            CachePolicy::Slru => "slru",
-        }
-    }
-
-    /// Parse a canonical name (case-insensitive).
-    pub fn parse(name: &str) -> Option<CachePolicy> {
-        match name.to_ascii_lowercase().as_str() {
-            "lru" => Some(CachePolicy::Lru),
-            "slru" => Some(CachePolicy::Slru),
-            _ => None,
-        }
-    }
-
-    /// Size of the protected segment for a cache of `capacity` entries
-    /// (0 under plain LRU — and at capacity 1, where SLRU ≡ LRU).
-    pub fn protected_capacity(self, capacity: usize) -> usize {
-        match self {
-            CachePolicy::Lru => 0,
-            CachePolicy::Slru => capacity / 2,
-        }
-    }
-}
-
-/// Map a trace key (fingerprint, SIMD level) onto the single `u64`
-/// address space the models operate in. The level is folded in with a
-/// Fibonacci-hash mix so per-level entries stay distinct, exactly as
-/// the live cache keeps them distinct; `u64::MAX` is remapped because
-/// archsim's scaffolding uses it as the invalid-way sentinel.
-pub fn model_key(key: TraceKey) -> u64 {
-    let mixed = key.0
-        ^ ((key.1 as u64)
-            .wrapping_add(1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    if mixed == u64::MAX {
-        u64::MAX - 1
-    } else {
-        mixed
-    }
-}
-
-/// One policy configuration the replayer can drive over a trace.
+/// One configuration the replayer can drive over a trace.
 #[derive(Clone, Debug)]
 pub struct ModelConfig {
     /// Display label (`lru`, `slru+prefetch`, ...).
@@ -121,9 +47,9 @@ pub struct ModelConfig {
 }
 
 impl ModelConfig {
-    /// Build the configuration for a policy `name` — a base policy
-    /// (`lru`, `slru`, `tinylfu`) with an optional `+prefetch` suffix —
-    /// over a cache of `capacity` entries and `spill_capacity` files.
+    /// Build the configuration for a row `name` — a base (`lru`,
+    /// `slru`, `tinylfu`) with an optional `+prefetch` suffix — over a
+    /// cache of `capacity` entries and `spill_capacity` files.
     pub fn for_policy(name: &str, capacity: usize, spill_capacity: usize) -> Option<ModelConfig> {
         let (base, prefetch) = match name.strip_suffix("+prefetch") {
             Some(base) => (base, true),
@@ -131,7 +57,7 @@ impl ModelConfig {
         };
         let (protected, admission) = match base {
             "lru" => (0, false),
-            "slru" => (CachePolicy::Slru.protected_capacity(capacity), false),
+            "slru" => (default_protected(capacity), false),
             "tinylfu" => (0, true),
             _ => return None,
         };
@@ -185,34 +111,31 @@ impl ModelStats {
     }
 }
 
+/// `(sum, count)` of one kind of grid acquisition.
+type Cost = (u64, u64);
+
 /// Per-key grid acquisition costs learned from the trace, used when a
 /// model's outcome diverges from the recorded one (e.g. the model
 /// rebuilds what the live cache reloaded).
+#[derive(Default)]
 struct Costs {
-    build: HashMap<u64, (u64, u64)>,
-    reload: HashMap<u64, (u64, u64)>,
-    global_build: (u64, u64),
-    global_reload: (u64, u64),
+    build: HashMap<TraceKey, Cost>,
+    reload: HashMap<TraceKey, Cost>,
+    global_build: Cost,
+    global_reload: Cost,
 }
 
-fn mean(sum_n: (u64, u64)) -> Option<u64> {
-    (sum_n.1 > 0).then(|| sum_n.0 / sum_n.1)
+fn mean(cost: Cost) -> Option<u64> {
+    (cost.1 > 0).then(|| cost.0 / cost.1)
 }
 
 impl Costs {
     fn learn(events: &[TraceEvent]) -> Costs {
-        let mut c = Costs {
-            build: HashMap::new(),
-            reload: HashMap::new(),
-            global_build: (0, 0),
-            global_reload: (0, 0),
-        };
-        let add = |map: &mut HashMap<u64, (u64, u64)>, global: &mut (u64, u64), k, ns| {
+        let mut c = Costs::default();
+        let add = |map: &mut HashMap<TraceKey, Cost>, global: &mut Cost, k, ns| {
             let e = map.entry(k).or_insert((0, 0));
-            e.0 += ns;
-            e.1 += 1;
-            global.0 += ns;
-            global.1 += 1;
+            *e = (e.0 + ns, e.1 + 1);
+            *global = (global.0 + ns, global.1 + 1);
         };
         for ev in events {
             match ev.kind {
@@ -221,15 +144,15 @@ impl Costs {
                     source: GridSource::Built,
                     dur_ns,
                     ..
-                } => add(&mut c.build, &mut c.global_build, model_key(key), dur_ns),
+                } => add(&mut c.build, &mut c.global_build, key, dur_ns),
                 TraceEventKind::Access {
                     key,
                     source: GridSource::Reloaded,
                     dur_ns,
                     ..
-                } => add(&mut c.reload, &mut c.global_reload, model_key(key), dur_ns),
-                TraceEventKind::Prefetch { key, dur_ns } => {
-                    add(&mut c.reload, &mut c.global_reload, model_key(key), dur_ns)
+                }
+                | TraceEventKind::Prefetch { key, dur_ns } => {
+                    add(&mut c.reload, &mut c.global_reload, key, dur_ns)
                 }
                 _ => {}
             }
@@ -237,154 +160,28 @@ impl Costs {
         c
     }
 
-    fn build_ns(&self, k: u64) -> u64 {
-        self.build
-            .get(&k)
-            .copied()
-            .and_then(mean)
-            .or(mean(self.global_build))
-            .unwrap_or(0)
+    fn build_ns(&self, k: TraceKey) -> u64 {
+        let own = self.build.get(&k).copied().and_then(mean);
+        own.or(mean(self.global_build)).unwrap_or(0)
     }
 
-    fn reload_ns(&self, k: u64) -> u64 {
-        self.reload
-            .get(&k)
-            .copied()
-            .and_then(mean)
-            .or(mean(self.global_reload))
-            // No reload ever recorded: assume a reload costs a fifth of
-            // a build.
+    fn reload_ns(&self, k: TraceKey) -> u64 {
+        let own = self.reload.get(&k).copied().and_then(mean);
+        // No reload ever recorded: assume a reload costs a fifth of a
+        // build.
+        own.or(mean(self.global_reload))
             .unwrap_or_else(|| self.build_ns(k) / 5)
     }
 }
 
-/// The resident-set half of a model. Plain LRU rides on archsim's
-/// cache scaffolding (one fully-associative set, 1-byte lines, true-LRU
-/// stamps); SLRU keeps its own probation/protected entries mirroring
-/// the live cache exactly.
-enum Resident {
-    Arch(ArchCache),
-    Slru(SlruSet),
-}
-
-impl Resident {
-    fn new(capacity: usize, protected_capacity: usize) -> Resident {
-        if protected_capacity == 0 {
-            Resident::Arch(ArchCache::new(capacity, capacity, 1))
-        } else {
-            Resident::Slru(SlruSet {
-                entries: Vec::new(),
-                clock: 0,
-                capacity,
-                protected_capacity,
-            })
-        }
-    }
-
-    /// `(hit, evicted key)` — mutating.
-    fn access(&mut self, k: u64) -> (bool, Option<u64>) {
-        match self {
-            Resident::Arch(c) => c.access_evicting(k),
-            Resident::Slru(s) => s.access(k),
-        }
-    }
-
-    /// `(would hit, would-be victim)` — non-mutating.
-    fn peek(&self, k: u64) -> (bool, Option<u64>) {
-        match self {
-            Resident::Arch(c) => c.peek(k),
-            Resident::Slru(s) => s.peek(k),
-        }
-    }
-}
-
-struct SlruEntry {
-    key: u64,
-    stamp: u64,
-    protected: bool,
-}
-
-struct SlruSet {
-    entries: Vec<SlruEntry>,
-    clock: u64,
-    capacity: usize,
-    protected_capacity: usize,
-}
-
-impl SlruSet {
-    fn victim_index(&self) -> Option<usize> {
-        let probation = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !e.protected)
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(i, _)| i);
-        probation.or_else(|| {
-            self.entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-        })
-    }
-
-    fn peek(&self, k: u64) -> (bool, Option<u64>) {
-        if self.entries.iter().any(|e| e.key == k) {
-            return (true, None);
-        }
-        if self.entries.len() < self.capacity {
-            return (false, None);
-        }
-        (false, self.victim_index().map(|i| self.entries[i].key))
-    }
-
-    fn access(&mut self, k: u64) -> (bool, Option<u64>) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == k) {
-            e.stamp = clock;
-            if self.protected_capacity > 0 && !e.protected {
-                e.protected = true;
-                while self.entries.iter().filter(|e| e.protected).count() > self.protected_capacity
-                {
-                    if let Some(d) = self
-                        .entries
-                        .iter_mut()
-                        .filter(|e| e.protected)
-                        .min_by_key(|e| e.stamp)
-                    {
-                        d.protected = false;
-                    }
-                }
-            }
-            return (true, None);
-        }
-        let evicted = if self.entries.len() >= self.capacity {
-            self.victim_index().map(|i| self.entries.swap_remove(i).key)
-        } else {
-            None
-        };
-        self.entries.push(SlruEntry {
-            key: k,
-            stamp: clock,
-            protected: false,
-        });
-        (false, evicted)
-    }
-}
-
-/// One policy model mid-replay; feed it events with [`CacheModel::step`].
+/// One configuration mid-replay; feed it events with [`CacheModel::step`].
 pub struct CacheModel {
     cfg: ModelConfig,
-    resident: Resident,
-    /// Spill-tier file table, oldest first — same touch/refresh/prune
-    /// order as the live cache's tick-stamped table.
-    files: Vec<u64>,
-    freq: HashMap<u64, u32>,
+    dir: Directory<TraceKey>,
+    freq: HashMap<TraceKey, u32>,
     freq_samples: u32,
     /// Keys prefetched but not yet demanded: key → hint timestamp.
-    prefetched: HashMap<u64, u64>,
+    prefetched: HashMap<TraceKey, u64>,
     costs: Costs,
     stats: ModelStats,
 }
@@ -394,8 +191,11 @@ impl CacheModel {
     /// same slice is then replayed through [`CacheModel::step`]).
     pub fn new(cfg: ModelConfig, events: &[TraceEvent]) -> CacheModel {
         CacheModel {
-            resident: Resident::new(cfg.capacity.max(1), cfg.protected_capacity),
-            files: Vec::new(),
+            dir: Directory::new(
+                cfg.capacity.max(1),
+                cfg.protected_capacity,
+                cfg.spill_capacity,
+            ),
             freq: HashMap::new(),
             freq_samples: 0,
             prefetched: HashMap::new(),
@@ -405,11 +205,11 @@ impl CacheModel {
         }
     }
 
-    fn freq_of(&self, k: u64) -> u32 {
+    fn freq_of(&self, k: TraceKey) -> u32 {
         self.freq.get(&k).copied().unwrap_or(0)
     }
 
-    fn note_freq(&mut self, k: u64) {
+    fn note_freq(&mut self, k: TraceKey) {
         *self.freq.entry(k).or_insert(0) += 1;
         self.freq_samples += 1;
         // TinyLFU-style aging: periodically halve every estimate so the
@@ -421,43 +221,31 @@ impl CacheModel {
         }
     }
 
-    fn files_touch(&mut self, k: u64) -> bool {
-        match self.files.iter().position(|&f| f == k) {
-            Some(i) => {
-                self.files.remove(i);
-                self.files.push(k);
-                true
-            }
-            None => false,
-        }
+    /// The admission filter: would the directory evict an entry that is
+    /// estimated hotter than `k`?
+    fn bypasses(&mut self, k: TraceKey) -> bool {
+        self.note_freq(k);
+        let victim = self.dir.peek(k).victim;
+        victim.is_some_and(|v| self.freq_of(k) < self.freq_of(v))
     }
 
-    fn files_register(&mut self, k: u64) {
-        if self.cfg.spill_capacity == 0 {
-            return;
-        }
-        if self.files_touch(k) {
-            return; // already spilled: content is immutable, no rewrite
-        }
-        self.files.push(k);
-        self.stats.spills += 1;
-        while self.files.len() > self.cfg.spill_capacity {
-            self.files.remove(0);
-            self.stats.spill_drops += 1;
-        }
+    fn admitted(&mut self, plan: &Admission<TraceKey>) {
+        self.stats.evictions += plan.evicted.is_some() as u64;
+        self.stats.spills += plan.spill as u64;
+        self.stats.spill_drops += plan.pruned.is_some() as u64;
     }
 
-    fn fill(&mut self, k: u64, reload: bool, live: Option<GridSource>, dur_ns: u64) {
+    fn fill(&mut self, k: TraceKey, reload: bool, live: GridSource, dur_ns: u64) {
         if reload {
             self.stats.reloads += 1;
-            self.stats.stall_ns += if live == Some(GridSource::Reloaded) {
+            self.stats.stall_ns += if live == GridSource::Reloaded {
                 dur_ns
             } else {
                 self.costs.reload_ns(k)
             };
         } else {
             self.stats.builds += 1;
-            self.stats.stall_ns += if live == Some(GridSource::Built) {
+            self.stats.stall_ns += if live == GridSource::Built {
                 dur_ns
             } else {
                 self.costs.build_ns(k)
@@ -467,82 +255,68 @@ impl CacheModel {
 
     /// Replay one recorded event.
     pub fn step(&mut self, ev: &TraceEvent) {
-        match &ev.kind {
+        match ev.kind {
             TraceEventKind::Access {
                 key,
                 source,
                 dur_ns,
                 ..
-            } => self.access(model_key(*key), *source, *dur_ns, ev.t_ns),
-            TraceEventKind::Hint { key } => self.hint(model_key(*key), ev.t_ns),
+            } => self.access(key, source, dur_ns, ev.t_ns),
+            TraceEventKind::Hint { key } => self.hint(key, ev.t_ns),
             // A restored spill tier (warm restart) pre-populates the
             // file table in recorded (oldest-first) order.
-            TraceEventKind::Restore { key } if self.cfg.spill_capacity > 0 => {
-                self.files.push(model_key(*key));
+            TraceEventKind::Restore { key } => {
+                self.dir.restore(key);
             }
-            // Informational: the model derives its own evictions/spills.
+            // Informational: the directory derives its own evictions
+            // and spills.
             _ => {}
         }
     }
 
-    fn access(&mut self, k: u64, live: GridSource, dur_ns: u64, t_ns: u64) {
+    fn access(&mut self, k: TraceKey, live: GridSource, dur_ns: u64, t_ns: u64) {
         self.stats.accesses += 1;
         if self.cfg.capacity == 0 {
             self.stats.misses += 1;
-            self.fill(k, false, Some(live), dur_ns);
-            return;
+            return self.fill(k, false, live, dur_ns);
         }
-        if self.cfg.admission_filter {
-            self.note_freq(k);
-            let (would_hit, victim) = self.resident.peek(k);
-            if !would_hit {
-                if let Some(v) = victim {
-                    if self.freq_of(k) < self.freq_of(v) {
-                        // Bypass: serve the job without admitting the
-                        // key — the victim has earned its residency.
-                        self.stats.misses += 1;
-                        let reload = self.files_touch(k);
-                        self.fill(k, reload, Some(live), dur_ns);
-                        self.prefetched.remove(&k);
-                        return;
-                    }
+        if self.cfg.admission_filter && self.bypasses(k) {
+            // Serve the job without admitting the key — the victim has
+            // earned its residency.
+            self.stats.misses += 1;
+            self.prefetched.remove(&k);
+            let reload = self.dir.refresh_file(k);
+            return self.fill(k, reload, live, dur_ns);
+        }
+        match self.dir.lookup(k, |_| true) {
+            Lookup::Hit => {
+                self.stats.hits += 1;
+                if let Some(t_hint) = self.prefetched.remove(&k) {
+                    // The prefetch hid the part of the reload overlapping
+                    // the gap between hint and demand; the rest stalls.
+                    let gap = t_ns.saturating_sub(t_hint);
+                    self.stats.stall_ns += self.costs.reload_ns(k).saturating_sub(gap);
                 }
             }
-        }
-        let (hit, evicted) = self.resident.access(k);
-        if hit {
-            self.stats.hits += 1;
-            if let Some(t_hint) = self.prefetched.remove(&k) {
-                // The prefetch hid the part of the reload overlapping
-                // the gap between hint and demand; the rest stalls.
-                let gap = t_ns.saturating_sub(t_hint);
-                self.stats.stall_ns += self.costs.reload_ns(k).saturating_sub(gap);
+            Lookup::Miss(plan) => {
+                self.stats.misses += 1;
+                self.prefetched.remove(&k);
+                self.admitted(&plan);
+                self.fill(k, plan.reload, live, dur_ns);
             }
-            return;
         }
-        self.stats.misses += 1;
-        self.prefetched.remove(&k);
-        let reload = self.files_touch(k);
-        if let Some(v) = evicted {
-            self.stats.evictions += 1;
-            self.files_register(v);
-        }
-        self.fill(k, reload, Some(live), dur_ns);
     }
 
-    fn hint(&mut self, k: u64, t_ns: u64) {
-        if !self.cfg.prefetch || self.resident.peek(k).0 || !self.files.contains(&k) {
+    fn hint(&mut self, k: TraceKey, t_ns: u64) {
+        if !self.cfg.prefetch || !self.dir.peek(k).spilled {
             return;
         }
-        self.files_touch(k);
-        let (_, evicted) = self.resident.access(k);
-        if let Some(v) = evicted {
-            self.stats.evictions += 1;
-            self.files_register(v);
+        if let Some(plan) = self.dir.admit_prefetched(k, |_| true) {
+            self.admitted(&plan);
+            self.stats.reloads += 1;
+            self.stats.prefetches += 1;
+            self.prefetched.insert(k, t_ns);
         }
-        self.stats.reloads += 1;
-        self.stats.prefetches += 1;
-        self.prefetched.insert(k, t_ns);
     }
 
     /// The accumulated counters.
@@ -557,7 +331,7 @@ pub fn replay(events: &[TraceEvent], cfg: ModelConfig) -> ModelStats {
     for ev in events {
         model.step(ev);
     }
-    model.stats.clone()
+    model.stats
 }
 
 #[cfg(test)]
@@ -591,24 +365,42 @@ mod tests {
     }
 
     #[test]
-    fn policy_names_round_trip() {
-        for p in CachePolicy::ALL {
-            assert_eq!(CachePolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(CachePolicy::parse("LRU"), Some(CachePolicy::Lru));
-        assert_eq!(CachePolicy::parse("fifo"), None);
-        assert_eq!(CachePolicy::default(), CachePolicy::Slru);
-        assert_eq!(CachePolicy::Slru.protected_capacity(1), 0, "slru@1 ≡ lru");
+    fn row_names_select_the_protected_bound_and_the_wrappers() {
+        let row = |name| {
+            let c = cfg(name, 4, 2);
+            (c.protected_capacity, c.admission_filter, c.prefetch)
+        };
+        assert_eq!(row("lru"), (0, false, false));
+        assert_eq!(row("slru"), (2, false, false));
+        assert_eq!(row("tinylfu"), (0, true, false));
+        assert_eq!(row("slru+prefetch"), (2, false, true));
+        assert_eq!(cfg("slru", 1, 0).protected_capacity, 0, "slru@1 ≡ lru");
+        assert!(ModelConfig::for_policy("fifo", 4, 2).is_none());
     }
 
+    /// The table in docs/OPERATIONS.md ("How victims are chosen"): 40
+    /// passes of `bench_ladder`'s `serve_churn` order (24 jobs, Zipf(1)
+    /// over six receptors) over a two-file spill tier.
     #[test]
-    fn model_keys_keep_levels_distinct() {
-        let a = model_key((7, SimdLevel::Scalar));
-        let b = model_key((7, SimdLevel::detect()));
-        if SimdLevel::detect() != SimdLevel::Scalar {
-            assert_ne!(a, b);
-        }
-        assert_ne!(model_key((u64::MAX, SimdLevel::Scalar)), u64::MAX);
+    fn churn_order_rows() {
+        const CHURN_RANKS: [u64; 24] = [
+            0, 0, 1, 0, 2, 0, 1, 3, 0, 0, 1, 4, 0, 2, 1, 5, 0, 0, 3, 1, 0, 2, 4, 5,
+        ];
+        let passes = (0..40).flat_map(|_| CHURN_RANKS);
+        let evs: Vec<TraceEvent> = passes.enumerate().map(|(t, k)| acc(t as u64, k)).collect();
+        let row = |name, capacity| {
+            let s = replay(&evs, cfg(name, capacity, 2));
+            assert_eq!(s.accesses, 960);
+            (s.hits, s.reloads, s.builds, s.spills)
+        };
+        // What the node runs, and what `serve_churn` measures: 42 % hits,
+        // 17 % reloads, 42 % rebuilds, 10 spills per pass.
+        assert_eq!(row("slru", 2), (399, 160, 401, 399));
+        assert_eq!(row("lru", 2), (200, 359, 401, 758));
+        assert_eq!(row("tinylfu", 2), (597, 120, 243, 2));
+        assert_eq!(row("slru", 4), (598, 238, 124, 358));
+        assert_eq!(row("lru", 4), (559, 277, 124, 397));
+        assert_eq!(row("tinylfu", 4), (715, 180, 65, 65));
     }
 
     #[test]

@@ -31,12 +31,14 @@
 //! — so tracing cannot extend the cache's critical sections.
 
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
 use mudock_grids::SimdLevel;
 use mudock_obs::GridSource;
+
+use crate::wire::Json;
 
 /// A cache key as traced: content fingerprint plus build level.
 pub type TraceKey = (u64, SimdLevel);
@@ -50,8 +52,9 @@ pub struct TraceHeader {
     pub capacity: usize,
     /// Spill-tier capacity (0 when no spill tier was configured).
     pub spill_capacity: usize,
-    /// Name of the live replacement policy (see
-    /// [`CachePolicy::name`](super::policy::CachePolicy::name)).
+    /// Name of the recording cache's replacement policy: `slru`, or
+    /// `lru` in traces recorded before plain LRU stopped being a live
+    /// option (replayed as a protected segment of 0).
     pub policy: String,
     /// Whether the recording cache had prefetch enabled.
     pub prefetch: bool,
@@ -140,7 +143,6 @@ pub struct Trace {
 pub struct CacheTracer {
     out: Mutex<std::io::BufWriter<std::fs::File>>,
     t0: Instant,
-    path: PathBuf,
 }
 
 fn key_json(key: TraceKey) -> String {
@@ -161,13 +163,7 @@ impl CacheTracer {
         Ok(CacheTracer {
             out: Mutex::new(out),
             t0: Instant::now(),
-            path: path.to_path_buf(),
         })
-    }
-
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Record one event, stamped with the current monotonic offset.
@@ -217,103 +213,87 @@ impl CacheTracer {
     }
 }
 
-fn str_field(line: &str, name: &str) -> Option<String> {
-    let pat = format!("\"{name}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn u64_field(line: &str, name: &str) -> Option<u64> {
-    let pat = format!("\"{name}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn bool_field(line: &str, name: &str) -> Option<bool> {
-    let pat = format!("\"{name}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-fn key_field(line: &str) -> Option<TraceKey> {
-    let key = u64::from_str_radix(&str_field(line, "key")?, 16).ok()?;
-    let level = SimdLevel::parse(&str_field(line, "level")?)?;
-    Some((key, level))
-}
-
-fn source_field(line: &str) -> Option<GridSource> {
-    match str_field(line, "source")?.as_str() {
-        "hit" => Some(GridSource::Hit),
-        "built" => Some(GridSource::Built),
-        "reloaded" => Some(GridSource::Reloaded),
+fn str_field<'a>(v: &'a Json, name: &str) -> Option<&'a str> {
+    match v.get(name)? {
+        Json::Str(s) => Some(s),
         _ => None,
     }
 }
 
-fn parse_line(line: &str) -> Option<Result<TraceEvent, TraceHeader>> {
-    let ev = str_field(line, "ev")?;
-    if ev == "open" {
-        return Some(Err(TraceHeader {
-            version: u64_field(line, "version")? as u32,
-            capacity: u64_field(line, "capacity")? as usize,
-            spill_capacity: u64_field(line, "spill_capacity")? as usize,
-            policy: str_field(line, "policy")?,
-            prefetch: bool_field(line, "prefetch")?,
-        }));
+fn u64_field(v: &Json, name: &str) -> Option<u64> {
+    match v.get(name)? {
+        Json::Num(n) => n.as_u64(),
+        _ => None,
     }
-    let t_ns = u64_field(line, "t_ns")?;
-    let kind = match ev.as_str() {
-        "warm" => TraceEventKind::Warm {
-            restored: u64_field(line, "restored")?,
-            quarantined: u64_field(line, "quarantined")?,
-        },
-        "restore" => TraceEventKind::Restore {
-            key: key_field(line)?,
-        },
-        "access" => TraceEventKind::Access {
-            key: key_field(line)?,
-            source: source_field(line)?,
-            bytes: u64_field(line, "bytes")?,
-            dur_ns: u64_field(line, "dur_ns")?,
-        },
-        "evict" => TraceEventKind::Evict {
-            key: key_field(line)?,
-        },
-        "spill" => TraceEventKind::Spill {
-            key: key_field(line)?,
-            bytes: u64_field(line, "bytes")?,
-        },
-        "spill_drop" => TraceEventKind::SpillDrop {
-            key: key_field(line)?,
-        },
-        "hint" => TraceEventKind::Hint {
-            key: key_field(line)?,
-        },
-        "prefetch" => TraceEventKind::Prefetch {
-            key: key_field(line)?,
-            dur_ns: u64_field(line, "dur_ns")?,
-        },
-        _ => return None,
-    };
-    Some(Ok(TraceEvent { t_ns, kind }))
 }
 
-/// Parse a trace file. Unknown event kinds are skipped (forward
-/// compatibility); a structurally broken line is an error naming its
-/// line number, so a damaged trace fails loudly instead of replaying
-/// a silently shortened history.
+fn key_field(v: &Json) -> Option<TraceKey> {
+    let key = u64::from_str_radix(str_field(v, "key")?, 16).ok()?;
+    Some((key, SimdLevel::parse(str_field(v, "level")?)?))
+}
+
+enum Line {
+    Header(TraceHeader),
+    Event(TraceEvent),
+    /// An `ev` this reader does not know (forward compatibility).
+    Unknown,
+}
+
+/// `None`: a known event with a missing or ill-typed field.
+fn parse_line(v: &Json) -> Option<Line> {
+    let ev = str_field(v, "ev")?;
+    if ev == "open" {
+        return Some(Line::Header(TraceHeader {
+            version: u32::try_from(u64_field(v, "version")?).ok()?,
+            capacity: usize::try_from(u64_field(v, "capacity")?).ok()?,
+            spill_capacity: usize::try_from(u64_field(v, "spill_capacity")?).ok()?,
+            policy: str_field(v, "policy")?.to_string(),
+            prefetch: match v.get("prefetch")? {
+                Json::Bool(b) => *b,
+                _ => return None,
+            },
+        }));
+    }
+    let kind = match ev {
+        "warm" => TraceEventKind::Warm {
+            restored: u64_field(v, "restored")?,
+            quarantined: u64_field(v, "quarantined")?,
+        },
+        "restore" => TraceEventKind::Restore { key: key_field(v)? },
+        "access" => TraceEventKind::Access {
+            key: key_field(v)?,
+            source: match str_field(v, "source")? {
+                "hit" => GridSource::Hit,
+                "built" => GridSource::Built,
+                "reloaded" => GridSource::Reloaded,
+                _ => return None,
+            },
+            bytes: u64_field(v, "bytes")?,
+            dur_ns: u64_field(v, "dur_ns")?,
+        },
+        "evict" => TraceEventKind::Evict { key: key_field(v)? },
+        "spill" => TraceEventKind::Spill {
+            key: key_field(v)?,
+            bytes: u64_field(v, "bytes")?,
+        },
+        "spill_drop" => TraceEventKind::SpillDrop { key: key_field(v)? },
+        "hint" => TraceEventKind::Hint { key: key_field(v)? },
+        "prefetch" => TraceEventKind::Prefetch {
+            key: key_field(v)?,
+            dur_ns: u64_field(v, "dur_ns")?,
+        },
+        _ => return Some(Line::Unknown),
+    };
+    let t_ns = u64_field(v, "t_ns")?;
+    Some(Line::Event(TraceEvent { t_ns, kind }))
+}
+
+/// Parse a trace file. Lines with an `ev` this reader does not know are
+/// skipped (forward compatibility); a line that is not a JSON object
+/// with an `ev` — a torn final line, say — or a known event with a
+/// missing or ill-typed field is an `InvalidData` error naming the
+/// line, so a damaged trace fails loudly instead of replaying a
+/// silently shortened history.
 pub fn read_trace(path: &Path) -> std::io::Result<Trace> {
     let text = std::fs::read_to_string(path)?;
     let mut trace = Trace::default();
@@ -321,19 +301,15 @@ pub fn read_trace(path: &Path) -> std::io::Result<Trace> {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_line(line) {
-            Some(Ok(ev)) => trace.events.push(ev),
-            Some(Err(header)) => trace.header = Some(header),
-            None => {
-                // Tolerate unknown-but-well-formed events; reject junk.
-                if str_field(line, "ev").is_some() {
-                    continue;
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("trace line {}: unparseable: {line}", i + 1),
-                ));
-            }
+        let bad = |why: String| {
+            let msg = format!("trace line {}: {why}: {line}", i + 1);
+            std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+        };
+        let json = crate::wire::parse(line).map_err(|e| bad(e.to_string()))?;
+        match parse_line(&json).ok_or_else(|| bad("missing or ill-typed field".into()))? {
+            Line::Event(ev) => trace.events.push(ev),
+            Line::Header(header) => trace.header = Some(header),
+            Line::Unknown => {}
         }
     }
     Ok(trace)
@@ -343,7 +319,7 @@ pub fn read_trace(path: &Path) -> std::io::Result<Trace> {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
+    fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mudock-cache-trace-{}-{name}", std::process::id()))
     }
 
@@ -392,12 +368,43 @@ mod tests {
     }
 
     #[test]
-    fn junk_lines_fail_loudly_but_unknown_events_are_skipped() {
+    fn damaged_lines_fail_loudly_but_unknown_events_are_skipped() {
         let path = tmp("junk.trace");
-        std::fs::write(&path, "{\"ev\":\"future_thing\",\"t_ns\":1}\n").unwrap();
-        assert_eq!(read_trace(&path).unwrap().events.len(), 0);
-        std::fs::write(&path, "complete garbage\n").unwrap();
-        assert!(read_trace(&path).is_err());
+        let access = "{\"ev\":\"access\",\"t_ns\":5,\"key\":\"00000000000000c2\",\
+                      \"level\":\"scalar\",\"source\":\"built\",\"bytes\":64,\"dur_ns\":9}";
+        let read = |text: &str| {
+            std::fs::write(&path, text).unwrap();
+            read_trace(&path)
+        };
+        let unknown = "{\"ev\":\"future_thing\",\"t_ns\":1}";
+        let ok = read(&format!("{unknown}\n{access}\n")).unwrap();
+        assert_eq!(ok.events.len(), 1, "the unknown event is skipped");
+
+        let damaged = [
+            ("garbage", "complete garbage\n".to_string()),
+            (
+                "truncated final line",
+                format!("{access}\n{}", &access[..access.len() - 20]),
+            ),
+            (
+                "known event without key",
+                "{\"ev\":\"evict\",\"t_ns\":7}\n".to_string(),
+            ),
+            (
+                "ill-typed field",
+                access.replace("\"bytes\":64", "\"bytes\":\"64\""),
+            ),
+            ("object without ev", "{\"t_ns\":1}\n".to_string()),
+        ];
+        for (what, text) in damaged {
+            let err = read(&text).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            let line = if what == "truncated final line" { 2 } else { 1 };
+            assert!(
+                err.to_string().contains(&format!("trace line {line}:")),
+                "{what}: {err}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 }

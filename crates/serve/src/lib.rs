@@ -18,7 +18,7 @@
 //!   [`ShardPolicy`](mudock_core::ShardPolicy) (fair-share, weighted,
 //!   or single-queue passthrough);
 //! * **grid cache** ([`cache`]) — built [`GridSet`](mudock_grids::GridSet)s
-//!   are LRU-cached by receptor/geometry content fingerprints
+//!   are cached by receptor/geometry content fingerprints
 //!   ([`mudock_grids::hash`]), so repeat jobs against a hot target skip
 //!   the dominant fixed cost; hit/miss counters surface in `/stats` and
 //!   build timings in the `mudock_grid_build_seconds` histogram on
@@ -110,7 +110,7 @@ pub mod sink;
 pub mod telemetry;
 pub mod wire;
 
-pub use cache::policy::{CacheModel, CachePolicy, ModelConfig, ModelStats};
+pub use cache::policy::{CacheModel, ModelConfig, ModelStats};
 pub use cache::trace::{read_trace, Trace, TraceEvent, TraceEventKind, TraceHeader};
 pub use cache::{CacheStats, GridCache, GridCacheBuilder, SpillConfig};
 pub use ingest::LigandSource;

@@ -20,7 +20,6 @@ use mudock_grids::{grid_cache_key, Fnv64, GridDims};
 use mudock_mol::Molecule;
 use mudock_obs::{now_ns, Counter, GridSource, Registry};
 
-use crate::cache::policy::CachePolicy;
 use crate::cache::{CacheStats, GridCache, SpillConfig};
 use crate::job::{
     ChunkProgress, JobHandle, JobOutcome, JobShared, JobSpec, JobState, RankedLigand,
@@ -40,7 +39,8 @@ pub struct ServeConfig {
     /// Bounded queue depth; beyond it, `submit` blocks and `try_submit`
     /// refuses.
     pub queue_capacity: usize,
-    /// Grid sets kept resident (LRU beyond this).
+    /// Grid sets kept resident; beyond this the cache evicts (see
+    /// [`crate::cache::directory`] for how victims are chosen).
     pub cache_capacity: usize,
     /// Receptor shard groups the executor slots are partitioned into:
     /// each shard is soft-capped at `job_slots / shards` concurrent
@@ -53,10 +53,6 @@ pub struct ServeConfig {
     /// default) rebuilds after eviction, as before. The directory is
     /// rescanned at start, so a restarted node comes up warm.
     pub spill: Option<SpillConfig>,
-    /// Replacement policy for the resident grid cache. The default
-    /// (segmented LRU) matches plain LRU on sequential workloads and
-    /// resists one-shot receptor scans flushing a hot target.
-    pub cache_policy: CachePolicy,
     /// Reload the next queued job's spilled grids on a background
     /// thread while the current job docks (router-hint prefetch).
     /// Off by default; inert without a spill tier.
@@ -79,7 +75,6 @@ impl Default for ServeConfig {
             cache_capacity: 4,
             shards: 0,
             spill: None,
-            cache_policy: CachePolicy::default(),
             cache_prefetch: false,
             cache_trace: None,
             trace: None,
@@ -190,7 +185,6 @@ impl ScreenService {
         let counters = Arc::new(Counters::register(&registry));
         let obs = Arc::new(ServeObs::new(registry, cfg.trace.as_ref())?);
         let mut builder = GridCache::builder(cfg.cache_capacity)
-            .policy(cfg.cache_policy)
             .prefetch(cfg.cache_prefetch)
             .registry(obs.registry());
         if let Some(spill) = cfg.spill {

@@ -3,9 +3,13 @@
 //! a previously-cached receptor from the restored spill tier — zero
 //! grid rebuilds, rankings bit-identical to the pre-kill run — and,
 //! with prefetch enabled, reload the next queued receptor's grids
-//! before the demand lookup asks for them.
+//! before the demand lookup asks for them. Both lives record a cache
+//! trace, and replaying each must reproduce that life's counters; the
+//! second life's trace (warm + restore lines included) is left at
+//! `$CARGO_TARGET_TMPDIR/warm_restart.trace` for CI's `cache_replay`
+//! step.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -13,8 +17,11 @@ use mudock_core::{Campaign, CampaignSpec, ChunkPolicy};
 use mudock_grids::GridDims;
 use mudock_mol::{Molecule, Vec3};
 use mudock_molio::synthetic_receptor;
+use mudock_serve::cache::policy::{self, ModelConfig};
+use mudock_serve::cache::CacheStats;
 use mudock_serve::{
-    JobSpec, JobState, LigandSource, RankedLigand, ScreenService, ServeConfig, SpillConfig,
+    read_trace, JobSpec, JobState, LigandSource, RankedLigand, ScreenService, ServeConfig,
+    SpillConfig,
 };
 
 const SEED: u64 = 42;
@@ -62,6 +69,34 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mudock-warm-restart-{}-{name}", std::process::id()))
 }
 
+/// Replaying the trace a service recorded, at the geometry its header
+/// names, must reproduce the service's cache counters.
+fn assert_replay_matches(trace_path: &Path, live: &CacheStats) {
+    let trace = read_trace(trace_path).expect("the recorded trace parses");
+    let header = trace.header.as_ref().expect("header line present");
+    let cfg = ModelConfig::for_policy(&header.policy, header.capacity, header.spill_capacity)
+        .expect("the live policy is a replay row");
+    let model = policy::replay(&trace.events, cfg);
+    assert_eq!(
+        (
+            model.hits,
+            model.misses,
+            model.reloads,
+            model.spills,
+            model.evictions
+        ),
+        (
+            live.hits,
+            live.misses,
+            live.reloads,
+            live.spills,
+            live.evictions
+        ),
+        "hits, misses, reloads, spills, evictions of {}",
+        trace_path.display()
+    );
+}
+
 fn assert_same_ranking(got: &[RankedLigand], want: &[RankedLigand]) {
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(want) {
@@ -82,20 +117,30 @@ fn a_restarted_node_reuses_its_spill_dir_without_rebuilding() {
 
     // First life: receptor A builds, then receptor B evicts it into
     // the spill tier.
-    let first = ScreenService::start(config(&dir));
+    let first_trace = tmp("reuse-1.trace");
+    let first = ScreenService::start(ServeConfig {
+        cache_trace: Some(first_trace.clone()),
+        ..config(&dir)
+    });
     let oa = first.submit(spec("a-1", 7)).unwrap().wait();
     let ob = first.submit(spec("b-1", 8)).unwrap().wait();
     assert_eq!(oa.state, JobState::Completed);
     assert_eq!(ob.state, JobState::Completed);
     let s1 = first.stats();
     assert_eq!((s1.cache.misses, s1.cache.spills), (2, 1));
+    assert_replay_matches(&first_trace, &s1.cache);
+    std::fs::remove_file(&first_trace).ok();
     // No clean handover: drop the service as a crash stand-in (the
     // spill tier is already durable — files land at eviction time).
     first.shutdown();
 
     // Second life, same directory: the rescan restores receptor A's
     // grids and the job reloads them instead of rebuilding.
-    let second = ScreenService::start(config(&dir));
+    let second_trace = Path::new(env!("CARGO_TARGET_TMPDIR")).join("warm_restart.trace");
+    let second = ScreenService::start(ServeConfig {
+        cache_trace: Some(second_trace.clone()),
+        ..config(&dir)
+    });
     let oa2 = second.submit(spec("a-2", 7)).unwrap().wait();
     assert_eq!(oa2.state, JobState::Completed);
     let s2 = second.stats();
@@ -106,6 +151,7 @@ fn a_restarted_node_reuses_its_spill_dir_without_rebuilding() {
         "the only miss must be served from the restored spill tier — zero rebuilds"
     );
     assert_same_ranking(&oa2.top, &oa.top);
+    assert_replay_matches(&second_trace, &s2.cache);
     second.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
