@@ -3,8 +3,11 @@
 //! latency/bandwidth) the analytical model needs, taken from the paper's
 //! own references (chipsandcheese, vendor tuning guides, Fugaku docs).
 //!
-//! These stand in for the physical testbeds we cannot access; see
-//! DESIGN.md §4 for the substitution argument.
+//! These stand in for the physical testbeds we cannot access. The
+//! substitution holds because the paper's cross-architecture results are
+//! ratios explained by a few published parameters (vector width, pipes,
+//! ROB size, cache capacity, bandwidth), and the model replays real kernel
+//! traces from this host against exactly those parameters.
 
 /// Instruction-set family.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,11 +122,6 @@ impl ArchConfig {
     pub fn core_peak_gflops(&self) -> f64 {
         let fma = if self.has_fma { 2.0 } else { 1.0 };
         self.sustained_ghz as f64 * self.vec_pipes as f64 * self.exec_lanes() as f64 * fma
-    }
-
-    /// Node peak GFLOP/s.
-    pub fn node_peak_gflops(&self) -> f64 {
-        self.core_peak_gflops() * self.cores() as f64
     }
 }
 

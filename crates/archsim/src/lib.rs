@@ -3,8 +3,8 @@
 //! The paper evaluates five CPUs (SPR, Genoa, Grace, A64FX, Graviton 4)
 //! and seven compilers. This reproduction has one x86-64 host, so every
 //! cross-architecture figure is regenerated through a **calibrated
-//! analytical machine model** driven by *real* kernel traces (DESIGN.md
-//! §3.2, §4):
+//! analytical machine model** driven by *real* kernel traces (README,
+//! "Reproducing the paper"):
 //!
 //! * [`arch`] — the five CPUs (Tables I & II + cache/memory parameters);
 //! * [`compiler`] — the seven toolchains reduced to their decisive

@@ -99,9 +99,6 @@ pub struct Study {
     pub mediate: Workload,
     cache_single: HashMap<&'static str, CacheOutcome>,
     cache_multi: HashMap<&'static str, CacheOutcome>,
-    /// Cores used in the multi-core cache replays (capped per LLC-domain
-    /// independence — see [`Study::sim_cores`]).
-    sim_cores: HashMap<&'static str, usize>,
 }
 
 impl Study {
@@ -113,11 +110,9 @@ impl Study {
         let mediate = workload::mediate_workload();
         let mut cache_single = HashMap::new();
         let mut cache_multi = HashMap::new();
-        let mut sim_cores = HashMap::new();
         for a in &archs {
             cache_single.insert(a.key, workload::replay(a, &reduced, 1));
             let cores = Self::cores_to_simulate(a);
-            sim_cores.insert(a.key, cores);
             cache_multi.insert(a.key, workload::replay(a, &mediate, cores));
         }
         Study {
@@ -127,7 +122,6 @@ impl Study {
             mediate,
             cache_single,
             cache_multi,
-            sim_cores,
         }
     }
 
@@ -357,11 +351,6 @@ impl Study {
             });
         }
         rows
-    }
-
-    /// Cores used in the multi-core cache replay for an architecture.
-    pub fn simulated_cores(&self, arch_key: &str) -> usize {
-        self.sim_cores.get(arch_key).copied().unwrap_or(1)
     }
 }
 

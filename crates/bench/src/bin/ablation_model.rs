@@ -1,5 +1,5 @@
-//! Ablation: sensitivity of the architecture model to the design
-//! parameters DESIGN.md calls out — ROB size (the A64FX stall mechanism),
+//! Ablation: sensitivity of the architecture model to the parameters the
+//! paper's analysis turns on — ROB size (the A64FX stall mechanism),
 //! vector width (the SPR cost-model story), and LLC capacity (the
 //! Table IV working-set story). Each sweep perturbs one parameter of a
 //! real architecture config and re-runs the pipeline model on the same

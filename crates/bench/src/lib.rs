@@ -14,7 +14,7 @@
 //!   scalar-libm / auto-vectorizable / explicit-SIMD axis);
 //! * **modeled** — cross-architecture estimates from
 //!   [`mudock_archsim::Study`] for the five CPUs and seven compilers the
-//!   paper tests (see DESIGN.md §3.2).
+//!   paper tests (see the `mudock_archsim` crate docs).
 
 use std::time::Instant;
 

@@ -42,7 +42,7 @@
 //!     .generations(4)
 //!     .seed(7)
 //!     .search_radius(3.5)
-//!     .backend(BackendPolicy::Pinned(SimdLevel::Scalar)) // per-job SIMD pin
+//!     .pin_level(SimdLevel::Scalar) // per-job SIMD pin
 //!     .stop(StopPolicy::RankingStable { window: 2, epsilon: 0.0 }) // early stop
 //!     .chunk(ChunkPolicy::Adaptive { target: Duration::from_millis(50) })
 //!     .top_k(3)
@@ -77,21 +77,20 @@ use crate::local_search::SolisWetsParams;
 ///
 /// The paper's portability result is that the *same* kernel source
 /// adapts per host; this policy makes the choice a per-campaign property
-/// instead of a global. [`BackendPolicy::Pinned`] is the serve-layer
-/// "SIMD-level pinning per job": grids are built and cached at the
-/// pinned level, so two clients pinning different levels on one node get
-/// distinct `(fingerprint, dims, level)` cache entries rather than
-/// poisoning each other's grids.
+/// instead of a global. `Fixed(Backend::Explicit(level))` is the
+/// serve-layer "SIMD-level pinning per job": grids are built and cached
+/// at the pinned level, so two clients pinning different levels on one
+/// node get distinct `(fingerprint, dims, level)` cache entries rather
+/// than poisoning each other's grids.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendPolicy {
     /// Use the widest SIMD level the host supports (the default).
     #[default]
     Detect,
-    /// Use exactly this backend, including the non-SIMD arms
+    /// Use exactly this backend: explicit SIMD pinned at one level for
+    /// the whole campaign, or one of the non-SIMD arms
     /// ([`Backend::Reference`], [`Backend::AutoVec`]).
     Fixed(Backend),
-    /// Pin explicit SIMD at one level for the whole campaign.
-    Pinned(SimdLevel),
 }
 
 impl BackendPolicy {
@@ -103,7 +102,6 @@ impl BackendPolicy {
         match self {
             BackendPolicy::Detect => Backend::auto(),
             BackendPolicy::Fixed(b) => b,
-            BackendPolicy::Pinned(l) => Backend::Explicit(l),
         }
     }
 
@@ -121,7 +119,7 @@ impl BackendPolicy {
                 // full reproducibility, same as Fixed(Reference/AutoVec).
                 _ => SimdLevel::Scalar,
             },
-            BackendPolicy::Fixed(Backend::Explicit(l)) | BackendPolicy::Pinned(l) => l,
+            BackendPolicy::Fixed(Backend::Explicit(l)) => l,
             BackendPolicy::Fixed(_) => SimdLevel::Scalar,
         }
     }
@@ -130,9 +128,7 @@ impl BackendPolicy {
     pub fn is_supported(self) -> bool {
         match self {
             BackendPolicy::Detect => true,
-            BackendPolicy::Fixed(Backend::Explicit(l)) | BackendPolicy::Pinned(l) => {
-                l.is_supported()
-            }
+            BackendPolicy::Fixed(Backend::Explicit(l)) => l.is_supported(),
             BackendPolicy::Fixed(_) => true,
         }
     }
@@ -564,9 +560,9 @@ impl CampaignBuilder {
         self
     }
 
-    /// Shorthand for [`BackendPolicy::Pinned`].
+    /// Shorthand for `BackendPolicy::Fixed(Backend::Explicit(level))`.
     pub fn pin_level(self, level: SimdLevel) -> Self {
-        self.backend(BackendPolicy::Pinned(level))
+        self.backend(BackendPolicy::Fixed(Backend::Explicit(level)))
     }
 
     pub fn stop(mut self, policy: StopPolicy) -> Self {
@@ -881,7 +877,7 @@ mod tests {
     #[test]
     fn backend_policy_resolution_and_grid_levels() {
         assert_eq!(
-            BackendPolicy::Pinned(SimdLevel::Scalar).resolve(),
+            BackendPolicy::Fixed(Backend::Explicit(SimdLevel::Scalar)).resolve(),
             Backend::Explicit(SimdLevel::Scalar)
         );
         assert_eq!(
@@ -889,7 +885,7 @@ mod tests {
             SimdLevel::Scalar
         );
         assert_eq!(
-            BackendPolicy::Pinned(SimdLevel::Scalar).grid_level(),
+            BackendPolicy::Fixed(Backend::Explicit(SimdLevel::Scalar)).grid_level(),
             SimdLevel::Scalar
         );
         // Detect follows the single auto-resolution point (which itself

@@ -1,5 +1,5 @@
 //! Virtual screening driver: dock a batch of ligands against one receptor
-//! using the work-stealing pool — the full-node scenario of the paper's
+//! using the self-scheduling pool — the full-node scenario of the paper's
 //! Figure 2b (one ligand = one task, no intra-task parallelism).
 
 use mudock_grids::GridSet;

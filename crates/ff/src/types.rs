@@ -150,15 +150,6 @@ impl AtomType {
         matches!(self, AtomType::NA | AtomType::OA | AtomType::SA)
     }
 
-    /// Carbon types count as hydrophobic for map-set selection heuristics.
-    #[inline]
-    pub fn is_hydrophobic(self) -> bool {
-        matches!(
-            self,
-            AtomType::C | AtomType::A | AtomType::F | AtomType::Cl | AtomType::Br | AtomType::I
-        )
-    }
-
     /// Approximate covalent radius in Å (used for bond perception).
     pub fn covalent_radius(self) -> f32 {
         match self {

@@ -14,7 +14,7 @@
 //! padded), computing each point's sums with full-width arithmetic and a
 //! final horizontal reduction.
 
-use mudock_ff::params::{weights, PairTable, QSOLPAR};
+use mudock_ff::params::{weights, PairTable, NB_CUTOFF, QSOLPAR};
 use mudock_ff::terms;
 use mudock_ff::types::AtomType;
 use mudock_ff::vterms;
@@ -90,12 +90,14 @@ impl ReceptorTables {
     }
 }
 
-/// Configurable grid-set builder.
+/// Configurable grid-set builder. The short-range (vdW/desolvation)
+/// cutoff is the force field's [`NB_CUTOFF`], not a setting: neither the
+/// cache key nor the spill header records a cutoff, so maps built with
+/// two different ones would be indistinguishable.
 pub struct GridBuilder<'a> {
     receptor: &'a Molecule,
     dims: GridDims,
     types: Vec<AtomType>,
-    cutoff: f32,
 }
 
 impl<'a> GridBuilder<'a> {
@@ -105,7 +107,6 @@ impl<'a> GridBuilder<'a> {
             receptor,
             dims,
             types: AtomType::ALL.to_vec(),
-            cutoff: mudock_ff::params::NB_CUTOFF,
         }
     }
 
@@ -119,19 +120,11 @@ impl<'a> GridBuilder<'a> {
         self
     }
 
-    /// Override the short-range (vdW/desolvation) cutoff.
-    pub fn with_cutoff(mut self, cutoff: f32) -> Self {
-        assert!(cutoff > 0.0);
-        self.cutoff = cutoff;
-        self
-    }
-
     /// Scalar reference build.
     pub fn build_scalar(&self) -> GridSet {
         let table = PairTable::new();
         let mut gs = GridSet::empty(self.dims);
         let [nx, ny, nz] = self.dims.npts;
-        let cutoff = self.cutoff;
         let atoms = &self.receptor.atoms;
 
         // Pre-resolve per-atom solvation data once.
@@ -154,7 +147,7 @@ impl<'a> GridBuilder<'a> {
                     for (j, a) in atoms.iter().enumerate() {
                         let r = p.distance(a.pos);
                         elec += terms::electrostatic(1.0, a.charge, r);
-                        if r <= cutoff {
+                        if r <= NB_CUTOFF {
                             let g = (-(r * r)
                                 / (2.0
                                     * mudock_ff::params::DESOLV_SIGMA
@@ -191,7 +184,6 @@ impl<'a> GridBuilder<'a> {
         let tables = ReceptorTables::new(self.receptor, &self.types, &table);
         let mut gs = GridSet::empty(self.dims);
         let [nx, ny, nz] = self.dims.npts;
-        let cutoff2 = self.cutoff * self.cutoff;
         let stride = gs.stride();
 
         // One pass over points; all per-point sums computed vector-wide.
@@ -202,7 +194,7 @@ impl<'a> GridBuilder<'a> {
                 for ix in 0..nx {
                     let p = self.dims.point(ix, iy, iz);
                     let cell = self.dims.linear(ix, iy, iz);
-                    dispatch!(level, |s| point_sums(s, &tables, p, cutoff2, &mut sums));
+                    dispatch!(level, |s| point_sums(s, &tables, p, &mut sums));
                     for (ti, ty) in self.types.iter().enumerate() {
                         gs.data[ty.idx() * stride + cell] = sums[ti];
                     }
@@ -223,11 +215,11 @@ impl<'a> GridBuilder<'a> {
 /// Vector-wide accumulation of every map's value at one grid point.
 /// `sums` receives `[type_0, …, type_{n-1}, elec, desolv]`.
 #[inline(always)]
-fn point_sums<S: Simd>(s: S, t: &ReceptorTables, p: Vec3, cutoff2: f32, sums: &mut [f32]) {
+fn point_sums<S: Simd>(s: S, t: &ReceptorTables, p: Vec3, sums: &mut [f32]) {
     let px = s.splat(p.x);
     let py = s.splat(p.y);
     let pz = s.splat(p.z);
-    let vcut2 = s.splat(cutoff2);
+    let vcut2 = s.splat(NB_CUTOFF * NB_CUTOFF);
     let zero = s.zero();
 
     let n_types = t.per_type.len();

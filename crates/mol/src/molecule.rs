@@ -85,10 +85,6 @@ impl Molecule {
         }
     }
 
-    pub fn num_atoms(&self) -> usize {
-        self.atoms.len()
-    }
-
     pub fn num_rotatable_bonds(&self) -> usize {
         self.bonds.iter().filter(|b| b.rotatable).count()
     }

@@ -8,8 +8,8 @@
 //! * [`synth`] — deterministic generators standing in for the datasets the
 //!   paper evaluates on: a MEDIATE-like screening set
 //!   ([`synth::mediate_like_set`]) and a PDBbind-1a30-like single complex
-//!   ([`synth::complex_1a30_like`]). See DESIGN.md §4 for why the
-//!   substitution preserves the paper's behaviour.
+//!   ([`synth::complex_1a30_like`]). [`synth`]'s module docs say why
+//!   the substitution preserves the paper's behaviour.
 
 pub mod pdbqt;
 pub mod stream;

@@ -1,5 +1,5 @@
 //! Synthetic dataset generators — the reproduction's stand-in for the
-//! MEDIATE screening set and the PDBbind `1a30` complex (see DESIGN.md §4).
+//! MEDIATE screening set and the PDBbind `1a30` complex.
 //!
 //! The docking kernels' cost and memory behaviour depend on: number of
 //! atoms, number of rotatable bonds, atom-type mix (which maps are

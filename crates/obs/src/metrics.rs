@@ -230,10 +230,6 @@ impl HistogramSnapshot {
         self.quantile_ns(0.50)
     }
 
-    pub fn p90_ns(&self) -> u64 {
-        self.quantile_ns(0.90)
-    }
-
     pub fn p99_ns(&self) -> u64 {
         self.quantile_ns(0.99)
     }

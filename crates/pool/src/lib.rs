@@ -1,70 +1,35 @@
-//! # mudock-pool — work-stealing parallelism for ligand batches
+//! # mudock-pool — self-scheduling parallelism for ligand batches
 //!
 //! The paper parallelizes muDock across *inputs* ("we can compute more
 //! inputs in parallel rather than parallelize the computation of a single
 //! input", Section IV) with pthreads and a trivial work-stealing scheme.
-//! This crate reproduces that scheme on `crossbeam-deque`:
-//!
-//! * every task is one ligand (coarse-grained, no synchronization inside);
-//! * workers drain a shared injector, then steal from each other;
-//! * results land in pre-allocated per-index slots, so no ordering pass is
-//!   needed afterwards.
+//! This crate is that rung, in its simplest form: every task is one ligand,
+//! and every worker — the calling thread included — claims the next
+//! unclaimed index from one shared atomic cursor until the batch is drained.
+//! A worker that finishes a cheap ligand early simply claims again, which is
+//! all the balancing tasks of 0.8–18 ms need; results are placed by index.
 //!
 //! Thread affinity (the paper pins threads to cores to avoid NUMA effects)
 //! is intentionally not reproduced: it needs privileged syscalls that add
-//! nothing on the 2-core CI hosts this reproduction targets — see
-//! DESIGN.md §4.
+//! nothing on the 2-core hosts this reproduction targets.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-
-/// Per-worker ("shard") scheduling counters from one parallel run — the
-/// observability `mudock-serve` uses to verify concurrent jobs share the
-/// node fairly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Tasks this worker executed.
-    pub executed: usize,
-    /// Of those, tasks stolen from a sibling's deque.
-    pub steals: usize,
-}
-
-/// Scheduling statistics from one parallel run (observability for tests
-/// and the bench harness).
+/// Scheduling statistics from one parallel run (observability for tests,
+/// `/metrics` and the bench harness).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Tasks executed in total.
     pub executed: usize,
-    /// Tasks obtained by stealing from another worker's deque.
-    pub steals: usize,
-    /// Worker threads used.
+    /// Workers that ran the batch, the calling thread included: the
+    /// requested count, capped at the number of tasks, and at least 1.
     pub threads: usize,
-    /// Wall-clock of the parallel region (spawn to join). Merged runs
-    /// accumulate, so `executed as f64 / elapsed.as_secs_f64()` is a
-    /// tasks-per-second rate across every region merged in.
+    /// Wall-clock of the parallel region (spawn to join).
     pub elapsed: Duration,
-    /// Per-worker breakdown (`shards.len() == threads`).
-    pub shards: Vec<ShardStats>,
-}
-
-impl PoolStats {
-    /// Smallest / largest per-shard task count — a quick imbalance probe.
-    pub fn shard_spread(&self) -> (usize, usize) {
-        let max = self.shards.iter().map(|s| s.executed).max().unwrap_or(0);
-        let min = self.shards.iter().map(|s| s.executed).min().unwrap_or(0);
-        (min, max)
-    }
-
-    /// Merge counters from another run (shards append).
-    pub fn merge(&mut self, other: &PoolStats) {
-        self.executed += other.executed;
-        self.steals += other.steals;
-        self.threads = self.threads.max(other.threads);
-        self.elapsed += other.elapsed;
-        self.shards.extend_from_slice(&other.shards);
-    }
+    /// Tasks each worker executed (`per_worker.len() == threads`; the
+    /// calling thread is entry 0).
+    pub per_worker: Vec<usize>,
 }
 
 /// Number of worker threads to use by default: the `MUDOCK_THREADS`
@@ -83,157 +48,71 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// Apply `f` to every item of `items` on `threads` workers with work
-/// stealing; returns the results in input order plus scheduling stats.
+/// Apply `f` to every item of `items` on up to `threads` workers (the
+/// calling thread is one of them); returns the results in input order
+/// plus scheduling stats.
 ///
 /// `f` receives `(index, &item)`. Tasks are independent (the
 /// embarrassingly-parallel docking workload), so no ordering between them
-/// is guaranteed — only the result placement is.
+/// is guaranteed — only the result placement is. If a task panics, the
+/// other workers drain the batch and join before that task's panic
+/// payload is re-raised on the calling thread.
 pub fn parallel_map_stats<T, R, F>(items: &[T], threads: usize, f: F) -> (Vec<R>, PoolStats)
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1);
     let n = items.len();
+    let threads = threads.min(n).max(1);
     let t0 = Instant::now();
 
-    if n == 0 {
-        return (
-            Vec::new(),
-            PoolStats {
-                executed: 0,
-                steals: 0,
-                threads,
-                elapsed: Duration::ZERO,
-                shards: vec![ShardStats::default(); threads],
-            },
-        );
-    }
-
-    // Single-threaded fast path keeps tests deterministic and cheap.
-    if threads == 1 || n == 1 {
-        let results: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        return (
-            results,
-            PoolStats {
-                executed: n,
-                steals: 0,
-                threads: 1,
-                elapsed: t0.elapsed(),
-                shards: vec![ShardStats {
-                    executed: n,
-                    steals: 0,
-                }],
-            },
-        );
-    }
-
-    let shard_executed: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-    let shard_steals: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-
-    let injector: Injector<usize> = Injector::new();
-    for i in 0..n {
-        injector.push(i);
-    }
-
-    let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(|w| w.stealer()).collect();
-
-    // Results flow back over a channel (requires only `R: Send`) and are
-    // re-placed by index afterwards.
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, R)>();
-
-    std::thread::scope(|scope| {
-        for (wid, local) in workers.into_iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
-            let steals = &shard_steals[wid];
-            let executed = &shard_executed[wid];
-            let f = &f;
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let task = find_task(&local, injector, stealers, wid, steals);
-                match task {
-                    Some(i) => {
-                        let r = f(i, &items[i]);
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        tx.send((i, r)).expect("receiver outlives the scope");
-                    }
-                    None => break,
-                }
-            });
+    // Relaxed: the cursor publishes no data. `items` and `f` are shared
+    // borrows that predate the spawn, and each worker's results reach the
+    // caller through `join`, which synchronizes.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i, &items[i])));
         }
-        drop(tx);
+    };
+
+    let per_thread: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        // A task's panic — raised by `work()` here or re-raised from a
+        // `join` — leaves through `scope`, which first waits for every
+        // worker still running.
+        std::iter::once(work())
+            .chain(spawned.into_iter().map(|worker| {
+                worker
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+            }))
+            .collect()
     });
 
+    let per_worker = per_thread.iter().map(Vec::len).collect();
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in rx.iter() {
+    for (i, r) in per_thread.into_iter().flatten() {
         debug_assert!(slots[i].is_none(), "task {i} executed twice");
         slots[i] = Some(r);
     }
-    let results: Vec<R> = slots
+    let results = slots
         .into_iter()
-        .map(|s| s.expect("every task produced a result"))
-        .collect();
-    let shards: Vec<ShardStats> = shard_executed
-        .iter()
-        .zip(&shard_steals)
-        .map(|(e, s)| ShardStats {
-            executed: e.load(Ordering::Relaxed),
-            steals: s.load(Ordering::Relaxed),
-        })
+        .map(|s| s.expect("every index below the cursor's end was claimed once"))
         .collect();
     let stats = PoolStats {
-        executed: shards.iter().map(|s| s.executed).sum(),
-        steals: shards.iter().map(|s| s.steals).sum(),
+        executed: n,
         threads,
         elapsed: t0.elapsed(),
-        shards,
+        per_worker,
     };
     (results, stats)
-}
-
-/// Task acquisition order: local deque → global injector (batch) →
-/// steal from a sibling. Returns `None` when everything is drained.
-fn find_task(
-    local: &Worker<usize>,
-    injector: &Injector<usize>,
-    stealers: &[Stealer<usize>],
-    wid: usize,
-    steal_count: &AtomicUsize,
-) -> Option<usize> {
-    if let Some(t) = local.pop() {
-        return Some(t);
-    }
-    loop {
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    // Steal from siblings; retry while any stealer reports contention.
-    loop {
-        let mut retry = false;
-        for (sid, st) in stealers.iter().enumerate() {
-            if sid == wid {
-                continue;
-            }
-            match st.steal() {
-                Steal::Success(t) => {
-                    steal_count.fetch_add(1, Ordering::Relaxed);
-                    return Some(t);
-                }
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-    }
 }
 
 /// [`parallel_map_stats`] without the statistics.
@@ -340,11 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn ordering_preserved_under_forced_stealing() {
+    fn ordering_preserved_under_skew() {
         // One pathologically slow task at index 0 pins a worker; the
-        // remaining fast tasks get redistributed by stealing. Results
-        // must still land in input order, and the shard breakdown must
-        // account for every task exactly once.
+        // others claim the remaining fast tasks. Results must still land
+        // in input order, and the per-worker breakdown must account for
+        // every task exactly once.
         let items: Vec<u32> = (0..500).collect();
         let (out, stats) = parallel_map_stats(&items, 4, |i, &x| {
             if x == 0 {
@@ -357,27 +236,93 @@ mod tests {
             assert_eq!(v, (i as u32).wrapping_mul(3));
         }
         assert_eq!(stats.threads, 4);
-        assert_eq!(stats.shards.len(), 4);
-        assert_eq!(stats.shards.iter().map(|s| s.executed).sum::<usize>(), 500);
+        assert_eq!(stats.per_worker.len(), 4);
+        assert_eq!(stats.per_worker.iter().sum::<usize>(), 500);
         assert_eq!(stats.executed, 500);
-        assert_eq!(
-            stats.steals,
-            stats.shards.iter().map(|s| s.steals).sum::<usize>()
-        );
         // The slow worker cannot have run the whole batch.
-        let (_, max) = stats.shard_spread();
-        assert!(max < 500, "one shard executed everything: no parallelism");
+        let max = stats.per_worker.iter().max().unwrap();
+        assert!(*max < 500, "one worker executed everything: no parallelism");
     }
 
     #[test]
-    fn shard_stats_cover_fast_paths() {
-        let (_, empty) = parallel_map_stats(&[] as &[u8], 3, |_, &x| x);
-        assert_eq!(empty.shards.len(), 3);
-        assert_eq!(empty.executed, 0);
+    fn every_index_runs_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+        let (out, stats) = parallel_map_stats(&runs, 8, |i, slot| {
+            slot.fetch_add(1, Ordering::Relaxed);
+            i
+        });
+        assert_eq!(out, (0..64).collect::<Vec<_>>());
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+        assert_eq!(stats.threads, 8);
+        assert_eq!(stats.per_worker.len(), 8);
+        assert_eq!(stats.per_worker.iter().sum::<usize>(), 64);
+    }
 
-        let (_, single) = parallel_map_stats(&[7u8], 3, |_, &x| x);
-        assert_eq!(single.shards.len(), 1);
-        assert_eq!(single.shards[0].executed, 1);
+    #[test]
+    fn threads_reports_the_workers_actually_used() {
+        let (_, few) = parallel_map_stats(&[1u8, 2, 3], 16, |_, &x| x);
+        assert_eq!(few.threads, 3);
+        assert_eq!(few.per_worker.iter().sum::<usize>(), 3);
+        assert_eq!(few.per_worker.len(), 3);
+
+        // An empty batch is the calling thread finding nothing to claim.
+        let (_, empty) = parallel_map_stats(&[] as &[u8], 3, |_, &x| x);
+        assert_eq!((empty.threads, empty.executed), (1, 0));
+        assert_eq!(empty.per_worker, vec![0]);
+    }
+
+    /// Payload of the one task that panics in [`a_task_panic_reaches_the_caller`].
+    #[derive(Debug, PartialEq)]
+    struct Cursed(usize);
+
+    /// A task panics on the calling thread (`on_caller`) or on a spawned
+    /// worker while all four workers are inside a task (the first four
+    /// tasks rendezvous at a barrier, so each is on its own worker). The
+    /// caller must get that task's payload, and only after the other
+    /// three workers have drained the batch.
+    fn panic_on(on_caller: bool) {
+        const N: usize = 40;
+        let finished = std::sync::Arc::new(AtomicUsize::new(0));
+        let run = {
+            let finished = finished.clone();
+            std::thread::spawn(move || {
+                let caller = std::thread::current().id();
+                let rendezvous = std::sync::Barrier::new(4);
+                let fired = std::sync::atomic::AtomicBool::new(false);
+                let items: Vec<usize> = (0..N).collect();
+                parallel_map(&items, 4, |i, _| {
+                    if i < 4 {
+                        rendezvous.wait();
+                        let here = std::thread::current().id() == caller;
+                        if here == on_caller && !fired.swap(true, Ordering::SeqCst) {
+                            std::panic::panic_any(Cursed(i));
+                        }
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+        };
+        // A deadline instead of a bare join: a pool that hangs after a
+        // panic must fail this test, not the CI job's timeout.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !run.is_finished() {
+            assert!(Instant::now() < deadline, "pool hung after a task panicked");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let payload = run
+            .join()
+            .expect_err("the task's panic must reach the caller");
+        let cursed = payload
+            .downcast_ref::<Cursed>()
+            .expect("the task's own payload");
+        assert!(cursed.0 < 4);
+        assert_eq!(finished.load(Ordering::SeqCst), N - 1);
+    }
+
+    #[test]
+    fn a_task_panic_reaches_the_caller() {
+        panic_on(true);
+        panic_on(false);
     }
 
     #[test]

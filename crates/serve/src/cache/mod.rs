@@ -74,13 +74,12 @@ pub mod trace;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use mudock_grids::{grid_cache_key, GridBuilder, GridDims, GridIoError, GridSet, SimdLevel};
 use mudock_mol::Molecule;
 use mudock_obs::{Counter, GridSource, Histogram, Registry};
-use parking_lot::Mutex;
 
 use directory::{Admission, Directory, Lookup};
 use trace::{CacheTracer, TraceEventKind, TraceHeader, TraceKey as Key};
@@ -408,6 +407,14 @@ impl GridCache {
         }
     }
 
+    /// Lock the bookkeeping. Poison is recovered, not propagated: no
+    /// build, load or spill runs under this lock, so a job that panics
+    /// cannot leave `Inner` half-updated — and must not wedge the cache
+    /// for every job after it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn trace_event(&self, kind: TraceEventKind) {
         if let Some(t) = &self.tracer {
             t.emit(kind);
@@ -457,7 +464,7 @@ impl GridCache {
         }
 
         let (slot, admitted) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             let Inner { dir, slots } = &mut *inner;
             match dir.lookup(key, spillable(slots)) {
                 Lookup::Hit => (Arc::clone(&slots[&key]), None),
@@ -524,7 +531,7 @@ impl GridCache {
         if !self.prefetch || self.capacity == 0 {
             return;
         }
-        let found = self.inner.lock().dir.peek(key);
+        let found = self.lock().dir.peek(key);
         if found.resident || !found.spilled || self.prefetch_busy.swap(true, Ordering::AcqRel) {
             return;
         }
@@ -545,7 +552,7 @@ impl GridCache {
             Err(e) => return self.reload_failed(key, &e),
         };
         let admitted = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             let Inner { dir, slots } = &mut *inner;
             // `None`: a demand lookup admitted the key while we loaded;
             // drop our copy, its slot is authoritative.
@@ -572,7 +579,7 @@ impl GridCache {
     /// could race ahead and remove the valid file it is about to
     /// produce. Anything else is damage: deregister and remove.
     fn reload_failed(&self, key: Key, err: &GridIoError) {
-        self.inner.lock().dir.forget_file(key);
+        self.lock().dir.forget_file(key);
         let racing =
             matches!(err, GridIoError::Io(io) if io.kind() == std::io::ErrorKind::NotFound);
         if !racing {
@@ -609,12 +616,12 @@ impl GridCache {
             // before our rename landed and deregistered the file. It is
             // on disk now: restore it, or it would escape the capacity
             // bound (and pruning) for good.
-            let stale = self.inner.lock().dir.restore(key);
+            let stale = self.lock().dir.restore(key);
             self.drop_file(stale);
         } else {
             // Nothing usable landed on disk; deregister the file so a
             // later miss rebuilds instead of chasing a ghost.
-            self.inner.lock().dir.forget_file(key);
+            self.lock().dir.forget_file(key);
         }
     }
 
@@ -641,7 +648,7 @@ impl GridCache {
 
     /// A counter snapshot (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
-        let (entries, spilled) = self.inner.lock().dir.sizes();
+        let (entries, spilled) = self.lock().dir.sizes();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -1042,6 +1049,23 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert_eq!(cache.stats().prefetches, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_wedge_the_cache() {
+        let cache = Arc::new(GridCache::new(2));
+        let rec = synthetic_receptor(3, 40, 5.0);
+        cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        let holder = Arc::clone(&cache);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.lock();
+            panic!("a job dies holding the cache lock");
+        })
+        .join();
+        assert!(died.is_err() && cache.inner.is_poisoned());
+        let (_, source) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        assert_eq!(source, GridSource::Hit);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

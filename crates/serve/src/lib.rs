@@ -28,7 +28,7 @@
 //! * **streaming ingest** ([`ingest`]) — ligands are pulled lazily in
 //!   chunks (from synthetic generators or multi-model PDBQT via
 //!   [`mudock_molio::stream`]) and fanned out over `mudock-pool`'s
-//!   work-stealing workers, with the thread share divided across
+//!   self-scheduling workers, with the thread share divided across
 //!   concurrently running jobs;
 //! * **result sink** ([`sink`]) — per-ligand results stream to JSONL as
 //!   each chunk completes, the global ranking folds incrementally into a

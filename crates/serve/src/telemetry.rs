@@ -54,7 +54,6 @@ pub struct ServeObs {
     grid_built: Arc<Counter>,
     grid_reloaded: Arc<Counter>,
     pool_tasks: Arc<Counter>,
-    pool_steals: Arc<Counter>,
     trace: Option<TraceWriter>,
 }
 
@@ -87,11 +86,6 @@ impl ServeObs {
                 "mudock_pool_tasks_total",
                 &[],
                 "Docking tasks executed by the worker pool",
-            ),
-            pool_steals: registry.counter(
-                "mudock_pool_steals_total",
-                &[],
-                "Of those, tasks stolen from a sibling worker's deque",
             ),
             registry,
             trace,
@@ -145,7 +139,6 @@ impl ServeObs {
         trace.add_dock(ns);
         self.stage_dock.record_ns(ns);
         self.pool_tasks.add(stats.executed as u64);
-        self.pool_steals.add(stats.steals as u64);
         self.span(job, "dock", ns, &[]);
     }
 
@@ -214,16 +207,14 @@ mod tests {
         let trace = JobTrace::new();
         let stats = mudock_pool::PoolStats {
             executed: 16,
-            steals: 3,
             threads: 2,
             elapsed: std::time::Duration::from_micros(500),
-            shards: Vec::new(),
+            per_worker: vec![8, 8],
         };
         obs.job_dock_chunk(9, &trace, &stats);
         obs.job_dock_chunk(9, &trace, &stats);
         let text = obs.registry().render_prometheus();
         assert!(text.contains("mudock_pool_tasks_total 32"));
-        assert!(text.contains("mudock_pool_steals_total 6"));
         assert_eq!(trace.snapshot().dock_chunks, 2);
         assert_eq!(trace.snapshot().dock_ns, Some(1_000_000));
     }

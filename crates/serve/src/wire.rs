@@ -67,7 +67,8 @@
 //! The three policy fields are tagged unions:
 //!
 //! * `backend` — `"detect"`, `{"fixed": "reference" | "autovec" | "scalar"
-//!   | "sse2" | "avx2" | "avx512"}`, or `{"pinned": "<simd level>"}`;
+//!   | "sse2" | "avx2" | "avx512"}` (`{"pinned": "<simd level>"}` is
+//!   accepted as an alias of `{"fixed": "<simd level>"}`);
 //! * `stop` — `"complete"`, `{"max_evaluations": N}`, `{"deadline_ns": N}`
 //!   (also `deadline_ms` / `deadline_s`), or
 //!   `{"ranking_stable": {"window": W, "epsilon": E}}`;
@@ -161,10 +162,6 @@ impl Num {
         // so an inclusive range would let 1.8446744073709552e19 through
         // and `as u64` would silently saturate instead of erroring.
         (f.fract() == 0.0 && f >= 0.0 && f < u64::MAX as f64).then_some(f as u64)
-    }
-
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
     }
 }
 
@@ -1187,7 +1184,6 @@ fn backend_to_json(policy: BackendPolicy) -> Json {
     match policy {
         BackendPolicy::Detect => Json::str("detect"),
         BackendPolicy::Fixed(b) => Json::Obj(vec![("fixed".into(), Json::str(b.name()))]),
-        BackendPolicy::Pinned(l) => Json::Obj(vec![("pinned".into(), Json::str(l.name()))]),
     }
 }
 
@@ -1319,7 +1315,7 @@ fn backend_from_json(v: &Json) -> Result<BackendPolicy, WireError> {
                 let l = SimdLevel::parse(name).ok_or_else(|| {
                     WireError::invalid("backend.pinned", format!("unknown SIMD level '{name}'"))
                 })?;
-                Ok(BackendPolicy::Pinned(l))
+                Ok(BackendPolicy::Fixed(Backend::Explicit(l)))
             } else {
                 Err(WireError::invalid(
                     "backend",

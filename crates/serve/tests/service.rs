@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mudock_core::{
-    screen_campaign, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy, StopPolicy,
+    screen_campaign, Backend, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy, StopPolicy,
 };
 use mudock_grids::{GridBuilder, GridDims};
 use mudock_mol::{Molecule, Vec3};
@@ -291,7 +291,7 @@ fn jobs_pinned_to_different_levels_get_distinct_grids_and_agreeing_rankings() {
     });
     let submit = |level: SimdLevel| {
         let mut s = spec(&format!("pinned-{level}"));
-        s.campaign.backend = BackendPolicy::Pinned(level);
+        s.campaign.backend = BackendPolicy::Fixed(Backend::Explicit(level));
         service.submit(s).unwrap()
     };
     let a = submit(lo);
@@ -331,7 +331,7 @@ fn jobs_pinned_to_different_levels_get_distinct_grids_and_agreeing_rankings() {
     // from the very same spec — one workload description, two entry
     // points, bit-identical results.
     let mut pinned = campaign("core-twin");
-    pinned.backend = BackendPolicy::Pinned(lo);
+    pinned.backend = BackendPolicy::Fixed(Backend::Explicit(lo));
     for (got, want) in oa.top.iter().zip(&reference_top_for(&pinned)) {
         assert_eq!((got.index, &got.name, got.score), (want.0, &want.1, want.2));
     }

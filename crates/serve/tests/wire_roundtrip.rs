@@ -27,7 +27,6 @@ fn backend_policy() -> impl Strategy<Value = BackendPolicy> {
     ];
     for l in SimdLevel::available() {
         options.push(BackendPolicy::Fixed(Backend::Explicit(l)));
-        options.push(BackendPolicy::Pinned(l));
     }
     prop::sample::select(options)
 }
@@ -169,6 +168,25 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("{encoded:?}: {e}")))?;
         prop_assert_eq!(back, wire::Json::Str(s));
     }
+}
+
+/// `{"pinned": L}` is the spelling older clients send for
+/// `{"fixed": L}`: it decodes to the same policy and re-encodes in the
+/// `fixed` form.
+#[test]
+fn pinned_decodes_as_an_alias_of_fixed() {
+    let decode = |backend: &str| {
+        let text = format!(r#"{{"name": "alias", "backend": {backend}}}"#);
+        wire::campaign_from_json(&wire::parse(&text).unwrap()).unwrap()
+    };
+    let pinned = decode(r#"{"pinned": "scalar"}"#);
+    assert_eq!(
+        pinned.backend,
+        BackendPolicy::Fixed(Backend::Explicit(SimdLevel::Scalar))
+    );
+    assert_eq!(pinned, decode(r#"{"fixed": "scalar"}"#));
+    let text = wire::campaign_to_json(&pinned).encode();
+    assert!(text.contains(r#""backend":{"fixed":"scalar"}"#), "{text}");
 }
 
 /// Malformed submissions must map onto the documented [`WireError`]

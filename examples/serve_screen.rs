@@ -1,6 +1,6 @@
 //! The screening *service*: submit concurrent jobs against one receptor
 //! and watch the serve layer at work — the grid cache absorbing the
-//! dominant fixed cost, chunks streaming through the work-stealing pool,
+//! dominant fixed cost, chunks streaming through the thread pool,
 //! and per-job top-k rankings folding incrementally.
 //!
 //! Each job is a `Campaign::builder()` spec bound to the service by

@@ -1,5 +1,5 @@
 //! Virtual screening: dock a MEDIATE-like batch over all cores with the
-//! work-stealing pool and rank the hits (the paper's Figure 2b scenario,
+//! thread pool and rank the hits (the paper's Figure 2b scenario,
 //! scaled to a laptop).
 //!
 //! The whole run is described by one `Campaign::builder()` spec — the

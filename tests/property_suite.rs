@@ -1,7 +1,7 @@
 //! Property-based tests on the core data structures and invariants
 //! (deliverable (c) of the reproduction): quaternion algebra, grid
 //! interpolation bounds, topology exclusions, vector math accuracy, and
-//! the work-stealing pool.
+//! the thread pool.
 
 use mudock::mol::{Quat, Topology, Vec3};
 use proptest::prelude::*;
