@@ -22,8 +22,9 @@
 //! * [`scenario::Study`] — computes every table and figure series.
 //!
 //! The model's purpose is the paper's *shape* — who wins, by what factor,
-//! and through which mechanism — not absolute seconds; EXPERIMENTS.md
-//! records modeled-vs-paper values for every experiment.
+//! and through which mechanism — not absolute seconds; the binaries
+//! listed under "Reproducing the paper" in the README print the modeled
+//! value of every table and figure for comparison with the paper's.
 
 pub mod arch;
 pub mod cache;

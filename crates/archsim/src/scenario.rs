@@ -31,8 +31,8 @@ const POWER_UTILIZATION: f64 = 0.8;
 /// measured Table IV/V: Genoa's CCD-private LLC cannot share the grid
 /// maps across CCDs and its miss rate explodes 200× at full node (the
 /// first-order cache model reproduces the direction but not the
-/// magnitude — see EXPERIMENTS.md); A64FX's CMG L2 thrashes but HBM2
-/// absorbs much of it.
+/// magnitude, which is why the penalty is adopted rather than derived);
+/// A64FX's CMG L2 thrashes but HBM2 absorbs much of it.
 fn mc_memory_penalty(arch: &ArchConfig) -> f64 {
     match arch.key {
         // Genoa: per-CCD LLC cannot share grid maps, measured miss rate
@@ -522,8 +522,8 @@ mod tests {
         let clang = pick("grace", "clang");
         assert!(gcc.energy_per_ligand > 1.5 * clang.energy_per_ligand);
         // Positive J-per-ligand scale (absolute values are smaller than
-        // the paper's because our kernels are faster per pose; shape is
-        // what matters — see EXPERIMENTS.md).
+        // the paper's because our kernels are faster per pose; the
+        // ordering across architectures and compilers is what is modeled).
         assert!(clang.energy_per_ligand > 0.01 && clang.energy_per_ligand < 500.0);
     }
 

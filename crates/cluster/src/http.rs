@@ -1,317 +1,135 @@
-//! The coordinator's HTTP frontend.
+//! The coordinator's tier of the job API.
 //!
-//! Speaks the same HTTP/1.1 + wire-JSON dialect as a member node, on
-//! purpose: a client pointed at a coordinator cannot tell it is not
-//! talking to a single `mudock serve` — `POST /jobs`, `GET /jobs/{id}`,
-//! `GET /jobs/{id}/results`, `DELETE /jobs/{id}`, `/healthz`, `/stats`
-//! and `/metrics` all answer with the node frontend's shapes (status
-//! bodies go through `wire::status_to_json` itself). The differences
-//! are additive only: `/healthz` carries `"role":"coordinator"`, and
-//! `/stats` describes members instead of shards.
-//!
-//! The transport *is* the node's: [`CoordinatorRoutes`] implements
-//! `serve::net`'s [`HttpRoutes`] and mounts on the same multi-loop
-//! readiness frontend ([`mudock_serve::FrontendBuilder`]) — event-loop
-//! pool, connection pinning, keep-alive, per-state and per-request
-//! deadlines, graceful `503` shedding, and the `mudock_connections_*`
-//! metric families all come along for free. Route handlers here never
-//! block the loops: submission fans out on a per-job gather thread, and
-//! status/results reads are lock-scoped lookups.
+//! The routes, status codes, content types, submission checks, job
+//! table and retention are `serve::net`'s own ([`JobTier`] says what a
+//! tier may supply), mounted on the same multi-loop frontend a node
+//! runs — so a client cannot tell it is not talking to a single
+//! `mudock serve`, bar `"role":"coordinator"` and a `/stats` that
+//! describes members instead of shards. Nothing here blocks an event
+//! loop: a started submission fans out on its own gather thread
+//! ([`scatter::run`]), and reads are lock-scoped views of a [`ClusterJob`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mudock_grids::grid_cache_key;
-use mudock_serve::wire::{self, Json, WireError};
-use mudock_serve::{HttpRoutes, JobState, Response, StageTimings};
+use mudock_mol::Molecule;
+use mudock_serve::wire::{JobStatus, Json, Submission};
+use mudock_serve::{Body, JobId, JobTier};
 
-use crate::membership::Membership;
-use crate::metrics::ClusterMetrics;
-use crate::router::Router;
-use crate::scatter::{self, ClusterJob, GatherConfig};
+use crate::scatter::{self, ClusterJob, Gather};
 use crate::ClusterConfig;
 
-/// Everything a request handler can reach.
-pub(crate) struct CoordinatorState {
-    pub membership: Arc<Membership>,
-    pub router: Arc<Router>,
-    pub metrics: Arc<ClusterMetrics>,
+/// Everything the coordinator's side of a request can reach.
+pub(crate) struct CoordinatorTier {
+    pub gather: Arc<Gather>,
     pub cfg: ClusterConfig,
-    pub jobs: Mutex<Vec<Arc<ClusterJob>>>,
     pub next_id: AtomicU64,
-    /// Boot-random coordinator identity (same scheme as a node's).
+    /// Boot-random coordinator identity, as `/healthz` serves it.
     pub node_id: u64,
-    /// Set at shutdown; gather loops watch it.
-    pub stop: Arc<AtomicBool>,
 }
 
-impl CoordinatorState {
-    fn job(&self, id: u64) -> Option<Arc<ClusterJob>> {
-        self.jobs
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|j| j.id == id)
-            .cloned()
+impl JobTier for CoordinatorTier {
+    type Job = ClusterJob;
+
+    const ROLE: Option<&'static str> = Some("coordinator");
+
+    fn stats(&self) -> Json {
+        let members: Vec<Json> = self
+            .gather
+            .membership
+            .snapshot()
+            .into_iter()
+            .map(|m| {
+                Json::Obj(vec![
+                    ("addr".into(), Json::str(m.addr)),
+                    ("state".into(), Json::str(m.state.name())),
+                    (
+                        "node".into(),
+                        match m.node {
+                            Some(id) => Json::str(format!("{id:016x}")),
+                            None => Json::Null,
+                        },
+                    ),
+                    (
+                        "consecutive_failures".into(),
+                        Json::u64(m.consecutive_failures as u64),
+                    ),
+                    ("restarts".into(), Json::u64(m.restarts)),
+                    ("inflight".into(), Json::usize(m.inflight)),
+                    ("stats_generation".into(), Json::u64(m.stats_generation)),
+                    ("shard_count".into(), Json::usize(m.shard_count)),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("role".into(), Json::str("coordinator")),
+            ("node".into(), Json::str(format!("{:016x}", self.node_id))),
+            ("members".into(), Json::Arr(members)),
+        ])
     }
-}
 
-/// The coordinator's [`HttpRoutes`] mount.
-pub(crate) struct CoordinatorRoutes(pub Arc<CoordinatorState>);
-
-impl HttpRoutes for CoordinatorRoutes {
-    fn wants_body(&self, method: &str, path: &str) -> bool {
-        let path = path.split('?').next().unwrap_or("");
-        method == "POST" && path.split('/').filter(|s| !s.is_empty()).eq(["jobs"])
-    }
-
-    fn route(
+    fn start(
         &self,
-        method: &str,
-        raw_path: &str,
-        body: Option<Result<Json, WireError>>,
-    ) -> Response {
-        let state = &self.0;
-        let path = raw_path.split('?').next().unwrap_or(raw_path);
-        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        match (method, segments.as_slice()) {
-            ("GET", ["healthz"]) => Response::json(
-                200,
-                &Json::Obj(vec![
-                    ("ok".into(), Json::Bool(true)),
-                    ("role".into(), Json::str("coordinator")),
-                    ("node".into(), Json::str(format!("{:016x}", state.node_id))),
-                    ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
-                ]),
-            ),
-            ("GET", ["stats"]) => Response::json(200, &stats_json(state)),
-            ("GET", ["metrics"]) => Response::text(
-                200,
-                "text/plain; version=0.0.4",
-                state.metrics.registry.render_prometheus(),
-            ),
-            ("POST", ["jobs"]) => submit(body, state),
-            ("GET", ["jobs", id]) => {
-                with_job(state, id, |job| Response::json(200, &status_json(job)))
-            }
-            ("GET", ["jobs", id, "results"]) => with_job(state, id, |job| {
-                Response::text(200, "application/jsonl", job.results())
-            }),
-            // Historical dialect quirk kept on purpose: the coordinator
-            // answers DELETE with 200 (the node answers 202).
-            ("DELETE", ["jobs", id]) => with_job(state, id, |job| {
-                job.cancel();
-                Response::json(200, &status_json(job))
-            }),
-            (_, ["jobs", ..]) | (_, ["healthz"]) | (_, ["stats"]) | (_, ["metrics"]) => {
-                Response::error(405, format!("method {method} not allowed on {path}"))
-            }
-            _ => Response::error(404, format!("no route for {path}")),
+        sub: Submission,
+        receptor: Arc<Molecule>,
+    ) -> Result<(JobId, Arc<ClusterJob>), String> {
+        // The receptor was loaded coordinator-side purely to compute the
+        // same grid fingerprint members publish in their shard tables —
+        // that key is what affinity routing matches on. The receptor
+        // *source* (not the parsed molecule) is what gets forwarded.
+        let fingerprint = grid_cache_key(&receptor, &sub.campaign.dims_for(&receptor));
+        drop(receptor);
+
+        let alive = self.gather.membership.alive();
+        if alive.is_empty() {
+            return Err("no cluster members are alive".into());
         }
-    }
-}
-
-fn with_job(
-    state: &Arc<CoordinatorState>,
-    id: &str,
-    f: impl FnOnce(&ClusterJob) -> Response,
-) -> Response {
-    // Another kept quirk: a non-integer id is a 400 here, a 404 on the
-    // node.
-    let Ok(id) = id.parse::<u64>() else {
-        return Response::error(400, "job id must be an integer");
-    };
-    match state.job(id) {
-        Some(job) => f(&job),
-        None => Response::error(404, format!("no such job {id}")),
-    }
-}
-
-/// A cluster job's status in the node frontend's exact shape, so node
-/// clients (`client::Client::wait`) work against the coordinator
-/// unchanged. Stage timings are a node-level concept — per-part timings
-/// live on the members — so the coordinator reports them empty.
-fn status_json(job: &ClusterJob) -> Json {
-    let s = job.status();
-    wire::status_to_json(
-        job.id,
-        &job.name,
-        s.state,
-        s.ligands_done,
-        s.chunks_done,
-        &StageTimings::default(),
-        s.outcome.as_ref(),
-    )
-}
-
-fn stats_json(state: &Arc<CoordinatorState>) -> Json {
-    let members: Vec<Json> = state
-        .membership
-        .snapshot()
-        .into_iter()
-        .map(|m| {
-            Json::Obj(vec![
-                ("addr".into(), Json::str(m.addr)),
-                ("state".into(), Json::str(m.state.name())),
-                (
-                    "node".into(),
-                    match m.node {
-                        Some(id) => Json::str(format!("{id:016x}")),
-                        None => Json::Null,
-                    },
-                ),
-                (
-                    "consecutive_failures".into(),
-                    Json::u64(m.consecutive_failures as u64),
-                ),
-                ("restarts".into(), Json::u64(m.restarts)),
-                ("inflight".into(), Json::usize(m.inflight)),
-                ("stats_generation".into(), Json::u64(m.stats_generation)),
-                ("shard_count".into(), Json::usize(m.shard_count)),
-            ])
-        })
-        .collect();
-    let (active, terminal) = {
-        let jobs = state.jobs.lock().unwrap();
-        let active = jobs
-            .iter()
-            .filter(|j| matches!(j.status().state, JobState::Queued | JobState::Running))
-            .count();
-        (active, jobs.len() - active)
-    };
-    Json::Obj(vec![
-        ("role".into(), Json::str("coordinator")),
-        ("node".into(), Json::str(format!("{:016x}", state.node_id))),
-        ("members".into(), Json::Arr(members)),
-        (
-            "jobs".into(),
-            Json::Obj(vec![
-                ("active".into(), Json::usize(active)),
-                ("terminal".into(), Json::usize(terminal)),
-            ]),
-        ),
-    ])
-}
-
-fn submit(body: Option<Result<Json, WireError>>, state: &Arc<CoordinatorState>) -> Response {
-    let parsed = match body {
-        Some(Ok(v)) => v,
-        Some(Err(e)) => return Response::wire_error(&e),
-        None => return Response::error(400, "POST /jobs requires a JSON body"),
-    };
-    let sub = match wire::submission_from_json(&parsed) {
-        Ok(s) => s,
-        Err(e) => return Response::wire_error(&e),
-    };
-    // Same trust posture as a node: a path source would make *members*
-    // read coordinator-named files; forward only when opted in.
-    if !state.cfg.allow_path_sources && sub.uses_path_sources() {
-        return Response::error(
-            403,
-            "server-side 'path' sources are disabled on this coordinator; \
-             ship the PDBQT text inline instead",
-        );
-    }
-    // Load the receptor once, coordinator-side, purely to compute the
-    // same grid fingerprint members publish in their shard tables —
-    // that key is what affinity routing matches on. The receptor
-    // *source* (not the parsed molecule) is what gets forwarded.
-    let receptor = match sub.load_receptor() {
-        Ok(r) => r,
-        Err(e) => return Response::wire_error(&e),
-    };
-    let fingerprint = grid_cache_key(&receptor, &sub.campaign.dims_for(&receptor));
-    drop(receptor);
-
-    let alive = state.membership.alive();
-    if alive.is_empty() {
-        return Response::error(503, "no cluster members are alive");
-    }
-    // Scatter only whole-stream submissions with a known length; a
-    // pre-sliced submission (another coordinator upstream?) passes
-    // through as a single part.
-    let slices = match sub.slice {
-        Some(s) => vec![Some(s)],
-        None => scatter::plan_slices(
-            sub.ligands.len_hint(),
-            alive.len().min(state.cfg.max_parts.max(1)),
-            state.cfg.scatter_min_ligands,
-        ),
-    };
-
-    let id = state.next_id.fetch_add(1, Ordering::Relaxed);
-    let job = Arc::new(ClusterJob::new(
-        id,
-        sub.campaign.name.clone(),
-        sub.campaign.top_k,
-        slices,
-    ));
-    {
-        let mut jobs = state.jobs.lock().unwrap();
-        jobs.push(Arc::clone(&job));
-        // Bound coordinator memory like the node bounds its retained
-        // jobs: drop the oldest terminal entries beyond the cap.
-        let cap = state.cfg.max_retained_jobs.max(1);
-        while jobs.len() > cap {
-            if let Some(pos) = jobs
-                .iter()
-                .position(|j| !matches!(j.status().state, JobState::Queued | JobState::Running))
-            {
-                jobs.remove(pos);
-            } else {
-                break;
-            }
-        }
-    }
-    state.metrics.jobs_submitted.inc();
-
-    let gather = GatherConfig {
-        poll_interval: state.cfg.poll_interval,
-        max_attempts: state.cfg.max_attempts,
-    };
-    let runner_job = Arc::clone(&job);
-    let membership = Arc::clone(&state.membership);
-    let router = Arc::clone(&state.router);
-    let metrics = Arc::clone(&state.metrics);
-    let stop = Arc::clone(&state.stop);
-    std::thread::Builder::new()
-        .name(format!("cluster-job-{id}"))
-        .spawn(move || {
-            scatter::run(
-                runner_job,
-                sub,
-                fingerprint,
-                membership,
-                router,
-                metrics,
-                gather,
-                stop,
-            )
-        })
-        .ok();
-
-    Response::json(
-        201,
-        &Json::Obj(vec![
-            ("id".into(), Json::u64(id)),
-            (
-                "state".into(),
-                Json::str(wire::state_name(JobState::Queued)),
+        // Scatter only whole-stream submissions with a known length; a
+        // pre-sliced submission (another coordinator upstream?) passes
+        // through as a single part.
+        let slices = match sub.slice {
+            Some(s) => vec![Some(s)],
+            None => scatter::plan_slices(
+                sub.ligands.len_hint(),
+                alive.len().min(self.cfg.max_parts.max(1)),
+                self.cfg.scatter_min_ligands,
             ),
-            ("results".into(), Json::str(format!("/jobs/{id}/results"))),
-        ]),
-    )
-}
+        };
 
-/// Boot-random coordinator identity, same recipe as the node frontend.
-pub(crate) fn boot_node_id(addr: std::net::SocketAddr) -> u64 {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    mudock_grids::Fnv64::new()
-        .write_u64(nanos)
-        .write_u64(std::process::id() as u64)
-        .write(addr.to_string().as_bytes())
-        .finish()
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let job = Arc::new(ClusterJob::new(
+            id,
+            sub.campaign.name.clone(),
+            sub.campaign.top_k,
+            slices,
+        ));
+        self.gather.metrics.jobs_submitted.inc();
+
+        let (runner_job, gather) = (Arc::clone(&job), Arc::clone(&self.gather));
+        std::thread::Builder::new()
+            .name(format!("cluster-job-{id}"))
+            .spawn(move || scatter::run(runner_job, sub, fingerprint, &gather))
+            .ok();
+        Ok((id, job))
+    }
+
+    /// Node clients (`client::Client::wait`) work against the
+    /// coordinator unchanged. Stage timings are a node-level concept —
+    /// per-part timings live on the members — so they read as empty.
+    fn status(&self, job: &ClusterJob) -> JobStatus {
+        job.status()
+    }
+
+    fn is_terminal(&self, job: &ClusterJob) -> bool {
+        job.is_terminal()
+    }
+
+    fn results(&self, job: &ClusterJob) -> std::io::Result<Body> {
+        Ok(Body::Text(job.results()))
+    }
+
+    fn cancel(&self, job: &ClusterJob) {
+        job.cancel();
+    }
 }

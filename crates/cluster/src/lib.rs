@@ -22,9 +22,9 @@
 //!   round-robin tiebreak;
 //! * [`scatter`] — per-job gather loop: dispatch, poll, re-dispatch
 //!   unfinished windows off dead members, merge;
-//! * `http` (private) — the coordinator's routes, mounted on
-//!   `serve::net`'s multi-loop readiness frontend (same event-loop
-//!   pool, connection pinning, and `--event-loops` knob as a node);
+//! * `http` (private) — the coordinator's tier of `serve::net`'s job
+//!   API: the routes, job table and frontend (event-loop pool,
+//!   connection pinning, `--event-loops` knob) are the node's own;
 //! * [`metrics`] — the `mudock_cluster_*` instrument families served
 //!   at `GET /metrics`.
 //!
@@ -54,7 +54,7 @@ pub mod scatter;
 mod http;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -64,7 +64,7 @@ use mudock_serve::net::{FrontendBuilder, HttpFrontend, NetConfig};
 pub use membership::{Member, MemberSnapshot, MemberState, Membership};
 pub use metrics::ClusterMetrics;
 pub use router::{RouteReason, Router};
-pub use scatter::{ClusterJob, ClusterJobStatus};
+pub use scatter::ClusterJob;
 
 /// Coordinator policy. The defaults suit a LAN of a few nodes; every
 /// knob exists because a test or an operator needs to turn it.
@@ -118,7 +118,8 @@ impl Default for ClusterConfig {
 /// [`Coordinator::shutdown`].
 pub struct Coordinator {
     addr: std::net::SocketAddr,
-    state: Arc<http::CoordinatorState>,
+    node_id: u64,
+    membership: Arc<Membership>,
     frontend: HttpFrontend,
     stop: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -128,20 +129,25 @@ impl Coordinator {
     /// Bind the frontend and start probing members. `listen` may use
     /// port 0; see [`Coordinator::local_addr`] for the resolved socket.
     pub fn bind(listen: &str, cfg: ClusterConfig) -> std::io::Result<Coordinator> {
-        // The node's multi-loop readiness frontend, with
+        // The node's multi-loop readiness frontend and job API, with
         // coordinator-shaped limits: bodies are generous (inline ligand
         // libraries ride through on their way to members), idle
         // keep-alive connections are bounded tighter than a node's.
+        // Same trust posture as a node: a path source would make
+        // *members* read coordinator-named files.
         let builder = FrontendBuilder::bind(
             listen,
             NetConfig {
                 max_body_bytes: 64 << 20,
                 idle_timeout: Duration::from_secs(30),
                 event_loops: cfg.event_loops,
+                allow_path_sources: cfg.allow_path_sources,
+                max_retained_jobs: cfg.max_retained_jobs,
                 ..NetConfig::default()
             },
         )?;
         let addr = builder.local_addr();
+        let node_id = builder.node_id();
 
         let registry = Registry::new();
         let metrics = Arc::new(ClusterMetrics::register(&registry));
@@ -152,25 +158,26 @@ impl Coordinator {
             Arc::clone(&metrics),
         ));
         let stop = Arc::new(AtomicBool::new(false));
-        let state = Arc::new(http::CoordinatorState {
-            membership: Arc::clone(&membership),
-            router: Arc::new(Router::new()),
-            metrics,
-            cfg: cfg.clone(),
-            jobs: Mutex::new(Vec::new()),
+        let interval = cfg.health_interval;
+        let tier = http::CoordinatorTier {
+            gather: Arc::new(scatter::Gather {
+                membership: Arc::clone(&membership),
+                router: Router::new(),
+                metrics,
+                poll_interval: cfg.poll_interval,
+                max_attempts: cfg.max_attempts,
+                stop: Arc::clone(&stop),
+            }),
+            cfg,
             next_id: AtomicU64::new(1),
-            node_id: http::boot_node_id(addr),
-            stop: Arc::clone(&stop),
-        });
-        let frontend = builder.start(
-            Arc::new(http::CoordinatorRoutes(Arc::clone(&state))),
-            &registry,
-        )?;
+            node_id,
+        };
+        let frontend = builder.start(tier, &registry)?;
 
         let mut threads = Vec::new();
         {
             let stop = Arc::clone(&stop);
-            let interval = cfg.health_interval;
+            let membership = Arc::clone(&membership);
             threads.push(
                 std::thread::Builder::new()
                     .name("cluster-health".into())
@@ -193,7 +200,8 @@ impl Coordinator {
         }
         Ok(Coordinator {
             addr,
-            state,
+            node_id,
+            membership,
             frontend,
             stop,
             threads,
@@ -208,12 +216,12 @@ impl Coordinator {
     /// This coordinator's boot-random identity (as served by
     /// `/healthz`).
     pub fn node_id(&self) -> u64 {
-        self.state.node_id
+        self.node_id
     }
 
     /// The membership view, for tests and embedding callers.
     pub fn membership(&self) -> &Membership {
-        &self.state.membership
+        &self.membership
     }
 
     /// Stop the frontend, the health thread, and every gather loop.

@@ -37,12 +37,16 @@ use crate::membership::{Member, Membership};
 use crate::metrics::ClusterMetrics;
 use crate::router::{RouteReason, Router};
 
-/// Gather-loop tuning, carried from `ClusterConfig`.
-#[derive(Clone, Debug)]
-pub(crate) struct GatherConfig {
+/// What every gather loop of one coordinator shares.
+pub(crate) struct Gather {
+    pub membership: Arc<Membership>,
+    pub router: Router,
+    pub metrics: Arc<ClusterMetrics>,
     pub poll_interval: Duration,
     /// Dispatch attempts per part before the job fails.
     pub max_attempts: u32,
+    /// Set at shutdown; gather loops watch it.
+    pub stop: Arc<AtomicBool>,
 }
 
 /// One sub-job: a slice of the stream plus where it currently runs.
@@ -80,14 +84,6 @@ pub struct ClusterJob {
     top_k: usize,
     cancel: AtomicBool,
     inner: Mutex<JobInner>,
-}
-
-/// Point-in-time aggregated view, shaped for `wire::status_to_json`.
-pub struct ClusterJobStatus {
-    pub state: JobState,
-    pub ligands_done: usize,
-    pub chunks_done: usize,
-    pub outcome: Option<JobOutcome>,
 }
 
 impl ClusterJob {
@@ -129,7 +125,13 @@ impl ClusterJob {
         self.cancel.store(true, Ordering::SeqCst);
     }
 
-    pub fn status(&self) -> ClusterJobStatus {
+    /// Whether the gather loop has published the merged outcome.
+    pub fn is_terminal(&self) -> bool {
+        self.inner.lock().unwrap().state.is_terminal()
+    }
+
+    /// Point-in-time aggregated view, in the shape a node reports a job.
+    pub fn status(&self) -> JobStatus {
         let inner = self.inner.lock().unwrap();
         let mut ligands = 0;
         let mut chunks = 0;
@@ -144,10 +146,13 @@ impl ClusterJob {
                 chunks += c;
             }
         }
-        ClusterJobStatus {
+        JobStatus {
+            id: self.id,
+            name: self.name.clone(),
             state: inner.state,
             ligands_done: ligands,
             chunks_done: chunks,
+            stages: None,
             outcome: inner.outcome.clone(),
         }
     }
@@ -172,17 +177,15 @@ impl ClusterJob {
 
 /// The gather loop: dispatch every part, poll to terminal, fail over on
 /// member errors, merge. Runs on its own thread, one per cluster job.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    job: Arc<ClusterJob>,
-    submission: Submission,
-    fingerprint: u64,
-    membership: Arc<Membership>,
-    router: Arc<Router>,
-    metrics: Arc<ClusterMetrics>,
-    cfg: GatherConfig,
-    stop: Arc<AtomicBool>,
-) {
+pub(crate) fn run(job: Arc<ClusterJob>, submission: Submission, fingerprint: u64, gather: &Gather) {
+    let Gather {
+        membership,
+        router,
+        metrics,
+        poll_interval,
+        max_attempts,
+        stop,
+    } = gather;
     let t0 = Instant::now();
     let n_parts = job.inner.lock().unwrap().parts.len();
     // Affinity steers whole jobs only. A scattered job's windows all
@@ -203,7 +206,7 @@ pub(crate) fn run(
         }
         if job.cancel.load(Ordering::SeqCst) {
             cancel_parts(&job, &mut conns);
-            finish(&job, &metrics, JobState::Cancelled, None, t0);
+            finish(&job, metrics, JobState::Cancelled, None, t0);
             return;
         }
 
@@ -221,7 +224,7 @@ pub(crate) fn run(
             let Some((slice, exclude, attempts)) = todo else {
                 continue;
             };
-            if attempts >= cfg.max_attempts {
+            if attempts >= *max_attempts {
                 let mut inner = job.inner.lock().unwrap();
                 inner.parts[i].failed = Some(format!(
                     "part {i}: no member accepted it after {attempts} attempts"
@@ -366,16 +369,16 @@ pub(crate) fn run(
                     .unwrap_or_else(|| "sub-job failed".into());
                 drop(inner);
                 cancel_parts(&job, &mut conns);
-                finish(&job, &metrics, JobState::Failed, Some(error), t0);
+                finish(&job, metrics, JobState::Failed, Some(error), t0);
                 return;
             }
             if inner.parts.iter().all(|p| p.outcome.is_some()) {
                 drop(inner);
-                finish(&job, &metrics, JobState::Completed, None, t0);
+                finish(&job, metrics, JobState::Completed, None, t0);
                 return;
             }
         }
-        std::thread::sleep(cfg.poll_interval);
+        std::thread::sleep(*poll_interval);
     }
 }
 

@@ -51,6 +51,13 @@ pub enum JobState {
     Failed,
 }
 
+impl JobState {
+    /// Completed, cancelled or failed: the state will not change again.
+    pub fn is_terminal(self) -> bool {
+        !matches!(self, JobState::Queued | JobState::Running)
+    }
+}
+
 /// A contiguous window of the ligand stream, identified by its position
 /// in the *full* input. A coordinator fanning one campaign out across
 /// nodes ships the whole [`LigandSource`] plus one slice per sub-job:

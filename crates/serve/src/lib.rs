@@ -51,10 +51,10 @@
 //! wedged peers, incremental body parsing through the resumable
 //! [`wire::PushParser`], and the same bounded-backpressure discipline
 //! at the socket edge (a capped connection count that sheds overload
-//! with `503` instead of unbounded buffering). The HTTP machinery is route-agnostic
-//! ([`net::HttpRoutes`] mounted on a [`net::HttpFrontend`]) — the
-//! cluster coordinator reuses it wholesale. A matching keep-alive
-//! client lives in [`net::client`].
+//! with `503` instead of unbounded buffering). The job API exists once
+//! (a [`net::JobTier`] mounted on a [`net::HttpFrontend`]) — the
+//! cluster coordinator serves the same routes over its own tier. A
+//! matching keep-alive client lives in [`net::client`].
 //!
 //! Jobs are described by the campaign API: a
 //! [`CampaignSpec`](mudock_core::CampaignSpec) built through
@@ -120,7 +120,7 @@ pub use job::{
 };
 pub use mudock_obs::{GridSource, Registry, StageTimings};
 pub use net::{
-    default_event_loops, Body, FrontendBuilder, HttpFrontend, HttpRoutes, NetConfig, NetServer,
+    default_event_loops, Body, FrontendBuilder, HttpFrontend, JobTier, NetConfig, NetServer,
     Response,
 };
 pub use queue::SubmitError;

@@ -1,5 +1,5 @@
-//! The route-agnostic frontend: listeners, the event-loop pool, and
-//! the metrics every loop shares.
+//! The frontend: listeners, the event-loop pool, and the metrics every
+//! loop shares.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -7,12 +7,13 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mudock_obs::{now_ns, Counter, Gauge, Histogram, Registry};
 
+use super::api::{JobRoutes, JobTier};
 use super::conn::{do_read, do_write, Action, Conn};
 use super::http::Response;
 use super::NetConfig;
@@ -66,8 +67,6 @@ impl ConnMetrics {
 /// here *is* the `/metrics` series of the same name — `/stats` and
 /// Prometheus scrape one set of atomics, so they can never disagree.
 pub(super) struct NetMetrics {
-    /// The service-wide registry `/metrics` renders.
-    pub(super) registry: Registry,
     /// The unlabelled connection series.
     pub(super) totals: ConnMetrics,
     /// Requests refused for malformed HTTP or JSON (4xx/5xx protocol
@@ -112,7 +111,6 @@ impl NetMetrics {
                 &[],
                 "Full event-loop iteration time (wait + dispatch)",
             ),
-            registry: registry.clone(),
         }
     }
 
@@ -145,16 +143,15 @@ pub struct ConnectionStats {
     pub requests: u64,
 }
 
-/// A request router the multi-loop frontend can mount. The node's job
-/// API ([`NetServer`](super::NetServer)) and the cluster coordinator both implement it,
-/// so the two tiers share one connection model, reactor pool, and
-/// metrics surface.
+/// The frontend's seam to what it serves: the event loops frame
+/// requests and call this; [`JobRoutes`] (the job API over a
+/// [`JobTier`]) is the one implementation.
 ///
 /// `route` runs on an event-loop thread: it must not block on slow
 /// work. Submissions go through non-blocking `try_submit`-style paths
 /// and large payloads stream from disk via
 /// [`Body::File`](super::Body::File).
-pub trait HttpRoutes: Send + Sync + 'static {
+pub(super) trait HttpRoutes: Send + Sync + 'static {
     /// Whether `method path` carries a JSON body worth parsing
     /// incrementally as it streams in. Bodies of other requests are
     /// drained for framing and discarded.
@@ -180,13 +177,12 @@ pub(super) struct FrontendShared {
     open_conns: AtomicUsize,
 }
 
-/// Phase one of bringing up a frontend: sockets bound, address
-/// resolved, nothing running yet. The two-phase shape exists because
-/// routers (the node's own, the coordinator's) want the resolved
-/// address (for the boot node id) before the loops start routing to
-/// them.
+/// Phase one of bringing up a frontend: sockets bound, address and
+/// node id resolved, nothing running yet. The two-phase shape exists
+/// because a tier wants both before the loops start routing to it.
 pub struct FrontendBuilder {
     addr: SocketAddr,
+    node_id: u64,
     cfg: NetConfig,
     /// One per event loop: their count *is* the loop count.
     listeners: Vec<TcpListener>,
@@ -207,8 +203,10 @@ impl FrontendBuilder {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to bind"))?;
         let listeners = bind_listeners(want, cfg.event_loops)?;
         cfg.event_loops = listeners.len();
+        let addr = listeners[0].local_addr()?;
         Ok(FrontendBuilder {
-            addr: listeners[0].local_addr()?,
+            addr,
+            node_id: boot_node_id(addr),
             cfg,
             listeners,
         })
@@ -219,15 +217,25 @@ impl FrontendBuilder {
         self.addr
     }
 
-    /// Phase two: register metrics in `registry`, spawn one loop per
-    /// listener, and start serving `routes`.
-    pub fn start(
-        self,
-        routes: Arc<dyn HttpRoutes>,
-        registry: &Registry,
-    ) -> io::Result<HttpFrontend> {
+    /// The boot-random identity `/healthz` will serve.
+    pub fn node_id(&self) -> u64 {
+        self.node_id
+    }
+
+    /// Phase two: register metrics in `registry` (also what `/metrics`
+    /// renders), spawn one loop per listener, and start serving the
+    /// job API over `tier`. [`NetConfig::allow_path_sources`] and
+    /// [`NetConfig::max_retained_jobs`] are the API's policy.
+    pub fn start<T: JobTier>(self, tier: T, registry: &Registry) -> io::Result<HttpFrontend> {
         let shared = Arc::new(FrontendShared {
-            routes,
+            routes: Arc::new(JobRoutes {
+                tier,
+                jobs: Mutex::new(HashMap::new()),
+                registry: registry.clone(),
+                node_id: self.node_id,
+                allow_path_sources: self.cfg.allow_path_sources,
+                max_retained_jobs: self.cfg.max_retained_jobs,
+            }),
             cfg: self.cfg,
             metrics: NetMetrics::register(registry),
             open_conns: AtomicUsize::new(0),
@@ -265,6 +273,23 @@ impl FrontendBuilder {
     }
 }
 
+/// Boot-random node identity: an FNV mix of the wall clock, the pid,
+/// and the bound address. Not cryptographic — it only needs to differ
+/// between two boots behind one address with overwhelming probability,
+/// so a coordinator polling `/healthz` can detect a restart (grids
+/// cold, in-flight jobs gone) even though the socket still answers.
+fn boot_node_id(addr: SocketAddr) -> u64 {
+    let nanos = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0);
+    mudock_grids::Fnv64::new()
+        .write_u64(nanos)
+        .write_u64(std::process::id() as u64)
+        .write(addr.to_string().as_bytes())
+        .finish()
+}
+
 /// The listeners for a frontend asked to run `event_loops` loops
 /// (`0`: the default count) — one listener per loop.
 #[cfg(target_os = "linux")]
@@ -300,9 +325,9 @@ fn bind_plain(addr: SocketAddr) -> io::Result<TcpListener> {
     Ok(listener)
 }
 
-/// A running multi-loop HTTP frontend serving an [`HttpRoutes`]
-/// router. [`NetServer`](super::NetServer) wraps one for the screening
-/// node; the cluster coordinator mounts its own routes on the same
+/// A running multi-loop HTTP frontend serving the job API.
+/// [`NetServer`](super::NetServer) wraps one for the screening node;
+/// the cluster coordinator mounts its own [`JobTier`] on the same
 /// machinery.
 pub struct HttpFrontend {
     addr: SocketAddr,

@@ -131,7 +131,7 @@ pub enum Body {
     File(std::fs::File, u64),
 }
 
-/// One HTTP response as an [`HttpRoutes`](super::HttpRoutes) router produces it.
+/// One HTTP response as the job API produces it.
 pub struct Response {
     pub status: u16,
     pub content_type: &'static str,

@@ -55,11 +55,10 @@
 //! uses [`ScreenService::try_submit`](crate::ScreenService::try_submit) so a full queue is a `503` the
 //! client retries rather than a wedged executor.
 //!
-//! The frontend machinery is route-agnostic: [`HttpFrontend`] mounts
-//! any [`HttpRoutes`] implementation. [`NetServer`] is the screening
-//! node's mount; the cluster coordinator mounts its own routes on the
-//! same loops, so both tiers share one connection model and metrics
-//! surface.
+//! The job API above exists once, in `api`: [`HttpFrontend`] serves it
+//! over a [`JobTier`]. [`NetServer`] is the screening node's tier; the
+//! cluster coordinator mounts its own on the same loops, so both tiers
+//! share one dialect, one connection model and one metrics surface.
 //!
 //! Error mapping: malformed HTTP or JSON → `400`, unknown job → `404`,
 //! wrong method → `405`, oversized body → `413`, campaign validation
@@ -77,22 +76,25 @@
 //!
 //! `http` frames request heads and defines [`Response`]; `conn` is the
 //! per-connection state machine; `frontend` owns the listeners, the
-//! event-loop pool and the shared metrics; `node` mounts the job API
-//! ([`NetServer`]) on it; [`client`] is the other end of the wire.
+//! event-loop pool and the shared metrics; `api` is the job API and
+//! the [`JobTier`] seam; `node` is the node's tier ([`NetServer`]);
+//! [`client`] is the other end of the wire.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
+mod api;
 pub mod client;
 mod conn;
 mod frontend;
 mod http;
 mod node;
 
+pub use api::JobTier;
 // The reactor's accept-spread test binds its own sibling listeners.
 #[cfg(all(test, target_os = "linux"))]
 pub(crate) use frontend::reuseport;
-pub use frontend::{ConnectionStats, FrontendBuilder, HttpFrontend, HttpRoutes};
+pub use frontend::{ConnectionStats, FrontendBuilder, HttpFrontend};
 pub use http::{Body, Response};
 pub use node::NetServer;
 

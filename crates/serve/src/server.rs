@@ -425,36 +425,26 @@ fn run_job(
         ctx.cache.hint(key, level);
     }
     let cache_hit = grid_source == GridSource::Hit;
+    // Every set-up failure ends the job the same way.
+    let fail = |msg: String| {
+        finish(
+            JobState::Failed,
+            Some(msg),
+            Vec::new(),
+            (0, 0, 0),
+            cache_hit,
+            false,
+        )
+    };
     let engine = match DockingEngine::new(&grids) {
         Ok(e) => e,
-        Err(e) => {
-            finish(
-                JobState::Failed,
-                Some(e.to_string()),
-                Vec::new(),
-                (0, 0, 0),
-                cache_hit,
-                false,
-            );
-            return;
-        }
+        Err(e) => return fail(e.to_string()),
     };
 
     let mut ckpt = match &spec.checkpoint {
         Some(path) => match Checkpoint::open(path, job_fingerprint(&spec, dims)) {
             Ok(c) => Some(c),
-            Err(e) => {
-                let msg = format!("checkpoint {}: {e}", path.display());
-                finish(
-                    JobState::Failed,
-                    Some(msg),
-                    Vec::new(),
-                    (0, 0, 0),
-                    cache_hit,
-                    false,
-                );
-                return;
-            }
+            Err(e) => return fail(format!("checkpoint {}: {e}", path.display())),
         },
         None => None,
     };
@@ -473,35 +463,14 @@ fn run_job(
             JsonlSink::open(path, resuming)
         })() {
             Ok(s) => Some(s),
-            Err(e) => {
-                let msg = format!("jsonl {}: {e}", path.display());
-                finish(
-                    JobState::Failed,
-                    Some(msg),
-                    Vec::new(),
-                    (0, 0, 0),
-                    cache_hit,
-                    false,
-                );
-                return;
-            }
+            Err(e) => return fail(format!("jsonl {}: {e}", path.display())),
         },
         None => None,
     };
 
     let stream = match spec.ligands.stream() {
         Ok(s) => s,
-        Err(e) => {
-            finish(
-                JobState::Failed,
-                Some(e),
-                Vec::new(),
-                (0, 0, 0),
-                cache_hit,
-                false,
-            );
-            return;
-        }
+        Err(e) => return fail(e),
     };
     // A cluster sub-job docks one window of the stream but keeps global
     // ligand indices: seeds and ranked indices are offset by the skip,

@@ -1749,32 +1749,24 @@ pub struct JobStatus {
 impl JobStatus {
     /// Has the job reached a terminal state?
     pub fn is_terminal(&self) -> bool {
-        matches!(
-            self.state,
-            JobState::Completed | JobState::Cancelled | JobState::Failed
-        )
+        self.state.is_terminal()
     }
 }
 
 /// Encode a status snapshot (server side of `GET /jobs/{id}`).
-pub fn status_to_json(
-    id: JobId,
-    name: &str,
-    state: JobState,
-    ligands_done: usize,
-    chunks_done: usize,
-    stages: &StageTimings,
-    outcome: Option<&JobOutcome>,
-) -> Json {
+pub fn status_to_json(s: &JobStatus) -> Json {
     let mut members = vec![
-        ("id".into(), Json::u64(id)),
-        ("name".into(), Json::str(name)),
-        ("state".into(), Json::str(state_name(state))),
-        ("ligands_done".into(), Json::usize(ligands_done)),
-        ("chunks_done".into(), Json::usize(chunks_done)),
-        ("stages".into(), stages_to_json(stages)),
+        ("id".into(), Json::u64(s.id)),
+        ("name".into(), Json::str(&s.name)),
+        ("state".into(), Json::str(state_name(s.state))),
+        ("ligands_done".into(), Json::usize(s.ligands_done)),
+        ("chunks_done".into(), Json::usize(s.chunks_done)),
+        (
+            "stages".into(),
+            stages_to_json(&s.stages.unwrap_or_default()),
+        ),
     ];
-    if let Some(o) = outcome {
+    if let Some(o) = &s.outcome {
         members.push(("outcome".into(), outcome_to_json(o)));
     }
     Json::Obj(members)
@@ -2170,15 +2162,15 @@ mod tests {
             sink_ns: None,
             total_ns: Some(45_000_000),
         };
-        let text = status_to_json(
-            9,
-            "job",
-            JobState::Completed,
-            12,
-            2,
-            &stages,
-            Some(&outcome),
-        )
+        let text = status_to_json(&JobStatus {
+            id: 9,
+            name: "job".into(),
+            state: JobState::Completed,
+            ligands_done: 12,
+            chunks_done: 2,
+            stages: Some(stages),
+            outcome: Some(outcome.clone()),
+        })
         .encode();
         let status = status_from_json(&parse(&text).unwrap()).unwrap();
         assert!(status.is_terminal());

@@ -1,4 +1,4 @@
-//! Width-generic vector math: `exp`, a bounded-domain `exp`, `log`, `powf`,
+//! Width-generic vector math: `exp`, a bounded-domain `exp`, `log`,
 //! refined reciprocals.
 //!
 //! The reproduced paper shows that availability of *vectorized math
@@ -139,12 +139,6 @@ pub fn log<S: Simd>(s: S, x: S::V) -> S::V {
     s.mul_add(e, s.splat(LN2_HI), r)
 }
 
-/// Vectorized `x^y = exp(y * log(x))` for positive `x`.
-#[inline(always)]
-pub fn powf<S: Simd>(s: S, x: S::V, y: S::V) -> S::V {
-    exp(s, s.mul(y, log(s, x)))
-}
-
 /// Reciprocal refined with one Newton-Raphson step from the hardware
 /// estimate: `r' = r * (2 - a*r)`. ≈ full f32 accuracy (≤ 2 ulp).
 #[inline(always)]
@@ -160,26 +154,6 @@ pub fn rsqrt_nr<S: Simd>(s: S, a: S::V) -> S::V {
     let r = s.rsqrt_fast(a);
     let half_a_r = s.mul(s.mul(s.splat(0.5), a), r);
     s.mul(r, s.neg_mul_add(half_a_r, r, s.splat(1.5)))
-}
-
-/// Integer power by repeated squaring, for the Lennard-Jones style
-/// `r^-12 / r^-6 / r^-10` terms (kept branch-free for fixed `N` at
-/// monomorphization time).
-#[inline(always)]
-pub fn powi<S: Simd, const N: u32>(s: S, x: S::V) -> S::V {
-    let mut acc = s.splat(1.0);
-    let mut base = x;
-    let mut n = N;
-    loop {
-        if n & 1 == 1 {
-            acc = s.mul(acc, base);
-        }
-        n >>= 1;
-        if n == 0 {
-            return acc;
-        }
-        base = s.mul(base, base);
-    }
 }
 
 #[cfg(test)]
@@ -305,29 +279,6 @@ mod tests {
             let rt = exp(s, log(s, x));
             assert!((rt - x).abs() / x < 3e-6, "roundtrip {x} -> {rt}");
         }
-    }
-
-    #[test]
-    fn powf_matches_std() {
-        let s = Scalar::new();
-        for (x, y) in [(2.0f32, 3.0f32), (1.5, -2.0), (10.0, 0.5), (3.7, 1.3)] {
-            let got = powf(s, x, y);
-            let want = x.powf(y);
-            assert!(
-                (got - want).abs() / want.abs() < 1e-5,
-                "powf({x},{y}) = {got}, want {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn powi_small_powers() {
-        let s = Scalar::new();
-        assert_eq!(powi::<_, 0>(s, 3.0), 1.0);
-        assert_eq!(powi::<_, 1>(s, 3.0), 3.0);
-        assert_eq!(powi::<_, 2>(s, 3.0), 9.0);
-        assert_eq!(powi::<_, 6>(s, 2.0), 64.0);
-        assert_eq!(powi::<_, 12>(s, 2.0), 4096.0);
     }
 
     #[test]

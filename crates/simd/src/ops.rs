@@ -52,70 +52,6 @@ pub fn rsqrt_slice(level: SimdLevel, xs: &[f32], out: &mut [f32]) {
 }
 
 #[inline(always)]
-fn dot_kernel<S: Simd>(s: S, a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len());
-    let n = a.len() / S::LANES * S::LANES;
-    let mut acc = s.splat(0.0);
-    for (ca, cb) in a[..n]
-        .chunks_exact(S::LANES)
-        .zip(b[..n].chunks_exact(S::LANES))
-    {
-        acc = s.mul_add(s.load(ca), s.load(cb), acc);
-    }
-    let mut t = s.reduce_add(acc);
-    for i in n..a.len() {
-        t += a[i] * b[i];
-    }
-    t
-}
-
-/// Dot product `Σ a[i]·b[i]`.
-pub fn dot(level: SimdLevel, a: &[f32], b: &[f32]) -> f32 {
-    crate::dispatch!(level, |s| dot_kernel(s, a, b))
-}
-
-#[inline(always)]
-fn axpy_kernel<S: Simd>(s: S, alpha: f32, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), y.len());
-    let va = s.splat(alpha);
-    let n = x.len() / S::LANES * S::LANES;
-    for (cx, cy) in x[..n]
-        .chunks_exact(S::LANES)
-        .zip(y[..n].chunks_exact_mut(S::LANES))
-    {
-        let v = s.mul_add(va, s.load(cx), s.load(cy));
-        s.store(v, cy);
-    }
-    for i in n..x.len() {
-        y[i] += alpha * x[i];
-    }
-}
-
-/// `y[i] += alpha * x[i]` (BLAS-1 axpy).
-pub fn axpy(level: SimdLevel, alpha: f32, x: &[f32], y: &mut [f32]) {
-    crate::dispatch!(level, |s| axpy_kernel(s, alpha, x, y));
-}
-
-#[inline(always)]
-fn sum_kernel<S: Simd>(s: S, xs: &[f32]) -> f32 {
-    let n = xs.len() / S::LANES * S::LANES;
-    let mut acc = s.splat(0.0);
-    for c in xs[..n].chunks_exact(S::LANES) {
-        acc = s.add(acc, s.load(c));
-    }
-    let mut t = s.reduce_add(acc);
-    for &x in &xs[n..] {
-        t += x;
-    }
-    t
-}
-
-/// Horizontal sum of a slice.
-pub fn sum(level: SimdLevel, xs: &[f32]) -> f32 {
-    crate::dispatch!(level, |s| sum_kernel(s, xs))
-}
-
-#[inline(always)]
 fn gather_sum_kernel<S: Simd>(s: S, table: &[f32], idx: &[i32]) -> f32 {
     let n = idx.len() / S::LANES * S::LANES;
     let mut acc = s.splat(0.0);
@@ -162,34 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_handles_tails() {
-        for len in [0usize, 1, 3, 4, 7, 8, 15, 16, 17, 33, 100] {
-            let a: Vec<f32> = (0..len).map(|i| i as f32).collect();
-            let b: Vec<f32> = (0..len).map(|i| (i as f32) * 0.5).collect();
-            let want: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            for level in levels() {
-                let got = dot(level, &a, &b);
-                assert!(
-                    (got - want).abs() <= want.abs() * 1e-5 + 1e-5,
-                    "{level} len={len}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn axpy_all_levels() {
-        for level in levels() {
-            let x: Vec<f32> = (0..37).map(|i| i as f32).collect();
-            let mut y = vec![1.0f32; 37];
-            axpy(level, 2.0, &x, &mut y);
-            for (i, &v) in y.iter().enumerate() {
-                assert_eq!(v, 1.0 + 2.0 * i as f32, "{level} lane {i}");
-            }
-        }
-    }
-
-    #[test]
     fn gather_sum_all_levels() {
         let table: Vec<f32> = (0..256).map(|i| (i * i) as f32).collect();
         let idx: Vec<i32> = (0..99).map(|i| (i * 37) % 256).collect();
@@ -197,16 +105,6 @@ mod tests {
         for level in levels() {
             let got = gather_sum(level, &table, &idx);
             assert_eq!(got, want, "{level}");
-        }
-    }
-
-    #[test]
-    fn sum_matches_sequential() {
-        let xs: Vec<f32> = (0..1000).map(|i| (i % 17) as f32 - 8.0).collect();
-        let want: f32 = xs.iter().sum();
-        for level in levels() {
-            let got = super::sum(level, &xs);
-            assert!((got - want).abs() < 1e-3, "{level}: {got} vs {want}");
         }
     }
 
