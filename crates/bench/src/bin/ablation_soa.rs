@@ -9,18 +9,25 @@
 //! — the packed list through an in-register table or through memory
 //! gathers, and half-shell rows — against each other per ligand size,
 //! which is where the crossover constant of `PairsSoA::build`'s selection
-//! rule and the table's precedence over rows come from.
+//! rule and the table's precedence over rows come from. A third table
+//! times the three pose kernels (transform / inter / intra) per ligand
+//! size at every explicit level and through the portable arm's
+//! compiler-vectorized drivers (`core::autovec`), side by side.
 
 use std::time::Instant;
 
+use mudock_core::autovec::{apply_pose_autovec, inter_energy_autovec, intra_energy_autovec};
 use mudock_core::scoring::{
-    intra_energy_simd, intra_energy_simd_walk, IntraWalk, PairLayout, PairsSoA,
+    inter_energy_simd, intra_energy_simd, intra_energy_simd_walk, IntraWalk, PairLayout, PairsSoA,
 };
-use mudock_core::LigandPrep;
+use mudock_core::transform::apply_pose_simd;
+use mudock_core::{Genotype, LigandPrep};
 use mudock_ff::params::{PairTable, NB_CUTOFF};
 use mudock_ff::terms;
+use mudock_grids::{GridBuilder, GridDims};
 use mudock_mol::{ConformSoA, Vec3};
 use mudock_simd::SimdLevel;
+use rand::SeedableRng as _;
 
 /// AoS atom record, as a straightforward implementation would hold it.
 #[derive(Clone, Copy)]
@@ -167,10 +174,112 @@ fn walks() {
                 level.to_string(),
             );
         }
+        // The portable arm walks rows wherever `build` laid them out and
+        // the packed list otherwise; it has no table.
+        let packed = PairsSoA::build_as(&prep.mol, &prep.topo, &table, PairLayout::Packed);
+        let mut best = [f64::MAX; 2];
+        for _ in 0..5 {
+            for (t, pairs) in best.iter_mut().zip([&packed, &rows]) {
+                *t = t.min(time(4000, &mut || intra_energy_autovec(&conf, pairs)));
+            }
+        }
+        let mark = |layout| {
+            if prep.pairs.layout() == layout {
+                '*'
+            } else {
+                ' '
+            }
+        };
+        println!(
+            "{:>5} {:>5} {:>6} {:>6.2}  {:8} {:>11} {:>10.0}{} {:>10.0}{}",
+            heavy,
+            prep.base.n,
+            prep.pairs.n,
+            slots as f64 / rows.len_padded() as f64,
+            "autovec",
+            "-",
+            best[0] * 1e9,
+            mark(PairLayout::Packed),
+            best[1] * 1e9,
+            mark(PairLayout::Rows),
+        );
+    }
+}
+
+/// Transform / inter / intra per pose, per ligand size: every explicit
+/// level, then the portable arm (`autovec`: the same per-lane math in
+/// lane loops the compiler vectorizes at the build's baseline ISA). The
+/// `scalar` row is what `autovec` ran before it had drivers of its own;
+/// the `sse2` row is the hand-written backend of the same width on a
+/// default x86-64 build.
+fn per_kernel() {
+    println!("\nABLATION: the three pose kernels per backend, ns per pose");
+    println!(
+        "{:>5} {:>5} {:>6}  {:8} {:>10} {:>10} {:>10} {:>10}",
+        "heavy", "atoms", "pairs", "backend", "transform", "inter", "intra", "sum"
+    );
+    let receptor = mudock_molio::synthetic_receptor(5, 200, 9.0);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    for heavy in [10, 24, 48] {
+        let prep = prep(heavy);
+        let mut types: Vec<_> = prep.mol.atoms.iter().map(|a| a.ty).collect();
+        types.sort_unstable();
+        types.dedup();
+        let grids = GridBuilder::new(&receptor, GridDims::centered(Vec3::ZERO, 12.0, 0.5))
+            .with_types(&types)
+            .build_simd(SimdLevel::detect());
+        let g = Genotype::random(&mut rng, prep.n_torsions(), Vec3::ZERO, 3.0);
+        let mut posed = ConformSoA::with_capacity(prep.base.n);
+        apply_pose_simd(SimdLevel::Scalar, &prep.base, &prep.plans, &g, &mut posed);
+        let mut out = ConformSoA::with_capacity(prep.base.n);
+
+        let levels = SimdLevel::available();
+        let backends = levels.iter().map(|&l| Some(l)).chain([None]);
+        for backend in backends {
+            // Kernels alternate, best of five (as in `walks`).
+            let mut best = [f64::MAX; 3];
+            for _ in 0..5 {
+                let t = [
+                    time(4000, &mut || {
+                        match backend {
+                            Some(l) => apply_pose_simd(l, &prep.base, &prep.plans, &g, &mut out),
+                            None => apply_pose_autovec(&prep.base, &prep.plans, &g, &mut out),
+                        }
+                        out.x[0]
+                    }),
+                    time(4000, &mut || match backend {
+                        Some(l) => inter_energy_simd(l, &grids, &posed, &prep.statics),
+                        None => inter_energy_autovec(&grids, &posed, &prep.statics),
+                    }),
+                    time(4000, &mut || match backend {
+                        Some(l) => intra_energy_simd(l, &posed, &prep.pairs),
+                        None => intra_energy_autovec(&posed, &prep.pairs),
+                    }),
+                ];
+                for (b, t) in best.iter_mut().zip(t) {
+                    *b = b.min(t);
+                }
+            }
+            println!(
+                "{:>5} {:>5} {:>6}  {:8} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
+                heavy,
+                prep.base.n,
+                prep.pairs.n,
+                backend.map_or("autovec".into(), |l| l.to_string()),
+                best[0] * 1e9,
+                best[1] * 1e9,
+                best[2] * 1e9,
+                best.iter().sum::<f64>() * 1e9,
+            );
+        }
     }
 }
 
 fn main() {
-    aos_vs_soa();
-    walks();
+    // `ablation_soa kernels` prints only the per-kernel table.
+    if std::env::args().nth(1).as_deref() != Some("kernels") {
+        aos_vs_soa();
+        walks();
+    }
+    per_kernel();
 }

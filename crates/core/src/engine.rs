@@ -7,6 +7,7 @@ use mudock_mol::{AtomStatics, ConformSoA, Molecule, MoleculeError, Topology, Vec
 use mudock_simd::SimdLevel;
 use rand::SeedableRng as _;
 
+use crate::autovec::{apply_pose_autovec, inter_energy_autovec, intra_energy_autovec};
 use crate::ga::{rank_best_first, Ga, GaParams};
 use crate::genotype::Genotype;
 use crate::scoring::inter::{inter_energy_reference, inter_energy_simd};
@@ -22,13 +23,24 @@ pub enum Backend {
     /// calls block loop vectorization: this is the paper's
     /// "GCC on ARM without a vectorized GLIBC" arm.
     Reference,
-    /// The width-generic kernels instantiated at one lane with inlinable
-    /// polynomial math — the loop shape a compiler auto-vectorizes when a
-    /// vector math library is available (the `#pragma omp simd` arm).
+    /// The portable arm: the explicit arm's per-lane math (inlinable
+    /// polynomial `exp`, no `libm` call) inside 16-lane loops written for
+    /// the compiler's loop vectorizer ([`crate::autovec`]) — safe Rust, no
+    /// intrinsics, vectorized at whatever ISA the build targets. The
+    /// paper's `#pragma omp simd` arm with a vector math library.
     AutoVec,
     /// Explicit vectorization through `mudock-simd` (the Highway arm).
     Explicit(SimdLevel),
 }
+
+/// Revision of the scoring arithmetic, over all backends. Bump it when
+/// any backend's scores can change in any bit (a reordered sum, a new
+/// polynomial, a different reciprocal): stored scores — `mudock-serve`'s
+/// checkpoints hash it into their key — are then refused by the new
+/// binary instead of being merged with scores it would not reproduce.
+///
+/// 2: `AutoVec` sums sixteen per-lane partials in a fixed tree order.
+pub const SCORING_REV: u32 = 2;
 
 impl Backend {
     /// Short name for reports (`reference`, `autovec`, `avx2`, …).
@@ -284,9 +296,9 @@ impl<'a> DockingEngine<'a> {
                     + tors_penalty
             }
             Backend::AutoVec => {
-                apply_pose_simd(SimdLevel::Scalar, &prep.base, &prep.plans, g, scratch);
-                inter_energy_simd(SimdLevel::Scalar, self.grids, scratch, &prep.statics)
-                    + intra_energy_simd(SimdLevel::Scalar, scratch, &prep.pairs)
+                apply_pose_autovec(&prep.base, &prep.plans, g, scratch);
+                inter_energy_autovec(self.grids, scratch, &prep.statics)
+                    + intra_energy_autovec(scratch, &prep.pairs)
                     + tors_penalty
             }
             Backend::Explicit(level) => {

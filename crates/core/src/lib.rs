@@ -11,7 +11,7 @@
 //! | [`Backend`]               | paper analogue                                   |
 //! |---------------------------|--------------------------------------------------|
 //! | [`Backend::Reference`]    | scalar + `libm` (no vector math → no vectorization, the GCC-on-ARM case) |
-//! | [`Backend::AutoVec`]      | auto-vectorizable loops with inline polynomial math (`#pragma omp simd` + `-fveclib`) |
+//! | [`Backend::AutoVec`]      | compiler-vectorized lane loops over the explicit arm's per-lane math, safe Rust ([`autovec`]; `#pragma omp simd` + `-fveclib`) |
 //! | [`Backend::Explicit`]     | explicit SIMD via `mudock-simd` (Google Highway) |
 //!
 //! Runs are described by the [`campaign`] API: a [`CampaignSpec`] built
@@ -50,6 +50,7 @@
 //! assert_eq!(report.evaluations, 50);
 //! ```
 
+pub mod autovec;
 pub mod campaign;
 pub mod engine;
 pub mod ga;
@@ -65,7 +66,9 @@ pub use campaign::{
     BackendPolicy, Campaign, CampaignBuilder, CampaignError, CampaignSpec, ChunkPolicy, ChunkSizer,
     ShardPolicy, StopCheck, StopPolicy, MAX_CHUNK, MAX_SHARD_WEIGHT,
 };
-pub use engine::{Backend, DockError, DockParams, DockReport, DockingEngine, LigandPrep};
+pub use engine::{
+    Backend, DockError, DockParams, DockReport, DockingEngine, LigandPrep, SCORING_REV,
+};
 pub use ga::{Ga, GaParams};
 pub use genotype::Genotype;
 pub use local_search::{solis_wets, LocalSearchResult, SolisWetsParams};

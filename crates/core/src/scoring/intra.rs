@@ -12,11 +12,14 @@
 //!   Library calls in the loop body are exactly what blocks loop
 //!   vectorization when no vector math library exists (the paper's
 //!   GCC-on-ARM case).
-//! * [`intra_energy_kernel`] at [`mudock_simd::Scalar`] — the same
-//!   arithmetic with inlinable polynomial math: what a compiler can
-//!   auto-vectorize when a vector math library *is* available.
+//! * [`intra_energy_autovec`](crate::autovec::intra_energy_autovec) — the
+//!   portable arm: this kernel's per-lane math, inlinable polynomials
+//!   included, in lane loops the compiler vectorizes. It lives in
+//!   [`crate::autovec`] and has its own two walks (rows where built, else
+//!   the packed list with clamped indices); nothing below describes it.
 //! * [`intra_energy_kernel`] at SSE2/AVX2/AVX-512 — explicit vectorization
-//!   (the Highway arm).
+//!   (the Highway arm) — and at [`mudock_simd::Scalar`], the one-lane
+//!   level every other one is tested against (`Explicit(Scalar)`).
 //!
 //! # One kernel body, three ways to fetch coordinates
 //!
@@ -46,9 +49,11 @@
 //!   six coordinate vectors from memory. Ligands above the table size
 //!   that are too sparse in scored pairs for rows, every ligand on AVX2
 //!   and SSE2 that rows do not cover (a 16-entry AVX2 table was measured
-//!   no faster than its 8-lane gather), and every one-lane instantiation
-//!   — at one lane a row walk would visit each neutral slot individually,
-//!   while the packed list holds none but padding.
+//!   no faster than its 8-lane gather), and the one-lane instantiation
+//!   (`Explicit(Scalar)`, which since the portable arm has drivers of its
+//!   own is the only one) — at one lane a row walk would visit each
+//!   neutral slot individually, while the packed list holds none but
+//!   padding.
 //!
 //! The table and gathered walks visit the same pair-vectors in the same
 //! order and fetch the same floats, so their energies are bit-identical;
@@ -268,7 +273,7 @@ fn walk_gathered<S: Simd>(s: S, conf: &ConformSoA, pairs: &PairsSoA) -> S::V {
 /// `src` followed by as much of its own beginning, repeated, as fills
 /// `src.len() + extra` floats: element `t` is `src[t mod src.len()]`.
 #[inline(always)]
-fn wrapped(src: &[f32], extra: usize) -> [f32; WRAP_CAP] {
+pub(crate) fn wrapped(src: &[f32], extra: usize) -> [f32; WRAP_CAP] {
     let mut w = [0.0f32; WRAP_CAP];
     let len = src.len() + extra;
     w[..src.len()].copy_from_slice(src);

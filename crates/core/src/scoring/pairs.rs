@@ -44,12 +44,16 @@
 //! throughput when a looser constant sent it to rows; a 13-atom ligand is
 //! 13 against 2. `ablation_soa` in `mudock-bench` prints both layouts per
 //! ligand size and level to re-measure the crossover on another host. The
-//! second condition bounds the kernel's on-stack wrapped copy. Kernels
-//! with one lane always walk the packed list: a row walk at one lane
-//! visits every neutral slot one by one (−13…16 % end to end when tried).
-//! So does the AVX-512 kernel for ligands of at most 32 atoms, whatever
-//! was built here: it holds their coordinates in registers
-//! ([`super::intra`], the table walk), which beats rows at those sizes.
+//! second condition bounds the kernel's on-stack wrapped copy. The
+//! one-lane kernel (`Explicit(Scalar)`) always walks the packed list: a
+//! row walk at one lane visits every neutral slot one by one (−13…16 %
+//! end to end when tried). So does the AVX-512 kernel for ligands of at
+//! most 32 atoms, whatever was built here: it holds their coordinates in
+//! registers ([`super::intra`], the table walk), which beats rows at
+//! those sizes. The portable arm ([`crate::autovec`], sixteen lanes
+//! whatever the ISA) follows the rule as built: `ablation_soa` shows the
+//! same crossover for it, rows ahead at 1.23× and 1.34× the packed
+//! slots, level at 1.46×, behind from 1.53×.
 
 use mudock_ff::params::PairTable;
 use mudock_ff::terms::solvation_param;

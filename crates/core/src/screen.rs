@@ -219,7 +219,9 @@ mod tests {
                 ..Default::default()
             },
             seed: 99,
-            backend: Backend::Explicit(SimdLevel::detect()),
+            // What `BackendPolicy::Detect` (`quick_campaign`) resolves to,
+            // `MUDOCK_BACKEND` pin included.
+            backend: Backend::auto(),
             search_radius: Some(4.0),
             local_search: None,
         }

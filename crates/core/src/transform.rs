@@ -1,16 +1,20 @@
 //! Pose transforms — the paper's Algorithm 1: rigid-body translation and
 //! rotation of the ligand, then rotation of each rotatable-bond fragment.
 //!
-//! Two implementations with identical semantics:
+//! Three implementations with identical semantics:
 //!
 //! * [`apply_pose_reference`] — index-chasing scalar code (rotates only the
 //!   atoms in each torsion's moving set);
 //! * [`apply_pose_kernel`] — width-generic branchless code: every torsion
 //!   rotates *all* atoms and blends the result with a per-atom 0/1 mask.
 //!   This trades redundant arithmetic for streaming, gather/scatter-free
-//!   vector code — the transformation that makes the loop vectorizable
-//!   (instantiate with [`mudock_simd::Scalar`] to get the
-//!   auto-vectorizable form, or any wider backend for explicit SIMD).
+//!   vector code — the transformation that makes the loop vectorizable.
+//!   Instantiated per SIMD level for the explicit arm
+//!   ([`mudock_simd::Scalar`] is the one-lane level the others are
+//!   tested against);
+//! * [`apply_pose_autovec`](crate::autovec::apply_pose_autovec) — the
+//!   same branchless form as lane loops the compiler vectorizes (the
+//!   portable arm, [`crate::autovec`]).
 
 use mudock_mol::{ConformSoA, Quat, Topology};
 use mudock_simd::{dispatch, Simd, SimdLevel};

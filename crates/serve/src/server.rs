@@ -330,9 +330,11 @@ impl Drop for ScreenService {
 }
 
 /// Fingerprint of everything a checkpoint must agree on to be replayable:
-/// grid content, base seed, ranking size, and the resolved backend (two
+/// grid content, base seed, ranking size, the resolved backend (two
 /// SIMD levels score within fast-math tolerance, not bit-identically, so
-/// their checkpoints must not mix). Chunking is deliberately absent —
+/// their checkpoints must not mix) and the scoring revision (nor must
+/// those of two binaries whose kernels sum in a different order under
+/// one backend name). Chunking is deliberately absent —
 /// chunk boundaries live in the checkpoint records themselves and
 /// per-ligand seeds are keyed on the global index, so a job may resume
 /// under a *different* [`ChunkPolicy`](mudock_core::ChunkPolicy) and
@@ -342,7 +344,8 @@ fn job_fingerprint(spec: &JobSpec, dims: GridDims) -> u64 {
     h.write_u64(grid_cache_key(&spec.receptor, &dims))
         .write_u64(spec.campaign.seed)
         .write_u64(spec.campaign.top_k as u64)
-        .write(spec.campaign.backend.resolve().name().as_bytes());
+        .write(spec.campaign.backend.resolve().name().as_bytes())
+        .write_u32(mudock_core::SCORING_REV);
     // A sliced sub-job checkpoints a different window of the stream than
     // the whole job (or a differently-sliced one) — never mix them.
     if let Some(s) = spec.slice {

@@ -183,8 +183,9 @@ impl Checkpoint {
     /// Open `path` for job fingerprint `key`. An existing compatible
     /// checkpoint is loaded for replay; a missing, corrupt, or
     /// mismatched-key file starts fresh (the fingerprint covers grids,
-    /// seed, chunking, and k — resuming across a changed job would
-    /// silently corrupt the ranking).
+    /// seed, k, backend and scoring revision — resuming across a changed
+    /// job, or scores another kernel revision wrote, would silently
+    /// corrupt the ranking).
     pub fn open(path: &Path, key: u64) -> std::io::Result<Checkpoint> {
         let completed = match std::fs::read_to_string(path) {
             Ok(text) => Self::parse(&text, key),

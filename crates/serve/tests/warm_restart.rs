@@ -236,3 +236,72 @@ fn prefetch_reloads_the_next_queued_receptors_grids() {
     second.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The key a binary from before `mudock_core::SCORING_REV` existed
+/// stamped on `spec`'s checkpoint: everything `job_fingerprint` hashes
+/// today except the revision.
+fn unrevisioned_checkpoint_key(spec: &JobSpec) -> u64 {
+    let dims = spec.campaign.dims_for(&spec.receptor);
+    let mut h = mudock_grids::Fnv64::new();
+    h.write_u64(mudock_grids::grid_cache_key(&spec.receptor, &dims))
+        .write_u64(spec.campaign.seed)
+        .write_u64(spec.campaign.top_k as u64)
+        .write(spec.campaign.backend.resolve().name().as_bytes());
+    h.finish()
+}
+
+/// A node restarted on a *newer binary* whose kernels sum in another
+/// order must not merge the old binary's checkpointed scores with its
+/// own: the checkpoint key carries the scoring revision, so the stale
+/// file is refused and the job re-docks to the fresh-run ranking.
+#[test]
+fn a_checkpoint_of_another_scoring_revision_is_refused() {
+    let service = ScreenService::start(ServeConfig {
+        total_threads: 2,
+        job_slots: 1,
+        queue_capacity: 8,
+        cache_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let fresh = service.submit(spec("fresh", 7)).unwrap().wait();
+    assert_eq!(fresh.state, JobState::Completed);
+
+    // Both chunks "done" by the old binary, with scores that would take
+    // the whole ranking if they were replayed.
+    let ckpt = tmp("stale-rev.ckpt");
+    let stale = spec("stale", 7);
+    let mut text = format!(
+        "mudock-checkpoint v1 key {:016x}\n",
+        unrevisioned_checkpoint_key(&stale)
+    );
+    for chunk in 0..2 {
+        text += &format!("chunk {chunk} 4 {TOP_K}\n");
+        for k in 0..TOP_K {
+            let score = (-1000.0f32 - k as f32).to_bits();
+            text += &format!("entry {} {score:08x} stale-{k}\n", chunk * 4 + k);
+        }
+        text += &format!("end {chunk}\n");
+    }
+    std::fs::write(&ckpt, text).unwrap();
+
+    let mut resumed = stale;
+    resumed.checkpoint = Some(ckpt.clone());
+    let redocked = service.submit(resumed).unwrap().wait();
+    assert_eq!(redocked.state, JobState::Completed);
+    assert_eq!(
+        redocked.replayed_chunks, 0,
+        "a chunk scored under another revision was replayed"
+    );
+    assert_eq!(redocked.ligands_done, N_LIGANDS);
+    assert_same_ranking(&redocked.top, &fresh.top);
+
+    // The file was restarted under this binary's key, and resumes.
+    let mut again = spec("again", 7);
+    again.checkpoint = Some(ckpt.clone());
+    let replayed = service.submit(again).unwrap().wait();
+    assert_eq!(replayed.replayed_chunks, 2);
+    assert_same_ranking(&replayed.top, &fresh.top);
+
+    service.shutdown();
+    std::fs::remove_file(&ckpt).ok();
+}

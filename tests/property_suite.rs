@@ -175,6 +175,54 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// The portable arm agrees with the `libm` reference and with the
+    /// one-lane explicit kernel on any ligand (both pair layouts) and any
+    /// pose, in the box or out of it — the randomized form of
+    /// `tests/autovec_equivalence.rs`.
+    #[test]
+    fn autovec_scores_match_reference_and_one_lane(
+        lig_seed in 0u64..1000,
+        heavy in 4usize..65,
+        tors in 0usize..15,
+        pose_seed in 0u64..1000,
+        // 0.7: every atom inside the 16 Å box; 30: most of them outside.
+        reach in 0.7f32..30.0,
+    ) {
+        use mudock::core::{Backend, DockingEngine, Genotype, LigandPrep};
+        use mudock::grids::{GridDims, GridSet, NUM_MAPS};
+        use mudock::simd::SimdLevel;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        // Every map built, smooth and non-constant, without the builder.
+        let mut maps = GridSet::empty(GridDims::centered(Vec3::ZERO, 8.0, 0.5));
+        for (k, v) in maps.data.iter_mut().enumerate() {
+            *v = (k % 251) as f32 * 0.01 - 1.0;
+        }
+        maps.built = [true; NUM_MAPS];
+        let engine = DockingEngine::new(&maps).unwrap();
+
+        let lig = mudock::molio::synthetic_ligand(
+            lig_seed,
+            mudock::molio::LigandSpec { heavy_atoms: heavy, torsions: tors },
+        );
+        let prep = LigandPrep::new(lig).unwrap();
+        let mut rng = StdRng::seed_from_u64(pose_seed);
+        let g = Genotype::random(&mut rng, prep.n_torsions(), Vec3::ZERO, reach);
+        let mut scratch = mudock::mol::ConformSoA::with_capacity(prep.base.n);
+        let got = engine.score(&prep, &g, &mut scratch, Backend::AutoVec);
+        for other in [Backend::Reference, Backend::Explicit(SimdLevel::Scalar)] {
+            let want = engine.score(&prep, &g, &mut scratch, other);
+            prop_assert!(
+                (got - want).abs() <= 5e-3 * want.abs().max(1.0),
+                "{:?}: autovec {got} vs {other} {want}", prep.pairs.layout()
+            );
+        }
+    }
+}
+
 #[test]
 fn grid_interpolation_is_bounded_by_map_extremes() {
     use mudock::grids::{trilinear, GridDims};
