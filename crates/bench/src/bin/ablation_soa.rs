@@ -12,11 +12,15 @@
 //! rule and the table's precedence over rows come from. A third table
 //! times the three pose kernels (transform / inter / intra) per ligand
 //! size at every explicit level and through the portable arm's
-//! compiler-vectorized drivers (`core::autovec`), side by side.
+//! compiler-vectorized drivers (`core::autovec`) in every frame this host
+//! runs, side by side: the paper's auto-vs-explicit figure, per ISA.
 
 use std::time::Instant;
 
-use mudock_core::autovec::{apply_pose_autovec, inter_energy_autovec, intra_energy_autovec};
+use mudock_core::autovec::{
+    apply_pose_autovec_at, frame_name, inter_energy_autovec_at, intra_energy_autovec,
+    intra_energy_autovec_at,
+};
 use mudock_core::scoring::{
     inter_energy_simd, intra_energy_simd, intra_energy_simd_walk, IntraWalk, PairLayout, PairsSoA,
 };
@@ -174,8 +178,9 @@ fn walks() {
                 level.to_string(),
             );
         }
-        // The portable arm walks rows wherever `build` laid them out and
-        // the packed list otherwise; it has no table.
+        // The portable arm (in this host's frame) walks rows wherever
+        // `build` laid them out and the packed list otherwise; it has no
+        // table.
         let packed = PairsSoA::build_as(&prep.mol, &prep.topo, &table, PairLayout::Packed);
         let mut best = [f64::MAX; 2];
         for _ in 0..5 {
@@ -206,20 +211,41 @@ fn walks() {
     }
 }
 
+/// One row of the per-kernel table: an explicit level, or the portable
+/// drivers in a frame.
+#[derive(Clone, Copy)]
+enum Arm {
+    Explicit(SimdLevel),
+    AutoVec(SimdLevel),
+}
+
 /// Transform / inter / intra per pose, per ligand size: every explicit
-/// level, then the portable arm (`autovec`: the same per-lane math in
-/// lane loops the compiler vectorizes at the build's baseline ISA). The
+/// level, then the portable arm (the same per-lane math in lane loops the
+/// compiler vectorizes) in every frame — `autovec@baseline`, the build's
+/// own ISA, then the `#[target_feature]` frames the host supports. The
 /// `scalar` row is what `autovec` ran before it had drivers of its own;
-/// the `sse2` row is the hand-written backend of the same width on a
-/// default x86-64 build.
+/// each `autovec@<level>` row reads against the hand-written `<level>`
+/// row above it (`autovec@baseline` against `sse2` on a default x86-64
+/// build).
 fn per_kernel() {
     println!("\nABLATION: the three pose kernels per backend, ns per pose");
     println!(
-        "{:>5} {:>5} {:>6}  {:8} {:>10} {:>10} {:>10} {:>10}",
+        "{:>5} {:>5} {:>6}  {:16} {:>10} {:>10} {:>10} {:>10}",
         "heavy", "atoms", "pairs", "backend", "transform", "inter", "intra", "sum"
     );
     let receptor = mudock_molio::synthetic_receptor(5, 200, 9.0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let levels = SimdLevel::available();
+    // Every level below AVX2 names the baseline frame: `Scalar` lists it.
+    let frames = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
+    let arms: Vec<Arm> = (levels.iter().map(|&l| Arm::Explicit(l)))
+        .chain(
+            frames
+                .into_iter()
+                .filter(|f| f.is_supported())
+                .map(Arm::AutoVec),
+        )
+        .collect();
     for heavy in [10, 24, 48] {
         let prep = prep(heavy);
         let mut types: Vec<_> = prep.mol.atoms.iter().map(|a| a.ty).collect();
@@ -233,27 +259,31 @@ fn per_kernel() {
         apply_pose_simd(SimdLevel::Scalar, &prep.base, &prep.plans, &g, &mut posed);
         let mut out = ConformSoA::with_capacity(prep.base.n);
 
-        let levels = SimdLevel::available();
-        let backends = levels.iter().map(|&l| Some(l)).chain([None]);
-        for backend in backends {
+        for &arm in &arms {
             // Kernels alternate, best of five (as in `walks`).
             let mut best = [f64::MAX; 3];
             for _ in 0..5 {
                 let t = [
                     time(4000, &mut || {
-                        match backend {
-                            Some(l) => apply_pose_simd(l, &prep.base, &prep.plans, &g, &mut out),
-                            None => apply_pose_autovec(&prep.base, &prep.plans, &g, &mut out),
+                        match arm {
+                            Arm::Explicit(l) => {
+                                apply_pose_simd(l, &prep.base, &prep.plans, &g, &mut out)
+                            }
+                            Arm::AutoVec(f) => {
+                                apply_pose_autovec_at(f, &prep.base, &prep.plans, &g, &mut out)
+                            }
                         }
                         out.x[0]
                     }),
-                    time(4000, &mut || match backend {
-                        Some(l) => inter_energy_simd(l, &grids, &posed, &prep.statics),
-                        None => inter_energy_autovec(&grids, &posed, &prep.statics),
+                    time(4000, &mut || match arm {
+                        Arm::Explicit(l) => inter_energy_simd(l, &grids, &posed, &prep.statics),
+                        Arm::AutoVec(f) => {
+                            inter_energy_autovec_at(f, &grids, &posed, &prep.statics)
+                        }
                     }),
-                    time(4000, &mut || match backend {
-                        Some(l) => intra_energy_simd(l, &posed, &prep.pairs),
-                        None => intra_energy_autovec(&posed, &prep.pairs),
+                    time(4000, &mut || match arm {
+                        Arm::Explicit(l) => intra_energy_simd(l, &posed, &prep.pairs),
+                        Arm::AutoVec(f) => intra_energy_autovec_at(f, &posed, &prep.pairs),
                     }),
                 ];
                 for (b, t) in best.iter_mut().zip(t) {
@@ -261,11 +291,14 @@ fn per_kernel() {
                 }
             }
             println!(
-                "{:>5} {:>5} {:>6}  {:8} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
+                "{:>5} {:>5} {:>6}  {:16} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
                 heavy,
                 prep.base.n,
                 prep.pairs.n,
-                backend.map_or("autovec".into(), |l| l.to_string()),
+                match arm {
+                    Arm::Explicit(l) => l.to_string(),
+                    Arm::AutoVec(f) => format!("autovec@{}", frame_name(f)),
+                },
                 best[0] * 1e9,
                 best[1] * 1e9,
                 best[2] * 1e9,

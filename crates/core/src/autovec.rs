@@ -5,12 +5,55 @@
 //! explicit arm — [`vterms::pair_energy`], `simd::math::exp_bounded`
 //! inside it, the trilinear formula of [`super::scoring::inter`], the
 //! masked-blend torsion update of [`super::transform`] — instantiated at
-//! the one-lane [`Scalar`] token, and differ from
-//! `Explicit(SimdLevel::Scalar)` only in the loops around that math:
-//! safe Rust, no intrinsics, no per-ISA source, and a shape the loop
-//! vectorizer turns into packed instructions at whatever ISA the build
-//! targets (SSE2 at the plain `x86-64` baseline, wider under
-//! `-C target-cpu=…`).
+//! a one-lane token, and differ from `Explicit(SimdLevel::Scalar)` only
+//! in the loops around that math: safe Rust, no intrinsics, no per-ISA
+//! source, and a shape the loop vectorizer turns into packed instructions
+//! at whatever ISA the enclosing function is compiled for.
+//!
+//! # Frames
+//!
+//! That ISA is the host's, not the build's. Each driver body is an
+//! `#[inline(always)]` function generic over the one-lane token, and each
+//! entry point instantiates it inside the *frame* [`frame`] resolved once
+//! for this process:
+//!
+//! * On a CPU with AVX-512F or AVX2+FMA, the body runs at
+//!   [`OneLane<true>`](OneLane) inside the `#[target_feature]` region
+//!   that `Simd::vectorize` of that level already provides (through
+//!   `dispatch!`, like every explicit kernel). The wide token `dispatch!`
+//!   hands over is ignored: no operation of it is called, it only proves
+//!   the CPU runs the frame. Inside the frame the compiler vectorizes the
+//!   same sixteen-lane loops with `zmm` / `ymm` registers, hardware
+//!   gathers where its cost model wants them (`intra`'s packed walk at
+//!   512 bits; `inter`'s corner fetches stay scalar loads), and —
+//!   because the fused token's `mul_add` is `f32::mul_add` — packed
+//!   `vfmadd`.
+//! * Anywhere else (no AVX2+FMA, or not x86-64) the body runs at
+//!   [`Scalar`] in place, compiled for the build's baseline ISA (SSE2 on
+//!   plain `x86-64`, wider under `-C target-cpu=…`): the *baseline*
+//!   frame.
+//!
+//! Nothing selects a frame but the CPU: no flag, env var, config field or
+//! wire value. The `*_autovec_at(frame, …)` forms exist for tests,
+//! `ablation_soa` and the codegen checker.
+//!
+//! The fused token is only ever instantiated inside an FMA frame. It would
+//! be *safe* elsewhere — `f32::mul_add` without FMA hardware is a libm
+//! `fmaf` call, never UB, which is why this module needs no `unsafe` and
+//! no proof token of its own — but ten times slower; `codegen_autovec`
+//! fails on any `fmaf` call in the module's code.
+//!
+//! # Two arithmetic classes
+//!
+//! The lane count (16) and the reduction tree are fixed in the source, so
+//! register width cannot reorder a sum: the AVX2 and AVX-512 frames give
+//! `to_bits`-equal scores, and differ from the baseline frame only by
+//! fusion (one rounding per `mul_add` instead of two). A score therefore
+//! belongs to one of two classes, [`arithmetic`] `"fused"` or
+//! `"unfused"`; the class, not the frame, is what must match before
+//! stored scores are merged with new ones (`mudock-serve` hashes it into
+//! its checkpoint key), and a job scattered over hosts of both classes
+//! merges sub-rankings no single host would reproduce bit for bit.
 //!
 //! # The loop shape
 //!
@@ -33,8 +76,8 @@
 //!    an `n` from a `saturating_sub`, and the check stays next to the
 //!    clamp). The clamp is the identity on every index the kernels
 //!    compute from valid input and turns a corrupt one into a
-//!    wrong-but-in-bounds read; the loop has no panic edge, so a build
-//!    for an ISA with hardware gathers may use them.
+//!    wrong-but-in-bounds read; the loop has no panic edge, so a frame
+//!    with hardware gathers may use them.
 //! 4. **Loop fission around indexed loads.** `inter` is three lane loops
 //!    per chunk — coordinates → cell indices and fractions, then the 24
 //!    corner fetches into stack arrays, then interpolation — and the
@@ -52,26 +95,31 @@
 //!    not the explicit kernel's operation for operation; the values are
 //!    the same integers.
 //!
-//! The three entry points are deliberately non-generic and
-//! `#[inline(never)]`: `codegen_autovec` in `mudock-bench` disassembles
-//! them by symbol and fails when their packed-to-scalar instruction ratio
-//! drops.
+//! The entry points are deliberately non-generic and `#[inline(never)]`:
+//! `codegen_autovec` in `mudock-bench` finds the `_at` forms by symbol
+//! (the baseline body is inlined there), follows their calls to the
+//! frames' `vectorize::inner` instances, and fails when a packed-to-scalar
+//! instruction ratio drops. The frame-less forms only look the frame up
+//! and tail-call.
 //!
 //! Scores differ from `Explicit(Scalar)` in the last bits (sixteen
-//! partial sums instead of one) and are deterministic: the reduction
-//! order is written out, not left to the compiler.
+//! partial sums instead of one, and fusion in a wide frame) and are
+//! deterministic: the reduction order is written out, not left to the
+//! compiler.
 
 // `for l in 0..W` indexing several `[T; W]` arrays is the shape that
 // vectorizes (point 1 above); iterator chains over eight zipped arrays
 // are not clearer.
 #![allow(clippy::needless_range_loop)]
 
+use std::sync::OnceLock;
+
 use mudock_ff::params::NB_CUTOFF;
 use mudock_ff::types::NUM_TYPES;
 use mudock_ff::vterms::{self, PairCoefs};
 use mudock_grids::{GridSet, DESOLV_MAP, ELEC_MAP, NUM_MAPS};
 use mudock_mol::{AtomStatics, ConformSoA, Quat, PAD};
-use mudock_simd::{Scalar, Simd};
+use mudock_simd::{dispatch, OneLane, Scalar, Simd, SimdLevel};
 
 use crate::genotype::Genotype;
 use crate::scoring::inter::OUT_OF_BOX_PENALTY;
@@ -84,6 +132,81 @@ const W: usize = PAD;
 const _: () = assert!(W.is_power_of_two(), "reduce_tree halves W down to 1");
 
 type Lanes = [f32; W];
+
+/// A one-lane token: what the lane loops run their per-lane math at.
+trait Lane: Simd<V = f32, VI = i32, M = bool> {}
+impl<S: Simd<V = f32, VI = i32, M = bool>> Lane for S {}
+
+/// Does `frame` enable wider registers and FMA than the build's baseline?
+/// The levels below AVX2 have no frame of their own: the baseline body is
+/// already compiled for them (or for less).
+#[inline(always)]
+fn is_wide(frame: SimdLevel) -> bool {
+    matches!(frame, SimdLevel::Avx2 | SimdLevel::Avx512)
+}
+
+/// The frame [`Backend::AutoVec`](crate::Backend::AutoVec) scores in on
+/// this host, resolved once per process: the widest of AVX-512 and
+/// AVX2+FMA the CPU supports, else [`SimdLevel::Scalar`] — no frame, the
+/// lane loops as compiled for the build's baseline ISA.
+pub fn frame() -> SimdLevel {
+    static FRAME: OnceLock<SimdLevel> = OnceLock::new();
+    *FRAME.get_or_init(|| {
+        let widest = SimdLevel::detect();
+        if is_wide(widest) {
+            widest
+        } else {
+            SimdLevel::Scalar
+        }
+    })
+}
+
+/// What a frame is called in reports: the level's name, `"baseline"` for
+/// every level without a frame of its own.
+pub fn frame_name(frame: SimdLevel) -> &'static str {
+    if is_wide(frame) {
+        frame.name()
+    } else {
+        "baseline"
+    }
+}
+
+/// The arithmetic class of the scores computed in `frame` (module docs):
+/// `"fused"` in the AVX2 and AVX-512 frames, `"unfused"` below. Scores of
+/// one class are bit-identical whatever the frame; scores of different
+/// classes differ in the last bits and must never be merged.
+pub fn arithmetic_at(frame: SimdLevel) -> &'static str {
+    if is_wide(frame) {
+        "fused"
+    } else {
+        "unfused"
+    }
+}
+
+/// The arithmetic class of this host's [`frame`].
+pub fn arithmetic() -> &'static str {
+    arithmetic_at(frame())
+}
+
+/// Run `$body` (an expression in `$s`, the one-lane token) in `$frame`: at
+/// the fused token inside the `#[target_feature]` region of a wide frame,
+/// at [`Scalar`] in place otherwise. `dispatch!`'s wide token is unused —
+/// it only proves the CPU runs the frame, its role for the explicit
+/// kernels too. Panics, like `dispatch!`, on a wide frame the host lacks.
+macro_rules! in_frame {
+    ($frame:expr, |$s:ident| $body:expr) => {{
+        let frame = $frame;
+        if is_wide(frame) {
+            dispatch!(frame, |_wide| {
+                let $s = OneLane::<true>::new();
+                $body
+            })
+        } else {
+            let $s = Scalar::new();
+            $body
+        }
+    }};
+}
 
 /// The first `len` elements of `a` as whole lane-chunks.
 ///
@@ -120,8 +243,7 @@ fn reduce_tree(mut a: Lanes) -> f32 {
 /// `m · v + t` for a row-major 3×3 `m`: per lane, the three FMA chains of
 /// [`apply_pose_kernel`](crate::transform::apply_pose_kernel).
 #[inline(always)]
-fn affine(m: &[f32; 9], v: [f32; 3], t: [f32; 3]) -> [f32; 3] {
-    let s = Scalar;
+fn affine<S: Lane>(s: S, m: &[f32; 9], v: [f32; 3], t: [f32; 3]) -> [f32; 3] {
     [
         s.mul_add(
             m[2],
@@ -156,9 +278,36 @@ pub fn apply_pose_autovec(
     g: &Genotype,
     out: &mut ConformSoA,
 ) {
+    apply_pose_autovec_at(frame(), base, plans, g, out)
+}
+
+/// [`apply_pose_autovec`] in a given frame (see [`frame`]; every level
+/// below AVX2 names the baseline).
+///
+/// # Panics
+/// As [`apply_pose_autovec`], and if `frame` is a wide level the host
+/// does not support.
+#[inline(never)]
+pub fn apply_pose_autovec_at(
+    frame: SimdLevel,
+    base: &ConformSoA,
+    plans: &[TorsionPlan],
+    g: &Genotype,
+    out: &mut ConformSoA,
+) {
+    in_frame!(frame, |s| apply_pose(s, base, plans, g, out))
+}
+
+#[inline(always)]
+fn apply_pose<S: Lane>(
+    s: S,
+    base: &ConformSoA,
+    plans: &[TorsionPlan],
+    g: &Genotype,
+    out: &mut ConformSoA,
+) {
     debug_assert_eq!(g.n_torsions(), plans.len());
     let len = base.len_padded();
-    let s = Scalar;
 
     let m = g.rotation().to_matrix();
     let t = g.translation();
@@ -176,7 +325,7 @@ pub fn apply_pose_autovec(
     let posed = ox.iter_mut().zip(oy).zip(oz);
     for (((x, y), z), ((nx, ny), nz)) in bx.iter().zip(by).zip(bz).zip(posed) {
         for l in 0..W {
-            [nx[l], ny[l], nz[l]] = affine(&m, [x[l], y[l], z[l]], t);
+            [nx[l], ny[l], nz[l]] = affine(s, &m, [x[l], y[l], z[l]], t);
         }
     }
 
@@ -195,7 +344,7 @@ pub fn apply_pose_autovec(
             for l in 0..W {
                 let p = [x[l], y[l], z[l]];
                 let v = [s.sub(p[0], a[0]), s.sub(p[1], a[1]), s.sub(p[2], a[2])];
-                let r = affine(&rot, v, a);
+                let r = affine(s, &rot, v, a);
                 // out + w · (rotated − out): w ∈ {0, 1} selects exactly.
                 x[l] = s.mul_add(w[l], s.sub(r[0], p[0]), p[0]);
                 y[l] = s.mul_add(w[l], s.sub(r[1], p[1]), p[1]);
@@ -215,8 +364,7 @@ fn corners_of(c: &[Lanes; 8], l: usize) -> [f32; 8] {
 
 /// The trilinear formula of the explicit kernel, for one lane.
 #[inline(always)]
-fn trilerp(c: [f32; 8], fx: f32, fy: f32, fz: f32) -> f32 {
-    let s = Scalar;
+fn trilerp<S: Lane>(s: S, c: [f32; 8], fx: f32, fy: f32, fz: f32) -> f32 {
     let c00 = s.mul_add(fx, s.sub(c[1], c[0]), c[0]);
     let c10 = s.mul_add(fx, s.sub(c[3], c[2]), c[2]);
     let c01 = s.mul_add(fx, s.sub(c[5], c[4]), c[4]);
@@ -236,15 +384,13 @@ const ALIGN: f32 = 8_388_608.0;
 /// has no packed form of it, and the vectorizer falls back to sixteen
 /// compare-and-convert sequences per cast.
 #[inline(always)]
-fn small_int(f: f32) -> i32 {
-    let s = Scalar;
+fn small_int<S: Lane>(s: S, f: f32) -> i32 {
     s.i32_sub(s.bitcast_f32_i32(s.add(f, ALIGN)), s.bitcast_f32_i32(ALIGN))
 }
 
 /// Clamped grid coordinate → (cell index as a float, fraction inside it).
 #[inline(always)]
-fn split_cell(g: f32, hi: f32) -> (f32, f32) {
-    let s = Scalar;
+fn split_cell<S: Lane>(s: S, g: f32, hi: f32) -> (f32, f32) {
     // `max` first: a NaN coordinate clamps to 0, as at every explicit level.
     let c = s.min(s.max(g, 0.0), hi);
     // ⌊c⌋ without a float→int cast (see `small_int`): round to nearest,
@@ -256,8 +402,7 @@ fn split_cell(g: f32, hi: f32) -> (f32, f32) {
 
 /// Distance of grid coordinate `g` outside `[0, b]`, in grid units.
 #[inline(always)]
-fn outside(g: f32, b: f32) -> f32 {
-    let s = Scalar;
+fn outside<S: Lane>(s: S, g: f32, b: f32) -> f32 {
     s.add(s.max(s.neg(g), 0.0), s.max(s.sub(g, b), 0.0))
 }
 
@@ -277,7 +422,26 @@ fn outside(g: f32, b: f32) -> f32 {
 /// shorter than `conf`'s padded length.
 #[inline(never)]
 pub fn inter_energy_autovec(gs: &GridSet, conf: &ConformSoA, st: &AtomStatics) -> f32 {
-    let s = Scalar;
+    inter_energy_autovec_at(frame(), gs, conf, st)
+}
+
+/// [`inter_energy_autovec`] in a given frame (see [`frame`]).
+///
+/// # Panics
+/// As [`inter_energy_autovec`], and if `frame` is a wide level the host
+/// does not support.
+#[inline(never)]
+pub fn inter_energy_autovec_at(
+    frame: SimdLevel,
+    gs: &GridSet,
+    conf: &ConformSoA,
+    st: &AtomStatics,
+) -> f32 {
+    in_frame!(frame, |s| inter_energy(s, gs, conf, st))
+}
+
+#[inline(always)]
+fn inter_energy<S: Lane>(s: S, gs: &GridSet, conf: &ConformSoA, st: &AtomStatics) -> f32 {
     let dims = &gs.dims;
     let [nx, ny, nz] = dims.npts;
     let data = gs.data.as_slice();
@@ -358,20 +522,24 @@ pub fn inter_energy_autovec(gs: &GridSet, conf: &ConformSoA, st: &AtomStatics) -
             let gy = s.mul(s.sub(py[l], origin[1]), inv_sp);
             let gz = s.mul(s.sub(pz[l], origin[2]), inv_sp);
 
-            let (ox, oy, oz) = (outside(gx, b[0]), outside(gy, b[1]), outside(gz, b[2]));
+            let (ox, oy, oz) = (
+                outside(s, gx, b[0]),
+                outside(s, gy, b[1]),
+                outside(s, gz, b[2]),
+            );
             let out2 = s.mul_add(oz, oz, s.mul_add(oy, oy, s.mul(ox, ox)));
             penalty[l] = s.mul(pen_slope, s.sqrt(out2));
 
-            let (ix, fx) = split_cell(gx, h[0]);
-            let (iy, fy) = split_cell(gy, h[1]);
-            let (iz, fz) = split_cell(gz, h[2]);
+            let (ix, fx) = split_cell(s, gx, h[0]);
+            let (iy, fy) = split_cell(s, gy, h[1]);
+            let (iz, fz) = split_cell(s, gz, h[2]);
             frac[0][l] = fx;
             frac[1][l] = fy;
             frac[2][l] = fz;
 
             // cell = (iz·ny + iy)·nx + ix, exact in f32 and below 2²³:
             // `data` holds at least two maps in fewer than 2²⁴ values.
-            let cell = small_int(s.mul_add(s.mul_add(iz, nyf, iy), nxf, ix));
+            let cell = small_int(s, s.mul_add(s.mul_add(iz, nyf, iy), nxf, ix));
             // The clamp is the identity on every type index
             // `AtomStatics::from_molecule` writes.
             idx[0][l] = s.i32_add(ty[l].clamp(0, MAX_TY) * stride_i, cell);
@@ -400,9 +568,9 @@ pub fn inter_energy_autovec(gs: &GridSet, conf: &ConformSoA, st: &AtomStatics) -
         // 3: interpolate, weigh, accumulate.
         for l in 0..W {
             let (fx, fy, fz) = (frac[0][l], frac[1][l], frac[2][l]);
-            let e_t = trilerp(corners_of(&fetched[0], l), fx, fy, fz);
-            let e_e = trilerp(corners_of(&fetched[1], l), fx, fy, fz);
-            let e_d = trilerp(corners_of(&fetched[2], l), fx, fy, fz);
+            let e_t = trilerp(s, corners_of(&fetched[0], l), fx, fy, fz);
+            let e_e = trilerp(s, corners_of(&fetched[1], l), fx, fy, fz);
+            let e_d = trilerp(s, corners_of(&fetched[2], l), fx, fy, fz);
             let e = s.mul_add(
                 q[l],
                 e_e,
@@ -441,8 +609,7 @@ fn coef_chunks(c: &PairCoefStreams) -> impl Iterator<Item = PairCoefs<&Lanes>> {
 /// `acc` plus, per lane, the energy of the pair at displacement `d` with
 /// coefficients `c` if it is inside the cutoff.
 #[inline(always)]
-fn add_pair_lanes(acc: &mut Lanes, d: &[Lanes; 3], c: PairCoefs<&Lanes>) {
-    let s = Scalar;
+fn add_pair_lanes<S: Lane>(s: S, acc: &mut Lanes, d: &[Lanes; 3], c: PairCoefs<&Lanes>) {
     for l in 0..W {
         let (dx, dy, dz) = (d[0][l], d[1][l], d[2][l]);
         let r2 = s.mul_add(dz, dz, s.mul_add(dy, dy, s.mul(dx, dx)));
@@ -464,7 +631,7 @@ fn add_pair_lanes(acc: &mut Lanes, d: &[Lanes; 3], c: PairCoefs<&Lanes>) {
 
 /// The packed list: fetch sixteen pairs' displacements, then score them.
 #[inline(always)]
-fn walk_packed(conf: &ConformSoA, pairs: &PairsSoA, n: usize) -> Lanes {
+fn walk_packed<S: Lane>(s: S, conf: &ConformSoA, pairs: &PairsSoA, n: usize) -> Lanes {
     // `n > 0` (the caller's `pairs.n > 0` implies two atoms) is what
     // makes `min(n − 1)` an in-bounds index the compiler can see.
     assert!(n > 0);
@@ -482,7 +649,7 @@ fn walk_packed(conf: &ConformSoA, pairs: &PairsSoA, n: usize) -> Lanes {
             d[1][l] = y[i] - y[j];
             d[2][l] = z[i] - z[j];
         }
-        add_pair_lanes(&mut acc, &d, coefs);
+        add_pair_lanes(s, &mut acc, &d, coefs);
     }
     acc
 }
@@ -498,7 +665,7 @@ fn lanes_at(wrapped: &[f32], p: usize) -> &Lanes {
 /// Half-shell rows: atom `i` against its `stride` contiguous partners in
 /// a wrapped copy of the pose (see [`crate::scoring::pairs`]).
 #[inline(always)]
-fn walk_rows(conf: &ConformSoA, rows: &HalfShellRows, n: usize) -> Lanes {
+fn walk_rows<S: Lane>(s: S, conf: &ConformSoA, rows: &HalfShellRows, n: usize) -> Lanes {
     let stride = rows.stride;
     assert!(
         stride.is_multiple_of(W),
@@ -522,7 +689,7 @@ fn walk_rows(conf: &ConformSoA, rows: &HalfShellRows, n: usize) -> Lanes {
                 d[2][l] = wz[i] - pz[l];
             }
             let coefs = coefs.next().expect("rows hold n · stride slots");
-            add_pair_lanes(&mut acc, &d, coefs);
+            add_pair_lanes(s, &mut acc, &d, coefs);
         }
     }
     acc
@@ -541,6 +708,21 @@ fn walk_rows(conf: &ConformSoA, rows: &HalfShellRows, n: usize) -> Lanes {
 /// (atom counts differ, or a coordinate array is shorter than that).
 #[inline(never)]
 pub fn intra_energy_autovec(conf: &ConformSoA, pairs: &PairsSoA) -> f32 {
+    intra_energy_autovec_at(frame(), conf, pairs)
+}
+
+/// [`intra_energy_autovec`] in a given frame (see [`frame`]).
+///
+/// # Panics
+/// As [`intra_energy_autovec`], and if `frame` is a wide level the host
+/// does not support.
+#[inline(never)]
+pub fn intra_energy_autovec_at(frame: SimdLevel, conf: &ConformSoA, pairs: &PairsSoA) -> f32 {
+    in_frame!(frame, |s| intra_energy(s, conf, pairs))
+}
+
+#[inline(always)]
+fn intra_energy<S: Lane>(s: S, conf: &ConformSoA, pairs: &PairsSoA) -> f32 {
     let n = pairs.atoms();
     assert!(
         conf.n == n && conf.x.len() >= n && conf.y.len() >= n && conf.z.len() >= n,
@@ -551,7 +733,7 @@ pub fn intra_energy_autovec(conf: &ConformSoA, pairs: &PairsSoA) -> f32 {
         return 0.0;
     }
     reduce_tree(match pairs.rows() {
-        Some(rows) => walk_rows(conf, rows, n),
-        None => walk_packed(conf, pairs, n),
+        Some(rows) => walk_rows(s, conf, rows, n),
+        None => walk_packed(s, conf, pairs, n),
     })
 }

@@ -26,8 +26,14 @@ pub enum Backend {
     /// The portable arm: the explicit arm's per-lane math (inlinable
     /// polynomial `exp`, no `libm` call) inside 16-lane loops written for
     /// the compiler's loop vectorizer ([`crate::autovec`]) — safe Rust, no
-    /// intrinsics, vectorized at whatever ISA the build targets. The
-    /// paper's `#pragma omp simd` arm with a vector math library.
+    /// intrinsics, compiled once for the build's baseline ISA and once
+    /// inside each AVX2+FMA / AVX-512 frame, of which the host's CPU
+    /// picks the widest it runs. The paper's `#pragma omp simd` arm with a
+    /// vector math library, built per target ISA.
+    ///
+    /// One name, two roundings: scores are bit-identical across hosts of
+    /// one [arithmetic class](crate::autovec::arithmetic) (with or without
+    /// fused multiply-add), not across the two.
     AutoVec,
     /// Explicit vectorization through `mudock-simd` (the Highway arm).
     Explicit(SimdLevel),
@@ -40,7 +46,9 @@ pub enum Backend {
 /// binary instead of being merged with scores it would not reproduce.
 ///
 /// 2: `AutoVec` sums sixteen per-lane partials in a fixed tree order.
-pub const SCORING_REV: u32 = 2;
+/// 3: `AutoVec` fuses its multiply-adds on hosts with AVX2+FMA
+/// ([`crate::autovec::arithmetic`]).
+pub const SCORING_REV: u32 = 3;
 
 impl Backend {
     /// Short name for reports (`reference`, `autovec`, `avx2`, …).

@@ -11,7 +11,7 @@
 //! | [`Backend`]               | paper analogue                                   |
 //! |---------------------------|--------------------------------------------------|
 //! | [`Backend::Reference`]    | scalar + `libm` (no vector math → no vectorization, the GCC-on-ARM case) |
-//! | [`Backend::AutoVec`]      | compiler-vectorized lane loops over the explicit arm's per-lane math, safe Rust ([`autovec`]; `#pragma omp simd` + `-fveclib`) |
+//! | [`Backend::AutoVec`]      | compiler-vectorized lane loops over the explicit arm's per-lane math, safe Rust, run in the widest `#[target_feature]` frame the host's CPU supports ([`autovec`]; `#pragma omp simd` + `-fveclib`, built per target ISA) |
 //! | [`Backend::Explicit`]     | explicit SIMD via `mudock-simd` (Google Highway) |
 //!
 //! Runs are described by the [`campaign`] API: a [`CampaignSpec`] built

@@ -19,6 +19,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use mudock_core::autovec;
+use mudock_grids::SimdLevel;
 use mudock_mol::Molecule;
 use mudock_obs::Registry;
 
@@ -98,13 +100,22 @@ impl<T: JobTier> HttpRoutes for JobRoutes<T> {
             ("GET", ["healthz"]) => {
                 // A plain 200 for clients that only check the status;
                 // the body carries the boot-random node id (a restart
-                // behind the same address changes it) and the version.
+                // behind the same address changes it), the version, and
+                // which kernels this host's CPU selects — members of one
+                // fleet that differ here do not score bit-identically.
                 let mut members = vec![("ok".into(), Json::Bool(true))];
                 if let Some(role) = T::ROLE {
                     members.push(("role".into(), Json::str(role)));
                 }
                 members.push(("node".into(), Json::str(format!("{:016x}", self.node_id))));
                 members.push(("version".into(), Json::str(env!("CARGO_PKG_VERSION"))));
+                let simd = [
+                    ("explicit", SimdLevel::detect().name()),
+                    ("portable", autovec::frame_name(autovec::frame())),
+                    ("portable_arithmetic", autovec::arithmetic()),
+                ];
+                let simd = simd.map(|(k, v)| (k.to_string(), Json::str(v)));
+                members.push(("simd".into(), Json::Obj(simd.into())));
                 Response::json(200, &Json::Obj(members))
             }
             ("GET", ["stats"]) => Response::json(200, &self.tier.stats()),

@@ -12,7 +12,7 @@
 //! | `GET`    | `/jobs/{id}`         | status / progress / terminal outcome      |
 //! | `GET`    | `/jobs/{id}/results` | the job's per-ligand JSONL stream so far  |
 //! | `DELETE` | `/jobs/{id}`         | request cancellation                      |
-//! | `GET`    | `/healthz`           | liveness + boot-random node id + version  |
+//! | `GET`    | `/healthz`           | liveness, boot-random node id, version, selected SIMD kernels |
 //! | `GET`    | `/stats`             | service + cache + connection counters     |
 //!
 //! ## Connection model

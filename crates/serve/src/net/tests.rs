@@ -67,6 +67,23 @@ fn healthz_and_stats_respond() {
     let mut server = bind(&service);
     let addr = server.local_addr().to_string();
     assert!(client::healthy(&addr));
+    // A node says which kernels its CPU selects.
+    let resp = client::request(&addr, "GET", "/healthz", None)
+        .unwrap()
+        .ok()
+        .unwrap();
+    let simd = wire::parse(&resp.body).unwrap();
+    let simd = simd.get("simd").expect("simd object");
+    let field = |k| match simd.get(k) {
+        Some(wire::Json::Str(s)) => s.clone(),
+        other => panic!("simd.{k}: {other:?}"),
+    };
+    assert_eq!(field("explicit"), mudock_grids::SimdLevel::detect().name());
+    assert!(["baseline", "avx2", "avx512"].contains(&field("portable").as_str()));
+    assert_eq!(
+        field("portable_arithmetic") == "fused",
+        field("portable") != "baseline"
+    );
     let resp = client::request(&addr, "GET", "/stats", None)
         .unwrap()
         .ok()

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mudock_core::{Campaign, CampaignSpec, ChunkPolicy};
+use mudock_core::{Backend, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy};
 use mudock_grids::GridDims;
 use mudock_mol::{Molecule, Vec3};
 use mudock_molio::synthetic_receptor;
@@ -241,13 +241,34 @@ fn prefetch_reloads_the_next_queued_receptors_grids() {
 /// stamped on `spec`'s checkpoint: everything `job_fingerprint` hashes
 /// today except the revision.
 fn unrevisioned_checkpoint_key(spec: &JobSpec) -> u64 {
+    let mut h = checkpoint_key_head(spec);
+    h.write(spec.campaign.backend.resolve().name().as_bytes());
+    h.finish()
+}
+
+/// What every checkpoint key starts with: grids, seed, ranking size.
+fn checkpoint_key_head(spec: &JobSpec) -> mudock_grids::Fnv64 {
     let dims = spec.campaign.dims_for(&spec.receptor);
     let mut h = mudock_grids::Fnv64::new();
     h.write_u64(mudock_grids::grid_cache_key(&spec.receptor, &dims))
         .write_u64(spec.campaign.seed)
-        .write_u64(spec.campaign.top_k as u64)
-        .write(spec.campaign.backend.resolve().name().as_bytes());
-    h.finish()
+        .write_u64(spec.campaign.top_k as u64);
+    h
+}
+
+/// A checkpoint under `key` whose two chunks are done, with scores that
+/// would take the whole ranking if they were replayed.
+fn finished_checkpoint(key: u64) -> String {
+    let mut text = format!("mudock-checkpoint v1 key {key:016x}\n");
+    for chunk in 0..2 {
+        text += &format!("chunk {chunk} 4 {TOP_K}\n");
+        for k in 0..TOP_K {
+            let score = (-1000.0f32 - k as f32).to_bits();
+            text += &format!("entry {} {score:08x} stale-{k}\n", chunk * 4 + k);
+        }
+        text += &format!("end {chunk}\n");
+    }
+    text
 }
 
 /// A node restarted on a *newer binary* whose kernels sum in another
@@ -266,22 +287,10 @@ fn a_checkpoint_of_another_scoring_revision_is_refused() {
     let fresh = service.submit(spec("fresh", 7)).unwrap().wait();
     assert_eq!(fresh.state, JobState::Completed);
 
-    // Both chunks "done" by the old binary, with scores that would take
-    // the whole ranking if they were replayed.
+    // Both chunks "done" by the old binary.
     let ckpt = tmp("stale-rev.ckpt");
     let stale = spec("stale", 7);
-    let mut text = format!(
-        "mudock-checkpoint v1 key {:016x}\n",
-        unrevisioned_checkpoint_key(&stale)
-    );
-    for chunk in 0..2 {
-        text += &format!("chunk {chunk} 4 {TOP_K}\n");
-        for k in 0..TOP_K {
-            let score = (-1000.0f32 - k as f32).to_bits();
-            text += &format!("entry {} {score:08x} stale-{k}\n", chunk * 4 + k);
-        }
-        text += &format!("end {chunk}\n");
-    }
+    let text = finished_checkpoint(unrevisioned_checkpoint_key(&stale));
     std::fs::write(&ckpt, text).unwrap();
 
     let mut resumed = stale;
@@ -304,4 +313,84 @@ fn a_checkpoint_of_another_scoring_revision_is_refused() {
 
     service.shutdown();
     std::fs::remove_file(&ckpt).ok();
+}
+
+/// The key this binary stamps on the checkpoint of an `autovec` `spec` on
+/// a host of arithmetic class `class`: everything `job_fingerprint`
+/// hashes.
+fn autovec_checkpoint_key(spec: &JobSpec, class: &str) -> u64 {
+    let mut h = checkpoint_key_head(spec);
+    h.write(b"autovec")
+        .write(class.as_bytes())
+        .write_u32(mudock_core::SCORING_REV);
+    h.finish()
+}
+
+/// `"autovec"` names two roundings — fused multiply-adds where the CPU
+/// has AVX2+FMA, separate ones elsewhere. A checkpoint written on a host
+/// of one class and resumed on a host of the other (a migrated VM, a
+/// shared checkpoint directory) must be refused, not merged into a
+/// ranking neither host would reproduce.
+#[test]
+fn an_autovec_checkpoint_of_the_other_arithmetic_class_is_refused() {
+    let autovec = |name: &str| {
+        let mut spec = spec(name, 7);
+        spec.campaign.backend = BackendPolicy::Fixed(Backend::AutoVec);
+        spec
+    };
+    let here = mudock_core::autovec::arithmetic();
+    let elsewhere = if here == "fused" { "unfused" } else { "fused" };
+
+    let service = ScreenService::start(ServeConfig {
+        total_threads: 2,
+        job_slots: 1,
+        queue_capacity: 8,
+        cache_capacity: 1,
+        ..ServeConfig::default()
+    });
+    // A fresh run stamps its checkpoint with this host's class.
+    let own = tmp("own-class.ckpt");
+    let mut first = autovec("fresh");
+    first.checkpoint = Some(own.clone());
+    let fresh = service.submit(first).unwrap().wait();
+    assert_eq!(fresh.state, JobState::Completed);
+    let header = std::fs::read_to_string(&own).unwrap();
+    assert_eq!(
+        header.lines().next(),
+        Some(
+            format!(
+                "mudock-checkpoint v1 key {:016x}",
+                autovec_checkpoint_key(&autovec("fresh"), here)
+            )
+            .as_str()
+        ),
+    );
+
+    // The same job, both chunks "done" on a host of the other class.
+    let ckpt = tmp("other-class.ckpt");
+    let stale = autovec("stale");
+    let text = finished_checkpoint(autovec_checkpoint_key(&stale, elsewhere));
+    std::fs::write(&ckpt, text).unwrap();
+
+    let mut resumed = stale;
+    resumed.checkpoint = Some(ckpt.clone());
+    let redocked = service.submit(resumed).unwrap().wait();
+    assert_eq!(redocked.state, JobState::Completed);
+    assert_eq!(
+        redocked.replayed_chunks, 0,
+        "a chunk scored under the other rounding was replayed"
+    );
+    assert_eq!(redocked.ligands_done, N_LIGANDS);
+    assert_same_ranking(&redocked.top, &fresh.top);
+
+    // The file was restarted under this host's key, and resumes.
+    let mut again = autovec("again");
+    again.checkpoint = Some(ckpt.clone());
+    let replayed = service.submit(again).unwrap().wait();
+    assert_eq!(replayed.replayed_chunks, 2);
+    assert_same_ranking(&replayed.top, &fresh.top);
+
+    service.shutdown();
+    std::fs::remove_file(&ckpt).ok();
+    std::fs::remove_file(&own).ok();
 }

@@ -56,7 +56,7 @@ pub mod x86 {
     pub mod sse2;
 }
 
-pub use scalar::Scalar;
+pub use scalar::{OneLane, Scalar};
 pub use traits::Simd;
 #[cfg(target_arch = "x86_64")]
 pub use x86::{avx2::Avx2, avx512::Avx512, sse2::Sse2};

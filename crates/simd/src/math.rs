@@ -202,10 +202,10 @@ mod tests {
         }
     }
 
-    /// Worst error of `exp_bounded` at `level`, in ulps of the `f64`
-    /// reference rounded to `f32`, over every `stride`-th float of the
-    /// domain plus both endpoints.
-    fn exp_bounded_worst_ulp(level: crate::SimdLevel, stride: usize) -> f64 {
+    /// Worst error of `exp_bounded` as `run` evaluates it over a slice, in
+    /// ulps of the `f64` reference rounded to `f32`, over every `stride`-th
+    /// float of the domain plus both endpoints.
+    fn exp_bounded_worst_ulp(stride: usize, run: impl FnOnce(&[f32], &mut [f32])) -> f64 {
         // Bit patterns of the negative floats ascend from -0.0 to -2.6.
         let mut xs: Vec<f32> = ((-0.0f32).to_bits()..=EXP_BOUNDED_LO.to_bits())
             .step_by(stride)
@@ -214,7 +214,7 @@ mod tests {
         xs.extend([0.0, EXP_BOUNDED_LO]);
         xs.resize(xs.len().next_multiple_of(crate::MAX_LANES), 0.0);
         let mut got = vec![0.0f32; xs.len()];
-        crate::dispatch!(level, |s| exp_bounded_slice(s, &xs, &mut got));
+        run(&xs, &mut got);
         xs.iter()
             .zip(&got)
             .map(|(&x, &y)| {
@@ -232,9 +232,16 @@ mod tests {
             // Two roundings per Horner step without a fused multiply-add.
             let fused = matches!(level, crate::SimdLevel::Avx2 | crate::SimdLevel::Avx512);
             let bound = if fused { 4.0 } else { 6.0 };
-            let worst = exp_bounded_worst_ulp(level, 997);
+            let worst = exp_bounded_worst_ulp(997, |xs, got| {
+                crate::dispatch!(level, |s| exp_bounded_slice(s, xs, got))
+            });
             assert!(worst <= bound, "{level}: {worst} ulp");
         }
+        // The fused one-lane token holds the fused levels' bound.
+        let worst = exp_bounded_worst_ulp(997, |xs, got| {
+            exp_bounded_slice(crate::OneLane::<true>::new(), xs, got)
+        });
+        assert!(worst <= 4.0, "fused one-lane: {worst} ulp");
     }
 
     #[test]

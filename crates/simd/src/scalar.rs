@@ -3,24 +3,41 @@
 //! Every other backend is property-tested against this one. It also serves
 //! as the fallback on targets without a vector ISA backend, in the same way
 //! Google Highway provides `HWY_SCALAR`.
+//!
+//! The token comes in two flavours that differ in one operation pair,
+//! `mul_add` / `neg_mul_add`:
+//!
+//! * [`Scalar`] = `OneLane<false>` rounds the product and the sum
+//!   separately. It models what a compiler emits without FMA contraction
+//!   and is the oracle level (`SimdLevel::Scalar`).
+//! * `OneLane<true>` fuses them (`f32::mul_add`, one rounding). It models
+//!   `-ffp-contract=fast` *inside an FMA frame*: a lane loop over it that
+//!   the compiler vectorizes in a `#[target_feature(enable = "fma")]`
+//!   region becomes packed `vfmadd`. Outside such a region it is still
+//!   safe — `f32::mul_add` is then a (slow) libm `fmaf` call, never UB —
+//!   which is why the fused token needs no proof of CPU support either.
 
 use crate::traits::Simd;
 
-/// Scalar proof token. Always constructible: plain `f32` arithmetic needs
-/// no CPU features.
+/// One-lane token over plain `f32` / `i32` / `bool`. Always constructible:
+/// neither flavour needs a CPU feature to be *sound* (module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Scalar;
+pub struct OneLane<const FUSED: bool>;
 
-impl Scalar {
+/// The unfused one-lane token: the reference every other backend is tested
+/// against.
+pub type Scalar = OneLane<false>;
+
+impl<const FUSED: bool> OneLane<FUSED> {
     #[inline(always)]
     pub fn new() -> Self {
-        Scalar
+        OneLane
     }
 }
 
-impl Simd for Scalar {
+impl<const FUSED: bool> Simd for OneLane<FUSED> {
     const LANES: usize = 1;
-    const NAME: &'static str = "scalar";
+    const NAME: &'static str = if FUSED { "scalar-fused" } else { "scalar" };
     const WIDTH_BITS: usize = 32;
 
     type V = f32;
@@ -101,10 +118,23 @@ impl Simd for Scalar {
     }
     #[inline(always)]
     fn mul_add(self, a: f32, b: f32, c: f32) -> f32 {
-        // Plain mul+add rather than f32::mul_add: the scalar backend models
-        // what a compiler emits without FMA contraction, and f32::mul_add
-        // lowers to a libm call on targets without fused hardware.
-        a * b + c
+        if FUSED {
+            a.mul_add(b, c)
+        } else {
+            // Plain mul+add rather than f32::mul_add: `Scalar` models
+            // what a compiler emits without FMA contraction, and
+            // f32::mul_add lowers to a libm call on targets without fused
+            // hardware.
+            a * b + c
+        }
+    }
+    #[inline(always)]
+    fn neg_mul_add(self, a: f32, b: f32, c: f32) -> f32 {
+        if FUSED {
+            (-a).mul_add(b, c)
+        } else {
+            c - a * b
+        }
     }
     #[inline(always)]
     fn neg(self, a: f32) -> f32 {
@@ -243,6 +273,21 @@ mod tests {
         assert_eq!(s.select(true, 1.0, 2.0), 1.0);
         assert_eq!(s.select(false, 1.0, 2.0), 2.0);
         assert_eq!(s.reduce_add(5.0), 5.0);
+    }
+
+    #[test]
+    fn the_fused_token_rounds_once() {
+        // a² = 1 + 2⁻¹¹ + 2⁻²⁴ exactly; f32 rounds the last term away
+        // (spacing above 1 is 2⁻²³). Adding c = −(1 + 2⁻¹¹) after that
+        // rounding gives 0; fused, the 2⁻²⁴ survives.
+        let a = 1.0 + 2f32.powi(-12);
+        let c = -(1.0 + 2f32.powi(-11));
+        let lost = 2f32.powi(-24);
+        assert_eq!(a * a + c, 0.0, "the triple rounds twice unfused");
+        assert_eq!(Scalar::new().mul_add(a, a, c), 0.0);
+        assert_eq!(OneLane::<true>::new().mul_add(a, a, c), lost);
+        assert_eq!(Scalar::new().neg_mul_add(a, a, -c), 0.0);
+        assert_eq!(OneLane::<true>::new().neg_mul_add(a, a, -c), -lost);
     }
 
     #[test]

@@ -221,6 +221,67 @@ proptest! {
             );
         }
     }
+
+    /// Any ligand and pose, every frame the host runs: the three drivers
+    /// agree with the one-lane explicit kernels, and two frames of one
+    /// arithmetic class give the same bits.
+    #[test]
+    fn autovec_frames_of_one_class_agree_bit_for_bit(
+        lig_seed in 0u64..1000,
+        heavy in 4usize..65,
+        tors in 0usize..15,
+        pose_seed in 0u64..1000,
+        reach in 0.7f32..30.0,
+    ) {
+        use mudock::core::autovec::{
+            apply_pose_autovec_at, arithmetic_at, inter_energy_autovec_at,
+            intra_energy_autovec_at,
+        };
+        use mudock::core::scoring::{inter_energy_simd, intra_energy_simd};
+        use mudock::core::transform::apply_pose_simd;
+        use mudock::core::{Genotype, LigandPrep};
+        use mudock::grids::{GridDims, GridSet, NUM_MAPS};
+        use mudock::simd::SimdLevel;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut maps = GridSet::empty(GridDims::centered(Vec3::ZERO, 8.0, 0.5));
+        for (k, v) in maps.data.iter_mut().enumerate() {
+            *v = (k % 251) as f32 * 0.01 - 1.0;
+        }
+        maps.built = [true; NUM_MAPS];
+        let lig = mudock::molio::synthetic_ligand(
+            lig_seed,
+            mudock::molio::LigandSpec { heavy_atoms: heavy, torsions: tors },
+        );
+        let prep = LigandPrep::new(lig).unwrap();
+        let mut rng = StdRng::seed_from_u64(pose_seed);
+        let g = Genotype::random(&mut rng, prep.n_torsions(), Vec3::ZERO, reach);
+
+        let mut posed = mudock::mol::ConformSoA::with_capacity(prep.base.n);
+        apply_pose_simd(SimdLevel::Scalar, &prep.base, &prep.plans, &g, &mut posed);
+        let want = [
+            inter_energy_simd(SimdLevel::Scalar, &maps, &posed, &prep.statics),
+            intra_energy_simd(SimdLevel::Scalar, &posed, &prep.pairs),
+        ];
+        let mut first_of_class: [Option<[f32; 2]>; 2] = [None; 2];
+        for frame in SimdLevel::available() {
+            let mut out = mudock::mol::ConformSoA::with_capacity(prep.base.n);
+            apply_pose_autovec_at(frame, &prep.base, &prep.plans, &g, &mut out);
+            let got = [
+                inter_energy_autovec_at(frame, &maps, &out, &prep.statics),
+                intra_energy_autovec_at(frame, &out, &prep.pairs),
+            ];
+            for (got, want) in got.iter().zip(want) {
+                prop_assert!(
+                    (got - want).abs() <= 5e-3 * want.abs().max(1.0),
+                    "{:?} @{frame}: {got} vs one lane {want}", prep.pairs.layout()
+                );
+            }
+            let class = usize::from(arithmetic_at(frame) == "fused");
+            let first = *first_of_class[class].get_or_insert(got);
+            prop_assert_eq!(got.map(f32::to_bits), first.map(f32::to_bits), "@{}", frame);
+        }
+    }
 }
 
 #[test]
