@@ -48,8 +48,8 @@
 //! `SO_REUSEPORT` listeners on Linux, `poll(2)` and a single loop on
 //! every other unix. On top of that: keep-alive and pipelining,
 //! per-state plus per-request deadlines that evict slow, idle, and
-//! wedged peers, incremental body parsing through the resumable
-//! [`wire::PushParser`], and the same bounded-backpressure discipline
+//! wedged peers, bodies held until complete and then parsed in one
+//! pass ([`wire::parse_bytes`]), and the same bounded-backpressure discipline
 //! at the socket edge (a capped connection count that sheds overload
 //! with `503` instead of unbounded buffering). The job API exists once
 //! (a [`net::JobTier`] mounted on a [`net::HttpFrontend`]) — the

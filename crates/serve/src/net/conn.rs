@@ -12,7 +12,7 @@ use mudock_obs::now_ns;
 use super::frontend::LoopCtx;
 use super::http::{find_head_end, parse_head, reason, Body, RequestHead, Response, MAX_HEAD_BYTES};
 use crate::reactor::{Interest, Token};
-use crate::wire::{PushParser, WireError};
+use crate::wire::{parse_bytes, WireError};
 
 /// Responses queued behind one connection beyond this pause its reads:
 /// a client pipelining requests faster than it drains responses gets
@@ -33,18 +33,11 @@ enum Phase {
     Idle,
     /// Accumulating head bytes (first byte seen, terminator not yet).
     Header,
-    /// Streaming the body: `parser` is fed incrementally for routes
-    /// that take JSON (`POST /jobs`); other bodies are discarded for
-    /// framing. A parse error is latched so the remaining body still
-    /// drains and the connection stays usable.
-    Body {
-        head: RequestHead,
-        remaining: usize,
-        /// Boxed: the parser's state dwarfs the other phases, and most
-        /// connections sit in `Idle`/`Header`.
-        parser: Option<Box<PushParser>>,
-        parse_err: Option<WireError>,
-    },
+    /// Waiting until `buf` holds the whole body (`head.content_length`
+    /// bytes). Then a route that takes JSON (`POST /jobs`) gets it
+    /// parsed in one pass; other bodies are dropped, their bytes drained
+    /// for framing either way.
+    Body { head: RequestHead },
     /// Close-bound: drain (bounded) whatever the peer still sends so
     /// the final response is delivered, then close.
     Lingering { budget: usize },
@@ -228,53 +221,26 @@ fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
                         ),
                     );
                 }
-                let parse_body = ctx.shared.routes.wants_body(&head.method, &head.path);
                 conn.deadline = now + ctx.shared.cfg.body_timeout;
-                conn.phase = Phase::Body {
-                    remaining: head.content_length,
-                    parser: parse_body.then(|| Box::new(PushParser::new())),
-                    parse_err: None,
-                    head,
-                };
+                conn.phase = Phase::Body { head };
             }
-            Phase::Body {
-                remaining,
-                parser,
-                parse_err,
-                ..
-            } => {
-                let take = (*remaining).min(conn.buf.len());
-                if take > 0 {
-                    // Incremental parse: the body never waits, whole,
-                    // for a parse pass — and a malformed one is known
-                    // bad at its first wrong byte.
-                    if parse_err.is_none() {
-                        if let Some(p) = parser.as_mut() {
-                            if let Err(e) = p.feed(&conn.buf[..take]) {
-                                *parse_err = Some(e);
-                            }
-                        }
-                    }
-                    conn.buf.drain(..take);
-                    *remaining -= take;
-                }
-                if *remaining > 0 {
+            Phase::Body { head } => {
+                let len = head.content_length;
+                if conn.buf.len() < len {
                     return Action::Keep; // need more bytes
                 }
-                let (head, parser, parse_err) =
-                    match std::mem::replace(&mut conn.phase, Phase::Idle) {
-                        Phase::Body {
-                            head,
-                            parser,
-                            parse_err,
-                            ..
-                        } => (head, parser, parse_err),
-                        _ => unreachable!("we are in Body"),
-                    };
-                let body = parser.map(|p| match parse_err {
-                    Some(e) => Err(e),
-                    None => p.finish(),
-                });
+                let body = ctx
+                    .shared
+                    .routes
+                    .wants_body(&head.method, &head.path)
+                    .then(|| parse_bytes(&conn.buf[..len]));
+                conn.buf.drain(..len);
+                // A large body must not pin its buffer for the life of
+                // a keep-alive connection.
+                conn.buf.shrink_to(MAX_HEAD_BYTES);
+                let Phase::Body { head } = std::mem::replace(&mut conn.phase, Phase::Idle) else {
+                    unreachable!("we are in Body");
+                };
                 if let Some(Err(WireError::Syntax { .. })) = &body {
                     ctx.shared.metrics.parse_errors.inc();
                 }

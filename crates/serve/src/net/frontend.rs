@@ -152,9 +152,9 @@ pub struct ConnectionStats {
 /// and large payloads stream from disk via
 /// [`Body::File`](super::Body::File).
 pub(super) trait HttpRoutes: Send + Sync + 'static {
-    /// Whether `method path` carries a JSON body worth parsing
-    /// incrementally as it streams in. Bodies of other requests are
-    /// drained for framing and discarded.
+    /// Whether `method path` carries a JSON body, parsed once all of it
+    /// has arrived. Bodies of other requests are drained for framing and
+    /// discarded.
     fn wants_body(&self, method: &str, path: &str) -> bool;
 
     /// Dispatch one parsed request. `body` is `Some` only when

@@ -35,10 +35,10 @@
 //! shared. Connections are HTTP/1.1 **keep-alive** by default and
 //! requests may be **pipelined**: each completed request is answered
 //! in order, and any bytes already buffered behind it are processed
-//! immediately. Request bodies are parsed *incrementally* as bytes
-//! arrive ([`wire::PushParser`](crate::wire::PushParser)), so a large
-//! submission never sits buffered waiting for its last byte before
-//! parsing starts.
+//! immediately. A request body is held until all of it has arrived,
+//! then parsed in one pass ([`wire::parse_bytes`](crate::wire::parse_bytes))
+//! on the loop's thread; [`NetConfig::max_body_bytes`] bounds both the
+//! bytes one connection holds and that pass.
 //!
 //! Slow and dead peers are bounded by per-state deadlines
 //! ([`NetConfig::idle_timeout`], [`NetConfig::header_timeout`],

@@ -363,6 +363,83 @@ fn body_parse_errors_keep_the_connection_alive() {
     service.shutdown();
 }
 
+/// Send `POST /jobs` with `body` and a pipelined `GET /healthz` behind
+/// it — in one write, or one byte per write — and read both responses.
+fn post_then_healthz(addr: &str, body: &str, byte_at_a_time: bool) -> [(u16, String); 2] {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}\
+         GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        body.len()
+    );
+    if byte_at_a_time {
+        for b in request.as_bytes() {
+            conn.write_all(std::slice::from_ref(b)).unwrap();
+        }
+    } else {
+        conn.write_all(request.as_bytes()).unwrap();
+    }
+    let mut reader = BufReader::new(conn);
+    [read_response(&mut reader), read_response(&mut reader)]
+}
+
+/// Bodies are parsed once complete, so how they were split on the way
+/// in cannot show: same status, same body, same error offset.
+#[test]
+fn a_body_split_into_single_bytes_gets_the_same_answer() {
+    let service = tiny_service();
+    let mut server = bind(&service);
+    let addr = server.local_addr().to_string();
+    let campaign = Campaign::builder()
+        .name("split")
+        .grid_dims(GridDims::centered(Vec3::ZERO, 4.0, 1.0))
+        .build()
+        .unwrap();
+    let receptor = ReceptorSource::Synth {
+        seed: 3,
+        atoms: 30,
+        radius: 5.0,
+    };
+    let valid = wire::submission_to_json(
+        &campaign,
+        &receptor,
+        &LigandSource::synth(1, 0),
+        Priority::Normal,
+    )
+    .unwrap()
+    .encode();
+    let malformed = valid.replacen("\"receptor\":{", "\"receptor\":{\"synth\": tru,", 1);
+    // Job ids differ between the two sends; nothing else may.
+    let without_id = |(status, body): (u16, String)| {
+        let id = match wire::parse(&body).ok().and_then(|v| v.get("id").cloned()) {
+            Some(Json::Num(n)) => n.as_u64().unwrap(),
+            _ => return (status, body),
+        };
+        (status, body.replace(&id.to_string(), "ID"))
+    };
+    for body in [&valid, &malformed] {
+        let [whole, whole_health] = post_then_healthz(&addr, body, false);
+        let [split, split_health] = post_then_healthz(&addr, body, true);
+        assert_eq!(without_id(split), without_id(whole.clone()));
+        assert_eq!(split_health, whole_health);
+        assert_eq!(split_health.0, 200, "pipelined healthz: {split_health:?}");
+        if body == &valid {
+            assert_eq!(whole.0, 201, "{whole:?}");
+        } else {
+            assert_eq!(whole.0, 400);
+            assert!(
+                whole.1.contains("malformed JSON at byte") && whole.1.contains("expected 'true'"),
+                "{whole:?}"
+            );
+        }
+    }
+    server.shutdown();
+    service.shutdown();
+}
+
 /// Full cycle (submit → wait → results → stats → metrics): the
 /// status reports a per-stage breakdown, `/metrics` is well-formed
 /// Prometheus text, and its counters agree with `/stats`.

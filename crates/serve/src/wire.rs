@@ -7,6 +7,8 @@
 //! tolerant recursive-descent [`parse`] (arbitrary whitespace, trailing
 //! commas in arrays and objects, `_ns`/`_ms`/`_s` duration aliases), and
 //! typed conversions between the tree and the service's domain types.
+//! The parser takes a whole document in one pass: [`parse`] over text,
+//! [`parse_bytes`] over a request body once all of it has arrived.
 //! Numbers keep their source text ([`Json::Num`]), so `u64` seeds and
 //! exact `f32` score bits survive a round trip that a lossy `f64`-only
 //! representation would corrupt.
@@ -333,667 +335,283 @@ impl From<CampaignError> for WireError {
 /// object keys (last wins at [`Json::get`]). Everything else — unquoted
 /// keys, comments, `NaN`, single quotes — is a [`WireError::Syntax`]
 /// with the byte offset of the problem.
-///
-/// This is a thin wrapper over [`PushParser`]: one feed of the whole
-/// text, then [`PushParser::finish`]. Incremental callers (the network
-/// frontend parsing a request body as it arrives) drive the push parser
-/// directly and get byte-identical results, including error offsets.
 pub fn parse(text: &str) -> Result<Json, WireError> {
-    let mut p = PushParser::new();
-    p.feed(text.as_bytes())?;
-    p.finish()
+    parse_bytes(text.as_bytes())
+}
+
+/// [`parse`] over raw bytes — what the network frontend hands a request
+/// body to once all of it has arrived. Bytes that are not UTF-8 are a
+/// [`WireError::Syntax`] at the offset of the bad sequence, like any
+/// other malformed input.
+pub fn parse_bytes(bytes: &[u8]) -> Result<Json, WireError> {
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
+    p.skip_ws();
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != bytes.len() {
+        return Err(p.err("trailing characters after the top-level value"));
+    }
+    Ok(value)
 }
 
 /// Nesting allowed before the parser refuses (stack safety on hostile
 /// input — this runs on bytes straight off a socket).
 const MAX_DEPTH: usize = 64;
 
-/// What the string currently being parsed will become.
-#[derive(Debug)]
-enum StrRole {
-    /// An object member key (a `:` and a value follow).
-    Key,
-    /// A value (top-level, array item, or object member value).
-    Value,
-}
-
-/// Sub-state inside a JSON string.
-#[derive(Debug)]
-enum StrSub {
-    /// Plain content bytes.
-    Normal,
-    /// Just consumed a `\`.
-    Escape,
-    /// Collecting the 4 hex digits of a `\u` escape. `start` is the
-    /// global offset of the first digit (where the recursive parser
-    /// reported truncated/bad escapes).
-    Hex {
-        digits: [u8; 4],
-        n: usize,
-        start: usize,
-    },
-    /// A high surrogate was decoded; the next byte must be `\`.
-    /// `entry` is the offset right after the high unit's digits.
-    LowSlash { high: u16, entry: usize },
-    /// …and the byte after that must be `u`.
-    LowU { high: u16, entry: usize },
-    /// Collecting the low surrogate's 4 hex digits.
-    LowHex {
-        high: u16,
-        digits: [u8; 4],
-        n: usize,
-        start: usize,
-    },
-    /// Accumulating a (potential) multi-byte UTF-8 sequence: up to 4
-    /// raw bytes, validated when the run ends — exactly the recursive
-    /// parser's "take up to 4 continuation bytes, then `from_utf8`".
-    Utf8 { bytes: [u8; 4], n: usize },
-}
-
-/// Sub-state inside a number literal.
-#[derive(Clone, Copy, Debug)]
-enum NumPhase {
-    /// After a leading `-`: at least one integer digit required.
-    IntFirst,
-    /// In the integer digits.
-    Int,
-    /// After `.`: at least one fraction digit required.
-    FracFirst,
-    /// In the fraction digits.
-    Frac,
-    /// After `e`/`E`: an optional sign, then at least one digit.
-    ExpStart,
-    /// After the exponent sign: at least one digit required.
-    ExpFirst,
-    /// In the exponent digits.
-    Exp,
-}
-
-/// An open container on the parse stack.
-enum Frame {
-    Arr(Vec<Json>),
-    /// Members so far + the key whose value is currently being parsed.
-    Obj(Vec<(String, Json)>, Option<String>),
-}
-
-/// The parser's current activity.
-enum PushState {
-    /// Expecting the start of a value (whitespace skipped).
-    AwaitValue,
-    /// Inside an array, after `[` or `,`: an item or `]`.
-    AwaitItemOrEnd,
-    /// Inside an object, after `{` or `,`: a key string or `}`.
-    AwaitKeyOrEnd,
-    /// After an object key: expecting `:`.
-    AwaitColon,
-    /// After a container element: `,` or the closing bracket.
-    AwaitCommaOrEnd,
-    /// Inside a string literal.
-    Str {
-        role: StrRole,
-        out: String,
-        sub: StrSub,
-    },
-    /// Inside a number literal.
-    Num { text: String, phase: NumPhase },
-    /// Inside `true`/`false`/`null`. `start` is the literal's offset
-    /// (where a mismatch is reported, like the recursive parser).
-    Literal {
-        word: &'static [u8],
-        matched: usize,
-        start: usize,
-        value: Json,
-    },
-    /// The top-level value is complete; only whitespace may follow.
-    Done,
-}
-
-/// A resumable push parser over the same grammar as [`parse`].
-///
-/// Feed bytes as they arrive ([`PushParser::feed`] — any split, down to
-/// one byte at a time) and call [`PushParser::finish`] when the
-/// document is complete. The result — value, or [`WireError::Syntax`]
-/// with byte offset and message — is identical to a one-shot [`parse`]
-/// of the concatenated bytes, regardless of how the input was chunked;
-/// malformed input fails at the first erroneous byte without waiting
-/// for the rest of the document. This is what lets the network frontend
-/// parse a request body incrementally instead of buffering it whole and
-/// parsing at the end.
-pub struct PushParser {
-    /// Global byte offset of the next unconsumed byte.
+/// One recursive-descent pass over a complete document.
+struct Parser<'a> {
+    bytes: &'a [u8],
     pos: usize,
-    stack: Vec<Frame>,
-    state: PushState,
-    result: Option<Json>,
-    /// Sticky first error: every later feed/finish returns it again.
-    err: Option<WireError>,
+    depth: usize,
 }
 
-impl Default for PushParser {
-    fn default() -> Self {
-        Self::new()
+impl Parser<'_> {
+    fn err(&self, message: impl Into<String>) -> WireError {
+        syntax_at(self.pos, message)
     }
-}
 
-impl PushParser {
-    pub fn new() -> PushParser {
-        PushParser {
-            pos: 0,
-            stack: Vec::new(),
-            state: PushState::AwaitValue,
-            result: None,
-            err: None,
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
-    /// Bytes consumed so far (the offset errors are reported against).
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
-    /// Has the top-level value parsed completely? (Trailing whitespace
-    /// may still be fed; anything else errors.)
-    pub fn is_complete(&self) -> bool {
-        matches!(self.state, PushState::Done)
-    }
-
-    /// Consume `bytes`. On a syntax error the parser latches it:
-    /// this and every subsequent call return the same error.
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        if let Some(e) = &self.err {
-            return Err(e.clone());
+    fn expect(&mut self, b: u8) -> Result<(), WireError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(format!("expected '{}'", b as char)))
         }
-        for &b in bytes {
-            loop {
-                match self.step(b) {
-                    Ok(true) => {
-                        self.pos += 1;
-                        break;
-                    }
-                    Ok(false) => continue, // state advanced; reprocess b
-                    Err(e) => {
-                        self.err = Some(e.clone());
-                        return Err(e);
-                    }
-                }
+    }
+
+    fn value(&mut self) -> Result<Json, WireError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) => Err(self.err(format!("unexpected character '{}'", c as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, WireError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(format!("expected '{word}'")))
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, WireError> {
+        self.expect(b'{')?;
+        self.depth += 1;
+        let mut members = Vec::new();
+        loop {
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+                break;
             }
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            members.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1, // tolerant: may trail
+                Some(b'}') => {
+                    self.pos += 1;
+                    break;
+                }
+                _ => return Err(self.err("expected ',' or '}' in object")),
+            }
+        }
+        self.depth -= 1;
+        Ok(Json::Obj(members))
+    }
+
+    fn array(&mut self) -> Result<Json, WireError> {
+        self.expect(b'[')?;
+        self.depth += 1;
+        let mut items = Vec::new();
+        loop {
+            self.skip_ws();
+            if self.peek() == Some(b']') {
+                self.pos += 1;
+                break;
+            }
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1, // tolerant: may trail
+                Some(b']') => {
+                    self.pos += 1;
+                    break;
+                }
+                _ => return Err(self.err("expected ',' or ']' in array")),
+            }
+        }
+        self.depth -= 1;
+        Ok(Json::Arr(items))
+    }
+
+    fn string(&mut self) -> Result<String, WireError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Plain bytes up to the next quote, backslash or control
+            // byte are one run, validated as UTF-8 in one call.
+            let run_len = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            let run = &self.bytes[self.pos..self.pos + run_len];
+            match std::str::from_utf8(run) {
+                Ok(s) => out.push_str(s),
+                Err(_) => return Err(self.invalid_utf8(run)),
+            }
+            self.pos += run_len;
+            let Some(c) = self.peek() else {
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += 1;
+            match c {
+                b'"' => return Ok(out),
+                b'\\' => out.push(self.escape()?),
+                _ => return Err(self.err("unescaped control character in string")),
+            }
+        }
+    }
+
+    /// Where a run that failed validation is reported: just past its
+    /// first bad group — a byte ≥ 0x80 plus up to three continuation
+    /// bytes. Valid groups concatenate to valid UTF-8, so a run that
+    /// failed has one.
+    fn invalid_utf8(&self, run: &[u8]) -> WireError {
+        let mut i = 0;
+        while i < run.len() {
+            if run[i] < 0x80 {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            i += 1;
+            while i < run.len() && i - start < 4 && run[i] & 0xc0 == 0x80 {
+                i += 1;
+            }
+            if std::str::from_utf8(&run[start..i]).is_err() {
+                break;
+            }
+        }
+        syntax_at(self.pos + i, "invalid UTF-8 in string")
+    }
+
+    /// The character a `\` escape stands for (the `\` is consumed).
+    fn escape(&mut self) -> Result<char, WireError> {
+        let Some(esc) = self.peek() else {
+            return Err(self.err("unterminated escape"));
+        };
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let unit = self.hex4()? as u32;
+                // Surrogate pairs: a high unit must be followed by an
+                // escaped low unit; anything unpaired is rejected, not
+                // replaced.
+                let code = if (0xd800..0xdc00).contains(&unit) {
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.err("unpaired high surrogate"));
+                    }
+                    self.pos += 2;
+                    let low = self.hex4()? as u32;
+                    if !(0xdc00..0xe000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
+                } else if (0xdc00..0xe000).contains(&unit) {
+                    return Err(self.err("unpaired low surrogate"));
+                } else {
+                    unit
+                };
+                char::from_u32(code).ok_or_else(|| self.err("invalid code point"))?
+            }
+            other => return Err(self.err(format!("unknown escape '\\{}'", other as char))),
+        })
+    }
+
+    /// The four hex digits of a `\u` escape. `u16::from_str_radix`
+    /// tolerates a leading `+`; that is part of the dialect.
+    fn hex4(&mut self) -> Result<u16, WireError> {
+        let end = self.pos + 4;
+        if end > self.bytes.len() {
+            return Err(self.err("truncated \\u escape"));
+        }
+        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
+            .ok()
+            .and_then(|h| u16::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape digits"))?;
+        self.pos = end;
+        Ok(hex)
+    }
+
+    fn number(&mut self) -> Result<Json, WireError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        self.digits("expected digits")?;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits("expected digits after '.'")?;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits("expected digits in exponent")?;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
+        Ok(Json::Num(Num(text.to_string())))
+    }
+
+    /// One or more ASCII digits, or `message` at the first non-digit.
+    fn digits(&mut self, message: &str) -> Result<(), WireError> {
+        let from = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.pos == from {
+            return Err(self.err(message));
         }
         Ok(())
-    }
-
-    /// End of input: return the parsed value, or the error a one-shot
-    /// [`parse`] of the same bytes would have produced.
-    pub fn finish(mut self) -> Result<Json, WireError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        loop {
-            match &self.state {
-                PushState::Done => return Ok(self.result.take().expect("Done holds a value")),
-                // A number can only be known complete at end-of-input.
-                PushState::Num { phase, .. } => match phase {
-                    NumPhase::Int | NumPhase::Frac | NumPhase::Exp => {
-                        self.complete_number();
-                        continue;
-                    }
-                    NumPhase::IntFirst => return Err(syntax_at(self.pos, "expected digits")),
-                    NumPhase::FracFirst => {
-                        return Err(syntax_at(self.pos, "expected digits after '.'"))
-                    }
-                    NumPhase::ExpStart | NumPhase::ExpFirst => {
-                        return Err(syntax_at(self.pos, "expected digits in exponent"))
-                    }
-                },
-                PushState::AwaitValue | PushState::AwaitItemOrEnd => {
-                    // The recursive parser's value(): depth check first,
-                    // then "unexpected end of input" on an empty peek.
-                    if self.stack.len() >= MAX_DEPTH {
-                        return Err(syntax_at(
-                            self.pos,
-                            format!("nesting deeper than {MAX_DEPTH}"),
-                        ));
-                    }
-                    return Err(syntax_at(self.pos, "unexpected end of input"));
-                }
-                PushState::AwaitKeyOrEnd => return Err(syntax_at(self.pos, "expected '\"'")),
-                PushState::AwaitColon => return Err(syntax_at(self.pos, "expected ':'")),
-                PushState::AwaitCommaOrEnd => {
-                    let msg = match self.stack.last() {
-                        Some(Frame::Obj(..)) => "expected ',' or '}' in object",
-                        _ => "expected ',' or ']' in array",
-                    };
-                    return Err(syntax_at(self.pos, msg));
-                }
-                PushState::Literal { word, start, .. } => {
-                    let word = std::str::from_utf8(word).expect("ASCII literal");
-                    return Err(syntax_at(*start, format!("expected '{word}'")));
-                }
-                PushState::Str { sub, .. } => {
-                    return Err(match sub {
-                        StrSub::Normal => syntax_at(self.pos, "unterminated string"),
-                        StrSub::Escape => syntax_at(self.pos, "unterminated escape"),
-                        StrSub::Hex { start, .. } | StrSub::LowHex { start, .. } => {
-                            syntax_at(*start, "truncated \\u escape")
-                        }
-                        StrSub::LowSlash { entry, .. } | StrSub::LowU { entry, .. } => {
-                            syntax_at(*entry, "unpaired high surrogate")
-                        }
-                        StrSub::Utf8 { bytes, n } => {
-                            // A complete sequence at EOF decodes fine and
-                            // the string is merely unterminated; a partial
-                            // one is the recursive parser's UTF-8 error.
-                            match std::str::from_utf8(&bytes[..*n]) {
-                                Ok(_) => syntax_at(self.pos, "unterminated string"),
-                                Err(_) => syntax_at(self.pos, "invalid UTF-8 in string"),
-                            }
-                        }
-                    });
-                }
-            }
-        }
-    }
-
-    /// A value finished parsing: attach it to the enclosing container,
-    /// or finish the document.
-    fn value_complete(&mut self, v: Json) {
-        match self.stack.last_mut() {
-            None => {
-                self.result = Some(v);
-                self.state = PushState::Done;
-            }
-            Some(Frame::Arr(items)) => {
-                items.push(v);
-                self.state = PushState::AwaitCommaOrEnd;
-            }
-            Some(Frame::Obj(members, key)) => {
-                members.push((key.take().expect("value follows a key"), v));
-                self.state = PushState::AwaitCommaOrEnd;
-            }
-        }
-    }
-
-    fn close_container(&mut self) {
-        match self.stack.pop().expect("close matches an open container") {
-            Frame::Arr(items) => self.value_complete(Json::Arr(items)),
-            Frame::Obj(members, _) => self.value_complete(Json::Obj(members)),
-        }
-    }
-
-    fn complete_number(&mut self) {
-        let text = match std::mem::replace(&mut self.state, PushState::Done) {
-            PushState::Num { text, .. } => text,
-            _ => unreachable!("complete_number only runs in Num state"),
-        };
-        self.value_complete(Json::Num(Num(text)));
-    }
-
-    /// Dispatch the first byte of a value (the recursive `value()`).
-    fn dispatch_value(&mut self, b: u8) -> Result<bool, WireError> {
-        if self.stack.len() >= MAX_DEPTH {
-            return Err(syntax_at(
-                self.pos,
-                format!("nesting deeper than {MAX_DEPTH}"),
-            ));
-        }
-        match b {
-            b'{' => {
-                self.stack.push(Frame::Obj(Vec::new(), None));
-                self.state = PushState::AwaitKeyOrEnd;
-            }
-            b'[' => {
-                self.stack.push(Frame::Arr(Vec::new()));
-                self.state = PushState::AwaitItemOrEnd;
-            }
-            b'"' => {
-                self.state = PushState::Str {
-                    role: StrRole::Value,
-                    out: String::new(),
-                    sub: StrSub::Normal,
-                };
-            }
-            b't' | b'f' | b'n' => {
-                let (word, value): (&'static [u8], Json) = match b {
-                    b't' => (b"true", Json::Bool(true)),
-                    b'f' => (b"false", Json::Bool(false)),
-                    _ => (b"null", Json::Null),
-                };
-                self.state = PushState::Literal {
-                    word,
-                    matched: 1,
-                    start: self.pos,
-                    value,
-                };
-            }
-            b'-' => {
-                self.state = PushState::Num {
-                    text: "-".to_string(),
-                    phase: NumPhase::IntFirst,
-                };
-            }
-            b'0'..=b'9' => {
-                self.state = PushState::Num {
-                    text: (b as char).to_string(),
-                    phase: NumPhase::Int,
-                };
-            }
-            c => {
-                return Err(syntax_at(
-                    self.pos,
-                    format!("unexpected character '{}'", c as char),
-                ))
-            }
-        }
-        Ok(true)
-    }
-
-    /// Process one byte. `Ok(true)` consumed it; `Ok(false)` changed
-    /// state without consuming (the byte is re-dispatched).
-    fn step(&mut self, b: u8) -> Result<bool, WireError> {
-        // Whitespace is insignificant everywhere outside scalar
-        // literals.
-        if matches!(
-            self.state,
-            PushState::AwaitValue
-                | PushState::AwaitItemOrEnd
-                | PushState::AwaitKeyOrEnd
-                | PushState::AwaitColon
-                | PushState::AwaitCommaOrEnd
-                | PushState::Done
-        ) && matches!(b, b' ' | b'\t' | b'\n' | b'\r')
-        {
-            return Ok(true);
-        }
-        match &mut self.state {
-            PushState::AwaitValue => self.dispatch_value(b),
-            PushState::AwaitItemOrEnd => {
-                if b == b']' {
-                    self.close_container();
-                    Ok(true)
-                } else {
-                    self.dispatch_value(b)
-                }
-            }
-            PushState::AwaitKeyOrEnd => match b {
-                b'}' => {
-                    self.close_container();
-                    Ok(true)
-                }
-                b'"' => {
-                    self.state = PushState::Str {
-                        role: StrRole::Key,
-                        out: String::new(),
-                        sub: StrSub::Normal,
-                    };
-                    Ok(true)
-                }
-                _ => Err(syntax_at(self.pos, "expected '\"'")),
-            },
-            PushState::AwaitColon => {
-                if b == b':' {
-                    self.state = PushState::AwaitValue;
-                    Ok(true)
-                } else {
-                    Err(syntax_at(self.pos, "expected ':'"))
-                }
-            }
-            PushState::AwaitCommaOrEnd => {
-                let in_obj = matches!(self.stack.last(), Some(Frame::Obj(..)));
-                match (b, in_obj) {
-                    (b',', true) => {
-                        self.state = PushState::AwaitKeyOrEnd;
-                        Ok(true)
-                    }
-                    (b',', false) => {
-                        self.state = PushState::AwaitItemOrEnd;
-                        Ok(true)
-                    }
-                    (b'}', true) | (b']', false) => {
-                        self.close_container();
-                        Ok(true)
-                    }
-                    (_, true) => Err(syntax_at(self.pos, "expected ',' or '}' in object")),
-                    (_, false) => Err(syntax_at(self.pos, "expected ',' or ']' in array")),
-                }
-            }
-            PushState::Done => Err(syntax_at(
-                self.pos,
-                "trailing characters after the top-level value",
-            )),
-            PushState::Literal {
-                word,
-                matched,
-                start,
-                value,
-            } => {
-                if *matched < word.len() && b == word[*matched] {
-                    *matched += 1;
-                    if *matched == word.len() {
-                        let v = value.clone();
-                        self.value_complete(v);
-                    }
-                    Ok(true)
-                } else {
-                    let word = std::str::from_utf8(word).expect("ASCII literal");
-                    Err(syntax_at(*start, format!("expected '{word}'")))
-                }
-            }
-            PushState::Num { text, phase } => {
-                use NumPhase::*;
-                match (*phase, b) {
-                    (IntFirst, b'0'..=b'9') => {
-                        text.push(b as char);
-                        *phase = Int;
-                        Ok(true)
-                    }
-                    (IntFirst, _) => Err(syntax_at(self.pos, "expected digits")),
-                    (Int, b'0'..=b'9') | (Frac, b'0'..=b'9') | (Exp, b'0'..=b'9') => {
-                        text.push(b as char);
-                        Ok(true)
-                    }
-                    (Int, b'.') => {
-                        text.push('.');
-                        *phase = FracFirst;
-                        Ok(true)
-                    }
-                    (Int, b'e' | b'E') | (Frac, b'e' | b'E') => {
-                        text.push(b as char);
-                        *phase = ExpStart;
-                        Ok(true)
-                    }
-                    (FracFirst, b'0'..=b'9') => {
-                        text.push(b as char);
-                        *phase = Frac;
-                        Ok(true)
-                    }
-                    (FracFirst, _) => Err(syntax_at(self.pos, "expected digits after '.'")),
-                    (ExpStart, b'+' | b'-') => {
-                        text.push(b as char);
-                        *phase = ExpFirst;
-                        Ok(true)
-                    }
-                    (ExpStart, b'0'..=b'9') | (ExpFirst, b'0'..=b'9') => {
-                        text.push(b as char);
-                        *phase = Exp;
-                        Ok(true)
-                    }
-                    (ExpStart, _) | (ExpFirst, _) => {
-                        Err(syntax_at(self.pos, "expected digits in exponent"))
-                    }
-                    // A byte that cannot extend the number terminates
-                    // it; re-dispatch in the enclosing state.
-                    (Int, _) | (Frac, _) | (Exp, _) => {
-                        self.complete_number();
-                        Ok(false)
-                    }
-                }
-            }
-            PushState::Str { role, out, sub } => match sub {
-                StrSub::Normal => match b {
-                    b'"' => {
-                        let s = std::mem::take(out);
-                        match role {
-                            StrRole::Value => self.value_complete(Json::Str(s)),
-                            StrRole::Key => {
-                                match self.stack.last_mut() {
-                                    Some(Frame::Obj(_, key)) => *key = Some(s),
-                                    _ => unreachable!("keys only parse inside objects"),
-                                }
-                                self.state = PushState::AwaitColon;
-                            }
-                        }
-                        Ok(true)
-                    }
-                    b'\\' => {
-                        *sub = StrSub::Escape;
-                        Ok(true)
-                    }
-                    c if c < 0x20 => {
-                        // The recursive parser consumed the byte before
-                        // erroring, so the offset is one past it.
-                        Err(syntax_at(
-                            self.pos + 1,
-                            "unescaped control character in string",
-                        ))
-                    }
-                    c if c < 0x80 => {
-                        out.push(c as char);
-                        Ok(true)
-                    }
-                    c => {
-                        *sub = StrSub::Utf8 {
-                            bytes: [c, 0, 0, 0],
-                            n: 1,
-                        };
-                        Ok(true)
-                    }
-                },
-                StrSub::Escape => match b {
-                    b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {
-                        out.push(match b {
-                            b'"' => '"',
-                            b'\\' => '\\',
-                            b'/' => '/',
-                            b'b' => '\u{8}',
-                            b'f' => '\u{c}',
-                            b'n' => '\n',
-                            b'r' => '\r',
-                            _ => '\t',
-                        });
-                        *sub = StrSub::Normal;
-                        Ok(true)
-                    }
-                    b'u' => {
-                        *sub = StrSub::Hex {
-                            digits: [0; 4],
-                            n: 0,
-                            start: self.pos + 1,
-                        };
-                        Ok(true)
-                    }
-                    other => Err(syntax_at(
-                        self.pos + 1,
-                        format!("unknown escape '\\{}'", other as char),
-                    )),
-                },
-                StrSub::Hex { digits, n, start } => {
-                    digits[*n] = b;
-                    *n += 1;
-                    if *n < 4 {
-                        return Ok(true);
-                    }
-                    let (digits, start) = (*digits, *start);
-                    let unit = decode_hex4(&digits)
-                        .ok_or_else(|| syntax_at(start, "bad \\u escape digits"))?;
-                    let after = self.pos + 1; // offset past the 4 digits
-                    if (0xd800..0xdc00).contains(&unit) {
-                        *sub = StrSub::LowSlash {
-                            high: unit,
-                            entry: after,
-                        };
-                    } else if (0xdc00..0xe000).contains(&unit) {
-                        return Err(syntax_at(after, "unpaired low surrogate"));
-                    } else {
-                        let ch = char::from_u32(unit as u32)
-                            .ok_or_else(|| syntax_at(after, "invalid code point"))?;
-                        out.push(ch);
-                        *sub = StrSub::Normal;
-                    }
-                    Ok(true)
-                }
-                StrSub::LowSlash { high, entry } => {
-                    if b == b'\\' {
-                        *sub = StrSub::LowU {
-                            high: *high,
-                            entry: *entry,
-                        };
-                        Ok(true)
-                    } else {
-                        Err(syntax_at(*entry, "unpaired high surrogate"))
-                    }
-                }
-                StrSub::LowU { high, entry } => {
-                    if b == b'u' {
-                        *sub = StrSub::LowHex {
-                            high: *high,
-                            digits: [0; 4],
-                            n: 0,
-                            start: self.pos + 1,
-                        };
-                        Ok(true)
-                    } else {
-                        Err(syntax_at(*entry, "unpaired high surrogate"))
-                    }
-                }
-                StrSub::LowHex {
-                    high,
-                    digits,
-                    n,
-                    start,
-                } => {
-                    digits[*n] = b;
-                    *n += 1;
-                    if *n < 4 {
-                        return Ok(true);
-                    }
-                    let (high, digits, start) = (*high, *digits, *start);
-                    let low = decode_hex4(&digits)
-                        .ok_or_else(|| syntax_at(start, "bad \\u escape digits"))?;
-                    let after = self.pos + 1;
-                    if !(0xdc00..0xe000).contains(&low) {
-                        return Err(syntax_at(after, "invalid low surrogate"));
-                    }
-                    let c = 0x10000 + ((high as u32 - 0xd800) << 10) + (low as u32 - 0xdc00);
-                    let ch =
-                        char::from_u32(c).ok_or_else(|| syntax_at(after, "invalid code point"))?;
-                    out.push(ch);
-                    *sub = StrSub::Normal;
-                    Ok(true)
-                }
-                StrSub::Utf8 { bytes, n } => {
-                    if b & 0xc0 == 0x80 && *n < 4 {
-                        bytes[*n] = b;
-                        *n += 1;
-                        if *n == 4 {
-                            let run = *bytes;
-                            let s = std::str::from_utf8(&run)
-                                .map_err(|_| syntax_at(self.pos + 1, "invalid UTF-8 in string"))?;
-                            out.push_str(s);
-                            *sub = StrSub::Normal;
-                        }
-                        Ok(true)
-                    } else {
-                        // The run ended; validate it, then re-dispatch
-                        // the terminating byte as normal content.
-                        let (run, len) = (*bytes, *n);
-                        let s = std::str::from_utf8(&run[..len])
-                            .map_err(|_| syntax_at(self.pos, "invalid UTF-8 in string"))?;
-                        out.push_str(s);
-                        *sub = StrSub::Normal;
-                        Ok(false)
-                    }
-                }
-            },
-        }
     }
 }
 
@@ -1002,15 +620,6 @@ fn syntax_at(offset: usize, message: impl Into<String>) -> WireError {
         offset,
         message: message.into(),
     }
-}
-
-/// The recursive parser's `hex4` digit decode: UTF-8, then
-/// `u16::from_str_radix(…, 16)` (which tolerates a leading `+`) —
-/// byte-compatible on every input.
-fn decode_hex4(digits: &[u8; 4]) -> Option<u16> {
-    std::str::from_utf8(digits)
-        .ok()
-        .and_then(|h| u16::from_str_radix(h, 16).ok())
 }
 
 // ---------------------------------------------------------------------------
