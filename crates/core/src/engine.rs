@@ -48,7 +48,11 @@ pub enum Backend {
 /// 2: `AutoVec` sums sixteen per-lane partials in a fixed tree order.
 /// 3: `AutoVec` fuses its multiply-adds on hosts with AVX2+FMA
 /// ([`crate::autovec::arithmetic`]).
-pub const SCORING_REV: u32 = 3;
+/// 4: grids built at SSE2/AVX2/AVX-512 sum each lattice point over the
+/// receptor's atoms in index order (`mudock_grids::build`), so the maps
+/// `Explicit` docks against at those levels move in the last bits; grids
+/// built at `Scalar` keep theirs.
+pub const SCORING_REV: u32 = 4;
 
 impl Backend {
     /// Short name for reports (`reference`, `autovec`, `avx2`, …).

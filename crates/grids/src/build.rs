@@ -10,83 +10,80 @@
 //! This is the memoization/gridification step of the paper's Section V: at
 //! docking time the inter-energy of a pose reduces to table lookups.
 //!
-//! The SIMD builder vectorizes over *receptor atoms* (structure-of-arrays,
-//! padded), computing each point's sums with full-width arithmetic and a
-//! final horizontal reduction.
+//! The SIMD builder vectorizes over *lattice points*: one vector holds
+//! `S::LANES` consecutive points in the maps' linear (x-fastest) order —
+//! a vector runs on across row ends, so only a map's last one is
+//! partial — and meets the receptor's atoms one at a time, in index
+//! order, each atom's coordinates and coefficients splatted. Each lane
+//! therefore sums its point's terms over the atoms in index order, and
+//! every accumulator is stored straight into its map: no horizontal
+//! reduction. The short-range terms of an atom are skipped only when it
+//! lies beyond the cutoff of every point in the vector — common, since a
+//! vector covers a few ångström of one or two rows. The
+//! [`SimdLevel::Scalar`] maps, which `Reference`, `AutoVec` and
+//! `Explicit(Scalar)` dock against, have their bits pinned by the root
+//! `grid_build` test.
 
 use mudock_ff::params::{weights, PairTable, NB_CUTOFF, QSOLPAR};
 use mudock_ff::terms;
-use mudock_ff::types::AtomType;
+use mudock_ff::types::{AtomType, NUM_TYPES};
 use mudock_ff::vterms;
-use mudock_mol::{padded_len, Molecule, Vec3, PAD_COORD};
-use mudock_simd::{dispatch, math, Simd, SimdLevel};
+use mudock_mol::{Molecule, Vec3};
+use mudock_simd::{dispatch, math, Simd, SimdLevel, MAX_LANES};
 
 use crate::dims::GridDims;
 use crate::map::{GridSet, DESOLV_MAP, ELEC_MAP};
 
-/// Per-probe-type coefficient arrays over the receptor atoms (padded).
+/// One receptor atom's coefficients against one probe type.
+#[derive(Clone, Copy, Default)]
 struct TypeCoef {
-    c12: Vec<f32>,
-    c6: Vec<f32>,
-    c10: Vec<f32>,
-    rij: Vec<f32>,
+    c12: f32,
+    c6: f32,
+    c10: f32,
+    rij: f32,
     /// Weighted full desolvation coefficient `W_d(S_t·V_j + S_j·V_t)`.
-    sv: Vec<f32>,
+    sv: f32,
 }
 
-/// Receptor data flattened for the builder kernels.
-struct ReceptorTables {
-    x: Vec<f32>,
-    y: Vec<f32>,
-    z: Vec<f32>,
-    /// Electrostatic coefficient `W_e·332.06·q_j` (padded 0).
-    qv: Vec<f32>,
-    /// Charge-dependent desolvation coefficient `W_d·0.01097·V_j` (padded 0).
-    dv: Vec<f32>,
-    per_type: Vec<TypeCoef>,
+/// One receptor atom as the SIMD builder reads it: scalars to splat.
+struct AtomCoef {
+    pos: Vec3,
+    /// Electrostatic coefficient `W_e·332.06·q_j`.
+    qv: f32,
+    /// Charge-dependent desolvation coefficient `W_d·0.01097·V_j`.
+    dv: f32,
+    /// Against each probe type being built, in the builder's type order.
+    per_type: [TypeCoef; NUM_TYPES],
 }
 
-impl ReceptorTables {
-    fn new(receptor: &Molecule, types: &[AtomType], table: &PairTable) -> ReceptorTables {
-        let n = receptor.atoms.len();
-        let len = padded_len(n.max(1));
-        let mut t = ReceptorTables {
-            x: vec![PAD_COORD; len],
-            y: vec![PAD_COORD; len],
-            z: vec![PAD_COORD; len],
-            qv: vec![0.0; len],
-            dv: vec![0.0; len],
-            per_type: Vec::with_capacity(types.len()),
-        };
-        for (j, a) in receptor.atoms.iter().enumerate() {
-            t.x[j] = a.pos.x;
-            t.y[j] = a.pos.y;
-            t.z[j] = a.pos.z;
-            t.qv[j] = vterms::premult::qq(1.0, a.charge);
-            t.dv[j] = weights::DESOLV * QSOLPAR * mudock_ff::params::type_params(a.ty).vol;
-        }
-        for &ty in types {
-            let pt = mudock_ff::params::type_params(ty);
-            let mut c = TypeCoef {
-                c12: vec![0.0; len],
-                c6: vec![0.0; len],
-                c10: vec![0.0; len],
-                rij: vec![1.0; len],
-                sv: vec![0.0; len],
-            };
-            for (j, a) in receptor.atoms.iter().enumerate() {
-                let k = PairTable::index(ty, a.ty);
-                c.c12[j] = table.c12[k];
-                c.c6[j] = table.c6[k];
-                c.c10[j] = table.c10[k];
-                c.rij[j] = table.rij[k];
-                let sj = terms::solvation_param(a.ty, a.charge);
+impl AtomCoef {
+    fn all(receptor: &Molecule, types: &[AtomType], table: &PairTable) -> Vec<AtomCoef> {
+        receptor
+            .atoms
+            .iter()
+            .map(|a| {
                 let vj = mudock_ff::params::type_params(a.ty).vol;
-                c.sv[j] = weights::DESOLV * (pt.solpar * vj + sj * pt.vol);
-            }
-            t.per_type.push(c);
-        }
-        t
+                let sj = terms::solvation_param(a.ty, a.charge);
+                let mut per_type = [TypeCoef::default(); NUM_TYPES];
+                for (c, &ty) in per_type.iter_mut().zip(types) {
+                    let pt = mudock_ff::params::type_params(ty);
+                    let k = PairTable::index(ty, a.ty);
+                    *c = TypeCoef {
+                        c12: table.c12[k],
+                        c6: table.c6[k],
+                        c10: table.c10[k],
+                        rij: table.rij[k],
+                        sv: weights::DESOLV * (pt.solpar * vj + sj * pt.vol),
+                    };
+                }
+                AtomCoef {
+                    pos: a.pos,
+                    qv: vterms::premult::qq(1.0, a.charge),
+                    dv: weights::DESOLV * QSOLPAR * vj,
+                    per_type,
+                }
+            })
+            .collect()
     }
 }
 
@@ -178,31 +175,20 @@ impl<'a> GridBuilder<'a> {
         gs
     }
 
-    /// SIMD build at the requested level (vectorizes over receptor atoms).
+    /// SIMD build at the requested level, vectorized over lattice
+    /// points: each lane sums its point's terms over the receptor's atoms
+    /// in index order (see the module docs). The one-lane build's bits,
+    /// at [`SimdLevel::Scalar`], are pinned by the root `grid_build` test.
     pub fn build_simd(&self, level: SimdLevel) -> GridSet {
-        let table = PairTable::new();
-        let tables = ReceptorTables::new(self.receptor, &self.types, &table);
+        let atoms = AtomCoef::all(self.receptor, &self.types, &PairTable::new());
         let mut gs = GridSet::empty(self.dims);
-        let [nx, ny, nz] = self.dims.npts;
-        let stride = gs.stride();
-
-        // One pass over points; all per-point sums computed vector-wide.
-        let n_types = self.types.len();
-        let mut sums = vec![0.0f32; n_types + 2];
-        for iz in 0..nz {
-            for iy in 0..ny {
-                for ix in 0..nx {
-                    let p = self.dims.point(ix, iy, iz);
-                    let cell = self.dims.linear(ix, iy, iz);
-                    dispatch!(level, |s| point_sums(s, &tables, p, &mut sums));
-                    for (ti, ty) in self.types.iter().enumerate() {
-                        gs.data[ty.idx() * stride + cell] = sums[ti];
-                    }
-                    gs.data[ELEC_MAP * stride + cell] = sums[n_types];
-                    gs.data[DESOLV_MAP * stride + cell] = sums[n_types + 1];
-                }
-            }
-        }
+        dispatch!(level, |s| build_points(
+            s,
+            &atoms,
+            &self.types,
+            &self.dims,
+            &mut gs.data
+        ));
         for ty in &self.types {
             gs.built[ty.idx()] = true;
         }
@@ -212,72 +198,89 @@ impl<'a> GridBuilder<'a> {
     }
 }
 
-/// Vector-wide accumulation of every map's value at one grid point.
-/// `sums` receives `[type_0, …, type_{n-1}, elec, desolv]`.
+/// Every map's values over the whole lattice, `S::LANES` consecutive
+/// points at a time; `data` is [`GridSet::data`], map `m` at
+/// `m * dims.total()`.
 #[inline(always)]
-fn point_sums<S: Simd>(s: S, t: &ReceptorTables, p: Vec3, sums: &mut [f32]) {
-    let px = s.splat(p.x);
-    let py = s.splat(p.y);
-    let pz = s.splat(p.z);
+fn build_points<S: Simd>(
+    s: S,
+    atoms: &[AtomCoef],
+    types: &[AtomType],
+    dims: &GridDims,
+    data: &mut [f32],
+) {
+    let stride = dims.total();
+    let [nx, ny, _] = dims.npts.map(|n| n as usize);
     let vcut2 = s.splat(NB_CUTOFF * NB_CUTOFF);
     let zero = s.zero();
+    for start in (0..stride).step_by(S::LANES) {
+        // Lanes past the map's end hold points past the lattice; their
+        // sums are computed and dropped.
+        let mut pts = [Vec3::ZERO; MAX_LANES];
+        for (l, p) in pts[..S::LANES].iter_mut().enumerate() {
+            let c = start + l;
+            *p = dims.point(
+                (c % nx) as u32,
+                (c / nx % ny) as u32,
+                (c / (nx * ny)) as u32,
+            );
+        }
+        let px = s.load(&pts.map(|p| p.x));
+        let py = s.load(&pts.map(|p| p.y));
+        let pz = s.load(&pts.map(|p| p.z));
 
-    let n_types = t.per_type.len();
-    debug_assert_eq!(sums.len(), n_types + 2);
+        let mut elec_acc = zero;
+        let mut des_acc = zero;
+        let mut type_acc = [zero; NUM_TYPES];
+        for a in atoms {
+            let dx = s.sub(s.splat(a.pos.x), px);
+            let dy = s.sub(s.splat(a.pos.y), py);
+            let dz = s.sub(s.splat(a.pos.z), pz);
+            let r2 = s.mul_add(dz, dz, s.mul_add(dy, dy, s.mul(dx, dx)));
+            let r = s.sqrt(r2);
 
-    let mut elec_acc = s.zero();
-    let mut des_acc = s.zero();
-    // Per-type accumulators: bounded small (≤ 14); stack array avoids
-    // allocation in the hot loop.
-    let mut type_acc = [s.zero(); mudock_ff::types::NUM_TYPES];
+            // Electrostatics: no cutoff.
+            let r_cl = s.max(r, s.splat(terms::RMIN));
+            let denom = s.mul(vterms::dielectric(s, r_cl), r_cl);
+            elec_acc = s.mul_add(s.splat(a.qv), math::recip_nr(s, denom), elec_acc);
 
-    let len = t.x.len();
-    let mut j = 0;
-    while j < len {
-        let dx = s.sub(s.load(&t.x[j..]), px);
-        let dy = s.sub(s.load(&t.y[j..]), py);
-        let dz = s.sub(s.load(&t.z[j..]), pz);
-        let r2 = s.mul_add(dz, dz, s.mul_add(dy, dy, s.mul(dx, dx)));
-        let r = s.sqrt(r2);
-
-        // Electrostatics: no cutoff (padding lanes have qv = 0).
-        let r_cl = s.max(r, s.splat(terms::RMIN));
-        let denom = s.mul(vterms::dielectric(s, r_cl), r_cl);
-        elec_acc = s.mul_add(s.load(&t.qv[j..]), math::recip_nr(s, denom), elec_acc);
-
-        // Short-range terms, masked by the cutoff.
-        let in_cut = s.le(r2, vcut2);
-        if s.any(in_cut) {
-            let g = vterms::desolv_gauss(s, r2);
-            let des = s.mul(s.load(&t.dv[j..]), g);
-            des_acc = s.add(des_acc, s.select(in_cut, des, zero));
-            for (ti, tc) in t.per_type.iter().enumerate() {
-                let e = vterms::vdw_hbond(
-                    s,
-                    r,
-                    s.load(&tc.rij[j..]),
-                    s.load(&tc.c12[j..]),
-                    s.load(&tc.c6[j..]),
-                    s.load(&tc.c10[j..]),
-                );
-                let e = s.mul_add(s.load(&tc.sv[j..]), g, e);
-                type_acc[ti] = s.add(type_acc[ti], s.select(in_cut, e, zero));
+            // Short-range terms, masked by the cutoff.
+            let in_cut = s.le(r2, vcut2);
+            if s.any(in_cut) {
+                let g = vterms::desolv_gauss(s, r2);
+                let des = s.mul(s.splat(a.dv), g);
+                des_acc = s.add(des_acc, s.select(in_cut, des, zero));
+                for (acc, tc) in type_acc.iter_mut().zip(&a.per_type[..types.len()]) {
+                    let e = vterms::vdw_hbond(
+                        s,
+                        r,
+                        s.splat(tc.rij),
+                        s.splat(tc.c12),
+                        s.splat(tc.c6),
+                        s.splat(tc.c10),
+                    );
+                    let e = s.mul_add(s.splat(tc.sv), g, e);
+                    *acc = s.add(*acc, s.select(in_cut, e, zero));
+                }
             }
         }
-        j += S::LANES;
-    }
 
-    for ti in 0..n_types {
-        sums[ti] = s.reduce_add(type_acc[ti]);
+        let n = S::LANES.min(stride - start);
+        let sums = types.iter().map(|ty| ty.idx()).zip(type_acc);
+        let mut buf = [0.0f32; MAX_LANES];
+        for (m, v) in sums.chain([(ELEC_MAP, elec_acc), (DESOLV_MAP, des_acc)]) {
+            s.store(v, &mut buf);
+            data[m * stride + start..][..n].copy_from_slice(&buf[..n]);
+        }
     }
-    sums[n_types] = s.reduce_add(elec_acc);
-    sums[n_types + 1] = s.reduce_add(des_acc);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::NUM_MAPS;
     use mudock_mol::Atom;
+    use proptest::prelude::*;
 
     fn tiny_receptor() -> Molecule {
         let mut m = Molecule::new("tiny");
@@ -335,26 +338,69 @@ mod tests {
         assert!(near_oa < 0.0, "elec near OA = {near_oa}");
     }
 
-    #[test]
-    fn simd_build_matches_scalar_all_levels() {
-        let r = tiny_receptor();
-        let builder = GridBuilder::new(&r, tiny_dims()).with_types(&[
-            AtomType::C,
-            AtomType::OA,
-            AtomType::HD,
-        ]);
-        let reference = builder.build_scalar();
-        for level in SimdLevel::available() {
-            let got = builder.build_simd(level);
-            let mut worst = 0.0f32;
-            for (a, b) in reference.data.iter().zip(&got.data) {
-                let err = (a - b).abs() / a.abs().max(1.0);
-                worst = worst.max(err);
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Random receptors, some atoms outside the lattice, on lattices
+        /// whose rows and whole maps end mid-vector at every width.
+        #[test]
+        fn simd_builds_match_scalar_over_random_lattices(
+            // Position as a fraction of the lattice's extent per axis
+            // (outside [0, 1] is outside it), type index, charge.
+            atoms in prop::collection::vec(
+                ((-0.4f32..1.4, -0.4f32..1.4, -0.4f32..1.4), 0usize..NUM_TYPES, -0.6f32..0.6),
+                0..=40,
+            ),
+            npts in (2u32..41, 2u32..41, 2u32..41)
+                .prop_filter("at most 6000 points", |&(x, y, z)| x * y * z <= 6000),
+            spacing in 0.3f32..1.0,
+            type_mask in 0u32..(1 << NUM_TYPES),
+        ) {
+            let dims = GridDims {
+                npts: [npts.0, npts.1, npts.2],
+                spacing,
+                origin: Vec3::new(-1.5, 0.25, 3.0),
+            };
+            let span = dims.max_corner() - dims.origin;
+            let mut receptor = Molecule::new("random");
+            for ((fx, fy, fz), ty, q) in atoms {
+                let p = dims.origin + Vec3::new(fx * span.x, fy * span.y, fz * span.z);
+                receptor.atoms.push(Atom::new(p, AtomType::ALL[ty], q));
             }
-            assert!(
-                worst < 2e-3,
-                "{level}: worst relative map deviation {worst}"
-            );
+            let types: Vec<AtomType> = AtomType::ALL
+                .into_iter()
+                .filter(|t| type_mask >> t.idx() & 1 == 1)
+                .collect();
+            let builder = GridBuilder::new(&receptor, dims).with_types(&types);
+            let reference = builder.build_scalar();
+            // The reference keeps an atom at `r ≤ NB_CUTOFF`, the SIMD
+            // build at `r² ≤ NB_CUTOFF²`: they may round one sitting on
+            // the cutoff to opposite sides.
+            let [nx, ny, _] = dims.npts;
+            let on_cutoff: Vec<bool> = (0..dims.total() as u32)
+                .map(|k| dims.point(k % nx, k / nx % ny, k / (nx * ny)))
+                .map(|p| {
+                    receptor
+                        .atoms
+                        .iter()
+                        .any(|a| (p.distance(a.pos) - NB_CUTOFF).abs() < 1e-3)
+                })
+                .collect();
+            for level in SimdLevel::available() {
+                let got = builder.build_simd(level);
+                prop_assert_eq!(got.built, reference.built, "{}", level);
+                for m in 0..NUM_MAPS {
+                    let values = reference.map(m).iter().zip(got.map(m)).zip(&on_cutoff);
+                    for ((&want, &v), &on_cutoff) in values {
+                        if !got.built[m] {
+                            prop_assert_eq!(v.to_bits(), 0, "{} unbuilt map {}", level, m);
+                        } else if !on_cutoff {
+                            let err = (v - want).abs() / want.abs().max(1.0);
+                            prop_assert!(err < 2e-3, "{level} map {m}: {v} vs {want}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -49,7 +49,8 @@
 //! contents pass [`mudock_grids::io::probe`] are restored (oldest
 //! first), so a restarted node serves its first job on a
 //! previously-seen receptor from disk instead of rebuilding. Anything
-//! else — truncated writes, foreign bytes, unparseable names — is
+//! else — truncated writes, foreign bytes, files of another grid-file
+//! revision (an older builder's maps), unparseable names — is
 //! *quarantined*: renamed with a `.bad` suffix and counted in
 //! [`CacheStats::quarantined`], never loaded and never silently
 //! deleted, so an operator can inspect what went wrong.

@@ -237,6 +237,68 @@ fn prefetch_reloads_the_next_queued_receptors_grids() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// After an upgrade whose builder changed the maps' bits, the spill tier
+/// still holds the old binary's files. One at a job's key is
+/// quarantined at startup, never loaded: the job rebuilds and ranks
+/// exactly as a fresh build does.
+#[test]
+fn a_spill_file_of_the_previous_grid_revision_is_quarantined_not_loaded() {
+    let service = ScreenService::start(ServeConfig {
+        total_threads: 2,
+        job_slots: 1,
+        queue_capacity: 8,
+        cache_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let fresh = service.submit(spec("fresh", 7)).unwrap().wait();
+    assert_eq!(fresh.state, JobState::Completed);
+    service.shutdown();
+
+    // What the previous binary spilled at the job's key: revision-1
+    // magic, and maps that would rank differently if they were loaded.
+    let dir = tmp("revision-1");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let job = spec("upgraded", 7);
+    let dims = job.campaign.dims_for(&job.receptor);
+    let level = job.campaign.grid_level();
+    let key = mudock_grids::grid_cache_key(&job.receptor, &dims);
+    let file = dir.join(format!("{key:016x}-{}.grid", level.name()));
+    let grids = mudock_grids::GridBuilder::new(&job.receptor, dims).build_simd(level);
+    mudock_grids::save_grids(&grids, &file).unwrap();
+    let mut bytes = std::fs::read(&file).unwrap();
+    bytes[..8].copy_from_slice(b"MDKGRID1");
+    let data = bytes.len() - grids.data.len() * 4;
+    bytes[data..].fill(0);
+    std::fs::write(&file, &bytes).unwrap();
+
+    let upgraded = ScreenService::start(config(&dir));
+    assert_eq!(upgraded.stats().cache.quarantined, 1);
+    assert!(!file.exists());
+    let mut bad = file.into_os_string();
+    bad.push(".bad");
+    assert_eq!(
+        std::fs::read(&bad).unwrap(),
+        bytes,
+        "renamed aside, untouched"
+    );
+
+    let out = upgraded.submit(job).unwrap().wait();
+    assert_eq!(out.state, JobState::Completed);
+    let s = upgraded.stats();
+    assert_eq!(
+        (s.cache.misses, s.cache.reloads),
+        (1, 0),
+        "rebuilt, not reloaded"
+    );
+    let bits = |top: &[RankedLigand]| -> Vec<(usize, u32)> {
+        top.iter().map(|r| (r.index, r.score.to_bits())).collect()
+    };
+    assert_eq!(bits(&out.top), bits(&fresh.top));
+    upgraded.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The key a binary from before `mudock_core::SCORING_REV` existed
 /// stamped on `spec`'s checkpoint: everything `job_fingerprint` hashes
 /// today except the revision.
