@@ -100,7 +100,7 @@ fn main() {
     println!("maps outgrow the LLC (Tables IV/V, Genoa multi-core).");
 
     println!("\nABLATION: x-adjacent corner pairs, two single gathers vs one paired gather");
-    println!("(ns per pair; `paired` at sse2 and scalar is the default, i.e. `single`)\n");
+    println!("(ns per pair; `paired` at scalar is the default, i.e. `single`)\n");
     println!(
         "{:>12} {:8} {:>10} {:>10} {:>8}",
         "table", "level", "single", "paired", "paired/s"

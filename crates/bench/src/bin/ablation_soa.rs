@@ -223,10 +223,10 @@ enum Arm {
 /// level, then the portable arm (the same per-lane math in lane loops the
 /// compiler vectorizes) in every frame — `autovec@baseline`, the build's
 /// own ISA, then the `#[target_feature]` frames the host supports. The
-/// `scalar` row is what `autovec` ran before it had drivers of its own;
-/// each `autovec@<level>` row reads against the hand-written `<level>`
-/// row above it (`autovec@baseline` against `sse2` on a default x86-64
-/// build).
+/// `scalar` row is what `autovec` ran before it had drivers of its own
+/// and what `autovec@baseline` replaces as the default of a host without
+/// AVX2; each `autovec@avx*` row reads against the hand-written row of
+/// its level above it.
 fn per_kernel() {
     println!("\nABLATION: the three pose kernels per backend, ns per pose");
     println!(
@@ -235,16 +235,10 @@ fn per_kernel() {
     );
     let receptor = mudock_molio::synthetic_receptor(5, 200, 9.0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    // `Scalar` names the baseline frame.
     let levels = SimdLevel::available();
-    // Every level below AVX2 names the baseline frame: `Scalar` lists it.
-    let frames = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
     let arms: Vec<Arm> = (levels.iter().map(|&l| Arm::Explicit(l)))
-        .chain(
-            frames
-                .into_iter()
-                .filter(|f| f.is_supported())
-                .map(Arm::AutoVec),
-        )
+        .chain(levels.iter().map(|&l| Arm::AutoVec(l)))
         .collect();
     for heavy in [10, 24, 48] {
         let prep = prep(heavy);

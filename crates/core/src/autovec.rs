@@ -30,8 +30,9 @@
 //!   `vfmadd`.
 //! * Anywhere else (no AVX2+FMA, or not x86-64) the body runs at
 //!   [`Scalar`] in place, compiled for the build's baseline ISA (SSE2 on
-//!   plain `x86-64`, wider under `-C target-cpu=…`): the *baseline*
-//!   frame.
+//!   plain `x86-64`, NEON on `aarch64`, wider under `-C target-cpu=…`):
+//!   the *baseline* frame. On such a host this arm is also the default
+//!   backend (`Backend::auto`).
 //!
 //! Nothing selects a frame but the CPU: no flag, env var, config field or
 //! wire value. The `*_autovec_at(frame, …)` forms exist for tests,
@@ -138,27 +139,22 @@ trait Lane: Simd<V = f32, VI = i32, M = bool> {}
 impl<S: Simd<V = f32, VI = i32, M = bool>> Lane for S {}
 
 /// Does `frame` enable wider registers and FMA than the build's baseline?
-/// The levels below AVX2 have no frame of their own: the baseline body is
-/// already compiled for them (or for less).
+/// [`SimdLevel::Scalar`] has no frame of its own: the baseline body is
+/// already compiled for it. The same rule picks the default backend
+/// (`Backend::auto`): a wide level runs the explicit arm, anything else
+/// the portable one.
 #[inline(always)]
-fn is_wide(frame: SimdLevel) -> bool {
+pub(crate) fn is_wide(frame: SimdLevel) -> bool {
     matches!(frame, SimdLevel::Avx2 | SimdLevel::Avx512)
 }
 
 /// The frame [`Backend::AutoVec`](crate::Backend::AutoVec) scores in on
-/// this host, resolved once per process: the widest of AVX-512 and
-/// AVX2+FMA the CPU supports, else [`SimdLevel::Scalar`] — no frame, the
-/// lane loops as compiled for the build's baseline ISA.
+/// this host, resolved once per process: [`SimdLevel::detect`] — AVX-512
+/// or AVX2+FMA where the CPU has them, else [`SimdLevel::Scalar`], no
+/// frame, the lane loops as compiled for the build's baseline ISA.
 pub fn frame() -> SimdLevel {
     static FRAME: OnceLock<SimdLevel> = OnceLock::new();
-    *FRAME.get_or_init(|| {
-        let widest = SimdLevel::detect();
-        if is_wide(widest) {
-            widest
-        } else {
-            SimdLevel::Scalar
-        }
-    })
+    *FRAME.get_or_init(SimdLevel::detect)
 }
 
 /// What a frame is called in reports: the level's name, `"baseline"` for
@@ -281,8 +277,8 @@ pub fn apply_pose_autovec(
     apply_pose_autovec_at(frame(), base, plans, g, out)
 }
 
-/// [`apply_pose_autovec`] in a given frame (see [`frame`]; every level
-/// below AVX2 names the baseline).
+/// [`apply_pose_autovec`] in a given frame (see [`frame`];
+/// [`SimdLevel::Scalar`] names the baseline).
 ///
 /// # Panics
 /// As [`apply_pose_autovec`], and if `frame` is a wide level the host

@@ -7,7 +7,8 @@
 //! arguments, `serve::JobSpec` fields, and CLI flags:
 //!
 //! * [`BackendPolicy`] — which kernel implementation scores poses:
-//!   auto-detect the widest SIMD level, fix an exact [`Backend`], or pin
+//!   auto-detect ([`Backend::auto`]: the widest of AVX2 and AVX-512, else
+//!   the portable arm), fix an exact [`Backend`], or pin
 //!   a [`SimdLevel`] per job so heterogeneous clients can share a node
 //!   (grids are then built *and cached* at that level);
 //! * [`StopPolicy`] — when the run may end before the input is
@@ -26,9 +27,9 @@
 //!
 //! # Worked example — all three policies
 //!
-//! Pin the job to SSE2 (every x86-64 host has it), stop once the top-3
-//! ranking holds still for two consecutive chunks, and let the chunk
-//! sizer aim for ~50 ms of work per chunk:
+//! Pin the job to the one-lane scalar level (every host has it), stop
+//! once the top-3 ranking holds still for two consecutive chunks, and let
+//! the chunk sizer aim for ~50 ms of work per chunk:
 //!
 //! ```
 //! use std::time::Duration;
@@ -84,7 +85,9 @@ use crate::local_search::SolisWetsParams;
 /// than poisoning each other's grids.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendPolicy {
-    /// Use the widest SIMD level the host supports (the default).
+    /// Use what [`Backend::auto`] picks (the default): the widest SIMD
+    /// level the host supports, or the portable arm where that level is
+    /// one lane.
     #[default]
     Detect,
     /// Use exactly this backend: explicit SIMD pinned at one level for
@@ -110,7 +113,8 @@ impl BackendPolicy {
     /// Pinned campaigns build grids at their pinned level so the whole
     /// run — precomputation included — executes the requested strategy.
     /// The scalar arms build at [`SimdLevel::Scalar`] for full
-    /// reproducibility; [`BackendPolicy::Detect`] takes the host's best.
+    /// reproducibility; [`BackendPolicy::Detect`] builds where the
+    /// backend it resolves to would.
     pub fn grid_level(self) -> SimdLevel {
         match self {
             BackendPolicy::Detect => match Backend::auto() {

@@ -87,9 +87,10 @@ impl Backend {
     /// The `MUDOCK_BACKEND` environment pin (same names as
     /// [`Backend::parse`]). CI uses it to run the whole suite once per
     /// backend in a matrix, so level-specific scoring divergence fails
-    /// there instead of on user hardware. Unparsable values and levels
-    /// the host cannot run are ignored (the pin must never make a
-    /// working binary refuse to start).
+    /// there instead of on user hardware. Unparsable values — a retired
+    /// level's name such as `sse2` among them — and levels the host
+    /// cannot run are ignored (the pin must never make a working binary
+    /// refuse to start).
     pub fn from_env() -> Option<Backend> {
         let v = std::env::var("MUDOCK_BACKEND").ok()?;
         let b = Backend::parse(&v)?;
@@ -100,12 +101,45 @@ impl Backend {
     }
 
     /// What an *unpinned* run scores with: the [`Backend::from_env`]
-    /// pin when set, otherwise the widest SIMD level the host supports.
-    /// This is the single resolution point behind
-    /// [`DockParams::default`] and
+    /// pin when set, otherwise the explicit arm at the host's AVX2 or
+    /// AVX-512 level, and the portable arm ([`Backend::AutoVec`]) on a
+    /// host with neither — every non-x86 CPU included. This is the single
+    /// resolution point behind [`DockParams::default`] and
     /// [`BackendPolicy::Detect`](crate::campaign::BackendPolicy).
     pub fn auto() -> Backend {
-        Backend::from_env().unwrap_or(Backend::Explicit(SimdLevel::detect()))
+        Backend::from_env().unwrap_or_else(|| Backend::default_for(SimdLevel::detect()))
+    }
+
+    /// The default backend on a host whose widest level is `detected`:
+    /// the rule that also picks the portable arm's frame
+    /// ([`crate::autovec::frame`]), so a level gets an explicit default
+    /// exactly where it gets a frame of its own.
+    fn default_for(detected: SimdLevel) -> Backend {
+        if crate::autovec::is_wide(detected) {
+            Backend::Explicit(detected)
+        } else {
+            Backend::AutoVec
+        }
+    }
+}
+
+/// Every name [`Backend::parse`] accepts, in one place: the refusal of an
+/// unknown name lists it (the CLI's `--backend` and the wire's `fixed` /
+/// `pinned` errors).
+fn known_names() -> String {
+    let mut names = vec![Backend::Reference.name(), Backend::AutoVec.name()];
+    names.extend(SimdLevel::ALL.map(|l| Backend::Explicit(l).name()));
+    names.join(", ")
+}
+
+/// [`Backend::parse`] with the refusal spelled out: an unknown name — a
+/// retired level's included — is an error that lists the names this build
+/// accepts.
+impl std::str::FromStr for Backend {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Backend, String> {
+        Backend::parse(s).ok_or_else(|| format!("unknown backend '{s}' (known: {})", known_names()))
     }
 }
 
@@ -587,10 +621,29 @@ mod tests {
             "'scalar' names the explicit one-lane backend, as name() prints it"
         );
         assert_eq!(Backend::parse("REFERENCE"), Some(Backend::Reference));
-        // Unknown names are rejected, not defaulted.
-        for bogus in ["", "neon", "avx1024", "auto vec", "fastest", "sse 2"] {
+        // Unknown names — the retired `sse2` level's among them — are
+        // rejected, not defaulted or remapped, and the refusal names
+        // what is accepted.
+        for bogus in [
+            "", "neon", "avx1024", "auto vec", "fastest", "sse 2", "sse2", "sse", "128",
+        ] {
             assert_eq!(Backend::parse(bogus), None, "'{bogus}' must be rejected");
+            let err = bogus.parse::<Backend>().unwrap_err();
+            assert!(err.contains("autovec"), "{err}");
         }
+    }
+
+    #[test]
+    fn hosts_without_a_wide_level_default_to_the_portable_arm() {
+        assert_eq!(Backend::default_for(SimdLevel::Scalar), Backend::AutoVec);
+        assert_eq!(
+            Backend::default_for(SimdLevel::Avx2),
+            Backend::Explicit(SimdLevel::Avx2)
+        );
+        assert_eq!(
+            Backend::default_for(SimdLevel::Avx512),
+            Backend::Explicit(SimdLevel::Avx512)
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   included, in lane loops the compiler vectorizes. It lives in
 //!   [`crate::autovec`] and has its own two walks (rows where built, else
 //!   the packed list with clamped indices); nothing below describes it.
-//! * [`intra_energy_kernel`] at SSE2/AVX2/AVX-512 — explicit vectorization
+//! * [`intra_energy_kernel`] at AVX2/AVX-512 — explicit vectorization
 //!   (the Highway arm) — and at [`mudock_simd::Scalar`], the one-lane
 //!   level every other one is tested against (`Explicit(Scalar)`).
 //!
@@ -48,7 +48,7 @@
 //! * **gathered walk** — everything else: load 16 `i`s and `j`s, gather
 //!   six coordinate vectors from memory. Ligands above the table size
 //!   that are too sparse in scored pairs for rows, every ligand on AVX2
-//!   and SSE2 that rows do not cover (a 16-entry AVX2 table was measured
+//!   that rows do not cover (a 16-entry AVX2 table was measured
 //!   no faster than its 8-lane gather), and the one-lane instantiation
 //!   (`Explicit(Scalar)`, which since the portable arm has drivers of its
 //!   own is the only one) — at one lane a row walk would visit each
@@ -509,12 +509,7 @@ mod tests {
     #[should_panic(expected = "exceed a two-register table")]
     fn a_forced_table_walk_refuses_a_ligand_it_cannot_hold() {
         let (_m, _t, conf, pairs) = prep(3);
-        intra_energy_simd_walk(
-            SimdLevel::Sse2.min(SimdLevel::detect()),
-            &conf,
-            &pairs,
-            IntraWalk::Table,
-        );
+        intra_energy_simd_walk(SimdLevel::Scalar, &conf, &pairs, IntraWalk::Table);
     }
 
     #[test]

@@ -911,17 +911,21 @@ mod tests {
             &bytes[..bytes.len() - 7],
         )
         .unwrap();
+        // …and intact grid bytes under the name an older binary gave the
+        // same grids built at its retired `sse2` level.
+        let name = valid.file_name().to_string_lossy().into_owned();
+        std::fs::write(dir.join(format!("{}-sse2.grid", &name[..16])), &bytes).unwrap();
 
         let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
         let s = cache.stats();
-        assert_eq!(s.quarantined, 2, "both damaged files must be quarantined");
+        assert_eq!(s.quarantined, 3, "all three files must be quarantined");
         assert_eq!(s.spilled, 1, "the valid spill file must survive");
         let bad: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.file_name().to_string_lossy().ends_with(".bad"))
             .collect();
-        assert_eq!(bad.len(), 2, "damaged files are renamed aside, not deleted");
+        assert_eq!(bad.len(), 3, "damaged files are renamed aside, not deleted");
         let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
         assert_eq!(
             src,

@@ -69,8 +69,9 @@
 //! The three policy fields are tagged unions:
 //!
 //! * `backend` — `"detect"`, `{"fixed": "reference" | "autovec" | "scalar"
-//!   | "sse2" | "avx2" | "avx512"}` (`{"pinned": "<simd level>"}` is
-//!   accepted as an alias of `{"fixed": "<simd level>"}`);
+//!   | "avx2" | "avx512"}` (`{"pinned": "<simd level>"}` is accepted as an
+//!   alias of `{"fixed": "<simd level>"}`); any other name, the retired
+//!   `"sse2"` included, is refused with the list of accepted ones;
 //! * `stop` — `"complete"`, `{"max_evaluations": N}`, `{"deadline_ns": N}`
 //!   (also `deadline_ms` / `deadline_s`), or
 //!   `{"ranking_stable": {"window": W, "epsilon": E}}`;
@@ -97,7 +98,6 @@ use mudock_core::{
 use mudock_grids::GridDims;
 use mudock_mol::{Molecule, Vec3};
 use mudock_obs::{GridSource, StageTimings};
-use mudock_simd::SimdLevel;
 
 use crate::ingest::LigandSource;
 use crate::job::{JobId, JobOutcome, JobState, LigandSlice, Priority, RankedLigand};
@@ -916,15 +916,19 @@ fn backend_from_json(v: &Json) -> Result<BackendPolicy, WireError> {
         )),
         Json::Obj(_) => {
             if let Some(name) = get_str(v, "fixed")? {
-                let b = Backend::parse(name).ok_or_else(|| {
-                    WireError::invalid("backend.fixed", format!("unknown backend '{name}'"))
-                })?;
+                let b = name
+                    .parse()
+                    .map_err(|e| WireError::invalid("backend.fixed", e))?;
                 Ok(BackendPolicy::Fixed(b))
             } else if let Some(name) = get_str(v, "pinned")? {
-                let l = SimdLevel::parse(name).ok_or_else(|| {
-                    WireError::invalid("backend.pinned", format!("unknown SIMD level '{name}'"))
-                })?;
-                Ok(BackendPolicy::Fixed(Backend::Explicit(l)))
+                match name.parse() {
+                    Ok(b @ Backend::Explicit(_)) => Ok(BackendPolicy::Fixed(b)),
+                    Ok(_) => Err(WireError::invalid(
+                        "backend.pinned",
+                        format!("'{name}' is not a SIMD level (use {{\"fixed\": \"{name}\"}})"),
+                    )),
+                    Err(e) => Err(WireError::invalid("backend.pinned", e)),
+                }
             } else {
                 Err(WireError::invalid(
                     "backend",

@@ -218,6 +218,22 @@ fn malformed_inputs_map_to_the_right_wire_errors() {
             |e| matches!(e, WireError::Invalid { .. }),
             400,
         ),
+        // The retired SSE2 level: refused under both spellings, never
+        // remapped to another backend.
+        (
+            r#"{"campaign": {"name": "x", "backend": {"fixed": "sse2"}},
+                "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
+                "ligands": {"synth": {"count": 2}}}"#,
+            |e| matches!(e, WireError::Invalid { message, .. } if message.contains("autovec")),
+            400,
+        ),
+        (
+            r#"{"campaign": {"name": "x", "backend": {"pinned": "sse2"}},
+                "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
+                "ligands": {"synth": {"count": 2}}}"#,
+            |e| matches!(e, WireError::Invalid { message, .. } if message.contains("autovec")),
+            400,
+        ),
         (
             r#"{"campaign": {"name": "x", "stop": {"surprise": 3}},
                 "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},

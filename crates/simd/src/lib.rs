@@ -5,17 +5,19 @@
 //! Google Highway. This crate plays Highway's role for the Rust
 //! reproduction:
 //!
-//! * a width-generic [`Simd`] trait with backends for scalar, SSE2 (128-bit),
+//! * a width-generic [`Simd`] trait with backends for scalar (one lane),
 //!   AVX2+FMA (256-bit) and AVX-512F (512-bit) — selected at **runtime** via
 //!   [`SimdLevel::detect`], so one binary adapts to the host CPU exactly like
-//!   Highway's dynamic dispatch;
+//!   Highway's dynamic dispatch. Below AVX2 there is no hand-written
+//!   multi-lane level: a host without it scores with `mudock-core`'s
+//!   portable arm, compiled for the build's baseline ISA;
 //! * vector math ([`math::exp`], [`math::log`], …) standing in for
 //!   libmvec/ArmPL/SLEEF, because the paper shows vectorized math libraries
 //!   are the decisive portability factor;
 //! * a [`dispatch!`] macro that instantiates an `#[inline(always)]` kernel
 //!   once per backend inside a `#[target_feature]` region.
 //!
-//! Soundness model: backend tokens ([`Sse2`], [`Avx2`], [`Avx512`]) are
+//! Soundness model: backend tokens ([`Avx2`], [`Avx512`]) are
 //! zero-sized proofs of CPU support, only constructible through feature
 //! detection (or `unsafe`). Every intrinsic call is therefore safe behind
 //! the token.
@@ -53,13 +55,12 @@ pub mod traits;
 pub mod x86 {
     pub mod avx2;
     pub mod avx512;
-    pub mod sse2;
 }
 
 pub use scalar::{OneLane, Scalar};
 pub use traits::Simd;
 #[cfg(target_arch = "x86_64")]
-pub use x86::{avx2::Avx2, avx512::Avx512, sse2::Sse2};
+pub use x86::{avx2::Avx2, avx512::Avx512};
 
 /// Maximum lane count across all backends (AVX-512: 16 × f32).
 pub const MAX_LANES: usize = 16;
@@ -68,14 +69,13 @@ pub const MAX_LANES: usize = 16;
 /// narrowest to widest.
 ///
 /// This is the Rust-side analogue of Highway's `HWY_TARGETS`: the level is a
-/// *runtime* choice, so experiments can pin a level (`--simd=sse2`) or take
+/// *runtime* choice, so experiments can pin a level (`--simd=avx2`) or take
 /// the best the host offers ([`SimdLevel::detect`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
-    /// Plain scalar f32 code (1 lane). Portable reference.
+    /// Plain scalar f32 code (1 lane). Portable reference, and what
+    /// [`SimdLevel::detect`] returns on a host without AVX2+FMA.
     Scalar,
-    /// SSE2: 128-bit, 4 lanes, no FMA (the x86-64 baseline).
-    Sse2,
     /// AVX2 + FMA: 256-bit, 8 lanes.
     Avx2,
     /// AVX-512F: 512-bit, 16 lanes.
@@ -84,14 +84,10 @@ pub enum SimdLevel {
 
 impl SimdLevel {
     /// All levels, narrowest first.
-    pub const ALL: [SimdLevel; 4] = [
-        SimdLevel::Scalar,
-        SimdLevel::Sse2,
-        SimdLevel::Avx2,
-        SimdLevel::Avx512,
-    ];
+    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512];
 
-    /// Pick the widest level supported by the host CPU.
+    /// Pick the widest level supported by the host CPU: [`SimdLevel::Scalar`]
+    /// on any host without AVX2+FMA, x86-64 or not.
     pub fn detect() -> SimdLevel {
         #[cfg(target_arch = "x86_64")]
         {
@@ -101,12 +97,8 @@ impl SimdLevel {
             if x86::avx2::Avx2::try_new().is_some() {
                 return SimdLevel::Avx2;
             }
-            SimdLevel::Sse2
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            SimdLevel::Scalar
-        }
+        SimdLevel::Scalar
     }
 
     /// Is this level usable on the current host?
@@ -115,7 +107,6 @@ impl SimdLevel {
         {
             match self {
                 SimdLevel::Scalar => true,
-                SimdLevel::Sse2 => x86::sse2::Sse2::try_new().is_some(),
                 SimdLevel::Avx2 => x86::avx2::Avx2::try_new().is_some(),
                 SimdLevel::Avx512 => x86::avx512::Avx512::try_new().is_some(),
             }
@@ -135,7 +126,6 @@ impl SimdLevel {
     pub fn lanes(self) -> usize {
         match self {
             SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 4,
             SimdLevel::Avx2 => 8,
             SimdLevel::Avx512 => 16,
         }
@@ -150,7 +140,6 @@ impl SimdLevel {
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
             SimdLevel::Avx512 => "avx512",
         }
@@ -160,7 +149,6 @@ impl SimdLevel {
     pub fn parse(name: &str) -> Option<SimdLevel> {
         match name.to_ascii_lowercase().as_str() {
             "scalar" => Some(SimdLevel::Scalar),
-            "sse2" | "sse" | "128" => Some(SimdLevel::Sse2),
             "avx2" | "256" => Some(SimdLevel::Avx2),
             "avx512" | "avx-512" | "512" => Some(SimdLevel::Avx512),
             _ => None,
@@ -222,11 +210,6 @@ macro_rules! dispatch {
                 $crate::dispatch!(@in tok, |$s| $body)
             }
             #[cfg(target_arch = "x86_64")]
-            $crate::SimdLevel::Sse2 => {
-                let tok = $crate::Sse2::try_new().expect("SSE2 unsupported on this CPU");
-                $crate::dispatch!(@in tok, |$s| $body)
-            }
-            #[cfg(target_arch = "x86_64")]
             $crate::SimdLevel::Avx2 => {
                 let tok = $crate::Avx2::try_new().expect("AVX2+FMA unsupported on this CPU");
                 $crate::dispatch!(@in tok, |$s| $body)
@@ -281,7 +264,6 @@ mod tests {
     #[test]
     fn lanes_and_width() {
         assert_eq!(SimdLevel::Scalar.lanes(), 1);
-        assert_eq!(SimdLevel::Sse2.lanes(), 4);
         assert_eq!(SimdLevel::Avx2.lanes(), 8);
         assert_eq!(SimdLevel::Avx512.lanes(), 16);
         assert_eq!(SimdLevel::Avx512.width_bits(), 512);

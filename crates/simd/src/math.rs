@@ -72,7 +72,7 @@ pub const EXP_BOUNDED_LO: f32 = -2.6;
 /// Accuracy: the polynomial is within 7.2e-9 (relative) of `e^x` in exact
 /// arithmetic; evaluated in `f32` by Horner's rule it stays ≤ 4 ulp on
 /// backends with a fused multiply-add and ≤ 6 ulp where `mul_add` rounds
-/// twice (scalar, SSE2) — the cancellation near `t = −1`, where terms of
+/// twice ([`Scalar`](crate::Scalar)) — the cancellation near `t = −1`, where terms of
 /// magnitude 0.27 sum to 0.074, is what costs the last ulps.
 #[inline(always)]
 pub fn exp_bounded<S: Simd>(s: S, x: S::V) -> S::V {

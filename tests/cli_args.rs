@@ -61,6 +61,9 @@ fn invalid_campaign_values_exit_2_with_a_typed_message() {
             &["screen", "--demo", "4", "--stable-eps", "0.1"],
             "--stable-window",
         ),
+        // A retired level's name is refused, never remapped, and the
+        // refusal names the portable arm that replaced it.
+        (&["dock", "--demo", "--backend", "sse2"], "autovec"),
     ];
     for (args, fragment) in cases {
         let out = mudock(args);
