@@ -23,6 +23,20 @@
 //! [`SimdLevel::Scalar`] maps, which `Reference`, `AutoVec` and
 //! `Explicit(Scalar)` dock against, have their bits pinned by the root
 //! `grid_build` test.
+//!
+//! One build can run on several `mudock-pool` workers
+//! ([`GridBuilder::build_simd_on`]; the service builds on a job's share
+//! of the node's threads). The lattice is cut into contiguous ranges of
+//! points, and every map into the same ranges, so each worker writes its
+//! own disjoint slices. Every range starts at a multiple of
+//! [`MAX_LANES`], which every level's width divides: each vector holds
+//! the same points as in the one-worker build, each lane still sums its
+//! point over the atoms in index order, and a vector skips an atom's
+//! short-range terms exactly when it did before. The maps are therefore
+//! bit-identical for any worker count, at every level.
+
+use std::ops::Range;
+use std::sync::Mutex;
 
 use mudock_ff::params::{weights, PairTable, NB_CUTOFF, QSOLPAR};
 use mudock_ff::terms;
@@ -32,7 +46,7 @@ use mudock_mol::{Molecule, Vec3};
 use mudock_simd::{dispatch, math, Simd, SimdLevel, MAX_LANES};
 
 use crate::dims::GridDims;
-use crate::map::{GridSet, DESOLV_MAP, ELEC_MAP};
+use crate::map::{GridSet, DESOLV_MAP, ELEC_MAP, NUM_MAPS};
 
 /// One receptor atom's coefficients against one probe type.
 #[derive(Clone, Copy, Default)]
@@ -179,16 +193,33 @@ impl<'a> GridBuilder<'a> {
     /// points: each lane sums its point's terms over the receptor's atoms
     /// in index order (see the module docs). The one-lane build's bits,
     /// at [`SimdLevel::Scalar`], are pinned by the root `grid_build` test.
+    /// Runs on the calling thread alone: [`GridBuilder::build_simd_on`]
+    /// with one worker.
     pub fn build_simd(&self, level: SimdLevel) -> GridSet {
+        self.build_simd_on(level, 1)
+    }
+
+    /// [`GridBuilder::build_simd`] on up to `workers` `mudock-pool`
+    /// workers, the calling thread included. The lattice is cut into
+    /// contiguous point ranges that start at multiples of [`MAX_LANES`],
+    /// so the maps are bit-identical to the one-worker build's for any
+    /// worker count (see the module docs).
+    pub fn build_simd_on(&self, level: SimdLevel, workers: usize) -> GridSet {
         let atoms = AtomCoef::all(self.receptor, &self.types, &PairTable::new());
         let mut gs = GridSet::empty(self.dims);
-        dispatch!(level, |s| build_points(
-            s,
-            &atoms,
-            &self.types,
-            &self.dims,
-            &mut gs.data
-        ));
+        let parts = split_lattice(&mut gs.data, self.dims.total(), workers);
+        mudock_pool::parallel_map(&parts, workers, |_, part| {
+            let taken = part.lock().expect("held only to take the part").take();
+            let (points, mut maps) = taken.expect("each part is claimed by one task");
+            dispatch!(level, |s| build_points(
+                s,
+                &atoms,
+                &self.types,
+                &self.dims,
+                points,
+                &mut maps
+            ));
+        });
         for ty in &self.types {
             gs.built[ty.idx()] = true;
         }
@@ -198,22 +229,55 @@ impl<'a> GridBuilder<'a> {
     }
 }
 
-/// Every map's values over the whole lattice, `S::LANES` consecutive
-/// points at a time; `data` is [`GridSet::data`], map `m` at
-/// `m * dims.total()`.
+/// Split builds cut the lattice into this many parts per worker, so a
+/// worker that drew a cheap stretch (few atoms within the cutoff) claims
+/// another instead of idling.
+const PARTS_PER_WORKER: usize = 4;
+
+/// One part of a split build: its lattice points and, for every map
+/// slot in order, that map's values over exactly those points.
+type Part<'d> = (Range<usize>, Vec<&'d mut [f32]>);
+
+/// Cut [`GridSet::data`] (`NUM_MAPS` maps of `stride` points) into
+/// contiguous point ranges, one part for a single worker and a few per
+/// worker otherwise. Every range starts at a multiple of [`MAX_LANES`],
+/// hence of every level's `S::LANES`: each vector of a part holds the
+/// points it holds in a one-part build.
+fn split_lattice(data: &mut [f32], stride: usize, workers: usize) -> Vec<Mutex<Option<Part<'_>>>> {
+    let vectors = stride.div_ceil(MAX_LANES);
+    let n = match workers {
+        0 | 1 => 1,
+        w => (w * PARTS_PER_WORKER).min(vectors).max(1),
+    };
+    let bound = |i: usize| (vectors * i / n * MAX_LANES).min(stride);
+    let mut parts: Vec<Part> = (0..n)
+        .map(|i| (bound(i)..bound(i + 1), Vec::with_capacity(NUM_MAPS)))
+        .collect();
+    for mut map in data.chunks_mut(stride.max(1)) {
+        for (points, maps) in &mut parts {
+            let (head, tail) = std::mem::take(&mut map).split_at_mut(points.len());
+            maps.push(head);
+            map = tail;
+        }
+    }
+    parts.into_iter().map(|p| Mutex::new(Some(p))).collect()
+}
+
+/// Every map's values over `points`, `S::LANES` consecutive points at a
+/// time; `maps[m]` holds map `m`'s values over exactly `points`.
 #[inline(always)]
 fn build_points<S: Simd>(
     s: S,
     atoms: &[AtomCoef],
     types: &[AtomType],
     dims: &GridDims,
-    data: &mut [f32],
+    points: Range<usize>,
+    maps: &mut [&mut [f32]],
 ) {
-    let stride = dims.total();
     let [nx, ny, _] = dims.npts.map(|n| n as usize);
     let vcut2 = s.splat(NB_CUTOFF * NB_CUTOFF);
     let zero = s.zero();
-    for start in (0..stride).step_by(S::LANES) {
+    for start in points.clone().step_by(S::LANES) {
         // Lanes past the map's end hold points past the lattice; their
         // sums are computed and dropped.
         let mut pts = [Vec3::ZERO; MAX_LANES];
@@ -265,12 +329,12 @@ fn build_points<S: Simd>(
             }
         }
 
-        let n = S::LANES.min(stride - start);
+        let n = S::LANES.min(points.end - start);
         let sums = types.iter().map(|ty| ty.idx()).zip(type_acc);
         let mut buf = [0.0f32; MAX_LANES];
         for (m, v) in sums.chain([(ELEC_MAP, elec_acc), (DESOLV_MAP, des_acc)]) {
             s.store(v, &mut buf);
-            data[m * stride + start..][..n].copy_from_slice(&buf[..n]);
+            maps[m][start - points.start..][..n].copy_from_slice(&buf[..n]);
         }
     }
 }
@@ -278,7 +342,6 @@ fn build_points<S: Simd>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::map::NUM_MAPS;
     use mudock_mol::Atom;
     use proptest::prelude::*;
 
@@ -342,7 +405,8 @@ mod tests {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
         /// Random receptors, some atoms outside the lattice, on lattices
-        /// whose rows and whole maps end mid-vector at every width.
+        /// whose rows and whole maps end mid-vector at every width; each
+        /// level's build split over `workers` has the one-worker bits.
         #[test]
         fn simd_builds_match_scalar_over_random_lattices(
             // Position as a fraction of the lattice's extent per axis
@@ -355,6 +419,7 @@ mod tests {
                 .prop_filter("at most 6000 points", |&(x, y, z)| x * y * z <= 6000),
             spacing in 0.3f32..1.0,
             type_mask in 0u32..(1 << NUM_TYPES),
+            workers in 1usize..=8,
         ) {
             let dims = GridDims {
                 npts: [npts.0, npts.1, npts.2],
@@ -400,6 +465,68 @@ mod tests {
                         }
                     }
                 }
+                let split = builder.build_simd_on(level, workers);
+                prop_assert_eq!(split.built, got.built, "{} on {} workers", level, workers);
+                let differs = split
+                    .data
+                    .iter()
+                    .zip(&got.data)
+                    .position(|(a, b)| a.to_bits() != b.to_bits());
+                prop_assert_eq!(differs, None, "{} on {} workers: first differing value", level, workers);
+            }
+        }
+    }
+
+    /// Bits of two builds, value by value.
+    fn same_bits(a: &GridSet, b: &GridSet) -> bool {
+        a.built == b.built
+            && a.data
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(b.data.iter().map(|v| v.to_bits()))
+    }
+
+    #[test]
+    fn fewer_vectors_than_workers_split_to_the_same_bits() {
+        // 12 points: less than one vector at every width. 60 points: four
+        // 16-lane vectors for eight workers.
+        let r = tiny_receptor();
+        for npts in [[3, 2, 2], [5, 4, 3]] {
+            let dims = GridDims {
+                npts,
+                spacing: 0.75,
+                origin: Vec3::new(-1.0, -0.5, -0.5),
+            };
+            let builder = GridBuilder::new(&r, dims).with_types(&[AtomType::C, AtomType::OA]);
+            for level in SimdLevel::available() {
+                let one = builder.build_simd(level);
+                assert!(
+                    same_bits(&builder.build_simd_on(level, 8), &one),
+                    "{npts:?} at {level}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parts_tile_every_map_from_lane_aligned_starts() {
+        for stride in [1, 12, 16, 17, 100, 12167] {
+            for workers in 1..=8 {
+                let mut data = vec![0.0f32; NUM_MAPS * stride];
+                let base = data.as_ptr();
+                let parts = split_lattice(&mut data, stride, workers);
+                let mut next = 0;
+                for part in parts {
+                    let (points, maps) = part.into_inner().unwrap().unwrap();
+                    assert_eq!((points.start, points.start % MAX_LANES), (next, 0));
+                    assert_eq!(maps.len(), NUM_MAPS);
+                    for (m, map) in maps.iter().enumerate() {
+                        assert_eq!(map.as_ptr(), base.wrapping_add(m * stride + points.start));
+                        assert_eq!(map.len(), points.len());
+                    }
+                    next = points.end;
+                }
+                assert_eq!(next, stride, "{stride} points on {workers} workers");
             }
         }
     }

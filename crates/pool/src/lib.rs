@@ -3,9 +3,10 @@
 //! The paper parallelizes muDock across *inputs* ("we can compute more
 //! inputs in parallel rather than parallelize the computation of a single
 //! input", Section IV) with pthreads and a trivial work-stealing scheme.
-//! This crate is that rung, in its simplest form: every task is one ligand,
-//! and every worker — the calling thread included — claims the next
-//! unclaimed index from one shared atomic cursor until the batch is drained.
+//! This crate is that rung, in its simplest form: every task is one ligand
+//! (or one range of a grid build's lattice, `grids::build`), and every
+//! worker — the calling thread included — claims the next unclaimed index
+//! from one shared atomic cursor until the batch is drained.
 //! A worker that finishes a cheap ligand early simply claims again, which is
 //! all the balancing tasks of 0.8–18 ms need; results are placed by index.
 //!

@@ -442,19 +442,21 @@ impl GridCache {
     /// [`GridSource::Hit`] (memory, including joining another job's
     /// in-flight build *or* finding a prefetched reload),
     /// [`GridSource::Reloaded`] (spill tier), or [`GridSource::Built`]
-    /// (full AutoGrid run).
+    /// (full AutoGrid run). A build runs on up to `threads` workers, the
+    /// calling thread included; the maps' bits do not depend on it.
     pub fn get_or_build(
         &self,
         receptor: &Molecule,
         dims: GridDims,
         level: SimdLevel,
+        threads: usize,
     ) -> (Arc<GridSet>, GridSource) {
         let key = (grid_cache_key(receptor, &dims), level);
         let t0 = Instant::now();
 
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let grids = self.build(receptor, dims, level);
+            let grids = self.build(receptor, dims, level, threads);
             self.trace_event(TraceEventKind::Access {
                 key,
                 source: GridSource::Built,
@@ -504,7 +506,7 @@ impl GridCache {
                     Err(e) => self.reload_failed(key, &e),
                 }
             }
-            self.build(receptor, dims, level)
+            self.build(receptor, dims, level, threads)
         }));
         let source = source.get();
         self.trace_event(TraceEventKind::Access {
@@ -640,9 +642,15 @@ impl GridCache {
         Ok(())
     }
 
-    fn build(&self, receptor: &Molecule, dims: GridDims, level: SimdLevel) -> Arc<GridSet> {
+    fn build(
+        &self,
+        receptor: &Molecule,
+        dims: GridDims,
+        level: SimdLevel,
+        threads: usize,
+    ) -> Arc<GridSet> {
         let t0 = Instant::now();
-        let grids = GridBuilder::new(receptor, dims).build_simd(level);
+        let grids = GridBuilder::new(receptor, dims).build_simd_on(level, threads);
         self.build_seconds.record(t0.elapsed());
         Arc::new(grids)
     }
@@ -683,8 +691,8 @@ mod tests {
     fn second_lookup_hits_and_shares_the_build() {
         let cache = GridCache::new(2);
         let rec = synthetic_receptor(3, 40, 5.0);
-        let (a, src_a) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
-        let (b, src_b) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        let (a, src_a) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
+        let (b, src_b) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
         assert_eq!(src_a, GridSource::Built);
         assert_eq!(src_b, GridSource::Hit);
         assert!(Arc::ptr_eq(&a, &b));
@@ -699,8 +707,8 @@ mod tests {
         let rec = synthetic_receptor(3, 40, 5.0);
         let mut renamed = rec.clone();
         renamed.name = "other".into();
-        let (_, first) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
-        let (_, second) = cache.get_or_build(&renamed, dims(), SimdLevel::detect());
+        let (_, first) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
+        let (_, second) = cache.get_or_build(&renamed, dims(), SimdLevel::detect(), 1);
         assert_eq!(first, GridSource::Built);
         assert_eq!(
             second,
@@ -715,7 +723,7 @@ mod tests {
         let rec = synthetic_receptor(3, 40, 5.0);
         let levels = SimdLevel::available();
         for &l in &levels {
-            let (_, src) = cache.get_or_build(&rec, dims(), l);
+            let (_, src) = cache.get_or_build(&rec, dims(), l, 1);
             assert_eq!(
                 src,
                 GridSource::Built,
@@ -724,7 +732,7 @@ mod tests {
         }
         assert_eq!(cache.stats().entries, levels.len().min(4));
         // Revisiting a level is a hit on that level's entry.
-        let (_, src) = cache.get_or_build(&rec, dims(), levels[0]);
+        let (_, src) = cache.get_or_build(&rec, dims(), levels[0], 1);
         assert_eq!(src, GridSource::Hit);
     }
 
@@ -732,8 +740,8 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = GridCache::new(0);
         let rec = synthetic_receptor(5, 30, 5.0);
-        let (_, s1) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
-        let (_, s2) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        let (_, s1) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
+        let (_, s2) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
         assert_eq!((s1, s2), (GridSource::Built, GridSource::Built));
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().entries, 0);
@@ -744,8 +752,8 @@ mod tests {
         let registry = Registry::new();
         let cache = GridCache::builder(1).registry(&registry).build().unwrap();
         let rec = synthetic_receptor(6, 30, 5.0);
-        cache.get_or_build(&rec, dims(), SimdLevel::detect());
-        cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
+        cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
         let builds = cache.build_seconds.snapshot();
         assert_eq!(builds.count, 1, "the hit must not rebuild");
         assert!(builds.sum_ns > 0);
@@ -778,12 +786,12 @@ mod tests {
         let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
         let r1 = synthetic_receptor(1, 30, 5.0);
         let r2 = synthetic_receptor(2, 30, 5.0);
-        let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
-        cache.get_or_build(&r2, dims(), SimdLevel::detect()); // evicts + spills r1
+        let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
+        cache.get_or_build(&r2, dims(), SimdLevel::detect(), 1); // evicts + spills r1
         let s = cache.stats();
         assert_eq!((s.evictions, s.spills, s.spilled), (1, 1, 1));
 
-        let (reloaded, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        let (reloaded, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
         assert_eq!(
             src,
             GridSource::Reloaded,
@@ -818,7 +826,7 @@ mod tests {
         // three spills, but only the two newest files survive on disk.
         for seed in 1..=4 {
             let r = synthetic_receptor(seed, 25, 5.0);
-            cache.get_or_build(&r, dims(), SimdLevel::detect());
+            cache.get_or_build(&r, dims(), SimdLevel::detect(), 1);
         }
         let s = cache.stats();
         assert_eq!((s.evictions, s.spills, s.spilled), (3, 3, 2));
@@ -834,13 +842,13 @@ mod tests {
         let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
         let r1 = synthetic_receptor(1, 30, 5.0);
         let r2 = synthetic_receptor(2, 30, 5.0);
-        let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
-        cache.get_or_build(&r2, dims(), SimdLevel::detect());
+        let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
+        cache.get_or_build(&r2, dims(), SimdLevel::detect(), 1);
         // Stomp the spilled file: the reload must fail closed into a
         // rebuild, and the ghost entry must be forgotten.
         let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
         std::fs::write(file.path(), b"not a grid file").unwrap();
-        let (rebuilt, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        let (rebuilt, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
         assert_eq!(src, GridSource::Built);
         let s = cache.stats();
         assert_eq!(s.reloads, 0, "a corrupt file is not a reload");
@@ -859,9 +867,9 @@ mod tests {
         let r2 = synthetic_receptor(2, 30, 5.0);
         let built = {
             let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
-            let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
-            cache.get_or_build(&r2, dims(), SimdLevel::detect()); // spills r1
-            cache.get_or_build(&r1, dims(), SimdLevel::detect()); // spills r2, reloads r1
+            let (built, _) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
+            cache.get_or_build(&r2, dims(), SimdLevel::detect(), 1); // spills r1
+            cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1); // spills r2, reloads r1
             built
         }; // "crash": the process's in-memory state is gone, the dir is not
 
@@ -869,7 +877,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.spilled, 2, "the rescan must re-register both spill files");
         assert_eq!(s.quarantined, 0);
-        let (reloaded, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        let (reloaded, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
         assert_eq!(
             src,
             GridSource::Reloaded,
@@ -894,8 +902,8 @@ mod tests {
         let r2 = synthetic_receptor(2, 30, 5.0);
         {
             let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
-            cache.get_or_build(&r1, dims(), SimdLevel::detect());
-            cache.get_or_build(&r2, dims(), SimdLevel::detect()); // spills r1
+            cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
+            cache.get_or_build(&r2, dims(), SimdLevel::detect(), 1); // spills r1
         }
         // A name that does not parse as a spill key…
         std::fs::write(dir.join("notaspill.grid"), b"junk").unwrap();
@@ -926,7 +934,7 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().ends_with(".bad"))
             .collect();
         assert_eq!(bad.len(), 3, "damaged files are renamed aside, not deleted");
-        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
         assert_eq!(
             src,
             GridSource::Reloaded,
@@ -953,10 +961,10 @@ mod tests {
             .trace(&trace_path)
             .build()
             .unwrap();
-        cache.get_or_build(&r1, dims(), SimdLevel::detect()); // build
-        cache.get_or_build(&r2, dims(), SimdLevel::detect()); // build, spills r1
-        cache.get_or_build(&r1, dims(), SimdLevel::detect()); // reload, spills r2
-        cache.get_or_build(&r1, dims(), SimdLevel::detect()); // hit
+        cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1); // build
+        cache.get_or_build(&r2, dims(), SimdLevel::detect(), 1); // build, spills r1
+        cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1); // reload, spills r2
+        cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1); // hit
         let s = cache.stats();
 
         let t = trace::read_trace(&trace_path).unwrap();
@@ -1022,8 +1030,8 @@ mod tests {
         );
         let r1 = synthetic_receptor(1, 30, 5.0);
         let r2 = synthetic_receptor(2, 30, 5.0);
-        cache.get_or_build(&r1, dims(), SimdLevel::detect());
-        cache.get_or_build(&r2, dims(), SimdLevel::detect()); // spills r1
+        cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
+        cache.get_or_build(&r2, dims(), SimdLevel::detect(), 1); // spills r1
 
         cache.hint(grid_cache_key(&r1, &dims()), SimdLevel::detect());
         for _ in 0..500 {
@@ -1037,7 +1045,7 @@ mod tests {
         assert_eq!(s.reloads, 1, "a prefetch is counted as a reload too");
 
         let builds_before = cache.build_seconds.count();
-        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect());
+        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
         assert_eq!(
             src,
             GridSource::Hit,
@@ -1060,7 +1068,7 @@ mod tests {
     fn a_poisoned_lock_does_not_wedge_the_cache() {
         let cache = Arc::new(GridCache::new(2));
         let rec = synthetic_receptor(3, 40, 5.0);
-        cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
         let holder = Arc::clone(&cache);
         let died = std::thread::spawn(move || {
             let _guard = holder.lock();
@@ -1068,7 +1076,7 @@ mod tests {
         })
         .join();
         assert!(died.is_err() && cache.inner.is_poisoned());
-        let (_, source) = cache.get_or_build(&rec, dims(), SimdLevel::detect());
+        let (_, source) = cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1);
         assert_eq!(source, GridSource::Hit);
         assert_eq!(cache.stats().entries, 1);
     }
@@ -1082,7 +1090,7 @@ mod tests {
             let cache = Arc::clone(&cache);
             let rec = Arc::clone(&rec);
             handles.push(std::thread::spawn(move || {
-                cache.get_or_build(&rec, dims(), SimdLevel::detect())
+                cache.get_or_build(&rec, dims(), SimdLevel::detect(), 1)
             }));
         }
         let results: Vec<(Arc<GridSet>, GridSource)> =

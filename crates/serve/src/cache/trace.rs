@@ -293,7 +293,9 @@ fn parse_line(v: &Json) -> Option<Line> {
 /// with an `ev` — a torn final line, say — or a known event with a
 /// missing or ill-typed field is an `InvalidData` error naming the
 /// line, so a damaged trace fails loudly instead of replaying a
-/// silently shortened history.
+/// silently shortened history. A known event at a SIMD level this
+/// binary does not have (one recorded before `sse2` was retired, say)
+/// is refused the same way, and the error names the level.
 pub fn read_trace(path: &Path) -> std::io::Result<Trace> {
     let text = std::fs::read_to_string(path)?;
     let mut trace = Trace::default();
@@ -306,7 +308,14 @@ pub fn read_trace(path: &Path) -> std::io::Result<Trace> {
             std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
         };
         let json = crate::wire::parse(line).map_err(|e| bad(e.to_string()))?;
-        match parse_line(&json).ok_or_else(|| bad("missing or ill-typed field".into()))? {
+        // A retired level (`sse2`) is the likely culprit: name it.
+        let why = || match str_field(&json, "level") {
+            Some(level) if SimdLevel::parse(level).is_none() => {
+                format!("unknown SIMD level '{level}'")
+            }
+            _ => "missing or ill-typed field".into(),
+        };
+        match parse_line(&json).ok_or_else(|| bad(why()))? {
             Line::Event(ev) => trace.events.push(ev),
             Line::Header(header) => trace.header = Some(header),
             Line::Unknown => {}
@@ -405,6 +414,23 @@ mod tests {
                 "{what}: {err}"
             );
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_retired_level_is_named_in_the_error() {
+        let path = tmp("sse2.trace");
+        let access = "{\"ev\":\"access\",\"t_ns\":5,\"key\":\"00000000000000c2\",\
+                      \"level\":\"scalar\",\"source\":\"built\",\"bytes\":64,\"dur_ns\":9}";
+        let retired = access.replace("scalar", "sse2");
+        std::fs::write(&path, format!("{access}\n{retired}\n")).unwrap();
+        let err = read_trace(&path).expect_err("an sse2 line is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .starts_with("trace line 2: unknown SIMD level 'sse2': "),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 }

@@ -5,9 +5,9 @@
 //! [`GridCache`], chunks fanned out over `mudock-pool` workers, results
 //! into the incremental top-k plus the JSONL/checkpoint sinks. The
 //! node's `total_threads` are divided evenly among the jobs running at
-//! that moment (re-evaluated at every chunk boundary), so a long
-//! campaign cannot starve a short one, and a finishing job's share flows
-//! back to the survivors.
+//! that moment (re-evaluated for the grid build and at every chunk
+//! boundary), so a long campaign cannot starve a short one, and a
+//! finishing job's share flows back to the survivors.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -142,6 +142,14 @@ struct ExecCtx {
     router: Arc<ShardRouter>,
     obs: Arc<ServeObs>,
     total_threads: usize,
+}
+
+impl ExecCtx {
+    /// A running job's fair share of the node's threads, right now: what
+    /// its grid build and each of its docking chunks run on.
+    fn fair_share(&self) -> usize {
+        (self.total_threads / self.active.load(Ordering::SeqCst).max(1)).max(1)
+    }
 }
 
 /// Default lattice when a [`JobSpec`] does not pin one: centered on the
@@ -420,9 +428,12 @@ fn run_job(
     let dims = spec.campaign.dims_for(&spec.receptor);
     let params = spec.campaign.dock_params();
     let grid_t0 = now_ns();
-    let (grids, grid_source) =
-        ctx.cache
-            .get_or_build(&spec.receptor, dims, spec.campaign.grid_level());
+    let (grids, grid_source) = ctx.cache.get_or_build(
+        &spec.receptor,
+        dims,
+        spec.campaign.grid_level(),
+        ctx.fair_share(),
+    );
     ctx.obs.job_grid(
         shared.id,
         &shared.trace,
@@ -541,10 +552,8 @@ fn run_job(
             if chunk.is_empty() {
                 break;
             }
-            // This job's fair share of the node, right now.
-            let threads = (ctx.total_threads / ctx.active.load(Ordering::SeqCst).max(1)).max(1);
             let (results, pool_stats): (Vec<ScreenResult>, _) =
-                mudock_pool::parallel_map_stats(&chunk, threads, |i, lig| {
+                mudock_pool::parallel_map_stats(&chunk, ctx.fair_share(), |i, lig| {
                     dock_ligand(&engine, lig, &params, offset + i)
                 });
             ctx.obs

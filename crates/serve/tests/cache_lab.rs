@@ -67,7 +67,7 @@ impl Lab {
         let dims = GridDims::centered(Vec3::ZERO, 3.0, 1.0);
         let get = |&i: &usize| {
             self.cache
-                .get_or_build(&self.receptors[i], dims, SimdLevel::detect())
+                .get_or_build(&self.receptors[i], dims, SimdLevel::detect(), 1)
         };
         accesses.iter().map(|i| get(i).1).collect()
     }

@@ -54,8 +54,8 @@ proptest! {
         let level = SimdLevel::detect();
 
         // Build A, then B: the capacity-1 cache evicts A and spills it.
-        let (built_a, _) = cache.get_or_build(&rec_a, dims, level);
-        cache.get_or_build(&rec_b, dims, level);
+        let (built_a, _) = cache.get_or_build(&rec_a, dims, level, 2);
+        cache.get_or_build(&rec_b, dims, level, 2);
         prop_assert_eq!(cache.stats().spills, 1);
 
         // The spilled file itself round-trips through the raw io API…
@@ -81,7 +81,7 @@ proptest! {
         std::fs::remove_file(&resaved).ok();
 
         // The cache's own miss path reloads those exact bits.
-        let (reloaded, src) = cache.get_or_build(&rec_a, dims, level);
+        let (reloaded, src) = cache.get_or_build(&rec_a, dims, level, 2);
         prop_assert_eq!(src, mudock_obs::GridSource::Reloaded);
         prop_assert_eq!(cache.stats().reloads, 1);
         prop_assert!(!Arc::ptr_eq(&built_a, &reloaded), "must come from disk");

@@ -3,7 +3,8 @@
 //! against (`grid_level()`), so a change to the builder that moves one
 //! bit of it moves their scores. Two receptor/lattice shapes: x rows
 //! that no vector width divides, and a lattice reaching well past the
-//! short-range cutoff of every atom, one atom outside it.
+//! short-range cutoff of every atom, one atom outside it. Each is built
+//! on one worker and split over three, as the service builds it.
 
 use mudock::ff::params::NB_CUTOFF;
 use mudock::ff::AtomType;
@@ -67,18 +68,20 @@ fn the_pinned_shapes_have_the_shapes_they_claim() {
 
 #[test]
 fn the_one_lane_build_keeps_its_bits() {
-    let (receptor, dims) = ragged_rows();
-    let all = GridBuilder::new(&receptor, dims).build_simd(SimdLevel::Scalar);
-    let (receptor, dims) = far_lattice();
-    let some = GridBuilder::new(&receptor, dims)
-        .with_types(&[AtomType::C, AtomType::OA, AtomType::HD, AtomType::NA])
-        .build_simd(SimdLevel::Scalar);
-    // Captured from the atoms-major builder this one replaced (one
-    // vector of receptor atoms per lattice point), debug and release
-    // builds alike.
-    assert_eq!(
-        [fingerprint(&all), fingerprint(&some)],
-        [0x3c7f_5022_94c2_9156, 0x10a5_1595_d62a_90b9],
-        "ragged rows (all maps), far lattice (4 type maps)"
-    );
+    for workers in [1, 3] {
+        let (receptor, dims) = ragged_rows();
+        let all = GridBuilder::new(&receptor, dims).build_simd_on(SimdLevel::Scalar, workers);
+        let (receptor, dims) = far_lattice();
+        let some = GridBuilder::new(&receptor, dims)
+            .with_types(&[AtomType::C, AtomType::OA, AtomType::HD, AtomType::NA])
+            .build_simd_on(SimdLevel::Scalar, workers);
+        // Captured from the atoms-major builder this one replaced (one
+        // vector of receptor atoms per lattice point), debug and release
+        // builds alike.
+        assert_eq!(
+            [fingerprint(&all), fingerprint(&some)],
+            [0x3c7f_5022_94c2_9156, 0x10a5_1595_d62a_90b9],
+            "ragged rows (all maps), far lattice (4 type maps), {workers} worker(s)"
+        );
+    }
 }
