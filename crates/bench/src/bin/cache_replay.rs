@@ -8,9 +8,9 @@
 //! ```
 //!
 //! `TRACE` is a file recorded by a serve node started with
-//! `--cache-trace` (every admission, hit, eviction, spill, reload, and
-//! router hint, with timestamps and per-acquisition wall-clock). The
-//! replayer drives the recorded access/hint stream through the cache's
+//! `--cache-trace` (every admission, hit, eviction, spill, reload and
+//! restore, with timestamps and per-acquisition wall-clock). The
+//! replayer drives the recorded access stream through the cache's
 //! own `Directory` (`mudock_serve`'s `cache::policy` module) once per
 //! row and prints the rows side by side — so "would a frequency filter
 //! have helped this campaign?" is answered from production evidence,
@@ -18,7 +18,7 @@
 //!
 //! Swept by default: `slru` (what the node runs), the what-if rows
 //! `lru` (protected segment of 0) and `tinylfu` (frequency admission in
-//! front of the directory), and `lru+prefetch` / `slru+prefetch`.
+//! front of the directory).
 //! Capacities default to what the trace header recorded (the live
 //! node's configuration); `--capacity`/`--spill-cap` ask "what if the
 //! node were sized differently" against the same workload.
@@ -38,7 +38,7 @@ use std::process::ExitCode;
 use mudock_serve::cache::directory::POLICY_NAME;
 use mudock_serve::{read_trace, ModelConfig, ModelStats};
 
-const DEFAULT_POLICIES: &[&str] = &["lru", "slru", "tinylfu", "lru+prefetch", "slru+prefetch"];
+const DEFAULT_POLICIES: &[&str] = &["lru", "slru", "tinylfu"];
 
 fn usage() -> ! {
     eprintln!(
@@ -112,7 +112,7 @@ fn main() -> ExitCode {
         let cfg = match ModelConfig::for_policy(name, capacity, spill_cap) {
             Some(cfg) => cfg,
             None => {
-                eprintln!("cache_replay: unknown policy {name:?} (lru, slru, tinylfu, +prefetch)");
+                eprintln!("cache_replay: unknown policy {name:?} (lru, slru, tinylfu)");
                 return ExitCode::FAILURE;
             }
         };
@@ -196,28 +196,20 @@ fn print_table(
 ) {
     match header {
         Some(h) => println!(
-            "trace {path}: recorded by policy={} capacity={} spill={} prefetch={}",
-            h.policy, h.capacity, h.spill_capacity, h.prefetch
+            "trace {path}: recorded by policy={} capacity={} spill={}",
+            h.policy, h.capacity, h.spill_capacity
         ),
         None => println!("trace {path}: headerless (partial trace?)"),
     }
     println!("replaying at capacity={capacity} spill-cap={spill_cap}");
     println!(
-        "{:<14} {:>9} {:>7} {:>7} {:>7} {:>8} {:>7} {:>10} {:>12}",
-        "policy",
-        "accesses",
-        "hits",
-        "hit%",
-        "builds",
-        "reloads",
-        "spills",
-        "prefetches",
-        "est-stall-ms"
+        "{:<8} {:>9} {:>7} {:>7} {:>7} {:>8} {:>7} {:>12}",
+        "policy", "accesses", "hits", "hit%", "builds", "reloads", "spills", "est-stall-ms"
     );
     for r in rows {
         let s = &r.stats;
         println!(
-            "{:<14} {:>9} {:>7} {:>6.1}% {:>7} {:>8} {:>7} {:>10} {:>12.2}",
+            "{:<8} {:>9} {:>7} {:>6.1}% {:>7} {:>8} {:>7} {:>12.2}",
             r.label,
             s.accesses,
             s.hits,
@@ -225,7 +217,6 @@ fn print_table(
             s.builds,
             s.reloads,
             s.spills,
-            s.prefetches,
             s.stall_ns as f64 / 1e6
         );
     }
@@ -243,7 +234,7 @@ fn print_json(path: &str, capacity: usize, spill_cap: usize, rows: &[Row]) {
         }
         let s = &r.stats;
         out.push_str(&format!(
-            "{{\"policy\":\"{}\",\"accesses\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\"builds\":{},\"reloads\":{},\"spills\":{},\"evictions\":{},\"spill_drops\":{},\"prefetches\":{},\"stall_ns\":{}}}",
+            "{{\"policy\":\"{}\",\"accesses\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\"builds\":{},\"reloads\":{},\"spills\":{},\"evictions\":{},\"spill_drops\":{},\"stall_ns\":{}}}",
             r.label,
             s.accesses,
             s.hits,
@@ -254,7 +245,6 @@ fn print_json(path: &str, capacity: usize, spill_cap: usize, rows: &[Row]) {
             s.spills,
             s.evictions,
             s.spill_drops,
-            s.prefetches,
             s.stall_ns
         ));
     }

@@ -68,17 +68,6 @@ pub enum Lookup<K> {
     Miss(Admission<K>),
 }
 
-/// Outcome of [`Directory::peek`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Peek<K> {
-    /// A lookup would hit.
-    pub resident: bool,
-    /// The key has a spill file.
-    pub spilled: bool,
-    /// The entry a miss would evict (`None` while there is room).
-    pub victim: Option<K>,
-}
-
 impl<K: Copy + Eq> Directory<K> {
     /// A directory of `capacity >= 1` resident entries, of which at most
     /// `protected` (clamped below `capacity`) are shielded from
@@ -118,17 +107,6 @@ impl<K: Copy + Eq> Directory<K> {
             }
         }
         Lookup::Hit
-    }
-
-    /// Admit a key whose spill file was loaded ahead of demand; `None`
-    /// when a demand lookup admitted it meanwhile.
-    pub fn admit_prefetched(
-        &mut self,
-        key: K,
-        spillable: impl FnOnce(K) -> bool,
-    ) -> Option<Admission<K>> {
-        let resident = self.resident.iter().any(|e| e.key == key);
-        (!resident).then(|| self.admit(key, spillable))
     }
 
     /// The least recently used probation entry.
@@ -205,15 +183,12 @@ impl<K: Copy + Eq> Directory<K> {
         self.files.retain(|f| f.0 != key);
     }
 
-    /// What a lookup of `key` would find, changing nothing.
-    pub fn peek(&self, key: K) -> Peek<K> {
+    /// The entry a lookup of `key` would evict — `None` on a hit or
+    /// while there is room — changing nothing.
+    pub fn peek(&self, key: K) -> Option<K> {
         let resident = self.resident.iter().any(|e| e.key == key);
         let full = !resident && self.resident.len() >= self.capacity;
-        Peek {
-            resident,
-            spilled: self.files.iter().any(|f| f.0 == key),
-            victim: self.victim().filter(|_| full),
-        }
+        self.victim().filter(|_| full)
     }
 
     /// Resident entries and spill files held.
@@ -370,30 +345,9 @@ mod tests {
             get(&mut d, key);
         }
         let before = (d.clock, d.spilled(), d.sizes());
-        assert_eq!(
-            d.peek(1),
-            Peek {
-                resident: true,
-                spilled: false,
-                victim: None
-            }
-        );
-        assert_eq!(
-            d.peek(2),
-            Peek {
-                resident: false,
-                spilled: true,
-                victim: Some(3)
-            }
-        );
-        assert_eq!(
-            d.peek(9),
-            Peek {
-                resident: false,
-                spilled: false,
-                victim: Some(3)
-            }
-        );
+        assert_eq!(d.peek(1), None, "a hit evicts nothing");
+        assert_eq!(d.peek(2), Some(3));
+        assert_eq!(d.peek(9), Some(3));
         assert_eq!(before, (d.clock, d.spilled(), d.sizes()));
         assert_eq!(
             miss(&mut d, 9).evicted,
@@ -401,23 +355,14 @@ mod tests {
             "the peeked victim is the real one"
         );
         let room = Directory::<u32>::new(2, 1, 0);
-        assert_eq!(room.peek(1).victim, None, "no victim while there is room");
+        assert_eq!(room.peek(1), None, "no victim while there is room");
     }
 
     #[test]
-    fn prefetch_admission_is_a_miss_without_the_lookup() {
+    fn a_victim_still_being_built_has_nothing_to_write() {
         let mut d = Directory::new(1, 0, 2);
         miss(&mut d, 1);
-        miss(&mut d, 2); // spills 1
-        let plan = d.admit_prefetched(1, |_| true).expect("1 is not resident");
-        assert_eq!(
-            (plan.reload, plan.evicted, plan.spill),
-            (true, Some(2), true)
-        );
-        assert_eq!(d.admit_prefetched(1, |_| true), None, "already resident");
-        assert_eq!(get(&mut d, 1), Lookup::Hit);
-        // A victim still being built has nothing to write.
-        let plan = d.lookup(3, |_| false);
+        let plan = d.lookup(2, |_| false);
         assert_eq!(
             plan,
             Lookup::Miss(Admission {
@@ -425,5 +370,6 @@ mod tests {
                 ..Admission::default()
             })
         );
+        assert_eq!(d.spilled(), Vec::<u32>::new());
     }
 }

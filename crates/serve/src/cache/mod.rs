@@ -17,7 +17,7 @@
 //! slot (a *hit* — the build runs once either way) and block inside
 //! `get_or_init` until it is ready. Build wall time is recorded into
 //! the cache's `mudock_grid_build_seconds` histogram, one observation
-//! per AutoGrid run (hits, reloads and prefetches record nothing).
+//! per AutoGrid run (hits and reloads record nothing).
 //!
 //! # One directory, two drivers
 //!
@@ -26,11 +26,12 @@
 //! cache holds one under its mutex beside the slots, asks it what an
 //! access does, and performs the disk work it plans *outside* the lock
 //! (only same-key lookups ever wait on disk or a build, inside their
-//! shared `OnceLock`). The offline replayer ([`policy`], driven by
-//! `cache_replay` in `mudock-bench`) feeds the same type from a
-//! recorded [`trace`]. Replacement steers *performance* only: reloads
-//! and prefetched grids are byte-equal to fresh builds, and the
-//! build-once-per-key invariant holds whatever is evicted.
+//! shared `OnceLock`). A demand lookup in [`GridCache::get_or_build`]
+//! is the only way an entry is admitted. The offline replayer
+//! ([`policy`], driven by `cache_replay` in `mudock-bench`) feeds the
+//! same type from a recorded [`trace`]. Replacement steers
+//! *performance* only: reloaded grids are byte-equal to fresh builds,
+//! and the build-once-per-key invariant holds whatever is evicted.
 //!
 //! # The spill tier
 //!
@@ -55,17 +56,12 @@
 //! [`CacheStats::quarantined`], never loaded and never silently
 //! deleted, so an operator can inspect what went wrong.
 //!
-//! # Prefetch and the trace
+//! # The trace
 //!
-//! A cache built with [`GridCacheBuilder::prefetch`] acts on *hints*
-//! from the shard router ([`GridCache::hint`]): when the next queued
-//! job's grids sit in the spill tier, a background thread reloads them
-//! before the job is dequeued, overlapping disk latency with the
-//! previous job's docking. Every event (accesses, evictions, spills,
-//! hints, prefetches) can be recorded to a `*.trace` file
-//! ([`GridCacheBuilder::trace`]); the tracer has its own writer mutex
-//! and never takes the cache's, so neither lock is held across the
-//! other.
+//! Every event (accesses, evictions, spills, spill prunes, restores)
+//! can be recorded to a `*.trace` file ([`GridCacheBuilder::trace`]);
+//! the tracer has its own writer mutex and never takes the cache's, so
+//! neither lock is held across the other.
 #![deny(missing_docs)]
 
 pub mod directory;
@@ -74,13 +70,13 @@ pub mod trace;
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use mudock_grids::{grid_cache_key, GridBuilder, GridDims, GridIoError, GridSet, SimdLevel};
 use mudock_mol::Molecule;
-use mudock_obs::{Counter, GridSource, Histogram, Registry};
+use mudock_obs::{GridSource, Histogram, Registry};
 
 use directory::{Admission, Directory, Lookup};
 use trace::{CacheTracer, TraceEventKind, TraceHeader, TraceKey as Key};
@@ -120,11 +116,8 @@ pub struct CacheStats {
     /// Evicted grid sets written to the spill tier.
     pub spills: u64,
     /// Misses satisfied by loading a spilled grid set from disk
-    /// instead of rebuilding it (prefetched reloads included).
+    /// instead of rebuilding it.
     pub reloads: u64,
-    /// Router hints acted on: spilled grid sets reloaded ahead of
-    /// demand by the prefetcher.
-    pub prefetches: u64,
     /// Spill files found damaged by the startup rescan and renamed
     /// aside as `.bad` (never loaded, never silently deleted).
     pub quarantined: u64,
@@ -156,57 +149,30 @@ struct Inner {
     slots: HashMap<Key, Slot>,
 }
 
-/// Whether a victim's grids can be written out: an entry evicted while
-/// its build is in flight has nothing to spill yet.
-fn spillable(slots: &HashMap<Key, Slot>) -> impl FnOnce(Key) -> bool + '_ {
-    |victim| slots.get(&victim).is_some_and(|s| s.get().is_some())
-}
-
-/// Make the slot table follow an admission of `key`; returns the
-/// evicted entry's slot.
-fn install(
-    slots: &mut HashMap<Key, Slot>,
-    key: Key,
-    slot: Slot,
-    plan: &Admission<Key>,
-) -> Option<Slot> {
-    let evicted = plan.evicted.and_then(|k| slots.remove(&k));
-    slots.insert(key, slot);
-    evicted
-}
-
 /// Thread-safe cache of built grid sets with segmented-LRU replacement,
-/// an optional on-disk spill tier (warm across restarts), an optional
-/// router-hint prefetcher, and an optional event trace. Construct
-/// through [`GridCache::new`], [`GridCache::with_spill`], or the full
-/// [`GridCache::builder`].
+/// an optional on-disk spill tier (warm across restarts), and an
+/// optional event trace. Construct through [`GridCache::new`],
+/// [`GridCache::with_spill`], or the full [`GridCache::builder`].
 pub struct GridCache {
     capacity: usize,
-    prefetch: bool,
     spill_dir: Option<PathBuf>,
     inner: Mutex<Inner>,
     tracer: Option<CacheTracer>,
-    prefetch_busy: AtomicBool,
-    prefetch_metric: Arc<Counter>,
     build_seconds: Arc<Histogram>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     spills: AtomicU64,
     reloads: AtomicU64,
-    prefetches: AtomicU64,
     quarantined: AtomicU64,
 }
 
-/// Configures a [`GridCache`] beyond its capacity: spill tier,
-/// prefetch, trace recording, and metrics. Obtained from
-/// [`GridCache::builder`].
+/// Configures a [`GridCache`] beyond its capacity: spill tier, trace
+/// recording, and metrics. Obtained from [`GridCache::builder`].
 pub struct GridCacheBuilder {
     capacity: usize,
     spill: Option<SpillConfig>,
     trace_path: Option<PathBuf>,
-    prefetch: bool,
-    prefetch_metric: Arc<Counter>,
     build_seconds: Arc<Histogram>,
 }
 
@@ -225,28 +191,15 @@ impl GridCacheBuilder {
         self
     }
 
-    /// Act on router hints: reload a hinted key's spilled grids on a
-    /// background thread before its job is dequeued. Inert without a
-    /// spill tier (prefetch never *builds* — it has no receptor).
-    pub fn prefetch(mut self, on: bool) -> GridCacheBuilder {
-        self.prefetch = on;
-        self
-    }
-
-    /// Register the cache's instruments in `registry`, so `/metrics`
-    /// sees them: grid-build wall time ([`GRID_BUILD_METRIC`]) and
-    /// completed prefetches (`mudock_grid_prefetch_total`). Without
-    /// this the cache still records both, into instruments of its own.
+    /// Register the cache's grid-build wall-time histogram
+    /// ([`GRID_BUILD_METRIC`]) in `registry`, so `/metrics` sees it.
+    /// Without this the cache still records builds, into a histogram of
+    /// its own.
     pub fn registry(mut self, registry: &Registry) -> GridCacheBuilder {
         self.build_seconds = registry.histogram(
             GRID_BUILD_METRIC,
             &[],
             "Grid-set build wall-clock, one observation per AutoGrid run",
-        );
-        self.prefetch_metric = registry.counter(
-            "mudock_grid_prefetch_total",
-            &[],
-            "Spilled grid sets reloaded ahead of demand on a router hint",
         );
         self
     }
@@ -286,7 +239,6 @@ impl GridCacheBuilder {
             capacity: self.capacity,
             spill_capacity,
             policy: directory::POLICY_NAME.to_string(),
-            prefetch: self.prefetch,
         };
         let trace_path = self.trace_path.as_deref();
         let tracer = trace_path
@@ -304,22 +256,18 @@ impl GridCacheBuilder {
         }
         Ok(GridCache {
             capacity: self.capacity,
-            prefetch: self.prefetch,
             spill_dir: self.spill.map(|s| s.dir),
             inner: Mutex::new(Inner {
                 dir,
                 slots: HashMap::new(),
             }),
             tracer,
-            prefetch_busy: AtomicBool::new(false),
-            prefetch_metric: self.prefetch_metric,
             build_seconds: self.build_seconds,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             spills: AtomicU64::new(0),
             reloads: AtomicU64::new(0),
-            prefetches: AtomicU64::new(0),
             quarantined: AtomicU64::new(quarantined),
         })
     }
@@ -402,8 +350,6 @@ impl GridCache {
             capacity,
             spill: None,
             trace_path: None,
-            prefetch: false,
-            prefetch_metric: Arc::new(Counter::new()),
             build_seconds: Arc::new(Histogram::new()),
         }
     }
@@ -440,10 +386,10 @@ impl GridCache {
     /// jobs pinned to different SIMD levels never share an entry.
     /// Returns the set plus how it was obtained:
     /// [`GridSource::Hit`] (memory, including joining another job's
-    /// in-flight build *or* finding a prefetched reload),
-    /// [`GridSource::Reloaded`] (spill tier), or [`GridSource::Built`]
-    /// (full AutoGrid run). A build runs on up to `threads` workers, the
-    /// calling thread included; the maps' bits do not depend on it.
+    /// in-flight build), [`GridSource::Reloaded`] (spill tier), or
+    /// [`GridSource::Built`] (full AutoGrid run). A build runs on up to
+    /// `threads` workers, the calling thread included; the maps' bits do
+    /// not depend on it.
     pub fn get_or_build(
         &self,
         receptor: &Molecule,
@@ -469,11 +415,15 @@ impl GridCache {
         let (slot, admitted) = {
             let mut inner = self.lock();
             let Inner { dir, slots } = &mut *inner;
-            match dir.lookup(key, spillable(slots)) {
+            // An entry evicted while its build is in flight has nothing
+            // to spill yet.
+            let spillable = |victim| slots.get(&victim).is_some_and(|s: &Slot| s.get().is_some());
+            match dir.lookup(key, spillable) {
                 Lookup::Hit => (Arc::clone(&slots[&key]), None),
                 Lookup::Miss(plan) => {
                     let slot = Slot::default();
-                    let evicted = install(slots, key, Arc::clone(&slot), &plan);
+                    let evicted = plan.evicted.and_then(|k| slots.remove(&k));
+                    slots.insert(key, Arc::clone(&slot));
                     (slot, Some((plan, evicted)))
                 }
             }
@@ -516,64 +466,6 @@ impl GridCache {
             dur_ns: elapsed_ns(t0),
         });
         (grids, source)
-    }
-
-    /// The router predicts `key` (a [`mudock_grids::grid_cache_key`]
-    /// fingerprint) built at `level` is needed by the next queued job.
-    /// Always recorded in the trace; when prefetch is enabled and the
-    /// key sits in the spill tier (and is not already resident), a
-    /// background thread reloads it into a resident entry so the
-    /// demand lookup hits. At most one prefetch is in flight at a time
-    /// — a second hint while busy is recorded but not acted on. The
-    /// prefetched bytes come through the same loader as demand reloads,
-    /// so they are bit-identical to a fresh build; a failed load falls
-    /// back to the demand path's build, never to an error.
-    pub fn hint(self: &Arc<Self>, key_fp: u64, level: SimdLevel) {
-        let key = (key_fp, level);
-        self.trace_event(TraceEventKind::Hint { key });
-        if !self.prefetch || self.capacity == 0 {
-            return;
-        }
-        let found = self.lock().dir.peek(key);
-        if found.resident || !found.spilled || self.prefetch_busy.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let cache = Arc::clone(self);
-        std::thread::spawn(move || {
-            cache.prefetch_load(key);
-            cache.prefetch_busy.store(false, Ordering::Release);
-        });
-    }
-
-    /// Background half of [`GridCache::hint`]: load the spilled grids,
-    /// then admit them as a pre-filled entry (load-before-admit, so a
-    /// failed load admits nothing and the demand path simply rebuilds).
-    fn prefetch_load(&self, key: Key) {
-        let t0 = Instant::now();
-        let grids = match mudock_grids::io::load(&self.spill_file(key)) {
-            Ok(gs) => Arc::new(gs),
-            Err(e) => return self.reload_failed(key, &e),
-        };
-        let admitted = {
-            let mut inner = self.lock();
-            let Inner { dir, slots } = &mut *inner;
-            // `None`: a demand lookup admitted the key while we loaded;
-            // drop our copy, its slot is authoritative.
-            dir.admit_prefetched(key, spillable(slots)).map(|plan| {
-                let evicted = install(slots, key, Arc::new(OnceLock::from(grids)), &plan);
-                (plan, evicted)
-            })
-        };
-        if let Some((plan, evicted)) = admitted {
-            self.reloads.fetch_add(1, Ordering::Relaxed);
-            self.prefetches.fetch_add(1, Ordering::Relaxed);
-            self.prefetch_metric.inc();
-            self.trace_event(TraceEventKind::Prefetch {
-                key,
-                dur_ns: elapsed_ns(t0),
-            });
-            self.commit(plan, evicted);
-        }
     }
 
     /// A planned reload did not load. A missing file means a concurrent
@@ -664,7 +556,6 @@ impl GridCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             spills: self.spills.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
             quarantined: self.quarantined.load(Ordering::Relaxed),
             entries,
             spilled,
@@ -971,7 +862,6 @@ mod tests {
         let header = t.header.expect("trace must begin with its header");
         assert_eq!((header.version, header.capacity), (1, 1));
         assert_eq!(header.policy, s.policy);
-        assert!(!header.prefetch);
         let count = |pred: &dyn Fn(&TraceEventKind) -> bool| {
             t.events.iter().filter(|e| pred(&e.kind)).count() as u64
         };
@@ -1015,53 +905,6 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(&trace_path).ok();
-    }
-
-    #[test]
-    fn a_hint_prefetches_the_spilled_key() {
-        let dir = spill_dir("prefetch");
-        std::fs::remove_dir_all(&dir).ok();
-        let cache = Arc::new(
-            GridCache::builder(1)
-                .spill(SpillConfig::new(&dir))
-                .prefetch(true)
-                .build()
-                .unwrap(),
-        );
-        let r1 = synthetic_receptor(1, 30, 5.0);
-        let r2 = synthetic_receptor(2, 30, 5.0);
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
-        cache.get_or_build(&r2, dims(), SimdLevel::detect(), 1); // spills r1
-
-        cache.hint(grid_cache_key(&r1, &dims()), SimdLevel::detect());
-        for _ in 0..500 {
-            if cache.stats().prefetches == 1 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        let s = cache.stats();
-        assert_eq!(s.prefetches, 1, "the hint must trigger a background reload");
-        assert_eq!(s.reloads, 1, "a prefetch is counted as a reload too");
-
-        let builds_before = cache.build_seconds.count();
-        let (_, src) = cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1);
-        assert_eq!(
-            src,
-            GridSource::Hit,
-            "the demand lookup must find the prefetched entry resident"
-        );
-        assert_eq!(
-            cache.build_seconds.count(),
-            builds_before,
-            "no build may run for a prefetched key"
-        );
-
-        // Hints for unknown keys are harmless no-ops.
-        cache.hint(0xDEAD_BEEF, SimdLevel::detect());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(cache.stats().prefetches, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

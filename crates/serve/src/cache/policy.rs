@@ -1,6 +1,6 @@
 //! The offline replayer: [`Directory`] driven from a recorded trace.
 //!
-//! [`replay`] feeds the accesses, hints and restores of a trace (see
+//! [`replay`] feeds the accesses and restores of a trace (see
 //! [`super::trace`]) to the same [`Directory`] the live
 //! [`GridCache`](super::GridCache) holds, so replaying a trace at the
 //! geometry it was recorded under reproduces the live counters — there
@@ -15,8 +15,6 @@
 //!   victim is served without being admitted. Not a live option: a
 //!   bypassed key would be built outside the shared slot, which is a
 //!   performance change that needs its own measurement;
-//! - **`+prefetch`** — act on recorded router hints, and account for
-//!   the part of a reload that the hint-to-demand gap hides;
 //! - **the stall model** — per-key build and reload costs learned from
 //!   the trace, charged where a row's outcome diverges from the
 //!   recorded one.
@@ -30,7 +28,7 @@ use mudock_obs::GridSource;
 /// One configuration the replayer can drive over a trace.
 #[derive(Clone, Debug)]
 pub struct ModelConfig {
-    /// Display label (`lru`, `slru+prefetch`, ...).
+    /// Display label (`lru`, `slru`, `tinylfu`).
     pub label: String,
     /// Resident capacity (0 disables caching, as live).
     pub capacity: usize,
@@ -41,21 +39,14 @@ pub struct ModelConfig {
     /// TinyLFU-style admission: a miss only evicts the victim when the
     /// candidate's estimated frequency is at least the victim's.
     pub admission_filter: bool,
-    /// Act on recorded router hints: reload a spilled key into the
-    /// resident set when it is hinted, before its demand access.
-    pub prefetch: bool,
 }
 
 impl ModelConfig {
-    /// Build the configuration for a row `name` — a base (`lru`,
-    /// `slru`, `tinylfu`) with an optional `+prefetch` suffix — over a
-    /// cache of `capacity` entries and `spill_capacity` files.
+    /// Build the configuration for a row `name` (`lru`, `slru`,
+    /// `tinylfu`) over a cache of `capacity` entries and
+    /// `spill_capacity` files.
     pub fn for_policy(name: &str, capacity: usize, spill_capacity: usize) -> Option<ModelConfig> {
-        let (base, prefetch) = match name.strip_suffix("+prefetch") {
-            Some(base) => (base, true),
-            None => (name, false),
-        };
-        let (protected, admission) = match base {
+        let (protected, admission) = match name {
             "lru" => (0, false),
             "slru" => (default_protected(capacity), false),
             "tinylfu" => (0, true),
@@ -67,15 +58,13 @@ impl ModelConfig {
             protected_capacity: protected,
             spill_capacity,
             admission_filter: admission,
-            prefetch,
         })
     }
 }
 
 /// Counters a model accumulates over one replay. Field meanings match
 /// [`CacheStats`](super::CacheStats); `stall_ns` is the modeled
-/// grid-acquisition wall-clock the *jobs* would have waited (prefetch
-/// hides the part of a reload that overlaps the previous job).
+/// grid-acquisition wall-clock the *jobs* would have waited.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ModelStats {
     /// Total accesses replayed.
@@ -86,7 +75,7 @@ pub struct ModelStats {
     pub misses: u64,
     /// Misses filled by a full grid build.
     pub builds: u64,
-    /// Misses (and prefetches) filled from the spill tier.
+    /// Misses filled from the spill tier.
     pub reloads: u64,
     /// New spill files written.
     pub spills: u64,
@@ -94,8 +83,6 @@ pub struct ModelStats {
     pub evictions: u64,
     /// Spill files pruned by the tier's capacity bound.
     pub spill_drops: u64,
-    /// Hints acted on (spilled key reloaded ahead of demand).
-    pub prefetches: u64,
     /// Modeled nanoseconds jobs spent waiting for grids.
     pub stall_ns: u64,
 }
@@ -150,10 +137,7 @@ impl Costs {
                     source: GridSource::Reloaded,
                     dur_ns,
                     ..
-                }
-                | TraceEventKind::Prefetch { key, dur_ns } => {
-                    add(&mut c.reload, &mut c.global_reload, key, dur_ns)
-                }
+                } => add(&mut c.reload, &mut c.global_reload, key, dur_ns),
                 _ => {}
             }
         }
@@ -180,8 +164,6 @@ pub struct CacheModel {
     dir: Directory<TraceKey>,
     freq: HashMap<TraceKey, u32>,
     freq_samples: u32,
-    /// Keys prefetched but not yet demanded: key → hint timestamp.
-    prefetched: HashMap<TraceKey, u64>,
     costs: Costs,
     stats: ModelStats,
 }
@@ -198,7 +180,6 @@ impl CacheModel {
             ),
             freq: HashMap::new(),
             freq_samples: 0,
-            prefetched: HashMap::new(),
             costs: Costs::learn(events),
             stats: ModelStats::default(),
             cfg,
@@ -225,7 +206,7 @@ impl CacheModel {
     /// estimated hotter than `k`?
     fn bypasses(&mut self, k: TraceKey) -> bool {
         self.note_freq(k);
-        let victim = self.dir.peek(k).victim;
+        let victim = self.dir.peek(k);
         victim.is_some_and(|v| self.freq_of(k) < self.freq_of(v))
     }
 
@@ -261,8 +242,7 @@ impl CacheModel {
                 source,
                 dur_ns,
                 ..
-            } => self.access(key, source, dur_ns, ev.t_ns),
-            TraceEventKind::Hint { key } => self.hint(key, ev.t_ns),
+            } => self.access(key, source, dur_ns),
             // A restored spill tier (warm restart) pre-populates the
             // file table in recorded (oldest-first) order.
             TraceEventKind::Restore { key } => {
@@ -274,7 +254,7 @@ impl CacheModel {
         }
     }
 
-    fn access(&mut self, k: TraceKey, live: GridSource, dur_ns: u64, t_ns: u64) {
+    fn access(&mut self, k: TraceKey, live: GridSource, dur_ns: u64) {
         self.stats.accesses += 1;
         if self.cfg.capacity == 0 {
             self.stats.misses += 1;
@@ -284,38 +264,16 @@ impl CacheModel {
             // Serve the job without admitting the key — the victim has
             // earned its residency.
             self.stats.misses += 1;
-            self.prefetched.remove(&k);
             let reload = self.dir.refresh_file(k);
             return self.fill(k, reload, live, dur_ns);
         }
         match self.dir.lookup(k, |_| true) {
-            Lookup::Hit => {
-                self.stats.hits += 1;
-                if let Some(t_hint) = self.prefetched.remove(&k) {
-                    // The prefetch hid the part of the reload overlapping
-                    // the gap between hint and demand; the rest stalls.
-                    let gap = t_ns.saturating_sub(t_hint);
-                    self.stats.stall_ns += self.costs.reload_ns(k).saturating_sub(gap);
-                }
-            }
+            Lookup::Hit => self.stats.hits += 1,
             Lookup::Miss(plan) => {
                 self.stats.misses += 1;
-                self.prefetched.remove(&k);
                 self.admitted(&plan);
                 self.fill(k, plan.reload, live, dur_ns);
             }
-        }
-    }
-
-    fn hint(&mut self, k: TraceKey, t_ns: u64) {
-        if !self.cfg.prefetch || !self.dir.peek(k).spilled {
-            return;
-        }
-        if let Some(plan) = self.dir.admit_prefetched(k, |_| true) {
-            self.admitted(&plan);
-            self.stats.reloads += 1;
-            self.stats.prefetches += 1;
-            self.prefetched.insert(k, t_ns);
         }
     }
 
@@ -351,15 +309,6 @@ mod tests {
         }
     }
 
-    fn hint(t: u64, key: u64) -> TraceEvent {
-        TraceEvent {
-            t_ns: t,
-            kind: TraceEventKind::Hint {
-                key: (key, SimdLevel::Scalar),
-            },
-        }
-    }
-
     fn cfg(name: &str, capacity: usize, spill: usize) -> ModelConfig {
         ModelConfig::for_policy(name, capacity, spill).unwrap()
     }
@@ -368,12 +317,11 @@ mod tests {
     fn row_names_select_the_protected_bound_and_the_wrappers() {
         let row = |name| {
             let c = cfg(name, 4, 2);
-            (c.protected_capacity, c.admission_filter, c.prefetch)
+            (c.protected_capacity, c.admission_filter)
         };
-        assert_eq!(row("lru"), (0, false, false));
-        assert_eq!(row("slru"), (2, false, false));
-        assert_eq!(row("tinylfu"), (0, true, false));
-        assert_eq!(row("slru+prefetch"), (2, false, true));
+        assert_eq!(row("lru"), (0, false));
+        assert_eq!(row("slru"), (2, false));
+        assert_eq!(row("tinylfu"), (0, true));
         assert_eq!(cfg("slru", 1, 0).protected_capacity, 0, "slru@1 ≡ lru");
         assert!(ModelConfig::for_policy("fifo", 4, 2).is_none());
     }
@@ -452,30 +400,6 @@ mod tests {
             tiny.hits,
             lru.hits
         );
-    }
-
-    #[test]
-    fn prefetch_converts_spill_misses_into_hits() {
-        // Alternating keys through capacity 1 with hints ahead of each
-        // access: once both keys are spilled, every hinted access hits.
-        let evs = vec![
-            acc(0, 1),
-            acc(10, 2), // spills 1
-            hint(11, 1),
-            acc(20, 1), // prefetched → hit (spills 2)
-            hint(21, 2),
-            acc(30, 2), // prefetched → hit
-        ];
-        let plain = replay(&evs, cfg("lru", 1, 4));
-        let pf = replay(&evs, cfg("lru+prefetch", 1, 4));
-        assert_eq!(plain.hits, 0);
-        assert_eq!(pf.hits, 2, "hinted accesses hit");
-        assert_eq!(pf.prefetches, 2);
-        assert_eq!(
-            plain.reloads, pf.reloads,
-            "prefetch moves reloads earlier, it does not add any"
-        );
-        assert!(pf.stall_ns < plain.stall_ns, "prefetch hides reload time");
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! A [`GridCache`](super::GridCache) built with
 //! [`GridCacheBuilder::trace`](super::GridCacheBuilder::trace) appends
 //! one JSONL line per cache event — every access (with its outcome and
-//! wall-clock cost), eviction, spill write, spill prune, prefetch hint,
-//! and completed prefetch — to a trace file. The file is the input to
-//! the offline policy replayer (`cache_replay` in `mudock-bench`, built
-//! on [`super::policy`]): record a trace from production traffic once,
+//! wall-clock cost), eviction, spill write, spill prune and warm-restart
+//! restore — to a trace file. The file is the input to the offline
+//! policy replayer (`cache_replay` in `mudock-bench`, built on
+//! [`super::policy`]): record a trace from production traffic once,
 //! then sweep replacement policies over it without touching the node.
 //!
 //! # Format
@@ -16,7 +16,7 @@
 //! geometry the trace was captured under:
 //!
 //! ```text
-//! {"ev":"open","version":1,"capacity":4,"spill_capacity":16,"policy":"slru","prefetch":false}
+//! {"ev":"open","version":1,"capacity":4,"spill_capacity":16,"policy":"slru"}
 //! {"ev":"warm","t_ns":1200,"restored":2,"quarantined":0}
 //! {"ev":"access","t_ns":51023,"key":"00c2a7...","level":"avx2","source":"built","bytes":4096,"dur_ns":49800}
 //! {"ev":"evict","t_ns":93011,"key":"00c2a7...","level":"avx2"}
@@ -29,6 +29,16 @@
 //! an abrupt `kill -9` of the node (that is the warm-restart test's
 //! whole point). Writers hold a dedicated mutex — never the cache lock
 //! — so tracing cannot extend the cache's critical sections.
+//!
+//! # Older traces
+//!
+//! Nodes could once reload spilled grids ahead of demand, on a hint
+//! from the shard router. Their traces carry one more boolean in the
+//! header, a `hint` line per router hint and a line per early reload.
+//! The reader ignores the header field and skips those lines as unknown
+//! events, so a trace recorded with early reloads on replays as that
+//! node would have run without them: every key is admitted by its
+//! demand access.
 
 use std::io::Write;
 use std::path::Path;
@@ -56,8 +66,6 @@ pub struct TraceHeader {
     /// `lru` in traces recorded before plain LRU stopped being a live
     /// option (replayed as a protected segment of 0).
     pub policy: String,
-    /// Whether the recording cache had prefetch enabled.
-    pub prefetch: bool,
 }
 
 /// One timestamped cache event.
@@ -116,18 +124,6 @@ pub enum TraceEventKind {
         /// The pruned key.
         key: TraceKey,
     },
-    /// The router predicted this key is needed next (next queued job).
-    Hint {
-        /// The predicted key.
-        key: TraceKey,
-    },
-    /// A prefetch reloaded a spilled grid set ahead of demand.
-    Prefetch {
-        /// The prefetched key.
-        key: TraceKey,
-        /// Wall-clock nanoseconds the background reload took.
-        dur_ns: u64,
-    },
 }
 
 /// A parsed trace file: header (if present) plus events in file order.
@@ -156,8 +152,8 @@ impl CacheTracer {
         writeln!(
             out,
             "{{\"ev\":\"open\",\"version\":{},\"capacity\":{},\"spill_capacity\":{},\
-             \"policy\":\"{}\",\"prefetch\":{}}}",
-            header.version, header.capacity, header.spill_capacity, header.policy, header.prefetch
+             \"policy\":\"{}\"}}",
+            header.version, header.capacity, header.spill_capacity, header.policy
         )?;
         out.flush()?;
         Ok(CacheTracer {
@@ -199,13 +195,6 @@ impl CacheTracer {
             TraceEventKind::SpillDrop { key } => {
                 format!("\"ev\":\"spill_drop\",\"t_ns\":{t_ns},{}", key_json(key))
             }
-            TraceEventKind::Hint { key } => {
-                format!("\"ev\":\"hint\",\"t_ns\":{t_ns},{}", key_json(key))
-            }
-            TraceEventKind::Prefetch { key, dur_ns } => format!(
-                "\"ev\":\"prefetch\",\"t_ns\":{t_ns},{},\"dur_ns\":{dur_ns}",
-                key_json(key)
-            ),
         };
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
         let _ = writeln!(out, "{{{body}}}");
@@ -248,10 +237,6 @@ fn parse_line(v: &Json) -> Option<Line> {
             capacity: usize::try_from(u64_field(v, "capacity")?).ok()?,
             spill_capacity: usize::try_from(u64_field(v, "spill_capacity")?).ok()?,
             policy: str_field(v, "policy")?.to_string(),
-            prefetch: match v.get("prefetch")? {
-                Json::Bool(b) => *b,
-                _ => return None,
-            },
         }));
     }
     let kind = match ev {
@@ -277,11 +262,6 @@ fn parse_line(v: &Json) -> Option<Line> {
             bytes: u64_field(v, "bytes")?,
         },
         "spill_drop" => TraceEventKind::SpillDrop { key: key_field(v)? },
-        "hint" => TraceEventKind::Hint { key: key_field(v)? },
-        "prefetch" => TraceEventKind::Prefetch {
-            key: key_field(v)?,
-            dur_ns: u64_field(v, "dur_ns")?,
-        },
         _ => return Some(Line::Unknown),
     };
     let t_ns = u64_field(v, "t_ns")?;
@@ -297,9 +277,15 @@ fn parse_line(v: &Json) -> Option<Line> {
 /// binary does not have (one recorded before `sse2` was retired, say)
 /// is refused the same way, and the error names the level.
 pub fn read_trace(path: &Path) -> std::io::Result<Trace> {
-    let text = std::fs::read_to_string(path)?;
+    parse_trace(&std::fs::read(path)?)
+}
+
+/// [`read_trace`] over the file's bytes; a line that is not UTF-8 is
+/// damaged like any other.
+fn parse_trace(bytes: &[u8]) -> std::io::Result<Trace> {
     let mut trace = Trace::default();
-    for (i, line) in text.lines().enumerate() {
+    for (i, raw) in bytes.split(|&b| b == b'\n').enumerate() {
+        let line = String::from_utf8_lossy(raw);
         if line.trim().is_empty() {
             continue;
         }
@@ -307,7 +293,7 @@ pub fn read_trace(path: &Path) -> std::io::Result<Trace> {
             let msg = format!("trace line {}: {why}: {line}", i + 1);
             std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
         };
-        let json = crate::wire::parse(line).map_err(|e| bad(e.to_string()))?;
+        let json = crate::wire::parse_bytes(raw).map_err(|e| bad(e.to_string()))?;
         // A retired level (`sse2`) is the likely culprit: name it.
         let why = || match str_field(&json, "level") {
             Some(level) if SimdLevel::parse(level).is_none() => {
@@ -340,7 +326,6 @@ mod tests {
             capacity: 2,
             spill_capacity: 4,
             policy: "slru".into(),
-            prefetch: true,
         };
         let tracer = CacheTracer::create(&path, &header).unwrap();
         let key = (0x00c2_a7ff_0102_0304, SimdLevel::Scalar);
@@ -359,8 +344,6 @@ mod tests {
             TraceEventKind::Evict { key },
             TraceEventKind::Spill { key, bytes: 4096 },
             TraceEventKind::SpillDrop { key },
-            TraceEventKind::Hint { key },
-            TraceEventKind::Prefetch { key, dur_ns: 99 },
         ];
         for k in &kinds {
             tracer.emit(k.clone());
@@ -389,6 +372,22 @@ mod tests {
         let ok = read(&format!("{unknown}\n{access}\n")).unwrap();
         assert_eq!(ok.events.len(), 1, "the unknown event is skipped");
 
+        // A trace from a node that still reloaded grids ahead of demand
+        // (see "Older traces"): the extra header field is ignored and
+        // the hint and early-reload lines are skipped.
+        let old = format!(
+            "{{\"ev\":\"open\",\"version\":1,\"capacity\":2,\"spill_capacity\":4,\
+             \"policy\":\"slru\",\"prefetch\":false}}\n\
+             {{\"ev\":\"hint\",\"t_ns\":3,\"key\":\"00000000000000c2\",\"level\":\"scalar\"}}\n\
+             {{\"ev\":\"prefetch\",\"t_ns\":4,\"key\":\"00000000000000c2\",\
+             \"level\":\"scalar\",\"dur_ns\":7}}\n{access}\n"
+        );
+        let old = read(&old).unwrap();
+        let header = old.header.expect("the old header reads");
+        assert_eq!((header.version, header.capacity), (1, 2));
+        assert_eq!(old.events.len(), 1, "the two retired lines are skipped");
+        assert!(matches!(old.events[0].kind, TraceEventKind::Access { .. }));
+
         let damaged = [
             ("garbage", "complete garbage\n".to_string()),
             (
@@ -414,7 +413,92 @@ mod tests {
                 "{what}: {err}"
             );
         }
+        let err = parse_trace(format!("{access}\n\u{ff}\n").as_bytes()).unwrap_err();
+        assert!(err.to_string().starts_with("trace line 2:"), "{err}");
+        let err = parse_trace(b"\xff\xfe\n").expect_err("not UTF-8");
+        assert!(err.to_string().starts_with("trace line 1:"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A trace with one line of every event kind, as the recorder wrote it.
+    fn recorded() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let path = tmp("recorded.trace");
+            let header = TraceHeader {
+                version: 1,
+                capacity: 2,
+                spill_capacity: 4,
+                policy: "slru".into(),
+            };
+            let tracer = CacheTracer::create(&path, &header).unwrap();
+            let key = (0x00c2_a7ff_0102_0304, SimdLevel::Avx2);
+            for kind in [
+                TraceEventKind::Warm {
+                    restored: 1,
+                    quarantined: 0,
+                },
+                TraceEventKind::Restore { key },
+                TraceEventKind::Access {
+                    key,
+                    source: GridSource::Reloaded,
+                    bytes: 4096,
+                    dur_ns: 1234,
+                },
+                TraceEventKind::Evict { key },
+                TraceEventKind::Spill { key, bytes: 4096 },
+                TraceEventKind::SpillDrop { key },
+            ] {
+                tracer.emit(kind);
+            }
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes
+        })
+    }
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Truncated, bit-flipped and spliced traces read or fail with
+        /// an `InvalidData` error that names a line — never a panic.
+        #[test]
+        fn damaged_traces_fail_at_a_named_line(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut bytes = recorded().to_vec();
+            for _ in 0..rng.random_range(1usize..4) {
+                match rng.random_range(0u32..3) {
+                    0 => bytes.truncate(rng.random_range(0..=bytes.len())),
+                    1 if !bytes.is_empty() => {
+                        let at = rng.random_range(0..bytes.len());
+                        bytes[at] ^= 1 << rng.random_range(0u32..8);
+                    }
+                    _ => {
+                        // The head of one line joined to the tail of
+                        // another, inserted before a third.
+                        let lines: Vec<Vec<u8>> =
+                            bytes.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+                        let (a, b) = (
+                            &lines[rng.random_range(0..lines.len())],
+                            &lines[rng.random_range(0..lines.len())],
+                        );
+                        let mut spliced = a[..rng.random_range(0..=a.len())].to_vec();
+                        spliced.extend_from_slice(&b[rng.random_range(0..=b.len())..]);
+                        let mut out = lines.clone();
+                        out.insert(rng.random_range(0..=lines.len()), spliced);
+                        bytes = out.join(&b'\n');
+                    }
+                }
+            }
+            if let Err(e) = parse_trace(&bytes) {
+                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                prop_assert!(e.to_string().starts_with("trace line "), "{}", e);
+            }
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ pub use net::{
     Response,
 };
 pub use queue::SubmitError;
-pub use server::{default_dims, ScreenService, ServeConfig, ServiceStats};
+pub use server::{ScreenService, ServeConfig, ServiceStats};
 pub use shard::ShardStat;
 pub use sink::{Checkpoint, JsonlSink};
 pub use telemetry::{ServeObs, TraceConfig};

@@ -44,12 +44,6 @@ pub(crate) struct QueuedJob {
     pub seq: u64,
     /// Which receptor shard the job belongs to (computed at push).
     pub shard: ShardInfo,
-    /// The grid key + level the router expects to need *next* (the job
-    /// it would select after this one), stamped at pop. The executor
-    /// forwards it to [`GridCache::hint`](crate::GridCache::hint) once
-    /// its own grids are acquired, so a prefetching cache overlaps the
-    /// next receptor's spill reload with this job's docking.
-    pub hint: Option<(u64, mudock_grids::SimdLevel)>,
 }
 
 struct Inner {
@@ -142,7 +136,6 @@ impl JobQueue {
             shared,
             seq,
             shard,
-            hint: None,
         });
     }
 
@@ -158,15 +151,7 @@ impl JobQueue {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if let Some(best) = self.router.select(&inner.jobs) {
-                let mut job = inner.jobs.swap_remove(best);
-                // Stamp what the router would run next, *after* this
-                // pop's accounting: with the popped job started, the
-                // peek sees exactly the state the next pop will — the
-                // best prediction available without consuming it.
-                job.hint = self.router.peek(&inner.jobs).map(|i| {
-                    let next = &inner.jobs[i];
-                    (next.shard.key, next.spec.campaign.grid_level())
-                });
+                let job = inner.jobs.swap_remove(best);
                 self.not_full.notify_one();
                 return Some(job);
             }

@@ -53,12 +53,8 @@ pub struct ServeConfig {
     /// default) rebuilds after eviction, as before. The directory is
     /// rescanned at start, so a restarted node comes up warm.
     pub spill: Option<SpillConfig>,
-    /// Reload the next queued job's spilled grids on a background
-    /// thread while the current job docks (router-hint prefetch).
-    /// Off by default; inert without a spill tier.
-    pub cache_prefetch: bool,
     /// Record every grid-cache event (accesses, evictions, spills,
-    /// hints) to this JSONL `*.trace` file for offline policy replay
+    /// restores) to this JSONL `*.trace` file for offline policy replay
     /// with `cache_replay`. `None` (the default) records nothing.
     pub cache_trace: Option<std::path::PathBuf>,
     /// Write one JSONL line per closed job stage to this bounded trace
@@ -75,7 +71,6 @@ impl Default for ServeConfig {
             cache_capacity: 4,
             shards: 0,
             spill: None,
-            cache_prefetch: false,
             cache_trace: None,
             trace: None,
         }
@@ -152,13 +147,6 @@ impl ExecCtx {
     }
 }
 
-/// Default lattice when a [`JobSpec`] does not pin one: centered on the
-/// receptor, covering its span with margin, at screening resolution.
-pub fn default_dims(receptor: &Molecule) -> GridDims {
-    let extent = (receptor.radius() + 3.0).clamp(8.0, 14.0);
-    GridDims::centered(receptor.centroid(), extent, 0.55)
-}
-
 /// A long-running virtual-screening service.
 pub struct ScreenService {
     queue: Arc<JobQueue>,
@@ -192,9 +180,7 @@ impl ScreenService {
         let registry = Registry::new();
         let counters = Arc::new(Counters::register(&registry));
         let obs = Arc::new(ServeObs::new(registry, cfg.trace.as_ref())?);
-        let mut builder = GridCache::builder(cfg.cache_capacity)
-            .prefetch(cfg.cache_prefetch)
-            .registry(obs.registry());
+        let mut builder = GridCache::builder(cfg.cache_capacity).registry(obs.registry());
         if let Some(spill) = cfg.spill {
             builder = builder.spill(spill);
         }
@@ -219,9 +205,8 @@ impl ScreenService {
                     ctx.active.fetch_add(1, Ordering::SeqCst);
                     ctx.obs.job_dequeued(job.shared.id, &job.shared.trace);
                     let shared = Arc::clone(&job.shared);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        run_job(job.spec, &job.shared, job.hint, &ctx)
-                    }));
+                    let outcome =
+                        catch_unwind(AssertUnwindSafe(|| run_job(job.spec, &job.shared, &ctx)));
                     if outcome.is_err() {
                         // A panicking job must not wedge its waiters or
                         // kill the executor slot.
@@ -261,15 +246,14 @@ impl ScreenService {
         })
     }
 
-    fn register(&self, spec: &JobSpec) -> Arc<JobShared> {
-        let _ = spec;
+    fn register(&self) -> Arc<JobShared> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         JobShared::new(id)
     }
 
     /// Submit a job, blocking while the queue is full (backpressure).
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        let shared = self.register(&spec);
+        let shared = self.register();
         self.queue.submit(spec, Arc::clone(&shared))?;
         self.counters.submitted.inc();
         Ok(JobHandle { shared })
@@ -278,7 +262,7 @@ impl ScreenService {
     /// Submit without blocking; `Err(Full)` when the queue is at
     /// capacity.
     pub fn try_submit(&self, spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        let shared = self.register(&spec);
+        let shared = self.register();
         self.queue.try_submit(spec, Arc::clone(&shared))?;
         self.counters.submitted.inc();
         Ok(JobHandle { shared })
@@ -370,12 +354,7 @@ fn job_fingerprint(spec: &JobSpec, dims: GridDims) -> u64 {
     h.finish()
 }
 
-fn run_job(
-    spec: JobSpec,
-    shared: &JobShared,
-    hint: Option<(u64, mudock_grids::SimdLevel)>,
-    ctx: &ExecCtx,
-) {
+fn run_job(spec: JobSpec, shared: &JobShared, ctx: &ExecCtx) {
     let t0 = Instant::now();
     let finish = |state: JobState,
                   error: Option<String>,
@@ -440,12 +419,6 @@ fn run_job(
         now_ns().saturating_sub(grid_t0),
         grid_source,
     );
-    // This job's grids are in hand: now (and only now) tell the cache
-    // what the router expects to run next. Hinting any earlier could
-    // prefetch a key this very lookup was about to evict or reload.
-    if let Some((key, level)) = hint {
-        ctx.cache.hint(key, level);
-    }
     let cache_hit = grid_source == GridSource::Hit;
     // Every set-up failure ends the job the same way.
     let fail = |msg: String| {

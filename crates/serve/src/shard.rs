@@ -214,26 +214,10 @@ impl ShardRouter {
     /// passthrough jobs — this degenerates to exactly the pre-sharding
     /// priority/FIFO order.
     pub fn select(&self, jobs: &[QueuedJob]) -> Option<usize> {
-        let pick = self.choose(jobs);
-        if let Some(i) = pick {
-            self.started(jobs[i].shard);
-        }
-        pick
-    }
-
-    /// The job [`ShardRouter::select`] *would* pick, without accounting
-    /// it as started — the grid cache's prefetcher asks this after
-    /// every pop to learn which receptor is likely next, so nothing
-    /// here may perturb the real arbitration.
-    pub fn peek(&self, jobs: &[QueuedJob]) -> Option<usize> {
-        self.choose(jobs)
-    }
-
-    fn choose(&self, jobs: &[QueuedJob]) -> Option<usize> {
         if jobs.is_empty() {
             return None;
         }
-        {
+        let pick = {
             let inner = self.inner.lock().unwrap();
             let busy = |s: &ShardState| s.active > 0 || s.queued > 0;
             let live =
@@ -269,7 +253,11 @@ impl ShardRouter {
             // Work-conserving: when every queued job sits in an
             // over-cap shard, run the best of them anyway.
             best(&mut eligible).or_else(|| best(&mut (0..jobs.len())))
+        };
+        if let Some(i) = pick {
+            self.started(jobs[i].shard);
         }
+        pick
     }
 
     /// Per-shard counters, sorted by fingerprint for stable reporting.
@@ -317,7 +305,6 @@ mod tests {
                 weight: policy.weight(),
                 sharded: policy.is_sharded(),
             },
-            hint: None,
         }
     }
 

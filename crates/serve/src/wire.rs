@@ -1546,7 +1546,6 @@ pub fn stats_to_json(stats: &ServiceStats) -> Json {
                 ("evictions".into(), Json::u64(stats.cache.evictions)),
                 ("spills".into(), Json::u64(stats.cache.spills)),
                 ("reloads".into(), Json::u64(stats.cache.reloads)),
-                ("prefetches".into(), Json::u64(stats.cache.prefetches)),
                 ("quarantined".into(), Json::u64(stats.cache.quarantined)),
                 ("entries".into(), Json::usize(stats.cache.entries)),
                 ("spilled".into(), Json::usize(stats.cache.spilled)),

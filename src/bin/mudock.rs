@@ -41,7 +41,7 @@ use mudock::grids::{GridBuilder, GridDims};
 use mudock::mol::{Molecule, Vec3};
 
 fn usage() -> &'static str {
-    "usage:\n  mudock info <file.pdbqt>\n  mudock dock --receptor R.pdbqt --ligand L.pdbqt [options]\n  mudock dock --demo [options]\n  mudock screen --demo N [--threads T] [options]\n  mudock serve --demo N [--jobs J] [--threads T] [options]\n  mudock serve --listen ADDR [--jobs J] [--threads T] [--results DIR]\n  mudock coordinator --listen ADDR --nodes HOST:PORT,HOST:PORT[,...]\n  mudock submit --addr HOST:PORT (--demo N | --receptor R --ligands L) [options]\n  mudock poll --addr HOST:PORT ID [--wait] [--results] [--cancel] [--interval-ms MS]\n  mudock stats --addr HOST:PORT [--metrics]\n\ncampaign options (validated; bad values exit with code 2):\n  --backend <reference|autovec|scalar|avx2|avx512>  (default: the widest of avx2 and\n                    avx512 the host runs, else autovec; naming a SIMD level\n                    pins the job's grids to that level)\n  --generations N   (default 150)\n  --population P    (default 100)\n  --seed S          (default 42)\n  --radius R        search radius in Å (default: grid-derived)\n  --local-search    enable Solis-Wets Lamarckian refinement\n  --top K           ranking size (default 10)\n  --chunk C         ligands per chunk (default 16)\n  --chunk-target-ms MS   adaptive chunks sized to ~MS wall-clock each\n  --max-evals N     stop after N pose evaluations\n  --deadline-s S    stop after S seconds of wall-clock\n  --stable-window W stop once the top-k held still for W chunks\n  --stable-eps E    score tolerance for --stable-window (default 0)\n  --shard-weight W  relative executor share vs other receptors (default 1)\n  --single-queue    opt out of receptor sharding (pure priority/FIFO)\n\nother options:\n  --out FILE        write the best pose as PDBQT (dock only)\n  --threads T       worker threads (screen/serve)\n  --jobs J          concurrent service jobs (serve only, default 2)\n  --shards N        receptor shard groups slots are split across\n                    (serve only; default 0 = one per live receptor)\n  --cache N         grid sets kept resident (serve only, default 4)\n  --spill-dir DIR   spill evicted grids to DIR and reload on the next\n                    miss instead of rebuilding (serve only)\n  --spill-cap N     spill files kept in --spill-dir (default 16)\n  --cache-prefetch  reload the next queued job's spilled grids in the\n                    background while the current job docks (needs --spill-dir)\n  --cache-trace FILE  record grid-cache events as JSONL for offline policy\n                    replay with the cache_replay tool (serve only)\n  --jsonl DIR       stream per-ligand JSONL results into DIR (serve only)\n  --checkpoint DIR  write per-job chunk checkpoints into DIR (serve only)\n  --trace-file FILE append per-stage span JSONL to FILE, bounded (serve only)\n\nnetwork options:\n  --listen ADDR     serve the HTTP API on ADDR (port 0 picks one; serve only)\n  --results DIR     per-job JSONL result files (serve --listen only)\n  --allow-path-sources  accept server-side {\"path\": ...} sources (off by default)\n  --max-conns N     open connections held before load-shedding 503s\n                    (serve --listen only, default 1024)\n  --idle-s S        keep-alive idle-connection timeout in seconds (default 60)\n  --header-s S      request-header read deadline in seconds (default 10)\n  --event-loops N   frontend event-loop threads sharing the listen port\n                    (serve --listen and coordinator; default 0 = one per\n                    core, capped at 4; connections pin to one loop for life;\n                    Linux only — other platforms always run one loop)\n  --addr HOST:PORT  server to talk to (submit/poll)\n\ncoordinator options:\n  --nodes A,B,...   member `mudock serve --listen` addresses (required)\n  --health-ms MS    health-probe spacing (default 500)\n  --dead-after N    consecutive failures before a member is dead (default 3)\n  --scatter-min N   smallest library worth fanning out (default 8)\n  --max-parts N     scatter fan-out ceiling (default 16)\n  --poll-ms MS      sub-job poll interval (default 20)\n  --max-attempts N  dispatch attempts per window before failing (default 4)\n  --name NAME       campaign name (submit, default 'remote')\n  --priority P      low|normal|high (submit, default normal)\n  --ligands FILE    multi-model PDBQT ligand library (submit)\n  --receptor-seed S synthetic receptor seed for submit --demo, so two\n                    submissions can target different receptors/shards\n  --wait            poll until the job is terminal\n  --results (poll)  print the job's JSONL results\n  --cancel          request cancellation\n  --interval-ms MS  poll interval for --wait (default 100)\n  --metrics (stats) print the Prometheus /metrics text instead of /stats JSON"
+    "usage:\n  mudock info <file.pdbqt>\n  mudock dock --receptor R.pdbqt --ligand L.pdbqt [options]\n  mudock dock --demo [options]\n  mudock screen --demo N [--threads T] [options]\n  mudock serve --demo N [--jobs J] [--threads T] [options]\n  mudock serve --listen ADDR [--jobs J] [--threads T] [--results DIR]\n  mudock coordinator --listen ADDR --nodes HOST:PORT,HOST:PORT[,...]\n  mudock submit --addr HOST:PORT (--demo N | --receptor R --ligands L) [options]\n  mudock poll --addr HOST:PORT ID [--wait] [--results] [--cancel] [--interval-ms MS]\n  mudock stats --addr HOST:PORT [--metrics]\n\ncampaign options (validated; bad values exit with code 2):\n  --backend <reference|autovec|scalar|avx2|avx512>  (default: the widest of avx2 and\n                    avx512 the host runs, else autovec; naming a SIMD level\n                    pins the job's grids to that level)\n  --generations N   (default 150)\n  --population P    (default 100)\n  --seed S          (default 42)\n  --radius R        search radius in Å (default: grid-derived)\n  --local-search    enable Solis-Wets Lamarckian refinement\n  --top K           ranking size (default 10)\n  --chunk C         ligands per chunk (default 16)\n  --chunk-target-ms MS   adaptive chunks sized to ~MS wall-clock each\n  --max-evals N     stop after N pose evaluations\n  --deadline-s S    stop after S seconds of wall-clock\n  --stable-window W stop once the top-k held still for W chunks\n  --stable-eps E    score tolerance for --stable-window (default 0)\n  --shard-weight W  relative executor share vs other receptors (default 1)\n  --single-queue    opt out of receptor sharding (pure priority/FIFO)\n\nother options:\n  --out FILE        write the best pose as PDBQT (dock only)\n  --threads T       worker threads (screen/serve)\n  --jobs J          concurrent service jobs (serve only, default 2)\n  --shards N        receptor shard groups slots are split across\n                    (serve only; default 0 = one per live receptor)\n  --cache N         grid sets kept resident (serve only, default 4)\n  --spill-dir DIR   spill evicted grids to DIR and reload on the next\n                    miss instead of rebuilding (serve only)\n  --spill-cap N     spill files kept in --spill-dir (default 16)\n  --cache-trace FILE  record grid-cache events as JSONL for offline policy\n                    replay with the cache_replay tool (serve only)\n  --jsonl DIR       stream per-ligand JSONL results into DIR (serve only)\n  --checkpoint DIR  write per-job chunk checkpoints into DIR (serve only)\n  --trace-file FILE append per-stage span JSONL to FILE, bounded (serve only)\n\nnetwork options:\n  --listen ADDR     serve the HTTP API on ADDR (port 0 picks one; serve only)\n  --results DIR     per-job JSONL result files (serve --listen only)\n  --allow-path-sources  accept server-side {\"path\": ...} sources (off by default)\n  --max-conns N     open connections held before load-shedding 503s\n                    (serve --listen only, default 1024)\n  --idle-s S        keep-alive idle-connection timeout in seconds (default 60)\n  --header-s S      request-header read deadline in seconds (default 10)\n  --event-loops N   frontend event-loop threads sharing the listen port\n                    (serve --listen and coordinator; default 0 = one per\n                    core, capped at 4; connections pin to one loop for life;\n                    Linux only — other platforms always run one loop)\n  --addr HOST:PORT  server to talk to (submit/poll)\n\ncoordinator options:\n  --nodes A,B,...   member `mudock serve --listen` addresses (required)\n  --health-ms MS    health-probe spacing (default 500)\n  --dead-after N    consecutive failures before a member is dead (default 3)\n  --scatter-min N   smallest library worth fanning out (default 8)\n  --max-parts N     scatter fan-out ceiling (default 16)\n  --poll-ms MS      sub-job poll interval (default 20)\n  --max-attempts N  dispatch attempts per window before failing (default 4)\n  --name NAME       campaign name (submit, default 'remote')\n  --priority P      low|normal|high (submit, default normal)\n  --ligands FILE    multi-model PDBQT ligand library (submit)\n  --receptor-seed S synthetic receptor seed for submit --demo, so two\n                    submissions can target different receptors/shards\n  --wait            poll until the job is terminal\n  --results (poll)  print the job's JSONL results\n  --cancel          request cancellation\n  --interval-ms MS  poll interval for --wait (default 100)\n  --metrics (stats) print the Prometheus /metrics text instead of /stats JSON"
 }
 
 /// CLI failure with its exit code: usage/validation errors (exit 2,
@@ -71,15 +71,26 @@ impl From<&str> for CliError {
 }
 
 /// Split argv into flags (`--k v` / bare `--k`) and positionals.
-/// `boolean` names flags that never take a value, so `poll --wait 42`
-/// keeps `42` as the positional job id instead of swallowing it as
-/// `--wait`'s value.
-fn parse_args(args: &[String], boolean: &[&str]) -> (HashMap<String, String>, Vec<String>) {
+/// A flag outside `accepted` (a subcommand's flag sets) is a usage
+/// error, so a misspelled or retired flag never runs silently without
+/// effect. `boolean` names flags that never take a value, so
+/// `poll --wait 42` keeps `42` as the positional job id instead of
+/// swallowing it as `--wait`'s value.
+fn parse_args(
+    args: &[String],
+    accepted: &[&[&str]],
+    boolean: &[&str],
+) -> Result<(HashMap<String, String>, Vec<String>), CliError> {
     let mut flags = HashMap::new();
     let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
+            if !accepted.iter().any(|set| set.contains(&key)) {
+                return Err(CliError::Usage(format!(
+                    "unknown flag --{key} (`mudock help` lists every flag)"
+                )));
+            }
             let takes_value =
                 !boolean.contains(&key) && i + 1 < args.len() && !args[i + 1].starts_with("--");
             if takes_value {
@@ -94,7 +105,7 @@ fn parse_args(args: &[String], boolean: &[&str]) -> (HashMap<String, String>, Ve
             i += 1;
         }
     }
-    (flags, positional)
+    Ok((flags, positional))
 }
 
 fn load(path: &str) -> Result<Molecule, CliError> {
@@ -398,9 +409,8 @@ fn cmd_screen(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 /// The service sizing every `serve` mode shares, from the flag set:
-/// `--threads`, `--jobs`, `--shards`, `--cache`, the spill tier
-/// (`--spill-dir`, `--spill-cap`), and the cache lab knobs
-/// (`--cache-prefetch`, `--cache-trace`).
+/// `--shards`, `--cache`, the spill tier (`--spill-dir`, `--spill-cap`),
+/// and the cache and span traces (`--cache-trace`, `--trace-file`).
 fn serve_config_from(
     flags: &HashMap<String, String>,
     job_slots: usize,
@@ -428,21 +438,12 @@ fn serve_config_from(
                 .into(),
         ));
     }
-    let cache_prefetch = flags.contains_key("cache-prefetch");
-    if cache_prefetch && spill.is_none() {
-        return Err(CliError::Usage(
-            "--cache-prefetch needs --spill-dir: prefetch reloads spilled grids, \
-             it never builds"
-                .into(),
-        ));
-    }
     Ok(ServeConfig {
         total_threads: threads,
         job_slots,
         shards: num(flags, "shards", 0usize)?,
         cache_capacity,
         spill,
-        cache_prefetch,
         cache_trace: flags
             .get("cache-trace")
             .filter(|p| !p.is_empty())
@@ -810,31 +811,110 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
-        eprintln!("{}", usage());
-        return ExitCode::from(2);
+/// What `campaign_from` reads, for every subcommand that builds a
+/// campaign; `CAMPAIGN_BOOLEAN` are its flags that take no value.
+const CAMPAIGN_FLAGS: &[&str] = &[
+    "backend",
+    "generations",
+    "population",
+    "seed",
+    "radius",
+    "local-search",
+    "top",
+    "chunk",
+    "chunk-target-ms",
+    "max-evals",
+    "deadline-s",
+    "stable-window",
+    "stable-eps",
+    "shard-weight",
+    "single-queue",
+];
+const CAMPAIGN_BOOLEAN: &[&str] = &["local-search", "single-queue"];
+
+/// What `cmd_serve`, `cmd_serve_listen` and `serve_config_from` read.
+const SERVE_FLAGS: &[&str] = &[
+    "demo",
+    "jobs",
+    "threads",
+    "jsonl",
+    "checkpoint",
+    "shards",
+    "cache",
+    "spill-dir",
+    "spill-cap",
+    "cache-trace",
+    "trace-file",
+    "listen",
+    "results",
+    "allow-path-sources",
+    "max-conns",
+    "idle-s",
+    "header-s",
+    "event-loops",
+];
+
+/// Parse `args` for `cmd` and run it.
+fn run(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    // Per command: the flags it reads, and those of them that never
+    // consume the next argument. `--demo` is not boolean on purpose:
+    // its optional value (`--demo N`) relies on the greedy form. For
+    // `poll`, `--results` is boolean; for `serve` it takes a directory.
+    let (accepted, boolean): (&[&[&str]], &[&str]) = match cmd {
+        "info" | "help" | "--help" | "-h" => (&[], &[]),
+        "dock" => (
+            &[CAMPAIGN_FLAGS, &["demo", "receptor", "ligand", "out"]],
+            CAMPAIGN_BOOLEAN,
+        ),
+        "screen" => (&[CAMPAIGN_FLAGS, &["demo", "threads"]], CAMPAIGN_BOOLEAN),
+        "serve" => (
+            &[CAMPAIGN_FLAGS, SERVE_FLAGS],
+            &["local-search", "single-queue", "allow-path-sources"],
+        ),
+        "coordinator" => (
+            &[&[
+                "listen",
+                "nodes",
+                "health-ms",
+                "dead-after",
+                "scatter-min",
+                "max-parts",
+                "poll-ms",
+                "max-attempts",
+                "allow-path-sources",
+                "event-loops",
+            ]],
+            &["allow-path-sources"],
+        ),
+        "submit" => (
+            &[
+                CAMPAIGN_FLAGS,
+                &[
+                    "addr",
+                    "name",
+                    "priority",
+                    "demo",
+                    "receptor-seed",
+                    "receptor",
+                    "ligands",
+                ],
+            ],
+            CAMPAIGN_BOOLEAN,
+        ),
+        "poll" => (
+            &[&["addr", "wait", "cancel", "results", "interval-ms"]],
+            &["wait", "cancel", "results"],
+        ),
+        "stats" => (&[&["addr", "metrics"]], &["metrics"]),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown command '{other}'\n{}",
+                usage()
+            )))
+        }
     };
-    // Per-command boolean flags (never consume the next argument).
-    // `--demo` is absent on purpose: its optional value (`--demo N`)
-    // relies on the greedy form. For `poll`, `--results` is boolean;
-    // for `serve` it takes a directory.
-    let boolean: &[&str] = match cmd.as_str() {
-        "poll" => &["wait", "cancel", "results"],
-        "stats" => &["metrics"],
-        "serve" => &[
-            "local-search",
-            "allow-path-sources",
-            "single-queue",
-            "cache-prefetch",
-        ],
-        "coordinator" => &["allow-path-sources"],
-        "dock" | "screen" | "submit" => &["local-search", "single-queue"],
-        _ => &[],
-    };
-    let (flags, positional) = parse_args(&args[1..], boolean);
-    let result = match cmd.as_str() {
+    let (flags, positional) = parse_args(args, accepted, boolean)?;
+    match cmd {
         "info" => cmd_info(&positional),
         "dock" => cmd_dock(&flags),
         "screen" => cmd_screen(&flags),
@@ -843,16 +923,20 @@ fn main() -> ExitCode {
         "submit" => cmd_submit(&flags),
         "poll" => cmd_poll(&flags, &positional),
         "stats" => cmd_stats(&flags),
-        "help" | "--help" | "-h" => {
+        _ => {
             println!("{}", usage());
             Ok(())
         }
-        other => Err(CliError::Usage(format!(
-            "unknown command '{other}'\n{}",
-            usage()
-        ))),
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some(cmd) = args.first() else {
+        eprintln!("{}", usage());
+        return ExitCode::from(2);
     };
-    match result {
+    match run(cmd, &args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Usage(e)) => {
             eprintln!("error: {e}");

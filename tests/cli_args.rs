@@ -89,6 +89,21 @@ fn malformed_numbers_exit_2_naming_the_flag() {
         (&["screen", "--demo", "4", "--seed", "0x"], "--seed"),
         (&["screen", "--demo", "nope"], "--demo"),
         (&["dock", "--demo", "--backend", "neon"], "backend"),
+        // A flag the subcommand does not read is refused, never dropped:
+        // a retired flag, a misspelling, another subcommand's flag.
+        (
+            &["serve", "--demo", "1", "--cache-prefetch"],
+            "--cache-prefetch",
+        ),
+        (
+            &["screen", "--demo", "2", "--popluation", "8"],
+            "--popluation",
+        ),
+        (
+            &["screen", "--demo", "2", "--spill-dir", "x"],
+            "--spill-dir",
+        ),
+        (&["poll", "--addr", "127.0.0.1:1", "--top", "3"], "--top"),
     ];
     for (args, flag) in cases {
         let out = mudock(args);
