@@ -1,8 +1,8 @@
 //! Routing: which member gets a (sub-)job.
 //!
-//! This is `shard::ShardRouter`'s receptor-affinity idea lifted one
+//! This is the node job queue's receptor-affinity idea lifted one
 //! level: instead of arbitrating executor slots between per-receptor
-//! queues inside a node, the coordinator steers a submission to the
+//! shards inside a node, the coordinator steers a submission to the
 //! *node* whose shard table already holds that receptor's grid
 //! fingerprint — in memory or in the spill tier, either way the grids
 //! exist there and the dominant fixed cost (an AutoGrid build) is

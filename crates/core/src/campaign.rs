@@ -138,56 +138,6 @@ impl BackendPolicy {
     }
 }
 
-/// How a campaign's jobs share a node's executor slots with jobs for
-/// *other* receptors.
-///
-/// A screening node serves many targets at once; without sharding, a
-/// burst of jobs against one hot receptor drains the whole queue ahead
-/// of everyone else and monopolizes every executor slot. The serve
-/// layer groups queued jobs into per-receptor *shards* (keyed by the
-/// grid content fingerprint, [`mudock_grids::hash`]) and picks the next
-/// job from the least-served shard. This policy is the job's stance in
-/// that arbitration.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum ShardPolicy {
-    /// Participate with weight 1: every receptor gets an equal share of
-    /// the executor slots (the default).
-    #[default]
-    FairShare,
-    /// Participate with this relative weight (finite, positive). A job
-    /// with weight 2 tolerates twice the shard occupancy of a weight-1
-    /// job before yielding to other receptors.
-    Weighted(f32),
-    /// Opt out of per-receptor grouping: all single-queue jobs share
-    /// one *unsharded* group, ordered purely by priority and
-    /// submission order among themselves (the pre-sharding rules),
-    /// regardless of receptor. The group as a whole still competes
-    /// for executor slots — and is capped — like any single shard, so
-    /// opting out never outranks the fairness machinery.
-    SingleQueue,
-}
-
-/// Largest accepted [`ShardPolicy::Weighted`] weight. A weight beyond
-/// this is indistinguishable from opting out of fairness — which is
-/// what [`ShardPolicy::SingleQueue`] says explicitly.
-pub const MAX_SHARD_WEIGHT: f32 = 1024.0;
-
-impl ShardPolicy {
-    /// The relative scheduling weight this policy claims.
-    pub fn weight(self) -> f32 {
-        match self {
-            ShardPolicy::FairShare | ShardPolicy::SingleQueue => 1.0,
-            ShardPolicy::Weighted(w) => w,
-        }
-    }
-
-    /// Whether jobs under this policy join per-receptor shard
-    /// accounting ([`ShardPolicy::SingleQueue`] bypasses it).
-    pub fn is_sharded(self) -> bool {
-        !matches!(self, ShardPolicy::SingleQueue)
-    }
-}
-
 /// When a campaign may end before its input is exhausted.
 ///
 /// Screening runs check the policy at chunk boundaries; one-shot docking
@@ -371,8 +321,6 @@ pub enum CampaignError {
     InvalidGa(String),
     /// Stop policy with an empty budget or window.
     InvalidStop(String),
-    /// Shard weight that is non-finite, non-positive, or absurd.
-    InvalidShard(String),
     /// The pinned backend is not runnable on this host.
     UnsupportedBackend(String),
     /// Pinned grid lattice with an axis of fewer than 2 points (no cell to
@@ -392,7 +340,6 @@ impl std::fmt::Display for CampaignError {
             }
             CampaignError::InvalidGa(why) => write!(f, "invalid GA configuration: {why}"),
             CampaignError::InvalidStop(why) => write!(f, "invalid stop policy: {why}"),
-            CampaignError::InvalidShard(why) => write!(f, "invalid shard policy: {why}"),
             CampaignError::UnsupportedBackend(which) => {
                 write!(f, "backend {which} is not supported on this host")
             }
@@ -434,8 +381,6 @@ pub struct CampaignSpec {
     pub stop: StopPolicy,
     /// How ligands are batched into chunks.
     pub chunk: ChunkPolicy,
-    /// How this campaign's jobs share a node with other receptors'.
-    pub shard: ShardPolicy,
     /// Ranking size retained by top-k accumulators.
     pub top_k: usize,
     /// Grid lattice; derived from the receptor geometry when `None`.
@@ -509,7 +454,6 @@ pub struct CampaignBuilder {
     backend: BackendPolicy,
     stop: StopPolicy,
     chunk: ChunkPolicy,
-    shard: ShardPolicy,
     top_k: Option<usize>,
     grid_dims: Option<GridDims>,
 }
@@ -577,16 +521,6 @@ impl CampaignBuilder {
     pub fn chunk(mut self, policy: ChunkPolicy) -> Self {
         self.chunk = policy;
         self
-    }
-
-    pub fn shard(mut self, policy: ShardPolicy) -> Self {
-        self.shard = policy;
-        self
-    }
-
-    /// Shorthand for [`ShardPolicy::Weighted`].
-    pub fn shard_weight(self, weight: f32) -> Self {
-        self.shard(ShardPolicy::Weighted(weight))
     }
 
     pub fn top_k(mut self, k: usize) -> Self {
@@ -678,19 +612,6 @@ impl CampaignBuilder {
             }
             _ => {}
         }
-        if let ShardPolicy::Weighted(w) = self.shard {
-            if !w.is_finite() || w <= 0.0 {
-                return Err(CampaignError::InvalidShard(format!(
-                    "shard weight {w} must be finite and positive"
-                )));
-            }
-            if w > MAX_SHARD_WEIGHT {
-                return Err(CampaignError::InvalidShard(format!(
-                    "shard weight {w} exceeds the ceiling of {MAX_SHARD_WEIGHT} \
-                     (use ShardPolicy::SingleQueue to opt out of fairness)"
-                )));
-            }
-        }
         if !self.backend.is_supported() {
             return Err(CampaignError::UnsupportedBackend(format!(
                 "{:?}",
@@ -711,7 +632,6 @@ impl CampaignBuilder {
             backend: self.backend,
             stop: self.stop,
             chunk: self.chunk,
-            shard: self.shard,
             top_k,
             grid_dims: self.grid_dims,
         })
@@ -734,40 +654,6 @@ mod tests {
         assert_eq!(spec.top_k, 10);
         assert_eq!(spec.chunk, ChunkPolicy::Fixed(16));
         assert_eq!(spec.stop, StopPolicy::Complete);
-        assert_eq!(spec.shard, ShardPolicy::FairShare);
-    }
-
-    #[test]
-    fn shard_policy_weights_and_participation() {
-        assert_eq!(ShardPolicy::FairShare.weight(), 1.0);
-        assert_eq!(ShardPolicy::Weighted(2.5).weight(), 2.5);
-        assert_eq!(ShardPolicy::SingleQueue.weight(), 1.0);
-        assert!(ShardPolicy::FairShare.is_sharded());
-        assert!(ShardPolicy::Weighted(3.0).is_sharded());
-        assert!(!ShardPolicy::SingleQueue.is_sharded());
-
-        let spec = Campaign::builder().shard_weight(4.0).build().unwrap();
-        assert_eq!(spec.shard, ShardPolicy::Weighted(4.0));
-        for bad in [0.0, -1.0, f32::NAN, f32::INFINITY, MAX_SHARD_WEIGHT * 2.0] {
-            assert!(
-                matches!(
-                    Campaign::builder().shard_weight(bad).build(),
-                    Err(CampaignError::InvalidShard(_))
-                ),
-                "weight {bad} must be rejected"
-            );
-        }
-        assert!(
-            Campaign::builder()
-                .shard_weight(MAX_SHARD_WEIGHT)
-                .build()
-                .is_ok(),
-            "the ceiling itself is valid"
-        );
-        assert!(Campaign::builder()
-            .shard(ShardPolicy::SingleQueue)
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod transform;
 
 pub use campaign::{
     BackendPolicy, Campaign, CampaignBuilder, CampaignError, CampaignSpec, ChunkPolicy, ChunkSizer,
-    ShardPolicy, StopCheck, StopPolicy, MAX_CHUNK, MAX_SHARD_WEIGHT,
+    StopCheck, StopPolicy, MAX_CHUNK,
 };
 pub use engine::{
     Backend, DockError, DockParams, DockReport, DockingEngine, LigandPrep, SCORING_REV,

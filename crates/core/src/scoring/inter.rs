@@ -50,78 +50,19 @@ use mudock_simd::{dispatch, Simd, SimdLevel};
 /// Penalty slope for atoms outside the grid box (kcal/mol per Å).
 pub const OUT_OF_BOX_PENALTY: f32 = 1_000.0;
 
-/// One recorded map access (for the cache-model trace in `mudock-archsim`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GridAccess {
-    /// Map slot (atom type index, `ELEC_MAP`, or `DESOLV_MAP`).
-    pub map: u16,
-    /// Linear cell index of the 000 corner of the trilinear fetch.
-    pub cell: u32,
-}
-
 /// Scalar reference implementation over [`mudock_grids::trilinear`].
 pub fn inter_energy_reference(gs: &GridSet, conf: &ConformSoA, st: &AtomStatics) -> f32 {
-    inter_reference_impl(gs, conf, st, &mut None)
-}
-
-/// Scalar reference that also records every map access — used by the
-/// architecture model to drive its cache simulator with the *actual*
-/// lookup stream of the docking run.
-pub fn inter_energy_traced(
-    gs: &GridSet,
-    conf: &ConformSoA,
-    st: &AtomStatics,
-    trace: &mut Vec<GridAccess>,
-) -> f32 {
-    let mut t = Some(std::mem::take(trace));
-    let e = inter_reference_impl(gs, conf, st, &mut t);
-    *trace = t.unwrap();
-    e
-}
-
-fn inter_reference_impl(
-    gs: &GridSet,
-    conf: &ConformSoA,
-    st: &AtomStatics,
-    trace: &mut Option<Vec<GridAccess>>,
-) -> f32 {
     let dims = gs.dims;
     let mut total = 0.0f32;
     for i in 0..conf.n {
         let p = conf.pos(i);
-        let ty = st.ty[i] as usize;
-        let e_t = gs.sample(ty, p);
+        let e_t = gs.sample(st.ty[i] as usize, p);
         let e_e = st.charge[i] * gs.sample(ELEC_MAP, p);
         let e_d = st.charge[i].abs() * gs.sample(DESOLV_MAP, p);
         let pen = OUT_OF_BOX_PENALTY * dims.distance_outside(p);
         total += e_t + e_e + e_d + pen;
-        if let Some(tr) = trace.as_mut() {
-            let cell = cell000(gs, p);
-            tr.push(GridAccess {
-                map: ty as u16,
-                cell,
-            });
-            tr.push(GridAccess {
-                map: ELEC_MAP as u16,
-                cell,
-            });
-            tr.push(GridAccess {
-                map: DESOLV_MAP as u16,
-                cell,
-            });
-        }
     }
     total
-}
-
-/// Linear index of the 000 corner the trilinear sample of `p` touches.
-fn cell000(gs: &GridSet, p: mudock_mol::Vec3) -> u32 {
-    let d = &gs.dims;
-    let g = d.to_grid_units(p);
-    let ix = (g.x.clamp(0.0, (d.npts[0] - 1) as f32) as u32).min(d.npts[0] - 2);
-    let iy = (g.y.clamp(0.0, (d.npts[1] - 1) as f32) as u32).min(d.npts[1] - 2);
-    let iz = (g.z.clamp(0.0, (d.npts[2] - 1) as f32) as u32).min(d.npts[2] - 2);
-    d.linear(ix, iy, iz) as u32
 }
 
 /// Width-generic inter-energy kernel: vectorized trilinear interpolation
@@ -411,25 +352,6 @@ mod tests {
                 (got - shifted).abs() < 2e-2 * shifted.abs().max(1.0),
                 "{level}: {got} vs {shifted}"
             );
-        }
-    }
-
-    #[test]
-    fn trace_records_three_lookups_per_atom() {
-        let (gs, conf, st) = setup();
-        let mut trace = Vec::new();
-        let _ = inter_energy_traced(&gs, &conf, &st, &mut trace);
-        assert_eq!(trace.len(), conf.n * 3);
-        let stride = gs.stride() as u32;
-        for a in &trace {
-            assert!(a.cell < stride, "cell index inside one map");
-        }
-        // The three lookups per atom hit the same cell in different maps.
-        for chunk in trace.chunks(3) {
-            assert_eq!(chunk[0].cell, chunk[1].cell);
-            assert_eq!(chunk[1].cell, chunk[2].cell);
-            assert_eq!(chunk[1].map, ELEC_MAP as u16);
-            assert_eq!(chunk[2].map, DESOLV_MAP as u16);
         }
     }
 

@@ -33,7 +33,7 @@
 //! # Older traces
 //!
 //! Nodes could once reload spilled grids ahead of demand, on a hint
-//! from the shard router. Their traces carry one more boolean in the
+//! from the job scheduler. Their traces carry one more boolean in the
 //! header, a `hint` line per router hint and a line per early reload.
 //! The reader ignores the header field and skips those lines as unknown
 //! events, so a trace recorded with early reloads on replays as that

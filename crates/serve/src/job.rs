@@ -24,8 +24,10 @@ use crate::ingest::LigandSource;
 /// Service-assigned job identifier (monotonic per service).
 pub type JobId = u64;
 
-/// Scheduling priority. Higher priorities always dequeue first; within a
-/// priority, jobs run in submission order.
+/// Scheduling priority. Among jobs for one receptor, higher priorities
+/// dequeue first and, within a priority, jobs run in submission order;
+/// across receptors, the one with fewer jobs running goes first
+/// ([`crate::queue`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     Low,

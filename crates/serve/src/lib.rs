@@ -10,13 +10,10 @@
 //! * **job queue** ([`queue`]) — bounded submission of [`JobSpec`]s with
 //!   priorities, cancellation, and backpressure: when the queue is full,
 //!   `try_submit` refuses and `submit` blocks, so a burst of requests
-//!   degrades to queuing delay instead of memory growth;
-//! * **shard router** ([`shard`]) — dequeues arbitrate executor slots
-//!   across per-receptor shard groups (keyed by grid content
-//!   fingerprint), so a burst of jobs against one hot target cannot
-//!   monopolize the node; campaigns choose their stance through
-//!   [`ShardPolicy`](mudock_core::ShardPolicy) (fair-share, weighted,
-//!   or single-queue passthrough);
+//!   degrades to queuing delay instead of memory growth. Each dequeue
+//!   gives every live receptor (keyed by grid content fingerprint) an
+//!   equal share of the executor slots, so a burst of jobs against one
+//!   hot target cannot monopolize the node;
 //! * **grid cache** ([`cache`]) — built [`GridSet`](mudock_grids::GridSet)s
 //!   are cached by receptor/geometry content fingerprints
 //!   ([`mudock_grids::hash`]), so repeat jobs against a hot target skip
@@ -105,7 +102,6 @@ pub mod net;
 pub mod queue;
 pub mod reactor;
 pub mod server;
-pub mod shard;
 pub mod sink;
 pub mod telemetry;
 pub mod wire;
@@ -123,9 +119,8 @@ pub use net::{
     default_event_loops, Body, FrontendBuilder, HttpFrontend, JobTier, NetConfig, NetServer,
     Response,
 };
-pub use queue::SubmitError;
+pub use queue::{ShardStat, SubmitError};
 pub use server::{ScreenService, ServeConfig, ServiceStats};
-pub use shard::ShardStat;
 pub use sink::{Checkpoint, JsonlSink};
 pub use telemetry::{ServeObs, TraceConfig};
 pub use wire::{JobStatus, ReceptorSource, WireError};

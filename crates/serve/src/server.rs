@@ -24,8 +24,7 @@ use crate::cache::{CacheStats, GridCache, SpillConfig};
 use crate::job::{
     ChunkProgress, JobHandle, JobOutcome, JobShared, JobSpec, JobState, RankedLigand,
 };
-use crate::queue::{JobQueue, SubmitError};
-use crate::shard::{ShardRouter, ShardStat};
+use crate::queue::{JobQueue, ShardStat, SubmitError};
 use crate::sink::{Checkpoint, JsonlSink};
 use crate::telemetry::{ServeObs, TraceConfig};
 
@@ -42,12 +41,6 @@ pub struct ServeConfig {
     /// Grid sets kept resident; beyond this the cache evicts (see
     /// [`crate::cache::directory`] for how victims are chosen).
     pub cache_capacity: usize,
-    /// Receptor shard groups the executor slots are partitioned into:
-    /// each shard is soft-capped at `job_slots / shards` concurrent
-    /// executors while other shards have work queued. 0 (the default)
-    /// derives the cap from the number of receptors live at each
-    /// dequeue instead of pinning it.
-    pub shards: usize,
     /// Spill evicted grid sets to this bounded on-disk tier and reload
     /// them on the next miss instead of rebuilding. `None` (the
     /// default) rebuilds after eviction, as before. The directory is
@@ -69,7 +62,6 @@ impl Default for ServeConfig {
             job_slots: 2,
             queue_capacity: 64,
             cache_capacity: 4,
-            shards: 0,
             spill: None,
             cache_trace: None,
             trace: None,
@@ -91,8 +83,8 @@ pub struct ServiceStats {
     /// Jobs executing right now.
     pub active: usize,
     pub cache: CacheStats,
-    /// Per-receptor shard groups (depth, occupancy, weight) — every
-    /// shard this service has seen, sorted by fingerprint.
+    /// Per-receptor shards (depth, occupancy, submissions) — every
+    /// shard this service has seen recently, sorted by fingerprint.
     pub shards: Vec<ShardStat>,
 }
 
@@ -134,7 +126,6 @@ struct ExecCtx {
     cache: Arc<GridCache>,
     counters: Arc<Counters>,
     active: Arc<AtomicUsize>,
-    router: Arc<ShardRouter>,
     obs: Arc<ServeObs>,
     total_threads: usize,
 }
@@ -153,7 +144,6 @@ pub struct ScreenService {
     cache: Arc<GridCache>,
     counters: Arc<Counters>,
     active: Arc<AtomicUsize>,
-    router: Arc<ShardRouter>,
     obs: Arc<ServeObs>,
     next_id: AtomicU64,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -171,12 +161,7 @@ impl ScreenService {
     /// preparing the spill directory (creating it, rescanning it for
     /// warm-restart files) and creating the configured trace files.
     pub fn try_start(cfg: ServeConfig) -> std::io::Result<ScreenService> {
-        let job_slots = cfg.job_slots.max(1);
-        let router = Arc::new(ShardRouter::new(job_slots, cfg.shards));
-        let queue = Arc::new(JobQueue::with_router(
-            cfg.queue_capacity,
-            Arc::clone(&router),
-        ));
+        let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         let registry = Registry::new();
         let counters = Arc::new(Counters::register(&registry));
         let obs = Arc::new(ServeObs::new(registry, cfg.trace.as_ref())?);
@@ -190,13 +175,12 @@ impl ScreenService {
         let cache = Arc::new(builder.build()?);
         let active = Arc::new(AtomicUsize::new(0));
         let mut workers = Vec::new();
-        for _ in 0..job_slots {
+        for _ in 0..cfg.job_slots.max(1) {
             let queue = Arc::clone(&queue);
             let ctx = ExecCtx {
                 cache: Arc::clone(&cache),
                 counters: Arc::clone(&counters),
                 active: Arc::clone(&active),
-                router: Arc::clone(&router),
                 obs: Arc::clone(&obs),
                 total_threads: cfg.total_threads.max(1),
             };
@@ -230,7 +214,7 @@ impl ScreenService {
                     // Hand the shard slot back *after* the job fully
                     // settles, so occupancy never undercounts a job
                     // whose outcome is still being published.
-                    ctx.router.finished(job.shard);
+                    queue.finished(job.shard);
                 }
             }));
         }
@@ -239,7 +223,6 @@ impl ScreenService {
             cache,
             counters,
             active,
-            router,
             obs,
             next_id: AtomicU64::new(1),
             workers: Mutex::new(workers),
@@ -278,7 +261,7 @@ impl ScreenService {
             queued: self.queue.len(),
             active: self.active.load(Ordering::SeqCst),
             cache: self.cache.stats(),
-            shards: self.router.snapshot(),
+            shards: self.queue.shards(),
         }
     }
 

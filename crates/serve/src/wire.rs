@@ -78,6 +78,11 @@
 //! * `chunk` — `{"fixed": N}` or `{"adaptive_target_ns": N}` (also
 //!   `adaptive_target_ms` / `adaptive_target_s`).
 //!
+//! Older clients also send `"shard": "fair_share"`. It is accepted and
+//! ignored, since every receptor now gets an equal share of a node; any
+//! other `shard` value (`"single_queue"`, `{"weighted": w}`, …) is a
+//! `400`.
+//!
 //! A **job report** (`GET /jobs/{id}` body) is
 //! [`status_to_json`]/[`JobStatus`]: `id`, `name`, `state`,
 //! `ligands_done`, `chunks_done`, a `stages` object with the per-stage
@@ -93,7 +98,7 @@ use std::time::Duration;
 
 use mudock_core::{
     Backend, BackendPolicy, Campaign, CampaignError, CampaignSpec, ChunkPolicy, GaParams,
-    ShardPolicy, SolisWetsParams, StopPolicy,
+    SolisWetsParams, StopPolicy,
 };
 use mudock_grids::GridDims;
 use mudock_mol::{Molecule, Vec3};
@@ -748,7 +753,6 @@ pub fn campaign_to_json(spec: &CampaignSpec) -> Json {
         ("backend".into(), backend_to_json(spec.backend)),
         ("stop".into(), stop_to_json(spec.stop)),
         ("chunk".into(), chunk_to_json(spec.chunk)),
-        ("shard".into(), shard_to_json(spec.shard)),
     ];
     if let Some(r) = spec.search_radius {
         members.push(("search_radius".into(), Json::f32(r)));
@@ -813,14 +817,6 @@ fn stop_to_json(policy: StopPolicy) -> Json {
     }
 }
 
-fn shard_to_json(policy: ShardPolicy) -> Json {
-    match policy {
-        ShardPolicy::FairShare => Json::str("fair_share"),
-        ShardPolicy::SingleQueue => Json::str("single_queue"),
-        ShardPolicy::Weighted(w) => Json::Obj(vec![("weighted".into(), Json::f32(w))]),
-    }
-}
-
 fn chunk_to_json(policy: ChunkPolicy) -> Json {
     match policy {
         ChunkPolicy::Fixed(n) => Json::Obj(vec![("fixed".into(), Json::usize(n))]),
@@ -870,7 +866,7 @@ pub fn campaign_from_json(v: &Json) -> Result<CampaignSpec, WireError> {
         builder = builder.chunk(chunk_from_json(c)?);
     }
     if let Some(s) = v.get("shard").filter(|g| !matches!(g, Json::Null)) {
-        builder = builder.shard(shard_from_json(s)?);
+        retired_shard(s)?;
     }
     if let Some(d) = v.get("grid_dims").filter(|g| !matches!(g, Json::Null)) {
         builder = builder.grid_dims(grid_dims_from_json(d)?);
@@ -970,22 +966,17 @@ fn stop_from_json(v: &Json) -> Result<StopPolicy, WireError> {
     }
 }
 
-fn shard_from_json(v: &Json) -> Result<ShardPolicy, WireError> {
+/// The retired per-campaign shard stance. Every earlier encoder wrote
+/// `"fair_share"`, which is what every job now gets, so it is accepted
+/// and ignored; any other stance is refused rather than remapped.
+fn retired_shard(v: &Json) -> Result<(), WireError> {
     match v {
-        Json::Str(s) if s == "fair_share" => Ok(ShardPolicy::FairShare),
-        Json::Str(s) if s == "single_queue" => Ok(ShardPolicy::SingleQueue),
-        Json::Str(s) => Err(WireError::invalid(
+        Json::Str(s) if s == "fair_share" => Ok(()),
+        _ => Err(WireError::invalid(
             "shard",
-            format!(
-                "unknown policy '{s}' (use \"fair_share\", \"single_queue\", or \
-                 {{\"weighted\": w}})"
-            ),
+            "scheduling stances are retired: every receptor now gets an equal share \
+             (send \"fair_share\" or leave the member out)",
         )),
-        Json::Obj(_) => match get_f32(v, "weighted")? {
-            Some(w) => Ok(ShardPolicy::Weighted(w)),
-            None => Err(WireError::invalid("shard", "expected a 'weighted' member")),
-        },
-        _ => Err(WireError::invalid("shard", "expected a string or object")),
     }
 }
 
@@ -1510,10 +1501,10 @@ pub fn status_from_json(v: &Json) -> Result<JobStatus, WireError> {
 }
 
 /// Encode [`ServiceStats`] (the `GET /stats` body). `shards` lists
-/// every receptor shard the service has seen — depth (`queued`),
-/// occupancy (`active`), weight, and cumulative submissions per shard
-/// — and `shard_count` its length, so scripts can assert multi-receptor
-/// behavior without walking the array.
+/// every receptor shard the service has seen recently — depth
+/// (`queued`), occupancy (`active`) and cumulative submissions per
+/// shard — and `shard_count` its length, so scripts can assert
+/// multi-receptor behavior without walking the array.
 pub fn stats_to_json(stats: &ServiceStats) -> Json {
     let shards: Vec<Json> = stats
         .shards
@@ -1523,7 +1514,6 @@ pub fn stats_to_json(stats: &ServiceStats) -> Json {
                 ("key".into(), Json::str(format!("{:016x}", s.key))),
                 ("queued".into(), Json::usize(s.queued)),
                 ("active".into(), Json::usize(s.active)),
-                ("weight".into(), Json::f32(s.weight)),
                 ("submitted".into(), Json::u64(s.submitted)),
             ])
         })

@@ -182,6 +182,24 @@ fn submit_poll_results_match_the_in_process_ranking_exactly() {
     assert_eq!(stats.jobs_submitted, 1);
     assert_eq!(stats.jobs_completed, 1);
     assert_eq!(stats.ligands_docked, N_LIGANDS as u64);
+
+    // And over the wire: one receptor is one shard, whose row carries
+    // exactly its key, depth, occupancy and submission count.
+    use mudock_serve::wire::{self, Json};
+    let body = client::request(&addr, "GET", "/stats", None)
+        .and_then(|r| r.ok())
+        .expect("/stats over the socket")
+        .body;
+    let v = wire::parse(&body).expect("/stats is JSON");
+    assert_eq!(v.get("shard_count"), Some(&Json::usize(1)), "{body}");
+    let Some(Json::Arr(rows)) = v.get("shards") else {
+        panic!("no shards array: {body}");
+    };
+    let Json::Obj(members) = &rows[0] else {
+        panic!("a shard row is an object: {body}");
+    };
+    let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["key", "queued", "active", "submitted"], "{body}");
 }
 
 /// The multi-loop tentpole's end-to-end guarantee: a ranking served

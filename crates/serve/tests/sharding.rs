@@ -136,7 +136,7 @@ fn interleaved_receptors_spill_reload_and_stay_bit_identical() {
 /// The scheduling half of the tentpole: with one receptor's job still
 /// occupying an executor, the next free slot goes to the *idle*
 /// receptor's job even though the hot receptor's backlog was submitted
-/// first — the starvation the single queue allowed.
+/// first — the starvation plain priority-then-FIFO order allowed.
 #[test]
 fn idle_receptor_overtakes_the_hot_receptors_backlog() {
     let service = ScreenService::start(ServeConfig {

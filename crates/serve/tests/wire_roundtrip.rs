@@ -8,8 +8,8 @@
 use std::time::Duration;
 
 use mudock_core::{
-    Backend, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy, GaParams, ShardPolicy,
-    SolisWetsParams, StopPolicy, MAX_CHUNK, MAX_SHARD_WEIGHT,
+    Backend, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy, GaParams, SolisWetsParams,
+    StopPolicy, MAX_CHUNK,
 };
 use mudock_grids::GridDims;
 use mudock_mol::Vec3;
@@ -50,14 +50,6 @@ fn chunk_policy() -> impl Strategy<Value = ChunkPolicy> {
     )
 }
 
-fn shard_policy() -> impl Strategy<Value = ShardPolicy> {
-    prop_oneof!(
-        (0u64..2).prop_map(|_| ShardPolicy::FairShare),
-        (0u64..2).prop_map(|_| ShardPolicy::SingleQueue),
-        (f32::MIN_POSITIVE..MAX_SHARD_WEIGHT).prop_map(ShardPolicy::Weighted),
-    )
-}
-
 fn ga_params() -> impl Strategy<Value = GaParams> {
     (
         (2usize..500, 1usize..2000, 1usize..8),
@@ -89,7 +81,6 @@ fn campaign_spec() -> impl Strategy<Value = CampaignSpec> {
         backend_policy(),
         stop_policy(),
         chunk_policy(),
-        shard_policy(),
         (0u64..4, 0.5f32..20.0, 0u64..4, 5.0f32..14.0),
     )
         .prop_map(
@@ -99,7 +90,6 @@ fn campaign_spec() -> impl Strategy<Value = CampaignSpec> {
                 backend,
                 stop,
                 chunk,
-                shard,
                 (with_radius, radius, with_dims, extent),
             )| {
                 let mut b = Campaign::builder()
@@ -109,8 +99,7 @@ fn campaign_spec() -> impl Strategy<Value = CampaignSpec> {
                     .ga(ga)
                     .backend(backend)
                     .stop(stop)
-                    .chunk(chunk)
-                    .shard(shard);
+                    .chunk(chunk);
                 if with_radius == 0 {
                     b = b.search_radius(radius);
                 }
@@ -294,21 +283,42 @@ fn malformed_inputs_map_to_the_right_wire_errors() {
             |e| matches!(e, WireError::Campaign(_)),
             422,
         ),
-        // Unknown shard policy → Invalid → 400; a weight the builder
-        // refuses (zero) → Campaign → 422.
+        // The retired shard stances: every one but "fair_share" (what
+        // every receptor now gets) is refused, never remapped.
         (
-            r#"{"campaign": {"name": "x", "shard": "round_robin"},
+            r#"{"campaign": {"name": "x", "shard": "single_queue"},
                 "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
                 "ligands": {"synth": {"count": 2}}}"#,
-            |e| matches!(e, WireError::Invalid { .. }),
+            |e| matches!(e, WireError::Invalid { message, .. } if message.contains("equal share")),
+            400,
+        ),
+        (
+            r#"{"campaign": {"name": "x", "shard": {"weighted": 2.0}},
+                "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
+                "ligands": {"synth": {"count": 2}}}"#,
+            |e| matches!(e, WireError::Invalid { message, .. } if message.contains("equal share")),
             400,
         ),
         (
             r#"{"campaign": {"name": "x", "shard": {"weighted": 0.0}},
                 "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
                 "ligands": {"synth": {"count": 2}}}"#,
-            |e| matches!(e, WireError::Campaign(_)),
-            422,
+            |e| matches!(e, WireError::Invalid { message, .. } if message.contains("equal share")),
+            400,
+        ),
+        (
+            r#"{"campaign": {"name": "x", "shard": "round_robin"},
+                "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
+                "ligands": {"synth": {"count": 2}}}"#,
+            |e| matches!(e, WireError::Invalid { message, .. } if message.contains("equal share")),
+            400,
+        ),
+        (
+            r#"{"campaign": {"name": "x", "shard": 1},
+                "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
+                "ligands": {"synth": {"count": 2}}}"#,
+            |e| matches!(e, WireError::Invalid { message, .. } if message.contains("equal share")),
+            400,
         ),
     ];
     for (body, check, status) in cases {
@@ -318,6 +328,19 @@ fn malformed_inputs_map_to_the_right_wire_errors() {
         assert!(check(&err), "{body}: unexpected error {err:?}");
         assert_eq!(err.http_status(), status, "{body}: {err:?}");
     }
+}
+
+/// `"shard": "fair_share"` is what every earlier encoder wrote: it still
+/// decodes, to the spec the member's absence gives, and the encoder no
+/// longer writes it.
+#[test]
+fn a_fair_share_stance_decodes_to_the_default_spec() {
+    let decode = |text: &str| wire::campaign_from_json(&wire::parse(text).unwrap()).unwrap();
+    let old = decode(r#"{"name": "old", "shard": "fair_share"}"#);
+    assert_eq!(old, Campaign::builder().name("old").build().unwrap());
+    assert_eq!(old, decode(r#"{"name": "old"}"#));
+    let text = wire::campaign_to_json(&old).encode();
+    assert!(!text.contains("shard"), "{text}");
 }
 
 /// The scatter window (`slice`) must round-trip exactly, stay optional,

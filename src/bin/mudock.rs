@@ -35,13 +35,13 @@ use std::process::ExitCode;
 
 use mudock::core::{
     screen_campaign, Backend, BackendPolicy, Campaign, CampaignError, CampaignSpec, ChunkPolicy,
-    DockingEngine, GaParams, LigandPrep, ShardPolicy, SolisWetsParams, StopPolicy,
+    DockingEngine, GaParams, LigandPrep, SolisWetsParams, StopPolicy,
 };
 use mudock::grids::{GridBuilder, GridDims};
 use mudock::mol::{Molecule, Vec3};
 
 fn usage() -> &'static str {
-    "usage:\n  mudock info <file.pdbqt>\n  mudock dock --receptor R.pdbqt --ligand L.pdbqt [options]\n  mudock dock --demo [options]\n  mudock screen --demo N [--threads T] [options]\n  mudock serve --demo N [--jobs J] [--threads T] [options]\n  mudock serve --listen ADDR [--jobs J] [--threads T] [--results DIR]\n  mudock coordinator --listen ADDR --nodes HOST:PORT,HOST:PORT[,...]\n  mudock submit --addr HOST:PORT (--demo N | --receptor R --ligands L) [options]\n  mudock poll --addr HOST:PORT ID [--wait] [--results] [--cancel] [--interval-ms MS]\n  mudock stats --addr HOST:PORT [--metrics]\n\ncampaign options (validated; bad values exit with code 2):\n  --backend <reference|autovec|scalar|avx2|avx512>  (default: the widest of avx2 and\n                    avx512 the host runs, else autovec; naming a SIMD level\n                    pins the job's grids to that level)\n  --generations N   (default 150)\n  --population P    (default 100)\n  --seed S          (default 42)\n  --radius R        search radius in Å (default: grid-derived)\n  --local-search    enable Solis-Wets Lamarckian refinement\n  --top K           ranking size (default 10)\n  --chunk C         ligands per chunk (default 16)\n  --chunk-target-ms MS   adaptive chunks sized to ~MS wall-clock each\n  --max-evals N     stop after N pose evaluations\n  --deadline-s S    stop after S seconds of wall-clock\n  --stable-window W stop once the top-k held still for W chunks\n  --stable-eps E    score tolerance for --stable-window (default 0)\n  --shard-weight W  relative executor share vs other receptors (default 1)\n  --single-queue    opt out of receptor sharding (pure priority/FIFO)\n\nother options:\n  --out FILE        write the best pose as PDBQT (dock only)\n  --threads T       worker threads (screen/serve)\n  --jobs J          concurrent service jobs (serve only, default 2)\n  --shards N        receptor shard groups slots are split across\n                    (serve only; default 0 = one per live receptor)\n  --cache N         grid sets kept resident (serve only, default 4)\n  --spill-dir DIR   spill evicted grids to DIR and reload on the next\n                    miss instead of rebuilding (serve only)\n  --spill-cap N     spill files kept in --spill-dir (default 16)\n  --cache-trace FILE  record grid-cache events as JSONL for offline policy\n                    replay with the cache_replay tool (serve only)\n  --jsonl DIR       stream per-ligand JSONL results into DIR (serve only)\n  --checkpoint DIR  write per-job chunk checkpoints into DIR (serve only)\n  --trace-file FILE append per-stage span JSONL to FILE, bounded (serve only)\n\nnetwork options:\n  --listen ADDR     serve the HTTP API on ADDR (port 0 picks one; serve only)\n  --results DIR     per-job JSONL result files (serve --listen only)\n  --allow-path-sources  accept server-side {\"path\": ...} sources (off by default)\n  --max-conns N     open connections held before load-shedding 503s\n                    (serve --listen only, default 1024)\n  --idle-s S        keep-alive idle-connection timeout in seconds (default 60)\n  --header-s S      request-header read deadline in seconds (default 10)\n  --event-loops N   frontend event-loop threads sharing the listen port\n                    (serve --listen and coordinator; default 0 = one per\n                    core, capped at 4; connections pin to one loop for life;\n                    Linux only — other platforms always run one loop)\n  --addr HOST:PORT  server to talk to (submit/poll)\n\ncoordinator options:\n  --nodes A,B,...   member `mudock serve --listen` addresses (required)\n  --health-ms MS    health-probe spacing (default 500)\n  --dead-after N    consecutive failures before a member is dead (default 3)\n  --scatter-min N   smallest library worth fanning out (default 8)\n  --max-parts N     scatter fan-out ceiling (default 16)\n  --poll-ms MS      sub-job poll interval (default 20)\n  --max-attempts N  dispatch attempts per window before failing (default 4)\n  --name NAME       campaign name (submit, default 'remote')\n  --priority P      low|normal|high (submit, default normal)\n  --ligands FILE    multi-model PDBQT ligand library (submit)\n  --receptor-seed S synthetic receptor seed for submit --demo, so two\n                    submissions can target different receptors/shards\n  --wait            poll until the job is terminal\n  --results (poll)  print the job's JSONL results\n  --cancel          request cancellation\n  --interval-ms MS  poll interval for --wait (default 100)\n  --metrics (stats) print the Prometheus /metrics text instead of /stats JSON"
+    "usage:\n  mudock info <file.pdbqt>\n  mudock dock --receptor R.pdbqt --ligand L.pdbqt [options]\n  mudock dock --demo [options]\n  mudock screen --demo N [--threads T] [options]\n  mudock serve --demo N [--jobs J] [--threads T] [options]\n  mudock serve --listen ADDR [--jobs J] [--threads T] [--results DIR]\n  mudock coordinator --listen ADDR --nodes HOST:PORT,HOST:PORT[,...]\n  mudock submit --addr HOST:PORT (--demo N | --receptor R --ligands L) [options]\n  mudock poll --addr HOST:PORT ID [--wait] [--results] [--cancel] [--interval-ms MS]\n  mudock stats --addr HOST:PORT [--metrics]\n\ncampaign options (validated; bad values exit with code 2):\n  --backend <reference|autovec|scalar|avx2|avx512>  (default: the widest of avx2 and\n                    avx512 the host runs, else autovec; naming a SIMD level\n                    pins the job's grids to that level)\n  --generations N   (default 150)\n  --population P    (default 100)\n  --seed S          (default 42)\n  --radius R        search radius in Å (default: grid-derived)\n  --local-search    enable Solis-Wets Lamarckian refinement\n  --top K           ranking size (default 10)\n  --chunk C         ligands per chunk (default 16)\n  --chunk-target-ms MS   adaptive chunks sized to ~MS wall-clock each\n  --max-evals N     stop after N pose evaluations\n  --deadline-s S    stop after S seconds of wall-clock\n  --stable-window W stop once the top-k held still for W chunks\n  --stable-eps E    score tolerance for --stable-window (default 0)\n\nother options:\n  --out FILE        write the best pose as PDBQT (dock only)\n  --threads T       worker threads (screen/serve)\n  --jobs J          concurrent service jobs (serve only, default 2)\n  --cache N         grid sets kept resident (serve only, default 4)\n  --spill-dir DIR   spill evicted grids to DIR and reload on the next\n                    miss instead of rebuilding (serve only)\n  --spill-cap N     spill files kept in --spill-dir (default 16)\n  --cache-trace FILE  record grid-cache events as JSONL for offline policy\n                    replay with the cache_replay tool (serve only)\n  --jsonl DIR       stream per-ligand JSONL results into DIR (serve only)\n  --checkpoint DIR  write per-job chunk checkpoints into DIR (serve only)\n  --trace-file FILE append per-stage span JSONL to FILE, bounded (serve only)\n\nnetwork options:\n  --listen ADDR     serve the HTTP API on ADDR (port 0 picks one; serve only)\n  --results DIR     per-job JSONL result files (serve --listen only)\n  --allow-path-sources  accept server-side {\"path\": ...} sources (off by default)\n  --max-conns N     open connections held before load-shedding 503s\n                    (serve --listen only, default 1024)\n  --idle-s S        keep-alive idle-connection timeout in seconds (default 60)\n  --header-s S      request-header read deadline in seconds (default 10)\n  --event-loops N   frontend event-loop threads sharing the listen port\n                    (serve --listen and coordinator; default 0 = one per\n                    core, capped at 4; connections pin to one loop for life;\n                    Linux only — other platforms always run one loop)\n  --addr HOST:PORT  server to talk to (submit/poll)\n\ncoordinator options:\n  --nodes A,B,...   member `mudock serve --listen` addresses (required)\n  --health-ms MS    health-probe spacing (default 500)\n  --dead-after N    consecutive failures before a member is dead (default 3)\n  --scatter-min N   smallest library worth fanning out (default 8)\n  --max-parts N     scatter fan-out ceiling (default 16)\n  --poll-ms MS      sub-job poll interval (default 20)\n  --max-attempts N  dispatch attempts per window before failing (default 4)\n  --name NAME       campaign name (submit, default 'remote')\n  --priority P      low|normal|high (submit, default normal)\n  --ligands FILE    multi-model PDBQT ligand library (submit)\n  --receptor-seed S synthetic receptor seed for submit --demo, so two\n                    submissions can target different receptors/shards\n  --wait            poll until the job is terminal\n  --results (poll)  print the job's JSONL results\n  --cancel          request cancellation\n  --interval-ms MS  poll interval for --wait (default 100)\n  --metrics (stats) print the Prometheus /metrics text instead of /stats JSON"
 }
 
 /// CLI failure with its exit code: usage/validation errors (exit 2,
@@ -189,16 +189,6 @@ fn campaign_from(flags: &HashMap<String, String>, name: &str) -> Result<Campaign
     } else {
         ChunkPolicy::Fixed(num(flags, "chunk", 16usize)?)
     });
-    if flags.contains_key("single-queue") && flags.contains_key("shard-weight") {
-        return Err(CliError::Usage(
-            "--single-queue opts out of sharding; it conflicts with --shard-weight".into(),
-        ));
-    }
-    if flags.contains_key("single-queue") {
-        builder = builder.shard(ShardPolicy::SingleQueue);
-    } else if flags.contains_key("shard-weight") {
-        builder = builder.shard_weight(num(flags, "shard-weight", 1.0f32)?);
-    }
     let stop_flags: Vec<&str> = ["max-evals", "deadline-s", "stable-window"]
         .into_iter()
         .filter(|k| flags.contains_key(*k))
@@ -409,7 +399,7 @@ fn cmd_screen(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 /// The service sizing every `serve` mode shares, from the flag set:
-/// `--shards`, `--cache`, the spill tier (`--spill-dir`, `--spill-cap`),
+/// `--cache`, the spill tier (`--spill-dir`, `--spill-cap`),
 /// and the cache and span traces (`--cache-trace`, `--trace-file`).
 fn serve_config_from(
     flags: &HashMap<String, String>,
@@ -441,7 +431,6 @@ fn serve_config_from(
     Ok(ServeConfig {
         total_threads: threads,
         job_slots,
-        shards: num(flags, "shards", 0usize)?,
         cache_capacity,
         spill,
         cache_trace: flags
@@ -689,8 +678,8 @@ fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
         let mut spec = demo_campaign(flags, &name)?;
         // The same synthetic complex (and lattice) the local serve
         // demo screens — unless --receptor-seed picks a different
-        // synthetic target, which lands the job in its own shard (the
-        // multi-receptor testing hook the CI shard smoke uses).
+        // synthetic target, which lands the job in its own shard (a
+        // multi-receptor testing hook).
         spec.grid_dims = Some(demo_grid_dims());
         (
             spec,
@@ -827,10 +816,8 @@ const CAMPAIGN_FLAGS: &[&str] = &[
     "deadline-s",
     "stable-window",
     "stable-eps",
-    "shard-weight",
-    "single-queue",
 ];
-const CAMPAIGN_BOOLEAN: &[&str] = &["local-search", "single-queue"];
+const CAMPAIGN_BOOLEAN: &[&str] = &["local-search"];
 
 /// What `cmd_serve`, `cmd_serve_listen` and `serve_config_from` read.
 const SERVE_FLAGS: &[&str] = &[
@@ -839,7 +826,6 @@ const SERVE_FLAGS: &[&str] = &[
     "threads",
     "jsonl",
     "checkpoint",
-    "shards",
     "cache",
     "spill-dir",
     "spill-cap",
@@ -869,7 +855,7 @@ fn run(cmd: &str, args: &[String]) -> Result<(), CliError> {
         "screen" => (&[CAMPAIGN_FLAGS, &["demo", "threads"]], CAMPAIGN_BOOLEAN),
         "serve" => (
             &[CAMPAIGN_FLAGS, SERVE_FLAGS],
-            &["local-search", "single-queue", "allow-path-sources"],
+            &["local-search", "allow-path-sources"],
         ),
         "coordinator" => (
             &[&[

@@ -104,6 +104,35 @@ fn malformed_numbers_exit_2_naming_the_flag() {
             "--spill-dir",
         ),
         (&["poll", "--addr", "127.0.0.1:1", "--top", "3"], "--top"),
+        // The retired scheduling knobs: every receptor gets an equal
+        // share, and there is nothing left to tune.
+        (
+            &["serve", "--demo", "1", "--shards", "2"],
+            "unknown flag --shards",
+        ),
+        (
+            &[
+                "submit",
+                "--addr",
+                "127.0.0.1:1",
+                "--demo",
+                "2",
+                "--shard-weight",
+                "2",
+            ],
+            "unknown flag --shard-weight",
+        ),
+        (
+            &[
+                "submit",
+                "--addr",
+                "127.0.0.1:1",
+                "--demo",
+                "2",
+                "--single-queue",
+            ],
+            "unknown flag --single-queue",
+        ),
     ];
     for (args, flag) in cases {
         let out = mudock(args);
