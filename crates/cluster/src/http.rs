@@ -2,11 +2,11 @@
 //!
 //! The routes, status codes, content types, submission checks, job
 //! table and retention are `serve::net`'s own ([`JobTier`] says what a
-//! tier may supply), mounted on the same multi-loop frontend a node
-//! runs — so a client cannot tell it is not talking to a single
-//! `mudock serve`, bar `"role":"coordinator"` and a `/stats` that
-//! describes members instead of shards. Nothing here blocks an event
-//! loop: a started submission fans out on its own gather thread
+//! tier may supply), mounted on the same frontend a node runs — so a
+//! client cannot tell it is not talking to a single `mudock serve`,
+//! bar `"role":"coordinator"` and a `/stats` that describes members
+//! instead of shards. Nothing here blocks the event loop: a started
+//! submission fans out on its own gather thread
 //! ([`scatter::run`]), and reads are lock-scoped views of a [`ClusterJob`].
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -23,8 +23,8 @@
 //! * [`scatter`] — per-job gather loop: dispatch, poll, re-dispatch
 //!   unfinished windows off dead members, merge;
 //! * `http` (private) — the coordinator's tier of `serve::net`'s job
-//!   API: the routes, job table and frontend (event-loop pool,
-//!   connection pinning, `--event-loops` knob) are the node's own;
+//!   API: the routes, job table and one-loop frontend are the node's
+//!   own;
 //! * [`metrics`] — the `mudock_cluster_*` instrument families served
 //!   at `GET /metrics`.
 //!
@@ -90,9 +90,9 @@ pub struct ClusterConfig {
     pub allow_path_sources: bool,
     /// Terminal cluster jobs retained for late status/results reads.
     pub max_retained_jobs: usize,
-    /// Event-loop threads for the frontend, exactly as
-    /// [`mudock_serve::NetConfig::event_loops`]: `0` means
-    /// auto (one per core, capped at 4).
+    /// Passed to [`mudock_serve::NetConfig::event_loops`]: 0 or 1, any
+    /// other value makes [`Coordinator::bind`] fail with `InvalidInput`.
+    /// Kept only as long as that field is (ROADMAP item 2 removes both).
     pub event_loops: usize,
 }
 
@@ -129,7 +129,7 @@ impl Coordinator {
     /// Bind the frontend and start probing members. `listen` may use
     /// port 0; see [`Coordinator::local_addr`] for the resolved socket.
     pub fn bind(listen: &str, cfg: ClusterConfig) -> std::io::Result<Coordinator> {
-        // The node's multi-loop readiness frontend and job API, with
+        // The node's readiness frontend and job API, with
         // coordinator-shaped limits: bodies are generous (inline ligand
         // libraries ride through on their way to members), idle
         // keep-alive connections are bounded tighter than a node's.

@@ -37,13 +37,9 @@
 //! dependency-free readiness-driven HTTP/1.1 server (`POST /jobs`,
 //! `GET /jobs/{id}`, `GET /jobs/{id}/results`, `DELETE /jobs/{id}`,
 //! `GET /healthz`, `GET /stats`) speaking the hand-rolled JSON
-//! [`wire`] codec. A pool of event-loop threads
-//! ([`NetConfig::event_loops`]) multiplexes the connections, each loop
-//! owning its own listener, [`reactor`] ([`reactor::Reactor`]) and
-//! connection table, with connections pinned to the loop that accepted
-//! them for life. There is one path per platform: `epoll` and per-loop
-//! `SO_REUSEPORT` listeners on Linux, `poll(2)` and a single loop on
-//! every other unix. On top of that: keep-alive and pipelining,
+//! [`wire`] codec. One event-loop thread multiplexes the connections
+//! over one listener and one [`reactor`] ([`reactor::Reactor`]):
+//! `epoll` on Linux, `poll(2)` on every other unix. On top of that: keep-alive and pipelining,
 //! per-state plus per-request deadlines that evict slow, idle, and
 //! wedged peers, bodies held until complete and then parsed in one
 //! pass ([`wire::parse_bytes`]), and the same bounded-backpressure discipline
@@ -115,10 +111,7 @@ pub use job::{
     ProgressFn, RankedLigand,
 };
 pub use mudock_obs::{GridSource, Registry, StageTimings};
-pub use net::{
-    default_event_loops, Body, FrontendBuilder, HttpFrontend, JobTier, NetConfig, NetServer,
-    Response,
-};
+pub use net::{Body, FrontendBuilder, HttpFrontend, JobTier, NetConfig, NetServer, Response};
 pub use queue::{ShardStat, SubmitError};
 pub use server::{ScreenService, ServeConfig, ServiceStats};
 pub use sink::{Checkpoint, JsonlSink};

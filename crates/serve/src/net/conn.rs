@@ -1,6 +1,6 @@
 //! One connection's request/response state machine (idle → header →
-//! body → write), driven by the readiness events its event loop
-//! delivers. Everything here runs on that one loop's thread.
+//! body → write), driven by the readiness events the event loop
+//! delivers. Everything here runs on that loop's thread.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use mudock_obs::now_ns;
 
-use super::frontend::LoopCtx;
+use super::frontend::FrontendShared;
 use super::http::{find_head_end, parse_head, reason, Body, RequestHead, Response, MAX_HEAD_BYTES};
 use crate::reactor::{Interest, Token};
 use crate::wire::{parse_bytes, WireError};
@@ -143,7 +143,7 @@ pub(super) enum Action {
 
 /// Drain the socket into the connection buffer and run the request
 /// state machine over whatever arrived.
-pub(super) fn do_read(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
+pub(super) fn do_read(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action {
     let mut tmp = [0u8; 16 << 10];
     loop {
         // Backpressure: stop pulling bytes while responses are backed
@@ -178,7 +178,7 @@ pub(super) fn do_read(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
 
 /// Advance the request state machine over `conn.buf`. Loops so that
 /// pipelined requests already buffered are answered back-to-back.
-fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
+fn process_input(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action {
     loop {
         match &mut conn.phase {
             Phase::Idle => {
@@ -189,7 +189,7 @@ fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
                 // starts at the header's first byte.
                 conn.req_starts.push_back((now_ns(), now));
                 conn.phase = Phase::Header;
-                conn.deadline = now + ctx.shared.cfg.header_timeout;
+                conn.deadline = now + ctx.cfg.header_timeout;
             }
             Phase::Header => {
                 let Some(head_len) = find_head_end(&conn.buf) else {
@@ -209,7 +209,7 @@ fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
                     Ok(h) => h,
                     Err((status, msg)) => return refuse(conn, ctx, now, status, msg),
                 };
-                if head.content_length > ctx.shared.cfg.max_body_bytes {
+                if head.content_length > ctx.cfg.max_body_bytes {
                     return refuse(
                         conn,
                         ctx,
@@ -217,11 +217,11 @@ fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
                         413,
                         format!(
                             "body of {} bytes exceeds the {}-byte limit",
-                            head.content_length, ctx.shared.cfg.max_body_bytes
+                            head.content_length, ctx.cfg.max_body_bytes
                         ),
                     );
                 }
-                conn.deadline = now + ctx.shared.cfg.body_timeout;
+                conn.deadline = now + ctx.cfg.body_timeout;
                 conn.phase = Phase::Body { head };
             }
             Phase::Body { head } => {
@@ -230,7 +230,6 @@ fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
                     return Action::Keep; // need more bytes
                 }
                 let body = ctx
-                    .shared
                     .routes
                     .wants_body(&head.method, &head.path)
                     .then(|| parse_bytes(&conn.buf[..len]));
@@ -242,16 +241,15 @@ fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
                     unreachable!("we are in Body");
                 };
                 if let Some(Err(WireError::Syntax { .. })) = &body {
-                    ctx.shared.metrics.parse_errors.inc();
+                    ctx.metrics.parse_errors.inc();
                 }
                 // Panic isolation: a panicking route must cost one
                 // response, never the whole event loop.
                 let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    ctx.shared.routes.route(&head.method, &head.path, body)
+                    ctx.routes.route(&head.method, &head.path, body)
                 }))
                 .unwrap_or_else(|_| Response::error(500, "internal error"));
-                ctx.shared.metrics.totals.requests.inc();
-                ctx.lm.requests.inc();
+                ctx.metrics.requests.inc();
                 queue_response(conn, response, head.keep_alive, now, ctx);
                 if conn.close_after_flush {
                     conn.buf.clear();
@@ -263,12 +261,7 @@ fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
                 // Keep-alive: loop — pipelined bytes may already hold
                 // the next request.
                 if conn.buf.is_empty() {
-                    conn.deadline = now
-                        + ctx
-                            .shared
-                            .cfg
-                            .idle_timeout
-                            .max(ctx.shared.cfg.write_timeout);
+                    conn.deadline = now + ctx.cfg.idle_timeout.max(ctx.cfg.write_timeout);
                     return Action::Keep;
                 }
             }
@@ -286,8 +279,14 @@ fn process_input(conn: &mut Conn, ctx: &LoopCtx, now: Instant) -> Action {
 
 /// Queue a protocol-level refusal and mark the connection close-bound
 /// (its framing can no longer be trusted).
-fn refuse(conn: &mut Conn, ctx: &LoopCtx, now: Instant, status: u16, message: String) -> Action {
-    ctx.shared.metrics.parse_errors.inc();
+fn refuse(
+    conn: &mut Conn,
+    ctx: &FrontendShared,
+    now: Instant,
+    status: u16,
+    message: String,
+) -> Action {
+    ctx.metrics.parse_errors.inc();
     queue_response(conn, Response::error(status, message), false, now, ctx);
     conn.buf.clear();
     conn.phase = Phase::Lingering {
@@ -304,7 +303,7 @@ fn queue_response(
     response: Response,
     keep_alive: bool,
     now: Instant,
-    ctx: &LoopCtx,
+    ctx: &FrontendShared,
 ) {
     let Response {
         status,
@@ -332,12 +331,12 @@ fn queue_response(
     conn.out.extend(file);
     conn.out.push_back(OutItem::Mark);
     conn.close_after_flush |= !keep_alive;
-    conn.deadline = now + ctx.shared.cfg.write_timeout;
+    conn.deadline = now + ctx.cfg.write_timeout;
     let _ = do_write(conn, now, ctx);
 }
 
 /// Push queued output to the socket until it blocks or drains.
-pub(super) fn do_write(conn: &mut Conn, now: Instant, ctx: &LoopCtx) -> Action {
+pub(super) fn do_write(conn: &mut Conn, now: Instant, ctx: &FrontendShared) -> Action {
     loop {
         let Some(front) = conn.out.front_mut() else {
             // Fully flushed.
@@ -399,8 +398,7 @@ pub(super) fn do_write(conn: &mut Conn, now: Instant, ctx: &LoopCtx) -> Action {
                 // the oldest in-flight request is answered.
                 conn.out.pop_front();
                 if let Some((t0, _)) = conn.req_starts.pop_front() {
-                    ctx.shared
-                        .metrics
+                    ctx.metrics
                         .request_seconds
                         .record_ns(now_ns().saturating_sub(t0));
                 }

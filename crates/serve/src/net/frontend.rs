@@ -1,12 +1,12 @@
-//! The frontend: listeners, the event-loop pool, and the metrics every
-//! loop shares.
+//! The frontend: one listener, one reactor and the one event-loop
+//! thread that drives every connection, plus the metrics it writes.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -20,12 +20,10 @@ use super::NetConfig;
 use crate::reactor::{Event, Interest, Reactor, Token};
 use crate::wire::{Json, WireError};
 
-/// The connection instruments, registered once without labels (the
-/// frontend-wide totals) and once per loop as `{loop="N"}` under the
-/// same names. Every site that moves a total moves its loop's slice
-/// with it, so at quiescence the labelled series sum to the totals —
-/// the invariant the CI net-scale smoke asserts.
-pub(super) struct ConnMetrics {
+/// The frontend's registry-backed instruments. Every gauge/counter
+/// here *is* the `/metrics` series of the same name — `/stats` and
+/// Prometheus scrape one set of atomics, so they can never disagree.
+pub(super) struct NetMetrics {
     /// Connections currently registered with the reactor.
     open: Arc<Gauge>,
     /// Connections accepted since bind (shed ones included).
@@ -34,41 +32,6 @@ pub(super) struct ConnMetrics {
     shed: Arc<Counter>,
     /// Requests dispatched to a route.
     pub(super) requests: Arc<Counter>,
-}
-
-impl ConnMetrics {
-    fn register(registry: &Registry, labels: &[(&str, &str)]) -> ConnMetrics {
-        ConnMetrics {
-            open: registry.gauge(
-                "mudock_connections_open",
-                labels,
-                "Connections currently registered with the reactor",
-            ),
-            accepted: registry.counter(
-                "mudock_connections_accepted_total",
-                labels,
-                "Connections accepted since bind (shed ones included)",
-            ),
-            shed: registry.counter(
-                "mudock_connections_shed_total",
-                labels,
-                "Connections answered the canned 503 at the connection cap",
-            ),
-            requests: registry.counter(
-                "mudock_requests_total",
-                labels,
-                "Requests dispatched to a route",
-            ),
-        }
-    }
-}
-
-/// The frontend's registry-backed instruments. Every gauge/counter
-/// here *is* the `/metrics` series of the same name — `/stats` and
-/// Prometheus scrape one set of atomics, so they can never disagree.
-pub(super) struct NetMetrics {
-    /// The unlabelled connection series.
-    pub(super) totals: ConnMetrics,
     /// Requests refused for malformed HTTP or JSON (4xx/5xx protocol
     /// and syntax refusals — not semantic errors like 404 or 422).
     pub(super) parse_errors: Arc<Counter>,
@@ -85,7 +48,26 @@ pub(super) struct NetMetrics {
 impl NetMetrics {
     pub(super) fn register(registry: &Registry) -> NetMetrics {
         NetMetrics {
-            totals: ConnMetrics::register(registry, &[]),
+            open: registry.gauge(
+                "mudock_connections_open",
+                &[],
+                "Connections currently registered with the reactor",
+            ),
+            accepted: registry.counter(
+                "mudock_connections_accepted_total",
+                &[],
+                "Connections accepted since bind (shed ones included)",
+            ),
+            shed: registry.counter(
+                "mudock_connections_shed_total",
+                &[],
+                "Connections answered the canned 503 at the connection cap",
+            ),
+            requests: registry.counter(
+                "mudock_requests_total",
+                &[],
+                "Requests dispatched to a route",
+            ),
             parse_errors: registry.counter(
                 "mudock_request_parse_errors_total",
                 &[],
@@ -120,14 +102,14 @@ impl NetMetrics {
     /// never observe `open > accepted` — and the final clamp makes the
     /// invariant structural rather than an ordering argument.
     pub(super) fn snapshot(&self) -> ConnectionStats {
-        let open = self.totals.open.get().max(0) as u64;
-        let accepted = self.totals.accepted.get();
+        let open = self.open.get().max(0) as u64;
+        let accepted = self.accepted.get();
         ConnectionStats {
             open: open.min(accepted),
             accepted,
-            shed: self.totals.shed.get(),
+            shed: self.shed.get(),
             parse_errors: self.parse_errors.get(),
-            requests: self.totals.requests.get(),
+            requests: self.requests.get(),
         }
     }
 }
@@ -143,11 +125,11 @@ pub struct ConnectionStats {
     pub requests: u64,
 }
 
-/// The frontend's seam to what it serves: the event loops frame
-/// requests and call this; [`JobRoutes`] (the job API over a
+/// The frontend's seam to what it serves: the event loop frames
+/// requests and calls this; [`JobRoutes`] (the job API over a
 /// [`JobTier`]) is the one implementation.
 ///
-/// `route` runs on an event-loop thread: it must not block on slow
+/// `route` runs on the event-loop thread: it must not block on slow
 /// work. Submissions go through non-blocking `try_submit`-style paths
 /// and large payloads stream from disk via
 /// [`Body::File`](super::Body::File).
@@ -164,51 +146,46 @@ pub(super) trait HttpRoutes: Send + Sync + 'static {
     fn route(&self, method: &str, path: &str, body: Option<Result<Json, WireError>>) -> Response;
 }
 
-/// State shared by every event loop of one frontend.
+/// What the event loop and its [`HttpFrontend`] handle share.
 pub(super) struct FrontendShared {
     pub(super) routes: Arc<dyn HttpRoutes>,
     pub(super) cfg: NetConfig,
     pub(super) metrics: NetMetrics,
-    /// Exact open-connection count across all loops, for the
-    /// [`NetConfig::max_connections`] cap. A per-loop split of the cap
-    /// would be cheaper but wrong: REUSEPORT's flow hash has enough
-    /// variance at 10k connections that one loop would breach its
-    /// share while the others sit under theirs.
-    open_conns: AtomicUsize,
 }
 
-/// Phase one of bringing up a frontend: sockets bound, address and
+/// Phase one of bringing up a frontend: socket bound, address and
 /// node id resolved, nothing running yet. The two-phase shape exists
-/// because a tier wants both before the loops start routing to it.
+/// because a tier wants both before the loop starts routing to it.
 pub struct FrontendBuilder {
     addr: SocketAddr,
     node_id: u64,
     cfg: NetConfig,
-    /// One per event loop: their count *is* the loop count.
-    listeners: Vec<TcpListener>,
+    listener: TcpListener,
 }
 
 impl FrontendBuilder {
-    /// Bind one listen socket per event loop: a plain listener for a
-    /// single loop, per-loop `SO_REUSEPORT` listeners for more (Linux;
-    /// see [`NetConfig::event_loops`] for the other platforms). Any
-    /// bind failure — a sibling's included — is returned: the frontend
-    /// never starts under a different accept model than it was asked
-    /// for. `addr` may name port 0; the resolved port is shared by
-    /// every sibling listener.
-    pub fn bind(addr: impl ToSocketAddrs, mut cfg: NetConfig) -> io::Result<FrontendBuilder> {
-        let want = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to bind"))?;
-        let listeners = bind_listeners(want, cfg.event_loops)?;
-        cfg.event_loops = listeners.len();
-        let addr = listeners[0].local_addr()?;
+    /// Bind the frontend's one listen socket; `addr` may name port 0.
+    /// A [`NetConfig::event_loops`] other than `0` or `1` is refused
+    /// with [`io::ErrorKind::InvalidInput`] before anything is bound:
+    /// the frontend runs one event loop.
+    pub fn bind(addr: impl ToSocketAddrs, cfg: NetConfig) -> io::Result<FrontendBuilder> {
+        if cfg.event_loops > 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "event_loops = {}: the frontend now runs one event loop (set 0 or 1)",
+                    cfg.event_loops
+                ),
+            ));
+        }
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         Ok(FrontendBuilder {
             addr,
             node_id: boot_node_id(addr),
             cfg,
-            listeners,
+            listener,
         })
     }
 
@@ -223,8 +200,8 @@ impl FrontendBuilder {
     }
 
     /// Phase two: register metrics in `registry` (also what `/metrics`
-    /// renders), spawn one loop per listener, and start serving the
-    /// job API over `tier`. [`NetConfig::allow_path_sources`] and
+    /// renders), spawn the event loop, and start serving the job API
+    /// over `tier`. [`NetConfig::allow_path_sources`] and
     /// [`NetConfig::max_retained_jobs`] are the API's policy.
     pub fn start<T: JobTier>(self, tier: T, registry: &Registry) -> io::Result<HttpFrontend> {
         let shared = Arc::new(FrontendShared {
@@ -238,37 +215,25 @@ impl FrontendBuilder {
             }),
             cfg: self.cfg,
             metrics: NetMetrics::register(registry),
-            open_conns: AtomicUsize::new(0),
         });
+        // A waker pair, so shutdown never waits out a reactor timeout.
+        let (waker, waker_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        waker_rx.set_nonblocking(true)?;
+        let reactor = Reactor::new()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let mut wakers = Vec::with_capacity(self.listeners.len());
-        let mut threads = Vec::with_capacity(self.listeners.len());
-        for (i, listener) in self.listeners.into_iter().enumerate() {
-            // A waker pair per loop, so shutdown never waits out a
-            // reactor timeout.
-            let (waker_tx, waker_rx) = UnixStream::pair()?;
-            waker_tx.set_nonblocking(true)?;
-            waker_rx.set_nonblocking(true)?;
-            wakers.push(waker_tx);
-            let reactor = Reactor::new()?;
-            let ctx = LoopCtx {
-                shared: Arc::clone(&shared),
-                lm: ConnMetrics::register(registry, &[("loop", &i.to_string())]),
-            };
-            let stop = Arc::clone(&stop);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("net-loop-{i}"))
-                    .spawn(move || event_loop(listener, waker_rx, reactor, &ctx, &stop))?,
-            );
-        }
-
+        let thread = {
+            let (listener, shared, stop) = (self.listener, Arc::clone(&shared), Arc::clone(&stop));
+            std::thread::Builder::new()
+                .name("net-loop".into())
+                .spawn(move || event_loop(listener, waker_rx, reactor, &shared, &stop))?
+        };
         Ok(HttpFrontend {
             addr: self.addr,
             shared,
             stop,
-            wakers,
-            threads,
+            waker,
+            thread: Some(thread),
         })
     }
 }
@@ -290,42 +255,7 @@ fn boot_node_id(addr: SocketAddr) -> u64 {
         .finish()
 }
 
-/// The listeners for a frontend asked to run `event_loops` loops
-/// (`0`: the default count) — one listener per loop.
-#[cfg(target_os = "linux")]
-fn bind_listeners(addr: SocketAddr, event_loops: usize) -> io::Result<Vec<TcpListener>> {
-    let n = match event_loops {
-        0 => super::default_event_loops(),
-        n => n,
-    };
-    if n == 1 {
-        return Ok(vec![bind_plain(addr)?]);
-    }
-    let first = reuseport::bind_reuseport(addr)?;
-    // `addr` may have named port 0; siblings must bind the port the
-    // kernel actually picked.
-    let resolved = first.local_addr()?;
-    let mut listeners = vec![first];
-    for _ in 1..n {
-        listeners.push(reuseport::bind_reuseport(resolved)?);
-    }
-    Ok(listeners)
-}
-
-/// Without `SO_REUSEPORT` flow hashing there is no way to share a port
-/// between listeners, so every requested count resolves to one loop.
-#[cfg(not(target_os = "linux"))]
-fn bind_listeners(addr: SocketAddr, _event_loops: usize) -> io::Result<Vec<TcpListener>> {
-    Ok(vec![bind_plain(addr)?])
-}
-
-fn bind_plain(addr: SocketAddr) -> io::Result<TcpListener> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    Ok(listener)
-}
-
-/// A running multi-loop HTTP frontend serving the job API.
+/// A running HTTP frontend serving the job API.
 /// [`NetServer`](super::NetServer) wraps one for the screening node;
 /// the cluster coordinator mounts its own [`JobTier`] on the same
 /// machinery.
@@ -333,8 +263,8 @@ pub struct HttpFrontend {
     addr: SocketAddr,
     shared: Arc<FrontendShared>,
     stop: Arc<AtomicBool>,
-    wakers: Vec<UnixStream>,
-    threads: Vec<JoinHandle<()>>,
+    waker: UnixStream,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl HttpFrontend {
@@ -343,21 +273,17 @@ impl HttpFrontend {
         self.addr
     }
 
-    /// Connection gauges as of now, aggregated across loops.
+    /// Connection gauges as of now.
     pub fn connection_stats(&self) -> ConnectionStats {
         self.shared.metrics.snapshot()
     }
 
-    /// Stop every loop and join them; open connections are dropped.
+    /// Stop the event loop and join it; open connections are dropped.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        for tx in &self.wakers {
-            let _ = (&mut &*tx).write(&[1]);
-        }
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.thread.take() {
+            self.stop.store(true, Ordering::SeqCst);
+            let _ = (&self.waker).write(&[1]);
             let _ = t.join();
         }
     }
@@ -369,133 +295,6 @@ impl Drop for HttpFrontend {
     }
 }
 
-/// `SO_REUSEPORT` listener sockets via direct FFI — `std` exposes no
-/// pre-bind socket options, and the whole point is setting the option
-/// *before* `bind(2)`. Linux-only: the kernel's REUSEPORT flow hash is
-/// what spreads connections across the per-loop listeners.
-#[cfg(target_os = "linux")]
-pub(crate) mod reuseport {
-    use std::io;
-    use std::net::{SocketAddr, TcpListener};
-    use std::os::fd::{FromRawFd, OwnedFd};
-    use std::os::raw::{c_int, c_void};
-
-    const AF_INET: c_int = 2;
-    const AF_INET6: c_int = 10;
-    const SOCK_STREAM: c_int = 1;
-    const SOCK_CLOEXEC: c_int = 0o2000000;
-    const SOCK_NONBLOCK: c_int = 0o4000;
-    const SOL_SOCKET: c_int = 1;
-    const SO_REUSEADDR: c_int = 2;
-    const SO_REUSEPORT: c_int = 15;
-    const IPPROTO_IPV6: c_int = 41;
-    const IPV6_V6ONLY: c_int = 26;
-
-    /// `struct sockaddr_in`; `port` and `addr` in network byte order.
-    #[repr(C)]
-    struct SockAddrIn {
-        family: u16,
-        port: u16,
-        addr: [u8; 4],
-        zero: [u8; 8],
-    }
-
-    /// `struct sockaddr_in6`.
-    #[repr(C)]
-    struct SockAddrIn6 {
-        family: u16,
-        port: u16,
-        flowinfo: u32,
-        addr: [u8; 16],
-        scope_id: u32,
-    }
-
-    extern "C" {
-        fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-        fn setsockopt(
-            fd: c_int,
-            level: c_int,
-            optname: c_int,
-            optval: *const c_void,
-            optlen: u32,
-        ) -> c_int;
-        fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
-        fn listen(fd: c_int, backlog: c_int) -> c_int;
-    }
-
-    fn opt(fd: c_int, level: c_int, name: c_int, value: c_int) -> io::Result<()> {
-        let rc = unsafe {
-            setsockopt(
-                fd,
-                level,
-                name,
-                &value as *const c_int as *const c_void,
-                std::mem::size_of::<c_int>() as u32,
-            )
-        };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    /// Bind a non-blocking `SO_REUSEPORT` listener on `addr`. Several
-    /// listeners bound this way to one port each receive a
-    /// kernel-hashed share of incoming connections.
-    pub(crate) fn bind_reuseport(addr: SocketAddr) -> io::Result<TcpListener> {
-        let domain = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
-        let fd = unsafe { socket(domain, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // Owns the fd from here: every early return closes it.
-        let owned = unsafe { OwnedFd::from_raw_fd(fd) };
-        opt(fd, SOL_SOCKET, SO_REUSEADDR, 1)?;
-        opt(fd, SOL_SOCKET, SO_REUSEPORT, 1)?;
-        let rc = match addr {
-            SocketAddr::V4(v4) => {
-                let sa = SockAddrIn {
-                    family: AF_INET as u16,
-                    port: v4.port().to_be(),
-                    addr: v4.ip().octets(),
-                    zero: [0; 8],
-                };
-                unsafe {
-                    bind(
-                        fd,
-                        &sa as *const SockAddrIn as *const c_void,
-                        std::mem::size_of::<SockAddrIn>() as u32,
-                    )
-                }
-            }
-            SocketAddr::V6(v6) => {
-                opt(fd, IPPROTO_IPV6, IPV6_V6ONLY, 1)?;
-                let sa = SockAddrIn6 {
-                    family: AF_INET6 as u16,
-                    port: v6.port().to_be(),
-                    flowinfo: v6.flowinfo().to_be(),
-                    addr: v6.ip().octets(),
-                    scope_id: v6.scope_id(),
-                };
-                unsafe {
-                    bind(
-                        fd,
-                        &sa as *const SockAddrIn6 as *const c_void,
-                        std::mem::size_of::<SockAddrIn6>() as u32,
-                    )
-                }
-            }
-        };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if unsafe { listen(fd, 1024) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(TcpListener::from(owned))
-    }
-}
-
 const LISTENER: Token = Token(0);
 /// The read end of the loop's waker pair, poked by
 /// [`HttpFrontend::shutdown`].
@@ -503,25 +302,27 @@ const WAKER: Token = Token(1);
 /// Connection tokens start above the reserved ones.
 const FIRST_CONN_TOKEN: usize = 2;
 
-/// Everything one event loop needs: the frontend-wide shared state
-/// plus this loop's labelled metric slice.
-pub(super) struct LoopCtx {
-    pub(super) shared: Arc<FrontendShared>,
-    pub(super) lm: ConnMetrics,
-}
+/// How long the listener sits out after an accept fails for a reason
+/// other than `WouldBlock` or `Interrupted` (descriptor exhaustion,
+/// mostly). The reactor is level-triggered: a queued connection the
+/// loop cannot take keeps the listener readable, so asking again at
+/// once would spin. Nothing is shed; the connection waits in the
+/// backlog until the pause ends.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
 
 fn event_loop(
     listener: TcpListener,
     waker_rx: UnixStream,
     mut reactor: Reactor,
-    ctx: &LoopCtx,
+    ctx: &FrontendShared,
     stop: &AtomicBool,
 ) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events: Vec<Event> = Vec::new();
+    let listener_fd = listener.as_raw_fd();
     if reactor
-        .register(listener.as_raw_fd(), LISTENER, Interest::READ)
+        .register(listener_fd, LISTENER, Interest::READ)
         .is_err()
         || reactor
             .register(waker_rx.as_raw_fd(), WAKER, Interest::READ)
@@ -529,23 +330,33 @@ fn event_loop(
     {
         return;
     }
-    let request_timeout = ctx.shared.cfg.request_timeout;
-    let metrics = &ctx.shared.metrics;
-    // Cache of the earliest effective deadline across the table; `None`
-    // forces a rescan. This keeps a wakeup's work proportional to the
-    // events it carries, not the table it guards: a deadline only moves
-    // for a connection an event touched (folded below as they are
-    // handled), so the O(connections) expiry sweep runs when the cached
-    // deadline actually comes due — never as a per-request tax on a
+    let request_timeout = ctx.cfg.request_timeout;
+    let metrics = &ctx.metrics;
+    // Cache of the earliest effective deadline across the table (and
+    // the end of an accept pause); `None` forces a rescan. This keeps a
+    // wakeup's work proportional to the events it carries, not the
+    // table it guards: a deadline only moves for a connection an event
+    // touched (folded below as they are handled), so the
+    // O(connections) expiry sweep runs when the cached deadline
+    // actually comes due — never as a per-request tax on a
     // 10k-connection herd. The cache may run early (a closed or
     // re-phased connection can leave a stale earlier value); the cost
     // is one spurious sweep, never a missed eviction.
     let mut next_deadline: Option<Instant> = None;
+    // While set, the listener's read interest is dropped (see
+    // [`ACCEPT_PAUSE`]).
+    let mut accept_paused_until: Option<Instant> = None;
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let now = Instant::now();
+        if accept_paused_until.is_some_and(|t| now >= t) {
+            accept_paused_until = reactor
+                .modify(listener_fd, LISTENER, Interest::READ)
+                .is_err()
+                .then_some(now + ACCEPT_PAUSE);
+        }
         // Deadlines: a connection past its phase deadline (or its
         // oldest request's end-to-end bound) is closed — that is the
         // slow-loris/dead-peer/wedged-response bound.
@@ -556,11 +367,12 @@ fn event_loop(
                 .map(|(&id, _)| id)
                 .collect();
             for id in expired {
-                close_conn(&mut reactor, &mut conns, id, ctx);
+                close_conn(&mut reactor, &mut conns, id, metrics);
             }
             next_deadline = conns
                 .values()
                 .map(|c| c.effective_deadline(request_timeout))
+                .chain(accept_paused_until)
                 .min();
         }
         // Sleep until the nearest deadline (capped for robustness).
@@ -584,7 +396,17 @@ fn event_loop(
         let mut adopted_any = false;
         for &ev in &events {
             if ev.token == LISTENER {
-                accept_all(&listener, &mut reactor, &mut conns, &mut next_token, ctx);
+                let paused = Interest {
+                    readable: false,
+                    writable: false,
+                };
+                if accept_all(&listener, &mut reactor, &mut conns, &mut next_token, ctx).is_err()
+                    && reactor.modify(listener_fd, LISTENER, paused).is_ok()
+                {
+                    let d = now + ACCEPT_PAUSE;
+                    accept_paused_until = Some(d);
+                    next_deadline = Some(next_deadline.map_or(d, |nd| nd.min(d)));
+                }
                 adopted_any = true;
                 continue;
             }
@@ -603,7 +425,7 @@ fn event_loop(
                 action = do_write(conn, now, ctx);
             }
             if action == Action::Close {
-                close_conn(&mut reactor, &mut conns, ev.token.0, ctx);
+                close_conn(&mut reactor, &mut conns, ev.token.0, metrics);
             } else if let Some(conn) = conns.get_mut(&ev.token.0) {
                 // Re-arm interest for the connection this event
                 // touched. Untouched connections kept their interest —
@@ -626,7 +448,7 @@ fn event_loop(
         if adopted_any {
             // Freshly adopted connections start at `now + idle_timeout`;
             // folding that bound keeps the cache exact without a rescan.
-            let d = now + ctx.shared.cfg.idle_timeout;
+            let d = now + ctx.cfg.idle_timeout;
             next_deadline = Some(next_deadline.map_or(d, |nd| nd.min(d)));
         }
         // Empty wakeups are pure timer ticks; folding them in would
@@ -641,20 +463,23 @@ fn event_loop(
                 .record_ns(done.saturating_sub(wait_t0));
         }
     }
-    // Per-connection teardown, not `open.set(0)`: sibling loops are
-    // still counting in the same gauge.
+    // Per-connection teardown, not `open.set(0)`: another frontend on
+    // the same registry counts in the same gauge.
     let open: Vec<usize> = conns.keys().copied().collect();
     for id in open {
-        close_conn(&mut reactor, &mut conns, id, ctx);
+        close_conn(&mut reactor, &mut conns, id, metrics);
     }
 }
 
-fn close_conn(reactor: &mut Reactor, conns: &mut HashMap<usize, Conn>, id: usize, ctx: &LoopCtx) {
+fn close_conn(
+    reactor: &mut Reactor,
+    conns: &mut HashMap<usize, Conn>,
+    id: usize,
+    metrics: &NetMetrics,
+) {
     if let Some(conn) = conns.remove(&id) {
         let _ = reactor.deregister(conn.stream.as_raw_fd());
-        ctx.shared.metrics.totals.open.sub(1);
-        ctx.lm.open.sub(1);
-        ctx.shared.open_conns.fetch_sub(1, Ordering::AcqRel);
+        metrics.open.sub(1);
     }
 }
 
@@ -665,55 +490,47 @@ fn drain_waker(rx: &UnixStream) {
     while matches!((&mut &*rx).read(&mut buf), Ok(n) if n > 0) {}
 }
 
+/// Accept until the backlog is empty. An error other than `WouldBlock`
+/// (ECONNABORTED, descriptor exhaustion) is returned with the backlog
+/// possibly still queued: the caller pauses the listener.
 fn accept_all(
     listener: &TcpListener,
     reactor: &mut Reactor,
     conns: &mut HashMap<usize, Conn>,
     next_token: &mut usize,
-    ctx: &LoopCtx,
-) {
+    ctx: &FrontendShared,
+) -> io::Result<()> {
     loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // Transient (ECONNABORTED, fd exhaustion): the next
-            // readiness event retries; never spin.
-            Err(_) => return,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
         adopt(stream, reactor, conns, next_token, ctx);
     }
 }
 
-/// Pin a freshly accepted connection to this loop: count it against
-/// the frontend-wide cap, register it, insert it. From here on only
-/// this loop ever touches it.
+/// Register a freshly accepted connection and insert it in the table,
+/// or shed it with a canned `503` when [`NetConfig::max_connections`]
+/// are already open.
 fn adopt(
     stream: TcpStream,
     reactor: &mut Reactor,
     conns: &mut HashMap<usize, Conn>,
     next_token: &mut usize,
-    ctx: &LoopCtx,
+    ctx: &FrontendShared,
 ) {
-    ctx.shared.metrics.totals.accepted.inc();
-    ctx.lm.accepted.inc();
-    // The cap is exact and frontend-wide: reserve a slot first, give it
-    // back on any failure path. (A per-loop split would be cheaper but
-    // REUSEPORT's flow hash is uneven enough at 10k connections that
-    // one loop would breach its share early.)
-    let cap = ctx.shared.cfg.max_connections.max(1);
-    let prev = ctx.shared.open_conns.fetch_add(1, Ordering::AcqRel);
-    if prev >= cap {
-        ctx.shared.open_conns.fetch_sub(1, Ordering::AcqRel);
+    let metrics = &ctx.metrics;
+    metrics.accepted.inc();
+    if conns.len() >= ctx.cfg.max_connections.max(1) {
         // Graceful shedding: the overload answer reaches the client
         // instead of a backlog timeout.
-        ctx.shared.metrics.totals.shed.inc();
-        ctx.lm.shed.inc();
+        metrics.shed.inc();
         shed_503(stream);
         return;
     }
     if stream.set_nonblocking(true).is_err() {
-        ctx.shared.open_conns.fetch_sub(1, Ordering::AcqRel);
         return;
     }
     let _ = stream.set_nodelay(true);
@@ -723,12 +540,10 @@ fn adopt(
         .register(stream.as_raw_fd(), token, Interest::READ)
         .is_err()
     {
-        ctx.shared.open_conns.fetch_sub(1, Ordering::AcqRel);
         return;
     }
-    ctx.shared.metrics.totals.open.add(1);
-    ctx.lm.open.add(1);
-    let deadline = Instant::now() + ctx.shared.cfg.idle_timeout;
+    metrics.open.add(1);
+    let deadline = Instant::now() + ctx.cfg.idle_timeout;
     conns.insert(token.0, Conn::new(stream, token, deadline));
 }
 

@@ -17,28 +17,21 @@
 //!
 //! ## Connection model
 //!
-//! A pool of [`NetConfig::event_loops`] event-loop threads drives the
-//! connections, each loop owning its *own* listener, its own
-//! [`reactor`](crate::reactor) and its own connection table:
-//! non-blocking accept, read, and write, with a per-connection state
-//! machine (idle → header → body → write). There is one accept path —
-//! every loop accepts from the listener it owns — and a connection is
-//! **pinned to the loop that accepted it for life**. On Linux the
-//! loops (default: one per core, capped at four) each bind a
-//! `SO_REUSEPORT` listener on the shared port and the kernel's flow
-//! hash spreads new connections across them; a sibling bind that
-//! fails is the `io::Error` [`FrontendBuilder::bind`] returns. On
-//! every other unix the frontend runs exactly one loop over one plain
-//! listener with the `poll(2)` selector, whatever `event_loops` asks
-//! for. Either way the state machines stay single-threaded and
-//! lock-free; only the connection-count cap and the metric atomics are
-//! shared. Connections are HTTP/1.1 **keep-alive** by default and
-//! requests may be **pipelined**: each completed request is answered
-//! in order, and any bytes already buffered behind it are processed
-//! immediately. A request body is held until all of it has arrived,
-//! then parsed in one pass ([`wire::parse_bytes`](crate::wire::parse_bytes))
-//! on the loop's thread; [`NetConfig::max_body_bytes`] bounds both the
-//! bytes one connection holds and that pass.
+//! One event-loop thread drives every connection: it owns the one
+//! listener, the [`reactor`](crate::reactor) (`epoll` on Linux,
+//! `poll(2)` on every other unix) and the connection table, and runs a
+//! non-blocking accept, read and write with a per-connection state
+//! machine (idle → header → body → write). The state machines are
+//! single-threaded and take no locks; only the metric atomics are
+//! shared, with `/stats` and in-process readers. Connections are
+//! HTTP/1.1 **keep-alive** by default and requests may be
+//! **pipelined**: each completed request is answered in order, and any
+//! bytes already buffered behind it are processed immediately. A
+//! request body is held until all of it has arrived, then parsed in one
+//! pass ([`wire::parse_bytes`](crate::wire::parse_bytes)) on the loop's
+//! thread, so one large body stalls every connection on the node
+//! while it parses; [`NetConfig::max_body_bytes`] bounds both the bytes
+//! one connection holds and that pass.
 //!
 //! Slow and dead peers are bounded by per-state deadlines
 //! ([`NetConfig::idle_timeout`], [`NetConfig::header_timeout`],
@@ -48,16 +41,19 @@
 //! behind a slow downstream while the peer keeps the per-phase clocks
 //! fresh): a slow-loris client dripping header bytes is closed at the
 //! header deadline while thousands of idle keep-alive connections cost
-//! only their sockets. Beyond [`NetConfig::max_connections`] — an
-//! *exact* cap shared across every loop — the server sheds load
-//! gracefully: accept, answer a canned `503`, close — instead of
-//! letting the kernel backlog time clients out, and job submission
-//! uses [`ScreenService::try_submit`](crate::ScreenService::try_submit) so a full queue is a `503` the
-//! client retries rather than a wedged executor.
+//! only their sockets. Beyond [`NetConfig::max_connections`] open
+//! connections the server sheds load gracefully: accept, answer a
+//! canned `503`, close — instead of letting the kernel backlog time
+//! clients out, and job submission uses
+//! [`ScreenService::try_submit`](crate::ScreenService::try_submit) so a
+//! full queue is a `503` the client retries rather than a wedged
+//! executor. An accept that fails outright (descriptors exhausted)
+//! takes the listener out of the reactor for 100 ms rather than
+//! spinning on its still-readable backlog.
 //!
 //! The job API above exists once, in `api`: [`HttpFrontend`] serves it
 //! over a [`JobTier`]. [`NetServer`] is the screening node's tier; the
-//! cluster coordinator mounts its own on the same loops, so both tiers
+//! cluster coordinator mounts its own on the same frontend, so both tiers
 //! share one dialect, one connection model and one metrics surface.
 //!
 //! Error mapping: malformed HTTP or JSON → `400`, unknown job → `404`,
@@ -75,8 +71,8 @@
 //! ## Layout
 //!
 //! `http` frames request heads and defines [`Response`]; `conn` is the
-//! per-connection state machine; `frontend` owns the listeners, the
-//! event-loop pool and the shared metrics; `api` is the job API and
+//! per-connection state machine; `frontend` owns the listener, the
+//! event loop and its metrics; `api` is the job API and
 //! the [`JobTier`] seam; `node` is the node's tier ([`NetServer`]);
 //! [`client`] is the other end of the wire.
 
@@ -91,9 +87,6 @@ mod http;
 mod node;
 
 pub use api::JobTier;
-// The reactor's accept-spread test binds its own sibling listeners.
-#[cfg(all(test, target_os = "linux"))]
-pub(crate) use frontend::reuseport;
 pub use frontend::{ConnectionStats, FrontendBuilder, HttpFrontend};
 pub use http::{Body, Response};
 pub use node::NetServer;
@@ -141,13 +134,11 @@ pub struct NetConfig {
     /// resolves, say) on a connection whose peer keeps the per-phase
     /// clocks fresh is still bounded.
     pub request_timeout: Duration,
-    /// Event-loop threads sharing the listen address (Linux). Each
-    /// loop owns its own listener, reactor and connection table and a
-    /// connection is pinned to one loop for life, so per-connection
-    /// state needs no locking. `0` means [`default_event_loops`]. On a
-    /// non-Linux unix the frontend always runs one loop and this value
-    /// is ignored: without `SO_REUSEPORT` flow hashing there is no way
-    /// to share a port between listeners.
+    /// Kept only because the benchmark rigs set it to `1`; removed
+    /// with their next change (ROADMAP item 2). The frontend runs one
+    /// event loop: `0` and `1` both mean it, and any other value makes
+    /// [`FrontendBuilder::bind`] fail with
+    /// [`std::io::ErrorKind::InvalidInput`].
     pub event_loops: usize,
 }
 
@@ -166,22 +157,6 @@ impl Default for NetConfig {
             request_timeout: Duration::from_secs(300),
             event_loops: 0,
         }
-    }
-}
-
-/// The default event-loop count. On Linux: one per core, capped at
-/// four — REUSEPORT flow hashing spreads connections well past four
-/// loops, but the dock executors want the remaining cores more than
-/// the frontend does. On every other unix: one, the only count the
-/// frontend runs there.
-pub fn default_event_loops() -> usize {
-    if cfg!(target_os = "linux") {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(4)
-    } else {
-        1
     }
 }
 

@@ -31,7 +31,7 @@ struct NodeTier {
     /// [`Registry`](mudock_obs::Registry) hands out one instrument per
     /// (name, labels), so registering here again just shares the
     /// handles and `/stats` can read them without any plumbing from
-    /// the event loops.
+    /// the event loop.
     metrics: NetMetrics,
 }
 
@@ -51,7 +51,7 @@ pub struct NetServer {
 
 impl NetServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start the event-loop pool. The service is shared — in-process
+    /// start the event loop. The service is shared — in-process
     /// submissions keep working alongside network ones.
     pub fn bind(
         addr: impl ToSocketAddrs,
@@ -86,7 +86,7 @@ impl NetServer {
         self.frontend.connection_stats()
     }
 
-    /// Stop the event loops and join them; every open connection is
+    /// Stop the event loop and join it; every open connection is
     /// dropped. The underlying [`ScreenService`] is left running (it
     /// may have in-process users); shut it down separately.
     /// Idempotent; also runs on drop.

@@ -273,11 +273,8 @@ impl ScreenService {
 
     /// The metric registry behind [`ScreenService::obs`] — everything
     /// `/metrics` renders. The network frontend registers its
-    /// connection/request families here twice over: once unlabelled
-    /// (the totals every event loop writes) and once per loop as
-    /// `{loop="i"}` series, relying on the registry's get-or-insert
-    /// idempotency so both views share the same atomics where they
-    /// name the same instrument.
+    /// connection/request families here, unlabelled; the registry's
+    /// get-or-insert hands the node's `/stats` the same atomics.
     pub fn registry(&self) -> Registry {
         self.obs.registry().clone()
     }

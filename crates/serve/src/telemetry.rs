@@ -2,13 +2,8 @@
 //! job histograms, grid/pool counters, and the optional JSONL trace.
 //!
 //! A single [`ServeObs`] is built at service start and shared (`Arc`)
-//! between the executors and every thread of the network frontend's
-//! event-loop pool, so `/metrics` and `/stats` read the same atomics
-//! the hot paths write. Loops never aggregate through locks: each
-//! writes the shared unlabelled totals *and* its own `{loop="i"}`
-//! labelled series at the same call sites, so the per-loop samples sum
-//! to the totals by construction and any `/metrics` scrape — served by
-//! whichever loop owns that connection — sees one consistent registry.
+//! between the executors and the network frontend's event loop, so
+//! `/metrics` and `/stats` read the same atomics the hot paths write.
 //! All handles are pre-registered here — the job critical path never
 //! touches the registry lock, only lock-free counters and histograms.
 

@@ -83,11 +83,6 @@ struct Harness {
 
 impl Harness {
     fn start(name: &str, cfg: ServeConfig) -> Harness {
-        // 0 = the frontend's own default loop count.
-        Harness::start_with_loops(name, cfg, 0)
-    }
-
-    fn start_with_loops(name: &str, cfg: ServeConfig, event_loops: usize) -> Harness {
         let results_dir =
             std::env::temp_dir().join(format!("mudock-net-e2e-{}-{name}", std::process::id()));
         let service = Arc::new(ScreenService::start(cfg));
@@ -96,7 +91,6 @@ impl Harness {
             Arc::clone(&service),
             NetConfig {
                 results_dir: results_dir.clone(),
-                event_loops,
                 ..NetConfig::default()
             },
         )
@@ -200,59 +194,6 @@ fn submit_poll_results_match_the_in_process_ranking_exactly() {
     };
     let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(names, ["key", "queued", "active", "submitted"], "{body}");
-}
-
-/// The multi-loop tentpole's end-to-end guarantee: a ranking served
-/// through a 4-loop frontend is bit-identical to the in-process
-/// `screen_campaign` ranking. The free-function client opens a fresh
-/// connection per call, so the submit, every poll, and the results
-/// fetch each pin to whichever loop accepts them — correctness must
-/// not depend on which loop a request lands on.
-#[test]
-fn four_loop_frontend_serves_a_bit_identical_ranking() {
-    let h = Harness::start_with_loops(
-        "four-loop",
-        ServeConfig {
-            total_threads: 2,
-            job_slots: 2,
-            ..ServeConfig::default()
-        },
-        4,
-    );
-    let addr = h.addr();
-    let spec = campaign("net-four-loop");
-
-    let id = client::submit(
-        &addr,
-        &spec,
-        &receptor_source(),
-        &LigandSource::synth(SEED, N_LIGANDS),
-        Priority::Normal,
-    )
-    .expect("submit through the 4-loop frontend");
-    let status = client::wait(&addr, id, Duration::from_millis(20)).expect("poll to terminal");
-    assert_eq!(status.state, JobState::Completed);
-    assert_eq!(status.ligands_done, N_LIGANDS);
-
-    let reference = reference_top_for(&spec);
-    let outcome = status.outcome.expect("terminal outcome over the wire");
-    assert_eq!(outcome.top.len(), reference.len());
-    for (got, (index, name, score)) in outcome.top.iter().zip(&reference) {
-        assert_eq!(got.index, *index);
-        assert_eq!(&got.name, name);
-        assert_eq!(
-            got.score.to_bits(),
-            score.to_bits(),
-            "score for {name} drifted through the multi-loop frontend"
-        );
-    }
-    assert_eq!(
-        client::results(&addr, id)
-            .expect("results through the 4-loop frontend")
-            .lines()
-            .count(),
-        N_LIGANDS
-    );
 }
 
 #[test]

@@ -133,6 +133,23 @@ fn malformed_numbers_exit_2_naming_the_flag() {
             ],
             "unknown flag --single-queue",
         ),
+        // The frontend runs one event loop: there is no count to pick.
+        (
+            &["serve", "--listen", "127.0.0.1:0", "--event-loops", "2"],
+            "unknown flag --event-loops",
+        ),
+        (
+            &[
+                "coordinator",
+                "--listen",
+                "127.0.0.1:0",
+                "--nodes",
+                "127.0.0.1:1",
+                "--event-loops",
+                "4",
+            ],
+            "unknown flag --event-loops",
+        ),
     ];
     for (args, flag) in cases {
         let out = mudock(args);
