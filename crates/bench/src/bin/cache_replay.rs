@@ -36,6 +36,7 @@
 use std::process::ExitCode;
 
 use mudock_serve::cache::directory::POLICY_NAME;
+use mudock_serve::wire::Json;
 use mudock_serve::{read_trace, ModelConfig, ModelStats};
 
 const DEFAULT_POLICIES: &[&str] = &["lru", "slru", "tinylfu"];
@@ -123,7 +124,10 @@ fn main() -> ExitCode {
     }
 
     if json {
-        print_json(&trace_path, capacity, spill_cap, &rows);
+        println!(
+            "{}",
+            report(&trace_path, capacity, spill_cap, &rows).encode()
+        );
     } else {
         print_table(&trace_path, capacity, spill_cap, header.as_ref(), &rows);
     }
@@ -222,32 +226,55 @@ fn print_table(
     }
 }
 
-fn print_json(path: &str, capacity: usize, spill_cap: usize, rows: &[Row]) {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"trace\":\"{}\",\"capacity\":{capacity},\"spill_capacity\":{spill_cap},\"policies\":[",
-        path.replace('\\', "\\\\").replace('"', "\\\"")
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+/// The `--json` report: the replay geometry and one object per row.
+fn report(path: &str, capacity: usize, spill_cap: usize, rows: &[Row]) -> Json {
+    let row = |r: &Row| {
         let s = &r.stats;
-        out.push_str(&format!(
-            "{{\"policy\":\"{}\",\"accesses\":{},\"hits\":{},\"misses\":{},\"hit_rate\":{:.6},\"builds\":{},\"reloads\":{},\"spills\":{},\"evictions\":{},\"spill_drops\":{},\"stall_ns\":{}}}",
-            r.label,
-            s.accesses,
-            s.hits,
-            s.misses,
-            s.hit_rate(),
-            s.builds,
-            s.reloads,
-            s.spills,
-            s.evictions,
-            s.spill_drops,
-            s.stall_ns
-        ));
+        Json::Obj(vec![
+            ("policy".into(), Json::str(&r.label)),
+            ("accesses".into(), Json::u64(s.accesses)),
+            ("hits".into(), Json::u64(s.hits)),
+            ("misses".into(), Json::u64(s.misses)),
+            ("hit_rate".into(), Json::f64(s.hit_rate())),
+            ("builds".into(), Json::u64(s.builds)),
+            ("reloads".into(), Json::u64(s.reloads)),
+            ("spills".into(), Json::u64(s.spills)),
+            ("evictions".into(), Json::u64(s.evictions)),
+            ("spill_drops".into(), Json::u64(s.spill_drops)),
+            ("stall_ns".into(), Json::u64(s.stall_ns)),
+        ])
+    };
+    Json::Obj(vec![
+        ("trace".into(), Json::str(path)),
+        ("capacity".into(), Json::usize(capacity)),
+        ("spill_capacity".into(), Json::usize(spill_cap)),
+        ("policies".into(), Json::Arr(rows.iter().map(row).collect())),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mudock_serve::wire;
+
+    #[test]
+    fn the_json_report_parses_for_any_trace_path() {
+        let path = "odd \"dir\"\\\nnew\tline.trace";
+        let rows = [Row {
+            label: "slru".into(),
+            stats: ModelStats {
+                accesses: 3,
+                hits: 1,
+                ..ModelStats::default()
+            },
+        }];
+        let text = report(path, 2, 4, &rows).encode();
+        let v = wire::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        assert_eq!(v.get("trace").and_then(Json::as_str), Some(path));
+        let Some(Json::Arr(policies)) = v.get("policies") else {
+            panic!("no policies array: {text}");
+        };
+        assert_eq!(policies[0].get("hits").and_then(Json::as_u64), Some(1));
+        assert_eq!(policies[0].get("hit_rate"), Some(&Json::f64(1.0 / 3.0)));
     }
-    out.push_str("]}");
-    println!("{out}");
 }

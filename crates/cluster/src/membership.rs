@@ -353,15 +353,11 @@ fn parse_member_stats(body: &str) -> Option<MemberStats> {
     let mut stats = MemberStats::default();
     if let Some(Json::Arr(shards)) = v.get("shards") {
         for shard in shards {
-            if let Some(Json::Str(key)) = shard.get("key") {
-                if let Ok(k) = u64::from_str_radix(key, 16) {
-                    stats.shard_keys.push(k);
-                }
+            let key = shard.get("key").and_then(Json::as_str);
+            if let Some(k) = key.and_then(|k| u64::from_str_radix(k, 16).ok()) {
+                stats.shard_keys.push(k);
             }
-            let num = |field: &str| match shard.get(field) {
-                Some(Json::Num(n)) => n.as_u64().unwrap_or(0),
-                _ => 0,
-            };
+            let num = |field: &str| shard.get(field).and_then(Json::as_u64).unwrap_or(0);
             stats.queued += num("queued");
             stats.active += num("active");
         }

@@ -1,12 +1,11 @@
 //! Observability substrate for the mudock serve stack.
 //!
 //! Everything here is dependency-free (std only) and lock-cheap on the
-//! hot path, in the same spirit as `serve::wire`'s hand-rolled JSON
-//! codec: the docking loop and the network reactor record into plain
+//! hot path: the docking loop and the network reactor record into plain
 //! atomics, and the expensive work (quantile interpolation, Prometheus
 //! text rendering, JSONL encoding) happens only at scrape time.
 //!
-//! The crate has four parts:
+//! The crate has five parts:
 //!
 //! - [`metrics`]: [`Counter`], [`Gauge`] and a fixed-boundary
 //!   log-bucketed [`Histogram`] whose `record` path is a handful of
@@ -17,7 +16,11 @@
 //!   nanosecond stamps at enqueue/dequeue/grid/dock/sink/terminal,
 //!   snapshotted into a [`StageTimings`] breakdown for `GET /jobs/{id}`.
 //! - [`trace`]: [`TraceWriter`], a bounded JSONL trace ring (one line
-//!   per span close) for offline replay — the future cache lab's input.
+//!   per span close) for offline analysis.
+//! - [`json`]: the workspace's one JSON codec — the
+//!   [`Json`](json::Json) tree, its encoder and parser — behind every
+//!   JSON line the stack writes or reads: span and cache traces, result
+//!   files, wire bodies.
 //!
 //! Time is the crate's own monotonic clock ([`now_ns`]): nanoseconds
 //! since the first call in the process, never zero, so `0` doubles as
@@ -38,6 +41,7 @@
 //! ```
 
 pub mod jobtrace;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod trace;
@@ -45,7 +49,7 @@ pub mod trace;
 pub use jobtrace::{GridSource, JobTrace, StageTimings};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::Registry;
-pub use trace::{push_json_escaped, SpanRecord, TraceWriter};
+pub use trace::{SpanRecord, TraceWriter};
 
 use std::sync::OnceLock;
 use std::time::Instant;

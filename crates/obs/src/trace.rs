@@ -27,6 +27,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use crate::json::Json;
 use crate::unix_ns;
 
 /// A span about to be written; borrows its strings from the caller.
@@ -137,56 +138,15 @@ impl TraceWriter {
 }
 
 fn encode(span: &SpanRecord<'_>) -> String {
-    let mut s = String::with_capacity(96);
-    s.push_str("{\"ts_ns\":");
-    s.push_str(&unix_ns().to_string());
-    s.push_str(",\"job\":");
-    match span.job {
-        Some(id) => s.push_str(&id.to_string()),
-        None => s.push_str("null"),
-    }
-    s.push_str(",\"stage\":\"");
-    push_json_escaped(&mut s, span.stage);
-    s.push_str("\",\"dur_ns\":");
-    s.push_str(&span.dur_ns.to_string());
-    s.push_str(",\"attrs\":{");
-    for (i, (k, v)) in span.attrs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push('"');
-        push_json_escaped(&mut s, k);
-        s.push_str("\":\"");
-        push_json_escaped(&mut s, v);
-        s.push('"');
-    }
-    s.push_str("}}");
-    s
-}
-
-/// Append `v` to `out`, escaped for a JSON string literal — the one
-/// escaper behind every JSONL file this workspace writes.
-///
-/// Handles every mandatory escape (`"`, `\`, and all C0 controls), and
-/// additionally escapes DEL (0x7f) and the C1 range (0x80–0x9f): legal
-/// in JSON but invisible in logs and mangled by some line-oriented
-/// consumers, and this output goes to JSONL files tailed by exactly
-/// such tools. Rust strings are always valid UTF-8, so unpaired
-/// surrogates cannot occur on the encode side.
-pub fn push_json_escaped(out: &mut String, v: &str) {
-    for ch in v.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || (0x7f..=0x9f).contains(&(c as u32)) => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    let attrs = span.attrs.iter().map(|&(k, v)| (k.into(), Json::str(v)));
+    Json::Obj(vec![
+        ("ts_ns".into(), Json::u64(unix_ns())),
+        ("job".into(), span.job.map_or(Json::Null, Json::u64)),
+        ("stage".into(), Json::str(span.stage)),
+        ("dur_ns".into(), Json::u64(span.dur_ns)),
+        ("attrs".into(), Json::Obj(attrs.collect())),
+    ])
+    .encode()
 }
 
 #[cfg(test)]
@@ -225,6 +185,43 @@ mod tests {
         assert!(lines[0].contains("\"attrs\":{\"chunk\":\"3\"}"));
         assert!(lines[1].contains("\"job\":null"));
         assert!(lines[1].contains("\"source\":\"reloaded\""));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The exact bytes of a span line, its wall-clock stamp aside.
+    #[test]
+    fn span_lines_keep_their_bytes() {
+        let path = tmp_path("golden");
+        let w = TraceWriter::create(&path, 4).unwrap();
+        w.emit(&SpanRecord {
+            job: Some(42),
+            stage: "grid",
+            dur_ns: 1_500_000,
+            attrs: &[("source", "reloaded"), ("odd \"k\"", "a\\b\n\u{1}\u{85}é")],
+        });
+        w.emit(&SpanRecord {
+            job: None,
+            stage: "total",
+            dur_ns: 0,
+            attrs: &[],
+        });
+        let got: Vec<String> = w
+            .recent()
+            .iter()
+            .map(|line| {
+                let rest = line.strip_prefix("{\"ts_ns\":").expect("ts_ns leads");
+                let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+                assert!(digits > 0, "{line}");
+                format!("{{\"ts_ns\":0{}", &rest[digits..])
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                r#"{"ts_ns":0,"job":42,"stage":"grid","dur_ns":1500000,"attrs":{"source":"reloaded","odd \"k\"":"a\\b\n\u0001\u0085é"}}"#,
+                r#"{"ts_ns":0,"job":null,"stage":"total","dur_ns":0,"attrs":{}}"#,
+            ]
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -25,10 +25,12 @@
 //!
 //! Grid keys are the 16-hex-digit content fingerprint used for spill
 //! file names; `t_ns` is monotonic nanoseconds since the recorder was
-//! opened. Every line is flushed as it is written, so a trace survives
-//! an abrupt `kill -9` of the node (that is the warm-restart test's
-//! whole point). Writers hold a dedicated mutex — never the cache lock
-//! — so tracing cannot extend the cache's critical sections.
+//! opened. Lines are written and read through `mudock_obs::json`, the
+//! workspace's one JSON codec. Every line is flushed as it is written,
+//! so a trace survives an abrupt `kill -9` of the node (that is the
+//! warm-restart test's whole point). Writers hold a dedicated mutex —
+//! never the cache lock — so tracing cannot extend the cache's critical
+//! sections.
 //!
 //! # Older traces
 //!
@@ -46,9 +48,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use mudock_grids::SimdLevel;
+use mudock_obs::json::{self, Json};
 use mudock_obs::GridSource;
-
-use crate::wire::Json;
 
 /// A cache key as traced: content fingerprint plus build level.
 pub type TraceKey = (u64, SimdLevel);
@@ -141,20 +142,18 @@ pub struct CacheTracer {
     t0: Instant,
 }
 
-fn key_json(key: TraceKey) -> String {
-    format!("\"key\":\"{:016x}\",\"level\":\"{}\"", key.0, key.1.name())
-}
-
 impl CacheTracer {
     /// Create (truncate) `path` and write the header line.
     pub fn create(path: &Path, header: &TraceHeader) -> std::io::Result<CacheTracer> {
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(
-            out,
-            "{{\"ev\":\"open\",\"version\":{},\"capacity\":{},\"spill_capacity\":{},\
-             \"policy\":\"{}\"}}",
-            header.version, header.capacity, header.spill_capacity, header.policy
-        )?;
+        let line = Json::Obj(vec![
+            ("ev".into(), Json::str("open")),
+            ("version".into(), Json::u64(header.version.into())),
+            ("capacity".into(), Json::usize(header.capacity)),
+            ("spill_capacity".into(), Json::usize(header.spill_capacity)),
+            ("policy".into(), Json::str(&header.policy)),
+        ]);
+        writeln!(out, "{}", line.encode())?;
         out.flush()?;
         Ok(CacheTracer {
             out: Mutex::new(out),
@@ -167,58 +166,50 @@ impl CacheTracer {
     /// correctness dependency of the cache.
     pub fn emit(&self, kind: TraceEventKind) {
         let t_ns = u64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let body = match kind {
+        let u = |k: &'static str, v: u64| (k, Json::u64(v));
+        let (ev, key, rest) = match kind {
             TraceEventKind::Warm {
                 restored,
                 quarantined,
-            } => format!("\"ev\":\"warm\",\"t_ns\":{t_ns},\"restored\":{restored},\"quarantined\":{quarantined}"),
-            TraceEventKind::Restore { key } => {
-                format!("\"ev\":\"restore\",\"t_ns\":{t_ns},{}", key_json(key))
-            }
+            } => (
+                "warm",
+                None,
+                vec![u("restored", restored), u("quarantined", quarantined)],
+            ),
+            TraceEventKind::Restore { key } => ("restore", Some(key), vec![]),
             TraceEventKind::Access {
                 key,
                 source,
                 bytes,
                 dur_ns,
-            } => format!(
-                "\"ev\":\"access\",\"t_ns\":{t_ns},{},\"source\":\"{}\",\"bytes\":{bytes},\"dur_ns\":{dur_ns}",
-                key_json(key),
-                source.name()
-            ),
-            TraceEventKind::Evict { key } => {
-                format!("\"ev\":\"evict\",\"t_ns\":{t_ns},{}", key_json(key))
+            } => {
+                let source = ("source", Json::str(source.name()));
+                (
+                    "access",
+                    Some(key),
+                    vec![source, u("bytes", bytes), u("dur_ns", dur_ns)],
+                )
             }
-            TraceEventKind::Spill { key, bytes } => format!(
-                "\"ev\":\"spill\",\"t_ns\":{t_ns},{},\"bytes\":{bytes}",
-                key_json(key)
-            ),
-            TraceEventKind::SpillDrop { key } => {
-                format!("\"ev\":\"spill_drop\",\"t_ns\":{t_ns},{}", key_json(key))
-            }
+            TraceEventKind::Evict { key } => ("evict", Some(key), vec![]),
+            TraceEventKind::Spill { key, bytes } => ("spill", Some(key), vec![u("bytes", bytes)]),
+            TraceEventKind::SpillDrop { key } => ("spill_drop", Some(key), vec![]),
         };
+        let mut line = vec![("ev", Json::str(ev)), ("t_ns", Json::u64(t_ns))];
+        if let Some((fp, level)) = key {
+            line.push(("key", Json::str(format!("{fp:016x}"))));
+            line.push(("level", Json::str(level.name())));
+        }
+        line.extend(rest);
+        let line = Json::Obj(line.into_iter().map(|(k, v)| (k.into(), v)).collect());
         let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(out, "{{{body}}}");
+        let _ = writeln!(out, "{}", line.encode());
         let _ = out.flush();
     }
 }
 
-fn str_field<'a>(v: &'a Json, name: &str) -> Option<&'a str> {
-    match v.get(name)? {
-        Json::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn u64_field(v: &Json, name: &str) -> Option<u64> {
-    match v.get(name)? {
-        Json::Num(n) => n.as_u64(),
-        _ => None,
-    }
-}
-
 fn key_field(v: &Json) -> Option<TraceKey> {
-    let key = u64::from_str_radix(str_field(v, "key")?, 16).ok()?;
-    Some((key, SimdLevel::parse(str_field(v, "level")?)?))
+    let key = u64::from_str_radix(v.get("key")?.as_str()?, 16).ok()?;
+    Some((key, SimdLevel::parse(v.get("level")?.as_str()?)?))
 }
 
 enum Line {
@@ -230,41 +221,36 @@ enum Line {
 
 /// `None`: a known event with a missing or ill-typed field.
 fn parse_line(v: &Json) -> Option<Line> {
-    let ev = str_field(v, "ev")?;
+    let ev = v.get("ev")?.as_str()?;
     if ev == "open" {
         return Some(Line::Header(TraceHeader {
-            version: u32::try_from(u64_field(v, "version")?).ok()?,
-            capacity: usize::try_from(u64_field(v, "capacity")?).ok()?,
-            spill_capacity: usize::try_from(u64_field(v, "spill_capacity")?).ok()?,
-            policy: str_field(v, "policy")?.to_string(),
+            version: u32::try_from(v.get("version")?.as_u64()?).ok()?,
+            capacity: usize::try_from(v.get("capacity")?.as_u64()?).ok()?,
+            spill_capacity: usize::try_from(v.get("spill_capacity")?.as_u64()?).ok()?,
+            policy: v.get("policy")?.as_str()?.to_string(),
         }));
     }
     let kind = match ev {
         "warm" => TraceEventKind::Warm {
-            restored: u64_field(v, "restored")?,
-            quarantined: u64_field(v, "quarantined")?,
+            restored: v.get("restored")?.as_u64()?,
+            quarantined: v.get("quarantined")?.as_u64()?,
         },
         "restore" => TraceEventKind::Restore { key: key_field(v)? },
         "access" => TraceEventKind::Access {
             key: key_field(v)?,
-            source: match str_field(v, "source")? {
-                "hit" => GridSource::Hit,
-                "built" => GridSource::Built,
-                "reloaded" => GridSource::Reloaded,
-                _ => return None,
-            },
-            bytes: u64_field(v, "bytes")?,
-            dur_ns: u64_field(v, "dur_ns")?,
+            source: GridSource::parse(v.get("source")?.as_str()?)?,
+            bytes: v.get("bytes")?.as_u64()?,
+            dur_ns: v.get("dur_ns")?.as_u64()?,
         },
         "evict" => TraceEventKind::Evict { key: key_field(v)? },
         "spill" => TraceEventKind::Spill {
             key: key_field(v)?,
-            bytes: u64_field(v, "bytes")?,
+            bytes: v.get("bytes")?.as_u64()?,
         },
         "spill_drop" => TraceEventKind::SpillDrop { key: key_field(v)? },
         _ => return Some(Line::Unknown),
     };
-    let t_ns = u64_field(v, "t_ns")?;
+    let t_ns = v.get("t_ns")?.as_u64()?;
     Some(Line::Event(TraceEvent { t_ns, kind }))
 }
 
@@ -293,9 +279,9 @@ fn parse_trace(bytes: &[u8]) -> std::io::Result<Trace> {
             let msg = format!("trace line {}: {why}: {line}", i + 1);
             std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
         };
-        let json = crate::wire::parse_bytes(raw).map_err(|e| bad(e.to_string()))?;
+        let json = json::parse_bytes(raw).map_err(|e| bad(e.to_string()))?;
         // A retired level (`sse2`) is the likely culprit: name it.
-        let why = || match str_field(&json, "level") {
+        let why = || match json.get("level").and_then(Json::as_str) {
             Some(level) if SimdLevel::parse(level).is_none() => {
                 format!("unknown SIMD level '{level}'")
             }
@@ -455,6 +441,39 @@ mod tests {
             std::fs::remove_file(&path).ok();
             bytes
         })
+    }
+
+    /// The exact bytes of every line kind, the `t_ns` stamps aside.
+    #[test]
+    fn trace_lines_keep_their_bytes() {
+        let text = std::str::from_utf8(recorded()).unwrap();
+        let got: Vec<String> = text
+            .lines()
+            .map(|line| match line.split_once("\"t_ns\":") {
+                Some((head, rest)) => {
+                    let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+                    format!("{head}\"t_ns\":0{}", &rest[digits..])
+                }
+                None => line.to_string(),
+            })
+            .collect();
+        let key = r#""key":"00c2a7ff01020304","level":"avx2""#;
+        assert_eq!(
+            got,
+            [
+                r#"{"ev":"open","version":1,"capacity":2,"spill_capacity":4,"policy":"slru"}"#
+                    .to_string(),
+                r#"{"ev":"warm","t_ns":0,"restored":1,"quarantined":0}"#.to_string(),
+                format!(r#"{{"ev":"restore","t_ns":0,{key}}}"#),
+                format!(
+                    r#"{{"ev":"access","t_ns":0,{key},"source":"reloaded","bytes":4096,"dur_ns":1234}}"#
+                ),
+                format!(r#"{{"ev":"evict","t_ns":0,{key}}}"#),
+                format!(r#"{{"ev":"spill","t_ns":0,{key},"bytes":4096}}"#),
+                format!(r#"{{"ev":"spill_drop","t_ns":0,{key}}}"#),
+            ]
+        );
+        assert!(text.ends_with('\n'));
     }
 
     use proptest::prelude::*;

@@ -36,8 +36,8 @@
 //! A node becomes remotely reachable through the [`net`] frontend: a
 //! dependency-free readiness-driven HTTP/1.1 server (`POST /jobs`,
 //! `GET /jobs/{id}`, `GET /jobs/{id}/results`, `DELETE /jobs/{id}`,
-//! `GET /healthz`, `GET /stats`) speaking the hand-rolled JSON
-//! [`wire`] codec. One event-loop thread multiplexes the connections
+//! `GET /healthz`, `GET /stats`) speaking the JSON schema of [`wire`]
+//! (the codec under it is `mudock_obs::json`). One event-loop thread multiplexes the connections
 //! over one listener and one [`reactor`] ([`reactor::Reactor`]):
 //! `epoll` on Linux, `poll(2)` on every other unix. On top of that: keep-alive and pipelining,
 //! per-state plus per-request deadlines that evict slow, idle, and

@@ -43,13 +43,9 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "connection failed: {e}"),
             ClientError::Http { status, body } => {
                 // Surface the server's JSON error message when present.
-                let detail = wire::parse(body)
-                    .ok()
-                    .and_then(|v| match v.get("error") {
-                        Some(Json::Str(s)) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .unwrap_or_else(|| body.clone());
+                let v = wire::parse(body).ok();
+                let detail = v.as_ref().and_then(|v| v.get("error")?.as_str());
+                let detail = detail.unwrap_or(body);
                 write!(f, "HTTP {status}: {detail}")
             }
             ClientError::Wire(e) => write!(f, "bad response body: {e}"),
@@ -320,15 +316,11 @@ impl Client {
     pub fn health(&mut self) -> Result<NodeHealth, ClientError> {
         let resp = self.request("GET", "/healthz", None)?.ok()?;
         let v = wire::parse(&resp.body).unwrap_or(Json::Null);
-        let node = match v.get("node") {
-            Some(Json::Str(s)) => u64::from_str_radix(s, 16).ok(),
-            _ => None,
-        };
-        let version = match v.get("version") {
-            Some(Json::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        Ok(NodeHealth { node, version })
+        let text = |key| v.get(key).and_then(Json::as_str);
+        Ok(NodeHealth {
+            node: text("node").and_then(|s| u64::from_str_radix(s, 16).ok()),
+            version: text("version").map(str::to_string),
+        })
     }
 }
 

@@ -4,7 +4,7 @@
 //! [`NetServer::bind`] opens a [`std::net::TcpListener`] (no async
 //! runtime, matching the workspace's minimal-dependency policy) and
 //! serves a small JSON API speaking the [`wire`](crate::wire) module's
-//! codec:
+//! schema:
 //!
 //! | Method   | Path                 | Meaning                                   |
 //! |----------|----------------------|-------------------------------------------|

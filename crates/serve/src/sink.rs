@@ -4,7 +4,9 @@
 //!
 //! * **JSONL** ([`JsonlSink`]) — one JSON object per docked ligand,
 //!   written as its chunk completes, so downstream consumers tail the
-//!   ranking while the job is still running;
+//!   ranking while the job is still running. Lines are built and read
+//!   back ([`prune_jsonl`]) through `mudock_obs::json`, the codec behind
+//!   every JSON line of the stack;
 //! * **checkpoint** ([`Checkpoint`]) — one block per completed chunk
 //!   holding the chunk's top-k contribution (global index + exact score
 //!   bits + name). A resubmitted job replays these blocks instead of
@@ -22,16 +24,9 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use mudock_core::ScreenResult;
+use mudock_obs::json::{self, Json};
 
 use crate::job::RankedLigand;
-
-/// Escape a string for a JSON string literal: the owned-`String` form
-/// of [`mudock_obs::push_json_escaped`], which documents the rules.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    mudock_obs::push_json_escaped(&mut out, s);
-    out
-}
 
 /// Streaming JSONL writer for per-ligand results.
 pub struct JsonlSink {
@@ -55,7 +50,9 @@ impl JsonlSink {
     }
 
     /// Write one ligand's result line. `index` is the ligand's global
-    /// position in the job's stream.
+    /// position in the job's stream. The score is encoded as in
+    /// `GET /jobs/{id}` (shortest text with the same `f32` bits); a
+    /// ligand without one, or with a non-finite one, gets `null`.
     pub fn write_result(
         &mut self,
         job: &str,
@@ -63,20 +60,15 @@ impl JsonlSink {
         index: usize,
         r: &ScreenResult,
     ) -> std::io::Result<()> {
-        let score = match r.best_score {
-            Some(s) => format!("{s}"),
-            None => "null".into(),
-        };
-        writeln!(
-            self.out,
-            "{{\"job\":\"{}\",\"chunk\":{},\"index\":{},\"ligand\":\"{}\",\"score\":{},\"evaluations\":{}}}",
-            json_escape(job),
-            chunk,
-            index,
-            json_escape(&r.name),
-            score,
-            r.evaluations,
-        )?;
+        let line = Json::Obj(vec![
+            ("job".into(), Json::str(job)),
+            ("chunk".into(), Json::usize(chunk)),
+            ("index".into(), Json::usize(index)),
+            ("ligand".into(), Json::str(&r.name)),
+            ("score".into(), r.best_score.map_or(Json::Null, Json::f32)),
+            ("evaluations".into(), Json::u64(r.evaluations)),
+        ]);
+        writeln!(self.out, "{}", line.encode())?;
         self.lines += 1;
         Ok(())
     }
@@ -132,32 +124,30 @@ fn unescape_name(s: &str) -> String {
 /// checkpoint recorded as complete remain. A crash between the JSONL
 /// flush and the checkpoint's `end` marker leaves lines for a chunk
 /// that will be re-docked; without pruning, those lines would appear
-/// twice after the resume.
+/// twice after the resume. A line that does not parse — a tail torn by
+/// a short write, even inside a multi-byte character — goes too.
 pub fn prune_jsonl(path: &Path, is_complete: impl Fn(usize) -> bool) -> std::io::Result<()> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
-    let keep: Vec<&str> = text
-        .lines()
-        .filter(|l| jsonl_chunk(l).is_some_and(&is_complete))
+    let lines: Vec<&[u8]> = bytes
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
         .collect();
-    if keep.len() == text.lines().count() {
+    let chunk = |l: &[u8]| json::parse_bytes(l).ok()?.get("chunk")?.as_u64();
+    let keep: Vec<&[u8]> = (lines.iter().copied())
+        .filter(|l| chunk(l).is_some_and(|c| usize::try_from(c).is_ok_and(&is_complete)))
+        .collect();
+    if keep.len() == lines.len() && bytes.last().is_none_or(|&b| b == b'\n') {
         return Ok(());
     }
-    let mut out = keep.join("\n");
+    let mut out = keep.join(&b'\n');
     if !out.is_empty() {
-        out.push('\n');
+        out.push(b'\n');
     }
     std::fs::write(path, out)
-}
-
-/// The `"chunk":N` field of one of [`JsonlSink`]'s lines.
-fn jsonl_chunk(line: &str) -> Option<usize> {
-    let rest = line.split("\"chunk\":").nth(1)?;
-    let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
 }
 
 /// One completed chunk as recorded in the checkpoint.
@@ -340,43 +330,35 @@ mod tests {
             stats: KernelStats::default(),
         };
         sink.write_result("job-a", 0, 18, &failed).unwrap();
+        // Scores are encoded as `GET /jobs/{id}` encodes them: the
+        // shortest text with the same bits, `null` when non-finite.
+        for score in [f32::NAN, 0.1] {
+            let r = ScreenResult {
+                name: "x".into(),
+                best_score: Some(score),
+                evaluations: 1,
+                stats: KernelStats::default(),
+            };
+            sink.write_result("job-a", 1, 19, &r).unwrap();
+        }
         sink.flush().unwrap();
-        assert_eq!(sink.lines(), 2);
+        assert_eq!(sink.lines(), 4);
 
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"score\":-4.25"));
         assert!(lines[0].contains("\\\"odd\\\"\\n"), "escaped: {}", lines[0]);
         assert!(lines[1].contains("\"score\":null"));
+        assert!(lines[2].contains("\"score\":null"));
+        assert_eq!(
+            lines[3],
+            r#"{"job":"job-a","chunk":1,"index":19,"ligand":"x","score":0.10000000149011612,"evaluations":1}"#
+        );
         for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
+            json::parse(l).unwrap();
         }
-    }
-
-    #[test]
-    fn json_escape_covers_every_mandatory_control() {
-        // Every C0 control must come out as an escape; none may pass
-        // through raw (RFC 8259 §7).
-        for c in (0u32..0x20).map(|c| char::from_u32(c).unwrap()) {
-            let escaped = json_escape(&c.to_string());
-            assert!(
-                escaped.starts_with('\\'),
-                "U+{:04X} must be escaped, got {escaped:?}",
-                c as u32
-            );
-        }
-        assert_eq!(json_escape("\u{7f}"), "\\u007f", "DEL is escaped");
-        assert_eq!(json_escape("\u{85}"), "\\u0085", "C1 NEL is escaped");
-        assert_eq!(json_escape("\u{9f}"), "\\u009f", "C1 end is escaped");
-        // Shorthand escapes stay shorthand; printable text stays put.
-        assert_eq!(json_escape("a\tb\nc\rd"), "a\\tb\\nc\\rd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain α😀"), "plain α😀");
-        assert_eq!(json_escape("q\"e\\"), "q\\\"e\\\\");
-        // U+00A0 (just past C1) is untouched.
-        assert_eq!(json_escape("\u{a0}"), "\u{a0}");
     }
 
     #[test]
@@ -481,6 +463,16 @@ mod tests {
         // Pruning with everything complete is a no-op.
         prune_jsonl(&path, |_| true).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        // A line an older sink wrote (integral score without `.0`)
+        // survives, and a tail cut inside a multi-byte character is
+        // dropped instead of failing the resume.
+        let old = "{\"job\":\"j\",\"chunk\":0,\"index\":0,\"ligand\":\"α\",\"score\":1,\"evaluations\":1}\n";
+        let torn = "{\"job\":\"j\",\"chunk\":0,\"index\":1,\"ligand\":\"β";
+        let mut bytes = old.as_bytes().to_vec();
+        bytes.extend_from_slice(&torn.as_bytes()[..torn.len() - 1]);
+        std::fs::write(&path, &bytes).unwrap();
+        prune_jsonl(&path, |c| c == 0).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), old);
         // Missing file is fine (fresh job).
         std::fs::remove_file(&path).ok();
         prune_jsonl(&path, |_| true).unwrap();
@@ -493,5 +485,167 @@ mod tests {
         let ck = Checkpoint::open(&path, 3).unwrap();
         assert!(ck.completed().is_empty());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A job's checkpoint as [`Checkpoint::record`] wrote it, with the
+    /// byte offset just past each block's `end N` marker text.
+    fn recorded_checkpoint() -> (Vec<u8>, Vec<(usize, usize)>) {
+        let path = tmp("recorded.ck");
+        std::fs::remove_file(&path).ok();
+        let blocks: [(usize, usize, Vec<RankedLigand>); 3] = [
+            (0, 4, vec![ranked(1, "a b", -1.5), ranked(3, "c%d", -0.0)]),
+            (1, 4, vec![ranked(5, "α·β₂", f32::MIN_POSITIVE)]),
+            (2, 4, vec![ranked(8, "", f32::NAN), ranked(9, "e\nf", 0.1)]),
+        ];
+        {
+            let mut ck = Checkpoint::open(&path, 0xfeed_beef).unwrap();
+            for (chunk, ligands, top) in &blocks {
+                ck.record(*chunk, *ligands, top).unwrap();
+            }
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let text = std::str::from_utf8(&bytes).unwrap();
+        let ends = blocks
+            .iter()
+            .map(|(chunk, _, _)| {
+                let marker = format!("\nend {chunk}\n");
+                (*chunk, text.find(&marker).unwrap() + marker.len() - 1)
+            })
+            .collect();
+        (bytes, ends)
+    }
+
+    #[test]
+    fn a_checkpoint_cut_at_any_byte_resumes_its_closed_blocks_or_starts_fresh() {
+        let (bytes, ends) = recorded_checkpoint();
+        let whole = {
+            let path = tmp("whole.ck");
+            std::fs::write(&path, &bytes).unwrap();
+            let ck = Checkpoint::open(&path, 0xfeed_beef).unwrap();
+            std::fs::remove_file(&path).ok();
+            ck.completed().clone()
+        };
+        assert_eq!(whole.len(), 3);
+        // Entries compared by score bits: `-0.0` and NaN included.
+        type Entry = (usize, String, u32);
+        let bits = |c: &BTreeMap<usize, ChunkRecord>| -> Vec<(usize, usize, Vec<Entry>)> {
+            c.iter()
+                .map(|(k, r)| {
+                    let top = r
+                        .top
+                        .iter()
+                        .map(|e| (e.index, e.name.clone(), e.score.to_bits()));
+                    (*k, r.ligands, top.collect())
+                })
+                .collect()
+        };
+        let path = tmp("cut.ck");
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let ck = Checkpoint::open(&path, 0xfeed_beef).unwrap();
+            let mut closed = whole.clone();
+            closed.retain(|k, _| ends.iter().any(|&(c, end)| c == *k && end <= cut));
+            let got = ck.completed();
+            assert!(
+                got.is_empty() || bits(got) == bits(&closed),
+                "cut at {cut}: resumed {:?}, closed before it {:?}",
+                got.keys(),
+                closed.keys()
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A job's JSONL as the sink wrote it: chunks 0 and 1 complete, and
+    /// chunk 2, whose checkpoint block was never closed, torn.
+    fn recorded_jsonl() -> &'static [u8] {
+        static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        BYTES.get_or_init(|| {
+            let path = tmp("recorded.jsonl");
+            let mut sink = JsonlSink::open(&path, false).unwrap();
+            for (chunk, index, name, score) in [
+                (0, 0, "α-1", Some(-1.5)),
+                (0, 1, "b \"q\"", Some(0.1)),
+                (1, 2, "c", None),
+                (1, 3, "d\n", Some(3.0)),
+                (2, 4, "ε", Some(-2.25)),
+                (2, 5, "f", Some(f32::NAN)),
+            ] {
+                let r = ScreenResult {
+                    name: name.into(),
+                    best_score: score,
+                    evaluations: 7,
+                    stats: KernelStats::default(),
+                };
+                sink.write_result("job", chunk, index, &r).unwrap();
+            }
+            sink.flush().unwrap();
+            drop(sink);
+            let mut bytes = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            bytes.truncate(bytes.len() - 5);
+            bytes
+        })
+    }
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// Truncated, bit-flipped and spliced JSONL prunes to whole
+        /// lines of complete chunks, keeping every line it can — never
+        /// an error, never a panic.
+        #[test]
+        fn a_damaged_jsonl_prunes_to_whole_lines_of_complete_chunks(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let recorded = recorded_jsonl();
+            let mut bytes = recorded.to_vec();
+            for _ in 0..rng.random_range(1usize..4) {
+                match rng.random_range(0u32..3) {
+                    0 => bytes.truncate(rng.random_range(0..=bytes.len())),
+                    1 if !bytes.is_empty() => {
+                        let at = rng.random_range(0..bytes.len());
+                        bytes[at] ^= 1 << rng.random_range(0u32..8);
+                    }
+                    _ => {
+                        // The head of one line joined to the tail of
+                        // another, inserted before a third.
+                        let lines: Vec<Vec<u8>> =
+                            bytes.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+                        let (a, b) = (
+                            &lines[rng.random_range(0..lines.len())],
+                            &lines[rng.random_range(0..lines.len())],
+                        );
+                        let mut spliced = a[..rng.random_range(0..=a.len())].to_vec();
+                        spliced.extend_from_slice(&b[rng.random_range(0..=b.len())..]);
+                        let mut out = lines.clone();
+                        out.insert(rng.random_range(0..=lines.len()), spliced);
+                        bytes = out.join(&b'\n');
+                    }
+                }
+            }
+            let path = tmp("damaged.jsonl");
+            std::fs::write(&path, &bytes).unwrap();
+            let pruned = prune_jsonl(&path, |c| c < 2);
+            let out = std::fs::read(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            prop_assert!(pruned.is_ok(), "{:?}", pruned);
+            let kept: Vec<&[u8]> = out.split(|&b| b == b'\n').filter(|l| !l.is_empty()).collect();
+            for line in &kept {
+                let chunk = json::parse_bytes(line).ok().and_then(|v| v.get("chunk")?.as_u64());
+                prop_assert!(chunk.is_some_and(|c| c < 2), "kept {}", String::from_utf8_lossy(line));
+            }
+            prop_assert!(out.is_empty() || out.ends_with(b"\n"));
+            let complete = |l: &&[u8]| l.windows(10).any(|w| w == b"\"chunk\":0," || w == b"\"chunk\":1,");
+            for line in recorded.split(|&b| b == b'\n').filter(complete) {
+                if bytes.split(|&b| b == b'\n').any(|l| l == line) {
+                    prop_assert!(kept.contains(&line), "dropped {}", String::from_utf8_lossy(line));
+                }
+            }
+        }
     }
 }
