@@ -151,8 +151,8 @@ pub const INTER_PER_ATOM: KernelMix = KernelMix {
     contains_exp: false,
 };
 
-/// Rigid-body transform, per atom. Counted from
-/// `mudock_core::transform::apply_pose_kernel` (rigid part).
+/// Rigid-body transform, per atom. Counted from the rigid lane loop of
+/// `mudock_core::transform::apply_pose_simd`.
 pub const TRANSFORM_RIGID_PER_ATOM: KernelMix = KernelMix {
     name: "transform-rigid",
     per_element: OpMix {
@@ -172,8 +172,8 @@ pub const TRANSFORM_RIGID_PER_ATOM: KernelMix = KernelMix {
 };
 
 /// Torsion blend, per atom *per torsion* (branchless kernel rotates all
-/// atoms and blends by mask). Counted from the torsion loop of
-/// `apply_pose_kernel`.
+/// atoms and blends by mask). Counted from the torsion lane loop of
+/// `apply_pose_simd`.
 pub const TRANSFORM_TORSION_PER_ATOM: KernelMix = KernelMix {
     name: "transform-torsion",
     per_element: OpMix {

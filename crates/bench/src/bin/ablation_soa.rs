@@ -18,8 +18,7 @@
 use std::time::Instant;
 
 use mudock_core::autovec::{
-    apply_pose_autovec_at, frame_name, inter_energy_autovec_at, intra_energy_autovec,
-    intra_energy_autovec_at,
+    frame_name, inter_energy_autovec_at, intra_energy_autovec, intra_energy_autovec_at,
 };
 use mudock_core::scoring::{
     inter_energy_simd, intra_energy_simd, intra_energy_simd_walk, IntraWalk, PairLayout, PairsSoA,
@@ -226,7 +225,8 @@ enum Arm {
 /// `scalar` row is what `autovec` ran before it had drivers of its own
 /// and what `autovec@baseline` replaces as the default of a host without
 /// AVX2; each `autovec@avx*` row reads against the hand-written row of
-/// its level above it.
+/// its level above it. Both arms pose with one body (`apply_pose_simd`),
+/// so the transform column times the same code in a level's two rows.
 fn per_kernel() {
     println!("\nABLATION: the three pose kernels per backend, ns per pose");
     println!(
@@ -259,14 +259,8 @@ fn per_kernel() {
             for _ in 0..5 {
                 let t = [
                     time(4000, &mut || {
-                        match arm {
-                            Arm::Explicit(l) => {
-                                apply_pose_simd(l, &prep.base, &prep.plans, &g, &mut out)
-                            }
-                            Arm::AutoVec(f) => {
-                                apply_pose_autovec_at(f, &prep.base, &prep.plans, &g, &mut out)
-                            }
-                        }
+                        let (Arm::Explicit(l) | Arm::AutoVec(l)) = arm;
+                        apply_pose_simd(l, &prep.base, &prep.plans, &g, &mut out);
                         out.x[0]
                     }),
                     time(4000, &mut || match arm {

@@ -6,10 +6,12 @@
 //! inside each `#[target_feature]` frame `Simd::vectorize` provides;
 //! nothing in the type system says it did. This binary disassembles its
 //! own executable (`objdump -d --no-show-raw-insn`), finds the three
-//! `#[inline(never)]` `*_autovec_at` entry points by symbol — the baseline
-//! body is inlined there — and their frames by call edge (every frame is
-//! named `<Level as Simd>::vectorize::inner`, whichever closure it was
-//! instantiated for, so a frame belongs to the driver that calls it). Per
+//! `#[inline(never)]` entry points (`apply_pose_simd`, the transform every
+//! backend shares, and the two `*_autovec_at` scoring drivers) by symbol
+//! — the baseline body is inlined there — and their frames by call edge
+//! (every frame is named `<Level as Simd>::vectorize::inner`, whichever
+//! closure it was instantiated for, so a frame belongs to the driver that
+//! calls it). Per
 //! body it counts packed (`…ps`) against scalar (`…ss`) floating-point
 //! arithmetic (`add sub mul div min max sqrt` and the FMA forms), the
 //! register width of the packed operations and the packed FMAs, prints the
@@ -70,9 +72,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::process::{Command, ExitCode};
 
-use mudock_core::autovec::{
-    apply_pose_autovec_at, inter_energy_autovec_at, intra_energy_autovec_at,
-};
+use mudock_core::autovec::{apply_pose_simd, inter_energy_autovec_at, intra_energy_autovec_at};
 use mudock_core::scoring::PairsSoA;
 use mudock_core::transform::TorsionPlan;
 use mudock_core::Genotype;
@@ -96,7 +96,7 @@ const FRAME_FN: &str = "9vectorize5inner";
 
 /// (row name, entry point holding the baseline body, gated or reported).
 const KERNELS: [(&str, &str, bool); 3] = [
-    ("transform", "apply_pose_autovec_at", false),
+    ("transform", "apply_pose_simd", false),
     ("inter", "inter_energy_autovec_at", true),
     ("intra", "intra_energy_autovec_at", true),
 ];
@@ -345,7 +345,7 @@ fn main() -> ExitCode {
     type Inter = fn(SimdLevel, &GridSet, &ConformSoA, &AtomStatics) -> f32;
     type Intra = fn(SimdLevel, &ConformSoA, &PairsSoA) -> f32;
     std::hint::black_box((
-        apply_pose_autovec_at as Transform,
+        apply_pose_simd as Transform,
         inter_energy_autovec_at as Inter,
         intra_energy_autovec_at as Intra,
     ));

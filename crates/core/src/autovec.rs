@@ -3,12 +3,18 @@
 //! [`Backend::AutoVec`](crate::Backend::AutoVec) scores with the three
 //! functions of this module. They run the *same per-lane math* as the
 //! explicit arm — [`vterms::pair_energy`], `simd::math::exp_bounded`
-//! inside it, the trilinear formula of [`super::scoring::inter`], the
-//! masked-blend torsion update of [`super::transform`] — instantiated at
-//! a one-lane token, and differ from `Explicit(SimdLevel::Scalar)` only
-//! in the loops around that math: safe Rust, no intrinsics, no per-ISA
-//! source, and a shape the loop vectorizer turns into packed instructions
-//! at whatever ISA the enclosing function is compiled for.
+//! inside it, the trilinear formula of [`super::scoring::inter`] —
+//! instantiated at a one-lane token, and differ from
+//! `Explicit(SimdLevel::Scalar)` only in the loops around that math: safe
+//! Rust, no intrinsics, no per-ISA source, and a shape the loop vectorizer
+//! turns into packed instructions at whatever ISA the enclosing function
+//! is compiled for.
+//!
+//! The transform, [`apply_pose_simd`], serves every backend but the
+//! reference: the explicit arm calls it at its own level, so both arms
+//! pose from this one body and differ only in how they score the pose.
+//! A change to its bits moves the explicit arm's scores too, so
+//! `tests/autovec_equivalence.rs` pins them per arithmetic class.
 //!
 //! # Frames
 //!
@@ -35,8 +41,8 @@
 //!   backend (`Backend::auto`).
 //!
 //! Nothing selects a frame but the CPU: no flag, env var, config field or
-//! wire value. The `*_autovec_at(frame, …)` forms exist for tests,
-//! `ablation_soa` and the codegen checker.
+//! wire value. The `*_autovec_at(frame, …)` forms of the scoring kernels
+//! exist for tests, `ablation_soa` and the codegen checker.
 //!
 //! The fused token is only ever instantiated inside an FMA frame. It would
 //! be *safe* elsewhere — `f32::mul_add` without FMA hardware is a libm
@@ -97,10 +103,10 @@
 //!    the same integers.
 //!
 //! The entry points are deliberately non-generic and `#[inline(never)]`:
-//! `codegen_autovec` in `mudock-bench` finds the `_at` forms by symbol
-//! (the baseline body is inlined there), follows their calls to the
-//! frames' `vectorize::inner` instances, and fails when a packed-to-scalar
-//! instruction ratio drops. The frame-less forms only look the frame up
+//! `codegen_autovec` in `mudock-bench` finds `apply_pose_simd` and the
+//! `_at` forms by symbol (the baseline body is inlined there), follows
+//! their calls to the frames' `vectorize::inner` instances, and fails
+//! when a packed-to-scalar instruction ratio drops. The frame-less forms only look the frame up
 //! and tail-call.
 //!
 //! Scores differ from `Explicit(Scalar)` in the last bits (sixteen
@@ -236,8 +242,7 @@ fn reduce_tree(mut a: Lanes) -> f32 {
     a[0]
 }
 
-/// `m · v + t` for a row-major 3×3 `m`: per lane, the three FMA chains of
-/// [`apply_pose_kernel`](crate::transform::apply_pose_kernel).
+/// `m · v + t` for a row-major 3×3 `m`: per lane, three `mul_add` chains.
 #[inline(always)]
 fn affine<S: Lane>(s: S, m: &[f32; 9], v: [f32; 3], t: [f32; 3]) -> [f32; 3] {
     [
@@ -259,39 +264,26 @@ fn affine<S: Lane>(s: S, m: &[f32; 9], v: [f32; 3], t: [f32; 3]) -> [f32; 3] {
     ]
 }
 
-/// Branchless pose transform: rigid placement, then every torsion
-/// rotates *all* atoms and blends by the plan's 0/1 mask — the semantics
-/// of [`apply_pose_kernel`](crate::transform::apply_pose_kernel), padding
-/// atoms included.
+/// Branchless pose transform in `level`'s frame (see [`frame`];
+/// [`SimdLevel::Scalar`] names the baseline): rigid placement, then every
+/// torsion rotates *all* atoms and blends by the plan's 0/1 mask, padding
+/// atoms included. The one vectorized transform of the workspace (see
+/// [`crate::transform`]): `Backend::Explicit(level)` calls it at `level`,
+/// [`Backend::AutoVec`](crate::Backend::AutoVec) at [`frame`].
 ///
 /// # Panics
 /// If `base`, `out` or a plan's mask is shorter than `base`'s padded
-/// length, or that length is not a multiple of [`PAD`].
+/// length, that length is not a multiple of [`PAD`], or `level` is a wide
+/// level the host does not support.
 #[inline(never)]
-pub fn apply_pose_autovec(
+pub fn apply_pose_simd(
+    level: SimdLevel,
     base: &ConformSoA,
     plans: &[TorsionPlan],
     g: &Genotype,
     out: &mut ConformSoA,
 ) {
-    apply_pose_autovec_at(frame(), base, plans, g, out)
-}
-
-/// [`apply_pose_autovec`] in a given frame (see [`frame`];
-/// [`SimdLevel::Scalar`] names the baseline).
-///
-/// # Panics
-/// As [`apply_pose_autovec`], and if `frame` is a wide level the host
-/// does not support.
-#[inline(never)]
-pub fn apply_pose_autovec_at(
-    frame: SimdLevel,
-    base: &ConformSoA,
-    plans: &[TorsionPlan],
-    g: &Genotype,
-    out: &mut ConformSoA,
-) {
-    in_frame!(frame, |s| apply_pose(s, base, plans, g, out))
+    in_frame!(level, |s| apply_pose(s, base, plans, g, out))
 }
 
 #[inline(always)]

@@ -7,7 +7,7 @@ use mudock_mol::{AtomStatics, ConformSoA, Molecule, MoleculeError, Topology, Vec
 use mudock_simd::SimdLevel;
 use rand::SeedableRng as _;
 
-use crate::autovec::{apply_pose_autovec, inter_energy_autovec, intra_energy_autovec};
+use crate::autovec::{self, inter_energy_autovec, intra_energy_autovec};
 use crate::ga::{rank_best_first, Ga, GaParams};
 use crate::genotype::Genotype;
 use crate::scoring::inter::{inter_energy_reference, inter_energy_simd};
@@ -115,7 +115,7 @@ impl Backend {
     /// ([`crate::autovec::frame`]), so a level gets an explicit default
     /// exactly where it gets a frame of its own.
     fn default_for(detected: SimdLevel) -> Backend {
-        if crate::autovec::is_wide(detected) {
+        if autovec::is_wide(detected) {
             Backend::Explicit(detected)
         } else {
             Backend::AutoVec
@@ -342,7 +342,7 @@ impl<'a> DockingEngine<'a> {
                     + tors_penalty
             }
             Backend::AutoVec => {
-                apply_pose_autovec(&prep.base, &prep.plans, g, scratch);
+                apply_pose_simd(autovec::frame(), &prep.base, &prep.plans, g, scratch);
                 inter_energy_autovec(self.grids, scratch, &prep.statics)
                     + intra_energy_autovec(scratch, &prep.pairs)
                     + tors_penalty

@@ -5,14 +5,18 @@
 //! scoring function (Algorithm 2), with the receptor interaction
 //! memoized into AutoGrid-style maps (`mudock-grids`).
 //!
-//! Every kernel exists in three semantically identical forms, which is the
-//! paper's entire experimental axis:
+//! The scoring kernels exist in three semantically identical forms, which
+//! is the paper's entire experimental axis:
 //!
 //! | [`Backend`]               | paper analogue                                   |
 //! |---------------------------|--------------------------------------------------|
 //! | [`Backend::Reference`]    | scalar + `libm` (no vector math → no vectorization, the GCC-on-ARM case) |
 //! | [`Backend::AutoVec`]      | compiler-vectorized lane loops over the explicit arm's per-lane math, safe Rust, run in the widest `#[target_feature]` frame the host's CPU supports ([`autovec`]; `#pragma omp simd` + `-fveclib`, built per target ISA) |
 //! | [`Backend::Explicit`]     | explicit SIMD via `mudock-simd` (Google Highway) |
+//!
+//! The pose transform has two: the reference, and one vectorized body
+//! ([`transform::apply_pose_simd`], `autovec`'s lane loop) that both
+//! vectorized backends run, the explicit arm in its own level's frame.
 //!
 //! Runs are described by the [`campaign`] API: a [`CampaignSpec`] built
 //! through [`Campaign::builder`] composes a [`BackendPolicy`] (detect,

@@ -1,25 +1,24 @@
 //! Pose transforms — the paper's Algorithm 1: rigid-body translation and
 //! rotation of the ligand, then rotation of each rotatable-bond fragment.
 //!
-//! Three implementations with identical semantics:
+//! Two implementations with identical semantics:
 //!
 //! * [`apply_pose_reference`] — index-chasing scalar code (rotates only the
-//!   atoms in each torsion's moving set);
-//! * [`apply_pose_kernel`] — width-generic branchless code: every torsion
-//!   rotates *all* atoms and blends the result with a per-atom 0/1 mask.
-//!   This trades redundant arithmetic for streaming, gather/scatter-free
-//!   vector code — the transformation that makes the loop vectorizable.
-//!   Instantiated per SIMD level for the explicit arm
-//!   ([`mudock_simd::Scalar`] is the one-lane level the others are
-//!   tested against);
-//! * [`apply_pose_autovec`](crate::autovec::apply_pose_autovec) — the
-//!   same branchless form as lane loops the compiler vectorizes (the
-//!   portable arm, [`crate::autovec`]).
+//!   atoms in each torsion's moving set), the test oracle;
+//! * [`apply_pose_simd`] — the one vectorized body, for every backend but
+//!   the reference: branchless code in which every torsion rotates *all*
+//!   atoms and blends the result with a per-atom 0/1 mask. This trades
+//!   redundant arithmetic for streaming, gather/scatter-free vector code —
+//!   the transformation that makes the loop vectorizable. It is
+//!   [`crate::autovec`]'s lane loop, run in the frame of the level it is
+//!   given: `Backend::Explicit(level)` transforms in `level`'s,
+//!   `Backend::AutoVec` in [`autovec::frame`](crate::autovec::frame).
 
 use mudock_mol::{ConformSoA, Quat, Topology};
-use mudock_simd::{dispatch, Simd, SimdLevel};
 
 use crate::genotype::Genotype;
+
+pub use crate::autovec::apply_pose_simd;
 
 /// Precomputed per-torsion data for the branchless kernel.
 #[derive(Clone, Debug)]
@@ -82,92 +81,12 @@ pub fn apply_pose_reference(
     }
 }
 
-/// Width-generic branchless pose kernel. Padding atoms are transformed too
-/// (their far-away coordinates stay far away), so no tail handling exists.
-#[inline(always)]
-pub fn apply_pose_kernel<S: Simd>(
-    s: S,
-    base: &ConformSoA,
-    plans: &[TorsionPlan],
-    g: &Genotype,
-    out: &mut ConformSoA,
-) {
-    debug_assert_eq!(base.len_padded() % S::LANES, 0);
-    debug_assert_eq!(base.len_padded(), out.len_padded());
-    let m = g.rotation().to_matrix();
-    let t = g.translation();
-    let len = base.len_padded();
-
-    // Rigid: out = R * base + t, streaming over SoA rows.
-    {
-        let (m00, m01, m02) = (s.splat(m[0]), s.splat(m[1]), s.splat(m[2]));
-        let (m10, m11, m12) = (s.splat(m[3]), s.splat(m[4]), s.splat(m[5]));
-        let (m20, m21, m22) = (s.splat(m[6]), s.splat(m[7]), s.splat(m[8]));
-        let (tx, ty, tz) = (s.splat(t.x), s.splat(t.y), s.splat(t.z));
-        let mut i = 0;
-        while i < len {
-            let x = s.load(&base.x[i..]);
-            let y = s.load(&base.y[i..]);
-            let z = s.load(&base.z[i..]);
-            let ox = s.mul_add(m02, z, s.mul_add(m01, y, s.mul_add(m00, x, tx)));
-            let oy = s.mul_add(m12, z, s.mul_add(m11, y, s.mul_add(m10, x, ty)));
-            let oz = s.mul_add(m22, z, s.mul_add(m21, y, s.mul_add(m20, x, tz)));
-            s.store(ox, &mut out.x[i..]);
-            s.store(oy, &mut out.y[i..]);
-            s.store(oz, &mut out.z[i..]);
-            i += S::LANES;
-        }
-    }
-
-    // Torsions: rotate everything about the bond axis, blend by mask.
-    for (k, plan) in plans.iter().enumerate() {
-        let pa = out.pos(plan.a);
-        let pb = out.pos(plan.b);
-        let rot = Quat::from_axis_angle(pb - pa, g.torsion(k)).to_matrix();
-        let (m00, m01, m02) = (s.splat(rot[0]), s.splat(rot[1]), s.splat(rot[2]));
-        let (m10, m11, m12) = (s.splat(rot[3]), s.splat(rot[4]), s.splat(rot[5]));
-        let (m20, m21, m22) = (s.splat(rot[6]), s.splat(rot[7]), s.splat(rot[8]));
-        let (ax, ay, az) = (s.splat(pa.x), s.splat(pa.y), s.splat(pa.z));
-        let mut i = 0;
-        while i < len {
-            let x = s.load(&out.x[i..]);
-            let y = s.load(&out.y[i..]);
-            let z = s.load(&out.z[i..]);
-            let vx = s.sub(x, ax);
-            let vy = s.sub(y, ay);
-            let vz = s.sub(z, az);
-            let rx = s.mul_add(m02, vz, s.mul_add(m01, vy, s.mul_add(m00, vx, ax)));
-            let ry = s.mul_add(m12, vz, s.mul_add(m11, vy, s.mul_add(m10, vx, ay)));
-            let rz = s.mul_add(m22, vz, s.mul_add(m21, vy, s.mul_add(m20, vx, az)));
-            let w = s.load(&plan.mask[i..]);
-            // out = out + w * (rotated - out): w ∈ {0, 1} selects exactly.
-            let nx = s.mul_add(w, s.sub(rx, x), x);
-            let ny = s.mul_add(w, s.sub(ry, y), y);
-            let nz = s.mul_add(w, s.sub(rz, z), z);
-            s.store(nx, &mut out.x[i..]);
-            s.store(ny, &mut out.y[i..]);
-            s.store(nz, &mut out.z[i..]);
-            i += S::LANES;
-        }
-    }
-}
-
-/// Dispatch [`apply_pose_kernel`] at a runtime-selected SIMD level.
-pub fn apply_pose_simd(
-    level: SimdLevel,
-    base: &ConformSoA,
-    plans: &[TorsionPlan],
-    g: &Genotype,
-    out: &mut ConformSoA,
-) {
-    dispatch!(level, |s| apply_pose_kernel(s, base, plans, g, out));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mudock_ff::types::AtomType;
     use mudock_mol::{Atom, Bond, Molecule, Vec3};
+    use mudock_simd::SimdLevel;
 
     /// 5-atom chain with one torsion in the middle.
     fn chain() -> (Molecule, Topology) {

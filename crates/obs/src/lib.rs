@@ -2,8 +2,8 @@
 //!
 //! Everything here is dependency-free (std only) and lock-cheap on the
 //! hot path: the docking loop and the network reactor record into plain
-//! atomics, and the expensive work (quantile interpolation, Prometheus
-//! text rendering, JSONL encoding) happens only at scrape time.
+//! atomics, and the expensive work (Prometheus text rendering, JSONL
+//! encoding) happens only at scrape time.
 //!
 //! The crate has five parts:
 //!

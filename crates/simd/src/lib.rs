@@ -19,8 +19,7 @@
 //!
 //! Soundness model: backend tokens ([`Avx2`], [`Avx512`]) are
 //! zero-sized proofs of CPU support, only constructible through feature
-//! detection (or `unsafe`). Every intrinsic call is therefore safe behind
-//! the token.
+//! detection. Every intrinsic call is therefore safe behind the token.
 //!
 //! ## Quick example
 //!
@@ -129,11 +128,6 @@ impl SimdLevel {
             SimdLevel::Avx2 => 8,
             SimdLevel::Avx512 => 16,
         }
-    }
-
-    /// Register width in bits.
-    pub fn width_bits(self) -> usize {
-        self.lanes() * 32
     }
 
     /// Short lowercase name (`"avx2"`, …).
@@ -262,11 +256,10 @@ mod tests {
     }
 
     #[test]
-    fn lanes_and_width() {
+    fn lanes_per_level() {
         assert_eq!(SimdLevel::Scalar.lanes(), 1);
         assert_eq!(SimdLevel::Avx2.lanes(), 8);
         assert_eq!(SimdLevel::Avx512.lanes(), 16);
-        assert_eq!(SimdLevel::Avx512.width_bits(), 512);
     }
 
     #[inline(always)]

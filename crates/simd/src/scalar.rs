@@ -38,7 +38,6 @@ impl<const FUSED: bool> OneLane<FUSED> {
 impl<const FUSED: bool> Simd for OneLane<FUSED> {
     const LANES: usize = 1;
     const NAME: &'static str = if FUSED { "scalar-fused" } else { "scalar" };
-    const WIDTH_BITS: usize = 32;
 
     type V = f32;
     type VI = i32;
@@ -56,10 +55,6 @@ impl<const FUSED: bool> Simd for OneLane<FUSED> {
     #[inline(always)]
     fn splat_i32(self, x: i32) -> i32 {
         x
-    }
-    #[inline(always)]
-    fn iota(self) -> f32 {
-        0.0
     }
 
     #[inline(always)]
@@ -186,10 +181,6 @@ impl<const FUSED: bool> Simd for OneLane<FUSED> {
         a && b
     }
     #[inline(always)]
-    fn mask_or(self, a: bool, b: bool) -> bool {
-        a || b
-    }
-    #[inline(always)]
     fn any(self, m: bool) -> bool {
         m
     }
@@ -249,14 +240,6 @@ impl<const FUSED: bool> Simd for OneLane<FUSED> {
 
     #[inline(always)]
     fn reduce_add(self, v: f32) -> f32 {
-        v
-    }
-    #[inline(always)]
-    fn reduce_min(self, v: f32) -> f32 {
-        v
-    }
-    #[inline(always)]
-    fn reduce_max(self, v: f32) -> f32 {
         v
     }
 }

@@ -3,8 +3,8 @@
 //! A value implementing `Simd` is a zero-sized *proof token* that the CPU
 //! features required by the backend are present. Tokens can only be obtained
 //! through runtime feature detection ([`crate::SimdLevel::detect`] /
-//! `try_new`) or through an `unsafe` escape hatch, which makes every trait
-//! method safe to call: the token's existence is the safety argument.
+//! `try_new`), which makes every trait method safe to call: the token's
+//! existence is the safety argument.
 //!
 //! This mirrors the role Google Highway plays for C++ in the reproduced
 //! paper: one kernel source, instantiated per target vector ISA.
@@ -61,8 +61,6 @@ pub trait Simd: Copy + Send + Sync + 'static {
     const LANES: usize;
     /// Human-readable backend name (e.g. `"avx2"`).
     const NAME: &'static str;
-    /// Vector register width in bits (e.g. 256 for AVX2).
-    const WIDTH_BITS: usize;
     /// Size of the table [`Simd::lookup2`] searches with *one instruction*
     /// (`2 · LANES` entries), or 0 where `lookup2` is the default and a
     /// memory gather is at least as fast. Kernels take their in-register
@@ -95,8 +93,6 @@ pub trait Simd: Copy + Send + Sync + 'static {
     fn zero(self) -> Self::V {
         self.splat(0.0)
     }
-    /// `[0.0, 1.0, 2.0, ...]` lane indices.
-    fn iota(self) -> Self::V;
 
     /// Load `LANES` contiguous values. Panics if `src.len() < LANES`.
     fn load(self, src: &[f32]) -> Self::V;
@@ -115,15 +111,6 @@ pub trait Simd: Copy + Send + Sync + 'static {
         assert!(lane < Self::LANES, "lane {lane} out of range");
         let mut buf = [0.0f32; crate::MAX_LANES];
         self.store(v, &mut buf[..Self::LANES]);
-        buf[lane]
-    }
-
-    /// Extract one integer lane (slow path).
-    #[inline(always)]
-    fn extract_i32(self, v: Self::VI, lane: usize) -> i32 {
-        assert!(lane < Self::LANES, "lane {lane} out of range");
-        let mut buf = [0i32; crate::MAX_LANES];
-        self.store_i32(v, &mut buf[..Self::LANES]);
         buf[lane]
     }
 
@@ -162,7 +149,6 @@ pub trait Simd: Copy + Send + Sync + 'static {
     /// Per-lane `if m { t } else { f }`.
     fn select(self, m: Self::M, t: Self::V, f: Self::V) -> Self::V;
     fn mask_and(self, a: Self::M, b: Self::M) -> Self::M;
-    fn mask_or(self, a: Self::M, b: Self::M) -> Self::M;
     /// True if any lane of the mask is set.
     fn any(self, m: Self::M) -> bool;
     /// True if all lanes of the mask are set.
@@ -247,8 +233,6 @@ pub trait Simd: Copy + Send + Sync + 'static {
     // ---- horizontal reductions ------------------------------------------
 
     fn reduce_add(self, v: Self::V) -> f32;
-    fn reduce_min(self, v: Self::V) -> f32;
-    fn reduce_max(self, v: Self::V) -> f32;
 }
 
 /// The default of [`Simd::lookup2`], callable at every level: the oracle

@@ -26,19 +26,11 @@ impl Avx2 {
             None
         }
     }
-
-    /// # Safety
-    /// The caller asserts the CPU supports AVX2 and FMA.
-    #[inline]
-    pub unsafe fn new_unchecked() -> Self {
-        Avx2 { _priv: () }
-    }
 }
 
 impl Simd for Avx2 {
     const LANES: usize = 8;
     const NAME: &'static str = "avx2";
-    const WIDTH_BITS: usize = 256;
 
     type V = __m256;
     type VI = __m256i;
@@ -62,10 +54,6 @@ impl Simd for Avx2 {
     #[inline(always)]
     fn splat_i32(self, x: i32) -> __m256i {
         unsafe { _mm256_set1_epi32(x) }
-    }
-    #[inline(always)]
-    fn iota(self) -> __m256 {
-        unsafe { _mm256_setr_ps(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0) }
     }
 
     #[inline(always)]
@@ -177,10 +165,6 @@ impl Simd for Avx2 {
         unsafe { _mm256_and_ps(a, b) }
     }
     #[inline(always)]
-    fn mask_or(self, a: __m256, b: __m256) -> __m256 {
-        unsafe { _mm256_or_ps(a, b) }
-    }
-    #[inline(always)]
     fn any(self, m: __m256) -> bool {
         unsafe { _mm256_movemask_ps(m) != 0 }
     }
@@ -279,30 +263,6 @@ impl Simd for Avx2 {
             let s2 = _mm_add_ps(s, sh);
             let lane1 = _mm_shuffle_ps::<0b01>(s2, s2);
             _mm_cvtss_f32(_mm_add_ss(s2, lane1))
-        }
-    }
-    #[inline(always)]
-    fn reduce_min(self, v: __m256) -> f32 {
-        unsafe {
-            let lo = _mm256_castps256_ps128(v);
-            let hi = _mm256_extractf128_ps::<1>(v);
-            let s = _mm_min_ps(lo, hi);
-            let sh = _mm_movehl_ps(s, s);
-            let s2 = _mm_min_ps(s, sh);
-            let lane1 = _mm_shuffle_ps::<0b01>(s2, s2);
-            _mm_cvtss_f32(_mm_min_ss(s2, lane1))
-        }
-    }
-    #[inline(always)]
-    fn reduce_max(self, v: __m256) -> f32 {
-        unsafe {
-            let lo = _mm256_castps256_ps128(v);
-            let hi = _mm256_extractf128_ps::<1>(v);
-            let s = _mm_max_ps(lo, hi);
-            let sh = _mm_movehl_ps(s, s);
-            let s2 = _mm_max_ps(s, sh);
-            let lane1 = _mm_shuffle_ps::<0b01>(s2, s2);
-            _mm_cvtss_f32(_mm_max_ss(s2, lane1))
         }
     }
 }

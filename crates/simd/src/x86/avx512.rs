@@ -24,19 +24,11 @@ impl Avx512 {
             None
         }
     }
-
-    /// # Safety
-    /// The caller asserts the CPU supports AVX-512F.
-    #[inline]
-    pub unsafe fn new_unchecked() -> Self {
-        Avx512 { _priv: () }
-    }
 }
 
 impl Simd for Avx512 {
     const LANES: usize = 16;
     const NAME: &'static str = "avx512";
-    const WIDTH_BITS: usize = 512;
     const TABLE_LANES: usize = 32;
 
     type V = __m512;
@@ -61,15 +53,6 @@ impl Simd for Avx512 {
     #[inline(always)]
     fn splat_i32(self, x: i32) -> __m512i {
         unsafe { _mm512_set1_epi32(x) }
-    }
-    #[inline(always)]
-    fn iota(self) -> __m512 {
-        unsafe {
-            _mm512_setr_ps(
-                0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0,
-                15.0,
-            )
-        }
     }
 
     #[inline(always)]
@@ -181,10 +164,6 @@ impl Simd for Avx512 {
         a & b
     }
     #[inline(always)]
-    fn mask_or(self, a: __mmask16, b: __mmask16) -> __mmask16 {
-        a | b
-    }
-    #[inline(always)]
     fn any(self, m: __mmask16) -> bool {
         m != 0
     }
@@ -284,13 +263,5 @@ impl Simd for Avx512 {
     #[inline(always)]
     fn reduce_add(self, v: __m512) -> f32 {
         unsafe { _mm512_reduce_add_ps(v) }
-    }
-    #[inline(always)]
-    fn reduce_min(self, v: __m512) -> f32 {
-        unsafe { _mm512_reduce_min_ps(v) }
-    }
-    #[inline(always)]
-    fn reduce_max(self, v: __m512) -> f32 {
-        unsafe { _mm512_reduce_max_ps(v) }
     }
 }

@@ -121,29 +121,20 @@ proptest! {
     #[test]
     fn reductions_match_sequential(a in lanes()) {
         for level in SimdLevel::available() {
-            let (sum, min, max) = dispatch!(level, |s| {
-                fn go<S: Simd>(s: S, a: &[f32]) -> (f32, f32, f32) {
+            let sum = dispatch!(level, |s| {
+                fn go<S: Simd>(s: S, a: &[f32]) -> f32 {
                     let mut sum = 0.0;
-                    let mut mn = f32::INFINITY;
-                    let mut mx = f32::NEG_INFINITY;
                     let mut i = 0;
                     while i + S::LANES <= MAX {
-                        let v = s.load(&a[i..]);
-                        sum += s.reduce_add(v);
-                        mn = mn.min(s.reduce_min(v));
-                        mx = mx.max(s.reduce_max(v));
+                        sum += s.reduce_add(s.load(&a[i..]));
                         i += S::LANES;
                     }
-                    (sum, mn, mx)
+                    sum
                 }
                 go(s, &a)
             });
             let want_sum: f32 = a.iter().sum();
-            let want_min = a.iter().cloned().fold(f32::INFINITY, f32::min);
-            let want_max = a.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             prop_assert!((sum - want_sum).abs() <= 1e-3 * want_sum.abs().max(1.0), "{level}");
-            prop_assert_eq!(min, want_min, "{}", level);
-            prop_assert_eq!(max, want_max, "{}", level);
         }
     }
 

@@ -7,16 +7,14 @@
 //! caller can corrupt makes it read out of bounds, hardware gathers
 //! included.
 
-use mudock::core::autovec::{
-    self, apply_pose_autovec_at, inter_energy_autovec_at, intra_energy_autovec_at,
-};
+use mudock::core::autovec::{self, inter_energy_autovec_at, intra_energy_autovec_at};
 use mudock::core::scoring::{
     inter_energy_reference, inter_energy_simd, intra_energy_simd, PairLayout, PairsSoA,
 };
-use mudock::core::transform::apply_pose_reference;
+use mudock::core::transform::{apply_pose_reference, apply_pose_simd};
 use mudock::core::{screen, Backend, DockParams, DockingEngine, GaParams, Genotype, LigandPrep};
 use mudock::ff::params::{weights, PairTable};
-use mudock::grids::{GridBuilder, GridDims, GridSet, NUM_MAPS};
+use mudock::grids::{Fnv64, GridBuilder, GridDims, GridSet, NUM_MAPS};
 use mudock::mol::{AtomStatics, ConformSoA, Topology, Vec3};
 use mudock::simd::SimdLevel;
 use rand::{rngs::StdRng, SeedableRng};
@@ -82,7 +80,7 @@ fn score_at(
     g: &Genotype,
     scratch: &mut ConformSoA,
 ) -> f32 {
-    apply_pose_autovec_at(frame, &prep.base, &prep.plans, g, scratch);
+    apply_pose_simd(frame, &prep.base, &prep.plans, g, scratch);
     inter_energy_autovec_at(frame, maps, scratch, &prep.statics)
         + intra_energy_autovec_at(frame, scratch, &prep.pairs)
         + weights::TORS * prep.n_torsions() as f32
@@ -196,6 +194,38 @@ fn the_baseline_frame_scores_the_bits_it_scored_before_there_were_frames() {
                 prep.base.n
             );
         }
+    }
+}
+
+#[test]
+fn the_pose_transform_writes_the_bits_it_wrote_before_it_had_one_body() {
+    // FNV-64 over every coordinate `apply_pose_simd` writes, padding
+    // included, for the 200 poses of each ligand class: the bits of the
+    // explicit `Simd`-generic transform, captured at commit 2717ea8 before
+    // it was deleted. One constant per arithmetic class.
+    const UNFUSED: u64 = 0x6419_5e11_b931_5e7f;
+    const FUSED: u64 = 0xab11_e600_1b93_ec36;
+    let preps = classes();
+    for level in SimdLevel::available() {
+        let mut h = Fnv64::new();
+        for prep in &preps {
+            let mut out = ConformSoA::with_capacity(prep.base.n);
+            for_each_pose(prep, |_, g| {
+                apply_pose_simd(level, &prep.base, &prep.plans, g, &mut out);
+                let len = out.len_padded();
+                for axis in [&out.x, &out.y, &out.z] {
+                    for &c in &axis[..len] {
+                        h.write_f32(c);
+                    }
+                }
+            });
+        }
+        let want = if level == SimdLevel::Scalar {
+            UNFUSED
+        } else {
+            FUSED
+        };
+        assert_eq!(h.finish(), want, "{level}: {:#018x}", h.finish());
     }
 }
 
@@ -401,7 +431,7 @@ fn a_conformation_of_another_molecule_is_refused() {
         apply_pose_reference(&prep.base, &prep.plans, &g, &mut want);
         let mut short = ConformSoA::with_capacity(small.base.n);
         let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            apply_pose_autovec_at(frame, &prep.base, &prep.plans, &g, &mut short)
+            apply_pose_simd(frame, &prep.base, &prep.plans, &g, &mut short)
         }));
         assert!(hit.is_err());
     }

@@ -234,8 +234,7 @@ proptest! {
         reach in 0.7f32..30.0,
     ) {
         use mudock::core::autovec::{
-            apply_pose_autovec_at, arithmetic_at, inter_energy_autovec_at,
-            intra_energy_autovec_at,
+            arithmetic_at, inter_energy_autovec_at, intra_energy_autovec_at,
         };
         use mudock::core::scoring::{inter_energy_simd, intra_energy_simd};
         use mudock::core::transform::apply_pose_simd;
@@ -266,7 +265,7 @@ proptest! {
         let mut first_of_class: [Option<[f32; 2]>; 2] = [None; 2];
         for frame in SimdLevel::available() {
             let mut out = mudock::mol::ConformSoA::with_capacity(prep.base.n);
-            apply_pose_autovec_at(frame, &prep.base, &prep.plans, &g, &mut out);
+            apply_pose_simd(frame, &prep.base, &prep.plans, &g, &mut out);
             let got = [
                 inter_energy_autovec_at(frame, &maps, &out, &prep.statics),
                 intra_energy_autovec_at(frame, &out, &prep.pairs),
