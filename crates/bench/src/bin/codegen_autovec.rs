@@ -1,13 +1,14 @@
-//! Codegen check for the portable arm: "it vectorizes — at 512 bits, with
+//! Codegen check for the lane loops: "it vectorizes — at 512 bits, with
 //! FMA" as numbers.
 //!
-//! `core::autovec`'s three drivers are plain safe Rust that the compiler
-//! is *expected* to vectorize, once for the build's baseline ISA and once
-//! inside each `#[target_feature]` frame `Simd::vectorize` provides;
-//! nothing in the type system says it did. This binary disassembles its
-//! own executable (`objdump -d --no-show-raw-insn`), finds the three
-//! `#[inline(never)]` entry points (`apply_pose_simd`, the transform every
-//! backend shares, and the two `*_autovec_at` scoring drivers) by symbol
+//! `core::autovec`'s three drivers and `grids::build`'s one-lane map
+//! build are plain safe Rust that the compiler is *expected* to vectorize,
+//! once for the build's baseline ISA and once inside each
+//! `#[target_feature]` frame `Simd::vectorize` provides; nothing in the
+//! type system says it did. This binary disassembles its own executable
+//! (`objdump -d --no-show-raw-insn`), finds the four `#[inline(never)]`
+//! entry points (`apply_pose_simd`, the transform every backend shares,
+//! the two `*_autovec_at` scoring drivers and `build_lanes_at`) by symbol
 //! — the baseline body is inlined there — and their frames by call edge
 //! (every frame is named `<Level as Simd>::vectorize::inner`, whichever
 //! closure it was instantiated for, so a frame belongs to the driver that
@@ -30,6 +31,16 @@
 //! * any body calls libm's `fmaf` / `fma`: the fused one-lane token
 //!   instantiated outside an FMA frame — safe, and the one way this
 //!   design gets ten times slower without a test noticing.
+//!
+//! `build` runs the *unfused* token in every frame, so its maps have the
+//! bits of the one-lane `Scalar` build whatever the frame. Its AVX2 and
+//! AVX-512 frames are held to the same 10 : 1 ratio, no bounds check and
+//! no out-of-line helper — of `grids::build`, or of the per-lane math in
+//! `ff::vterms` and `simd::math` — and every frame of it to *zero* packed
+//! FMA: a fused operation there would mean the maps' bits moved. Its
+//! baseline body is reported, not gated: without SSE4.1 the `exp`s'
+//! round-to-nearest-even is an out-of-line `rintf` call per lane, so
+//! that part of the loop stays scalar there.
 //!
 //! `transform` is reported, not gated: its scalar operations are the
 //! per-torsion quaternion set-up, and its bounds checks are the atom and
@@ -58,6 +69,9 @@
 //! intra      baseline      199       4      0     0     0   100              0
 //! intra      avx2          252       1    124     0    97     3              0
 //! intra      avx512        131       1     62    95     0     5              0
+//! build      baseline      260       0      0     0     0   100              0
+//! build      avx2          200       0      0     0   100     0              0
+//! build      avx512        101       0      0   100     0     0              0
 //! PR 17's lane-array `Simd` backend (never landed), intra kernel,
 //! `-C target-cpu=native`: 404 packed, 676 scalar, 140 bounds checks.
 //! ```
@@ -76,7 +90,7 @@ use mudock_core::autovec::{apply_pose_simd, inter_energy_autovec_at, intra_energ
 use mudock_core::scoring::PairsSoA;
 use mudock_core::transform::TorsionPlan;
 use mudock_core::Genotype;
-use mudock_grids::GridSet;
+use mudock_grids::{GridBuilder, GridSet};
 use mudock_mol::{AtomStatics, ConformSoA};
 use mudock_simd::SimdLevel;
 
@@ -86,19 +100,72 @@ const MIN_PACKED_PER_SCALAR: usize = 10;
 /// Least share of the AVX-512 frame's packed operations on `zmm`, in %.
 const MIN_ZMM_PERCENT: f64 = 90.0;
 
-/// The path of the module in a legacy-mangled symbol.
-const MODULE: &str = "11mudock_core7autovec";
+/// The path of `core::autovec` in a legacy-mangled symbol.
+const AUTOVEC: &str = "11mudock_core7autovec";
+
+/// The path of `grids::build`.
+const GRID_BUILD: &str = "12mudock_grids5build";
 
 /// What every `#[target_feature]` frame is called, whatever closure it
 /// was instantiated for (legacy mangling hides that type): a frame belongs
 /// to the driver that calls it.
 const FRAME_FN: &str = "9vectorize5inner";
 
-/// (row name, entry point holding the baseline body, gated or reported).
-const KERNELS: [(&str, &str, bool); 3] = [
-    ("transform", "apply_pose_simd", false),
-    ("inter", "inter_energy_autovec_at", true),
-    ("intra", "intra_energy_autovec_at", true),
+/// What a row's bodies are held to (module docs).
+#[derive(Clone, Copy, PartialEq)]
+enum Gate {
+    /// Reported only.
+    None,
+    /// The fused token: every body 10 : 1 and free of bounds checks; the
+    /// AVX-512 frame on `zmm`, with packed FMA.
+    Fused,
+    /// The unfused token: the wide frames 10 : 1 and free of bounds
+    /// checks; no body with a packed FMA.
+    Unfused,
+}
+
+/// One row group: a lane-loop driver.
+struct Kernel {
+    name: &'static str,
+    /// Its module's path in a legacy-mangled symbol.
+    module: &'static str,
+    /// The entry point holding the baseline body.
+    symbol: &'static str,
+    /// Modules whose functions must all be inlined into its bodies.
+    inlined: &'static [&'static str],
+    gate: Gate,
+}
+
+const KERNELS: [Kernel; 4] = [
+    Kernel {
+        name: "transform",
+        module: AUTOVEC,
+        symbol: "apply_pose_simd",
+        inlined: &[AUTOVEC],
+        gate: Gate::None,
+    },
+    Kernel {
+        name: "inter",
+        module: AUTOVEC,
+        symbol: "inter_energy_autovec_at",
+        inlined: &[AUTOVEC],
+        gate: Gate::Fused,
+    },
+    Kernel {
+        name: "intra",
+        module: AUTOVEC,
+        symbol: "intra_energy_autovec_at",
+        inlined: &[AUTOVEC],
+        gate: Gate::Fused,
+    },
+    Kernel {
+        name: "build",
+        module: GRID_BUILD,
+        symbol: "build_lanes_at",
+        // With the per-lane math: `ff::vterms`, `simd::math`.
+        inlined: &[GRID_BUILD, "9mudock_ff6vterms", "11mudock_simd4math"],
+        gate: Gate::Unfused,
+    },
 ];
 
 /// One function of the disassembly.
@@ -255,12 +322,19 @@ fn check(exe: &Path) -> Result<Option<bool>, String> {
         "kernel", "frame", "packed", "scalar", "fma", "zmm%", "ymm%", "xmm%", "bounds checks"
     );
     let mut ok = true;
-    for (name, symbol, gated) in KERNELS {
+    for Kernel {
+        name,
+        module,
+        symbol,
+        inlined,
+        gate,
+    } in KERNELS
+    {
         // `<len><name>` then the hash (`17h…E`) or, in v0 mangling,
         // nothing: anything longer is nested in it.
         let entry = bodies.values().find(|b| {
             b.symbol
-                .split_once(MODULE)
+                .split_once(module)
                 .and_then(|(_, item)| item.strip_prefix(&format!("{}{symbol}", symbol.len())))
                 .is_some_and(|rest| rest.is_empty() || rest.starts_with("17h"))
         });
@@ -288,11 +362,16 @@ fn check(exe: &Path) -> Result<Option<bool>, String> {
 
         for (frame, body) in rows {
             let bounds_checks = refers(body, &|s| s.contains("panic_bounds_check"));
-            // A helper of the module left out of line: a call in a lane
-            // loop keeps it scalar.
-            let helpers = refers(body, &|s| s.contains(MODULE));
+            // A helper left out of line: a call in a lane loop keeps it
+            // scalar.
+            let helpers = refers(body, &|s| inlined.iter().any(|m| s.contains(m)));
             let packed = body.packed();
             let share = |k: usize| 100.0 * body.packed[k] as f64 / packed.max(1) as f64;
+            let gated = match gate {
+                Gate::None => false,
+                Gate::Fused => true,
+                Gate::Unfused => frame.is_some_and(mudock_simd::is_wide),
+            };
 
             let mut verdicts = Vec::new();
             if refers(body, &libm_fma) > 0 {
@@ -307,7 +386,10 @@ fn check(exe: &Path) -> Result<Option<bool>, String> {
             if gated && (packed == 0 || packed < MIN_PACKED_PER_SCALAR * body.scalar) {
                 verdicts.push("FAIL: fewer than 10 packed per scalar");
             }
-            if gated && frame == Some(SimdLevel::Avx512) {
+            if gate == Gate::Unfused && body.packed_fma > 0 {
+                verdicts.push("FAIL: packed FMA from the unfused token");
+            }
+            if gate == Gate::Fused && frame == Some(SimdLevel::Avx512) {
                 if share(0) < MIN_ZMM_PERCENT {
                     verdicts.push("FAIL: under 90 % of packed ops on zmm");
                 }
@@ -328,10 +410,12 @@ fn check(exe: &Path) -> Result<Option<bool>, String> {
             );
         }
     }
-    // Everything else the module compiled to (the frame-less entry points,
-    // any helper that stayed a function) must not reach `fmaf` either.
+    // Everything else the modules compiled to (the frame-less entry
+    // points, any helper that stayed a function) must not reach `fmaf`
+    // either.
     for b in bodies.values() {
-        if b.symbol.contains(MODULE) && refers(b, &libm_fma) > 0 {
+        let ours = [AUTOVEC, GRID_BUILD].iter().any(|m| b.symbol.contains(m));
+        if ours && refers(b, &libm_fma) > 0 {
             println!("FAIL: {} calls libm fmaf", b.symbol);
             ok = false;
         }
@@ -344,10 +428,12 @@ fn main() -> ExitCode {
     type Transform = fn(SimdLevel, &ConformSoA, &[TorsionPlan], &Genotype, &mut ConformSoA);
     type Inter = fn(SimdLevel, &GridSet, &ConformSoA, &AtomStatics) -> f32;
     type Intra = fn(SimdLevel, &ConformSoA, &PairsSoA) -> f32;
+    type Build = fn(&GridBuilder<'static>, SimdLevel, usize) -> GridSet;
     std::hint::black_box((
         apply_pose_simd as Transform,
         inter_energy_autovec_at as Inter,
         intra_energy_autovec_at as Intra,
+        GridBuilder::build_lanes_at as Build,
     ));
 
     let exe = std::env::current_exe().expect("path of this executable");

@@ -20,11 +20,12 @@
 //!
 //! That ISA is the host's, not the build's. Each driver body is an
 //! `#[inline(always)]` function generic over the one-lane token, and each
-//! entry point instantiates it inside the *frame* [`frame`] resolved once
-//! for this process:
+//! entry point instantiates it, through `mudock-simd`'s
+//! [`in_frame!`](mudock_simd::in_frame), inside the *frame* [`frame`]
+//! resolved once for this process:
 //!
 //! * On a CPU with AVX-512F or AVX2+FMA, the body runs at
-//!   [`OneLane<true>`](OneLane) inside the `#[target_feature]` region
+//!   [`OneLane<true>`](mudock_simd::OneLane) inside the `#[target_feature]` region
 //!   that `Simd::vectorize` of that level already provides (through
 //!   `dispatch!`, like every explicit kernel). The wide token `dispatch!`
 //!   hands over is ignored: no operation of it is called, it only proves
@@ -35,8 +36,9 @@
 //!   because the fused token's `mul_add` is `f32::mul_add` — packed
 //!   `vfmadd`.
 //! * Anywhere else (no AVX2+FMA, or not x86-64) the body runs at
-//!   [`Scalar`] in place, compiled for the build's baseline ISA (SSE2 on
-//!   plain `x86-64`, NEON on `aarch64`, wider under `-C target-cpu=…`):
+//!   [`Scalar`](mudock_simd::Scalar) in place, compiled for the build's
+//!   baseline ISA (SSE2 on plain `x86-64`, NEON on `aarch64`, wider under
+//!   `-C target-cpu=…`):
 //!   the *baseline* frame. On such a host this arm is also the default
 //!   backend (`Backend::auto`).
 //!
@@ -119,14 +121,12 @@
 // are not clearer.
 #![allow(clippy::needless_range_loop)]
 
-use std::sync::OnceLock;
-
 use mudock_ff::params::NB_CUTOFF;
 use mudock_ff::types::NUM_TYPES;
 use mudock_ff::vterms::{self, PairCoefs};
 use mudock_grids::{GridSet, DESOLV_MAP, ELEC_MAP, NUM_MAPS};
 use mudock_mol::{AtomStatics, ConformSoA, Quat, PAD};
-use mudock_simd::{dispatch, OneLane, Scalar, Simd, SimdLevel};
+use mudock_simd::{in_frame, is_wide, Simd, SimdLevel};
 
 use crate::genotype::Genotype;
 use crate::scoring::inter::OUT_OF_BOX_PENALTY;
@@ -144,24 +144,7 @@ type Lanes = [f32; W];
 trait Lane: Simd<V = f32, VI = i32, M = bool> {}
 impl<S: Simd<V = f32, VI = i32, M = bool>> Lane for S {}
 
-/// Does `frame` enable wider registers and FMA than the build's baseline?
-/// [`SimdLevel::Scalar`] has no frame of its own: the baseline body is
-/// already compiled for it. The same rule picks the default backend
-/// (`Backend::auto`): a wide level runs the explicit arm, anything else
-/// the portable one.
-#[inline(always)]
-pub(crate) fn is_wide(frame: SimdLevel) -> bool {
-    matches!(frame, SimdLevel::Avx2 | SimdLevel::Avx512)
-}
-
-/// The frame [`Backend::AutoVec`](crate::Backend::AutoVec) scores in on
-/// this host, resolved once per process: [`SimdLevel::detect`] — AVX-512
-/// or AVX2+FMA where the CPU has them, else [`SimdLevel::Scalar`], no
-/// frame, the lane loops as compiled for the build's baseline ISA.
-pub fn frame() -> SimdLevel {
-    static FRAME: OnceLock<SimdLevel> = OnceLock::new();
-    *FRAME.get_or_init(SimdLevel::detect)
-}
+pub use mudock_simd::frame;
 
 /// What a frame is called in reports: the level's name, `"baseline"` for
 /// every level without a frame of its own.
@@ -188,26 +171,6 @@ pub fn arithmetic_at(frame: SimdLevel) -> &'static str {
 /// The arithmetic class of this host's [`frame`].
 pub fn arithmetic() -> &'static str {
     arithmetic_at(frame())
-}
-
-/// Run `$body` (an expression in `$s`, the one-lane token) in `$frame`: at
-/// the fused token inside the `#[target_feature]` region of a wide frame,
-/// at [`Scalar`] in place otherwise. `dispatch!`'s wide token is unused —
-/// it only proves the CPU runs the frame, its role for the explicit
-/// kernels too. Panics, like `dispatch!`, on a wide frame the host lacks.
-macro_rules! in_frame {
-    ($frame:expr, |$s:ident| $body:expr) => {{
-        let frame = $frame;
-        if is_wide(frame) {
-            dispatch!(frame, |_wide| {
-                let $s = OneLane::<true>::new();
-                $body
-            })
-        } else {
-            let $s = Scalar::new();
-            $body
-        }
-    }};
 }
 
 /// The first `len` elements of `a` as whole lane-chunks.

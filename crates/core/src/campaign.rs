@@ -113,8 +113,12 @@ impl BackendPolicy {
     /// Pinned campaigns build grids at their pinned level so the whole
     /// run — precomputation included — executes the requested strategy.
     /// The scalar arms build at [`SimdLevel::Scalar`] for full
-    /// reproducibility; [`BackendPolicy::Detect`] builds where the
-    /// backend it resolves to would.
+    /// reproducibility: maps whose bits are the same on every host,
+    /// computed by lane loops in the host's frame (`mudock-simd`'s
+    /// `frame()`: vectorized where the CPU has AVX2 or AVX-512, as
+    /// compiled for the build's baseline ISA elsewhere) with one-lane
+    /// arithmetic. [`BackendPolicy::Detect`] builds where the backend it
+    /// resolves to would.
     pub fn grid_level(self) -> SimdLevel {
         match self {
             BackendPolicy::Detect => match Backend::auto() {

@@ -115,7 +115,7 @@ impl Backend {
     /// ([`crate::autovec::frame`]), so a level gets an explicit default
     /// exactly where it gets a frame of its own.
     fn default_for(detected: SimdLevel) -> Backend {
-        if autovec::is_wide(detected) {
+        if mudock_simd::is_wide(detected) {
             Backend::Explicit(detected)
         } else {
             Backend::AutoVec

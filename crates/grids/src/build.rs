@@ -19,21 +19,36 @@
 //! every accumulator is stored straight into its map: no horizontal
 //! reduction. The short-range terms of an atom are skipped only when it
 //! lies beyond the cutoff of every point in the vector — common, since a
-//! vector covers a few ångström of one or two rows. The
-//! [`SimdLevel::Scalar`] maps, which `Reference`, `AutoVec` and
-//! `Explicit(Scalar)` dock against, have their bits pinned by the root
-//! `grid_build` test.
+//! vector covers a few ångström of one or two rows.
+//!
+//! The AVX2 and AVX-512 maps come from that builder, generic over the
+//! level's `Simd` token. The [`SimdLevel::Scalar`] maps, which
+//! `Reference`, `AutoVec` and `Explicit(Scalar)` dock against, come from
+//! the same loop written as *lane loops* (`core::autovec`'s shape):
+//! sixteen points per chunk, per-lane math in `for l in 0..16` loops at
+//! the unfused one-lane `Scalar` token, run in the host's frame
+//! (`mudock-simd`'s `in_frame!` at [`mudock_simd::frame`]): inside the
+//! AVX-512 or AVX2 `#[target_feature]` region where the CPU has one,
+//! in place, compiled for the build's baseline ISA, elsewhere. Rust
+//! never contracts `a * b + c`, the atoms stay in index order and the
+//! `math` exps are the same, so every lane does exactly the one-lane
+//! arithmetic, whatever the frame: an atom's short-range terms reach a
+//! lane's sums through a per-lane select, and a chunk skips them only
+//! when no lane is within the cutoff. Those bits are pinned by the root
+//! `grid_build` test; the proptest below holds the lane build in every
+//! frame to `build_points` at the `Scalar` token.
 //!
 //! One build can run on several `mudock-pool` workers
 //! ([`GridBuilder::build_simd_on`]; the service builds on a job's share
 //! of the node's threads). The lattice is cut into contiguous ranges of
 //! points, and every map into the same ranges, so each worker writes its
 //! own disjoint slices. Every range starts at a multiple of
-//! [`MAX_LANES`], which every level's width divides: each vector holds
-//! the same points as in the one-worker build, each lane still sums its
-//! point over the atoms in index order, and a vector skips an atom's
-//! short-range terms exactly when it did before. The maps are therefore
-//! bit-identical for any worker count, at every level.
+//! [`MAX_LANES`], which every level's width and the lane loops' chunk
+//! divide: each vector holds the same points as in the one-worker build,
+//! each lane still sums its point over the atoms in index order, and a
+//! vector skips an atom's short-range terms exactly when it did before.
+//! The maps are therefore bit-identical for any worker count, at every
+//! level.
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -43,7 +58,7 @@ use mudock_ff::terms;
 use mudock_ff::types::{AtomType, NUM_TYPES};
 use mudock_ff::vterms;
 use mudock_mol::{Molecule, Vec3};
-use mudock_simd::{dispatch, math, Simd, SimdLevel, MAX_LANES};
+use mudock_simd::{dispatch, in_frame, math, Simd, SimdLevel, MAX_LANES};
 
 use crate::dims::GridDims;
 use crate::map::{GridSet, DESOLV_MAP, ELEC_MAP, NUM_MAPS};
@@ -191,10 +206,11 @@ impl<'a> GridBuilder<'a> {
 
     /// SIMD build at the requested level, vectorized over lattice
     /// points: each lane sums its point's terms over the receptor's atoms
-    /// in index order (see the module docs). The one-lane build's bits,
-    /// at [`SimdLevel::Scalar`], are pinned by the root `grid_build` test.
-    /// Runs on the calling thread alone: [`GridBuilder::build_simd_on`]
-    /// with one worker.
+    /// in index order (see the module docs). At [`SimdLevel::Scalar`] the
+    /// maps come from lane loops in the host's frame
+    /// ([`GridBuilder::build_lanes_at`] at [`mudock_simd::frame`]); their
+    /// bits are pinned by the root `grid_build` test. Runs on the calling
+    /// thread alone: [`GridBuilder::build_simd_on`] with one worker.
     pub fn build_simd(&self, level: SimdLevel) -> GridSet {
         self.build_simd_on(level, 1)
     }
@@ -203,22 +219,49 @@ impl<'a> GridBuilder<'a> {
     /// workers, the calling thread included. The lattice is cut into
     /// contiguous point ranges that start at multiples of [`MAX_LANES`],
     /// so the maps are bit-identical to the one-worker build's for any
-    /// worker count (see the module docs).
+    /// worker count (see the module docs). The [`SimdLevel::Scalar`] maps
+    /// come from lane loops in the host's frame, whatever that is.
     pub fn build_simd_on(&self, level: SimdLevel, workers: usize) -> GridSet {
+        if level == SimdLevel::Scalar {
+            return self.build_lanes_at(mudock_simd::frame(), workers);
+        }
+        self.build_parts(workers, |atoms, points, maps| {
+            dispatch!(level, |s| build_points(
+                s,
+                atoms,
+                &self.types,
+                &self.dims,
+                points,
+                maps
+            ))
+        })
+    }
+
+    /// The [`SimdLevel::Scalar`] maps, from lane loops run in `frame` on
+    /// up to `workers` workers: [`GridBuilder::build_simd_on`] at that
+    /// level, with the frame named instead of found. The bits are the
+    /// same in every frame. Panics on a wide frame the host lacks. For
+    /// tests and the codegen checker; the service builds through
+    /// `build_simd_on`.
+    pub fn build_lanes_at(&self, frame: SimdLevel, workers: usize) -> GridSet {
+        self.build_parts(workers, |atoms, points, maps| {
+            build_lanes_at(frame, atoms, &self.types, &self.dims, points, maps)
+        })
+    }
+
+    /// A build whose `build` fills every map over one part of the
+    /// lattice, on up to `workers` workers.
+    fn build_parts<F>(&self, workers: usize, build: F) -> GridSet
+    where
+        F: Fn(&[AtomCoef], Range<usize>, &mut Maps) + Sync,
+    {
         let atoms = AtomCoef::all(self.receptor, &self.types, &PairTable::new());
         let mut gs = GridSet::empty(self.dims);
         let parts = split_lattice(&mut gs.data, self.dims.total(), workers);
         mudock_pool::parallel_map(&parts, workers, |_, part| {
             let taken = part.lock().expect("held only to take the part").take();
             let (points, mut maps) = taken.expect("each part is claimed by one task");
-            dispatch!(level, |s| build_points(
-                s,
-                &atoms,
-                &self.types,
-                &self.dims,
-                points,
-                &mut maps
-            ));
+            build(&atoms, points, &mut maps);
         });
         for ty in &self.types {
             gs.built[ty.idx()] = true;
@@ -229,6 +272,9 @@ impl<'a> GridBuilder<'a> {
     }
 }
 
+/// Every map's values over one part of the lattice, by map slot.
+type Maps<'d> = [&'d mut [f32]; NUM_MAPS];
+
 /// Split builds cut the lattice into this many parts per worker, so a
 /// worker that drew a cheap stretch (few atoms within the cutoff) claims
 /// another instead of idling.
@@ -236,7 +282,7 @@ const PARTS_PER_WORKER: usize = 4;
 
 /// One part of a split build: its lattice points and, for every map
 /// slot in order, that map's values over exactly those points.
-type Part<'d> = (Range<usize>, Vec<&'d mut [f32]>);
+type Part<'d> = (Range<usize>, Maps<'d>);
 
 /// Cut [`GridSet::data`] (`NUM_MAPS` maps of `stride` points) into
 /// contiguous point ranges, one part for a single worker and a few per
@@ -250,21 +296,29 @@ fn split_lattice(data: &mut [f32], stride: usize, workers: usize) -> Vec<Mutex<O
         w => (w * PARTS_PER_WORKER).min(vectors).max(1),
     };
     let bound = |i: usize| (vectors * i / n * MAX_LANES).min(stride);
-    let mut parts: Vec<Part> = (0..n)
+    let mut parts: Vec<(Range<usize>, Vec<&mut [f32]>)> = (0..n)
         .map(|i| (bound(i)..bound(i + 1), Vec::with_capacity(NUM_MAPS)))
         .collect();
-    for mut map in data.chunks_mut(stride.max(1)) {
+    let mut rest = data;
+    for _ in 0..NUM_MAPS {
+        let (mut map, tail) = std::mem::take(&mut rest).split_at_mut(stride);
+        rest = tail;
         for (points, maps) in &mut parts {
             let (head, tail) = std::mem::take(&mut map).split_at_mut(points.len());
             maps.push(head);
             map = tail;
         }
     }
-    parts.into_iter().map(|p| Mutex::new(Some(p))).collect()
+    let whole = |(points, maps): (_, Vec<_>)| (points, maps.try_into().expect("NUM_MAPS maps"));
+    parts
+        .into_iter()
+        .map(|p| Mutex::new(Some(whole(p))))
+        .collect()
 }
 
 /// Every map's values over `points`, `S::LANES` consecutive points at a
-/// time; `maps[m]` holds map `m`'s values over exactly `points`.
+/// time; `maps[m]` holds map `m`'s values over exactly `points`. What the
+/// AVX2 and AVX-512 levels build with.
 #[inline(always)]
 fn build_points<S: Simd>(
     s: S,
@@ -272,7 +326,7 @@ fn build_points<S: Simd>(
     types: &[AtomType],
     dims: &GridDims,
     points: Range<usize>,
-    maps: &mut [&mut [f32]],
+    maps: &mut Maps,
 ) {
     let [nx, ny, _] = dims.npts.map(|n| n as usize);
     let vcut2 = s.splat(NB_CUTOFF * NB_CUTOFF);
@@ -336,6 +390,131 @@ fn build_points<S: Simd>(
             s.store(v, &mut buf);
             maps[m][start - points.start..][..n].copy_from_slice(&buf[..n]);
         }
+    }
+}
+
+/// Points per chunk of the lane-loop build: [`MAX_LANES`], so a chunk
+/// never straddles two parts of a split build.
+const W: usize = MAX_LANES;
+
+/// The [`SimdLevel::Scalar`] maps over `points`, from lane loops in
+/// `frame` (`mudock-simd`'s `in_frame!`, unfused token: the bits do not
+/// depend on the frame). Non-generic and never inlined, so that
+/// `codegen_autovec` finds the baseline body here by symbol and the
+/// frames' bodies by call edge.
+#[inline(never)]
+fn build_lanes_at(
+    frame: SimdLevel,
+    atoms: &[AtomCoef],
+    types: &[AtomType],
+    dims: &GridDims,
+    points: Range<usize>,
+    maps: &mut Maps,
+) {
+    in_frame!(frame, unfused, |s| build_lanes(
+        s, atoms, types, dims, points, maps
+    ))
+}
+
+/// [`build_points`] at the one-lane token `s`, written as lane loops
+/// over `W` consecutive points that the compiler vectorizes: each lane
+/// does exactly the arithmetic `build_points` does for its point at the
+/// same token.
+/// Two things keep it so. A lane outside an atom's cutoff keeps its
+/// accumulator by a select, never by adding a zero (`-0.0 + 0.0` is
+/// `+0.0`). And a chunk skips an atom's short-range terms only when no
+/// lane is within the cutoff, which no lane's sum can see.
+// `for l in 0..W` over several `[T; W]` arrays is the shape the loop
+// vectorizer takes; zipped iterator chains are not clearer.
+#[allow(clippy::needless_range_loop)]
+#[inline(always)]
+fn build_lanes<S: Simd<V = f32, VI = i32, M = bool>>(
+    s: S,
+    atoms: &[AtomCoef],
+    types: &[AtomType],
+    dims: &GridDims,
+    points: Range<usize>,
+    maps: &mut Maps,
+) {
+    let [nx, ny, _] = dims.npts.map(|n| n as usize);
+    let vcut2 = NB_CUTOFF * NB_CUTOFF;
+    for start in points.clone().step_by(W) {
+        // Lattice indices, stepped along the x rows: two integer
+        // divisions per chunk, not per lane. Lanes past the map's end
+        // hold points past the lattice; their sums are computed and
+        // dropped.
+        let mut idx = [[0i32; W]; 3];
+        let (mut ix, mut iy, mut iz) = (start % nx, start / nx % ny, start / (nx * ny));
+        for l in 0..W {
+            idx[0][l] = ix as i32;
+            idx[1][l] = iy as i32;
+            idx[2][l] = iz as i32;
+            ix += 1;
+            if ix == nx {
+                ix = 0;
+                iy += 1;
+                if iy == ny {
+                    iy = 0;
+                    iz += 1;
+                }
+            }
+        }
+        // `GridDims::point`, lane by lane.
+        let origin = [dims.origin.x, dims.origin.y, dims.origin.z];
+        let mut p = [[0.0f32; W]; 3];
+        for (p, (idx, o)) in p.iter_mut().zip(idx.iter().zip(origin)) {
+            for l in 0..W {
+                p[l] = o + idx[l] as f32 * dims.spacing;
+            }
+        }
+        let [px, py, pz] = p;
+
+        let mut elec_acc = [0.0f32; W];
+        let mut des_acc = [0.0f32; W];
+        let mut type_acc = [[0.0f32; W]; NUM_TYPES];
+        for a in atoms {
+            let mut r = [0.0f32; W];
+            let mut r2 = [0.0f32; W];
+            let mut in_cut = [false; W];
+            for l in 0..W {
+                let dx = s.sub(a.pos.x, px[l]);
+                let dy = s.sub(a.pos.y, py[l]);
+                let dz = s.sub(a.pos.z, pz[l]);
+                r2[l] = s.mul_add(dz, dz, s.mul_add(dy, dy, s.mul(dx, dx)));
+                r[l] = s.sqrt(r2[l]);
+
+                // Electrostatics: no cutoff.
+                let r_cl = s.max(r[l], terms::RMIN);
+                let denom = s.mul(vterms::dielectric(s, r_cl), r_cl);
+                elec_acc[l] = s.mul_add(a.qv, math::recip_nr(s, denom), elec_acc[l]);
+                in_cut[l] = s.le(r2[l], vcut2);
+            }
+
+            // Short-range terms, kept by the cutoff lane by lane.
+            if !in_cut.iter().fold(false, |any, &c| any | c) {
+                continue;
+            }
+            let mut g = [0.0f32; W];
+            for l in 0..W {
+                g[l] = vterms::desolv_gauss(s, r2[l]);
+                let des = s.add(des_acc[l], s.mul(a.dv, g[l]));
+                des_acc[l] = s.select(in_cut[l], des, des_acc[l]);
+            }
+            for (acc, tc) in type_acc.iter_mut().zip(&a.per_type[..types.len()]) {
+                for l in 0..W {
+                    let e = vterms::vdw_hbond(s, r[l], tc.rij, tc.c12, tc.c6, tc.c10);
+                    let e = s.add(acc[l], s.mul_add(tc.sv, g[l], e));
+                    acc[l] = s.select(in_cut[l], e, acc[l]);
+                }
+            }
+        }
+
+        let (at, n) = (start - points.start, W.min(points.end - start));
+        for (ty, v) in types.iter().zip(&type_acc) {
+            maps[ty.idx()][at..][..n].copy_from_slice(&v[..n]);
+        }
+        maps[ELEC_MAP][at..][..n].copy_from_slice(&elec_acc[..n]);
+        maps[DESOLV_MAP][at..][..n].copy_from_slice(&des_acc[..n]);
     }
 }
 
@@ -406,7 +585,9 @@ mod tests {
 
         /// Random receptors, some atoms outside the lattice, on lattices
         /// whose rows and whole maps end mid-vector at every width; each
-        /// level's build split over `workers` has the one-worker bits.
+        /// level's build split over `workers` has the one-worker bits, and
+        /// the lane-loop build in every frame the host has, split over
+        /// `workers`, has the bits of `build_points` at the `Scalar` token.
         #[test]
         fn simd_builds_match_scalar_over_random_lattices(
             // Position as a fraction of the lattice's extent per axis
@@ -467,14 +648,41 @@ mod tests {
                 }
                 let split = builder.build_simd_on(level, workers);
                 prop_assert_eq!(split.built, got.built, "{} on {} workers", level, workers);
-                let differs = split
-                    .data
-                    .iter()
-                    .zip(&got.data)
-                    .position(|(a, b)| a.to_bits() != b.to_bits());
+                let differs = first_difference(&split, &got);
                 prop_assert_eq!(differs, None, "{} on {} workers: first differing value", level, workers);
             }
+            let oracle = one_lane_points(&builder);
+            for frame in SimdLevel::available() {
+                let lanes = builder.build_lanes_at(frame, workers);
+                prop_assert_eq!(lanes.built, oracle.built, "lanes at {} on {} workers", frame, workers);
+                let differs = first_difference(&lanes, &oracle);
+                prop_assert_eq!(differs, None, "lanes at {} on {} workers: first differing value", frame, workers);
+            }
         }
+    }
+
+    /// The one-lane maps as `build_points` computes them at the `Scalar`
+    /// token, one point per vector, on one worker: the oracle of the
+    /// lane-loop build.
+    fn one_lane_points(builder: &GridBuilder) -> GridSet {
+        builder.build_parts(1, |atoms, points, maps| {
+            build_points(
+                mudock_simd::Scalar::new(),
+                atoms,
+                &builder.types,
+                &builder.dims,
+                points,
+                maps,
+            )
+        })
+    }
+
+    /// Where two builds' values first differ in their bits.
+    fn first_difference(a: &GridSet, b: &GridSet) -> Option<usize> {
+        a.data
+            .iter()
+            .zip(&b.data)
+            .position(|(a, b)| a.to_bits() != b.to_bits())
     }
 
     /// Bits of two builds, value by value.

@@ -15,7 +15,11 @@
 //!   libmvec/ArmPL/SLEEF, because the paper shows vectorized math libraries
 //!   are the decisive portability factor;
 //! * a [`dispatch!`] macro that instantiates an `#[inline(always)]` kernel
-//!   once per backend inside a `#[target_feature]` region.
+//!   once per backend inside a `#[target_feature]` region;
+//! * an [`in_frame!`] macro that runs a *lane loop* — safe Rust over a
+//!   one-lane token, which the compiler vectorizes — inside the widest such
+//!   region the host has ([`frame`]), or in place, compiled for the build's
+//!   baseline ISA, on a host without one.
 //!
 //! Soundness model: backend tokens ([`Avx2`], [`Avx512`]) are
 //! zero-sized proofs of CPU support, only constructible through feature
@@ -56,6 +60,8 @@ pub mod x86 {
     pub mod avx512;
 }
 
+use std::sync::OnceLock;
+
 pub use scalar::{OneLane, Scalar};
 pub use traits::Simd;
 #[cfg(target_arch = "x86_64")]
@@ -68,8 +74,10 @@ pub const MAX_LANES: usize = 16;
 /// narrowest to widest.
 ///
 /// This is the Rust-side analogue of Highway's `HWY_TARGETS`: the level is a
-/// *runtime* choice, so experiments can pin a level (`--simd=avx2`) or take
-/// the best the host offers ([`SimdLevel::detect`]).
+/// *runtime* choice. Experiments pin one through a campaign's `backend`
+/// (`--backend avx2` on the command line) or the `MUDOCK_BACKEND`
+/// environment variable, or take the best the host offers
+/// ([`SimdLevel::detect`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// Plain scalar f32 code (1 lane). Portable reference, and what
@@ -220,6 +228,80 @@ macro_rules! dispatch {
             }
         }
     }};
+}
+
+/// Does `frame` enable wider registers and FMA than the build's baseline?
+/// [`SimdLevel::Scalar`] has no frame of its own: a lane loop's baseline
+/// body is already compiled for it. The same rule picks `mudock-core`'s
+/// default backend: a wide level runs the explicit arm, anything else the
+/// portable one.
+#[inline(always)]
+pub fn is_wide(frame: SimdLevel) -> bool {
+    matches!(frame, SimdLevel::Avx2 | SimdLevel::Avx512)
+}
+
+/// The frame lane loops run in on this host, resolved once per process:
+/// [`SimdLevel::detect`] — AVX-512 or AVX2+FMA where the CPU has them,
+/// else [`SimdLevel::Scalar`], no frame, the lane loops as compiled for the
+/// build's baseline ISA. Nothing else selects it: no flag, env var, config
+/// field or wire value.
+pub fn frame() -> SimdLevel {
+    static FRAME: OnceLock<SimdLevel> = OnceLock::new();
+    *FRAME.get_or_init(SimdLevel::detect)
+}
+
+/// Run `$body`, a lane loop over the one-lane token `$s`, in `$frame`.
+///
+/// In a wide frame ([`is_wide`]) the body runs inside [`dispatch!`]'s
+/// `#[target_feature]` region of that level, where the compiler vectorizes
+/// its lane loops with that level's registers; anywhere else it runs in
+/// place. `dispatch!`'s wide token is unused: it only proves the CPU runs
+/// the frame. Panics, like `dispatch!`, on a wide frame the host lacks.
+///
+/// Which token `$s` is:
+///
+/// * `in_frame!(frame, |s| …)`: the fused [`OneLane<true>`](OneLane) in a
+///   wide frame, where its `mul_add` becomes packed `vfmadd`, and
+///   [`Scalar`] in place. The result's rounding depends on the frame.
+/// * `in_frame!(frame, unfused, |s| …)`: [`Scalar`] in every frame. Rust
+///   never contracts `a * b + c`, so each lane does exactly `Scalar`'s
+///   arithmetic, and the bits do not depend on the frame.
+///
+/// ```
+/// use mudock_simd::{frame, in_frame, Simd};
+///
+/// #[inline(always)]
+/// fn axpy<S: Simd<V = f32>>(s: S, a: f32, x: &[f32; 16], y: &mut [f32; 16]) {
+///     for l in 0..16 {
+///         y[l] = s.mul_add(a, x[l], y[l]);
+///     }
+/// }
+///
+/// let x = [1.5f32; 16];
+/// let mut y = [0.25f32; 16];
+/// in_frame!(frame(), unfused, |s| axpy(s, 2.0, &x, &mut y));
+/// assert_eq!(y, [3.25; 16]);
+/// ```
+#[macro_export]
+macro_rules! in_frame {
+    (@with $frame:expr, $wide:ty, |$s:ident| $body:expr) => {{
+        let frame = $frame;
+        if $crate::is_wide(frame) {
+            $crate::dispatch!(frame, |_wide| {
+                let $s = <$wide>::new();
+                $body
+            })
+        } else {
+            let $s = $crate::Scalar::new();
+            $body
+        }
+    }};
+    ($frame:expr, |$s:ident| $body:expr) => {
+        $crate::in_frame!(@with $frame, $crate::OneLane::<true>, |$s| $body)
+    };
+    ($frame:expr, unfused, |$s:ident| $body:expr) => {
+        $crate::in_frame!(@with $frame, $crate::Scalar, |$s| $body)
+    };
 }
 
 #[cfg(test)]

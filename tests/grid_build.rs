@@ -4,7 +4,11 @@
 //! bit of it moves their scores. Two receptor/lattice shapes: x rows
 //! that no vector width divides, and a lattice reaching well past the
 //! short-range cutoff of every atom, one atom outside it. Each is built
-//! on one worker and split over three, as the service builds it.
+//! on one worker and split over three, as the service builds it. And the
+//! lattices of the benchmark's two service workloads, built on two
+//! workers as a portable node builds them there. The build runs as lane
+//! loops in the host's frame, so these pins hold every frame to the
+//! bits the one-point-per-vector builder wrote.
 
 use mudock::ff::params::NB_CUTOFF;
 use mudock::ff::AtomType;
@@ -52,8 +56,25 @@ fn far_lattice() -> (Molecule, GridDims) {
     (receptor, dims)
 }
 
+/// The `serve_hot` workload's lattice: 150 atoms around a 9 Å pocket,
+/// 41³ points 0.55 Å apart, every type map.
+fn serve_hot() -> (Molecule, GridDims) {
+    let receptor = mudock::molio::synthetic_receptor(5, 150, 9.0);
+    (receptor, GridDims::centered(Vec3::ZERO, 11.0, 0.55))
+}
+
+/// The `serve_churn` workload's lattice: 60 atoms around an 8 Å pocket,
+/// 23³ points 0.75 Å apart.
+fn serve_churn() -> (Molecule, GridDims) {
+    let receptor = mudock::molio::synthetic_receptor(11, 60, 8.0);
+    (receptor, GridDims::centered(Vec3::ZERO, 8.0, 0.75))
+}
+
 #[test]
 fn the_pinned_shapes_have_the_shapes_they_claim() {
+    assert_eq!(serve_hot().1.npts, [41; 3]);
+    assert_eq!(serve_churn().1.npts, [23; 3]);
+
     let (_, dims) = ragged_rows();
     assert_ne!(dims.npts[0] % 16, 0);
 
@@ -84,4 +105,29 @@ fn the_one_lane_build_keeps_its_bits() {
             "ragged rows (all maps), far lattice (4 type maps), {workers} worker(s)"
         );
     }
+}
+
+#[test]
+fn the_one_lane_build_keeps_its_bits_at_the_serve_lattices() {
+    // Two workers: a job's fair share on a two-thread node.
+    let (receptor, dims) = serve_hot();
+    let hot = GridBuilder::new(&receptor, dims).build_simd_on(SimdLevel::Scalar, 2);
+    let (receptor, dims) = serve_churn();
+    let churn = GridBuilder::new(&receptor, dims)
+        .with_types(&[
+            AtomType::C,
+            AtomType::A,
+            AtomType::OA,
+            AtomType::N,
+            AtomType::HD,
+        ])
+        .build_simd_on(SimdLevel::Scalar, 2);
+    // Captured from the one-lane points-major builder (`build_points` at
+    // the `Scalar` token, one point per vector), debug and release builds
+    // alike.
+    assert_eq!(
+        [fingerprint(&hot), fingerprint(&churn)],
+        [0x9dc1_a370_f629_4d5c, 0x7b0d_be68_132b_cd59],
+        "serve_hot (all maps), serve_churn (5 type maps)"
+    );
 }
