@@ -1,60 +1,170 @@
-//! Ablation: one GA generation, allocating vs double-buffered.
+//! Ablation: the GA's share of a dock, at the benchmark's four GA shapes.
 //!
-//! `Ga::evolve` returns a fresh population (a `Vec<f32>` per child and per
-//! elite); `Ga::evolve_into` overwrites a population the caller owns, which
-//! is what the engine's generation loop does with two swapped buffers.
-//! Same algorithm, same RNG stream, identical populations — the difference
-//! is the allocator traffic, at the ladder's two GA shapes.
+//! Per shape: µs per generation of `Ga::evolve_into` alone (the engine's
+//! double-buffered breeding, on a fixed fitness vector), µs per
+//! generation of a real `DockingEngine::dock`, and the share of the
+//! dock's evaluations whose fitness was carried over from a bit-equal
+//! parent instead of scored (`KernelStats::poses_reused` over
+//! `poses_scored`).
 
 use std::time::Instant;
 
-use mudock_core::{Ga, GaParams};
+use mudock_core::{
+    Backend, BackendPolicy, DockParams, DockingEngine, Ga, GaParams, KernelStats, LigandPrep,
+    SolisWetsParams,
+};
+use mudock_grids::{GridBuilder, GridDims};
 use mudock_mol::Vec3;
+use mudock_molio::{synthetic_ligand, synthetic_receptor, LigandSpec};
+
+/// One GA shape of the benchmark: population × generations, the ligand
+/// class (heavy atoms, torsions), search radius, Solis–Wets or not.
+struct Shape {
+    workload: &'static str,
+    population: usize,
+    generations: usize,
+    ligand: LigandSpec,
+    radius: f32,
+    local_search: bool,
+}
+
+const SHAPES: [Shape; 4] = [
+    Shape {
+        workload: "dock_small",
+        population: 100,
+        generations: 30,
+        ligand: LigandSpec {
+            heavy_atoms: 10,
+            torsions: 1,
+        },
+        radius: 6.0,
+        local_search: false,
+    },
+    Shape {
+        workload: "serve_hot",
+        population: 50,
+        generations: 20,
+        ligand: LigandSpec {
+            heavy_atoms: 24,
+            torsions: 6,
+        },
+        radius: 5.5,
+        local_search: false,
+    },
+    Shape {
+        workload: "serve_churn",
+        population: 20,
+        generations: 10,
+        ligand: LigandSpec {
+            heavy_atoms: 24,
+            torsions: 6,
+        },
+        radius: 4.0,
+        local_search: false,
+    },
+    Shape {
+        workload: "dock_large",
+        population: 50,
+        generations: 20,
+        ligand: LigandSpec {
+            heavy_atoms: 48,
+            torsions: 12,
+        },
+        radius: 7.0,
+        local_search: true,
+    },
+];
+
+/// Ligands docked per shape, and timed passes over them (best kept).
+const LIGANDS: u64 = 8;
+const PASSES: usize = 3;
 
 fn main() {
-    println!("ABLATION: µs per GA generation, `evolve` (allocating) vs `evolve_into` + swap\n");
+    let backend = Backend::auto();
     println!(
-        "{:>10} {:>6} {:>12} {:>14} {:>8}",
-        "population", "genes", "evolve µs", "evolve_into µs", "ratio"
+        "ABLATION: µs per GA generation, breeding alone and in a real dock ({}), \
+         and the share of evaluations carried over from a bit-equal parent\n",
+        backend.name()
     );
-    for (population, torsions) in [(100, 1), (50, 6)] {
-        let params = GaParams {
-            population,
+    println!(
+        "{:>11} {:>9} {:>8} {:>3} {:>14} {:>11} {:>9}",
+        "workload", "pop×gens", "torsions", "LS", "evolve_into µs", "dock µs", "reused"
+    );
+    let receptor = synthetic_receptor(5, 150, 9.0);
+    for shape in &SHAPES {
+        let ga = GaParams {
+            population: shape.population,
+            generations: shape.generations,
             ..Default::default()
         };
-        let fitness: Vec<f32> = (0..population).map(|i| ((i * 37) % 101) as f32).collect();
-        let generations = 20_000;
-        let (mut alloc, mut reuse) = (f64::MAX, f64::MAX);
-        // The two alternate, best of five.
-        for _ in 0..5 {
-            let mut ga = Ga::new(params, 7, Vec3::ZERO, 5.0, torsions);
-            let mut pop = ga.init_population();
-            let t0 = Instant::now();
-            for _ in 0..generations {
-                pop = ga.evolve(&pop, &fitness);
-            }
-            alloc = alloc.min(t0.elapsed().as_secs_f64());
-            let want = pop;
+        let preps: Vec<LigandPrep> = (0..LIGANDS)
+            .map(|seed| LigandPrep::new(synthetic_ligand(seed, shape.ligand)).unwrap())
+            .collect();
+        let mut types: Vec<_> = preps
+            .iter()
+            .flat_map(|p| p.mol.atoms.iter().map(|a| a.ty))
+            .collect();
+        types.sort_unstable();
+        types.dedup();
+        let grids = GridBuilder::new(&receptor, GridDims::centered(Vec3::ZERO, 12.0, 0.75))
+            .with_types(&types)
+            .build_simd(BackendPolicy::Detect.grid_level());
+        let engine = DockingEngine::new(&grids).unwrap();
+        let params = DockParams {
+            ga,
+            seed: 41,
+            backend,
+            search_radius: Some(shape.radius),
+            local_search: shape.local_search.then_some(SolisWetsParams {
+                max_evals: 64,
+                rho_min: 0.0,
+                ..Default::default()
+            }),
+        };
 
-            let mut ga = Ga::new(params, 7, Vec3::ZERO, 5.0, torsions);
-            let mut pop = ga.init_population();
-            let mut next = Vec::new();
+        let mut dock_s = f64::MAX;
+        let mut work = KernelStats::default();
+        for _ in 0..PASSES {
+            work = KernelStats::default();
             let t0 = Instant::now();
-            for _ in 0..generations {
-                ga.evolve_into(&pop, &fitness, &mut next);
-                std::mem::swap(&mut pop, &mut next);
+            for prep in &preps {
+                work.merge(&engine.dock(prep, &params).unwrap().stats);
             }
-            reuse = reuse.min(t0.elapsed().as_secs_f64());
-            assert_eq!(pop, want, "one algorithm: identical populations");
+            dock_s = dock_s.min(t0.elapsed().as_secs_f64());
         }
-        let per_gen = 1e6 / generations as f64;
+        let dock_us = dock_s * 1e6 / (work.generations as f64);
+
         println!(
-            "{:>10} {:>6} {:>12.2} {:>14.2} {:>8.2}",
-            population,
-            7 + torsions,
-            alloc * per_gen,
-            reuse * per_gen,
-            reuse / alloc
+            "{:>11} {:>9} {:>8} {:>3} {:>14.2} {:>11.1} {:>8.1}%",
+            shape.workload,
+            format!("{}×{}", shape.population, shape.generations),
+            shape.ligand.torsions,
+            if shape.local_search { "yes" } else { "no" },
+            evolve_us(ga, shape.ligand.torsions),
+            dock_us,
+            100.0 * work.poses_reused as f64 / work.poses_scored as f64
         );
     }
+}
+
+/// µs per generation of `evolve_into` + swap on a fixed fitness vector,
+/// best of five runs.
+fn evolve_us(params: GaParams, torsions: usize) -> f64 {
+    let fitness: Vec<f32> = (0..params.population)
+        .map(|i| ((i * 37) % 101) as f32)
+        .collect();
+    let generations = 20_000;
+    let mut best = f64::MAX;
+    for _ in 0..5 {
+        let mut ga = Ga::new(params, 7, Vec3::ZERO, 5.0, torsions);
+        let mut pop = ga.init_population();
+        let mut next = Vec::new();
+        let t0 = Instant::now();
+        for _ in 0..generations {
+            ga.evolve_into(&pop, &fitness, &mut next);
+            std::mem::swap(&mut pop, &mut next);
+        }
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best * 1e6 / generations as f64
 }

@@ -320,8 +320,10 @@ pub enum CampaignError {
     InvalidChunk(String),
     /// Search radius must be finite and positive (Å).
     InvalidRadius(f32),
-    /// GA shape the engine cannot run (population < 2, zero tournament,
-    /// elitism ≥ population, zero generations).
+    /// GA parameters the engine cannot run: zero generations, or any
+    /// [`GaParams::validate`](crate::GaParams::validate) refuses (population
+    /// < 2, zero tournament, elitism ≥ population, a rate outside [0, 1], a
+    /// σ negative, not finite or above `GaParams::MAX_SIGMA`).
     InvalidGa(String),
     /// Stop policy with an empty budget or window.
     InvalidStop(String),
@@ -541,28 +543,12 @@ impl CampaignBuilder {
     /// Validate and produce the [`CampaignSpec`].
     pub fn build(self) -> Result<CampaignSpec, CampaignError> {
         let ga = self.ga.unwrap_or_default();
-        if ga.population < 2 {
-            return Err(CampaignError::InvalidGa(format!(
-                "population {} must hold at least 2 individuals",
-                ga.population
-            )));
-        }
         if ga.generations == 0 {
             return Err(CampaignError::InvalidGa(
                 "zero generations evaluates nothing".into(),
             ));
         }
-        if ga.tournament == 0 {
-            return Err(CampaignError::InvalidGa(
-                "tournament selection needs at least 1 contestant".into(),
-            ));
-        }
-        if ga.elitism >= ga.population {
-            return Err(CampaignError::InvalidGa(format!(
-                "elitism {} must be smaller than the population {}",
-                ga.elitism, ga.population
-            )));
-        }
+        ga.validate().map_err(CampaignError::InvalidGa)?;
         if let Some(r) = self.search_radius {
             if !r.is_finite() || r <= 0.0 {
                 return Err(CampaignError::InvalidRadius(r));
@@ -753,6 +739,40 @@ mod tests {
             .grid_dims(lattice([2, 2, 2]))
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn rates_and_sigmas_are_checked() {
+        // A σ of 1e9 once wrapped a torsion forever (`t - 2π == t`).
+        for bad in [
+            GaParams {
+                sigma_torsion: 1e9,
+                ..Default::default()
+            },
+            GaParams {
+                sigma_translation: -0.5,
+                ..Default::default()
+            },
+            GaParams {
+                mutation_rate: 1.01,
+                ..Default::default()
+            },
+            GaParams {
+                crossover_rate: f32::NAN,
+                ..Default::default()
+            },
+        ] {
+            assert!(matches!(
+                Campaign::builder().ga(bad).build(),
+                Err(CampaignError::InvalidGa(_))
+            ));
+        }
+        let ceiling = GaParams {
+            sigma_torsion: GaParams::MAX_SIGMA,
+            mutation_rate: 1.0,
+            ..Default::default()
+        };
+        assert!(Campaign::builder().ga(ceiling).build().is_ok());
     }
 
     #[test]

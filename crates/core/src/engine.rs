@@ -8,7 +8,7 @@ use mudock_simd::SimdLevel;
 use rand::SeedableRng as _;
 
 use crate::autovec::{self, inter_energy_autovec, intra_energy_autovec};
-use crate::ga::{rank_best_first, Ga, GaParams};
+use crate::ga::{best_first, Ga, GaParams};
 use crate::genotype::Genotype;
 use crate::scoring::inter::{inter_energy_reference, inter_energy_simd};
 use crate::scoring::intra::{intra_energy_reference, intra_energy_simd};
@@ -357,6 +357,21 @@ impl<'a> DockingEngine<'a> {
     }
 
     /// Run the full GA docking loop for one ligand.
+    ///
+    /// The first generation is scored in full. After that, a child the
+    /// GA reports as bit-equal to a parent ([`Ga::copied_from`]: every
+    /// elite, and a clone or crossover that mutation left equal to one
+    /// of its two tournament parents) takes that parent's fitness, and
+    /// only the other children are scored. The copy is exact: [`score`]
+    /// is a pure function of (prep, genotype, backend), and a parent's
+    /// fitness is the score of its genes as they stand, Solis–Wets
+    /// writing back genes and score together. So `best_score`,
+    /// `history`, `best_genotype`, `evaluations` (which counts copied
+    /// fitnesses too) and a [`StopPolicy`](crate::campaign::StopPolicy)
+    /// budget are what a loop scoring every individual reports;
+    /// [`KernelStats::poses_reused`] counts the scorings saved.
+    ///
+    /// [`score`]: DockingEngine::score
     pub fn dock(&self, prep: &LigandPrep, params: &DockParams) -> Result<DockReport, DockError> {
         self.dock_with_stop(prep, params, &crate::campaign::StopPolicy::Complete)
     }
@@ -400,6 +415,8 @@ impl<'a> DockingEngine<'a> {
         // Refinement order of the Solis–Wets block.
         let mut order: Vec<usize> = Vec::new();
         let mut fitness = vec![0.0f32; pop.len()];
+        // The fitness of the generation `pop` was bred from.
+        let mut parent_fitness = vec![0.0f32; pop.len()];
         let mut scratch = ConformSoA::with_capacity(prep.base.n);
 
         let mut best_score = f32::INFINITY;
@@ -410,8 +427,18 @@ impl<'a> DockingEngine<'a> {
         let mut stop_check = crate::campaign::StopCheck::new();
 
         for _gen in 0..params.ga.generations {
-            for (ind, fit) in pop.iter().zip(fitness.iter_mut()) {
-                *fit = self.score(prep, ind, &mut scratch, params.backend);
+            // A child bit-equal to a parent takes the parent's fitness:
+            // `score` is a pure function of (prep, genotype, backend).
+            // Empty in the first generation, which scores everyone.
+            let copied_from = ga.copied_from();
+            for (i, (ind, fit)) in pop.iter().zip(fitness.iter_mut()).enumerate() {
+                *fit = match copied_from.get(i).copied().flatten() {
+                    Some(parent) => {
+                        stats.poses_reused += 1;
+                        parent_fitness[parent]
+                    }
+                    None => self.score(prep, ind, &mut scratch, params.backend),
+                };
                 evaluations += 1;
                 if *fit < best_score {
                     best_score = *fit;
@@ -422,8 +449,8 @@ impl<'a> DockingEngine<'a> {
             // fraction, refined genotypes written back into the population.
             if let Some(ls) = &params.local_search {
                 let refine = ((pop.len() as f32 * ls.fraction).ceil() as usize).max(1);
-                rank_best_first(&fitness, &mut order);
-                for &idx in order.iter().take(refine) {
+                best_first(&fitness, refine, &mut order);
+                for &idx in &order {
                     let r = crate::local_search::solis_wets(
                         self,
                         prep,
@@ -460,6 +487,7 @@ impl<'a> DockingEngine<'a> {
             }
             ga.evolve_into(&pop, &fitness, &mut next);
             std::mem::swap(&mut pop, &mut next);
+            std::mem::swap(&mut fitness, &mut parent_fitness);
         }
 
         Ok(DockReport {

@@ -6,6 +6,15 @@
 //! Standard generational GA: tournament selection, two-point crossover on
 //! the flat gene vector, per-gene Gaussian mutation, elitism. Fully
 //! deterministic given the seed.
+//!
+//! The elites are the `elitism` best of a generation, best first, ties in
+//! index order (the order a stable sort leaves), taken in one pass that
+//! keeps the best few so far rather than by sorting the population. [`Ga::evolve_into`] also records, for
+//! every child, a parent whose genes it equals bit for bit
+//! ([`Ga::copied_from`]): an elite always, a clone or a crossover whenever
+//! mutation left it equal to one of its two tournament parents. The
+//! engine gives such a child its parent's fitness instead of scoring it
+//! again.
 
 use mudock_mol::Vec3;
 use rand::rngs::StdRng;
@@ -37,6 +46,58 @@ pub struct GaParams {
     pub elitism: usize,
 }
 
+impl GaParams {
+    /// Ceiling on each mutation σ (Å, quaternion units, radians). A
+    /// mutated torsion is wrapped back into (−π, π] by steps of 2π, and a
+    /// Gaussian deviate here is at most √(−2 ln 10⁻⁷) ≈ 5.7, so at the
+    /// ceiling a wrap takes at most 92 steps. Without one, a σ of 10⁹
+    /// reaches angles where `t - 2π == t` and the wrap never ends.
+    pub const MAX_SIGMA: f32 = 100.0;
+
+    /// Why these parameters cannot drive a [`Ga`], if they cannot: fewer
+    /// than 2 individuals, no tournament contestant, elitism that fills
+    /// the population, a rate outside [0, 1], or a σ that is negative,
+    /// not finite or above [`GaParams::MAX_SIGMA`].
+    pub fn validate(&self) -> Result<(), String> {
+        if self.population < 2 {
+            return Err(format!(
+                "population {} must hold at least 2 individuals",
+                self.population
+            ));
+        }
+        if self.tournament == 0 {
+            return Err("tournament selection needs at least 1 contestant".into());
+        }
+        if self.elitism >= self.population {
+            return Err(format!(
+                "elitism {} must be smaller than the population {}",
+                self.elitism, self.population
+            ));
+        }
+        for (name, rate) in [
+            ("crossover_rate", self.crossover_rate),
+            ("mutation_rate", self.mutation_rate),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("{name} {rate} must lie in [0, 1]"));
+            }
+        }
+        for (name, sigma) in [
+            ("sigma_translation", self.sigma_translation),
+            ("sigma_rotation", self.sigma_rotation),
+            ("sigma_torsion", self.sigma_torsion),
+        ] {
+            if !(0.0..=Self::MAX_SIGMA).contains(&sigma) {
+                return Err(format!(
+                    "{name} {sigma} must lie in [0, {}]",
+                    Self::MAX_SIGMA
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 impl Default for GaParams {
     fn default() -> Self {
         GaParams {
@@ -60,14 +121,39 @@ fn gauss(rng: &mut StdRng) -> f32 {
     (-2.0f32 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
 }
 
-/// Fill `order` with `0 .. fitness.len()`, best (lowest) fitness first,
-/// ties in index order. The stable sort keeps its scratch on the stack at
-/// population sizes (≤ 512 indices), and measured 10 % of a generation
-/// faster than an unstable sort with an index tie-break.
-pub(crate) fn rank_best_first(fitness: &[f32], order: &mut Vec<usize>) {
-    order.clear();
-    order.extend(0..fitness.len());
-    order.sort_by(|&a, &b| fitness[a].total_cmp(&fitness[b]));
+/// Fill `best` with the indices of the `k` best (lowest) fitnesses, best
+/// first, ties in index order: the first `k` of a stable sort by
+/// fitness, in one pass that keeps the `k` best so far in order. An
+/// index enters only if it ranks before the `k`-th kept, so for the
+/// engine's small `k` (elitism, the Solis–Wets fraction) the pass is
+/// O(n) comparisons.
+pub(crate) fn best_first(fitness: &[f32], k: usize, best: &mut Vec<usize>) {
+    best.clear();
+    if k == 0 {
+        return;
+    }
+    for (i, f) in fitness.iter().enumerate() {
+        if best.len() == k {
+            if f.total_cmp(&fitness[best[k - 1]]).is_ge() {
+                continue;
+            }
+            best.pop();
+        }
+        // After every kept index of equal fitness: those came first.
+        let at = best.partition_point(|&j| fitness[j].total_cmp(f).is_le());
+        best.insert(at, i);
+    }
+}
+
+/// Whether two genotypes hold the same bits in every gene. One OR over
+/// all genes, no early exit: a gene vector is a register or two.
+fn same_bits(a: &Genotype, b: &Genotype) -> bool {
+    a.genes.len() == b.genes.len()
+        && a.genes
+            .iter()
+            .zip(&b.genes)
+            .fold(0, |diff, (x, y)| diff | (x.to_bits() ^ y.to_bits()))
+            == 0
 }
 
 /// Generational GA state (owns the RNG; all decisions are deterministic in
@@ -78,15 +164,22 @@ pub struct Ga {
     center: Vec3,
     t_bound: f32,
     n_torsions: usize,
-    /// Sort scratch of [`Ga::evolve_into`], kept between generations.
+    /// Elite indices of [`Ga::evolve_into`], kept between generations.
     order: Vec<usize>,
+    /// What [`Ga::copied_from`] returns.
+    copied_from: Vec<Option<usize>>,
 }
 
 impl Ga {
+    /// A GA over genotypes of `n_torsions` torsions whose translations
+    /// stay within `t_bound` of `center`, its RNG seeded from `seed`.
+    ///
+    /// # Panics
+    /// If `params` fail [`GaParams::validate`].
     pub fn new(params: GaParams, seed: u64, center: Vec3, t_bound: f32, n_torsions: usize) -> Ga {
-        assert!(params.population >= 2, "population must hold at least 2");
-        assert!(params.tournament >= 1);
-        assert!(params.elitism < params.population);
+        if let Err(why) = params.validate() {
+            panic!("invalid GA parameters: {why}");
+        }
         Ga {
             params,
             rng: StdRng::seed_from_u64(seed ^ 0x67_615f_7365_6564),
@@ -94,6 +187,7 @@ impl Ga {
             t_bound,
             n_torsions,
             order: Vec::new(),
+            copied_from: Vec::new(),
         }
     }
 
@@ -130,7 +224,8 @@ impl Ga {
     }
 
     /// Per-gene Gaussian mutation with role-specific σ; translations stay
-    /// inside the search box, torsions wrap to (−π, π].
+    /// inside the search box, torsions wrap to (−π, π] (in at most 92
+    /// steps: [`GaParams::MAX_SIGMA`]).
     fn mutate(&mut self, g: &mut Genotype) {
         use std::f32::consts::PI;
         let p = &self.params;
@@ -181,24 +276,53 @@ impl Ga {
     /// that swaps two populations allocates nothing per generation.
     pub fn evolve_into(&mut self, pop: &[Genotype], fitness: &[f32], next: &mut Vec<Genotype>) {
         assert_eq!(pop.len(), fitness.len());
-        let p = self.params;
-        rank_best_first(fitness, &mut self.order);
+        best_first(fitness, self.params.elitism, &mut self.order);
 
         next.resize_with(pop.len(), || Genotype { genes: Vec::new() });
-        let (elites, children) = next.split_at_mut(p.elitism.min(pop.len()));
+        self.copied_from.clear();
+        let (elites, children) = next.split_at_mut(self.order.len());
         for (elite, &e) in elites.iter_mut().zip(&self.order) {
             elite.clone_from(&pop[e]);
+            self.copied_from.push(Some(e));
         }
         for child in children {
-            let pa = self.tournament(fitness);
-            if self.rng.random::<f32>() < p.crossover_rate {
-                let pb = self.tournament(fitness);
-                self.crossover_into(&pop[pa], &pop[pb], child);
-            } else {
-                child.clone_from(&pop[pa]);
-            }
-            self.mutate(child);
+            let parents = self.breed(pop, fitness, child);
+            let copy = parents
+                .into_iter()
+                .flatten()
+                .find(|&q| same_bits(child, &pop[q]));
+            self.copied_from.push(copy);
         }
+    }
+
+    /// Write one child over `child`: a clone of a tournament winner or a
+    /// crossover of two, then mutated. Returns the parents' indices.
+    fn breed(
+        &mut self,
+        pop: &[Genotype],
+        fitness: &[f32],
+        child: &mut Genotype,
+    ) -> [Option<usize>; 2] {
+        let pa = self.tournament(fitness);
+        let pb = if self.rng.random::<f32>() < self.params.crossover_rate {
+            let pb = self.tournament(fitness);
+            self.crossover_into(&pop[pa], &pop[pb], child);
+            Some(pb)
+        } else {
+            child.clone_from(&pop[pa]);
+            None
+        };
+        self.mutate(child);
+        [Some(pa), pb]
+    }
+
+    /// For each child of the last [`Ga::evolve_into`] (or [`Ga::evolve`]),
+    /// the index in the parent population of a genotype it equals bit for
+    /// bit, if it is one of the parents it was bred from: the source of
+    /// an elite, else its first tournament parent, else its second.
+    /// Empty before the first generation is bred.
+    pub fn copied_from(&self) -> &[Option<usize>] {
+        &self.copied_from
     }
 }
 
@@ -291,6 +415,207 @@ mod tests {
         for ind in &next {
             let t = ind.translation();
             assert!(t.x.abs() <= 2.0 + 1e-5 && t.y.abs() <= 2.0 + 1e-5 && t.z.abs() <= 2.0 + 1e-5);
+        }
+    }
+
+    /// Breed one generation with `ga` and, on `twin` (same seed and
+    /// state), the same children one by one to learn their parents.
+    /// Asserts exactness (a flagged child equals that parent bit for
+    /// bit) and completeness (a child equal to one of its parents is
+    /// flagged), and returns the children and how many were flagged.
+    fn check_copies(
+        ga: &mut Ga,
+        twin: &mut Ga,
+        pop: &[Genotype],
+        fit: &[f32],
+    ) -> (Vec<Genotype>, usize) {
+        let next = ga.evolve(pop, fit);
+        let copied = ga.copied_from().to_vec();
+        assert_eq!(copied.len(), pop.len());
+        let elites = ga.params.elitism;
+        for (i, child) in next.iter().enumerate() {
+            if let Some(q) = copied[i] {
+                assert!(
+                    same_bits(child, &pop[q]),
+                    "child {i} flagged as a copy of {q}"
+                );
+            }
+            if i < elites {
+                assert!(copied[i].is_some(), "elite {i} is a copy");
+                continue;
+            }
+            let mut again = Genotype { genes: Vec::new() };
+            let parents = twin.breed(pop, fit, &mut again);
+            assert_eq!(&again, child, "the twin breeds child {i}");
+            if parents
+                .into_iter()
+                .flatten()
+                .any(|q| same_bits(child, &pop[q]))
+            {
+                assert!(copied[i].is_some(), "child {i} equals a parent unflagged");
+            }
+        }
+        (next, copied.iter().flatten().count())
+    }
+
+    #[test]
+    fn copies_are_flagged_exactly_and_completely() {
+        let shapes = [
+            // The engine's defaults.
+            (GaParams::default(), 4),
+            // Rare mutation: most children equal a parent.
+            (
+                GaParams {
+                    mutation_rate: 0.02,
+                    ..Default::default()
+                },
+                6,
+            ),
+            // Every gene mutates, and a child equals its parent only
+            // where the clamp at the box wall takes it back.
+            (
+                GaParams {
+                    mutation_rate: 1.0,
+                    crossover_rate: 0.0,
+                    sigma_translation: 50.0,
+                    sigma_rotation: 0.0,
+                    sigma_torsion: 0.0,
+                    ..Default::default()
+                },
+                0,
+            ),
+        ];
+        for (seed, (params, torsions)) in shapes.into_iter().enumerate() {
+            let params = GaParams {
+                population: 40,
+                ..params
+            };
+            let new = || Ga::new(params, seed as u64, Vec3::ZERO, 3.0, torsions);
+            let (mut ga, mut twin) = (new(), new());
+            let mut pop = ga.init_population();
+            twin.init_population();
+            if torsions == 0 {
+                // Everyone in one corner of the box.
+                for g in &mut pop {
+                    g.genes[..3].fill(3.0);
+                }
+            }
+            let mut flagged = 0;
+            for gen in 0..12 {
+                let fit: Vec<f32> = (0..40).map(|i| ((i * 7 + gen) % 13) as f32).collect();
+                let (next, n) = check_copies(&mut ga, &mut twin, &pop, &fit);
+                flagged += n;
+                pop = next;
+            }
+            assert!(
+                flagged > 12 * params.elitism,
+                "shape {seed}: {flagged} flagged"
+            );
+        }
+    }
+
+    #[test]
+    fn best_first_is_a_stable_sorts_prefix() {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut best = Vec::new();
+        for n in 0..40 {
+            // Few distinct values, signed zeros and NaNs: many ties.
+            let fit: Vec<f32> = (0..n)
+                .map(|_| [1.0, -0.0, 0.0, -2.5, f32::NAN, 3.0][rng.random_range(0..6usize)])
+                .collect();
+            let mut stable: Vec<usize> = (0..n).collect();
+            stable.sort_by(|&a, &b| fit[a].total_cmp(&fit[b]));
+            for k in 0..=n + 1 {
+                best_first(&fit, k, &mut best);
+                assert_eq!(best, stable[..k.min(n)], "n {n}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn parameters_outside_their_ranges_are_refused() {
+        let ok = GaParams {
+            sigma_translation: GaParams::MAX_SIGMA,
+            sigma_rotation: 0.0,
+            crossover_rate: 1.0,
+            mutation_rate: 0.0,
+            ..Default::default()
+        };
+        assert_eq!(ok.validate(), Ok(()));
+        for bad in [
+            GaParams {
+                mutation_rate: 1.5,
+                ..ok
+            },
+            GaParams {
+                crossover_rate: -0.1,
+                ..ok
+            },
+            GaParams {
+                mutation_rate: f32::NAN,
+                ..ok
+            },
+            GaParams {
+                sigma_torsion: -1.0,
+                ..ok
+            },
+            GaParams {
+                sigma_torsion: 1e9,
+                ..ok
+            },
+            GaParams {
+                sigma_rotation: f32::INFINITY,
+                ..ok
+            },
+            GaParams {
+                sigma_translation: f32::NAN,
+                ..ok
+            },
+            GaParams {
+                population: 1,
+                elitism: 0,
+                ..ok
+            },
+            GaParams {
+                tournament: 0,
+                ..ok
+            },
+            GaParams { elitism: 100, ..ok },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sigma_torsion 1000000000 must lie in [0, 100]")]
+    fn a_ga_refuses_a_sigma_past_the_ceiling() {
+        let params = GaParams {
+            sigma_torsion: 1e9,
+            ..Default::default()
+        };
+        Ga::new(params, 1, Vec3::ZERO, 2.0, 6);
+    }
+
+    #[test]
+    fn every_gene_mutating_at_the_ceiling_sigma_finishes_wrapped() {
+        let params = GaParams {
+            population: 50,
+            mutation_rate: 1.0,
+            sigma_translation: GaParams::MAX_SIGMA,
+            sigma_rotation: GaParams::MAX_SIGMA,
+            sigma_torsion: GaParams::MAX_SIGMA,
+            ..Default::default()
+        };
+        let mut g = Ga::new(params, 13, Vec3::ZERO, 2.0, 12);
+        let mut pop = g.init_population();
+        let fit = vec![0.0f32; 50];
+        for _ in 0..20 {
+            pop = g.evolve(&pop, &fit);
+        }
+        for ind in &pop {
+            for k in 0..12 {
+                assert!(ind.torsion(k).abs() <= std::f32::consts::PI + 1e-4);
+            }
         }
     }
 

@@ -3,10 +3,19 @@
 //! (`mudock-archsim`) converts these counts into operation mixes.
 
 /// Work performed by the docking kernels, accumulated per engine run.
+///
+/// The kernel counts follow the GA's evaluations, one per individual per
+/// generation (Solis–Wets calls are not counted), those whose fitness was
+/// carried over from a bit-equal parent included: the work of a search
+/// that scores every individual. [`KernelStats::poses_reused`] says how
+/// much of it was not done.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Poses fully scored (transform + inter + intra).
+    /// GA individuals evaluated (transform + inter + intra).
     pub poses_scored: u64,
+    /// Of [`KernelStats::poses_scored`], those not scored: a child
+    /// bit-equal to a parent took the parent's fitness.
+    pub poses_reused: u64,
     /// Intramolecular pairs evaluated (real pairs, before cutoff masking).
     pub pairs_evaluated: u64,
     /// Grid map lookups (3 per ligand atom per pose: type/elec/desolv).
@@ -23,6 +32,7 @@ impl KernelStats {
     /// Accumulate another run's counters.
     pub fn merge(&mut self, o: &KernelStats) {
         self.poses_scored += o.poses_scored;
+        self.poses_reused += o.poses_reused;
         self.pairs_evaluated += o.pairs_evaluated;
         self.grid_lookups += o.grid_lookups;
         self.atoms_transformed += o.atoms_transformed;
@@ -39,6 +49,7 @@ mod tests {
     fn merge_adds_fields() {
         let mut a = KernelStats {
             poses_scored: 1,
+            poses_reused: 7,
             pairs_evaluated: 2,
             grid_lookups: 3,
             atoms_transformed: 4,
@@ -47,6 +58,7 @@ mod tests {
         };
         a.merge(&a.clone());
         assert_eq!(a.poses_scored, 2);
+        assert_eq!(a.poses_reused, 14);
         assert_eq!(a.generations, 12);
     }
 }

@@ -140,16 +140,25 @@ fn unknown_routes_and_methods_are_typed_errors() {
             .status,
         400
     );
-    // Structurally fine, semantically invalid campaign → 422.
-    let body = r#"{"campaign": {"name": "x", "top_k": 0},
-                   "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
-                   "ligands": {"synth": {"seed": 1, "count": 2}}}"#;
-    assert_eq!(
-        client::request(&addr, "POST", "/jobs", Some(body))
-            .unwrap()
-            .status,
-        422
-    );
+    // Structurally fine, semantically invalid campaign → 422: among them
+    // a σ that once wrapped a torsion forever in an executor.
+    for campaign in [
+        r#"{"name": "x", "top_k": 0}"#,
+        r#"{"name": "x", "ga": {"sigma_torsion": 1e9}}"#,
+    ] {
+        let body = format!(
+            r#"{{"campaign": {campaign},
+                 "receptor": {{"synth": {{"seed": 1, "atoms": 30, "radius": 5.0}}}},
+                 "ligands": {{"synth": {{"seed": 1, "count": 2}}}}}}"#
+        );
+        assert_eq!(
+            client::request(&addr, "POST", "/jobs", Some(&body))
+                .unwrap()
+                .status,
+            422,
+            "{campaign}"
+        );
+    }
     server.shutdown();
     service.shutdown();
 }

@@ -8,8 +8,8 @@
 use std::time::Duration;
 
 use mudock_core::{
-    Backend, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy, GaParams, SolisWetsParams,
-    StopPolicy, MAX_CHUNK,
+    Backend, BackendPolicy, Campaign, CampaignError, CampaignSpec, ChunkPolicy, GaParams,
+    SolisWetsParams, StopPolicy, MAX_CHUNK,
 };
 use mudock_grids::GridDims;
 use mudock_mol::Vec3;
@@ -281,6 +281,22 @@ fn malformed_inputs_map_to_the_right_wire_errors() {
                 "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
                 "ligands": {"synth": {"count": 2}}}"#,
             |e| matches!(e, WireError::Campaign(_)),
+            422,
+        ),
+        // A finite σ past the ceiling once wrapped a torsion forever
+        // and wedged the executor that docked it.
+        (
+            r#"{"campaign": {"name": "x", "ga": {"sigma_torsion": 1e9}},
+                "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
+                "ligands": {"synth": {"count": 2}}}"#,
+            |e| matches!(e, WireError::Campaign(CampaignError::InvalidGa(_))),
+            422,
+        ),
+        (
+            r#"{"campaign": {"name": "x", "ga": {"mutation_rate": 2.0}},
+                "receptor": {"synth": {"seed": 1, "atoms": 30, "radius": 5.0}},
+                "ligands": {"synth": {"count": 2}}}"#,
+            |e| matches!(e, WireError::Campaign(CampaignError::InvalidGa(_))),
             422,
         ),
         // The retired shard stances: every one but "fair_share" (what

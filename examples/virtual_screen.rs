@@ -66,8 +66,9 @@ fn main() {
     );
     let stats = summary.total_stats();
     println!(
-        "kernel work: {} poses, {} pair evaluations, {} grid lookups",
-        stats.poses_scored, stats.pairs_evaluated, stats.grid_lookups
+        "kernel work: {} poses ({} carried over from a parent), {} pair evaluations, \
+         {} grid lookups",
+        stats.poses_scored, stats.poses_reused, stats.pairs_evaluated, stats.grid_lookups
     );
 
     println!("\ntop {} hits:", spec.top_k);
