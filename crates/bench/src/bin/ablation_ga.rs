@@ -5,10 +5,12 @@
 //! generation of a real `DockingEngine::dock`, and the share of the
 //! dock's evaluations whose fitness was carried over from a bit-equal
 //! parent instead of scored (`KernelStats::poses_reused` over
-//! `poses_scored`).
+//! `poses_scored`). Last, a real `Backend::AutoVec` dock per frame (the
+//! engine narrowed by `DockingEngine::with_frame`; `-`: the host lacks it).
 
 use std::time::Instant;
 
+use mudock_core::autovec::frame_name;
 use mudock_core::{
     Backend, BackendPolicy, DockParams, DockingEngine, Ga, GaParams, KernelStats, LigandPrep,
     SolisWetsParams,
@@ -16,6 +18,7 @@ use mudock_core::{
 use mudock_grids::{GridBuilder, GridDims};
 use mudock_mol::Vec3;
 use mudock_molio::{synthetic_ligand, synthetic_receptor, LigandSpec};
+use mudock_simd::SimdLevel;
 
 /// One GA shape of the benchmark: population × generations, the ligand
 /// class (heavy atoms, torsions), search radius, Solis–Wets or not.
@@ -82,12 +85,15 @@ const PASSES: usize = 3;
 fn main() {
     let backend = Backend::auto();
     println!(
-        "ABLATION: µs per GA generation, breeding alone and in a real dock ({}), \
-         and the share of evaluations carried over from a bit-equal parent\n",
+        "ABLATION: µs per GA generation, breeding alone, in a real dock ({}) \
+         and in an autovec dock per frame; evaluations carried over from a parent\n",
         backend.name()
     );
+    let frames: String = SimdLevel::ALL
+        .map(|f| format!(" {:>19}", format!("autovec@{} µs", frame_name(f))))
+        .concat();
     println!(
-        "{:>11} {:>9} {:>8} {:>3} {:>14} {:>11} {:>9}",
+        "{:>11} {:>9} {:>8} {:>3} {:>14} {:>11} {:>9}{frames}",
         "workload", "pop×gens", "torsions", "LS", "evolve_into µs", "dock µs", "reused"
     );
     let receptor = synthetic_receptor(5, 150, 9.0);
@@ -106,10 +112,9 @@ fn main() {
             .collect();
         types.sort_unstable();
         types.dedup();
-        let grids = GridBuilder::new(&receptor, GridDims::centered(Vec3::ZERO, 12.0, 0.75))
-            .with_types(&types)
-            .build_simd(BackendPolicy::Detect.grid_level());
-        let engine = DockingEngine::new(&grids).unwrap();
+        let builder = GridBuilder::new(&receptor, GridDims::centered(Vec3::ZERO, 12.0, 0.75))
+            .with_types(&types);
+        let grids = builder.build_simd(BackendPolicy::Detect.grid_level());
         let params = DockParams {
             ga,
             seed: 41,
@@ -122,20 +127,22 @@ fn main() {
             }),
         };
 
-        let mut dock_s = f64::MAX;
-        let mut work = KernelStats::default();
-        for _ in 0..PASSES {
-            work = KernelStats::default();
-            let t0 = Instant::now();
-            for prep in &preps {
-                work.merge(&engine.dock(prep, &params).unwrap().stats);
-            }
-            dock_s = dock_s.min(t0.elapsed().as_secs_f64());
-        }
-        let dock_us = dock_s * 1e6 / (work.generations as f64);
+        let (dock_us, work) = time_docks(&DockingEngine::new(&grids).unwrap(), &preps, &params);
+        let mut autovec = params.clone();
+        autovec.backend = Backend::AutoVec;
+        let one_lane = builder.build_simd(SimdLevel::Scalar);
+        let per_frame: String = SimdLevel::ALL
+            .map(|frame| {
+                if !frame.is_supported() {
+                    return format!(" {:>19}", "-");
+                }
+                let engine = DockingEngine::new(&one_lane).unwrap().with_frame(frame);
+                format!(" {:>19.1}", time_docks(&engine, &preps, &autovec).0)
+            })
+            .concat();
 
         println!(
-            "{:>11} {:>9} {:>8} {:>3} {:>14.2} {:>11.1} {:>8.1}%",
+            "{:>11} {:>9} {:>8} {:>3} {:>14.2} {:>11.1} {:>8.1}%{per_frame}",
             shape.workload,
             format!("{}×{}", shape.population, shape.generations),
             shape.ligand.torsions,
@@ -145,6 +152,21 @@ fn main() {
             100.0 * work.poses_reused as f64 / work.poses_scored as f64
         );
     }
+}
+
+/// µs per generation docking every ligand, best of [`PASSES`], and the work.
+fn time_docks(engine: &DockingEngine, preps: &[LigandPrep], p: &DockParams) -> (f64, KernelStats) {
+    let mut best = f64::MAX;
+    let mut work = KernelStats::default();
+    for _ in 0..PASSES {
+        work = KernelStats::default();
+        let t0 = Instant::now();
+        for prep in preps {
+            work.merge(&engine.dock(prep, p).unwrap().stats);
+        }
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    (best * 1e6 / work.generations as f64, work)
 }
 
 /// µs per generation of `evolve_into` + swap on a fixed fitness vector,

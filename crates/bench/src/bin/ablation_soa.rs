@@ -17,9 +17,7 @@
 
 use std::time::Instant;
 
-use mudock_core::autovec::{
-    frame_name, inter_energy_autovec_at, intra_energy_autovec, intra_energy_autovec_at,
-};
+use mudock_core::autovec::{frame_name, inter_energy_autovec_at, intra_energy_autovec_at};
 use mudock_core::scoring::{
     inter_energy_simd, intra_energy_simd, intra_energy_simd_walk, IntraWalk, PairLayout, PairsSoA,
 };
@@ -184,7 +182,9 @@ fn walks() {
         let mut best = [f64::MAX; 2];
         for _ in 0..5 {
             for (t, pairs) in best.iter_mut().zip([&packed, &rows]) {
-                *t = t.min(time(4000, &mut || intra_energy_autovec(&conf, pairs)));
+                *t = t.min(time(4000, &mut || {
+                    intra_energy_autovec_at(mudock_simd::frame(), &conf, pairs)
+                }));
             }
         }
         let mark = |layout| {

@@ -410,9 +410,8 @@ fn check(exe: &Path) -> Result<Option<bool>, String> {
             );
         }
     }
-    // Everything else the modules compiled to (the frame-less entry
-    // points, any helper that stayed a function) must not reach `fmaf`
-    // either.
+    // Everything else the modules compiled to (any helper that stayed a
+    // function) must not reach `fmaf` either.
     for b in bodies.values() {
         let ours = [AUTOVEC, GRID_BUILD].iter().any(|m| b.symbol.contains(m));
         if ours && refers(b, &libm_fma) > 0 {

@@ -21,8 +21,7 @@
 //! That ISA is the host's, not the build's. Each driver body is an
 //! `#[inline(always)]` function generic over the one-lane token, and each
 //! entry point instantiates it, through `mudock-simd`'s
-//! [`in_frame!`](mudock_simd::in_frame), inside the *frame* [`frame`]
-//! resolved once for this process:
+//! [`in_frame!`](mudock_simd::in_frame), inside the *frame* it is given:
 //!
 //! * On a CPU with AVX-512F or AVX2+FMA, the body runs at
 //!   [`OneLane<true>`](mudock_simd::OneLane) inside the `#[target_feature]` region
@@ -38,13 +37,13 @@
 //! * Anywhere else (no AVX2+FMA, or not x86-64) the body runs at
 //!   [`Scalar`](mudock_simd::Scalar) in place, compiled for the build's
 //!   baseline ISA (SSE2 on plain `x86-64`, NEON on `aarch64`, wider under
-//!   `-C target-cpu=…`):
-//!   the *baseline* frame. On such a host this arm is also the default
-//!   backend (`Backend::auto`).
+//!   `-C target-cpu=…`): the *baseline* frame. On such a host this arm is
+//!   also the default backend (`Backend::auto`).
 //!
-//! Nothing selects a frame but the CPU: no flag, env var, config field or
-//! wire value. The `*_autovec_at(frame, …)` forms of the scoring kernels
-//! exist for tests, `ablation_soa` and the codegen checker.
+//! There is no frame-less form. A dock's frame is read once, by
+//! [`DockingEngine::new`](crate::DockingEngine::new) from
+//! [`mudock_simd::frame`]: the widest the CPU runs, selected by no flag,
+//! env var, config field or wire value.
 //!
 //! The fused token is only ever instantiated inside an FMA frame. It would
 //! be *safe* elsewhere — `f32::mul_add` without FMA hardware is a libm
@@ -58,7 +57,7 @@
 //! register width cannot reorder a sum: the AVX2 and AVX-512 frames give
 //! `to_bits`-equal scores, and differ from the baseline frame only by
 //! fusion (one rounding per `mul_add` instead of two). A score therefore
-//! belongs to one of two classes, [`arithmetic`] `"fused"` or
+//! belongs to one of two classes, [`arithmetic_at`] `"fused"` or
 //! `"unfused"`; the class, not the frame, is what must match before
 //! stored scores are merged with new ones (`mudock-serve` hashes it into
 //! its checkpoint key), and a job scattered over hosts of both classes
@@ -105,11 +104,11 @@
 //!    the same integers.
 //!
 //! The entry points are deliberately non-generic and `#[inline(never)]`:
-//! `codegen_autovec` in `mudock-bench` finds `apply_pose_simd` and the
-//! `_at` forms by symbol (the baseline body is inlined there), follows
-//! their calls to the frames' `vectorize::inner` instances, and fails
-//! when a packed-to-scalar instruction ratio drops. The frame-less forms only look the frame up
-//! and tail-call.
+//! `codegen_autovec` in `mudock-bench` finds `apply_pose_simd`,
+//! `inter_energy_autovec_at` and `intra_energy_autovec_at` by symbol (the
+//! baseline body is inlined there), follows their calls to the frames'
+//! `vectorize::inner` instances, and fails when a packed-to-scalar
+//! instruction ratio drops.
 //!
 //! Scores differ from `Explicit(Scalar)` in the last bits (sixteen
 //! partial sums instead of one, and fusion in a wide frame) and are
@@ -144,8 +143,6 @@ type Lanes = [f32; W];
 trait Lane: Simd<V = f32, VI = i32, M = bool> {}
 impl<S: Simd<V = f32, VI = i32, M = bool>> Lane for S {}
 
-pub use mudock_simd::frame;
-
 /// What a frame is called in reports: the level's name, `"baseline"` for
 /// every level without a frame of its own.
 pub fn frame_name(frame: SimdLevel) -> &'static str {
@@ -166,11 +163,6 @@ pub fn arithmetic_at(frame: SimdLevel) -> &'static str {
     } else {
         "unfused"
     }
-}
-
-/// The arithmetic class of this host's [`frame`].
-pub fn arithmetic() -> &'static str {
-    arithmetic_at(frame())
 }
 
 /// The first `len` elements of `a` as whole lane-chunks.
@@ -227,12 +219,12 @@ fn affine<S: Lane>(s: S, m: &[f32; 9], v: [f32; 3], t: [f32; 3]) -> [f32; 3] {
     ]
 }
 
-/// Branchless pose transform in `level`'s frame (see [`frame`];
-/// [`SimdLevel::Scalar`] names the baseline): rigid placement, then every
-/// torsion rotates *all* atoms and blends by the plan's 0/1 mask, padding
-/// atoms included. The one vectorized transform of the workspace (see
-/// [`crate::transform`]): `Backend::Explicit(level)` calls it at `level`,
-/// [`Backend::AutoVec`](crate::Backend::AutoVec) at [`frame`].
+/// Branchless pose transform in `level`'s frame ([`SimdLevel::Scalar`]
+/// names the baseline): rigid placement, then every torsion rotates *all*
+/// atoms and blends by the plan's 0/1 mask, padding atoms included. The
+/// one vectorized transform of the workspace (see [`crate::transform`]):
+/// `Backend::Explicit(level)` calls it at `level`,
+/// [`Backend::AutoVec`](crate::Backend::AutoVec) at the engine's frame.
 ///
 /// # Panics
 /// If `base`, `out` or a plan's mask is shorter than `base`'s padded
@@ -357,9 +349,9 @@ fn outside<S: Lane>(s: S, g: f32, b: f32) -> f32 {
     s.add(s.max(s.neg(g), 0.0), s.max(s.sub(g, b), 0.0))
 }
 
-/// Inter-energy of a pose: per atom, trilinear lookups in its type map,
-/// the electrostatic map and the desolvation map, plus the out-of-box
-/// penalty — the arithmetic of
+/// Inter-energy of a pose in `frame`: per atom, trilinear lookups in its
+/// type map, the electrostatic map and the desolvation map, plus the
+/// out-of-box penalty — the arithmetic of
 /// [`inter_energy_kernel`](crate::scoring::inter::inter_energy_kernel).
 ///
 /// Every map read is a clamped index into a window of `gs.data` (module
@@ -370,17 +362,8 @@ fn outside<S: Lane>(s: S, g: f32, b: f32) -> f32 {
 /// As [`inter_energy_kernel`](crate::scoring::inter::inter_energy_kernel):
 /// an axis of fewer than 2 points, a `data` buffer that is not `NUM_MAPS`
 /// maps of the lattice or holds 2²⁴ values or more, `conf` or `st`
-/// shorter than `conf`'s padded length.
-#[inline(never)]
-pub fn inter_energy_autovec(gs: &GridSet, conf: &ConformSoA, st: &AtomStatics) -> f32 {
-    inter_energy_autovec_at(frame(), gs, conf, st)
-}
-
-/// [`inter_energy_autovec`] in a given frame (see [`frame`]).
-///
-/// # Panics
-/// As [`inter_energy_autovec`], and if `frame` is a wide level the host
-/// does not support.
+/// shorter than `conf`'s padded length; and if `frame` is a wide level
+/// the host does not support.
 #[inline(never)]
 pub fn inter_energy_autovec_at(
     frame: SimdLevel,
@@ -646,9 +629,9 @@ fn walk_rows<S: Lane>(s: S, conf: &ConformSoA, rows: &HalfShellRows, n: usize) -
     acc
 }
 
-/// Intra-energy of a pose: [`vterms::pair_energy`] over every scored
-/// pair inside the cutoff. Walks half-shell rows where `pairs` has them
-/// and the packed list otherwise.
+/// Intra-energy of a pose in `frame`: [`vterms::pair_energy`] over every
+/// scored pair inside the cutoff. Walks half-shell rows where `pairs` has
+/// them and the packed list otherwise.
 ///
 /// Unlike the explicit kernel's gathered walk this one cannot read out of
 /// bounds whatever `pairs.i` / `pairs.j` hold: a corrupt index is clamped
@@ -656,17 +639,8 @@ fn walk_rows<S: Lane>(s: S, conf: &ConformSoA, rows: &HalfShellRows, n: usize) -
 ///
 /// # Panics
 /// If `conf` is not a conformation of the molecule `pairs` was built from
-/// (atom counts differ, or a coordinate array is shorter than that).
-#[inline(never)]
-pub fn intra_energy_autovec(conf: &ConformSoA, pairs: &PairsSoA) -> f32 {
-    intra_energy_autovec_at(frame(), conf, pairs)
-}
-
-/// [`intra_energy_autovec`] in a given frame (see [`frame`]).
-///
-/// # Panics
-/// As [`intra_energy_autovec`], and if `frame` is a wide level the host
-/// does not support.
+/// (atom counts differ, or a coordinate array is shorter than that), or
+/// `frame` is a wide level the host does not support.
 #[inline(never)]
 pub fn intra_energy_autovec_at(frame: SimdLevel, conf: &ConformSoA, pairs: &PairsSoA) -> f32 {
     in_frame!(frame, |s| intra_energy(s, conf, pairs))

@@ -108,37 +108,24 @@ impl BackendPolicy {
         }
     }
 
-    /// The SIMD level receptor grids are built (and cache-keyed) at.
-    ///
-    /// Pinned campaigns build grids at their pinned level so the whole
-    /// run — precomputation included — executes the requested strategy.
-    /// The scalar arms build at [`SimdLevel::Scalar`] for full
-    /// reproducibility: maps whose bits are the same on every host,
-    /// computed by lane loops in the host's frame (`mudock-simd`'s
-    /// `frame()`: vectorized where the CPU has AVX2 or AVX-512, as
-    /// compiled for the build's baseline ISA elsewhere) with one-lane
-    /// arithmetic. [`BackendPolicy::Detect`] builds where the backend it
-    /// resolves to would.
+    /// The SIMD level receptor grids are built (and cache-keyed) at: the
+    /// level of the explicit backend [`BackendPolicy::resolve`] picks, so
+    /// the whole run — precomputation included — executes that strategy.
+    /// The other arms build at [`SimdLevel::Scalar`] for full
+    /// reproducibility: maps whose bits are the same on every host, built
+    /// by lane loops in the host's frame with one-lane arithmetic
+    /// (`mudock_grids::build`).
     pub fn grid_level(self) -> SimdLevel {
-        match self {
-            BackendPolicy::Detect => match Backend::auto() {
-                Backend::Explicit(l) => l,
-                // An env pin to a scalar arm builds grids at Scalar for
-                // full reproducibility, same as Fixed(Reference/AutoVec).
-                _ => SimdLevel::Scalar,
-            },
-            BackendPolicy::Fixed(Backend::Explicit(l)) => l,
-            BackendPolicy::Fixed(_) => SimdLevel::Scalar,
+        match self.resolve() {
+            Backend::Explicit(l) => l,
+            _ => SimdLevel::Scalar,
         }
     }
 
-    /// Is this policy runnable on the current host?
+    /// Is this policy runnable on the current host? Its grid level is the
+    /// only SIMD level it runs.
     pub fn is_supported(self) -> bool {
-        match self {
-            BackendPolicy::Detect => true,
-            BackendPolicy::Fixed(Backend::Explicit(l)) => l.is_supported(),
-            BackendPolicy::Fixed(_) => true,
-        }
+        self.grid_level().is_supported()
     }
 }
 

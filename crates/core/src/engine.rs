@@ -7,7 +7,7 @@ use mudock_mol::{AtomStatics, ConformSoA, Molecule, MoleculeError, Topology, Vec
 use mudock_simd::SimdLevel;
 use rand::SeedableRng as _;
 
-use crate::autovec::{self, inter_energy_autovec, intra_energy_autovec};
+use crate::autovec::{inter_energy_autovec_at, intra_energy_autovec_at};
 use crate::ga::{best_first, Ga, GaParams};
 use crate::genotype::Genotype;
 use crate::scoring::inter::{inter_energy_reference, inter_energy_simd};
@@ -27,13 +27,13 @@ pub enum Backend {
     /// polynomial `exp`, no `libm` call) inside 16-lane loops written for
     /// the compiler's loop vectorizer ([`crate::autovec`]) — safe Rust, no
     /// intrinsics, compiled once for the build's baseline ISA and once
-    /// inside each AVX2+FMA / AVX-512 frame, of which the host's CPU
-    /// picks the widest it runs. The paper's `#pragma omp simd` arm with a
-    /// vector math library, built per target ISA.
+    /// inside each AVX2+FMA / AVX-512 frame; it scores in its engine's
+    /// ([`DockingEngine::frame`]). The paper's `#pragma omp simd` arm with
+    /// a vector math library, built per target ISA.
     ///
-    /// One name, two roundings: scores are bit-identical across hosts of
-    /// one [arithmetic class](crate::autovec::arithmetic) (with or without
-    /// fused multiply-add), not across the two.
+    /// One name, two roundings: scores are bit-identical across frames of
+    /// one [arithmetic class](crate::autovec::arithmetic_at) (with or
+    /// without fused multiply-add), not across the two.
     AutoVec,
     /// Explicit vectorization through `mudock-simd` (the Highway arm).
     Explicit(SimdLevel),
@@ -47,7 +47,7 @@ pub enum Backend {
 ///
 /// 2: `AutoVec` sums sixteen per-lane partials in a fixed tree order.
 /// 3: `AutoVec` fuses its multiply-adds on hosts with AVX2+FMA
-/// ([`crate::autovec::arithmetic`]).
+/// ([`crate::autovec::arithmetic_at`]).
 /// 4: grids built at SSE2/AVX2/AVX-512 sum each lattice point over the
 /// receptor's atoms in index order (`mudock_grids::build`), so the maps
 /// `Explicit` docks against at those levels move in the last bits; grids
@@ -105,21 +105,13 @@ impl Backend {
     /// AVX-512 level, and the portable arm ([`Backend::AutoVec`]) on a
     /// host with neither — every non-x86 CPU included. This is the single
     /// resolution point behind [`DockParams::default`] and
-    /// [`BackendPolicy::Detect`](crate::campaign::BackendPolicy).
+    /// [`BackendPolicy::Detect`](crate::campaign::BackendPolicy). A level
+    /// gets an explicit default exactly where it is the engine's frame.
     pub fn auto() -> Backend {
-        Backend::from_env().unwrap_or_else(|| Backend::default_for(SimdLevel::detect()))
-    }
-
-    /// The default backend on a host whose widest level is `detected`:
-    /// the rule that also picks the portable arm's frame
-    /// ([`crate::autovec::frame`]), so a level gets an explicit default
-    /// exactly where it gets a frame of its own.
-    fn default_for(detected: SimdLevel) -> Backend {
-        if mudock_simd::is_wide(detected) {
-            Backend::Explicit(detected)
-        } else {
-            Backend::AutoVec
-        }
+        Backend::from_env().unwrap_or_else(|| match SimdLevel::detect() {
+            level if mudock_simd::is_wide(level) => Backend::Explicit(level),
+            _ => Backend::AutoVec,
+        })
     }
 }
 
@@ -283,6 +275,7 @@ pub struct DockingEngine<'a> {
     grids: &'a GridSet,
     center: Vec3,
     half_extent: f32,
+    frame: SimdLevel,
 }
 
 impl<'a> DockingEngine<'a> {
@@ -305,7 +298,29 @@ impl<'a> DockingEngine<'a> {
             grids,
             center: (lo + hi) * 0.5,
             half_extent: (hi - lo).norm() * 0.5 / 3f32.sqrt(),
+            frame: mudock_simd::frame(),
         })
+    }
+
+    /// The frame [`Backend::AutoVec`] scores in ([`crate::autovec`]):
+    /// `mudock_simd::frame()`, read once by [`DockingEngine::new`].
+    pub fn frame(&self) -> SimdLevel {
+        self.frame
+    }
+
+    /// This engine scoring [`Backend::AutoVec`] in `frame`, so that a host
+    /// with FMA can dock in the unfused class too. A test and bench seam
+    /// that no flag, env var, config field or wire value reaches.
+    ///
+    /// # Panics
+    /// If `frame` is wider than the engine's or the host lacks it.
+    #[doc(hidden)]
+    pub fn with_frame(self, frame: SimdLevel) -> Self {
+        assert!(
+            frame <= self.frame && frame.is_supported(),
+            "cannot narrow to {frame}"
+        );
+        DockingEngine { frame, ..self }
     }
 
     /// The receptor grid set being docked against.
@@ -342,9 +357,9 @@ impl<'a> DockingEngine<'a> {
                     + tors_penalty
             }
             Backend::AutoVec => {
-                apply_pose_simd(autovec::frame(), &prep.base, &prep.plans, g, scratch);
-                inter_energy_autovec(self.grids, scratch, &prep.statics)
-                    + intra_energy_autovec(scratch, &prep.pairs)
+                apply_pose_simd(self.frame, &prep.base, &prep.plans, g, scratch);
+                inter_energy_autovec_at(self.frame, self.grids, scratch, &prep.statics)
+                    + intra_energy_autovec_at(self.frame, scratch, &prep.pairs)
                     + tors_penalty
             }
             Backend::Explicit(level) => {
@@ -662,16 +677,19 @@ mod tests {
     }
 
     #[test]
-    fn hosts_without_a_wide_level_default_to_the_portable_arm() {
-        assert_eq!(Backend::default_for(SimdLevel::Scalar), Backend::AutoVec);
-        assert_eq!(
-            Backend::default_for(SimdLevel::Avx2),
-            Backend::Explicit(SimdLevel::Avx2)
-        );
-        assert_eq!(
-            Backend::default_for(SimdLevel::Avx512),
-            Backend::Explicit(SimdLevel::Avx512)
-        );
+    fn a_level_is_the_default_backend_exactly_where_it_is_the_engine_frame() {
+        // A `MUDOCK_BACKEND` pin (CI's backend matrix) overrides the rule.
+        if Backend::from_env().is_some() {
+            return;
+        }
+        let gs = GridSet::empty(GridDims::centered(Vec3::ZERO, 2.0, 1.0));
+        let frame = DockingEngine::new(&gs).unwrap().frame();
+        let want = if mudock_simd::is_wide(frame) {
+            Backend::Explicit(frame)
+        } else {
+            Backend::AutoVec
+        };
+        assert_eq!(Backend::auto(), want);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   Library calls in the loop body are exactly what blocks loop
 //!   vectorization when no vector math library exists (the paper's
 //!   GCC-on-ARM case).
-//! * [`intra_energy_autovec`](crate::autovec::intra_energy_autovec) — the
+//! * [`intra_energy_autovec_at`](crate::autovec::intra_energy_autovec_at) — the
 //!   portable arm: this kernel's per-lane math, inlinable polynomials
 //!   included, in lane loops the compiler vectorizes. It lives in
 //!   [`crate::autovec`] and has its own two walks (rows where built, else

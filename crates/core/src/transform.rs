@@ -12,7 +12,7 @@
 //!   the transformation that makes the loop vectorizable. It is
 //!   [`crate::autovec`]'s lane loop, run in the frame of the level it is
 //!   given: `Backend::Explicit(level)` transforms in `level`'s,
-//!   `Backend::AutoVec` in [`autovec::frame`](crate::autovec::frame).
+//!   `Backend::AutoVec` in [its engine's](crate::DockingEngine::frame).
 
 use mudock_mol::{ConformSoA, Quat, Topology};
 

@@ -36,7 +36,8 @@
 //! lane's sums through a per-lane select, and a chunk skips them only
 //! when no lane is within the cutoff. Those bits are pinned by the root
 //! `grid_build` test; the proptest below holds the lane build in every
-//! frame to `build_points` at the `Scalar` token.
+//! frame to `build_points` at the `Scalar` token. As no caller needs
+//! another frame, `build_simd_on` reads [`mudock_simd::frame`] itself.
 //!
 //! One build can run on several `mudock-pool` workers
 //! ([`GridBuilder::build_simd_on`]; the service builds on a job's share

@@ -109,10 +109,11 @@ impl<T: JobTier> HttpRoutes for JobRoutes<T> {
                 }
                 members.push(("node".into(), Json::str(format!("{:016x}", self.node_id))));
                 members.push(("version".into(), Json::str(env!("CARGO_PKG_VERSION"))));
+                let frame = mudock_simd::frame();
                 let simd = [
                     ("explicit", SimdLevel::detect().name()),
-                    ("portable", autovec::frame_name(autovec::frame())),
-                    ("portable_arithmetic", autovec::arithmetic()),
+                    ("portable", autovec::frame_name(frame)),
+                    ("portable_arithmetic", autovec::arithmetic_at(frame)),
                 ];
                 let simd = simd.map(|(k, v)| (k.to_string(), Json::str(v)));
                 members.push(("simd".into(), Json::Obj(simd.into())));

@@ -388,7 +388,7 @@ fn an_autovec_checkpoint_of_the_other_arithmetic_class_is_refused() {
         spec.campaign.backend = BackendPolicy::Fixed(Backend::AutoVec);
         spec
     };
-    let here = mudock_core::autovec::arithmetic();
+    let here = mudock_core::autovec::arithmetic_at(mudock_simd::frame());
     let elsewhere = if here == "fused" { "unfused" } else { "fused" };
 
     let service = ScreenService::start(ServeConfig {

@@ -244,7 +244,7 @@ pub fn is_wide(frame: SimdLevel) -> bool {
 /// [`SimdLevel::detect`] — AVX-512 or AVX2+FMA where the CPU has them,
 /// else [`SimdLevel::Scalar`], no frame, the lane loops as compiled for the
 /// build's baseline ISA. Nothing else selects it: no flag, env var, config
-/// field or wire value.
+/// field or wire value; `mudock-core`'s `DockingEngine::new` reads it.
 pub fn frame() -> SimdLevel {
     static FRAME: OnceLock<SimdLevel> = OnceLock::new();
     *FRAME.get_or_init(SimdLevel::detect)

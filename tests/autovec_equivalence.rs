@@ -127,9 +127,9 @@ fn autovec_agrees_with_reference_and_one_lane_over_the_ligand_classes() {
                     );
                 }
             }
-            // The engine scores in the host's own frame, nothing else.
+            // The engine scores in its own frame, nothing else.
             let routed = engine.score(prep, g, &mut scratch, Backend::AutoVec);
-            let direct = score_at(SimdLevel::detect(), &maps, prep, g, &mut scratch);
+            let direct = score_at(engine.frame(), &maps, prep, g, &mut scratch);
             assert_eq!(routed.to_bits(), direct.to_bits(), "{what}");
         });
     }
@@ -143,10 +143,6 @@ fn frames_of_one_arithmetic_class_are_bit_identical_pose_by_pose() {
     let maps = grids_for(&preps);
     let frames = SimdLevel::available();
     assert_eq!(autovec::arithmetic_at(SimdLevel::Scalar), "unfused");
-    assert_eq!(
-        autovec::arithmetic(),
-        autovec::arithmetic_at(autovec::frame())
-    );
     for prep in &preps {
         let mut scratch = ConformSoA::with_capacity(prep.base.n);
         for_each_pose(prep, |what, g| {
@@ -162,6 +158,59 @@ fn frames_of_one_arithmetic_class_are_bit_identical_pose_by_pose() {
                 );
             }
         });
+    }
+}
+
+#[test]
+fn a_narrowed_engine_scores_in_the_frame_it_was_narrowed_to() {
+    let preps = classes();
+    let maps = grids_for(&preps);
+    assert_eq!(
+        DockingEngine::new(&maps).unwrap().frame(),
+        SimdLevel::detect(),
+        "an engine starts in the widest frame the host runs"
+    );
+    for frame in SimdLevel::available() {
+        let engine = DockingEngine::new(&maps).unwrap().with_frame(frame);
+        assert_eq!(engine.frame(), frame);
+        for prep in &preps {
+            let mut scratch = ConformSoA::with_capacity(prep.base.n);
+            for_each_pose(prep, |what, g| {
+                let routed = engine.score(prep, g, &mut scratch, Backend::AutoVec);
+                let direct = score_at(frame, &maps, prep, g, &mut scratch);
+                assert_eq!(routed.to_bits(), direct.to_bits(), "{what} @{frame}");
+            });
+        }
+    }
+}
+
+#[test]
+fn an_engine_narrows_only_to_frames_the_host_runs() {
+    let maps = smooth_maps(GridDims::centered(Vec3::ZERO, 2.0, 0.5));
+    let narrow = |from: SimdLevel, to: SimdLevel| {
+        std::panic::catch_unwind(|| {
+            DockingEngine::new(&maps)
+                .unwrap()
+                .with_frame(from)
+                .with_frame(to)
+                .frame()
+        })
+    };
+    let widest = SimdLevel::detect();
+    for to in SimdLevel::ALL {
+        let got = narrow(widest, to);
+        if to.is_supported() {
+            assert_eq!(got.ok(), Some(to), "{widest} narrows to {to}");
+        } else {
+            assert!(got.is_err(), "{to} is not supported here");
+        }
+        // Once narrowed, an engine does not widen again.
+        if to > SimdLevel::Scalar {
+            assert!(
+                narrow(SimdLevel::Scalar, to).is_err(),
+                "scalar widened to {to}"
+            );
+        }
     }
 }
 

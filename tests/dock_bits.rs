@@ -118,9 +118,10 @@ fn pinned_runs() -> [(&'static str, LigandPrep, DockParams); 2] {
 fn docks_report_the_bits_they_reported_when_every_pose_was_scored() {
     // Captured at commit 9b4922b, which scored every individual of every
     // generation, in debug and release builds. Explicit levels by name;
-    // the portable arm by arithmetic class (`autovec::arithmetic`), the
-    // unfused one with the frame held at `SimdLevel::Scalar`, as a host
-    // without AVX2+FMA runs it.
+    // the portable arm by arithmetic class (`autovec::arithmetic_at`),
+    // docked in every frame the host has: each frame must hit its class's
+    // pin, the unfused one at `SimdLevel::Scalar`, as a host without
+    // AVX2+FMA runs it.
     const PINS: &[(&str, u64)] = &[
         ("pure-ga scalar", 0xacff_7013_a6f5_686f),
         ("pure-ga avx2", 0x13f1_c659_e218_5ec2),
@@ -133,18 +134,21 @@ fn docks_report_the_bits_they_reported_when_every_pose_was_scored() {
         ("lamarckian autovec-fused", 0xe38e_c135_775a_3b30),
         ("lamarckian autovec-unfused", 0x0585_86f2_104c_6ab9),
     ];
-    let engine = DockingEngine::new(grids()).unwrap();
-    let mut backends: Vec<(String, Backend)> = SimdLevel::available()
-        .into_iter()
-        .map(|l| (l.name().to_string(), Backend::Explicit(l)))
-        .collect();
-    backends.push((
-        format!("autovec-{}", mudock::core::autovec::arithmetic()),
-        Backend::AutoVec,
-    ));
+    let levels = SimdLevel::available();
+    // (pin name, frame the engine is narrowed to, backend)
+    let mut arms: Vec<(String, SimdLevel, Backend)> = Vec::new();
+    for &level in &levels {
+        arms.push((level.name().into(), level, Backend::Explicit(level)));
+        let class = mudock::core::autovec::arithmetic_at(level);
+        arms.push((format!("autovec-{class}"), level, Backend::AutoVec));
+    }
     let mut wrong = Vec::new();
+    let mut compared = Vec::new();
     for (run, prep, params) in pinned_runs() {
-        for (name, backend) in &backends {
+        for (name, frame, backend) in &arms {
+            // An explicit level does not read the frame; narrowing to it
+            // only keeps the loop flat.
+            let engine = DockingEngine::new(grids()).unwrap().with_frame(*frame);
             let report = engine
                 .dock(
                     &prep,
@@ -158,11 +162,19 @@ fn docks_report_the_bits_they_reported_when_every_pose_was_scored() {
             let got = fingerprint(&report);
             let want = PINS.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
             if want != Some(got) {
-                wrong.push(format!("(\"{key}\", {got:#018x}), // pinned {want:x?}"));
+                wrong.push(format!(
+                    "(\"{key}\", {got:#018x}), // pinned {want:x?} @{frame}"
+                ));
             }
+            compared.push(key);
         }
     }
     assert!(wrong.is_empty(), "\n{}", wrong.join("\n"));
+    if levels.len() == SimdLevel::ALL.len() {
+        for (key, _) in PINS {
+            assert!(compared.iter().any(|k| k == key), "{key} never compared");
+        }
+    }
 }
 
 /// What a dock reports, from a loop that scores every individual: the
