@@ -12,13 +12,19 @@
 //! restore, with timestamps and per-acquisition wall-clock). The
 //! replayer drives the recorded access stream through the cache's
 //! own `Directory` (`mudock_serve`'s `cache::policy` module) once per
-//! row and prints the rows side by side — so "would a frequency filter
-//! have helped this campaign?" is answered from production evidence,
-//! not intuition.
+//! row and prints the rows side by side — so "would a protected segment
+//! or a larger cache have helped this campaign?" is answered from
+//! production evidence, not intuition. A trace of another format
+//! version than this binary records is refused by version: version 1
+//! was recorded while the spill tier wrote every eviction and pruned
+//! its oldest file, and today's directory would replay it to counters
+//! the node never had.
 //!
-//! Swept by default: `slru` (what the node runs), the what-if rows
-//! `lru` (protected segment of 0) and `tinylfu` (frequency admission in
-//! front of the directory).
+//! Swept by default: `slru` (what the node runs) and the what-if row
+//! `lru` (protected segment of 0); both run the directory's frequency
+//! admission to the spill tier, as the node does. The retired
+//! `tinylfu` row (a frequency filter in front of residency) is refused
+//! by name.
 //! Capacities default to what the trace header recorded (the live
 //! node's configuration); `--capacity`/`--spill-cap` ask "what if the
 //! node were sized differently" against the same workload.
@@ -30,16 +36,49 @@
 //!   hits/misses/spills/reloads *exactly* (both sides run the same
 //!   directory; any drift is a bug in the glue). Exits 1 on mismatch.
 //! * `--assert-default` — the shipped policy's hit rate must be at
-//!   least the `lru` what-if row's on this trace. Exits 1 if what ships
-//!   ever regresses the workload it ships for.
+//!   least the `lru` what-if row's on this trace, and its rebuilds at
+//!   most that row's. Exits 1 if what ships ever regresses the workload
+//!   it ships for.
 
 use std::process::ExitCode;
 
 use mudock_serve::cache::directory::POLICY_NAME;
+use mudock_serve::cache::trace::TRACE_VERSION;
 use mudock_serve::wire::Json;
-use mudock_serve::{read_trace, ModelConfig, ModelStats};
+use mudock_serve::{read_trace, ModelConfig, ModelStats, TraceHeader};
 
-const DEFAULT_POLICIES: &[&str] = &["lru", "slru", "tinylfu"];
+const DEFAULT_POLICIES: &[&str] = &["lru", "slru"];
+
+/// The configuration of the row `name`; a retired row is refused by
+/// name, never remapped.
+fn row_config(name: &str, capacity: usize, spill_cap: usize) -> Result<ModelConfig, String> {
+    if name == "tinylfu" {
+        return Err(
+            "policy \"tinylfu\" is retired: its frequency test now decides \
+             which evictions the spill tier writes, in every row"
+                .into(),
+        );
+    }
+    ModelConfig::for_policy(name, capacity, spill_cap)
+        .ok_or_else(|| format!("unknown policy {name:?} (lru, slru)"))
+}
+
+/// Refuse a trace recorded under other directory rules than this
+/// binary replays; a headerless trace cannot tell, and is replayed.
+fn check_version(header: Option<&TraceHeader>) -> Result<(), String> {
+    match header.map(|h| h.version) {
+        Some(1) => Err(
+            "trace version 1 was recorded while the spill tier wrote every \
+             eviction and pruned its oldest file; this replayer would report \
+             counters that node never had — record the trace again"
+                .into(),
+        ),
+        Some(v) if v != TRACE_VERSION => Err(format!(
+            "trace version {v} is not one this replayer reads (it reads {TRACE_VERSION})"
+        )),
+        _ => Ok(()),
+    }
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -101,6 +140,10 @@ fn main() -> ExitCode {
         }
     };
     let header = trace.header;
+    if let Err(e) = check_version(header.as_ref()) {
+        eprintln!("cache_replay: {trace_path}: {e}");
+        return ExitCode::FAILURE;
+    }
     let capacity = capacity
         .or(header.as_ref().map(|h| h.capacity))
         .unwrap_or(4);
@@ -110,10 +153,10 @@ fn main() -> ExitCode {
 
     let mut rows: Vec<Row> = Vec::new();
     for name in &policies {
-        let cfg = match ModelConfig::for_policy(name, capacity, spill_cap) {
-            Some(cfg) => cfg,
-            None => {
-                eprintln!("cache_replay: unknown policy {name:?} (lru, slru, tinylfu)");
+        let cfg = match row_config(name, capacity, spill_cap) {
+            Ok(cfg) => cfg,
+            Err(e) => {
+                eprintln!("cache_replay: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -163,17 +206,15 @@ fn main() -> ExitCode {
         let find = |name: &str| rows.iter().find(|r| r.label == name).map(|r| &r.stats);
         match (find(default_name), find("lru")) {
             (Some(d), Some(l)) => {
-                if d.hit_rate() + 1e-12 >= l.hit_rate() {
-                    println!(
-                        "shipped policy {default_name}: hit rate {:.4} >= lru what-if {:.4}",
-                        d.hit_rate(),
-                        l.hit_rate()
-                    );
+                let (hits, builds) = (
+                    format!("hit rate {:.4} vs {:.4}", d.hit_rate(), l.hit_rate()),
+                    format!("rebuilds {} vs {}", d.builds, l.builds),
+                );
+                if d.hit_rate() + 1e-12 >= l.hit_rate() && d.builds <= l.builds {
+                    println!("shipped policy {default_name} vs lru what-if: {hits}, {builds}");
                 } else {
                     eprintln!(
-                        "shipped policy {default_name} REGRESSES the lru what-if on this trace: {:.4} < {:.4}",
-                        d.hit_rate(),
-                        l.hit_rate()
+                        "shipped policy {default_name} REGRESSES the lru what-if on this trace: {hits}, {builds}"
                     );
                     failed = true;
                 }
@@ -195,7 +236,7 @@ fn print_table(
     path: &str,
     capacity: usize,
     spill_cap: usize,
-    header: Option<&mudock_serve::TraceHeader>,
+    header: Option<&TraceHeader>,
     rows: &[Row],
 ) {
     match header {
@@ -276,5 +317,42 @@ mod tests {
         };
         assert_eq!(policies[0].get("hits").and_then(Json::as_u64), Some(1));
         assert_eq!(policies[0].get("hit_rate"), Some(&Json::f64(1.0 / 3.0)));
+    }
+
+    #[test]
+    fn the_retired_tinylfu_row_is_refused_by_name() {
+        let err = row_config("tinylfu", 2, 2).unwrap_err();
+        assert!(err.starts_with("policy \"tinylfu\" is retired"), "{err}");
+        let err = row_config("fifo", 2, 2).unwrap_err();
+        assert_eq!(err, "unknown policy \"fifo\" (lru, slru)");
+        for name in DEFAULT_POLICIES {
+            assert_eq!(row_config(name, 2, 2).unwrap().label, *name);
+        }
+    }
+
+    #[test]
+    fn a_version_1_trace_is_refused_by_version() {
+        let header = |version| TraceHeader {
+            version,
+            capacity: 2,
+            spill_capacity: 2,
+            policy: POLICY_NAME.into(),
+        };
+        let err = check_version(Some(&header(1))).unwrap_err();
+        assert!(
+            err.starts_with("trace version 1 was recorded while"),
+            "{err}"
+        );
+        let err = check_version(Some(&header(3))).unwrap_err();
+        assert_eq!(
+            err,
+            "trace version 3 is not one this replayer reads (it reads 2)"
+        );
+        assert_eq!(check_version(Some(&header(TRACE_VERSION))), Ok(()));
+        assert_eq!(
+            check_version(None),
+            Ok(()),
+            "a headerless trace cannot tell"
+        );
     }
 }

@@ -12,9 +12,15 @@
 //! Evicted keys go to a spill-file table bounded by `spill` files (0 =
 //! no spill tier). A key is written once — grid content is immutable per
 //! key, so re-evicting a reloaded entry only refreshes its file's age —
-//! and every touch hands out a strictly larger age, so "the oldest
-//! file" is always well defined. The over-capacity prune never takes
-//! the file the same access reloads from.
+//! and every touch hands out a strictly larger age. Once the tier is
+//! full, a key is written only if it is *strictly* more frequent than
+//! the coldest file, which is then deleted (ties keep the file; among
+//! equally cold files the oldest goes). Frequency is a key's count of
+//! demand accesses, every count halved each 64 accesses — TinyLFU's
+//! admission test (Einziger et al., ACM ToS 2017) guarding the tier's
+//! writes instead of residency. The prune never takes the file the
+//! same access reloads from, and a file already on disk (startup
+//! rescan, racing spill) is always registered.
 //!
 //! The live [`GridCache`](super::GridCache) consults it under its mutex
 //! and performs the I/O it plans; [`CacheModel`](super::policy::CacheModel)
@@ -22,6 +28,9 @@
 
 /// Name of the replacement policy (`/stats`, trace header, replay row).
 pub const POLICY_NAME: &str = "slru";
+
+/// Demand accesses between two halvings of every access count.
+const AGING_PERIOD: u32 = 64;
 
 /// Protected-segment bound the live cache uses at `capacity` entries.
 pub fn default_protected(capacity: usize) -> usize {
@@ -42,6 +51,10 @@ pub struct Directory<K> {
     resident: Vec<Resident<K>>,
     /// `(key, age)` of every spill file.
     files: Vec<(K, u64)>,
+    /// `(key, count)` of every key with a nonzero aged access count.
+    counts: Vec<(K, u32)>,
+    /// Demand accesses since the counts were last halved.
+    since_aging: u32,
     /// Source of `last_use` stamps and file ages.
     clock: u64,
 }
@@ -80,6 +93,8 @@ impl<K: Copy + Eq> Directory<K> {
             spill,
             resident: Vec::new(),
             files: Vec::new(),
+            counts: Vec::new(),
+            since_aging: 0,
             clock: 0,
         }
     }
@@ -89,9 +104,30 @@ impl<K: Copy + Eq> Directory<K> {
         self.clock
     }
 
+    /// `key`'s aged access count.
+    fn count(&self, key: K) -> u32 {
+        self.counts.iter().find(|c| c.0 == key).map_or(0, |c| c.1)
+    }
+
+    /// Count one demand access of `key`, halving every count (and
+    /// forgetting those that reach 0) every [`AGING_PERIOD`] accesses.
+    fn count_access(&mut self, key: K) {
+        match self.counts.iter_mut().find(|c| c.0 == key) {
+            Some(c) => c.1 += 1,
+            None => self.counts.push((key, 1)),
+        }
+        self.since_aging += 1;
+        if self.since_aging == AGING_PERIOD {
+            self.since_aging = 0;
+            self.counts.iter_mut().for_each(|c| c.1 /= 2);
+            self.counts.retain(|c| c.1 > 0);
+        }
+    }
+
     /// One demand access. `spillable` says whether the victim's content
     /// can be written out (an entry still being built cannot).
     pub fn lookup(&mut self, key: K, spillable: impl FnOnce(K) -> bool) -> Lookup<K> {
+        self.count_access(key);
         let Some(i) = self.resident.iter().position(|e| e.key == key) else {
             return Lookup::Miss(self.admit(key, spillable));
         };
@@ -128,7 +164,7 @@ impl<K: Copy + Eq> Directory<K> {
             plan.evicted = Some(victim);
             if spillable(victim) {
                 let keep = plan.reload.then_some(key);
-                (plan.spill, plan.pruned) = self.register_file(victim, keep);
+                (plan.spill, plan.pruned) = self.register_file(victim, keep, true);
             }
         }
         let last_use = self.stamp();
@@ -141,54 +177,49 @@ impl<K: Copy + Eq> Directory<K> {
     }
 
     /// Give `key`'s spill file the newest age; `false` when it has none.
-    /// On its own this is a reload that admits nothing.
-    pub fn refresh_file(&mut self, key: K) -> bool {
+    fn refresh_file(&mut self, key: K) -> bool {
         let age = self.stamp();
         let file = self.files.iter_mut().find(|f| f.0 == key);
         file.map(|f| f.1 = age).is_some()
     }
 
-    /// Put `key` in the file table as its newest file and bound the
-    /// table, never pruning `keep`. Returns whether `key`'s file must be
-    /// written — not when it already exists, nor when it is its own
-    /// prune victim — and the existing file to delete.
-    fn register_file(&mut self, key: K, keep: Option<K>) -> (bool, Option<K>) {
+    /// Put `key` in the file table as its newest file, pruning the
+    /// coldest file other than `keep` — the oldest among equally cold
+    /// ones — when the tier is full. With `admit`, a full tier takes
+    /// `key` only if it is strictly more frequent than that file.
+    /// Returns whether `key`'s file must be written — not when it
+    /// already exists, nor when it is refused — and the file to delete.
+    fn register_file(&mut self, key: K, keep: Option<K>, admit: bool) -> (bool, Option<K>) {
         if self.spill == 0 || self.refresh_file(key) {
             return (false, None);
         }
+        let mut pruned = None;
+        if self.files.len() >= self.spill {
+            let prunable = self.files.iter().filter(|f| Some(f.0) != keep);
+            let coldest = prunable.min_by_key(|f| (self.count(f.0), f.1)).map(|f| f.0);
+            match coldest {
+                Some(cold) if !admit || self.count(key) > self.count(cold) => {
+                    self.forget_file(cold);
+                    pruned = Some(cold);
+                }
+                _ => return (false, None),
+            }
+        }
         let age = self.stamp();
         self.files.push((key, age));
-        if self.files.len() <= self.spill {
-            return (true, None);
-        }
-        let prunable = self.files.iter().filter(|f| Some(f.0) != keep);
-        let oldest = prunable.min_by_key(|f| f.1).expect("two files, one kept").0;
-        self.forget_file(oldest);
-        if oldest == key {
-            (false, None)
-        } else {
-            (true, Some(oldest))
-        }
+        (true, pruned)
     }
 
     /// `key`'s spill file is on disk — found by the startup rescan, or
-    /// just written: make it the newest file. Returns the file the
-    /// tier's bound prunes.
+    /// just written: make it the newest file, however cold. Returns the
+    /// file the tier's bound prunes in its place.
     pub fn restore(&mut self, key: K) -> Option<K> {
-        self.register_file(key, None).1
+        self.register_file(key, None, false).1
     }
 
     /// `key`'s spill file is gone or unusable: drop it from the table.
     pub fn forget_file(&mut self, key: K) {
         self.files.retain(|f| f.0 != key);
-    }
-
-    /// The entry a lookup of `key` would evict — `None` on a hit or
-    /// while there is room — changing nothing.
-    pub fn peek(&self, key: K) -> Option<K> {
-        let resident = self.resident.iter().any(|e| e.key == key);
-        let full = !resident && self.resident.len() >= self.capacity;
-        self.victim().filter(|_| full)
     }
 
     /// Resident entries and spill files held.
@@ -313,10 +344,12 @@ mod tests {
         assert_eq!(spills, [false, true, false, false, false]);
         assert!(plans.iter().all(|p| p.pruned.is_none()));
         assert_eq!(d.spilled(), [1]);
-        // Without a reload in play the oldest file goes, as ever.
+        // Without a reload in play, a more frequent victim displaces the
+        // file.
         let mut d = Directory::new(1, 0, 1);
         miss(&mut d, 1);
         miss(&mut d, 2);
+        assert_eq!(get(&mut d, 2), Lookup::Hit);
         let plan = miss(&mut d, 3);
         assert!(plan.spill);
         assert_eq!((plan.pruned, d.spilled()), (Some(1), vec![2]));
@@ -339,23 +372,80 @@ mod tests {
     }
 
     #[test]
-    fn peek_never_mutates() {
-        let mut d = Directory::new(2, 1, 2);
-        for key in [1, 2, 1, 3] {
+    fn a_scan_of_one_shot_keys_never_displaces_a_more_frequent_file() {
+        let mut d = Directory::new(1, 0, 1);
+        for _ in 0..3 {
+            get(&mut d, 1);
+        }
+        assert!(miss(&mut d, 2).spill, "the empty tier takes 1's file");
+        for key in 3..40 {
+            let plan = miss(&mut d, key);
+            assert_eq!((plan.spill, plan.pruned), (false, None), "scan key {key}");
+        }
+        assert_eq!(d.spilled(), [1]);
+        assert!(miss(&mut d, 1).reload, "the frequent key still reloads");
+    }
+
+    #[test]
+    fn a_round_robin_beyond_both_tiers_writes_nothing_once_they_are_full() {
+        // Six keys through two resident slots and two files: every
+        // access misses. The first two files stay and serve their keys'
+        // misses; no other eviction is written.
+        let mut d = Directory::new(2, default_protected(2), 2);
+        let mut pass = || {
+            let plans: Vec<_> = (0..6).map(|key| miss(&mut d, key)).collect();
+            let spills = plans.iter().filter(|p| p.spill).count();
+            let reloads = plans.iter().filter(|p| p.reload).count();
+            (spills, reloads)
+        };
+        assert_eq!(pass(), (2, 0));
+        // Until the counts are first halved, at access 64.
+        for _ in 0..9 {
+            assert_eq!(pass(), (0, 2));
+        }
+        // Halving rounds down, so now and then a key overtakes a file:
+        // at most one write per halving, against one per access.
+        let writes: usize = (0..200).map(|_| pass().0).sum();
+        assert!(writes <= 1200 / AGING_PERIOD as usize, "{writes} writes");
+        assert_eq!(d.spilled().len(), 2);
+    }
+
+    #[test]
+    fn equally_cold_files_give_way_oldest_first() {
+        let mut d = Directory::new(1, 0, 2);
+        for key in [1, 2, 3, 3] {
             get(&mut d, key);
         }
-        let before = (d.clock, d.spilled(), d.sizes());
-        assert_eq!(d.peek(1), None, "a hit evicts nothing");
-        assert_eq!(d.peek(2), Some(3));
-        assert_eq!(d.peek(9), Some(3));
-        assert_eq!(before, (d.clock, d.spilled(), d.sizes()));
-        assert_eq!(
-            miss(&mut d, 9).evicted,
-            Some(3),
-            "the peeked victim is the real one"
-        );
-        let room = Directory::<u32>::new(2, 1, 0);
-        assert_eq!(room.peek(1), None, "no victim while there is room");
+        assert_eq!(d.spilled(), [1, 2], "1 and 2 were each seen once");
+        let plan = miss(&mut d, 4);
+        assert!(plan.spill, "3 was seen twice");
+        assert_eq!((plan.pruned, d.spilled()), (Some(1), vec![2, 3]));
+    }
+
+    #[test]
+    fn restore_registers_even_a_cold_key_within_the_bound() {
+        let mut d = Directory::new(1, 0, 2);
+        for key in [1, 1, 1, 2, 2, 2, 3] {
+            get(&mut d, key);
+        }
+        assert_eq!(d.spilled(), [1, 2]);
+        assert_eq!(d.restore(9), Some(1), "9 was never seen, yet it stays");
+        assert_eq!(d.spilled(), [2, 9]);
+        assert_eq!(d.restore(9), None, "a registered file is only refreshed");
+        for key in 10..20 {
+            d.restore(key);
+            assert!(d.spilled().len() <= 2);
+            assert_eq!(d.spilled().last(), Some(&key));
+        }
+    }
+
+    #[test]
+    fn the_count_table_stays_bounded_under_distinct_keys() {
+        let mut d = Directory::new(2, 1, 2);
+        for key in 0..10_000 {
+            get(&mut d, key);
+            assert!(d.counts.len() <= AGING_PERIOD as usize, "after {key}");
+        }
     }
 
     #[test]

@@ -41,9 +41,10 @@
 //! *reloads* it instead of rebuilding. Loads are bit-exact (the format
 //! round-trips f32 bit patterns), so a reloaded grid scores ligands
 //! identically to the original build. The directory holds at most
-//! [`SpillConfig::capacity`] files; the oldest are deleted beyond it.
-//! Spills and reloads are counted in [`CacheStats`] and surface in
-//! `GET /stats`.
+//! [`SpillConfig::capacity`] files; once full, it writes an eviction
+//! only if its key was looked up more often, lately, than the coldest
+//! file's, and deletes that file ([`directory`]). Spills and reloads
+//! are counted in [`CacheStats`] and surface in `GET /stats`.
 //!
 //! Spill files persist across process restarts. At construction the
 //! spill directory is rescanned: files with a canonical name whose
@@ -79,7 +80,7 @@ use mudock_mol::Molecule;
 use mudock_obs::{GridSource, Histogram, Registry};
 
 use directory::{Admission, Directory, Lookup};
-use trace::{CacheTracer, TraceEventKind, TraceHeader, TraceKey as Key};
+use trace::{CacheTracer, TraceEventKind, TraceHeader, TraceKey as Key, TRACE_VERSION};
 
 /// Histogram of grid-build wall time, one observation per AutoGrid run.
 pub const GRID_BUILD_METRIC: &str = "mudock_grid_build_seconds";
@@ -89,8 +90,8 @@ pub const GRID_BUILD_METRIC: &str = "mudock_grid_build_seconds";
 pub struct SpillConfig {
     /// Directory spill files are written into (created on first use).
     pub dir: PathBuf,
-    /// Maximum spill files kept on disk; the oldest are deleted beyond
-    /// this, so the directory never grows without bound.
+    /// Maximum spill files kept on disk, so the directory never grows
+    /// without bound; beyond it the coldest file gives way.
     pub capacity: usize,
 }
 
@@ -226,8 +227,8 @@ impl GridCacheBuilder {
         if let Some(cfg) = &self.spill {
             std::fs::create_dir_all(&cfg.dir)?;
             // The tier bound holds from the first instant: beyond it the
-            // oldest restores are valid files, so this is the ordinary
-            // prune (delete), not quarantine.
+            // oldest restores (with nothing counted yet, the coldest) are
+            // valid files, so this is the ordinary prune, not quarantine.
             for key in rescan_spill_dir(&cfg.dir, &mut quarantined)? {
                 if let Some(old) = dir.restore(key) {
                     std::fs::remove_file(spill_path(&cfg.dir, old)).ok();
@@ -235,7 +236,7 @@ impl GridCacheBuilder {
             }
         }
         let header = TraceHeader {
-            version: 1,
+            version: TRACE_VERSION,
             capacity: self.capacity,
             spill_capacity,
             policy: directory::POLICY_NAME.to_string(),
@@ -713,16 +714,19 @@ mod tests {
             },
         )
         .unwrap();
-        // Four receptors through a capacity-1 cache: three evictions,
-        // three spills, but only the two newest files survive on disk.
+        // Four receptors through a capacity-1 cache, receptor `n` looked
+        // up `n` times: three evictions, three spills (the third hotter
+        // than the coldest file), but only two files survive on disk.
         for seed in 1..=4 {
             let r = synthetic_receptor(seed, 25, 5.0);
-            cache.get_or_build(&r, dims(), SimdLevel::detect(), 1);
+            for _ in 0..seed {
+                cache.get_or_build(&r, dims(), SimdLevel::detect(), 1);
+            }
         }
         let s = cache.stats();
         assert_eq!((s.evictions, s.spills, s.spilled), (3, 3, 2));
         let on_disk = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(on_disk, 2, "the oldest spill file must be deleted");
+        assert_eq!(on_disk, 2, "the coldest spill file must be deleted");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -860,7 +864,7 @@ mod tests {
 
         let t = trace::read_trace(&trace_path).unwrap();
         let header = t.header.expect("trace must begin with its header");
-        assert_eq!((header.version, header.capacity), (1, 1));
+        assert_eq!((header.version, header.capacity), (TRACE_VERSION, 1));
         assert_eq!(header.policy, s.policy);
         let count = |pred: &dyn Fn(&TraceEventKind) -> bool| {
             t.events.iter().filter(|e| pred(&e.kind)).count() as u64

@@ -9,12 +9,8 @@
 //!
 //! - **what-if rows** — other capacities, and other protected bounds:
 //!   `lru` is the directory with a protected segment of 0, `slru` the
-//!   shipped half-capacity bound;
-//! - **`tinylfu`** — a frequency-admission filter *in front of* the
-//!   directory: a miss whose key is estimated colder than the would-be
-//!   victim is served without being admitted. Not a live option: a
-//!   bypassed key would be built outside the shared slot, which is a
-//!   performance change that needs its own measurement;
+//!   shipped half-capacity bound. Every row runs the directory's
+//!   frequency admission to the spill tier, as the live cache does;
 //! - **the stall model** — per-key build and reload costs learned from
 //!   the trace, charged where a row's outcome diverges from the
 //!   recorded one.
@@ -28,7 +24,7 @@ use mudock_obs::GridSource;
 /// One configuration the replayer can drive over a trace.
 #[derive(Clone, Debug)]
 pub struct ModelConfig {
-    /// Display label (`lru`, `slru`, `tinylfu`).
+    /// Display label (`lru`, `slru`).
     pub label: String,
     /// Resident capacity (0 disables caching, as live).
     pub capacity: usize,
@@ -36,20 +32,15 @@ pub struct ModelConfig {
     pub protected_capacity: usize,
     /// Spill-tier file capacity; 0 = no spill tier.
     pub spill_capacity: usize,
-    /// TinyLFU-style admission: a miss only evicts the victim when the
-    /// candidate's estimated frequency is at least the victim's.
-    pub admission_filter: bool,
 }
 
 impl ModelConfig {
-    /// Build the configuration for a row `name` (`lru`, `slru`,
-    /// `tinylfu`) over a cache of `capacity` entries and
-    /// `spill_capacity` files.
+    /// Build the configuration for a row `name` (`lru`, `slru`) over a
+    /// cache of `capacity` entries and `spill_capacity` files.
     pub fn for_policy(name: &str, capacity: usize, spill_capacity: usize) -> Option<ModelConfig> {
-        let (protected, admission) = match name {
-            "lru" => (0, false),
-            "slru" => (default_protected(capacity), false),
-            "tinylfu" => (0, true),
+        let protected = match name {
+            "lru" => 0,
+            "slru" => default_protected(capacity),
             _ => return None,
         };
         Some(ModelConfig {
@@ -57,7 +48,6 @@ impl ModelConfig {
             capacity,
             protected_capacity: protected,
             spill_capacity,
-            admission_filter: admission,
         })
     }
 }
@@ -162,8 +152,6 @@ impl Costs {
 pub struct CacheModel {
     cfg: ModelConfig,
     dir: Directory<TraceKey>,
-    freq: HashMap<TraceKey, u32>,
-    freq_samples: u32,
     costs: Costs,
     stats: ModelStats,
 }
@@ -178,36 +166,10 @@ impl CacheModel {
                 cfg.protected_capacity,
                 cfg.spill_capacity,
             ),
-            freq: HashMap::new(),
-            freq_samples: 0,
             costs: Costs::learn(events),
             stats: ModelStats::default(),
             cfg,
         }
-    }
-
-    fn freq_of(&self, k: TraceKey) -> u32 {
-        self.freq.get(&k).copied().unwrap_or(0)
-    }
-
-    fn note_freq(&mut self, k: TraceKey) {
-        *self.freq.entry(k).or_insert(0) += 1;
-        self.freq_samples += 1;
-        // TinyLFU-style aging: periodically halve every estimate so the
-        // sketch tracks the recent past, not all history.
-        if self.freq_samples >= 64 {
-            self.freq_samples = 0;
-            self.freq.values_mut().for_each(|v| *v /= 2);
-            self.freq.retain(|_, v| *v > 0);
-        }
-    }
-
-    /// The admission filter: would the directory evict an entry that is
-    /// estimated hotter than `k`?
-    fn bypasses(&mut self, k: TraceKey) -> bool {
-        self.note_freq(k);
-        let victim = self.dir.peek(k);
-        victim.is_some_and(|v| self.freq_of(k) < self.freq_of(v))
     }
 
     fn admitted(&mut self, plan: &Admission<TraceKey>) {
@@ -260,13 +222,6 @@ impl CacheModel {
             self.stats.misses += 1;
             return self.fill(k, false, live, dur_ns);
         }
-        if self.cfg.admission_filter && self.bypasses(k) {
-            // Serve the job without admitting the key — the victim has
-            // earned its residency.
-            self.stats.misses += 1;
-            let reload = self.dir.refresh_file(k);
-            return self.fill(k, reload, live, dur_ns);
-        }
         match self.dir.lookup(k, |_| true) {
             Lookup::Hit => self.stats.hits += 1,
             Lookup::Miss(plan) => {
@@ -314,16 +269,12 @@ mod tests {
     }
 
     #[test]
-    fn row_names_select_the_protected_bound_and_the_wrappers() {
-        let row = |name| {
-            let c = cfg(name, 4, 2);
-            (c.protected_capacity, c.admission_filter)
-        };
-        assert_eq!(row("lru"), (0, false));
-        assert_eq!(row("slru"), (2, false));
-        assert_eq!(row("tinylfu"), (0, true));
+    fn row_names_select_the_protected_bound() {
+        assert_eq!(cfg("lru", 4, 2).protected_capacity, 0);
+        assert_eq!(cfg("slru", 4, 2).protected_capacity, 2);
         assert_eq!(cfg("slru", 1, 0).protected_capacity, 0, "slru@1 ≡ lru");
         assert!(ModelConfig::for_policy("fifo", 4, 2).is_none());
+        assert!(ModelConfig::for_policy("tinylfu", 4, 2).is_none());
     }
 
     /// The table in docs/OPERATIONS.md ("How victims are chosen"): 40
@@ -342,13 +293,12 @@ mod tests {
             (s.hits, s.reloads, s.builds, s.spills)
         };
         // What the node runs, and what `serve_churn` measures: 42 % hits,
-        // 17 % reloads, 42 % rebuilds, 10 spills per pass.
-        assert_eq!(row("slru", 2), (399, 160, 401, 399));
-        assert_eq!(row("lru", 2), (200, 359, 401, 758));
-        assert_eq!(row("tinylfu", 2), (597, 120, 243, 2));
-        assert_eq!(row("slru", 4), (598, 238, 124, 358));
-        assert_eq!(row("lru", 4), (559, 277, 124, 397));
-        assert_eq!(row("tinylfu", 4), (715, 180, 65, 65));
+        // 33 % reloads, 25 % rebuilds; after the first pass fills the
+        // tier, no spills.
+        assert_eq!(row("slru", 2), (399, 318, 243, 2));
+        assert_eq!(row("lru", 2), (200, 398, 362, 3));
+        assert_eq!(row("slru", 4), (598, 198, 164, 3));
+        assert_eq!(row("lru", 4), (559, 159, 242, 3));
     }
 
     #[test]
@@ -381,25 +331,6 @@ mod tests {
         assert_eq!(lru.hits, 1, "lru: the scan flushed the hot key");
         assert_eq!(slru.hits, 2, "slru: the protected segment kept it");
         assert!(slru.hit_rate() > lru.hit_rate());
-    }
-
-    #[test]
-    fn tinylfu_admission_defends_the_hot_key() {
-        // Hot key accessed repeatedly, cold keys scanning through a
-        // capacity-1 cache: the admission filter refuses to evict the
-        // frequent key for one-hit wonders.
-        let mut evs = vec![acc(0, 1), acc(1, 1), acc(2, 1)];
-        for (t, k) in (3..).zip([50, 1, 60, 1, 70, 1]) {
-            evs.push(acc(t, k));
-        }
-        let lru = replay(&evs, cfg("lru", 1, 0));
-        let tiny = replay(&evs, cfg("tinylfu", 1, 0));
-        assert!(
-            tiny.hits > lru.hits,
-            "tinylfu {} vs lru {}",
-            tiny.hits,
-            lru.hits
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! geometry the trace was captured under:
 //!
 //! ```text
-//! {"ev":"open","version":1,"capacity":4,"spill_capacity":16,"policy":"slru"}
+//! {"ev":"open","version":2,"capacity":4,"spill_capacity":16,"policy":"slru"}
 //! {"ev":"warm","t_ns":1200,"restored":2,"quarantined":0}
 //! {"ev":"access","t_ns":51023,"key":"00c2a7...","level":"avx2","source":"built","bytes":4096,"dur_ns":49800}
 //! {"ev":"evict","t_ns":93011,"key":"00c2a7...","level":"avx2"}
@@ -32,15 +32,14 @@
 //! never the cache lock — so tracing cannot extend the cache's critical
 //! sections.
 //!
-//! # Older traces
+//! # Versions
 //!
-//! Nodes could once reload spilled grids ahead of demand, on a hint
-//! from the job scheduler. Their traces carry one more boolean in the
-//! header, a `hint` line per router hint and a line per early reload.
-//! The reader ignores the header field and skips those lines as unknown
-//! events, so a trace recorded with early reloads on replays as that
-//! node would have run without them: every key is admitted by its
-//! demand access.
+//! Version-1 traces were recorded while the spill tier wrote every
+//! eviction and pruned its oldest file; those of nodes that reloaded
+//! grids ahead of demand also carry a `prefetch` header field, `hint`
+//! lines and early-reload lines. The reader still parses them (it
+//! ignores unknown fields and event kinds), but `cache_replay` refuses
+//! them: today's directory would replay counters the node never had.
 
 use std::io::Write;
 use std::path::Path;
@@ -51,13 +50,16 @@ use mudock_grids::SimdLevel;
 use mudock_obs::json::{self, Json};
 use mudock_obs::GridSource;
 
+/// The format version this binary records (see "Versions").
+pub const TRACE_VERSION: u32 = 2;
+
 /// A cache key as traced: content fingerprint plus build level.
 pub type TraceKey = (u64, SimdLevel);
 
 /// The trace file's first line: the recording cache's configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceHeader {
-    /// Format version (currently 1).
+    /// Format version ([`TRACE_VERSION`] when recorded by this binary).
     pub version: u32,
     /// Resident capacity of the recording cache.
     pub capacity: usize,
@@ -359,7 +361,7 @@ mod tests {
         assert_eq!(ok.events.len(), 1, "the unknown event is skipped");
 
         // A trace from a node that still reloaded grids ahead of demand
-        // (see "Older traces"): the extra header field is ignored and
+        // (see "Versions"): the extra header field is ignored and
         // the hint and early-reload lines are skipped.
         let old = format!(
             "{{\"ev\":\"open\",\"version\":1,\"capacity\":2,\"spill_capacity\":4,\

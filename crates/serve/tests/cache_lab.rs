@@ -159,7 +159,7 @@ fn a_one_file_tier_serves_reloads_at_capacity_2() {
     let sources = lab.run(&[0, 1, 2, 0, 1, 2, 0]);
     assert_eq!(
         sources,
-        [Built, Built, Built, Reloaded, Built, Reloaded, Built]
+        [Built, Built, Built, Reloaded, Built, Built, Reloaded]
     );
     let (live, trace) = lab.replayed();
     assert!(live.reloads >= 1);
@@ -167,7 +167,7 @@ fn a_one_file_tier_serves_reloads_at_capacity_2() {
 }
 
 #[test]
-fn the_churn_order_settles_at_10_hits_4_reloads_10_rebuilds_10_spills() {
+fn churn_order_settles_at_10_hits_8_reloads_6_rebuilds_0_spills() {
     // `bench_ladder`'s `serve_churn` pass: 24 jobs, Zipf(1) over six
     // receptors, through its capacity-2 cache over a two-file tier.
     const CHURN_RANKS: [usize; 24] = [
@@ -178,9 +178,9 @@ fn the_churn_order_settles_at_10_hits_4_reloads_10_rebuilds_10_spills() {
     let first = lab.cache.stats();
     let second = lab.run(&CHURN_RANKS);
     let count = |s: GridSource| second.iter().filter(|&&got| got == s).count();
-    assert_eq!((count(Hit), count(Reloaded), count(Built)), (10, 4, 10));
+    assert_eq!((count(Hit), count(Reloaded), count(Built)), (10, 8, 6));
     let (live, trace) = lab.replayed();
-    assert_eq!(live.spills - first.spills, 10);
+    assert_eq!(live.spills - first.spills, 0);
     assert_no_self_defeating_io(&trace);
 }
 

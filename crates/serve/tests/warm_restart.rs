@@ -3,10 +3,10 @@
 //! a previously-cached receptor from the restored spill tier — zero
 //! grid rebuilds, rankings bit-identical to the pre-kill run — and so
 //! must jobs that queue up behind a running one. Both lives record a
-//! cache trace, and replaying each must reproduce that life's counters; the
-//! second life's trace (warm + restore lines included) is left at
-//! `$CARGO_TARGET_TMPDIR/warm_restart.trace` for CI's `cache_replay`
-//! step.
+//! cache trace, and replaying each must reproduce that life's counters,
+//! with the shipped row no worse than the `lru` what-if on hits or
+//! rebuilds; the second life's trace (warm + restore lines included) is
+//! left at `$CARGO_TARGET_TMPDIR/warm_restart.trace` for `cache_replay`.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -69,13 +69,23 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// Replaying the trace a service recorded, at the geometry its header
-/// names, must reproduce the service's cache counters.
+/// names, must reproduce the service's cache counters — and the shipped
+/// row must be no worse than the `lru` what-if on hits and rebuilds.
 fn assert_replay_matches(trace_path: &Path, live: &CacheStats) {
     let trace = read_trace(trace_path).expect("the recorded trace parses");
     let header = trace.header.as_ref().expect("header line present");
-    let cfg = ModelConfig::for_policy(&header.policy, header.capacity, header.spill_capacity)
-        .expect("the live policy is a replay row");
-    let model = policy::replay(&trace.events, cfg);
+    let row = |name| {
+        let cfg = ModelConfig::for_policy(name, header.capacity, header.spill_capacity)
+            .expect("a replay row");
+        policy::replay(&trace.events, cfg)
+    };
+    let (model, lru) = (row(&header.policy), row("lru"));
+    assert!(
+        model.hits >= lru.hits && model.builds <= lru.builds,
+        "{} regresses lru on {}: {model:?} vs {lru:?}",
+        header.policy,
+        trace_path.display()
+    );
     assert_eq!(
         (
             model.hits,
