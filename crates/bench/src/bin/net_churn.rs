@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use mudock_core::{Campaign, ChunkPolicy};
 use mudock_grids::GridDims;
 use mudock_mol::Vec3;
-use mudock_serve::net::client;
+use mudock_serve::net::client::Client;
 use mudock_serve::{
     JobState, LigandSource, NetConfig, NetServer, Priority, ReceptorSource, ScreenService,
     ServeConfig,
@@ -95,9 +95,9 @@ fn main() {
 
     // 1. The idle herd: each connection proves itself with one request,
     // then sits silent for the rest of the smoke.
-    let mut idle: Vec<client::Client> = Vec::with_capacity(conns);
+    let mut idle: Vec<Client> = Vec::with_capacity(conns);
     for i in 0..conns {
-        let mut c = client::Client::new(&addr);
+        let mut c = Client::new(&addr);
         assert!(c.healthy(), "idle connection {i} failed its first request");
         idle.push(c);
     }
@@ -138,7 +138,7 @@ fn main() {
         atoms: 300,
         radius: 9.0,
     };
-    let mut active = client::Client::new(&addr);
+    let mut active = Client::new(&addr);
     let id = active
         .submit(
             &campaign,
@@ -210,7 +210,8 @@ fn main() {
     // 5. The /metrics surface must reflect the churn it just survived
     // (the smoke shuts the server down, so CI asserts it here rather
     // than with a post-run curl).
-    let metrics = client::request(&addr, "GET", "/metrics", None)
+    let metrics = Client::new(&addr)
+        .request("GET", "/metrics", None)
         .expect("/metrics through the churn")
         .ok()
         .expect("/metrics 200")

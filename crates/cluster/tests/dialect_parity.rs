@@ -13,7 +13,7 @@ use mudock_cluster::{ClusterConfig, Coordinator};
 use mudock_core::{Campaign, CampaignSpec, ChunkPolicy};
 use mudock_grids::GridDims;
 use mudock_mol::Vec3;
-use mudock_serve::net::client;
+use mudock_serve::net::client::Client;
 use mudock_serve::wire::{self, Json};
 use mudock_serve::{
     JobState, LigandSource, NetConfig, NetServer, Priority, ReceptorSource, ScreenService,
@@ -120,7 +120,7 @@ struct Reply {
     body: String,
 }
 
-/// One request on a fresh connection, read to EOF (`client::request`
+/// One request on a fresh connection, read to EOF (`Client::request`
 /// hides the `Content-Type`, which is half of what is compared here).
 fn raw(addr: &str, method: &str, path: &str, body: Option<&str>) -> Reply {
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -173,7 +173,7 @@ fn submitted_id(reply: &Reply) -> u64 {
 fn wait_terminal(addr: &str, id: u64) -> wire::JobStatus {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let status = client::poll(addr, id).expect("poll");
+        let status = Client::new(addr).poll(id).expect("poll");
         if status.is_terminal() {
             return status;
         }
@@ -311,17 +311,20 @@ fn in_flight_jobs_do_not_crowd_a_finished_one_out_of_the_coordinator() {
 
     // Two of those submissions were enough to drop the finished job when
     // the cap of 2 counted in-flight jobs as well.
+    let mut client = Client::new(&addr);
     for &id in &in_flight {
-        let status = client::poll(&addr, id).expect("in-flight jobs are tracked");
+        let status = client.poll(id).expect("in-flight jobs are tracked");
         assert!(!status.is_terminal(), "job {id} ended early: {status:?}");
     }
-    let status = client::poll(&addr, finished).expect("the finished job is still pollable");
+    let status = client
+        .poll(finished)
+        .expect("the finished job is still pollable");
     assert_eq!(status.state, JobState::Completed);
-    let results = client::results(&addr, finished).expect("and so are its results");
+    let results = client.results(finished).expect("and so are its results");
     assert_eq!(results.lines().count(), 2);
 
     for &id in &in_flight {
-        client::cancel(&addr, id).expect("cancel");
+        client.cancel(id).expect("cancel");
     }
     for &id in &in_flight {
         assert_eq!(wait_terminal(&addr, id).state, JobState::Cancelled);

@@ -15,9 +15,11 @@
 //! Each entry is an [`OnceLock`] slot: the first job to miss installs the
 //! slot and builds into it; concurrent jobs for the same key find the
 //! slot (a *hit* — the build runs once either way) and block inside
-//! `get_or_init` until it is ready. Build wall time is recorded into
-//! the cache's `mudock_grid_build_seconds` histogram, one observation
-//! per AutoGrid run (hits and reloads record nothing).
+//! `get_or_init` until it is ready. Every lookup counts once in the
+//! cache's `mudock_grid_fetch_total{source}` counters, by how it was
+//! served, and build wall time is recorded into its
+//! `mudock_grid_build_seconds` histogram, one observation per AutoGrid
+//! run (hits and reloads record nothing).
 //!
 //! # One directory, two drivers
 //!
@@ -77,13 +79,16 @@ use std::time::Instant;
 
 use mudock_grids::{grid_cache_key, GridBuilder, GridDims, GridIoError, GridSet, SimdLevel};
 use mudock_mol::Molecule;
-use mudock_obs::{GridSource, Histogram, Registry};
+use mudock_obs::{Counter, GridSource, Histogram, Registry};
 
 use directory::{Admission, Directory, Lookup};
 use trace::{CacheTracer, TraceEventKind, TraceHeader, TraceKey as Key, TRACE_VERSION};
 
 /// Histogram of grid-build wall time, one observation per AutoGrid run.
 pub const GRID_BUILD_METRIC: &str = "mudock_grid_build_seconds";
+
+/// Every [`GridSource`], in declaration order: `source as usize` indexes.
+const SOURCES: [GridSource; 3] = [GridSource::Hit, GridSource::Built, GridSource::Reloaded];
 
 /// Bounded on-disk spill tier for evicted grid sets.
 #[derive(Clone, Debug)]
@@ -110,7 +115,8 @@ impl SpillConfig {
 pub struct CacheStats {
     /// Lookups that found an entry (including builds still in flight).
     pub hits: u64,
-    /// Lookups that had to start a build.
+    /// Lookups that had to build or reload their entry, counted once
+    /// it is served.
     pub misses: u64,
     /// Entries discarded to respect the capacity bound.
     pub evictions: u64,
@@ -160,11 +166,10 @@ pub struct GridCache {
     inner: Mutex<Inner>,
     tracer: Option<CacheTracer>,
     build_seconds: Arc<Histogram>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Lookups by how they were served, indexed as [`SOURCES`].
+    fetches: [Arc<Counter>; 3],
     evictions: AtomicU64,
     spills: AtomicU64,
-    reloads: AtomicU64,
     quarantined: AtomicU64,
 }
 
@@ -175,6 +180,7 @@ pub struct GridCacheBuilder {
     spill: Option<SpillConfig>,
     trace_path: Option<PathBuf>,
     build_seconds: Arc<Histogram>,
+    fetches: [Arc<Counter>; 3],
 }
 
 impl GridCacheBuilder {
@@ -192,11 +198,19 @@ impl GridCacheBuilder {
         self
     }
 
-    /// Register the cache's grid-build wall-time histogram
-    /// ([`GRID_BUILD_METRIC`]) in `registry`, so `/metrics` sees it.
-    /// Without this the cache still records builds, into a histogram of
-    /// its own.
+    /// Register the cache's lookup counters
+    /// (`mudock_grid_fetch_total{source}`) and grid-build wall-time
+    /// histogram ([`GRID_BUILD_METRIC`]) in `registry`, so `/metrics`
+    /// sees them. Without this the cache still counts and records, into
+    /// metrics of its own.
     pub fn registry(mut self, registry: &Registry) -> GridCacheBuilder {
+        self.fetches = SOURCES.map(|source| {
+            registry.counter(
+                "mudock_grid_fetch_total",
+                &[("source", source.name())],
+                "Grid-set acquisitions by source (hit, built, reloaded)",
+            )
+        });
         self.build_seconds = registry.histogram(
             GRID_BUILD_METRIC,
             &[],
@@ -264,11 +278,9 @@ impl GridCacheBuilder {
             }),
             tracer,
             build_seconds: self.build_seconds,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            fetches: self.fetches,
             evictions: AtomicU64::new(0),
             spills: AtomicU64::new(0),
-            reloads: AtomicU64::new(0),
             quarantined: AtomicU64::new(quarantined),
         })
     }
@@ -352,6 +364,7 @@ impl GridCache {
             spill: None,
             trace_path: None,
             build_seconds: Arc::new(Histogram::new()),
+            fetches: SOURCES.map(|_| Arc::new(Counter::new())),
         }
     }
 
@@ -402,8 +415,8 @@ impl GridCache {
         let t0 = Instant::now();
 
         if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             let grids = self.build(receptor, dims, level, threads);
+            self.fetched(GridSource::Built).inc();
             self.trace_event(TraceEventKind::Access {
                 key,
                 source: GridSource::Built,
@@ -435,20 +448,16 @@ impl GridCache {
         let source = std::cell::Cell::new(GridSource::Hit);
         let mut reload = false;
         if let Some((plan, evicted)) = admitted {
-            self.misses.fetch_add(1, Ordering::Relaxed);
             source.set(GridSource::Built);
             reload = plan.reload;
             // Consumes the evicted grids, so they are freed before their
             // replacement is built.
             self.commit(plan, evicted);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         let grids = Arc::clone(slot.get_or_init(|| {
             if reload {
                 match mudock_grids::io::load(&self.spill_file(key)) {
                     Ok(gs) => {
-                        self.reloads.fetch_add(1, Ordering::Relaxed);
                         source.set(GridSource::Reloaded);
                         return Arc::new(gs);
                     }
@@ -460,6 +469,7 @@ impl GridCache {
             self.build(receptor, dims, level, threads)
         }));
         let source = source.get();
+        self.fetched(source).inc();
         self.trace_event(TraceEventKind::Access {
             key,
             source,
@@ -548,15 +558,21 @@ impl GridCache {
         Arc::new(grids)
     }
 
+    /// The fetch counter of lookups served from `source`.
+    fn fetched(&self, source: GridSource) -> &Counter {
+        &self.fetches[source as usize]
+    }
+
     /// A counter snapshot (see [`CacheStats`]).
     pub fn stats(&self) -> CacheStats {
         let (entries, spilled) = self.lock().dir.sizes();
+        let reloads = self.fetched(GridSource::Reloaded).get();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.fetched(GridSource::Hit).get(),
+            misses: self.fetched(GridSource::Built).get() + reloads,
             evictions: self.evictions.load(Ordering::Relaxed),
             spills: self.spills.load(Ordering::Relaxed),
-            reloads: self.reloads.load(Ordering::Relaxed),
+            reloads,
             quarantined: self.quarantined.load(Ordering::Relaxed),
             entries,
             spilled,
@@ -640,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn build_time_lands_in_the_registry_histogram() {
+    fn build_time_and_fetches_land_in_the_registry() {
         let registry = Registry::new();
         let cache = GridCache::builder(1).registry(&registry).build().unwrap();
         let rec = synthetic_receptor(6, 30, 5.0);
@@ -649,12 +665,21 @@ mod tests {
         let builds = cache.build_seconds.snapshot();
         assert_eq!(builds.count, 1, "the hit must not rebuild");
         assert!(builds.sum_ns > 0);
+        let text = registry.render_prometheus();
         assert!(
-            registry
-                .render_prometheus()
-                .contains("mudock_grid_build_seconds_count 1\n"),
+            text.contains("mudock_grid_build_seconds_count 1\n"),
             "the cache's histogram is the one /metrics renders"
         );
+        // The counters `CacheStats` reads are the ones /metrics renders.
+        for line in [
+            "mudock_grid_fetch_total{source=\"hit\"} 1\n",
+            "mudock_grid_fetch_total{source=\"built\"} 1\n",
+            "mudock_grid_fetch_total{source=\"reloaded\"} 0\n",
+        ] {
+            assert!(text.contains(line), "{line} in {text}");
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.reloads), (1, 1, 0));
     }
 
     fn spill_dir(name: &str) -> std::path::PathBuf {

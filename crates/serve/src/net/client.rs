@@ -1,8 +1,8 @@
 //! The matching blocking HTTP client. [`Client`] keeps its connection
 //! open across requests (HTTP/1.1 keep-alive), so a poll loop pays one
-//! TCP handshake total instead of one per poll; the free functions are
-//! one-shot conveniences over it. Used by the CLI (`mudock submit`,
-//! `mudock poll`), the cluster coordinator, and the integration tests.
+//! TCP handshake total instead of one per poll. Used by the CLI
+//! (`mudock submit`, `mudock poll`, `mudock stats`), the cluster
+//! coordinator, and the integration tests.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -330,51 +330,4 @@ impl Client {
 pub struct NodeHealth {
     pub node: Option<u64>,
     pub version: Option<String>,
-}
-
-/// One-shot request against `addr` (e.g. `"127.0.0.1:7979"`).
-pub fn request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> Result<HttpResponse, ClientError> {
-    Client::new(addr).request(method, path, body)
-}
-
-/// `POST /jobs`: submit a campaign; returns the assigned job id.
-pub fn submit(
-    addr: &str,
-    campaign: &CampaignSpec,
-    receptor: &ReceptorSource,
-    ligands: &LigandSource,
-    priority: Priority,
-) -> Result<JobId, ClientError> {
-    Client::new(addr).submit(campaign, receptor, ligands, priority)
-}
-
-/// `GET /jobs/{id}`: one status snapshot.
-pub fn poll(addr: &str, id: JobId) -> Result<JobStatus, ClientError> {
-    Client::new(addr).poll(id)
-}
-
-/// Poll until the job reaches a terminal state (one keep-alive
-/// connection for the whole loop).
-pub fn wait(addr: &str, id: JobId, interval: Duration) -> Result<JobStatus, ClientError> {
-    Client::new(addr).wait(id, interval)
-}
-
-/// `GET /jobs/{id}/results`: the JSONL produced so far.
-pub fn results(addr: &str, id: JobId) -> Result<String, ClientError> {
-    Client::new(addr).results(id)
-}
-
-/// `DELETE /jobs/{id}`: request cancellation.
-pub fn cancel(addr: &str, id: JobId) -> Result<JobStatus, ClientError> {
-    Client::new(addr).cancel(id)
-}
-
-/// `GET /healthz`, as a boolean.
-pub fn healthy(addr: &str) -> bool {
-    Client::new(addr).healthy()
 }

@@ -10,7 +10,8 @@ use mudock_core::Campaign;
 use mudock_grids::GridDims;
 use mudock_mol::Vec3;
 
-use super::{client, NetConfig, NetServer};
+use super::client::Client;
+use super::{NetConfig, NetServer};
 use crate::ingest::LigandSource;
 use crate::job::{JobState, Priority};
 use crate::server::{ScreenService, ServeConfig};
@@ -65,13 +66,10 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
 fn healthz_and_stats_respond() {
     let service = tiny_service();
     let mut server = bind(&service);
-    let addr = server.local_addr().to_string();
-    assert!(client::healthy(&addr));
+    let mut c = Client::new(server.local_addr().to_string());
+    assert!(c.healthy());
     // A node says which kernels its CPU selects.
-    let resp = client::request(&addr, "GET", "/healthz", None)
-        .unwrap()
-        .ok()
-        .unwrap();
+    let resp = c.request("GET", "/healthz", None).unwrap().ok().unwrap();
     let simd = wire::parse(&resp.body).unwrap();
     let simd = simd.get("simd").expect("simd object");
     let field = |k| match simd.get(k) {
@@ -84,10 +82,7 @@ fn healthz_and_stats_respond() {
         field("portable_arithmetic") == "fused",
         field("portable") != "baseline"
     );
-    let resp = client::request(&addr, "GET", "/stats", None)
-        .unwrap()
-        .ok()
-        .unwrap();
+    let resp = c.request("GET", "/stats", None).unwrap().ok().unwrap();
     let v = wire::parse(&resp.body).unwrap();
     assert!(v.get("cache").is_some());
     assert!(v.get("queue_capacity").is_some());
@@ -111,31 +106,16 @@ fn healthz_and_stats_respond() {
 fn unknown_routes_and_methods_are_typed_errors() {
     let service = tiny_service();
     let mut server = bind(&service);
-    let addr = server.local_addr().to_string();
+    let mut c = Client::new(server.local_addr().to_string());
+    assert_eq!(c.request("GET", "/nope", None).unwrap().status, 404);
+    assert_eq!(c.request("DELETE", "/healthz", None).unwrap().status, 405);
+    assert_eq!(c.request("GET", "/jobs/999", None).unwrap().status, 404);
     assert_eq!(
-        client::request(&addr, "GET", "/nope", None).unwrap().status,
+        c.request("GET", "/jobs/not-a-number", None).unwrap().status,
         404
     );
     assert_eq!(
-        client::request(&addr, "DELETE", "/healthz", None)
-            .unwrap()
-            .status,
-        405
-    );
-    assert_eq!(
-        client::request(&addr, "GET", "/jobs/999", None)
-            .unwrap()
-            .status,
-        404
-    );
-    assert_eq!(
-        client::request(&addr, "GET", "/jobs/not-a-number", None)
-            .unwrap()
-            .status,
-        404
-    );
-    assert_eq!(
-        client::request(&addr, "POST", "/jobs", Some("{not json"))
+        c.request("POST", "/jobs", Some("{not json"))
             .unwrap()
             .status,
         400
@@ -152,9 +132,7 @@ fn unknown_routes_and_methods_are_typed_errors() {
                  "ligands": {{"synth": {{"seed": 1, "count": 2}}}}}}"#
         );
         assert_eq!(
-            client::request(&addr, "POST", "/jobs", Some(&body))
-                .unwrap()
-                .status,
+            c.request("POST", "/jobs", Some(&body)).unwrap().status,
             422,
             "{campaign}"
         );
@@ -170,14 +148,9 @@ fn path_sources_are_refused_unless_enabled() {
                    "ligands": {"synth": {"seed": 1, "count": 2}}}"#;
     let service = tiny_service();
     let mut server = bind(&service);
-    let addr = server.local_addr().to_string();
+    let mut c = Client::new(server.local_addr().to_string());
     // Default policy: 403 before any filesystem access.
-    assert_eq!(
-        client::request(&addr, "POST", "/jobs", Some(body))
-            .unwrap()
-            .status,
-        403
-    );
+    assert_eq!(c.request("POST", "/jobs", Some(body)).unwrap().status, 403);
     server.shutdown();
 
     // Opted in: the path is now attempted — and since it does not
@@ -191,13 +164,8 @@ fn path_sources_are_refused_unless_enabled() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().to_string();
-    assert_eq!(
-        client::request(&addr, "POST", "/jobs", Some(body))
-            .unwrap()
-            .status,
-        400
-    );
+    let mut c = Client::new(server.local_addr().to_string());
+    assert_eq!(c.request("POST", "/jobs", Some(body)).unwrap().status, 400);
     server.shutdown();
     service.shutdown();
 }
@@ -233,14 +201,9 @@ fn oversized_bodies_are_refused() {
         },
     )
     .unwrap();
-    let addr = server.local_addr().to_string();
+    let mut c = Client::new(server.local_addr().to_string());
     let body = "x".repeat(256);
-    assert_eq!(
-        client::request(&addr, "POST", "/jobs", Some(&body))
-            .unwrap()
-            .status,
-        413
-    );
+    assert_eq!(c.request("POST", "/jobs", Some(&body)).unwrap().status, 413);
     server.shutdown();
     service.shutdown();
 }
@@ -249,8 +212,7 @@ fn oversized_bodies_are_refused() {
 fn keep_alive_serves_many_requests_on_one_connection() {
     let service = tiny_service();
     let mut server = bind(&service);
-    let addr = server.local_addr().to_string();
-    let mut c = client::Client::new(&addr);
+    let mut c = Client::new(server.local_addr().to_string());
     for _ in 0..5 {
         assert!(c.healthy());
     }
@@ -339,10 +301,10 @@ fn connection_cap_sheds_with_a_503() {
     let addr = server.local_addr().to_string();
     // Occupy the only slot (a completed request guarantees the
     // connection is registered, not just in the backlog).
-    let mut holder = client::Client::new(&addr);
+    let mut holder = Client::new(&addr);
     assert!(holder.healthy());
     // The next connection is accepted, told 503, and closed.
-    let resp = client::request(&addr, "GET", "/healthz", None).unwrap();
+    let resp = Client::new(&addr).request("GET", "/healthz", None).unwrap();
     assert_eq!(resp.status, 503);
     let stats = server.connection_stats();
     assert_eq!(stats.shed, 1);
@@ -357,8 +319,7 @@ fn connection_cap_sheds_with_a_503() {
 fn body_parse_errors_keep_the_connection_alive() {
     let service = tiny_service();
     let mut server = bind(&service);
-    let addr = server.local_addr().to_string();
-    let mut c = client::Client::new(&addr);
+    let mut c = Client::new(server.local_addr().to_string());
     // Bad JSON poisons the request, not the connection: the body
     // framing was intact, so the next request still works.
     let resp = c.request("POST", "/jobs", Some("{broken")).unwrap();
@@ -456,8 +417,7 @@ fn a_body_split_into_single_bytes_gets_the_same_answer() {
 fn metrics_expose_prometheus_text_that_agrees_with_stats() {
     let service = tiny_service();
     let mut server = bind(&service);
-    let addr = server.local_addr().to_string();
-    let mut c = client::Client::new(&addr);
+    let mut c = Client::new(server.local_addr().to_string());
     let body = r#"{"campaign": {"name": "obs", "population": 6, "generations": 1,
                                 "search_radius": 3.0, "top_k": 2},
                    "receptor": {"synth": {"seed": 3, "atoms": 30, "radius": 5.0}},
@@ -552,7 +512,7 @@ fn metrics_expose_prometheus_text_that_agrees_with_stats() {
 fn a_terminal_status_always_carries_its_outcome() {
     let service = tiny_service();
     let mut server = bind(&service);
-    let mut c = client::Client::new(server.local_addr().to_string());
+    let mut c = Client::new(server.local_addr().to_string());
     let campaign = Campaign::builder()
         .name("edge")
         .grid_dims(GridDims::centered(Vec3::ZERO, 4.0, 1.0))
@@ -611,9 +571,9 @@ fn one_event_loop_serves_and_other_loop_counts_are_refused() {
         let mut server = bind_with(event_loops).unwrap();
         let addr = server.local_addr().to_string();
         for _ in 0..3 {
-            assert!(client::healthy(&addr), "event_loops {event_loops}");
+            assert!(Client::new(&addr).healthy(), "event_loops {event_loops}");
         }
-        let reply = client::request(&addr, "GET", "/metrics", None).unwrap();
+        let reply = Client::new(&addr).request("GET", "/metrics", None).unwrap();
         let metrics = reply.ok().unwrap().body;
         assert!(metrics.contains("mudock_requests_total "), "{metrics}");
         assert!(!metrics.contains("{loop="), "{metrics}");

@@ -27,6 +27,7 @@ use crate::job::{
 use crate::queue::{JobQueue, ShardStat, SubmitError};
 use crate::sink::{Checkpoint, JsonlSink};
 use crate::telemetry::{ServeObs, TraceConfig};
+use crate::wire;
 
 /// Service sizing. `Default` fits a CI host; production tunes all of it.
 #[derive(Clone, Debug)]
@@ -347,12 +348,8 @@ fn run_job(spec: JobSpec, shared: &JobShared, ctx: &ExecCtx) {
             JobState::Cancelled => ctx.counters.cancelled.inc(),
             _ => ctx.counters.failed.inc(),
         };
-        let state_name = match state {
-            JobState::Completed => "completed",
-            JobState::Cancelled => "cancelled",
-            _ => "failed",
-        };
-        ctx.obs.job_finished(shared.id, &shared.trace, state_name);
+        ctx.obs
+            .job_finished(shared.id, &shared.trace, wire::state_name(state));
         shared.finish(JobOutcome {
             id: shared.id,
             name: spec.campaign.name.clone(),
@@ -427,7 +424,7 @@ fn run_job(spec: JobSpec, shared: &JobShared, ctx: &ExecCtx) {
 
     let mut sink = match &spec.jsonl {
         // A resumed job appends: replayed chunks' lines are already
-        // there. Lines from a chunk whose checkpoint block was torn by
+        // there. Lines from a chunk whose checkpoint record was torn by
         // a crash are pruned first — that chunk re-docks and rewrites
         // them.
         Some(path) => match (|| {

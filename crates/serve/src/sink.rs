@@ -1,22 +1,31 @@
 //! Result sinks: JSONL streaming and chunk checkpoints.
 //!
-//! Two append-only files per job, both flushed at every chunk boundary:
+//! Two append-only files per job, both flushed at every chunk boundary
+//! and both JSON lines through `mudock_obs::json`, the codec behind
+//! every JSON line of the stack:
 //!
 //! * **JSONL** ([`JsonlSink`]) — one JSON object per docked ligand,
 //!   written as its chunk completes, so downstream consumers tail the
-//!   ranking while the job is still running. Lines are built and read
-//!   back ([`prune_jsonl`]) through `mudock_obs::json`, the codec behind
-//!   every JSON line of the stack;
-//! * **checkpoint** ([`Checkpoint`]) — one block per completed chunk
-//!   holding the chunk's top-k contribution (global index + exact score
-//!   bits + name). A resubmitted job replays these blocks instead of
-//!   re-docking, and — because scores are stored as bit patterns and
-//!   replay preserves insertion order — finishes with a ranking identical
-//!   to an uninterrupted run.
+//!   ranking while the job is still running. A resumed job first drops
+//!   the lines of chunks the checkpoint did not record ([`prune_jsonl`]);
+//! * **checkpoint** ([`Checkpoint`]) — a header line carrying the job's
+//!   key, then one record line per completed chunk:
+//!   `{"chunk":…,"ligands":…,"top":[[index,score bits,name],…]}`, its
+//!   top-k contribution with each score as the integer of its `f32`
+//!   bits, so `-0.0` and NaN survive. A resubmitted job replays these
+//!   records instead of re-docking, and — because replay preserves
+//!   insertion order — finishes with a ranking identical to an
+//!   uninterrupted run.
 //!
-//! The checkpoint is plain line-oriented text, torn-write safe: a block
-//! only counts when its `end` marker was written, so a crash mid-append
-//! costs at most the in-flight chunk.
+//! Both files follow one torn-line rule: a line counts only if it ends
+//! in `\n` and parses. A crash mid-append leaves at most one torn line
+//! at the tail; reopening cuts the file back to its whole lines
+//! (`File::set_len`) before anything is appended, so the next record
+//! never fuses with the torn one and a crash costs at most the chunk in
+//! flight. A checkpoint whose header is missing or carries another key
+//! — among them every checkpoint of the older, non-JSON format — or
+//! that holds a whole line that parses but is not a record, starts
+//! fresh.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -84,70 +93,60 @@ impl JsonlSink {
     }
 }
 
-/// Percent-encode into pure ASCII: the bytes that would break the line
-/// format, plus everything non-ASCII (multi-byte UTF-8 must round-trip
-/// byte-exactly through the decoder below).
-fn escape_name(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'%' | b'\n' | b'\r' => out.push_str(&format!("%{b:02x}")),
-            0x20..=0x7e => out.push(b as char),
-            _ => out.push_str(&format!("%{b:02x}")),
-        }
-    }
-    out
+/// The whole lines of `bytes`, each without its `\n`. A tail without
+/// one was torn by a crash mid-write: it is not a line.
+fn whole_lines(bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    bytes
+        .split_inclusive(|&b| b == b'\n')
+        .filter_map(|l| l.strip_suffix(b"\n"))
 }
 
-fn unescape_name(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out: Vec<u8> = Vec::with_capacity(s.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            if let Some(v) = s
-                .get(i + 1..i + 3)
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-            {
-                out.push(v);
-                i += 3;
-                continue;
-            }
-        }
-        out.push(bytes[i]);
-        i += 1;
+/// Reduce the file at `path`, whose contents are `bytes`, to `kept`:
+/// some of its [`whole_lines`], in file order. When they are its first
+/// lines, the file is cut after them and no byte before the cut is
+/// rewritten; otherwise they are written to a temp file that is renamed
+/// over `path` (as `GridCache` writes spill files), so a crash leaves
+/// the old file or the new one, never a part of either.
+fn keep_lines(path: &Path, bytes: &[u8], kept: &[&[u8]]) -> std::io::Result<()> {
+    let len: usize = kept.iter().map(|l| l.len() + 1).sum();
+    if len == bytes.len() {
+        return Ok(());
     }
-    String::from_utf8_lossy(&out).into_owned()
+    if whole_lines(bytes).take(kept.len()).eq(kept.iter().copied()) {
+        return OpenOptions::new()
+            .write(true)
+            .open(path)?
+            .set_len(len as u64);
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut out = Vec::with_capacity(len);
+    for l in kept {
+        out.extend_from_slice(l);
+        out.push(b'\n');
+    }
+    std::fs::write(&tmp, out)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        std::fs::remove_file(&tmp).ok();
+    })
 }
 
-/// Rewrite a resumed job's JSONL so only lines from chunks the
-/// checkpoint recorded as complete remain. A crash between the JSONL
-/// flush and the checkpoint's `end` marker leaves lines for a chunk
-/// that will be re-docked; without pruning, those lines would appear
-/// twice after the resume. A line that does not parse — a tail torn by
-/// a short write, even inside a multi-byte character — goes too.
+/// Cut a resumed job's JSONL to the lines of chunks the checkpoint
+/// recorded as complete. A crash between the JSONL flush and the
+/// checkpoint record leaves lines for a chunk that will be re-docked;
+/// without pruning, those lines would appear twice after the resume. A
+/// line that is torn or does not parse goes too.
 pub fn prune_jsonl(path: &Path, is_complete: impl Fn(usize) -> bool) -> std::io::Result<()> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
-    let lines: Vec<&[u8]> = bytes
-        .split(|&b| b == b'\n')
-        .filter(|l| !l.is_empty())
-        .collect();
     let chunk = |l: &[u8]| json::parse_bytes(l).ok()?.get("chunk")?.as_u64();
-    let keep: Vec<&[u8]> = (lines.iter().copied())
+    let kept: Vec<&[u8]> = whole_lines(&bytes)
         .filter(|l| chunk(l).is_some_and(|c| usize::try_from(c).is_ok_and(&is_complete)))
         .collect();
-    if keep.len() == lines.len() && bytes.last().is_none_or(|&b| b == b'\n') {
-        return Ok(());
-    }
-    let mut out = keep.join(&b'\n');
-    if !out.is_empty() {
-        out.push(b'\n');
-    }
-    std::fs::write(path, out)
+    keep_lines(path, &bytes, &kept)
 }
 
 /// One completed chunk as recorded in the checkpoint.
@@ -160,100 +159,94 @@ pub struct ChunkRecord {
     pub top: Vec<RankedLigand>,
 }
 
-const HEADER_PREFIX: &str = "mudock-checkpoint v1 key ";
+impl ChunkRecord {
+    /// A record line's chunk index and record; `None` for any other JSON.
+    fn parse(v: &Json) -> Option<(usize, ChunkRecord)> {
+        let int = |v: &Json| usize::try_from(v.as_u64()?).ok();
+        let Json::Arr(top) = v.get("top")? else {
+            return None;
+        };
+        let entry = |e: &Json| {
+            let Json::Arr(e) = e else { return None };
+            let [index, bits, name] = &e[..] else {
+                return None;
+            };
+            Some(RankedLigand {
+                index: int(index)?,
+                name: name.as_str()?.into(),
+                score: f32::from_bits(u32::try_from(bits.as_u64()?).ok()?),
+            })
+        };
+        let record = ChunkRecord {
+            ligands: int(v.get("ligands")?)?,
+            top: top.iter().map(entry).collect::<Option<_>>()?,
+        };
+        Some((int(v.get("chunk")?)?, record))
+    }
+}
 
 /// Append-only record of a job's completed chunks.
 pub struct Checkpoint {
-    out: BufWriter<File>,
+    out: File,
     completed: BTreeMap<usize, ChunkRecord>,
     path: PathBuf,
 }
 
 impl Checkpoint {
     /// Open `path` for job fingerprint `key`. An existing compatible
-    /// checkpoint is loaded for replay; a missing, corrupt, or
-    /// mismatched-key file starts fresh (the fingerprint covers grids,
-    /// seed, k, backend and scoring revision — resuming across a changed
-    /// job, or scores another kernel revision wrote, would silently
-    /// corrupt the ranking).
+    /// checkpoint is loaded for replay and cut back to its whole
+    /// records; a missing, corrupt, or mismatched-key file starts fresh
+    /// (the fingerprint covers grids, seed, k, backend and scoring
+    /// revision — resuming across a changed job, or scores another
+    /// kernel revision wrote, would silently corrupt the ranking).
     pub fn open(path: &Path, key: u64) -> std::io::Result<Checkpoint> {
-        let completed = match std::fs::read_to_string(path) {
-            Ok(text) => Self::parse(&text, key),
-            Err(_) => None,
-        };
-        match completed {
-            Some(completed) => {
-                let file = OpenOptions::new().append(true).open(path)?;
-                Ok(Checkpoint {
-                    out: BufWriter::new(file),
-                    completed,
-                    path: path.into(),
-                })
+        let bytes = std::fs::read(path).unwrap_or_default();
+        let (completed, out) = match Self::resume(&bytes, key) {
+            Some((completed, lines)) => {
+                let kept: Vec<&[u8]> = whole_lines(&bytes).take(lines).collect();
+                keep_lines(path, &bytes, &kept)?;
+                (completed, OpenOptions::new().append(true).open(path)?)
             }
             None => {
-                let mut out = BufWriter::new(File::create(path)?);
-                writeln!(out, "{HEADER_PREFIX}{key:016x}")?;
-                out.flush()?;
-                Ok(Checkpoint {
-                    out,
-                    completed: BTreeMap::new(),
-                    path: path.into(),
-                })
+                let mut out = File::create(path)?;
+                out.write_all(format!("{}\n", Self::header(key)).as_bytes())?;
+                (BTreeMap::new(), out)
             }
-        }
+        };
+        Ok(Checkpoint {
+            out,
+            completed,
+            path: path.into(),
+        })
     }
 
-    /// Parse checkpoint text; `None` on any incompatibility. Only blocks
-    /// closed by their `end` marker count — a torn final block is simply
-    /// re-docked.
-    fn parse(text: &str, key: u64) -> Option<BTreeMap<usize, ChunkRecord>> {
-        let mut lines = text.lines();
-        let header = lines.next()?;
-        let stored = u64::from_str_radix(header.strip_prefix(HEADER_PREFIX)?, 16).ok()?;
-        if stored != key {
+    /// The first line of the checkpoint of the job keyed `key`.
+    fn header(key: u64) -> String {
+        Json::Obj(vec![
+            ("mudock_checkpoint".into(), Json::u64(2)),
+            ("key".into(), Json::u64(key)),
+        ])
+        .encode()
+    }
+
+    /// The records of `bytes` and how many of its lines to keep — the
+    /// header and every record before the first torn or unparsable line
+    /// — or `None` when it is not a checkpoint of the job keyed `key`.
+    fn resume(bytes: &[u8], key: u64) -> Option<(BTreeMap<usize, ChunkRecord>, usize)> {
+        let mut lines = whole_lines(bytes);
+        if lines.next()? != Self::header(key).as_bytes() {
             return None;
         }
-        let mut completed = BTreeMap::new();
-        let mut current: Option<(usize, ChunkRecord)> = None;
+        let (mut completed, mut kept) = (BTreeMap::new(), 1);
         for line in lines {
-            let mut parts = line.splitn(4, ' ');
-            match parts.next() {
-                Some("chunk") => {
-                    let idx: usize = parts.next()?.parse().ok()?;
-                    let ligands: usize = parts.next()?.parse().ok()?;
-                    current = Some((
-                        idx,
-                        ChunkRecord {
-                            ligands,
-                            top: Vec::new(),
-                        },
-                    ));
-                }
-                Some("entry") => {
-                    let (_, rec) = current.as_mut()?;
-                    let index: usize = parts.next()?.parse().ok()?;
-                    let bits = u32::from_str_radix(parts.next()?, 16).ok()?;
-                    let name = unescape_name(parts.next().unwrap_or(""));
-                    rec.top.push(RankedLigand {
-                        index,
-                        name,
-                        score: f32::from_bits(bits),
-                    });
-                }
-                Some("end") => {
-                    let idx: usize = parts.next()?.parse().ok()?;
-                    let (start_idx, rec) = current.take()?;
-                    if start_idx != idx {
-                        return None;
-                    }
-                    completed.insert(idx, rec);
-                }
-                // A torn trailing line (crash mid-write): ignore the
-                // open block, keep everything already closed.
-                _ => break,
-            }
+            let Ok(v) = json::parse_bytes(line) else {
+                break;
+            };
+            let (chunk, record) = ChunkRecord::parse(&v)?;
+            completed.insert(chunk, record);
+            kept += 1;
         }
-        Some(completed)
+        Some((completed, kept))
     }
 
     /// Chunks already completed, keyed by chunk index.
@@ -265,25 +258,28 @@ impl Checkpoint {
         &self.path
     }
 
-    /// Append one completed chunk and flush it to disk.
+    /// Append one completed chunk's record line, unbuffered: it reaches
+    /// the file before this returns.
     pub fn record(
         &mut self,
         chunk: usize,
         ligands: usize,
         top: &[RankedLigand],
     ) -> std::io::Result<()> {
-        writeln!(self.out, "chunk {chunk} {ligands} {}", top.len())?;
-        for e in top {
-            writeln!(
-                self.out,
-                "entry {} {:08x} {}",
-                e.index,
-                e.score.to_bits(),
-                escape_name(&e.name)
-            )?;
-        }
-        writeln!(self.out, "end {chunk}")?;
-        self.out.flush()?;
+        let entry = |e: &RankedLigand| {
+            Json::Arr(vec![
+                Json::usize(e.index),
+                Json::u64(e.score.to_bits().into()),
+                Json::str(&e.name),
+            ])
+        };
+        let line = Json::Obj(vec![
+            ("chunk".into(), Json::usize(chunk)),
+            ("ligands".into(), Json::usize(ligands)),
+            ("top".into(), Json::Arr(top.iter().map(entry).collect())),
+        ]);
+        self.out
+            .write_all(format!("{}\n", line.encode()).as_bytes())?;
         self.completed.insert(
             chunk,
             ChunkRecord {
@@ -399,16 +395,16 @@ mod tests {
     }
 
     #[test]
-    fn torn_trailing_block_is_dropped() {
+    fn torn_trailing_record_is_dropped() {
         let path = tmp("torn");
         std::fs::remove_file(&path).ok();
         {
             let mut ck = Checkpoint::open(&path, 9).unwrap();
             ck.record(0, 4, &[ranked(1, "kept", -2.0)]).unwrap();
         }
-        // Simulate a crash mid-append: a chunk block without its `end`.
+        // Simulate a crash mid-append: a record line without its end.
         let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("chunk 1 4 1\nentry 5 3f800000 lost\n");
+        text.push_str(r#"{"chunk":1,"ligands":4,"top":[[5,1065353216,"lo"#);
         std::fs::write(&path, text).unwrap();
 
         let mut ck = Checkpoint::open(&path, 9).unwrap();
@@ -432,11 +428,8 @@ mod tests {
             ck.record(0, 1, &[ranked(0, name, -1.0)]).unwrap();
         }
         let ck = Checkpoint::open(&path, 5).unwrap();
-        assert_eq!(ck.completed()[&0].top[0].name, name);
-        // The file itself must be pure ASCII (line format safety).
-        let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(text.is_ascii(), "escaped checkpoint must be ASCII: {text}");
+        assert_eq!(ck.completed()[&0].top[0].name, name);
     }
 
     #[test]
@@ -455,7 +448,7 @@ mod tests {
             sink.write_result("j", 1, 2, &r("c")).unwrap();
             sink.flush().unwrap();
         }
-        // Chunk 1's checkpoint block was torn: its line must go.
+        // Chunk 1's checkpoint record was torn: its line must go.
         prune_jsonl(&path, |c| c == 0).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 2);
@@ -463,6 +456,20 @@ mod tests {
         // Pruning with everything complete is a no-op.
         prune_jsonl(&path, |_| true).unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        // A line kept from behind dropped ones replaces the file whole,
+        // through a temp file that does not outlive the rename.
+        {
+            let mut sink = JsonlSink::open(&path, true).unwrap();
+            sink.write_result("j", 1, 2, &r("c")).unwrap();
+            sink.flush().unwrap();
+        }
+        prune_jsonl(&path, |c| c == 1).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 1);
+        assert!(text.contains("\"index\":2"));
+        let mut tmp_path = path.clone().into_os_string();
+        tmp_path.push(".tmp");
+        assert!(!Path::new(&tmp_path).exists());
         // A line an older sink wrote (integral score without `.0`)
         // survives, and a tail cut inside a multi-byte character is
         // dropped instead of failing the resume.
@@ -481,44 +488,78 @@ mod tests {
     #[test]
     fn garbage_file_starts_fresh() {
         let path = tmp("garbage");
-        std::fs::write(&path, "not a checkpoint at all\n").unwrap();
+        let header = Checkpoint::header(3);
+        let record = r#"{"chunk":0,"ligands":1,"top":[[0,1065353216,"x"]]}"#;
+        for text in [
+            "not a checkpoint at all\n".to_string(),
+            // The line format before checkpoints were JSON.
+            "mudock-checkpoint v1 key 0000000000000003\nchunk 0 1 1\nentry 0 3f800000 x\nend 0\n"
+                .to_string(),
+            // A whole line that parses but is not a record.
+            format!("{header}\n{record}\n{{\"chunk\":1}}\n"),
+            format!("{header}\n{header}\n{record}\n"),
+        ] {
+            std::fs::write(&path, &text).unwrap();
+            let ck = Checkpoint::open(&path, 3).unwrap();
+            assert!(ck.completed().is_empty(), "resumed {text:?}");
+            let fresh = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(fresh, format!("{header}\n"));
+        }
+        // A whole line that does not parse ends the records: the ones
+        // before it resume, and the file is cut in front of it.
+        let text = format!("{header}\n{record}\n{{\"chunk\":1,\n{record}\n");
+        std::fs::write(&path, &text).unwrap();
         let ck = Checkpoint::open(&path, 3).unwrap();
-        assert!(ck.completed().is_empty());
+        assert_eq!(ck.completed().len(), 1);
+        let kept = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
+        assert_eq!(kept, format!("{header}\n{record}\n"));
     }
 
     /// A job's checkpoint as [`Checkpoint::record`] wrote it, with the
-    /// byte offset just past each block's `end N` marker text.
-    fn recorded_checkpoint() -> (Vec<u8>, Vec<(usize, usize)>) {
+    /// length of the file after its header and after each record.
+    fn recorded_checkpoint() -> (Vec<u8>, usize, Vec<(usize, usize)>) {
         let path = tmp("recorded.ck");
         std::fs::remove_file(&path).ok();
-        let blocks: [(usize, usize, Vec<RankedLigand>); 3] = [
+        let records: [(usize, usize, Vec<RankedLigand>); 3] = [
             (0, 4, vec![ranked(1, "a b", -1.5), ranked(3, "c%d", -0.0)]),
             (1, 4, vec![ranked(5, "α·β₂", f32::MIN_POSITIVE)]),
             (2, 4, vec![ranked(8, "", f32::NAN), ranked(9, "e\nf", 0.1)]),
         ];
-        {
-            let mut ck = Checkpoint::open(&path, 0xfeed_beef).unwrap();
-            for (chunk, ligands, top) in &blocks {
-                ck.record(*chunk, *ligands, top).unwrap();
-            }
-        }
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let text = std::str::from_utf8(&bytes).unwrap();
-        let ends = blocks
+        let len = || std::fs::metadata(&path).unwrap().len() as usize;
+        let mut ck = Checkpoint::open(&path, 0xfeed_beef).unwrap();
+        let header = len();
+        let ends = records
             .iter()
-            .map(|(chunk, _, _)| {
-                let marker = format!("\nend {chunk}\n");
-                (*chunk, text.find(&marker).unwrap() + marker.len() - 1)
+            .map(|(chunk, ligands, top)| {
+                ck.record(*chunk, *ligands, top).unwrap();
+                (*chunk, len())
             })
             .collect();
-        (bytes, ends)
+        drop(ck);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        (bytes, header, ends)
+    }
+
+    /// Entries compared by score bits: `-0.0` and NaN included.
+    type Entry = (usize, String, u32);
+
+    fn bits(c: &BTreeMap<usize, ChunkRecord>) -> Vec<(usize, usize, Vec<Entry>)> {
+        c.iter()
+            .map(|(k, r)| {
+                let top = r
+                    .top
+                    .iter()
+                    .map(|e| (e.index, e.name.clone(), e.score.to_bits()));
+                (*k, r.ligands, top.collect())
+            })
+            .collect()
     }
 
     #[test]
-    fn a_checkpoint_cut_at_any_byte_resumes_its_closed_blocks_or_starts_fresh() {
-        let (bytes, ends) = recorded_checkpoint();
+    fn a_checkpoint_cut_at_any_byte_resumes_exactly_the_records_before_the_cut() {
+        let (bytes, header, ends) = recorded_checkpoint();
         let whole = {
             let path = tmp("whole.ck");
             std::fs::write(&path, &bytes).unwrap();
@@ -527,38 +568,35 @@ mod tests {
             ck.completed().clone()
         };
         assert_eq!(whole.len(), 3);
-        // Entries compared by score bits: `-0.0` and NaN included.
-        type Entry = (usize, String, u32);
-        let bits = |c: &BTreeMap<usize, ChunkRecord>| -> Vec<(usize, usize, Vec<Entry>)> {
-            c.iter()
-                .map(|(k, r)| {
-                    let top = r
-                        .top
-                        .iter()
-                        .map(|e| (e.index, e.name.clone(), e.score.to_bits()));
-                    (*k, r.ligands, top.collect())
-                })
-                .collect()
-        };
         let path = tmp("cut.ck");
         for cut in 0..=bytes.len() {
             std::fs::write(&path, &bytes[..cut]).unwrap();
             let ck = Checkpoint::open(&path, 0xfeed_beef).unwrap();
             let mut closed = whole.clone();
             closed.retain(|k, _| ends.iter().any(|&(c, end)| c == *k && end <= cut));
-            let got = ck.completed();
-            assert!(
-                got.is_empty() || bits(got) == bits(&closed),
+            assert_eq!(
+                bits(ck.completed()),
+                bits(&closed),
                 "cut at {cut}: resumed {:?}, closed before it {:?}",
-                got.keys(),
+                ck.completed().keys(),
                 closed.keys()
+            );
+            // The file is cut back to its last whole record (a torn
+            // header: rewritten) before anything is appended.
+            let kept = (ends.iter().map(|&(_, end)| end))
+                .rfind(|&end| end <= cut)
+                .unwrap_or(header);
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                &bytes[..kept],
+                "cut at {cut}"
             );
         }
         std::fs::remove_file(&path).ok();
     }
 
     /// A job's JSONL as the sink wrote it: chunks 0 and 1 complete, and
-    /// chunk 2, whose checkpoint block was never closed, torn.
+    /// chunk 2, whose checkpoint record was never written, torn.
     fn recorded_jsonl() -> &'static [u8] {
         static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
         BYTES.get_or_init(|| {
@@ -642,7 +680,7 @@ mod tests {
             prop_assert!(out.is_empty() || out.ends_with(b"\n"));
             let complete = |l: &&[u8]| l.windows(10).any(|w| w == b"\"chunk\":0," || w == b"\"chunk\":1,");
             for line in recorded.split(|&b| b == b'\n').filter(complete) {
-                if bytes.split(|&b| b == b'\n').any(|l| l == line) {
+                if whole_lines(&bytes).any(|l| l == line) {
                     prop_assert!(kept.contains(&line), "dropped {}", String::from_utf8_lossy(line));
                 }
             }

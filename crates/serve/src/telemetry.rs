@@ -1,5 +1,6 @@
 //! Service-wide observability wiring: one [`Registry`], the per-stage
-//! job histograms, grid/pool counters, and the optional JSONL trace.
+//! job histograms, the pool counter, and the optional JSONL trace. The
+//! grid cache registers its own fetch counters in the same registry.
 //!
 //! A single [`ServeObs`] is built at service start and shared (`Arc`)
 //! between the executors and the network frontend's event loop, so
@@ -45,9 +46,6 @@ pub struct ServeObs {
     stage_dock: Arc<Histogram>,
     stage_sink: Arc<Histogram>,
     stage_total: Arc<Histogram>,
-    grid_hit: Arc<Counter>,
-    grid_built: Arc<Counter>,
-    grid_reloaded: Arc<Counter>,
     pool_tasks: Arc<Counter>,
     trace: Option<TraceWriter>,
 }
@@ -57,13 +55,6 @@ impl ServeObs {
     /// the trace file, if one is configured.
     pub fn new(registry: Registry, trace: Option<&TraceConfig>) -> std::io::Result<ServeObs> {
         let stage = |name: &str| registry.histogram(STAGE_METRIC, &[("stage", name)], STAGE_HELP);
-        let fetch = |src: GridSource| {
-            registry.counter(
-                "mudock_grid_fetch_total",
-                &[("source", src.name())],
-                "Grid-set acquisitions by source (hit, built, reloaded)",
-            )
-        };
         let trace = match trace {
             Some(cfg) => Some(TraceWriter::create(&cfg.path, cfg.capacity)?),
             None => None,
@@ -74,9 +65,6 @@ impl ServeObs {
             stage_dock: stage("dock"),
             stage_sink: stage("sink"),
             stage_total: stage("total"),
-            grid_hit: fetch(GridSource::Hit),
-            grid_built: fetch(GridSource::Built),
-            grid_reloaded: fetch(GridSource::Reloaded),
             pool_tasks: registry.counter(
                 "mudock_pool_tasks_total",
                 &[],
@@ -120,11 +108,6 @@ impl ServeObs {
     pub fn job_grid(&self, job: JobId, trace: &JobTrace, ns: u64, source: GridSource) {
         trace.record_grid(ns, source);
         self.stage_grid.record_ns(ns);
-        match source {
-            GridSource::Hit => self.grid_hit.inc(),
-            GridSource::Built => self.grid_built.inc(),
-            GridSource::Reloaded => self.grid_reloaded.inc(),
-        }
         self.span(job, "grid", ns, &[("source", source.name())]);
     }
 
@@ -169,7 +152,6 @@ mod tests {
         assert!(text.contains("mudock_job_stage_seconds_count{stage=\"queue_wait\"} 1"));
         assert!(text.contains("mudock_job_stage_seconds_count{stage=\"grid\"} 1"));
         assert!(text.contains("mudock_job_stage_seconds_count{stage=\"total\"} 1"));
-        assert!(text.contains("mudock_grid_fetch_total{source=\"built\"} 1"));
         // The job's own trace agrees with what the histograms saw.
         let snap = trace.snapshot();
         assert_eq!(snap.grid_ns, Some(2_000_000));

@@ -11,7 +11,7 @@ use mudock_core::{screen_campaign, Campaign, CampaignSpec, ChunkPolicy, StopPoli
 use mudock_grids::{GridBuilder, GridDims};
 use mudock_mol::Vec3;
 use mudock_molio::mediate_like_set;
-use mudock_serve::net::client;
+use mudock_serve::net::client::Client;
 use mudock_serve::{
     JobState, LigandSource, NetConfig, NetServer, Priority, ReceptorSource, ScreenService,
     ServeConfig,
@@ -125,19 +125,21 @@ fn submit_poll_results_match_the_in_process_ranking_exactly() {
             ..ServeConfig::default()
         },
     );
-    let addr = h.addr();
+    let mut client = Client::new(h.addr());
     let spec = campaign("net-parity");
 
-    let id = client::submit(
-        &addr,
-        &spec,
-        &receptor_source(),
-        &LigandSource::synth(SEED, N_LIGANDS),
-        Priority::Normal,
-    )
-    .expect("submit over the socket");
+    let id = client
+        .submit(
+            &spec,
+            &receptor_source(),
+            &LigandSource::synth(SEED, N_LIGANDS),
+            Priority::Normal,
+        )
+        .expect("submit over the socket");
 
-    let status = client::wait(&addr, id, Duration::from_millis(20)).expect("poll to terminal");
+    let status = client
+        .wait(id, Duration::from_millis(20))
+        .expect("poll to terminal");
     assert_eq!(status.state, JobState::Completed);
     assert_eq!(status.ligands_done, N_LIGANDS);
     let outcome = status.outcome.expect("terminal outcome over the wire");
@@ -160,7 +162,7 @@ fn submit_poll_results_match_the_in_process_ranking_exactly() {
 
     // The streamed JSONL holds one line per docked ligand, and every
     // line is parseable by the wire codec's own parser.
-    let body = client::results(&addr, id).expect("results fetch");
+    let body = client.results(id).expect("results fetch");
     let lines: Vec<&str> = body.lines().collect();
     assert_eq!(lines.len(), N_LIGANDS);
     for line in &lines {
@@ -180,7 +182,8 @@ fn submit_poll_results_match_the_in_process_ranking_exactly() {
     // And over the wire: one receptor is one shard, whose row carries
     // exactly its key, depth, occupancy and submission count.
     use mudock_serve::wire::{self, Json};
-    let body = client::request(&addr, "GET", "/stats", None)
+    let body = client
+        .request("GET", "/stats", None)
         .and_then(|r| r.ok())
         .expect("/stats over the socket")
         .body;
@@ -206,7 +209,7 @@ fn delete_cancels_a_running_job_over_the_socket() {
             ..ServeConfig::default()
         },
     );
-    let addr = h.addr();
+    let mut client = Client::new(h.addr());
     // Heavy enough that cancellation always beats completion: ~400
     // ligands of 50-generation GA on one thread, stopped at a 4-ligand
     // chunk boundary.
@@ -221,22 +224,22 @@ fn delete_cancels_a_running_job_over_the_socket() {
         .grid_dims(dims())
         .build()
         .unwrap();
-    let id = client::submit(
-        &addr,
-        &spec,
-        &receptor_source(),
-        &LigandSource::synth(SEED, 400),
-        Priority::Normal,
-    )
-    .unwrap();
+    let id = client
+        .submit(
+            &spec,
+            &receptor_source(),
+            &LigandSource::synth(SEED, 400),
+            Priority::Normal,
+        )
+        .unwrap();
 
-    let cancelled = client::cancel(&addr, id).expect("DELETE /jobs/{id}");
+    let cancelled = client.cancel(id).expect("DELETE /jobs/{id}");
     assert!(
         !cancelled.is_terminal() || cancelled.state == JobState::Cancelled,
         "cancel snapshot: {:?}",
         cancelled.state
     );
-    let status = client::wait(&addr, id, Duration::from_millis(20)).unwrap();
+    let status = client.wait(id, Duration::from_millis(20)).unwrap();
     assert_eq!(status.state, JobState::Cancelled);
     assert!(
         status.ligands_done < 400,
@@ -260,7 +263,7 @@ fn a_lattice_without_a_cell_is_a_422_and_the_node_keeps_serving() {
             ..ServeConfig::default()
         },
     );
-    let addr = h.addr();
+    let mut client = Client::new(h.addr());
     for npts in ["[1,1,1]", "[2,1,2]", "[1,5,5]"] {
         let body = format!(
             r#"{{"campaign": {{"name": "thin", "grid_dims":
@@ -268,21 +271,21 @@ fn a_lattice_without_a_cell_is_a_422_and_the_node_keeps_serving() {
                 "receptor": {{"synth": {{"seed": 7, "atoms": 30, "radius": 5.0}}}},
                 "ligands": {{"synth": {{"seed": 1, "count": 2}}}}}}"#
         );
-        let reply = client::request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+        let reply = client.request("POST", "/jobs", Some(&body)).unwrap();
         assert_eq!(reply.status, 422, "npts {npts}: {}", reply.body);
         assert!(reply.body.contains("at least 2 points"), "{}", reply.body);
     }
     assert_eq!(h.service.stats().jobs_submitted, 0, "nothing was queued");
 
-    let id = client::submit(
-        &addr,
-        &campaign("after-thin"),
-        &receptor_source(),
-        &LigandSource::synth(SEED, 4),
-        Priority::Normal,
-    )
-    .expect("the node still takes jobs");
-    let status = client::wait(&addr, id, Duration::from_millis(20)).unwrap();
+    let id = client
+        .submit(
+            &campaign("after-thin"),
+            &receptor_source(),
+            &LigandSource::synth(SEED, 4),
+            Priority::Normal,
+        )
+        .expect("the node still takes jobs");
+    let status = client.wait(id, Duration::from_millis(20)).unwrap();
     assert_eq!(status.state, JobState::Completed);
 }
 
@@ -296,21 +299,21 @@ fn queued_priorities_and_results_paths_hold_under_concurrent_submissions() {
             ..ServeConfig::default()
         },
     );
-    let addr = h.addr();
+    let mut client = Client::new(h.addr());
     let mut ids = Vec::new();
     for j in 0..3 {
         let spec = CampaignSpec {
             name: format!("multi-{j}"),
             ..campaign("multi")
         };
-        let id = client::submit(
-            &addr,
-            &spec,
-            &receptor_source(),
-            &LigandSource::synth(SEED.wrapping_add(j), 8),
-            Priority::Normal,
-        )
-        .unwrap();
+        let id = client
+            .submit(
+                &spec,
+                &receptor_source(),
+                &LigandSource::synth(SEED.wrapping_add(j), 8),
+                Priority::Normal,
+            )
+            .unwrap();
         ids.push(id);
     }
     // Ids are distinct, every job completes, and each `/results` URL
@@ -319,9 +322,9 @@ fn queued_priorities_and_results_paths_hold_under_concurrent_submissions() {
     ids.dedup();
     assert_eq!(ids.len(), 3);
     for id in &ids {
-        let status = client::wait(&addr, *id, Duration::from_millis(20)).unwrap();
+        let status = client.wait(*id, Duration::from_millis(20)).unwrap();
         assert_eq!(status.state, JobState::Completed, "job {id}");
-        assert_eq!(client::results(&addr, *id).unwrap().lines().count(), 8);
+        assert_eq!(client.results(*id).unwrap().lines().count(), 8);
     }
     // All three screened the same receptor at the same dims/level: one
     // build, two cache hits.

@@ -1,8 +1,9 @@
 //! End-to-end service tests: concurrent jobs sharing a grid cache,
 //! per-job SIMD pinning with per-level cache entries, stop-policy early
 //! termination, incremental JSONL streaming, checkpoint resume (also
-//! across a chunk-policy change), and queue backpressure — each ranking
-//! checked against a sequential `mudock_core` reference run.
+//! across a chunk-policy change, and after a torn checkpoint tail), and
+//! queue backpressure — each ranking checked against a sequential
+//! `mudock_core` reference run.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,8 +15,10 @@ use mudock_core::{
 use mudock_grids::{GridBuilder, GridDims};
 use mudock_mol::{Molecule, Vec3};
 use mudock_molio::{mediate_like_set, synthetic_receptor};
+use mudock_serve::sink::ChunkRecord;
 use mudock_serve::{
-    JobSpec, JobState, LigandSource, Priority, ScreenService, ServeConfig, SubmitError,
+    Checkpoint, JobSpec, JobState, LigandSource, Priority, RankedLigand, ScreenService,
+    ServeConfig, SubmitError,
 };
 use mudock_simd::SimdLevel;
 
@@ -266,6 +269,55 @@ fn cancelled_job_resumes_from_its_checkpoint() {
     service.shutdown();
     std::fs::remove_file(&jsonl).ok();
     std::fs::remove_file(&ckpt).ok();
+}
+
+/// A crash tears the checkpoint's last record at any byte: reopening
+/// resumes every record before it, the torn chunk is recorded again, and
+/// a second reopen still finds every closed chunk — the torn tail was
+/// cut before the append instead of fusing with it.
+#[test]
+fn a_torn_checkpoint_tail_costs_only_the_chunk_in_flight() {
+    const KEY: u64 = 0x7e57_0dd5;
+    let top = |chunk: usize| -> Vec<RankedLigand> {
+        (0..2)
+            .map(|k| RankedLigand {
+                index: chunk * CHUNK + k,
+                name: format!("lig-{chunk}-{k}·β₂"),
+                score: -(chunk as f32) - 0.5 * k as f32,
+            })
+            .collect()
+    };
+    let record = |chunk: usize| ChunkRecord {
+        ligands: CHUNK,
+        top: top(chunk),
+    };
+    let path = tmp("torn-tail.ckpt");
+    std::fs::remove_file(&path).ok();
+    let mut ck = Checkpoint::open(&path, KEY).unwrap();
+    ck.record(0, CHUNK, &top(0)).unwrap();
+    ck.record(1, CHUNK, &top(1)).unwrap();
+    let last = std::fs::metadata(&path).unwrap().len() as usize;
+    ck.record(2, CHUNK, &top(2)).unwrap();
+    drop(ck);
+    let bytes = std::fs::read(&path).unwrap();
+
+    for cut in last..bytes.len() {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let mut ck = Checkpoint::open(&path, KEY).unwrap();
+        let resumed: Vec<_> = ck.completed().clone().into_iter().collect();
+        assert_eq!(resumed, [(0, record(0)), (1, record(1))], "cut at {cut}");
+        // The torn chunk is re-docked and recorded again.
+        ck.record(2, CHUNK, &top(2)).unwrap();
+        drop(ck);
+        let ck = Checkpoint::open(&path, KEY).unwrap();
+        let reopened: Vec<_> = ck.completed().clone().into_iter().collect();
+        assert_eq!(
+            reopened,
+            [(0, record(0)), (1, record(1)), (2, record(2))],
+            "cut at {cut}, recorded again, reopened"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// The acceptance scenario for per-job SIMD pinning: two concurrent

@@ -19,8 +19,8 @@ use mudock_molio::synthetic_receptor;
 use mudock_serve::cache::policy::{self, ModelConfig};
 use mudock_serve::cache::CacheStats;
 use mudock_serve::{
-    read_trace, JobSpec, JobState, LigandSource, RankedLigand, ScreenService, ServeConfig,
-    SpillConfig,
+    read_trace, Checkpoint, JobSpec, JobState, LigandSource, RankedLigand, ScreenService,
+    ServeConfig, SpillConfig,
 };
 
 const SEED: u64 = 42;
@@ -316,19 +316,34 @@ fn checkpoint_key_head(spec: &JobSpec) -> mudock_grids::Fnv64 {
     h
 }
 
-/// A checkpoint under `key` whose two chunks are done, with scores that
-/// would take the whole ranking if they were replayed.
-fn finished_checkpoint(key: u64) -> String {
-    let mut text = format!("mudock-checkpoint v1 key {key:016x}\n");
-    for chunk in 0..2 {
-        text += &format!("chunk {chunk} 4 {TOP_K}\n");
-        for k in 0..TOP_K {
-            let score = (-1000.0f32 - k as f32).to_bits();
-            text += &format!("entry {} {score:08x} stale-{k}\n", chunk * 4 + k);
-        }
-        text += &format!("end {chunk}\n");
+/// The key this binary stamps on `spec`'s checkpoint on this host:
+/// everything `job_fingerprint` hashes.
+fn checkpoint_key(spec: &JobSpec) -> u64 {
+    let backend = spec.campaign.backend.resolve();
+    let mut h = checkpoint_key_head(spec);
+    h.write(backend.name().as_bytes());
+    if backend == Backend::AutoVec {
+        h.write(mudock_core::autovec::arithmetic_at(mudock_simd::frame()).as_bytes());
     }
-    text
+    h.write_u32(mudock_core::SCORING_REV);
+    h.finish()
+}
+
+/// Write at `path` a checkpoint under `key` whose two chunks are done,
+/// with scores that would take the whole ranking if they were replayed.
+fn finished_checkpoint(path: &Path, key: u64) {
+    std::fs::remove_file(path).ok();
+    let mut ckpt = Checkpoint::open(path, key).unwrap();
+    for chunk in 0..2 {
+        let top: Vec<RankedLigand> = (0..TOP_K)
+            .map(|k| RankedLigand {
+                index: chunk * 4 + k,
+                name: format!("stale-{k}"),
+                score: -1000.0 - k as f32,
+            })
+            .collect();
+        ckpt.record(chunk, 4, &top).unwrap();
+    }
 }
 
 /// A node restarted on a *newer binary* whose kernels sum in another
@@ -347,11 +362,22 @@ fn a_checkpoint_of_another_scoring_revision_is_refused() {
     let fresh = service.submit(spec("fresh", 7)).unwrap().wait();
     assert_eq!(fresh.state, JobState::Completed);
 
-    // Both chunks "done" by the old binary.
+    // Control: the same file under this binary's key is replayed, so
+    // the refusal below is the key's doing, not the file's.
     let ckpt = tmp("stale-rev.ckpt");
+    let mut control = spec("control", 7);
+    finished_checkpoint(&ckpt, checkpoint_key(&control));
+    control.checkpoint = Some(ckpt.clone());
+    let replayed = service.submit(control).unwrap().wait();
+    assert_eq!(replayed.replayed_chunks, 2);
+    assert!(
+        replayed.top.iter().all(|r| r.name.starts_with("stale-")),
+        "the replayed scores take the whole ranking"
+    );
+
+    // Both chunks "done" by the old binary.
     let stale = spec("stale", 7);
-    let text = finished_checkpoint(unrevisioned_checkpoint_key(&stale));
-    std::fs::write(&ckpt, text).unwrap();
+    finished_checkpoint(&ckpt, unrevisioned_checkpoint_key(&stale));
 
     let mut resumed = stale;
     resumed.checkpoint = Some(ckpt.clone());
@@ -414,23 +440,19 @@ fn an_autovec_checkpoint_of_the_other_arithmetic_class_is_refused() {
     first.checkpoint = Some(own.clone());
     let fresh = service.submit(first).unwrap().wait();
     assert_eq!(fresh.state, JobState::Completed);
-    let header = std::fs::read_to_string(&own).unwrap();
+    let own_key = autovec_checkpoint_key(&autovec("fresh"), here);
+    assert_eq!(own_key, checkpoint_key(&autovec("fresh")));
+    let written = Checkpoint::open(&own, own_key).unwrap();
     assert_eq!(
-        header.lines().next(),
-        Some(
-            format!(
-                "mudock-checkpoint v1 key {:016x}",
-                autovec_checkpoint_key(&autovec("fresh"), here)
-            )
-            .as_str()
-        ),
+        written.completed().len(),
+        2,
+        "resumable under this class's key"
     );
 
     // The same job, both chunks "done" on a host of the other class.
     let ckpt = tmp("other-class.ckpt");
     let stale = autovec("stale");
-    let text = finished_checkpoint(autovec_checkpoint_key(&stale, elsewhere));
-    std::fs::write(&ckpt, text).unwrap();
+    finished_checkpoint(&ckpt, autovec_checkpoint_key(&stale, elsewhere));
 
     let mut resumed = stale;
     resumed.checkpoint = Some(ckpt.clone());

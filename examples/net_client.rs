@@ -23,7 +23,7 @@ use std::time::Duration;
 use mudock::core::{Campaign, ChunkPolicy};
 use mudock::grids::GridDims;
 use mudock::mol::Vec3;
-use mudock::serve::net::client;
+use mudock::serve::net::client::Client;
 use mudock::serve::{
     LigandSource, NetConfig, NetServer, Priority, ReceptorSource, ScreenService, ServeConfig,
 };
@@ -53,23 +53,25 @@ fn main() {
         .grid_dims(GridDims::centered(Vec3::ZERO, 11.0, 0.6))
         .build()
         .expect("a valid campaign");
-    let id = client::submit(
-        &addr,
-        &campaign,
-        &ReceptorSource::Synth {
-            seed: 0xd0c6,
-            atoms: 300,
-            radius: 9.0,
-        },
-        &LigandSource::synth(7, 20),
-        Priority::Normal,
-    )
-    .expect("submit over the socket");
+    // One keep-alive connection for the whole session.
+    let mut client = Client::new(&addr);
+    let id = client
+        .submit(
+            &campaign,
+            &ReceptorSource::Synth {
+                seed: 0xd0c6,
+                atoms: 300,
+                radius: 9.0,
+            },
+            &LigandSource::synth(7, 20),
+            Priority::Normal,
+        )
+        .expect("submit over the socket");
     println!("submitted job {id}");
 
     // Poll until terminal, showing progress as chunks land.
     loop {
-        let status = client::poll(&addr, id).expect("poll");
+        let status = client.poll(id).expect("poll");
         println!(
             "  job {id}: {} ({} ligands, {} chunks)",
             mudock::serve::wire::state_name(status.state),
@@ -88,12 +90,10 @@ fn main() {
     }
 
     // The per-ligand stream the job wrote while running.
-    let results = client::results(&addr, id).expect("results");
+    let results = client.results(id).expect("results");
     println!("{} JSONL result lines", results.lines().count());
 
-    let stats = client::request(&addr, "GET", "/stats", None)
-        .expect("stats")
-        .body;
+    let stats = client.request("GET", "/stats", None).expect("stats").body;
     println!("stats: {stats}");
 
     server.shutdown();

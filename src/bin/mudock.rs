@@ -654,7 +654,7 @@ fn cmd_coordinator(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// it to a remote server. Prints the assigned job id (alone, on
 /// stdout) for scripting.
 fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use mudock::serve::net::client;
+    use mudock::serve::net::client::Client;
     use mudock::serve::{wire, LigandSource, Priority, ReceptorSource};
 
     let addr = flags
@@ -716,7 +716,8 @@ fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
             LigandSource::from_pdbqt(ltext),
         )
     };
-    let id = client::submit(addr, &spec, &receptor, &ligands, priority)
+    let id = Client::new(addr)
+        .submit(&spec, &receptor, &ligands, priority)
         .map_err(|e| CliError::Run(e.to_string()))?;
     eprintln!("submitted campaign '{name}' to {addr} as job {id}");
     println!("{id}");
@@ -726,7 +727,7 @@ fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
 /// `mudock poll`: status / wait / results / cancel against a remote
 /// job. Status and results go to stdout verbatim (JSON / JSONL).
 fn cmd_poll(flags: &HashMap<String, String>, positional: &[String]) -> Result<(), CliError> {
-    use mudock::serve::net::client;
+    use mudock::serve::net::client::{Client, ClientError};
     use mudock::serve::JobState;
 
     let addr = flags
@@ -738,10 +739,11 @@ fn cmd_poll(flags: &HashMap<String, String>, positional: &[String]) -> Result<()
         .ok_or_else(|| CliError::Usage("poll needs a job id".into()))?
         .parse()
         .map_err(|_| CliError::Usage(format!("bad job id '{}'", positional[0])))?;
-    let run = |e: client::ClientError| CliError::Run(e.to_string());
+    let run = |e: ClientError| CliError::Run(e.to_string());
+    let mut client = Client::new(addr);
 
     if flags.contains_key("cancel") {
-        let status = client::cancel(addr, id).map_err(run)?;
+        let status = client.cancel(id).map_err(run)?;
         eprintln!(
             "job {id}: cancellation requested (state {})",
             mudock::serve::wire::state_name(status.state)
@@ -749,7 +751,7 @@ fn cmd_poll(flags: &HashMap<String, String>, positional: &[String]) -> Result<()
     }
     if flags.contains_key("wait") {
         let interval = std::time::Duration::from_millis(num(flags, "interval-ms", 100u64)?.max(1));
-        let status = client::wait(addr, id, interval).map_err(run)?;
+        let status = client.wait(id, interval).map_err(run)?;
         if status.state == JobState::Failed {
             let why = status
                 .outcome
@@ -759,10 +761,11 @@ fn cmd_poll(flags: &HashMap<String, String>, positional: &[String]) -> Result<()
         }
     }
     if flags.contains_key("results") {
-        print!("{}", client::results(addr, id).map_err(run)?);
+        print!("{}", client.results(id).map_err(run)?);
         return Ok(());
     }
-    let resp = client::request(addr, "GET", &format!("/jobs/{id}"), None)
+    let resp = client
+        .request("GET", &format!("/jobs/{id}"), None)
         .map_err(run)?
         .ok()
         .map_err(run)?;
@@ -774,7 +777,7 @@ fn cmd_poll(flags: &HashMap<String, String>, positional: &[String]) -> Result<()
 /// or, with `--metrics`, the raw Prometheus text exposition. Both go
 /// to stdout verbatim for piping into `jq` / `promtool`.
 fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use mudock::serve::net::client;
+    use mudock::serve::net::client::{Client, ClientError};
 
     let addr = flags
         .get("addr")
@@ -785,8 +788,9 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
     } else {
         "/stats"
     };
-    let run = |e: client::ClientError| CliError::Run(e.to_string());
-    let resp = client::request(addr, "GET", path, None)
+    let run = |e: ClientError| CliError::Run(e.to_string());
+    let resp = Client::new(addr)
+        .request("GET", path, None)
         .map_err(run)?
         .ok()
         .map_err(run)?;
