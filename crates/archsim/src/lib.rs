@@ -18,13 +18,14 @@
 //! * [`portability`] — the Pennycook harmonic-mean metric of Figure 6;
 //! * [`roofline`] — the Figure 5 model (bandwidth diagonal + compute
 //!   ceilings), and [`peak`], `likwid-bench`-style measurements of
-//!   *this* host to anchor it;
+//!   *this* host that anchor the host roofline `paper host` prints;
 //! * [`scenario::Study`] — computes every table and figure series.
 //!
 //! The model's purpose is the paper's *shape* — who wins, by what factor,
-//! and through which mechanism — not absolute seconds; the binaries
-//! listed under "Reproducing the paper" in the README print the modeled
-//! value of every table and figure for comparison with the paper's.
+//! and through which mechanism — not absolute seconds; the `paper`
+//! binary of `mudock-bench` (README, "Reproducing the paper") prints the
+//! modeled value of every table and figure for comparison with the
+//! paper's.
 
 pub mod arch;
 pub mod cache;

@@ -1,8 +1,9 @@
 //! Host microbenchmarks in the spirit of `likwid-bench`: the paper uses
 //! its `peakflops` and `load` kernels to anchor the roofline ceilings
-//! (Section VII-d). These are *measurements of this host*, used by the
-//! `roofline` example; the cross-architecture figures use the modeled
-//! peaks of [`crate::arch`] instead.
+//! (Section VII-d). These are *measurements of this host*, the ceilings
+//! and bandwidth of the host roofline `paper host` prints; the
+//! cross-architecture figures use the modeled peaks of [`crate::arch`]
+//! instead.
 
 use std::time::Instant;
 

@@ -1,7 +1,7 @@
 //! The full cross-architecture study: computes every series of every
 //! table and figure in the paper's evaluation from the workload traces,
-//! cache simulations and the pipeline model. Benchmark binaries in
-//! `mudock-bench` only format what this module returns.
+//! cache simulations and the pipeline model. The `paper` binary in
+//! `mudock-bench` only formats what this module returns.
 
 use std::collections::HashMap;
 

@@ -1,23 +1,29 @@
 //! # mudock-bench — the paper's evaluation harness
 //!
-//! One binary per table and figure of the CLUSTER 2025 paper (run them
-//! all via `paper_all`), plus ablation studies and two drivers for the
-//! serve layer (`net_churn`, `cache_replay`). Binaries print the same
-//! rows/series the paper reports and drop CSV files under `results/`.
-//! Kernel and end-to-end timings are `bench_ladder/`'s job (the
-//! stand-alone crate at the repo root), not this crate's.
+//! The `paper` binary prints every table and figure of the CLUSTER 2025
+//! paper (`paper [TARGET...]`, all of them by default; README,
+//! "Reproducing the paper") from the [`report`] functions and drops CSV
+//! files under `results/`. Next to it sit the ablation studies and two
+//! drivers for the serve layer (`net_churn`, `cache_replay`). Kernel and
+//! end-to-end timings are `bench_ladder/`'s job (the stand-alone crate at
+//! the repo root), not this crate's.
 //!
 //! Two kinds of numbers appear:
 //!
 //! * **host-measured** — real wall-clock measurements of the Rust kernels
 //!   on this machine, across [`mudock_core::Backend`]s (the
-//!   scalar-libm / auto-vectorizable / explicit-SIMD axis);
+//!   scalar-libm / auto-vectorizable / explicit-SIMD axis), all through
+//!   [`HostWorkload`];
 //! * **modeled** — cross-architecture estimates from
 //!   [`mudock_archsim::Study`] for the five CPUs and seven compilers the
 //!   paper tests (see the `mudock_archsim` crate docs).
 
 use std::time::Instant;
 
+use mudock_archsim::opmix::{
+    INTER_PER_ATOM, INTRA_PER_PAIR, TRANSFORM_RIGID_PER_ATOM, TRANSFORM_TORSION_PER_ATOM,
+};
+use mudock_archsim::pipeline::EXP_FLOPS_POLY;
 use mudock_core::{Backend, DockingEngine, Genotype, LigandPrep};
 use mudock_grids::{GridBuilder, GridDims, GridSet};
 use mudock_mol::{ConformSoA, Vec3};
@@ -70,15 +76,10 @@ pub mod fmt {
         "#".repeat(n)
     }
 
-    /// Write a CSV file under `results/` (created on demand), returning
-    /// its path.
-    pub fn write_csv(
-        name: &str,
-        headers: &[&str],
-        rows: &[Vec<String>],
-    ) -> std::io::Result<std::path::PathBuf> {
+    /// Write a CSV file under `results/` (created on demand). An error
+    /// names the file it could not write.
+    pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<()> {
         let dir = std::path::Path::new("results");
-        std::fs::create_dir_all(dir)?;
         let path = dir.join(name);
         let mut text = headers.join(",");
         text.push('\n');
@@ -86,8 +87,9 @@ pub mod fmt {
             text.push_str(&row.join(","));
             text.push('\n');
         }
-        std::fs::write(&path, text)?;
-        Ok(path)
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, text))
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))
     }
 }
 
@@ -136,6 +138,22 @@ impl HostWorkload {
         let dt = t0.elapsed().as_secs_f64();
         std::hint::black_box(sink);
         dt / self.poses.len() as f64
+    }
+
+    /// FLOPs one pose score performs, counted from the kernels' op mixes
+    /// in [`mudock_archsim::opmix`] (polynomial `exp`): intra per pair;
+    /// inter, rigid transform and one torsion blend per torsion per atom.
+    pub fn flops_per_pose(&self) -> f64 {
+        let per_atom = INTER_PER_ATOM
+            .per_element
+            .plus(&TRANSFORM_RIGID_PER_ATOM.per_element)
+            .plus(
+                &TRANSFORM_TORSION_PER_ATOM
+                    .per_element
+                    .scaled(self.prep.n_torsions() as f64),
+            );
+        self.prep.pairs.n as f64 * INTRA_PER_PAIR.per_element.flops(EXP_FLOPS_POLY)
+            + self.prep.base.n as f64 * per_atom.flops(EXP_FLOPS_POLY)
     }
 
     /// Host ground truth across all runnable backends:

@@ -148,9 +148,8 @@ pub enum StopPolicy {
     Deadline(Duration),
     /// Stop once the top-k ranking has been stable for `window`
     /// consecutive checks: no rank's score moved by more than `epsilon`
-    /// (kcal/mol) and the ranking kept its length. The serve layer wires
-    /// this through the per-chunk `ChunkProgress::cancel` hook it already
-    /// exposes to user callbacks.
+    /// (kcal/mol) and the ranking kept its length. Checked after every
+    /// chunk, like the other policies.
     RankingStable {
         /// Consecutive stable checks required before stopping.
         window: usize,
@@ -390,11 +389,6 @@ impl Default for CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Start building a campaign (same as [`Campaign::builder`]).
-    pub fn builder() -> CampaignBuilder {
-        Campaign::builder()
-    }
-
     /// Lower the spec to the kernel-level [`DockParams`] it describes.
     pub fn dock_params(&self) -> DockParams {
         DockParams {

@@ -114,8 +114,8 @@ impl Default for GaParams {
     }
 }
 
-/// Standard Gaussian via Box–Muller.
-fn gauss(rng: &mut StdRng) -> f32 {
+/// Standard Gaussian via Box–Muller (GA mutation and Solis–Wets steps).
+pub(crate) fn gauss(rng: &mut StdRng) -> f32 {
     let u1: f32 = rng.random::<f32>().max(1e-7);
     let u2: f32 = rng.random();
     (-2.0f32 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()

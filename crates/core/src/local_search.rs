@@ -14,9 +14,9 @@
 
 use mudock_mol::{ConformSoA, Vec3};
 use rand::rngs::StdRng;
-use rand::RngExt;
 
 use crate::engine::{Backend, DockingEngine, LigandPrep};
+use crate::ga::gauss;
 use crate::genotype::{Genotype, FIRST_TORSION};
 
 /// Solis–Wets hyper-parameters (AutoDock-like defaults).
@@ -49,12 +49,6 @@ impl Default for SolisWetsParams {
             fraction: 0.06,
         }
     }
-}
-
-fn gauss(rng: &mut StdRng) -> f32 {
-    let u1: f32 = rng.random::<f32>().max(1e-7);
-    let u2: f32 = rng.random();
-    (-2.0f32 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
 }
 
 /// Per-gene step scale: translations move in Å, rotations and torsions in

@@ -220,11 +220,6 @@ impl std::fmt::Debug for JobSpec {
 pub(crate) struct JobShared {
     pub id: JobId,
     pub cancel: AtomicBool,
-    /// Set when the cancellation originated from the job's own
-    /// [`StopPolicy`](mudock_core::StopPolicy) rather than a client:
-    /// the executor then reports `Completed` + `stopped_early` instead
-    /// of `Cancelled`.
-    pub policy_stop: AtomicBool,
     pub ligands_done: AtomicUsize,
     pub chunks_done: AtomicUsize,
     /// Per-stage wall-clock stamps (enqueue → dequeue → grid → dock →
@@ -240,7 +235,6 @@ impl JobShared {
         Arc::new(JobShared {
             id,
             cancel: AtomicBool::new(false),
-            policy_stop: AtomicBool::new(false),
             ligands_done: AtomicUsize::new(0),
             chunks_done: AtomicUsize::new(0),
             trace: JobTrace::new(),

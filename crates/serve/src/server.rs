@@ -470,13 +470,7 @@ fn run_job(spec: JobSpec, shared: &JobShared, ctx: &ExecCtx) {
 
     for ci in 0usize.. {
         if shared.cancel.load(Ordering::SeqCst) {
-            if shared.policy_stop.load(Ordering::SeqCst) {
-                // A policy firing exactly as the input ran out is a
-                // plain completion: "early" means ligands were skipped.
-                stopped_early = stream.next().is_some();
-            } else {
-                state = JobState::Cancelled;
-            }
+            state = JobState::Cancelled;
             break;
         }
         let replay = ckpt.as_ref().and_then(|c| c.completed().get(&ci).cloned());
@@ -559,22 +553,20 @@ fn run_job(spec: JobSpec, shared: &JobShared, ctx: &ExecCtx) {
         chunks_done += 1;
         shared.ligands_done.store(ligands_done, Ordering::SeqCst);
         shared.chunks_done.store(chunks_done, Ordering::SeqCst);
-        let progress = ChunkProgress {
-            job: shared.id,
-            chunk: ci,
-            chunks_done,
-            ligands_done,
-            replayed,
-            shared,
-        };
         if let Some(cb) = &spec.progress {
-            cb(&progress);
+            cb(&ChunkProgress {
+                job: shared.id,
+                chunk: ci,
+                chunks_done,
+                ligands_done,
+                replayed,
+                shared,
+            });
         }
-        // The stop policy rides the same per-chunk cancellation hook the
-        // progress callback gets: when the policy says stop, the job
-        // cancels itself — and the outcome reports Completed +
-        // stopped_early instead of Cancelled. Snapshotting the ranking
-        // costs a top-k clone + sort, so only RankingStable pays it.
+        // The stop policy ends the job here, after a whole chunk: the
+        // outcome is Completed, and stopped_early when ligands were left.
+        // Snapshotting the ranking costs a top-k clone + sort, so only
+        // RankingStable pays it.
         let ranking: Vec<(f32, usize)> =
             if matches!(spec.campaign.stop, StopPolicy::RankingStable { .. }) {
                 top.clone()
@@ -586,8 +578,10 @@ fn run_job(spec: JobSpec, shared: &JobShared, ctx: &ExecCtx) {
                 Vec::new()
             };
         if stop_check.should_stop(&spec.campaign.stop, evaluations, &ranking) {
-            shared.policy_stop.store(true, Ordering::SeqCst);
-            progress.cancel();
+            // A policy firing exactly as the input ran out is a plain
+            // completion: "early" means ligands were skipped.
+            stopped_early = stream.next().is_some();
+            break;
         }
     }
 

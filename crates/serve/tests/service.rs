@@ -393,9 +393,9 @@ fn jobs_pinned_to_different_levels_get_distinct_grids_and_agreeing_rankings() {
 
 /// The acceptance scenario for early termination: a `RankingStable`
 /// campaign stops before exhausting its input, reports Completed +
-/// stopped_early (via the ChunkProgress::cancel hook), and its ranking
-/// is bit-identical to what `core::screen_campaign` produces for the
-/// same spec — and to a full run over the same prefix of the batch.
+/// stopped_early, and its ranking is bit-identical to what
+/// `core::screen_campaign` produces for the same spec — and to a full
+/// run over the same prefix of the batch.
 #[test]
 fn ranking_stable_policy_stops_the_job_early_with_a_consistent_ranking() {
     // A longer batch than the other tests use: the top-5 needs room to
@@ -463,6 +463,39 @@ fn ranking_stable_policy_stops_the_job_early_with_a_consistent_ranking() {
         assert_eq!(got.index, want);
         assert_eq!(got.score, prefix.results[want].best_score.unwrap());
     }
+}
+
+/// An evaluation budget ends the job after the chunk that spends it:
+/// one that lasts the whole input is a plain completion, one the first
+/// chunk spends stops early with exactly that chunk docked.
+#[test]
+fn an_evaluation_budget_stops_after_the_chunk_that_spends_it() {
+    // Pure GA: every ligand costs population × generations evaluations.
+    let per_ligand = 10 * 5;
+    let service = ScreenService::start(ServeConfig {
+        total_threads: 2,
+        job_slots: 1,
+        queue_capacity: 4,
+        cache_capacity: 2,
+        ..ServeConfig::default()
+    });
+    let run = |budget: u64| {
+        let mut s = spec("budget");
+        s.campaign.stop = StopPolicy::MaxEvaluations(budget);
+        service.submit(s).unwrap().wait()
+    };
+
+    let whole = run((N_LIGANDS * per_ligand) as u64);
+    assert_eq!(whole.state, JobState::Completed);
+    assert!(!whole.stopped_early, "the budget lasted the whole input");
+    assert_eq!(whole.ligands_done, N_LIGANDS);
+
+    let first_chunk = run((CHUNK * per_ligand) as u64);
+    assert_eq!(first_chunk.state, JobState::Completed);
+    assert!(first_chunk.stopped_early, "ligands were left undocked");
+    assert_eq!(first_chunk.ligands_done, CHUNK);
+    assert_eq!(first_chunk.chunks_done, 1);
+    service.shutdown();
 }
 
 #[test]

@@ -19,9 +19,3 @@ pub use mudock_molio as molio;
 pub use mudock_pool as pool;
 pub use mudock_serve as serve;
 pub use mudock_simd as simd;
-
-/// The roofline model and host peak measurements (they live in
-/// [`mudock_archsim`], their only other consumer).
-pub mod perf {
-    pub use mudock_archsim::{peak, Ceiling, KernelPoint, Roofline};
-}
