@@ -3,8 +3,9 @@
 //! The `paper` binary prints every table and figure of the CLUSTER 2025
 //! paper (`paper [TARGET...]`, all of them by default; README,
 //! "Reproducing the paper") from the [`report`] functions and drops CSV
-//! files under `results/`. Next to it sit the ablation studies and two
-//! drivers for the serve layer (`net_churn`, `cache_replay`). Kernel and
+//! files under `results/`. Next to it sit the ablation studies, the
+//! portable arm's codegen check (`codegen_autovec`) and the grid-cache
+//! trace replayer (`cache_replay`). Kernel and
 //! end-to-end timings are `bench_ladder/`'s job (the stand-alone crate at
 //! the repo root), not this crate's.
 //!
@@ -93,6 +94,12 @@ pub mod fmt {
     }
 }
 
+/// Passes [`HostWorkload::seconds_per_pose`] times; it keeps the fastest.
+/// At 400 poses this is about 2 s on a 2-vCPU AVX-512 host: a stretch
+/// in which a shared host runs everything ~1.5× slower can outlast
+/// 15 passes, but not 200.
+pub const TIMED_PASSES: usize = 200;
+
 /// A prepared single-complex scoring workload for host measurements:
 /// grids + ligand prep + a fixed set of poses.
 pub struct HostWorkload {
@@ -122,22 +129,29 @@ impl HostWorkload {
         HostWorkload { grids, prep, poses }
     }
 
-    /// Measure seconds per pose for one backend (scores every pose once).
-    pub fn seconds_per_pose(&self, backend: Backend) -> f64 {
+    /// Seconds per pose of each of `backends`: the fastest of
+    /// [`TIMED_PASSES`] passes, each scoring every pose once. The
+    /// backends take turns pass by pass, so a slow stretch of the host
+    /// costs each of them alike, and the first passes warm caches and
+    /// clocks (the paper discards warm-up runs).
+    pub fn seconds_per_pose(&self, backends: &[Backend]) -> Vec<f64> {
         let engine = DockingEngine::new(&self.grids).expect("grids fit");
         let mut scratch = ConformSoA::with_capacity(self.prep.base.n);
         let mut sink = 0.0f32;
-        // Warm-up pass (the paper discards warm-up runs).
-        for g in self.poses.iter().take(self.poses.len() / 4) {
-            sink += engine.score(&self.prep, g, &mut scratch, backend);
+        let mut best = vec![f64::MAX; backends.len()];
+        for _ in 0..TIMED_PASSES {
+            for (&backend, best) in backends.iter().zip(&mut best) {
+                let t0 = Instant::now();
+                for g in &self.poses {
+                    sink += engine.score(&self.prep, g, &mut scratch, backend);
+                }
+                *best = best.min(t0.elapsed().as_secs_f64());
+            }
         }
-        let t0 = Instant::now();
-        for g in &self.poses {
-            sink += engine.score(&self.prep, g, &mut scratch, backend);
-        }
-        let dt = t0.elapsed().as_secs_f64();
         std::hint::black_box(sink);
-        dt / self.poses.len() as f64
+        best.into_iter()
+            .map(|s| s / self.poses.len() as f64)
+            .collect()
     }
 
     /// FLOPs one pose score performs, counted from the kernels' op mixes
@@ -158,12 +172,15 @@ impl HostWorkload {
 
     /// Host ground truth across all runnable backends:
     /// `(backend name, seconds/pose, speedup vs Reference)`.
-    /// One timed pass per backend; the Reference row itself is the
-    /// speedup denominator, so the table is self-consistent.
+    /// Timed by [`HostWorkload::seconds_per_pose`]; the Reference row
+    /// itself is the speedup denominator, so the table is
+    /// self-consistent.
     pub fn backend_comparison(&self) -> Vec<(String, f64, f64)> {
-        let timed: Vec<(String, f64)> = Backend::available()
-            .into_iter()
-            .map(|b| (b.name(), self.seconds_per_pose(b)))
+        let backends = Backend::available();
+        let timed: Vec<(String, f64)> = backends
+            .iter()
+            .map(|b| b.name())
+            .zip(self.seconds_per_pose(&backends))
             .collect();
         let reference = timed
             .iter()
@@ -202,8 +219,8 @@ mod tests {
     #[test]
     fn host_workload_scores_all_backends() {
         let wl = HostWorkload::standard(8);
-        for b in Backend::available() {
-            let s = wl.seconds_per_pose(b);
+        let backends = Backend::available();
+        for (b, s) in backends.iter().zip(wl.seconds_per_pose(&backends)) {
             assert!(s > 0.0 && s < 1.0, "{b}: {s} s/pose");
         }
     }

@@ -98,9 +98,8 @@ pub enum BackendPolicy {
 
 impl BackendPolicy {
     /// The concrete [`Backend`] this policy scores poses with.
-    /// [`BackendPolicy::Detect`] honors the `MUDOCK_BACKEND`
-    /// environment pin (see [`Backend::auto`]); explicit policies
-    /// always win over the environment.
+    /// [`BackendPolicy::Detect`] follows the host's CPU
+    /// ([`Backend::auto`]).
     pub fn resolve(self) -> Backend {
         match self {
             BackendPolicy::Detect => Backend::auto(),
@@ -783,9 +782,7 @@ mod tests {
             BackendPolicy::Fixed(Backend::Explicit(SimdLevel::Scalar)).grid_level(),
             SimdLevel::Scalar
         );
-        // Detect follows the single auto-resolution point (which itself
-        // honors a MUDOCK_BACKEND env pin, so this holds in CI's
-        // backend matrix too).
+        // Detect follows the single auto-resolution point.
         assert_eq!(BackendPolicy::Detect.resolve(), Backend::auto());
         match Backend::auto() {
             Backend::Explicit(l) => assert_eq!(BackendPolicy::Detect.grid_level(), l),

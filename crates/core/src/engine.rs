@@ -84,34 +84,18 @@ impl Backend {
         v
     }
 
-    /// The `MUDOCK_BACKEND` environment pin (same names as
-    /// [`Backend::parse`]). CI uses it to run the whole suite once per
-    /// backend in a matrix, so level-specific scoring divergence fails
-    /// there instead of on user hardware. Unparsable values — a retired
-    /// level's name such as `sse2` among them — and levels the host
-    /// cannot run are ignored (the pin must never make a working binary
-    /// refuse to start).
-    pub fn from_env() -> Option<Backend> {
-        let v = std::env::var("MUDOCK_BACKEND").ok()?;
-        let b = Backend::parse(&v)?;
-        match b {
-            Backend::Explicit(l) if !l.is_supported() => None,
-            b => Some(b),
-        }
-    }
-
-    /// What an *unpinned* run scores with: the [`Backend::from_env`]
-    /// pin when set, otherwise the explicit arm at the host's AVX2 or
-    /// AVX-512 level, and the portable arm ([`Backend::AutoVec`]) on a
-    /// host with neither — every non-x86 CPU included. This is the single
+    /// What an *unpinned* run scores with: the explicit arm at the
+    /// host's AVX2 or AVX-512 level, and the portable arm
+    /// ([`Backend::AutoVec`]) on a host with neither — every non-x86 CPU
+    /// included. It depends on the CPU alone. This is the single
     /// resolution point behind [`DockParams::default`] and
     /// [`BackendPolicy::Detect`](crate::campaign::BackendPolicy). A level
     /// gets an explicit default exactly where it is the engine's frame.
     pub fn auto() -> Backend {
-        Backend::from_env().unwrap_or_else(|| match SimdLevel::detect() {
+        match SimdLevel::detect() {
             level if mudock_simd::is_wide(level) => Backend::Explicit(level),
             _ => Backend::AutoVec,
-        })
+        }
     }
 }
 
@@ -678,10 +662,6 @@ mod tests {
 
     #[test]
     fn a_level_is_the_default_backend_exactly_where_it_is_the_engine_frame() {
-        // A `MUDOCK_BACKEND` pin (CI's backend matrix) overrides the rule.
-        if Backend::from_env().is_some() {
-            return;
-        }
         let gs = GridSet::empty(GridDims::centered(Vec3::ZERO, 2.0, 1.0));
         let frame = DockingEngine::new(&gs).unwrap().frame();
         let want = if mudock_simd::is_wide(frame) {

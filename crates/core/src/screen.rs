@@ -219,8 +219,7 @@ mod tests {
                 ..Default::default()
             },
             seed: 99,
-            // What `BackendPolicy::Detect` (`quick_campaign`) resolves to,
-            // `MUDOCK_BACKEND` pin included.
+            // What `BackendPolicy::Detect` (`quick_campaign`) resolves to.
             backend: Backend::auto(),
             search_radius: Some(4.0),
             local_search: None,

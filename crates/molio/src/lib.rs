@@ -16,7 +16,7 @@ pub mod stream;
 pub mod synth;
 
 pub use pdbqt::{parse, perceive_bonds, write, ParseError};
-pub use stream::{parse_models, split_models, ChunkedExt, Chunks, MediateStream};
+pub use stream::{parse_models, split_models, MediateStream};
 pub use synth::{
     complex_1a30_like, mediate_like_set, synthetic_ligand, synthetic_receptor, LigandSpec,
 };

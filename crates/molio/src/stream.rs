@@ -8,10 +8,7 @@
 //! * [`MediateStream`] — the lazy form of [`mediate_like_set`]: same
 //!   seed → bit-identical molecules, generated on demand;
 //! * [`split_models`] / [`parse_models`] — multi-molecule PDBQT
-//!   (`MODEL`/`ENDMDL`-delimited, the AutoDock Vina library convention);
-//! * [`Chunks`] / [`ChunkedExt::chunked`] — batches any ligand iterator
-//!   into fixed-size chunks, the unit of scheduling, checkpointing, and
-//!   result flushing in the serve layer.
+//!   (`MODEL`/`ENDMDL`-delimited, the AutoDock Vina library convention).
 //!
 //! [`mediate_like_set`]: crate::synth::mediate_like_set
 
@@ -109,44 +106,6 @@ pub fn parse_models(text: &str) -> impl Iterator<Item = Result<Molecule, ParseEr
     split_models(text).into_iter().map(pdbqt::parse)
 }
 
-/// Fixed-size batching adapter: yields `Vec`s of up to `size` items. The
-/// final chunk may be short; an empty inner iterator yields no chunks.
-#[derive(Clone, Debug)]
-pub struct Chunks<I: Iterator> {
-    inner: I,
-    size: usize,
-}
-
-impl<I: Iterator> Iterator for Chunks<I> {
-    type Item = Vec<I::Item>;
-
-    fn next(&mut self) -> Option<Vec<I::Item>> {
-        let mut chunk = Vec::with_capacity(self.size);
-        for item in self.inner.by_ref() {
-            chunk.push(item);
-            if chunk.len() == self.size {
-                break;
-            }
-        }
-        if chunk.is_empty() {
-            None
-        } else {
-            Some(chunk)
-        }
-    }
-}
-
-/// Extension adding [`Chunks`] to any iterator.
-pub trait ChunkedExt: Iterator + Sized {
-    /// Batch into chunks of `size` (> 0).
-    fn chunked(self, size: usize) -> Chunks<Self> {
-        assert!(size > 0, "chunk size must be positive");
-        Chunks { inner: self, size }
-    }
-}
-
-impl<I: Iterator> ChunkedExt for I {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,16 +137,6 @@ mod tests {
         s.next();
         assert_eq!(s.remaining(), 3);
         assert_eq!(s.count(), 3);
-    }
-
-    #[test]
-    fn chunking_covers_everything_in_order() {
-        let chunks: Vec<Vec<u32>> = (0..10u32).chunked(4).collect();
-        assert_eq!(chunks, vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
-        let exact: Vec<Vec<u32>> = (0..8u32).chunked(4).collect();
-        assert_eq!(exact.len(), 2);
-        let empty: Vec<Vec<u32>> = (0..0u32).chunked(4).collect();
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Ligand sources: where a job's molecules come from.
 //!
 //! A screening campaign's library is pulled through the pipeline lazily —
-//! the executor takes [`LigandSource::stream`] and batches it with
-//! [`mudock_molio::ChunkedExt`]; nothing is materialized beyond the
-//! in-flight chunk. Sources are cheap to clone (shared payloads sit in
+//! the executor takes [`LigandSource::stream`] and pulls each chunk off
+//! it with `stream.by_ref().take(n)`, `n` from the job's chunk policy;
+//! nothing is materialized beyond the in-flight chunk. Sources are cheap to clone (shared payloads sit in
 //! `Arc`s) and deterministic: the same source yields the same molecules
 //! in the same order every time, which is what makes checkpoint replay
 //! and seed reproducibility work.

@@ -391,6 +391,59 @@ fn jobs_pinned_to_different_levels_get_distinct_grids_and_agreeing_rankings() {
     service.shutdown();
 }
 
+/// Every backend the host runs, through one service with one job slot,
+/// one job at a time. The serve layer branches on backend only through
+/// the grid level and the checkpoint key, so this is each backend's
+/// whole path: every ranking is the core `screen_campaign` ranking of
+/// the same spec, bit for bit, and the grid cache follows the map rule —
+/// `Reference`, `AutoVec` and `Explicit(Scalar)` dock on the one-lane
+/// maps (the first of them builds them, the other two hit), and each
+/// wide level builds its own.
+#[test]
+fn every_backend_ranks_as_the_core_reference_on_the_maps_of_its_level() {
+    let service = ScreenService::start(ServeConfig {
+        total_threads: 2,
+        job_slots: 1,
+        queue_capacity: 8,
+        cache_capacity: 8,
+        ..ServeConfig::default()
+    });
+    // The map rule, spelled out rather than read from `grid_level()`.
+    let maps = |b: Backend| match b {
+        Backend::Explicit(level) => level,
+        Backend::Reference | Backend::AutoVec => SimdLevel::Scalar,
+    };
+    let mut built = Vec::new();
+    for backend in Backend::available() {
+        let mut s = spec(&format!("fixed-{backend}"));
+        s.campaign.backend = BackendPolicy::Fixed(backend);
+        let want = reference_top_for(&s.campaign);
+        let o = service.submit(s).unwrap().wait();
+        assert_eq!(o.state, JobState::Completed, "{backend}: {:?}", o.error);
+        let got: Vec<_> = o
+            .top
+            .iter()
+            .map(|r| (r.index, r.name.clone(), r.score.to_bits()))
+            .collect();
+        let want: Vec<_> = want
+            .into_iter()
+            .map(|(i, n, s)| (i, n, s.to_bits()))
+            .collect();
+        assert_eq!(got, want, "{backend} must rank as core does, bit for bit");
+        let first = !built.contains(&maps(backend));
+        assert_eq!(
+            o.grid_cache_hit,
+            !first,
+            "{backend} docks on the {} maps",
+            maps(backend)
+        );
+        if first {
+            built.push(maps(backend));
+        }
+    }
+    service.shutdown();
+}
+
 /// The acceptance scenario for early termination: a `RankingStable`
 /// campaign stops before exhausting its input, reports Completed +
 /// stopped_early, and its ranking is bit-identical to what

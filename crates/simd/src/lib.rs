@@ -75,9 +75,8 @@ pub const MAX_LANES: usize = 16;
 ///
 /// This is the Rust-side analogue of Highway's `HWY_TARGETS`: the level is a
 /// *runtime* choice. Experiments pin one through a campaign's `backend`
-/// (`--backend avx2` on the command line) or the `MUDOCK_BACKEND`
-/// environment variable, or take the best the host offers
-/// ([`SimdLevel::detect`]).
+/// (`--backend avx2` on the command line, `{"fixed": "avx2"}` on the
+/// wire), or take the best the host offers ([`SimdLevel::detect`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// Plain scalar f32 code (1 lane). Portable reference, and what

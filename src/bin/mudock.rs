@@ -820,18 +820,20 @@ const CAMPAIGN_FLAGS: &[&str] = &[
 ];
 const CAMPAIGN_BOOLEAN: &[&str] = &["local-search"];
 
-/// What `cmd_serve`, `cmd_serve_listen` and `serve_config_from` read.
+/// What `serve_config_from` reads, in both `serve` modes.
 const SERVE_FLAGS: &[&str] = &[
-    "demo",
     "jobs",
     "threads",
-    "jsonl",
-    "checkpoint",
     "cache",
     "spill-dir",
     "spill-cap",
     "cache-trace",
     "trace-file",
+];
+/// What only `cmd_serve` (`serve --demo`) reads, besides the campaign.
+const DEMO_FLAGS: &[&str] = &["demo", "jsonl", "checkpoint"];
+/// What only `cmd_serve_listen` (`serve --listen`) reads.
+const LISTEN_FLAGS: &[&str] = &[
     "listen",
     "results",
     "allow-path-sources",
@@ -853,10 +855,12 @@ fn run(cmd: &str, args: &[String]) -> Result<(), CliError> {
             CAMPAIGN_BOOLEAN,
         ),
         "screen" => (&[CAMPAIGN_FLAGS, &["demo", "threads"]], CAMPAIGN_BOOLEAN),
-        "serve" => (
-            &[CAMPAIGN_FLAGS, SERVE_FLAGS],
-            &["local-search", "allow-path-sources"],
-        ),
+        // `serve`'s two modes read disjoint flags, so a flag of the
+        // other mode is refused by name instead of being ignored.
+        "serve" if args.iter().any(|a| a == "--listen") => {
+            (&[SERVE_FLAGS, LISTEN_FLAGS], &["allow-path-sources"])
+        }
+        "serve" => (&[SERVE_FLAGS, DEMO_FLAGS, CAMPAIGN_FLAGS], CAMPAIGN_BOOLEAN),
         "coordinator" => (
             &[&[
                 "listen",
@@ -916,6 +920,15 @@ fn run(cmd: &str, args: &[String]) -> Result<(), CliError> {
 }
 
 fn main() -> ExitCode {
+    // The retired environment pin would otherwise change what `detect`
+    // scores with without a word: refuse it before anything runs.
+    if std::env::var_os("MUDOCK_BACKEND").is_some() {
+        eprintln!(
+            "error: MUDOCK_BACKEND is retired: `detect` follows the CPU alone; \
+             pin a backend with --backend, or {{\"fixed\": …}} as a job's wire backend"
+        );
+        return ExitCode::from(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!("{}", usage());

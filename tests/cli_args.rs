@@ -3,7 +3,8 @@
 //! (usage error) — never a panic, a silent default, or a generic
 //! failure. Runs the real `mudock` binary.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn mudock(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mudock"))
@@ -157,6 +158,110 @@ fn malformed_numbers_exit_2_naming_the_flag() {
             out.status.code(),
             Some(2),
             "{args:?} must exit 2, stderr: {}",
+            stderr(&out)
+        );
+        assert!(
+            stderr(&out).contains(flag),
+            "{args:?} stderr must name {flag}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+#[test]
+fn the_retired_backend_variable_is_refused_by_name() {
+    // `detect` follows the CPU alone: a leftover pin must not change
+    // rankings without a word, whatever its value, and whatever command.
+    for (value, args) in [
+        ("avx2", &["screen", "--demo", "2"][..]),
+        ("", &["help"][..]),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_mudock"))
+            .args(args)
+            .env("MUDOCK_BACKEND", value)
+            .output()
+            .expect("the mudock binary runs");
+        assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+        assert!(out.stdout.is_empty(), "nothing runs before the refusal");
+        let err = stderr(&out);
+        for fragment in ["MUDOCK_BACKEND", "retired", "--backend", "\"fixed\""] {
+            assert!(
+                err.contains(fragment),
+                "stderr must mention {fragment:?}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn serve_refuses_the_other_modes_flags() {
+    // (args, the flag the refusal names). A regression would bind and
+    // serve (or dock) instead, so each run has a deadline.
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &[
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--backend",
+                "avx2",
+                "--generations",
+                "3",
+                "--checkpoint",
+                "/nonexistent",
+                "--jsonl",
+                "/nonexistent",
+            ],
+            "--backend",
+        ),
+        (
+            &[
+                "serve",
+                "--demo",
+                "2",
+                "--jobs",
+                "1",
+                "--threads",
+                "1",
+                "--generations",
+                "2",
+                "--population",
+                "4",
+                "--max-conns",
+                "7",
+                "--results",
+                "/nonexistent",
+                "--idle-s",
+                "1",
+            ],
+            "--max-conns",
+        ),
+    ];
+    for (args, flag) in cases {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mudock"))
+            .args(*args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the mudock binary runs");
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while child.try_wait().expect("wait on mudock").is_none() {
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect mudock's output");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            !stdout.contains("listening on"),
+            "{args:?} served: {stdout}"
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}, stderr: {}",
             stderr(&out)
         );
         assert!(

@@ -1,118 +1,108 @@
-//! Connection-churn smoke for the reactor frontend: a herd of idle
-//! keep-alive connections plus a slow-loris writer must not disturb a
-//! real job cycle — and the misbehaving peer, not the polite ones, must
-//! be the one evicted.
+//! The one event loop under a herd: thousands of idle keep-alive
+//! connections plus a slow-loris writer held against a live loopback
+//! server while a full submit → poll → results → cancel cycle runs —
+//! and the misbehaving peer, not the polite ones, must be the one
+//! evicted.
 //!
-//! ```text
-//! cargo run --release -p mudock-bench --bin net_churn \
-//!     [--conns N] [--header-s S]
-//! ```
+//! The herd is as large as the soft `RLIMIT_NOFILE` allows, both ends
+//! sharing this process: min(10 000, (soft − 512) / 2), never below
+//! 200. Raise the limit (`ulimit -n 65536`) for the full 10 000.
 //!
-//! The smoke self-hosts a loopback server (header deadline shortened to
-//! `--header-s`, default 2 s), then concurrently:
-//!
-//! 1. opens `--conns` (default 200) keep-alive connections, each
-//!    verified with one served request, and leaves them idle;
-//! 2. starts a slow-loris client: a partial request head, then silence;
-//! 3. runs a full job lifecycle on a fresh connection — submit, poll to
-//!    completion, fetch results, plus a second submit that is cancelled
-//!    mid-flight.
-//!
-//! It exits non-zero unless: the slow client is deadlined (EOF within
-//! the header deadline plus slack) while the cycle runs, every idle
-//! connection still answers afterwards, the server's gauges show zero
-//! shed connections (no spurious 503s) for the whole run, and `/metrics`
-//! carries one unlabelled series per connection family whose accepted
-//! count is the in-process one.
+//! Asserts that every idle connection survives and still answers
+//! afterwards, that the slow client is deadlined (EOF within the header
+//! deadline plus slack) while the job cycle completes, that nothing is
+//! shed, and that `/metrics` carries one unlabelled series per
+//! connection family whose accepted count is the in-process one.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mudock_core::{Campaign, ChunkPolicy};
-use mudock_grids::GridDims;
-use mudock_mol::Vec3;
-use mudock_serve::net::client::Client;
-use mudock_serve::{
+use mudock::core::{Campaign, ChunkPolicy};
+use mudock::grids::GridDims;
+use mudock::mol::Vec3;
+use mudock::serve::net::client::Client;
+use mudock::serve::{
     JobState, LigandSource, NetConfig, NetServer, Priority, ReceptorSource, ScreenService,
     ServeConfig,
 };
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut conns = 200usize;
-    let mut header_s = 2u64;
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--conns" => {
-                conns = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--conns needs a count");
-            }
-            "--header-s" => {
-                header_s = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--header-s needs seconds");
-            }
-            flag => {
-                eprintln!(
-                    "net_churn: unknown argument '{flag}'\n\
-                     usage: net_churn [--conns N] [--header-s S]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+/// The herd when the soft fd limit cannot be read, and its floor.
+const MIN_HERD: usize = 200;
+const MAX_HERD: usize = 10_000;
+/// Descriptors left for everything but the herd's two ends.
+const FD_RESERVE: usize = 512;
+const HEADER_DEADLINE: Duration = Duration::from_secs(2);
+/// Slack on top of the header deadline before the loris counts as
+/// surviving it.
+const LORIS_SLACK: Duration = Duration::from_secs(10);
 
-    let threads = mudock_pool::default_threads();
+/// The soft `RLIMIT_NOFILE`, from `/proc/self/limits` (`None` where
+/// there is no such file, or the limit is unlimited).
+fn soft_fd_limit() -> Option<usize> {
+    let limits = std::fs::read_to_string("/proc/self/limits").ok()?;
+    let line = limits.lines().find(|l| l.starts_with("Max open files"))?;
+    line["Max open files".len()..]
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
+}
+
+fn herd_size() -> usize {
+    soft_fd_limit()
+        .map_or(MIN_HERD, |soft| {
+            MAX_HERD.min(soft.saturating_sub(FD_RESERVE) / 2)
+        })
+        .max(MIN_HERD)
+}
+
+#[test]
+fn an_idle_herd_and_a_slow_loris_do_not_disturb_a_job_cycle() {
+    let t_start = Instant::now();
+    let conns = herd_size();
     let service = Arc::new(ScreenService::start(ServeConfig {
-        total_threads: threads,
+        total_threads: 2,
         job_slots: 2,
         ..ServeConfig::default()
     }));
-    let results_dir = std::env::temp_dir().join(format!("mudock-net-churn-{}", std::process::id()));
+    let results_dir = std::env::temp_dir().join(format!("mudock-herd-{}", std::process::id()));
     let mut server = NetServer::bind(
         "127.0.0.1:0",
         Arc::clone(&service),
         NetConfig {
             results_dir: results_dir.clone(),
             max_connections: conns + 64,
-            header_timeout: Duration::from_secs(header_s),
-            // The herd must sit idle for the whole smoke — at 10k
-            // connections the serial setup alone can outlive the
-            // default 60 s idle deadline.
+            header_timeout: HEADER_DEADLINE,
+            // The herd must sit idle for the whole test: its serial
+            // setup alone can outlive the default 60 s idle deadline.
             idle_timeout: Duration::from_secs(600),
             ..NetConfig::default()
         },
     )
     .expect("loopback bind");
     let addr = server.local_addr().to_string();
-    eprintln!("net_churn: server on {addr}, {conns} idle conns, {header_s} s header deadline");
 
     // 1. The idle herd: each connection proves itself with one request,
-    // then sits silent for the rest of the smoke.
+    // then sits silent for the rest of the test.
     let mut idle: Vec<Client> = Vec::with_capacity(conns);
     for i in 0..conns {
         let mut c = Client::new(&addr);
         assert!(c.healthy(), "idle connection {i} failed its first request");
         idle.push(c);
     }
-    eprintln!("net_churn: idle herd connected ({conns})");
+    let t_herd = t_start.elapsed();
 
-    // 2. The slow loris: a partial head, then silence. Reading from a
-    // thread so the deadline is measured while the job cycle runs.
+    // 2. The slow loris: a partial head, then silence, read on a thread
+    // so the deadline is measured while the job cycle runs.
     let mut loris = TcpStream::connect(&addr).expect("loris connect");
     loris
-        .set_read_timeout(Some(Duration::from_secs(header_s + 30)))
+        .set_read_timeout(Some(HEADER_DEADLINE + LORIS_SLACK + LORIS_SLACK))
         .unwrap();
     loris
         .write_all(b"GET /healthz HTTP/1.1\r\nX-Drip: sl")
         .expect("loris partial head");
-    let loris_deadline = Duration::from_secs(header_s + 10);
     let loris_thread = std::thread::spawn(move || {
         let t0 = Instant::now();
         let mut buf = [0u8; 64];
@@ -176,10 +166,6 @@ fn main() {
         status2.is_terminal(),
         "cancelled job never reached a terminal state"
     );
-    eprintln!(
-        "net_churn: job cycle done (job {id} completed, job {id2} {})",
-        mudock_serve::wire::state_name(status2.state)
-    );
 
     // The loris must have been deadlined by now — EOF, within bounds.
     let (loris_read, loris_elapsed) = loris_thread.join().expect("loris thread");
@@ -188,11 +174,9 @@ fn main() {
         "slow-loris got a response from half a request head"
     );
     assert!(
-        loris_elapsed <= loris_deadline,
-        "slow-loris survived {loris_elapsed:?} (deadline {:?})",
-        Duration::from_secs(header_s)
+        loris_elapsed <= HEADER_DEADLINE + LORIS_SLACK,
+        "slow-loris survived {loris_elapsed:?} (deadline {HEADER_DEADLINE:?})"
     );
-    eprintln!("net_churn: slow-loris deadlined after {loris_elapsed:.1?}");
 
     // 4. Every idle connection must still be serviceable, and nothing
     // may have been shed along the way.
@@ -207,9 +191,7 @@ fn main() {
         stats.open
     );
 
-    // 5. The /metrics surface must reflect the churn it just survived
-    // (the smoke shuts the server down, so CI asserts it here rather
-    // than with a post-run curl).
+    // 5. The /metrics surface reflects the churn it just survived.
     let metrics = Client::new(&addr)
         .request("GET", "/metrics", None)
         .expect("/metrics through the churn")
@@ -246,9 +228,11 @@ fn main() {
         "/metrics and connection_stats() disagree on accepted connections"
     );
     eprintln!(
-        "net_churn: PASS — herd of {conns} survived, {} requests served, 0 shed, \
-         /metrics consistent ({accepted} accepted)",
-        stats.requests
+        "herd: held {conns} idle connections (herd connected in {t_herd:.1?}), \
+         {} requests served, 0 shed, slow-loris deadlined after {loris_elapsed:.1?}, \
+         {:.1?} in all",
+        stats.requests,
+        t_start.elapsed()
     );
 
     drop(idle);
