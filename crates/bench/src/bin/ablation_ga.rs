@@ -7,9 +7,12 @@
 //! parent instead of scored (`KernelStats::poses_reused` over
 //! `poses_scored`). Last, a real `Backend::AutoVec` dock per frame (the
 //! engine narrowed by `DockingEngine::with_frame`; `-`: the host lacks it).
+//!
+//! A shape's docks take turns ([`mudock_bench::take_turns`]), and so do
+//! the four shapes' `evolve_into` runs, so a row's docks and the breeding
+//! column were each timed in one stretch of the host.
 
-use std::time::Instant;
-
+use mudock_bench::{take_turns, ROUNDS};
 use mudock_core::autovec::frame_name;
 use mudock_core::{
     Backend, BackendPolicy, DockParams, DockingEngine, Ga, GaParams, KernelStats, LigandPrep,
@@ -29,6 +32,16 @@ struct Shape {
     ligand: LigandSpec,
     radius: f32,
     local_search: bool,
+}
+
+impl Shape {
+    fn ga(&self) -> GaParams {
+        GaParams {
+            population: self.population,
+            generations: self.generations,
+            ..Default::default()
+        }
+    }
 }
 
 const SHAPES: [Shape; 4] = [
@@ -78,9 +91,16 @@ const SHAPES: [Shape; 4] = [
     },
 ];
 
-/// Ligands docked per shape, and timed passes over them (best kept).
+/// Ligands a dock pass docks per shape.
 const LIGANDS: u64 = 8;
-const PASSES: usize = 3;
+
+/// Rounds of a shape's docks, at least: a `dock_large` round takes
+/// about a second on a 2-vCPU AVX-512 host, so the wall-time floor sets
+/// the count for the other shapes.
+const DOCK_ROUNDS: usize = 5;
+
+/// Generations of `evolve_into` in one timed pass.
+const GENERATIONS: usize = 200;
 
 fn main() {
     let backend = Backend::auto();
@@ -97,12 +117,8 @@ fn main() {
         "workload", "pop×gens", "torsions", "LS", "evolve_into µs", "dock µs", "reused"
     );
     let receptor = synthetic_receptor(5, 150, 9.0);
-    for shape in &SHAPES {
-        let ga = GaParams {
-            population: shape.population,
-            generations: shape.generations,
-            ..Default::default()
-        };
+    let evolve = evolve_us(&SHAPES);
+    for (shape, evolve_us) in SHAPES.iter().zip(evolve) {
         let preps: Vec<LigandPrep> = (0..LIGANDS)
             .map(|seed| LigandPrep::new(synthetic_ligand(seed, shape.ligand)).unwrap())
             .collect();
@@ -116,7 +132,7 @@ fn main() {
             .with_types(&types);
         let grids = builder.build_simd(BackendPolicy::Detect.grid_level());
         let params = DockParams {
-            ga,
+            ga: shape.ga(),
             seed: 41,
             backend,
             search_radius: Some(shape.radius),
@@ -127,17 +143,31 @@ fn main() {
             }),
         };
 
-        let (dock_us, work) = time_docks(&DockingEngine::new(&grids).unwrap(), &preps, &params);
         let mut autovec = params.clone();
         autovec.backend = Backend::AutoVec;
         let one_lane = builder.build_simd(SimdLevel::Scalar);
+        // The detect-backend dock, then an autovec dock per frame.
+        let mut docks = vec![(DockingEngine::new(&grids).unwrap(), &params)];
+        for frame in SimdLevel::ALL.into_iter().filter(|f| f.is_supported()) {
+            docks.push((
+                DockingEngine::new(&one_lane).unwrap().with_frame(frame),
+                &autovec,
+            ));
+        }
+        let mut work = vec![KernelStats::default(); docks.len()];
+        let best = take_turns(docks.len(), DOCK_ROUNDS, |i| {
+            let (engine, params) = &docks[i];
+            work[i] = KernelStats::default();
+            for prep in &preps {
+                work[i].merge(&engine.dock(prep, params).unwrap().stats);
+            }
+        });
+        let us = |i: usize| best[i] * 1e6 / work[i].generations as f64;
+        let mut frame_docks = 1..;
         let per_frame: String = SimdLevel::ALL
-            .map(|frame| {
-                if !frame.is_supported() {
-                    return format!(" {:>19}", "-");
-                }
-                let engine = DockingEngine::new(&one_lane).unwrap().with_frame(frame);
-                format!(" {:>19.1}", time_docks(&engine, &preps, &autovec).0)
+            .map(|frame| match frame.is_supported() {
+                true => format!(" {:>19.1}", us(frame_docks.next().unwrap())),
+                false => format!(" {:>19}", "-"),
             })
             .concat();
 
@@ -147,46 +177,29 @@ fn main() {
             format!("{}×{}", shape.population, shape.generations),
             shape.ligand.torsions,
             if shape.local_search { "yes" } else { "no" },
-            evolve_us(ga, shape.ligand.torsions),
-            dock_us,
-            100.0 * work.poses_reused as f64 / work.poses_scored as f64
+            evolve_us,
+            us(0),
+            100.0 * work[0].poses_reused as f64 / work[0].poses_scored as f64
         );
     }
 }
 
-/// µs per generation docking every ligand, best of [`PASSES`], and the work.
-fn time_docks(engine: &DockingEngine, preps: &[LigandPrep], p: &DockParams) -> (f64, KernelStats) {
-    let mut best = f64::MAX;
-    let mut work = KernelStats::default();
-    for _ in 0..PASSES {
-        work = KernelStats::default();
-        let t0 = Instant::now();
-        for prep in preps {
-            work.merge(&engine.dock(prep, p).unwrap().stats);
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best * 1e6 / work.generations as f64, work)
-}
-
 /// µs per generation of `evolve_into` + swap on a fixed fitness vector,
-/// best of five runs.
-fn evolve_us(params: GaParams, torsions: usize) -> f64 {
-    let fitness: Vec<f32> = (0..params.population)
-        .map(|i| ((i * 37) % 101) as f32)
+/// per shape; the shapes take turns.
+fn evolve_us(shapes: &[Shape]) -> Vec<f64> {
+    let mut runs: Vec<_> = (shapes.iter())
+        .map(|s| {
+            let mut ga = Ga::new(s.ga(), 7, Vec3::ZERO, 5.0, s.ligand.torsions);
+            let fitness: Vec<f32> = (0..s.population).map(|i| ((i * 37) % 101) as f32).collect();
+            (ga.init_population(), ga, fitness, Vec::new())
+        })
         .collect();
-    let generations = 20_000;
-    let mut best = f64::MAX;
-    for _ in 0..5 {
-        let mut ga = Ga::new(params, 7, Vec3::ZERO, 5.0, torsions);
-        let mut pop = ga.init_population();
-        let mut next = Vec::new();
-        let t0 = Instant::now();
-        for _ in 0..generations {
-            ga.evolve_into(&pop, &fitness, &mut next);
-            std::mem::swap(&mut pop, &mut next);
+    let best = take_turns(runs.len(), ROUNDS, |i| {
+        let (pop, ga, fitness, next) = &mut runs[i];
+        for _ in 0..GENERATIONS {
+            ga.evolve_into(pop, fitness, next);
+            std::mem::swap(pop, next);
         }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best * 1e6 / generations as f64
+    });
+    best.iter().map(|s| s * 1e6 / GENERATIONS as f64).collect()
 }

@@ -13,9 +13,11 @@
 //! the evidence each backend's paired implementation rests on: one whose
 //! `paired` column is not at least 10 % below `single` on the host at hand
 //! (AMD's gathers are microcoded) should go back to the trait's default.
+//!
+//! The cells of one table size take turns ([`mudock_bench::take_turns`]),
+//! so a row was timed in one stretch of the host.
 
-use std::time::Instant;
-
+use mudock_bench::ns_per_call;
 use mudock_simd::traits::gather_pair_default;
 use mudock_simd::{dispatch, ops, Simd, SimdLevel};
 
@@ -42,21 +44,8 @@ unsafe fn pair_sum<S: Simd>(s: S, table: &[f32], idx: &[i32], single: bool) -> f
     s.reduce_add(acc)
 }
 
-/// Nanoseconds per element of `f` over `n_idx` indices.
-fn ns_per_gather(n_idx: usize, f: &mut dyn FnMut() -> f32) -> f64 {
-    let reps = 400;
-    let mut sink = 0.0f32;
-    for _ in 0..20 {
-        sink += f();
-    }
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        sink += f();
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
-    dt / (reps as f64 * n_idx as f64) * 1e9
-}
+/// Sweeps of the index list in one timed pass.
+const CALLS: usize = 10;
 
 /// 16 KiB (L1) → 64 MiB (DRAM-ish).
 const TABLE_KIB: [usize; 5] = [16, 128, 1024, 8 * 1024, 64 * 1024];
@@ -74,11 +63,12 @@ fn table_and_indices(size_kib: usize, n_idx: usize) -> (Vec<f32>, Vec<i32>) {
 
 fn main() {
     let n_idx = 8 * 1024;
+    let levels = SimdLevel::available();
     println!("ABLATION: gather throughput vs table size ({n_idx} gathers/eval)\n");
     println!(
         "{:>12} {}",
         "table",
-        SimdLevel::available()
+        levels
             .iter()
             .map(|l| format!("{:>12}", l.name()))
             .collect::<String>()
@@ -86,12 +76,13 @@ fn main() {
 
     for size_kib in TABLE_KIB {
         let (table, idx) = table_and_indices(size_kib, n_idx);
-        let mut row = format!("{:>9} KiB", size_kib);
-        for level in SimdLevel::available() {
-            let ns = ns_per_gather(n_idx, &mut || ops::gather_sum(level, &table, &idx));
-            row.push_str(&format!("{:>9.2} ns", ns));
-        }
-        println!("{row}");
+        let ns = ns_per_call(levels.len(), CALLS, |i| {
+            ops::gather_sum(levels[i], &table, &idx)
+        });
+        let cells: String = (ns.iter())
+            .map(|ns| format!("{:>9.2} ns", ns / n_idx as f64))
+            .collect();
+        println!("{size_kib:>9} KiB{cells}");
     }
 
     println!("\nExpected shape: SIMD width helps while the table is cache-resident");
@@ -110,19 +101,13 @@ fn main() {
         assert!(idx
             .iter()
             .all(|&i| i >= 0 && (i as usize) + 1 < table.len()));
-        for level in SimdLevel::available() {
-            // The two alternate, best of three, so a slow stretch of the
-            // host cannot favour one of them.
-            let (mut single, mut paired) = (f64::MAX, f64::MAX);
-            for _ in 0..3 {
-                // SAFETY: every index was checked against `table` above.
-                single = single.min(ns_per_gather(n_idx, &mut || unsafe {
-                    dispatch!(level, |s| pair_sum(s, &table, &idx, true))
-                }));
-                paired = paired.min(ns_per_gather(n_idx, &mut || unsafe {
-                    dispatch!(level, |s| pair_sum(s, &table, &idx, false))
-                }));
-            }
+        // Per level: two single gathers a pair (even cell), one paired (odd).
+        // SAFETY: every index was checked against `table` above.
+        let ns = ns_per_call(2 * levels.len(), CALLS, |i| unsafe {
+            dispatch!(levels[i / 2], |s| pair_sum(s, &table, &idx, i % 2 == 0))
+        });
+        for (level, ns) in levels.iter().zip(ns.chunks_exact(2)) {
+            let (single, paired) = (ns[0] / n_idx as f64, ns[1] / n_idx as f64);
             println!(
                 "{:>9} KiB {:8} {:>7.2} ns {:>7.2} ns {:>8.2}",
                 size_kib,

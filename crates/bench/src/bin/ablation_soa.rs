@@ -14,8 +14,12 @@
 //! size at every explicit level and through the portable arm's
 //! compiler-vectorized drivers (`core::autovec`) in every frame this host
 //! runs, side by side: the paper's auto-vs-explicit figure, per ISA.
+//!
+//! Each table's cells take turns ([`mudock_bench::take_turns`]), per
+//! ligand size where it has sizes, so cells read side by side were timed
+//! in the same stretch of the host.
 
-use std::time::Instant;
+use mudock_bench::ns_per_call;
 
 use mudock_core::autovec::{frame_name, inter_energy_autovec_at, intra_energy_autovec_at};
 use mudock_core::scoring::{
@@ -54,19 +58,8 @@ fn intra_aos(atoms: &[AtomRec], pairs: &[(u32, u32)], table: &PairTable) -> f32 
     total
 }
 
-/// Seconds per call of `f`, after a warm-up tenth.
-fn time(reps: usize, f: &mut dyn FnMut() -> f32) -> f64 {
-    let mut sink = 0.0;
-    for _ in 0..reps / 10 {
-        sink += f(); // warm-up
-    }
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        sink += f();
-    }
-    std::hint::black_box(sink);
-    t0.elapsed().as_secs_f64() / reps as f64
-}
+/// Calls of a kernel in one timed pass.
+const CALLS: usize = 100;
 
 fn prep(heavy_atoms: usize) -> LigandPrep {
     let ligand = mudock_molio::synthetic_ligand(
@@ -93,26 +86,28 @@ fn aos_vs_soa() {
             charge: a.charge,
         })
         .collect();
-    let reps = 2000;
+    let levels = SimdLevel::available();
+    let ns = ns_per_call(1 + levels.len(), CALLS, |i| match i {
+        0 => intra_aos(&atoms, &prep.topo.pairs, &table),
+        _ => intra_energy_simd(levels[i - 1], &conf, &prep.pairs),
+    });
 
     println!("ABLATION: AoS + per-pair FF lookups vs SoA + premultiplied coefficients");
     println!(
         "ligand: {} atoms, {} scored pairs\n",
         prep.base.n, prep.pairs.n
     );
-    let t_aos = time(reps, &mut || intra_aos(&atoms, &prep.topo.pairs, &table));
     println!(
         "{:22} {:10.2} µs/eval  (baseline)",
         "aos+lookup+libm",
-        t_aos * 1e6
+        ns[0] / 1e3
     );
-    for level in SimdLevel::available() {
-        let t = time(reps, &mut || intra_energy_simd(level, &conf, &prep.pairs));
+    for (level, t) in levels.iter().zip(&ns[1..]) {
         println!(
             "{:22} {:10.2} µs/eval  ({:.2}x)",
             format!("soa {level}"),
-            t * 1e6,
-            t_aos / t
+            t / 1e3,
+            ns[0] / t
         );
     }
     println!("\nExpected shape: at one lane the branchless SoA kernel can even lose");
@@ -136,77 +131,59 @@ fn walks() {
         "{:>5} {:>5} {:>6} {:>6}  {:8} {:>11} {:>11} {:>11}",
         "heavy", "atoms", "pairs", "ratio", "level", "table ns", "gathered ns", "rows ns"
     );
+    let walks = [IntraWalk::Table, IntraWalk::Gathered, IntraWalk::Rows];
+    let levels = SimdLevel::available();
     for heavy in [10, 16, 24, 32, 40, 48, 56, 64] {
         let prep = prep(heavy);
         let conf = ConformSoA::from_molecule(&prep.mol);
         let rows = PairsSoA::build_as(&prep.mol, &prep.topo, &table, PairLayout::Rows);
-        let slots = prep.base.n * mudock_mol::padded_len(prep.base.n / 2);
-        for level in SimdLevel::available() {
-            let walks = [IntraWalk::Table, IntraWalk::Gathered, IntraWalk::Rows];
-            let runnable = |w| w != IntraWalk::Table || prep.base.n <= 2 * level.lanes();
-            // The walks alternate, best of five, so a slow stretch of the
-            // host cannot favour one of them.
-            let mut best = [f64::MAX; 3];
-            for _ in 0..5 {
-                for (t, w) in best.iter_mut().zip(walks) {
-                    if runnable(w) {
-                        *t = t.min(time(4000, &mut || {
-                            intra_energy_simd_walk(level, &conf, &rows, w)
-                        }));
-                    }
-                }
-            }
-            let selected = IntraWalk::selected(level, &prep.pairs);
-            let cells: String = best
-                .iter()
-                .zip(walks)
-                .map(|(t, w)| match (runnable(w), w == selected) {
-                    (false, _) => format!(" {:>11}", "-"),
-                    (true, true) => format!(" {:>10.0}*", t * 1e9),
-                    (true, false) => format!(" {:>10.0} ", t * 1e9),
-                })
-                .collect();
-            println!(
-                "{:>5} {:>5} {:>6} {:>6.2}  {:8}{cells}",
-                heavy,
-                prep.base.n,
-                prep.pairs.n,
-                slots as f64 / rows.len_padded() as f64,
-                level.to_string(),
-            );
-        }
-        // The portable arm (in this host's frame) walks rows wherever
-        // `build` laid them out and the packed list otherwise; it has no
-        // table.
         let packed = PairsSoA::build_as(&prep.mol, &prep.topo, &table, PairLayout::Packed);
-        let mut best = [f64::MAX; 2];
-        for _ in 0..5 {
-            for (t, pairs) in best.iter_mut().zip([&packed, &rows]) {
-                *t = t.min(time(4000, &mut || {
-                    intra_energy_autovec_at(mudock_simd::frame(), &conf, pairs)
-                }));
+        let slots = prep.base.n * mudock_mol::padded_len(prep.base.n / 2);
+        let runnable =
+            |level: SimdLevel, w| w != IntraWalk::Table || prep.base.n <= 2 * level.lanes();
+        // Every runnable (level, walk), then the portable arm (in this
+        // host's frame) over the packed list and over rows: it walks
+        // rows wherever `build` laid them out and the packed list
+        // otherwise, and has no table.
+        let cells: Vec<(SimdLevel, IntraWalk)> = levels
+            .iter()
+            .flat_map(|&l| walks.map(|w| (l, w)))
+            .filter(|&(l, w)| runnable(l, w))
+            .collect();
+        let mut ns = ns_per_call(cells.len() + 2, CALLS, |i| match cells.get(i) {
+            Some(&(level, w)) => intra_energy_simd_walk(level, &conf, &rows, w),
+            None => {
+                let pairs = if i == cells.len() { &packed } else { &rows };
+                intra_energy_autovec_at(mudock_simd::frame(), &conf, pairs)
             }
-        }
-        let mark = |layout| {
-            if prep.pairs.layout() == layout {
-                '*'
-            } else {
-                ' '
-            }
-        };
-        println!(
-            "{:>5} {:>5} {:>6} {:>6.2}  {:8} {:>11} {:>10.0}{} {:>10.0}{}",
+        })
+        .into_iter();
+        let head = format!(
+            "{:>5} {:>5} {:>6} {:>6.2}",
             heavy,
             prep.base.n,
             prep.pairs.n,
-            slots as f64 / rows.len_padded() as f64,
-            "autovec",
-            "-",
-            best[0] * 1e9,
-            mark(PairLayout::Packed),
-            best[1] * 1e9,
-            mark(PairLayout::Rows),
+            slots as f64 / rows.len_padded() as f64
         );
+        // A timed cell, `*` where it is what the kernel takes.
+        let mut cell = |taken: bool| {
+            let mark = if taken { '*' } else { ' ' };
+            format!(" {:>10.0}{mark}", ns.next().unwrap())
+        };
+        for &level in &levels {
+            let selected = IntraWalk::selected(level, &prep.pairs);
+            let cells: String = (walks.iter())
+                .map(|&w| match runnable(level, w) {
+                    true => cell(w == selected),
+                    false => format!(" {:>11}", "-"),
+                })
+                .collect();
+            println!("{head}  {:8}{cells}", level.to_string());
+        }
+        let layout = prep.pairs.layout();
+        let on_packed = cell(layout == PairLayout::Packed);
+        let on_rows = cell(layout == PairLayout::Rows);
+        println!("{head}  {:8} {:>11}{on_packed}{on_rows}", "autovec", "-");
     }
 }
 
@@ -253,31 +230,18 @@ fn per_kernel() {
         apply_pose_simd(SimdLevel::Scalar, &prep.base, &prep.plans, &g, &mut posed);
         let mut out = ConformSoA::with_capacity(prep.base.n);
 
-        for &arm in &arms {
-            // Kernels alternate, best of five (as in `walks`).
-            let mut best = [f64::MAX; 3];
-            for _ in 0..5 {
-                let t = [
-                    time(4000, &mut || {
-                        let (Arm::Explicit(l) | Arm::AutoVec(l)) = arm;
-                        apply_pose_simd(l, &prep.base, &prep.plans, &g, &mut out);
-                        out.x[0]
-                    }),
-                    time(4000, &mut || match arm {
-                        Arm::Explicit(l) => inter_energy_simd(l, &grids, &posed, &prep.statics),
-                        Arm::AutoVec(f) => {
-                            inter_energy_autovec_at(f, &grids, &posed, &prep.statics)
-                        }
-                    }),
-                    time(4000, &mut || match arm {
-                        Arm::Explicit(l) => intra_energy_simd(l, &posed, &prep.pairs),
-                        Arm::AutoVec(f) => intra_energy_autovec_at(f, &posed, &prep.pairs),
-                    }),
-                ];
-                for (b, t) in best.iter_mut().zip(t) {
-                    *b = b.min(t);
-                }
+        // Every (arm, kernel) cell of this size takes turns with the others.
+        let ns = ns_per_call(3 * arms.len(), CALLS, |i| match (arms[i / 3], i % 3) {
+            (Arm::Explicit(l) | Arm::AutoVec(l), 0) => {
+                apply_pose_simd(l, &prep.base, &prep.plans, &g, &mut out);
+                out.x[0]
             }
+            (Arm::Explicit(l), 1) => inter_energy_simd(l, &grids, &posed, &prep.statics),
+            (Arm::AutoVec(f), 1) => inter_energy_autovec_at(f, &grids, &posed, &prep.statics),
+            (Arm::Explicit(l), _) => intra_energy_simd(l, &posed, &prep.pairs),
+            (Arm::AutoVec(f), _) => intra_energy_autovec_at(f, &posed, &prep.pairs),
+        });
+        for (&arm, ns) in arms.iter().zip(ns.chunks_exact(3)) {
             println!(
                 "{:>5} {:>5} {:>6}  {:16} {:>10.0} {:>10.0} {:>10.0} {:>10.0}",
                 heavy,
@@ -287,10 +251,10 @@ fn per_kernel() {
                     Arm::Explicit(l) => l.to_string(),
                     Arm::AutoVec(f) => format!("autovec@{}", frame_name(f)),
                 },
-                best[0] * 1e9,
-                best[1] * 1e9,
-                best[2] * 1e9,
-                best.iter().sum::<f64>() * 1e9,
+                ns[0],
+                ns[1],
+                ns[2],
+                ns.iter().sum::<f64>(),
             );
         }
     }

@@ -17,8 +17,9 @@
 //! production evidence, not intuition. A trace of another format
 //! version than this binary records is refused by version: version 1
 //! was recorded while the spill tier wrote every eviction and pruned
-//! its oldest file, and today's directory would replay it to counters
-//! the node never had.
+//! its oldest file, version 2 listed accesses in the order their grids
+//! were served rather than looked up, and today's directory would replay
+//! either to counters the node never had.
 //!
 //! Swept by default: `slru` (what the node runs) and the what-if row
 //! `lru` (protected segment of 0); both run the directory's frequency
@@ -67,12 +68,14 @@ fn row_config(name: &str, capacity: usize, spill_cap: usize) -> Result<ModelConf
 /// binary replays; a headerless trace cannot tell, and is replayed.
 fn check_version(header: Option<&TraceHeader>) -> Result<(), String> {
     match header.map(|h| h.version) {
-        Some(1) => Err(
-            "trace version 1 was recorded while the spill tier wrote every \
-             eviction and pruned its oldest file; this replayer would report \
-             counters that node never had — record the trace again"
-                .into(),
-        ),
+        Some(v @ (1 | 2)) => Err(format!(
+            "trace version {v} was recorded while {}; this replayer would report \
+             counters that node never had — record the trace again",
+            match v {
+                1 => "the spill tier wrote every eviction and pruned its oldest file",
+                _ => "accesses were listed as their grids were served, not looked up",
+            }
+        )),
         Some(v) if v != TRACE_VERSION => Err(format!(
             "trace version {v} is not one this replayer reads (it reads {TRACE_VERSION})"
         )),
@@ -331,22 +334,24 @@ mod tests {
     }
 
     #[test]
-    fn a_version_1_trace_is_refused_by_version() {
+    fn older_traces_are_refused_by_version() {
         let header = |version| TraceHeader {
             version,
             capacity: 2,
             spill_capacity: 2,
             policy: POLICY_NAME.into(),
         };
-        let err = check_version(Some(&header(1))).unwrap_err();
-        assert!(
-            err.starts_with("trace version 1 was recorded while"),
-            "{err}"
-        );
-        let err = check_version(Some(&header(3))).unwrap_err();
+        for old in [1, 2] {
+            let err = check_version(Some(&header(old))).unwrap_err();
+            assert!(
+                err.starts_with(&format!("trace version {old} was recorded while")),
+                "{err}"
+            );
+        }
+        let err = check_version(Some(&header(4))).unwrap_err();
         assert_eq!(
             err,
-            "trace version 3 is not one this replayer reads (it reads 2)"
+            "trace version 4 is not one this replayer reads (it reads 3)"
         );
         assert_eq!(check_version(Some(&header(TRACE_VERSION))), Ok(()));
         assert_eq!(

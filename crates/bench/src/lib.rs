@@ -3,11 +3,14 @@
 //! The `paper` binary prints every table and figure of the CLUSTER 2025
 //! paper (`paper [TARGET...]`, all of them by default; README,
 //! "Reproducing the paper") from the [`report`] functions and drops CSV
-//! files under `results/`. Next to it sit the ablation studies, the
-//! portable arm's codegen check (`codegen_autovec`) and the grid-cache
-//! trace replayer (`cache_replay`). Kernel and
-//! end-to-end timings are `bench_ladder/`'s job (the stand-alone crate at
-//! the repo root), not this crate's.
+//! files under `results/`. Next to it sit the three ablation studies
+//! (`ablation_soa`, `ablation_gather`, `ablation_ga`), the portable arm's
+//! codegen check (`codegen_autovec`) and the grid-cache trace replayer
+//! (`cache_replay`). Everything this crate times goes through one loop,
+//! [`take_turns`]: the arms of a table take turns and each keeps its
+//! fastest pass. Recorded kernel and end-to-end timings are
+//! `bench_ladder/`'s job (the stand-alone crate at the repo root), not
+//! this crate's.
 //!
 //! Two kinds of numbers appear:
 //!
@@ -19,7 +22,7 @@
 //!   [`mudock_archsim::Study`] for the five CPUs and seven compilers the
 //!   paper tests (see the `mudock_archsim` crate docs).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mudock_archsim::opmix::{
     INTER_PER_ATOM, INTRA_PER_PAIR, TRANSFORM_RIGID_PER_ATOM, TRANSFORM_TORSION_PER_ATOM,
@@ -94,11 +97,49 @@ pub mod fmt {
     }
 }
 
-/// Passes [`HostWorkload::seconds_per_pose`] times; it keeps the fastest.
-/// At 400 poses this is about 2 s on a 2-vCPU AVX-512 host: a stretch
-/// in which a shared host runs everything ~1.5× slower can outlast
-/// 15 passes, but not 200.
+/// Passes [`HostWorkload::seconds_per_pose`] times, at least; it keeps
+/// the fastest. A stretch in which a shared host runs everything ~1.5×
+/// slower can outlast 15 passes, but not 200.
 pub const TIMED_PASSES: usize = 200;
+
+/// Rounds of an ablation table, at least.
+pub const ROUNDS: usize = 300;
+
+/// Wall time of a [`take_turns`] call, at least.
+pub const MIN_WALL: Duration = Duration::from_secs(2);
+
+/// Seconds of each arm's fastest pass: the crate's one timing loop.
+/// `pass(i)` runs one pass of arm `i`. The arms take turns, one pass
+/// each per round, for at least `rounds` rounds and [`MIN_WALL`], so a
+/// slow stretch of a shared host costs every arm alike, and the first
+/// rounds warm caches and clocks (the paper discards warm-up runs).
+pub fn take_turns(arms: usize, rounds: usize, mut pass: impl FnMut(usize)) -> Vec<f64> {
+    let mut best = vec![f64::MAX; arms];
+    let start = Instant::now();
+    let mut round = 0;
+    while round < rounds || start.elapsed() < MIN_WALL {
+        for (arm, best) in best.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            pass(arm);
+            *best = best.min(t0.elapsed().as_secs_f64());
+        }
+        round += 1;
+    }
+    best
+}
+
+/// Nanoseconds per call of each of `cells`, timed by [`take_turns`] for
+/// [`ROUNDS`]: `call(i)` calls cell `i` once, `calls` times a pass.
+pub fn ns_per_call(cells: usize, calls: usize, mut call: impl FnMut(usize) -> f32) -> Vec<f64> {
+    take_turns(cells, ROUNDS, |i| {
+        for _ in 0..calls {
+            std::hint::black_box(call(i));
+        }
+    })
+    .into_iter()
+    .map(|s| s / calls as f64 * 1e9)
+    .collect()
+}
 
 /// A prepared single-complex scoring workload for host measurements:
 /// grids + ligand prep + a fixed set of poses.
@@ -130,24 +171,17 @@ impl HostWorkload {
     }
 
     /// Seconds per pose of each of `backends`: the fastest of
-    /// [`TIMED_PASSES`] passes, each scoring every pose once. The
-    /// backends take turns pass by pass, so a slow stretch of the host
-    /// costs each of them alike, and the first passes warm caches and
-    /// clocks (the paper discards warm-up runs).
+    /// [`TIMED_PASSES`] passes, each scoring every pose once, the
+    /// backends taking turns ([`take_turns`]).
     pub fn seconds_per_pose(&self, backends: &[Backend]) -> Vec<f64> {
         let engine = DockingEngine::new(&self.grids).expect("grids fit");
         let mut scratch = ConformSoA::with_capacity(self.prep.base.n);
         let mut sink = 0.0f32;
-        let mut best = vec![f64::MAX; backends.len()];
-        for _ in 0..TIMED_PASSES {
-            for (&backend, best) in backends.iter().zip(&mut best) {
-                let t0 = Instant::now();
-                for g in &self.poses {
-                    sink += engine.score(&self.prep, g, &mut scratch, backend);
-                }
-                *best = best.min(t0.elapsed().as_secs_f64());
+        let best = take_turns(backends.len(), TIMED_PASSES, |i| {
+            for g in &self.poses {
+                sink += engine.score(&self.prep, g, &mut scratch, backends[i]);
             }
-        }
+        });
         std::hint::black_box(sink);
         best.into_iter()
             .map(|s| s / self.poses.len() as f64)
@@ -214,6 +248,39 @@ mod tests {
         assert_eq!(fmt::bar(5.0, 10.0, 10), "#####");
         assert_eq!(fmt::bar(10.0, 10.0, 10), "##########");
         assert_eq!(fmt::bar(0.0, 10.0, 10), "");
+    }
+
+    /// Arm `i` sleeps `slow[i]` in every pass but its `fast_pass[i]`-th,
+    /// which sleeps `fast[i]`: the log shows the turns, and each result
+    /// must be that arm's one fast pass. Its window runs from its fast
+    /// nap up to the next longer nap any arm takes (2 → 20 → 40 → 80 ms),
+    /// so a mean, a last pass or another arm's pass falls outside it,
+    /// while a scheduler delay of up to 18 ms does not.
+    #[test]
+    fn arms_take_turns_and_keep_their_fastest_pass() {
+        let ms = |n| Duration::from_millis(n).as_secs_f64();
+        let (slow, fast, fast_pass) = ([40, 80], [2, 20], [1, 4]);
+        let mut log: Vec<usize> = Vec::new();
+        let best = take_turns(2, 5, |i| {
+            let passes = log.iter().filter(|&&a| a == i).count();
+            log.push(i);
+            let nap = if passes == fast_pass[i] {
+                fast[i]
+            } else {
+                slow[i]
+            };
+            std::thread::sleep(Duration::from_millis(nap));
+        });
+        assert!(log.len() >= 2 * 5, "{} passes", log.len());
+        assert_eq!(log.len() % 2, 0, "an arm ran an extra pass");
+        assert!(
+            log.iter().enumerate().all(|(k, &i)| i == k % 2),
+            "the arms stopped taking turns: {log:?}"
+        );
+        let windows = [ms(fast[0])..ms(fast[1]), ms(fast[1])..ms(slow[0])];
+        for (i, window) in windows.iter().enumerate() {
+            assert!(window.contains(&best[i]), "arm {i}: {} s", best[i]);
+        }
     }
 
     #[test]

@@ -66,11 +66,11 @@
 
 use std::time::{Duration, Instant};
 
-use mudock_grids::GridDims;
+use mudock_grids::{Fnv64, GridDims};
 use mudock_mol::Molecule;
 use mudock_simd::SimdLevel;
 
-use crate::engine::{Backend, DockParams};
+use crate::engine::{Backend, DockParams, SCORING_REV};
 use crate::ga::GaParams;
 use crate::local_search::SolisWetsParams;
 
@@ -397,6 +397,100 @@ impl CampaignSpec {
             search_radius: self.search_radius,
             local_search: self.local_search,
         }
+    }
+
+    /// An FNV-64 of everything the search reads, for an engine scoring
+    /// in `frame`: every GA parameter, the search radius, the local
+    /// search, the seed, `top_k`, the resolved backend (with the frame's
+    /// arithmetic class for `autovec`) and [`SCORING_REV`]. Two specs
+    /// with one fingerprint rank the same ligands on the same grids bit
+    /// for bit, so a checkpoint keyed by it (plus the grids and the
+    /// slice of the stream) resumes only a run that would have written
+    /// it.
+    ///
+    /// Left out: `name`; `grid_dims` and the backend's grid level, which
+    /// the grid key holds; `chunk`, since a ligand's seed follows its
+    /// global index, not its chunk; and `stop`, which decides only after
+    /// which whole chunk a run ends, never what a chunk scores, and is
+    /// applied after a replayed chunk as after a live one. A run resumed
+    /// under another stop policy ends where that policy says; a
+    /// [`StopPolicy::MaxEvaluations`] budget counts only the evaluations
+    /// docked live.
+    pub fn search_fingerprint(&self, frame: SimdLevel) -> u64 {
+        self.unrevisioned_search_hash(frame)
+            .write_u32(SCORING_REV)
+            .finish()
+    }
+
+    /// [`search_fingerprint`](Self::search_fingerprint) before
+    /// [`SCORING_REV`] is written: every other field, in the same order.
+    /// A key built from it differs from the live one in the revision
+    /// alone, which is how a test shows that the revision by itself
+    /// refuses a checkpoint of another scoring revision.
+    pub fn unrevisioned_search_hash(&self, frame: SimdLevel) -> Fnv64 {
+        let CampaignSpec {
+            name: _,
+            ga,
+            seed,
+            search_radius,
+            local_search,
+            backend,
+            stop: _,
+            chunk: _,
+            top_k,
+            grid_dims: _,
+        } = self;
+        let GaParams {
+            population,
+            generations,
+            tournament,
+            crossover_rate,
+            mutation_rate,
+            sigma_translation,
+            sigma_rotation,
+            sigma_torsion,
+            elitism,
+        } = *ga;
+        let mut h = Fnv64::new();
+        h.write_u64(population as u64)
+            .write_u64(generations as u64)
+            .write_u64(tournament as u64)
+            .write_f32(crossover_rate)
+            .write_f32(mutation_rate)
+            .write_f32(sigma_translation)
+            .write_f32(sigma_rotation)
+            .write_f32(sigma_torsion)
+            .write_u64(elitism as u64);
+        match *search_radius {
+            Some(r) => h.write(&[1]).write_f32(r),
+            None => h.write(&[0]),
+        };
+        match *local_search {
+            Some(SolisWetsParams {
+                max_evals,
+                rho_start,
+                rho_min,
+                expand_after,
+                contract_after,
+                fraction,
+            }) => h
+                .write(&[1])
+                .write_u64(max_evals as u64)
+                .write_f32(rho_start)
+                .write_f32(rho_min)
+                .write_u64(expand_after as u64)
+                .write_u64(contract_after as u64)
+                .write_f32(fraction),
+            None => h.write(&[0]),
+        };
+        let backend = backend.resolve();
+        h.write_u64(*seed)
+            .write_u64(*top_k as u64)
+            .write(backend.name().as_bytes());
+        if backend == Backend::AutoVec {
+            h.write(crate::autovec::arithmetic_at(frame).as_bytes());
+        }
+        h
     }
 
     /// The SIMD level grids are built (and cache-keyed) at.

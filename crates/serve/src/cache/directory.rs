@@ -23,7 +23,7 @@
 //! rescan, racing spill) is always registered.
 //!
 //! The live [`GridCache`](super::GridCache) consults it under its mutex
-//! and performs the I/O it plans; [`CacheModel`](super::policy::CacheModel)
+//! and performs the I/O it plans; [`policy::replay`](super::policy::replay)
 //! drives the same type from a recorded trace.
 
 /// Name of the replacement policy (`/stats`, trace header, replay row).

@@ -171,6 +171,10 @@ pub struct GridCache {
     evictions: AtomicU64,
     spills: AtomicU64,
     quarantined: AtomicU64,
+    /// Lookups numbered so far: each takes its number under the lock in
+    /// which the directory resolves it, so the trace's `seq` is the
+    /// directory's order even where builds finish out of it.
+    lookups: AtomicU64,
 }
 
 /// Configures a [`GridCache`] beyond its capacity: spill tier, trace
@@ -282,6 +286,7 @@ impl GridCacheBuilder {
             evictions: AtomicU64::new(0),
             spills: AtomicU64::new(0),
             quarantined: AtomicU64::new(quarantined),
+            lookups: AtomicU64::new(0),
         })
     }
 }
@@ -415,10 +420,12 @@ impl GridCache {
         let t0 = Instant::now();
 
         if self.capacity == 0 {
+            let seq = self.lookups.fetch_add(1, Ordering::Relaxed);
             let grids = self.build(receptor, dims, level, threads);
             self.fetched(GridSource::Built).inc();
             self.trace_event(TraceEventKind::Access {
                 key,
+                seq,
                 source: GridSource::Built,
                 bytes: Self::grid_bytes(&grids),
                 dur_ns: elapsed_ns(t0),
@@ -426,19 +433,20 @@ impl GridCache {
             return (grids, GridSource::Built);
         }
 
-        let (slot, admitted) = {
+        let (slot, admitted, seq) = {
             let mut inner = self.lock();
+            let seq = self.lookups.fetch_add(1, Ordering::Relaxed);
             let Inner { dir, slots } = &mut *inner;
             // An entry evicted while its build is in flight has nothing
             // to spill yet.
             let spillable = |victim| slots.get(&victim).is_some_and(|s: &Slot| s.get().is_some());
             match dir.lookup(key, spillable) {
-                Lookup::Hit => (Arc::clone(&slots[&key]), None),
+                Lookup::Hit => (Arc::clone(&slots[&key]), None, seq),
                 Lookup::Miss(plan) => {
                     let slot = Slot::default();
                     let evicted = plan.evicted.and_then(|k| slots.remove(&k));
                     slots.insert(key, Arc::clone(&slot));
-                    (slot, Some((plan, evicted)))
+                    (slot, Some((plan, evicted)), seq)
                 }
             }
         };
@@ -472,6 +480,7 @@ impl GridCache {
         self.fetched(source).inc();
         self.trace_event(TraceEventKind::Access {
             key,
+            seq,
             source,
             bytes: Self::grid_bytes(&grids),
             dur_ns: elapsed_ns(t0),

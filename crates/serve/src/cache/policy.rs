@@ -148,8 +148,8 @@ impl Costs {
     }
 }
 
-/// One configuration mid-replay; feed it events with [`CacheModel::step`].
-pub struct CacheModel {
+/// One configuration mid-replay, stepped by [`replay`] alone.
+struct CacheModel {
     cfg: ModelConfig,
     dir: Directory<TraceKey>,
     costs: Costs,
@@ -159,7 +159,7 @@ pub struct CacheModel {
 impl CacheModel {
     /// A fresh model with costs learned from `events` (a pre-pass; the
     /// same slice is then replayed through [`CacheModel::step`]).
-    pub fn new(cfg: ModelConfig, events: &[TraceEvent]) -> CacheModel {
+    fn new(cfg: ModelConfig, events: &[TraceEvent]) -> CacheModel {
         CacheModel {
             dir: Directory::new(
                 cfg.capacity.max(1),
@@ -197,7 +197,7 @@ impl CacheModel {
     }
 
     /// Replay one recorded event.
-    pub fn step(&mut self, ev: &TraceEvent) {
+    fn step(&mut self, ev: &TraceEvent) {
         match ev.kind {
             TraceEventKind::Access {
                 key,
@@ -231,17 +231,20 @@ impl CacheModel {
             }
         }
     }
-
-    /// The accumulated counters.
-    pub fn stats(&self) -> &ModelStats {
-        &self.stats
-    }
 }
 
-/// Replay `events` under `cfg` and return the model's counters.
+/// Replay `events` under `cfg` and return the model's counters. The
+/// accesses step in the order the recording cache's directory resolved
+/// them (their `seq`), after every other event: the restores, all
+/// written at startup, and the rest, which a replay reads nothing from.
 pub fn replay(events: &[TraceEvent], cfg: ModelConfig) -> ModelStats {
     let mut model = CacheModel::new(cfg, events);
-    for ev in events {
+    let mut order: Vec<&TraceEvent> = events.iter().collect();
+    order.sort_by_key(|ev| match ev.kind {
+        TraceEventKind::Access { seq, .. } => (1, seq),
+        _ => (0, 0),
+    });
+    for ev in order {
         model.step(ev);
     }
     model.stats
@@ -257,6 +260,7 @@ mod tests {
             t_ns: t,
             kind: TraceEventKind::Access {
                 key: (key, SimdLevel::Scalar),
+                seq: t,
                 source: GridSource::Built,
                 bytes: 0,
                 dur_ns: 1000,

@@ -16,19 +16,22 @@
 //! geometry the trace was captured under:
 //!
 //! ```text
-//! {"ev":"open","version":2,"capacity":4,"spill_capacity":16,"policy":"slru"}
+//! {"ev":"open","version":3,"capacity":4,"spill_capacity":16,"policy":"slru"}
 //! {"ev":"warm","t_ns":1200,"restored":2,"quarantined":0}
-//! {"ev":"access","t_ns":51023,"key":"00c2a7...","level":"avx2","source":"built","bytes":4096,"dur_ns":49800}
+//! {"ev":"access","t_ns":51023,"key":"00c2a7...","level":"avx2","seq":0,"source":"built","bytes":4096,"dur_ns":49800}
 //! {"ev":"evict","t_ns":93011,"key":"00c2a7...","level":"avx2"}
 //! {"ev":"spill","t_ns":94500,"key":"00c2a7...","level":"avx2","bytes":4096}
 //! ```
 //!
 //! Grid keys are the 16-hex-digit content fingerprint used for spill
 //! file names; `t_ns` is monotonic nanoseconds since the recorder was
-//! opened. Lines are written and read through `mudock_obs::json`, the
-//! workspace's one JSON codec. Every line is flushed as it is written,
-//! so a trace survives an abrupt `kill -9` of the node (that is the
-//! warm-restart test's whole point). Writers hold a dedicated mutex —
+//! opened. An `access` line is written once its grid set is served, so
+//! with two or more callers the lines follow completion order; its
+//! `seq` numbers the lookup in the order the cache's directory resolved
+//! it, and a replay steps through accesses by `seq`. Lines are written
+//! and read through `mudock_obs::json`, the workspace's one JSON codec.
+//! Every line is flushed as it is written, so a trace survives an abrupt
+//! `kill -9` of the node (that is the warm-restart test's whole point). Writers hold a dedicated mutex —
 //! never the cache lock — so tracing cannot extend the cache's critical
 //! sections.
 //!
@@ -40,6 +43,9 @@
 //! lines and early-reload lines. The reader still parses them (it
 //! ignores unknown fields and event kinds), but `cache_replay` refuses
 //! them: today's directory would replay counters the node never had.
+//! Version-2 traces carry no `seq`: their accesses read as numbered in
+//! file order, which is completion order wherever two lookups
+//! overlapped, so `cache_replay` refuses them too.
 
 use std::io::Write;
 use std::path::Path;
@@ -51,7 +57,7 @@ use mudock_obs::json::{self, Json};
 use mudock_obs::GridSource;
 
 /// The format version this binary records (see "Versions").
-pub const TRACE_VERSION: u32 = 2;
+pub const TRACE_VERSION: u32 = 3;
 
 /// A cache key as traced: content fingerprint plus build level.
 pub type TraceKey = (u64, SimdLevel);
@@ -103,6 +109,9 @@ pub enum TraceEventKind {
     Access {
         /// The grid key looked up.
         key: TraceKey,
+        /// The lookup's number, in the order the directory resolved the
+        /// cache's lookups (from 0).
+        seq: u64,
         /// How the grid set was obtained.
         source: GridSource,
         /// Size of the grid data in bytes.
@@ -181,6 +190,7 @@ impl CacheTracer {
             TraceEventKind::Restore { key } => ("restore", Some(key), vec![]),
             TraceEventKind::Access {
                 key,
+                seq,
                 source,
                 bytes,
                 dur_ns,
@@ -189,7 +199,12 @@ impl CacheTracer {
                 (
                     "access",
                     Some(key),
-                    vec![source, u("bytes", bytes), u("dur_ns", dur_ns)],
+                    vec![
+                        u("seq", seq),
+                        source,
+                        u("bytes", bytes),
+                        u("dur_ns", dur_ns),
+                    ],
                 )
             }
             TraceEventKind::Evict { key } => ("evict", Some(key), vec![]),
@@ -221,8 +236,10 @@ enum Line {
     Unknown,
 }
 
-/// `None`: a known event with a missing or ill-typed field.
-fn parse_line(v: &Json) -> Option<Line> {
+/// `None`: a known event with a missing or ill-typed field. An `access`
+/// without `seq` (recorded before version 3) takes `accesses`, the
+/// number of accesses before it in the file.
+fn parse_line(v: &Json, accesses: u64) -> Option<Line> {
     let ev = v.get("ev")?.as_str()?;
     if ev == "open" {
         return Some(Line::Header(TraceHeader {
@@ -240,6 +257,10 @@ fn parse_line(v: &Json) -> Option<Line> {
         "restore" => TraceEventKind::Restore { key: key_field(v)? },
         "access" => TraceEventKind::Access {
             key: key_field(v)?,
+            seq: match v.get("seq") {
+                Some(seq) => seq.as_u64()?,
+                None => accesses,
+            },
             source: GridSource::parse(v.get("source")?.as_str()?)?,
             bytes: v.get("bytes")?.as_u64()?,
             dur_ns: v.get("dur_ns")?.as_u64()?,
@@ -272,6 +293,7 @@ pub fn read_trace(path: &Path) -> std::io::Result<Trace> {
 /// damaged like any other.
 fn parse_trace(bytes: &[u8]) -> std::io::Result<Trace> {
     let mut trace = Trace::default();
+    let mut accesses = 0;
     for (i, raw) in bytes.split(|&b| b == b'\n').enumerate() {
         let line = String::from_utf8_lossy(raw);
         if line.trim().is_empty() {
@@ -289,8 +311,11 @@ fn parse_trace(bytes: &[u8]) -> std::io::Result<Trace> {
             }
             _ => "missing or ill-typed field".into(),
         };
-        match parse_line(&json).ok_or_else(|| bad(why()))? {
-            Line::Event(ev) => trace.events.push(ev),
+        match parse_line(&json, accesses).ok_or_else(|| bad(why()))? {
+            Line::Event(ev) => {
+                accesses += matches!(ev.kind, TraceEventKind::Access { .. }) as u64;
+                trace.events.push(ev);
+            }
             Line::Header(header) => trace.header = Some(header),
             Line::Unknown => {}
         }
@@ -325,6 +350,7 @@ mod tests {
             TraceEventKind::Restore { key },
             TraceEventKind::Access {
                 key,
+                seq: 7,
                 source: GridSource::Built,
                 bytes: 4096,
                 dur_ns: 1234,
@@ -429,6 +455,7 @@ mod tests {
                 TraceEventKind::Restore { key },
                 TraceEventKind::Access {
                     key,
+                    seq: 7,
                     source: GridSource::Reloaded,
                     bytes: 4096,
                     dur_ns: 1234,
@@ -468,7 +495,7 @@ mod tests {
                 r#"{"ev":"warm","t_ns":0,"restored":1,"quarantined":0}"#.to_string(),
                 format!(r#"{{"ev":"restore","t_ns":0,{key}}}"#),
                 format!(
-                    r#"{{"ev":"access","t_ns":0,{key},"source":"reloaded","bytes":4096,"dur_ns":1234}}"#
+                    r#"{{"ev":"access","t_ns":0,{key},"seq":7,"source":"reloaded","bytes":4096,"dur_ns":1234}}"#
                 ),
                 format!(r#"{{"ev":"evict","t_ns":0,{key}}}"#),
                 format!(r#"{{"ev":"spill","t_ns":0,{key},"bytes":4096}}"#),

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mudock_core::{dock_ligand, Backend, DockingEngine, ScreenResult, StopCheck, StopPolicy, TopK};
+use mudock_core::{dock_ligand, DockingEngine, ScreenResult, StopCheck, StopPolicy, TopK};
 use mudock_grids::{grid_cache_key, Fnv64, GridDims, SimdLevel};
 use mudock_mol::Molecule;
 use mudock_obs::{now_ns, Counter, GridSource, Registry};
@@ -303,30 +303,18 @@ impl Drop for ScreenService {
 }
 
 /// Fingerprint of everything a checkpoint must agree on to be replayable:
-/// grid content, base seed, ranking size, the resolved backend (two
-/// SIMD levels score within fast-math tolerance, not bit-identically, so
-/// their checkpoints must not mix), for the portable arm the arithmetic
-/// class of the job engine's `frame` (`"autovec"` is one name for two
-/// roundings: a checkpoint written where the fused frames ran must not
-/// resume on a host, or after a migration to a VM, without AVX2+FMA) and
-/// the scoring revision (nor must checkpoints of two binaries whose
-/// kernels sum in a different order under one backend name mix).
-/// Chunking is deliberately absent — chunk boundaries live in the
-/// checkpoint records themselves and per-ligand seeds are keyed on the
-/// global index, so a job may resume under a *different*
+/// the grid content, the search
+/// ([`CampaignSpec::search_fingerprint`](mudock_core::CampaignSpec::search_fingerprint)
+/// for the job engine's `frame`: GA, radius, local search, seed, ranking
+/// size, resolved backend and its arithmetic class, scoring revision)
+/// and the slice. Chunking and the stop policy are deliberately absent
+/// (see there): a job may resume under a *different*
 /// [`ChunkPolicy`](mudock_core::ChunkPolicy) and still finish with a
 /// bit-identical ranking.
 fn job_fingerprint(spec: &JobSpec, dims: GridDims, frame: SimdLevel) -> u64 {
-    let backend = spec.campaign.backend.resolve();
     let mut h = Fnv64::new();
     h.write_u64(grid_cache_key(&spec.receptor, &dims))
-        .write_u64(spec.campaign.seed)
-        .write_u64(spec.campaign.top_k as u64)
-        .write(backend.name().as_bytes());
-    if backend == Backend::AutoVec {
-        h.write(mudock_core::autovec::arithmetic_at(frame).as_bytes());
-    }
-    h.write_u32(mudock_core::SCORING_REV);
+        .write_u64(spec.campaign.search_fingerprint(frame));
     // A sliced sub-job checkpoints a different window of the stream than
     // the whole job (or a differently-sliced one) — never mix them.
     if let Some(s) = spec.slice {

@@ -7,13 +7,15 @@
 //! the live cache performing exactly the I/O the directory planned, the
 //! trace carrying everything the replayer needs. The fixed sequences
 //! are the ones a one-file spill tier used to get wrong (the access
-//! that reloaded a key pruned that key's file first), plus the
-//! benchmark's own `serve_churn` order.
+//! that reloaded a key pruned that key's file first), the benchmark's
+//! own `serve_churn` order, and two executors whose builds finish out of
+//! lookup order.
 //!
 //! Also compiled into the root package's `tests/cache_directory.rs`,
 //! so the tier-1 command reaches the cache tier.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use mudock_grids::{GridDims, SimdLevel};
 use mudock_mol::{Molecule, Vec3};
@@ -182,6 +184,69 @@ fn churn_order_settles_at_10_hits_8_reloads_6_rebuilds_0_spills() {
     let (live, trace) = lab.replayed();
     assert_eq!(live.spills - first.spills, 0);
     assert_no_self_defeating_io(&trace);
+}
+
+/// Two executors over a one-entry cache without a spill tier: A misses
+/// a large receptor and builds it slowly; 50 ms later B misses the small
+/// resident one A's lookup evicted, builds it in a fraction of the time
+/// and is served first. The trace lists B's access before A's, yet the
+/// replay steps through the lookups in the order the directory resolved
+/// them and reads the live counters.
+#[test]
+fn a_replay_follows_lookup_order_when_builds_finish_out_of_it() {
+    let trace_path = std::env::temp_dir().join(format!(
+        "mudock-cache-lab-{}-out-of-order.trace",
+        std::process::id()
+    ));
+    let cache = GridCache::builder(1).trace(&trace_path).build().unwrap();
+    let dims = GridDims::centered(Vec3::ZERO, 3.0, 1.0);
+    let (small, large) = (
+        synthetic_receptor(1, 12, 4.0),
+        synthetic_receptor(2, 3000, 4.0),
+    );
+    let get = |r: &Molecule| cache.get_or_build(r, dims, SimdLevel::Scalar, 1).1;
+    assert_eq!(get(&small), Built);
+    let (a_served, b_served) = std::thread::scope(|s| {
+        let a = s.spawn(|| (get(&large), Instant::now()));
+        std::thread::sleep(Duration::from_millis(50));
+        let b = s.spawn(|| (get(&small), Instant::now()));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!((a_served.0, b_served.0), (Built, Built));
+    assert!(b_served.1 < a_served.1, "B was served first");
+
+    let trace = read_trace(&trace_path).expect("trace parses");
+    std::fs::remove_file(&trace_path).ok();
+    let fingerprint = |r: &Molecule| mudock_grids::grid_cache_key(r, &dims);
+    let (listed, waited): (Vec<(u64, u64)>, Vec<u64>) = (trace.events.iter())
+        .filter_map(|ev| match ev.kind {
+            TraceEventKind::Access {
+                key, seq, dur_ns, ..
+            } => Some(((key.0, seq), dur_ns)),
+            _ => None,
+        })
+        .unzip();
+    assert_eq!(
+        listed,
+        [
+            (fingerprint(&small), 0),
+            (fingerprint(&small), 2),
+            (fingerprint(&large), 1)
+        ],
+        "accesses listed as served, numbered as looked up"
+    );
+    assert!(
+        10 * waited[1] <= waited[2],
+        "B's build is a tenth of A's: {waited:?}"
+    );
+    let live = cache.stats();
+    assert_eq!((live.hits, live.misses, live.evictions), (0, 3, 2));
+    let cfg = ModelConfig::for_policy(live.policy, 1, 0).expect("the live policy is a row");
+    let model = policy::replay(&trace.events, cfg);
+    assert_eq!(
+        (model.hits, model.misses, model.evictions),
+        (live.hits, live.misses, live.evictions)
+    );
 }
 
 proptest! {

@@ -1,16 +1,17 @@
 //! End-to-end service tests: concurrent jobs sharing a grid cache,
 //! per-job SIMD pinning with per-level cache entries, stop-policy early
 //! termination, incremental JSONL streaming, checkpoint resume (also
-//! across a chunk-policy change, and after a torn checkpoint tail), and
-//! queue backpressure — each ranking checked against a sequential
-//! `mudock_core` reference run.
+//! across a chunk-policy change, and after a torn checkpoint tail; never
+//! under another search), and queue backpressure — each ranking checked
+//! against a sequential `mudock_core` reference run.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mudock_core::{
-    screen_campaign, Backend, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy, StopPolicy,
+    screen_campaign, Backend, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy, SolisWetsParams,
+    StopPolicy,
 };
 use mudock_grids::{GridBuilder, GridDims};
 use mudock_mol::{Molecule, Vec3};
@@ -318,6 +319,73 @@ fn a_torn_checkpoint_tail_costs_only_the_chunk_in_flight() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// A job whose search differs from the one that wrote its checkpoint by
+/// `change` must not replay that search's chunks: it docks every ligand
+/// live and ranks bit for bit as a fresh run of its own spec.
+fn a_checkpoint_of_another_search_starts_fresh(what: &str, change: fn(&mut CampaignSpec)) {
+    let service = ScreenService::start(ServeConfig {
+        total_threads: 2,
+        job_slots: 1,
+        queue_capacity: 4,
+        cache_capacity: 2,
+        ..ServeConfig::default()
+    });
+    let ckpt = tmp(&format!("other-search-{what}.ckpt"));
+    std::fs::remove_file(&ckpt).ok();
+    let mut first = spec("written");
+    first.checkpoint = Some(ckpt.clone());
+    let written = service.submit(first).unwrap().wait();
+    assert_eq!(written.state, JobState::Completed);
+
+    let mut second = spec("resumed");
+    change(&mut second.campaign);
+    let changed = second.campaign.clone();
+    second.checkpoint = Some(ckpt.clone());
+    let resumed = service.submit(second).unwrap().wait();
+    service.shutdown();
+    std::fs::remove_file(&ckpt).ok();
+
+    assert_eq!(resumed.state, JobState::Completed, "{what}");
+    assert_eq!(
+        resumed.replayed_chunks, 0,
+        "{what}: a chunk of the other search was replayed"
+    );
+    assert_eq!(resumed.ligands_done, N_LIGANDS, "{what}");
+    let reference = reference_top_for(&changed);
+    let got: Vec<_> = (resumed.top.iter())
+        .map(|r| (r.index, r.name.clone(), r.score.to_bits()))
+        .collect();
+    let want: Vec<_> = (reference.into_iter())
+        .map(|(i, name, score)| (i, name, score.to_bits()))
+        .collect();
+    assert_eq!(got, want, "{what}: the ranking of a fresh run");
+}
+
+#[test]
+fn a_checkpoint_of_fewer_generations_starts_fresh() {
+    a_checkpoint_of_another_search_starts_fresh("generations", |c| c.ga.generations = 10);
+}
+
+#[test]
+fn a_checkpoint_of_another_search_radius_starts_fresh() {
+    a_checkpoint_of_another_search_starts_fresh("radius", |c| c.search_radius = Some(2.5));
+}
+
+#[test]
+fn a_checkpoint_without_local_search_starts_fresh() {
+    a_checkpoint_of_another_search_starts_fresh("local search", |c| {
+        c.local_search = Some(SolisWetsParams {
+            max_evals: 20,
+            ..SolisWetsParams::default()
+        })
+    });
+}
+
+#[test]
+fn a_checkpoint_of_another_mutation_rate_starts_fresh() {
+    a_checkpoint_of_another_search_starts_fresh("mutation rate", |c| c.ga.mutation_rate *= 0.5);
 }
 
 /// The acceptance scenario for per-job SIMD pinning: two concurrent

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use mudock_core::{Backend, BackendPolicy, Campaign, CampaignSpec, ChunkPolicy};
-use mudock_grids::GridDims;
+use mudock_grids::{GridDims, SimdLevel};
 use mudock_mol::{Molecule, Vec3};
 use mudock_molio::synthetic_receptor;
 use mudock_serve::cache::policy::{self, ModelConfig};
@@ -297,36 +297,34 @@ fn a_spill_file_of_the_previous_grid_revision_is_quarantined_not_loaded() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The key a binary from before `mudock_core::SCORING_REV` existed
-/// stamped on `spec`'s checkpoint: everything `job_fingerprint` hashes
-/// today except the revision.
+/// The key a binary that left `mudock_core::SCORING_REV` out would
+/// stamp on `spec`'s checkpoint on this host: this binary's key in every
+/// field but the revision.
 fn unrevisioned_checkpoint_key(spec: &JobSpec) -> u64 {
-    let mut h = checkpoint_key_head(spec);
-    h.write(spec.campaign.backend.resolve().name().as_bytes());
+    let dims = spec.campaign.dims_for(&spec.receptor);
+    let search = spec
+        .campaign
+        .unrevisioned_search_hash(mudock_simd::frame())
+        .finish();
+    let mut h = mudock_grids::Fnv64::new();
+    h.write_u64(mudock_grids::grid_cache_key(&spec.receptor, &dims))
+        .write_u64(search);
     h.finish()
 }
 
-/// What every checkpoint key starts with: grids, seed, ranking size.
-fn checkpoint_key_head(spec: &JobSpec) -> mudock_grids::Fnv64 {
+/// The key this binary stamps on the checkpoint of `spec`, docked by an
+/// engine scoring in `frame`: everything `job_fingerprint` hashes.
+fn checkpoint_key_in(spec: &JobSpec, frame: SimdLevel) -> u64 {
     let dims = spec.campaign.dims_for(&spec.receptor);
     let mut h = mudock_grids::Fnv64::new();
     h.write_u64(mudock_grids::grid_cache_key(&spec.receptor, &dims))
-        .write_u64(spec.campaign.seed)
-        .write_u64(spec.campaign.top_k as u64);
-    h
+        .write_u64(spec.campaign.search_fingerprint(frame));
+    h.finish()
 }
 
-/// The key this binary stamps on `spec`'s checkpoint on this host:
-/// everything `job_fingerprint` hashes.
+/// The key this binary stamps on `spec`'s checkpoint on this host.
 fn checkpoint_key(spec: &JobSpec) -> u64 {
-    let backend = spec.campaign.backend.resolve();
-    let mut h = checkpoint_key_head(spec);
-    h.write(backend.name().as_bytes());
-    if backend == Backend::AutoVec {
-        h.write(mudock_core::autovec::arithmetic_at(mudock_simd::frame()).as_bytes());
-    }
-    h.write_u32(mudock_core::SCORING_REV);
-    h.finish()
+    checkpoint_key_in(spec, mudock_simd::frame())
 }
 
 /// Write at `path` a checkpoint under `key` whose two chunks are done,
@@ -402,14 +400,14 @@ fn a_checkpoint_of_another_scoring_revision_is_refused() {
 }
 
 /// The key this binary stamps on the checkpoint of an `autovec` `spec` on
-/// a host of arithmetic class `class`: everything `job_fingerprint`
-/// hashes.
+/// a host of arithmetic class `class`: its engine scores in a wide frame
+/// where the class is fused, in the baseline frame elsewhere.
 fn autovec_checkpoint_key(spec: &JobSpec, class: &str) -> u64 {
-    let mut h = checkpoint_key_head(spec);
-    h.write(b"autovec")
-        .write(class.as_bytes())
-        .write_u32(mudock_core::SCORING_REV);
-    h.finish()
+    let frame = match class {
+        "fused" => SimdLevel::Avx2,
+        _ => SimdLevel::Scalar,
+    };
+    checkpoint_key_in(spec, frame)
 }
 
 /// `"autovec"` names two roundings — fused multiply-adds where the CPU
