@@ -44,27 +44,53 @@ unsafe fn pair_sum<S: Simd>(s: S, table: &[f32], idx: &[i32], single: bool) -> f
     s.reduce_add(acc)
 }
 
-/// Sweeps of the index list in one timed pass.
-const CALLS: usize = 10;
+/// Gathers in one timed pass: a table's index list is swept as many
+/// times as fit, at least once.
+const GATHERS_PER_PASS: usize = 80 * 1024;
+
+/// The fewest indices a table gets (a small table's lines are visited
+/// several times over).
+const MIN_INDICES: usize = 8 * 1024;
 
 /// 16 KiB (L1) → 64 MiB (DRAM-ish).
 const TABLE_KIB: [usize; 5] = [16, 128, 1024, 8 * 1024, 64 * 1024];
 
-/// A table of `size_kib` and a pseudo-random full-range index pattern
-/// (defeats prefetch) whose every index has a right-hand neighbour.
-fn table_and_indices(size_kib: usize, n_idx: usize) -> (Vec<f32>, Vec<i32>) {
+/// Floats per 64-byte cache line.
+const LINE_FLOATS: usize = 16;
+
+/// A table of `size_kib` and a pseudo-random index pattern (defeats
+/// prefetch) that reaches every 64-byte line of it, each equally often,
+/// so a table's row times a working set of the table's size. Every
+/// index has a right-hand neighbour in the same line.
+fn table_and_indices(size_kib: usize) -> (Vec<f32>, Vec<i32>) {
     let table_len = size_kib * 1024 / 4;
     let table: Vec<f32> = (0..table_len).map(|i| (i % 97) as f32).collect();
-    let idx: Vec<i32> = (0..n_idx)
-        .map(|i| ((i as u64).wrapping_mul(0x9e37_79b9) % (table_len as u64 - 1)) as i32)
+    let lines = table_len / LINE_FLOATS;
+    assert!(
+        lines.is_power_of_two(),
+        "an odd stride must visit every line"
+    );
+    let idx: Vec<i32> = (0..lines.max(MIN_INDICES))
+        .map(|i| {
+            // An odd stride modulo a power of two is a permutation.
+            let line = (i as u64).wrapping_mul(0x9e37_79b9) as usize % lines;
+            (line * LINE_FLOATS + i % (LINE_FLOATS - 1)) as i32
+        })
         .collect();
     (table, idx)
 }
 
+/// Sweeps of `idx` in one timed pass.
+fn sweeps(idx: &[i32]) -> usize {
+    (GATHERS_PER_PASS / idx.len()).max(1)
+}
+
 fn main() {
-    let n_idx = 8 * 1024;
     let levels = SimdLevel::available();
-    println!("ABLATION: gather throughput vs table size ({n_idx} gathers/eval)\n");
+    println!(
+        "ABLATION: gather throughput vs table size (every 64-byte line gathered, \
+         at least {MIN_INDICES} gathers per sweep)\n"
+    );
     println!(
         "{:>12} {}",
         "table",
@@ -75,12 +101,12 @@ fn main() {
     );
 
     for size_kib in TABLE_KIB {
-        let (table, idx) = table_and_indices(size_kib, n_idx);
-        let ns = ns_per_call(levels.len(), CALLS, |i| {
+        let (table, idx) = table_and_indices(size_kib);
+        let ns = ns_per_call(levels.len(), sweeps(&idx), |i| {
             ops::gather_sum(levels[i], &table, &idx)
         });
         let cells: String = (ns.iter())
-            .map(|ns| format!("{:>9.2} ns", ns / n_idx as f64))
+            .map(|ns| format!("{:>9.2} ns", ns / idx.len() as f64))
             .collect();
         println!("{size_kib:>9} KiB{cells}");
     }
@@ -97,17 +123,18 @@ fn main() {
         "table", "level", "single", "paired", "paired/s"
     );
     for size_kib in TABLE_KIB {
-        let (table, idx) = table_and_indices(size_kib, n_idx);
+        let (table, idx) = table_and_indices(size_kib);
         assert!(idx
             .iter()
             .all(|&i| i >= 0 && (i as usize) + 1 < table.len()));
         // Per level: two single gathers a pair (even cell), one paired (odd).
         // SAFETY: every index was checked against `table` above.
-        let ns = ns_per_call(2 * levels.len(), CALLS, |i| unsafe {
+        let ns = ns_per_call(2 * levels.len(), sweeps(&idx), |i| unsafe {
             dispatch!(levels[i / 2], |s| pair_sum(s, &table, &idx, i % 2 == 0))
         });
         for (level, ns) in levels.iter().zip(ns.chunks_exact(2)) {
-            let (single, paired) = (ns[0] / n_idx as f64, ns[1] / n_idx as f64);
+            let n_idx = idx.len() as f64;
+            let (single, paired) = (ns[0] / n_idx, ns[1] / n_idx);
             println!(
                 "{:>9} KiB {:8} {:>7.2} ns {:>7.2} ns {:>8.2}",
                 size_kib,
@@ -115,6 +142,33 @@ fn main() {
                 single,
                 paired,
                 paired / single
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_line_of_every_table_is_gathered_with_its_neighbour() {
+        for size_kib in [16, 128, 1024, 8 * 1024] {
+            let (table, idx) = table_and_indices(size_kib);
+            let mut hits = vec![0usize; table.len() / LINE_FLOATS];
+            for &i in &idx {
+                let i = i as usize;
+                assert_eq!(
+                    i / LINE_FLOATS,
+                    (i + 1) / LINE_FLOATS,
+                    "{size_kib} KiB: {i}"
+                );
+                hits[i / LINE_FLOATS] += 1;
+            }
+            let (lo, hi) = (hits.iter().min().unwrap(), hits.iter().max().unwrap());
+            assert!(
+                *lo >= 1 && lo == hi,
+                "{size_kib} KiB: lines hit {lo}..={hi} times"
             );
         }
     }

@@ -81,7 +81,9 @@ pub struct ClusterConfig {
     pub scatter_min_ligands: usize,
     /// Upper bound on scatter fan-out (actual lanes = min(alive, this)).
     pub max_parts: usize,
-    /// How often the gather loop polls member sub-jobs.
+    /// The longest one gather sweep waits on member sub-jobs: it
+    /// long-polls one running part for at most this long, so it hears
+    /// of that part's end at once and of any other's within this bound.
     pub poll_interval: Duration,
     /// Dispatch attempts per window before the cluster job fails.
     pub max_attempts: u32,
@@ -167,6 +169,7 @@ impl Coordinator {
                 poll_interval: cfg.poll_interval,
                 max_attempts: cfg.max_attempts,
                 stop: Arc::clone(&stop),
+                waker: builder.waker(),
             }),
             cfg,
             next_id: AtomicU64::new(1),

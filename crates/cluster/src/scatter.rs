@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use mudock_core::merge_ranked_partials;
 use mudock_serve::net::client;
 use mudock_serve::wire::{JobStatus, Submission};
-use mudock_serve::{JobId, JobOutcome, JobState, LigandSlice, RankedLigand};
+use mudock_serve::{JobId, JobOutcome, JobState, JobWaker, LigandSlice, RankedLigand};
 
 use crate::membership::{Member, Membership};
 use crate::metrics::ClusterMetrics;
@@ -42,11 +42,16 @@ pub(crate) struct Gather {
     pub membership: Arc<Membership>,
     pub router: Router,
     pub metrics: Arc<ClusterMetrics>,
+    /// The longest a sweep waits for its parts: one running part is
+    /// long-polled for at most this long.
     pub poll_interval: Duration,
     /// Dispatch attempts per part before the job fails.
     pub max_attempts: u32,
     /// Set at shutdown; gather loops watch it.
     pub stop: Arc<AtomicBool>,
+    /// The coordinator frontend's: poked as each cluster job finishes,
+    /// so polls parked on it are answered.
+    pub waker: JobWaker,
 }
 
 /// One sub-job: a slice of the stream plus where it currently runs.
@@ -185,6 +190,7 @@ pub(crate) fn run(job: Arc<ClusterJob>, submission: Submission, fingerprint: u64
         poll_interval,
         max_attempts,
         stop,
+        waker: _,
     } = gather;
     let t0 = Instant::now();
     let n_parts = job.inner.lock().unwrap().parts.len();
@@ -206,7 +212,7 @@ pub(crate) fn run(job: Arc<ClusterJob>, submission: Submission, fingerprint: u64
         }
         if job.cancel.load(Ordering::SeqCst) {
             cancel_parts(&job, &mut conns);
-            finish(&job, metrics, JobState::Cancelled, None, t0);
+            finish(&job, gather, JobState::Cancelled, None, t0);
             return;
         }
 
@@ -287,21 +293,30 @@ pub(crate) fn run(job: Arc<ClusterJob>, submission: Submission, fingerprint: u64
             }
         }
 
-        // Poll every dispatched, non-terminal part.
-        for (i, conn_slot) in conns.iter_mut().enumerate() {
-            let target = {
-                let inner = job.inner.lock().unwrap();
-                let p = &inner.parts[i];
-                match (&p.member, p.remote_id, &p.outcome) {
-                    (Some(m), Some(id), None) => Some((Arc::clone(m), id)),
+        // Poll every dispatched, non-terminal part: the last of them is
+        // long-polled for up to `poll_interval`, the rest are snapshots
+        // taken first. That park is the sweep's only wait, so a sweep
+        // ends as soon as that part finishes, and never later than
+        // `poll_interval` after the snapshots.
+        let targets: Vec<(usize, Arc<Member>, JobId)> = {
+            let inner = job.inner.lock().unwrap();
+            (inner.parts.iter().enumerate())
+                .filter_map(|(i, p)| match (&p.member, p.remote_id, &p.outcome) {
+                    (Some(m), Some(id), None) => Some((i, Arc::clone(m), id)),
                     _ => None,
-                }
+                })
+                .collect()
+        };
+        let parked_on = targets.last().map(|(i, ..)| *i);
+        for (i, member, remote_id) in targets {
+            let wait = if parked_on == Some(i) {
+                *poll_interval
+            } else {
+                Duration::ZERO
             };
-            let Some((member, remote_id)) = target else {
-                continue;
-            };
+            let conn_slot = &mut conns[i];
             let conn = conn_slot.get_or_insert_with(|| client::Client::new(&member.addr));
-            match conn.poll(remote_id) {
+            match conn.poll_within(remote_id, wait) {
                 Ok(status) if status.is_terminal() => {
                     member.end_subjob();
                     match status.state {
@@ -369,16 +384,20 @@ pub(crate) fn run(job: Arc<ClusterJob>, submission: Submission, fingerprint: u64
                     .unwrap_or_else(|| "sub-job failed".into());
                 drop(inner);
                 cancel_parts(&job, &mut conns);
-                finish(&job, metrics, JobState::Failed, Some(error), t0);
+                finish(&job, gather, JobState::Failed, Some(error), t0);
                 return;
             }
             if inner.parts.iter().all(|p| p.outcome.is_some()) {
                 drop(inner);
-                finish(&job, metrics, JobState::Completed, None, t0);
+                finish(&job, gather, JobState::Completed, None, t0);
                 return;
             }
         }
-        std::thread::sleep(*poll_interval);
+        if parked_on.is_none() {
+            // Nothing was running to wait on (every part still needs a
+            // member): pace the dispatch retries as before.
+            std::thread::sleep(*poll_interval);
+        }
     }
 }
 
@@ -402,14 +421,16 @@ fn cancel_parts(job: &Arc<ClusterJob>, conns: &mut [Option<client::Client>]) {
     }
 }
 
-/// Publish the merged terminal outcome.
+/// Publish the merged terminal outcome, then wake the frontend for the
+/// polls parked on it.
 fn finish(
     job: &Arc<ClusterJob>,
-    metrics: &ClusterMetrics,
+    gather: &Gather,
     state: JobState,
     error: Option<String>,
     t0: Instant,
 ) {
+    let metrics = &gather.metrics;
     let mut inner = job.inner.lock().unwrap();
     let mut ligands_done = 0;
     let mut chunks_done = 0;
@@ -462,6 +483,8 @@ fn finish(
         JobState::Failed => metrics.jobs_failed.inc(),
         _ => {}
     }
+    drop(inner);
+    gather.waker.wake();
 }
 
 /// Split `total` ligands into contiguous windows, one per scatter lane.

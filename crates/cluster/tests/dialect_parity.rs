@@ -238,7 +238,18 @@ fn a_node_and_a_coordinator_answer_the_same_script_alike() {
         ("POST", "/jobs", Some(path_source), 403, Shape::Error),
         ("POST", "/jobs", Some(bad_campaign), 422, Shape::Error),
         ("GET", "/jobs/{id}", None, 200, Shape::Keys(&[])),
+        ("GET", "/jobs/{id}?wait_ms=50", None, 200, Shape::Keys(&[])),
+        ("GET", "/jobs/{id}?wait_ms=-1", None, 400, Shape::Error),
+        ("GET", "/jobs/{id}?wait_ms=soon", None, 400, Shape::Error),
+        (
+            "GET",
+            "/jobs/{id}?wait_ms=99999999",
+            None,
+            400,
+            Shape::Error,
+        ),
         ("GET", "/jobs/999999", None, 404, Shape::Error),
+        ("GET", "/jobs/999999?wait_ms=50", None, 404, Shape::Error),
         ("GET", "/jobs/not-a-number", None, 404, Shape::Error),
         ("GET", "/jobs/{id}/results", None, 200, Shape::Lines),
         ("DELETE", "/jobs/{id}", None, 202, Shape::Keys(&[])),
@@ -313,7 +324,7 @@ fn in_flight_jobs_do_not_crowd_a_finished_one_out_of_the_coordinator() {
     // the cap of 2 counted in-flight jobs as well.
     let mut client = Client::new(&addr);
     for &id in &in_flight {
-        let status = client.poll(id).expect("in-flight jobs are tracked");
+        let status = client.status(id).expect("in-flight jobs are tracked");
         assert!(!status.is_terminal(), "job {id} ended early: {status:?}");
     }
     let status = client

@@ -66,29 +66,30 @@ pub fn parse(text: &str) -> Result<Molecule, ParseError> {
         if line.starts_with("ATOM") || line.starts_with("HETATM") {
             let fields: Vec<&str> = line.split_whitespace().collect();
             // Fixed-column first; fall back to whitespace fields for
-            // machine-generated files.
+            // machine-generated files. Columns are bytes: one that cuts
+            // a multi-byte character is an error, not a slice panic.
             let (serial, x, y, z, q, ty) = if line.len() >= 78 {
-                let serial: u32 = line[6..11]
+                let column = |at: std::ops::Range<usize>, what: &str| {
+                    line.get(at)
+                        .ok_or_else(|| err(lineno, format!("non-ASCII text in the {what} columns")))
+                };
+                let number = |at, what| {
+                    column(at, what)?
+                        .trim()
+                        .parse::<f32>()
+                        .map_err(|_| err(lineno, format!("bad {what}")))
+                };
+                let serial: u32 = column(6..11, "serial")?
                     .trim()
                     .parse()
                     .map_err(|_| err(lineno, "bad serial"))?;
-                let x: f32 = line[30..38]
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(lineno, "bad x"))?;
-                let y: f32 = line[38..46]
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(lineno, "bad y"))?;
-                let z: f32 = line[46..54]
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(lineno, "bad z"))?;
-                let q: f32 = line[66..76]
-                    .trim()
-                    .parse()
-                    .map_err(|_| err(lineno, "bad charge"))?;
-                let ty = line[77..].trim();
+                let (x, y, z) = (
+                    number(30..38, "x")?,
+                    number(38..46, "y")?,
+                    number(46..54, "z")?,
+                );
+                let q = number(66..76, "charge")?;
+                let ty = column(77..line.len(), "type")?.trim();
                 (serial, x, y, z, q, ty)
             } else {
                 if fields.len() < 8 {
@@ -183,19 +184,135 @@ pub fn parse(text: &str) -> Result<Molecule, ParseError> {
     Ok(mol)
 }
 
-/// Distance-based bond perception using covalent radii.
+/// Distance-based bond perception using covalent radii: atoms `i < j`
+/// bond when they are at most the sum of their radii plus
+/// [`BOND_TOLERANCE`] apart. Bonds come out in `(i, j)` order.
+///
+/// Atoms are binned on a cell grid at least as coarse as the longest
+/// possible bond, so each atom is measured against the atoms of its own
+/// and the 26 neighbouring cells only — linear in the atom count for a
+/// molecule of roughly uniform density instead of one test per pair.
+/// An atom with a non-finite coordinate is at no finite distance from
+/// anything and bonds with nothing.
 pub fn perceive_bonds(mol: &mut Molecule) {
     mol.bonds.clear();
-    let n = mol.atoms.len();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let a = &mol.atoms[i];
-            let b = &mol.atoms[j];
+    let atoms = &mol.atoms;
+    let Some(r_max) = atoms
+        .iter()
+        .map(|a| a.ty.covalent_radius())
+        .reduce(f32::max)
+    else {
+        return;
+    };
+    let finite = |i: &usize| {
+        let p = atoms[*i].pos;
+        p.x.is_finite() && p.y.is_finite() && p.z.is_finite()
+    };
+    let placed: Vec<usize> = (0..atoms.len()).filter(finite).collect();
+    let Some(grid) = CellGrid::new(atoms, &placed, 2.0 * r_max + BOND_TOLERANCE) else {
+        return;
+    };
+    let mut near = Vec::new();
+    for &i in &placed {
+        let a = &atoms[i];
+        near.clear();
+        near.extend(grid.neighbours(a.pos).filter(|&j| j > i));
+        near.sort_unstable();
+        for &j in &near {
+            let b = &atoms[j];
             let max_d = a.ty.covalent_radius() + b.ty.covalent_radius() + BOND_TOLERANCE;
             if a.pos.distance(b.pos) <= max_d {
                 mol.bonds.push(Bond::new(i as u32, j as u32, false));
             }
         }
+    }
+}
+
+/// Atom indices bucketed by cubic cell (counting sort: `start[c]..
+/// start[c + 1]` of `members` holds cell `c`'s atoms).
+struct CellGrid {
+    lo: [f64; 3],
+    side: f64,
+    dims: [usize; 3],
+    start: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl CellGrid {
+    /// Bin `placed` (atoms with finite coordinates) on cells of side at
+    /// least `reach`. The side grows past `reach` when a sparse, wide
+    /// molecule would otherwise need far more cells than atoms.
+    fn new(atoms: &[Atom], placed: &[usize], reach: f32) -> Option<CellGrid> {
+        let coords = |i: usize| {
+            let p = atoms[i].pos;
+            [p.x as f64, p.y as f64, p.z as f64]
+        };
+        let mut lo = coords(*placed.first()?);
+        let mut hi = lo;
+        for &i in placed {
+            let p = coords(i);
+            for k in 0..3 {
+                lo[k] = lo[k].min(p[k]);
+                hi[k] = hi[k].max(p[k]);
+            }
+        }
+        // The margin keeps two atoms a bond apart in the same or
+        // adjacent cells despite rounding in the cell arithmetic.
+        let mut side = f64::from(reach) * 1.01 + 1e-3;
+        let extent = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
+        let dims_at = |side: f64| extent.map(|e| (e / side).floor() + 1.0);
+        let budget = 8.0 * placed.len() as f64 + 64.0;
+        while dims_at(side).iter().product::<f64>() > budget {
+            side *= 2.0;
+        }
+        let dims = dims_at(side).map(|d| d as usize);
+        let mut grid = CellGrid {
+            lo,
+            side,
+            dims,
+            start: vec![0; dims[0] * dims[1] * dims[2] + 1],
+            members: vec![0; placed.len()],
+        };
+        let cells: Vec<usize> = placed.iter().map(|&i| grid.cell_of(coords(i))).collect();
+        for &c in &cells {
+            grid.start[c + 1] += 1;
+        }
+        for c in 1..grid.start.len() {
+            grid.start[c] += grid.start[c - 1];
+        }
+        let mut fill = grid.start.clone();
+        for (&i, &c) in placed.iter().zip(&cells) {
+            grid.members[fill[c] as usize] = i as u32;
+            fill[c] += 1;
+        }
+        Some(grid)
+    }
+
+    fn axis_cell(&self, k: usize, v: f64) -> usize {
+        (((v - self.lo[k]) / self.side).floor().max(0.0) as usize).min(self.dims[k] - 1)
+    }
+
+    fn cell_of(&self, p: [f64; 3]) -> usize {
+        let [x, y, z] = [0, 1, 2].map(|k| self.axis_cell(k, p[k]));
+        (z * self.dims[1] + y) * self.dims[0] + x
+    }
+
+    /// Every atom in the cell of `p` and the cells around it.
+    fn neighbours(&self, p: Vec3) -> impl Iterator<Item = usize> + '_ {
+        let p = [p.x as f64, p.y as f64, p.z as f64];
+        let around = |k: usize| {
+            let c = self.axis_cell(k, p[k]);
+            c.saturating_sub(1)..=(c + 1).min(self.dims[k] - 1)
+        };
+        let (xs, ys, zs) = (around(0), around(1), around(2));
+        zs.flat_map(move |z| ys.clone().map(move |y| (z, y)))
+            .flat_map(move |(z, y)| {
+                let row = (z * self.dims[1] + y) * self.dims[0];
+                let cells = row + *xs.start()..=row + *xs.end();
+                let span =
+                    self.start[*cells.start()] as usize..self.start[*cells.end() + 1] as usize;
+                self.members[span].iter().map(|&j| j as usize)
+            })
     }
 }
 
@@ -209,7 +326,12 @@ pub fn write(mol: &Molecule) -> String {
     }
     for (i, a) in mol.atoms.iter().enumerate() {
         let serial = i + 1;
-        let name = format!("{}{}", a.ty.element(), serial);
+        // The name column is 4 wide: element and serial while they fit
+        // (`C999`, `Cl99`), the element alone beyond.
+        let mut name = format!("{}{}", a.ty.element(), serial);
+        if name.len() > 4 {
+            name.truncate(a.ty.element().len());
+        }
         let _ = writeln!(
             out,
             "ATOM  {serial:>5} {name:<4} LIG A   1    {x:8.3}{y:8.3}{z:8.3}  1.00  0.00    {q:>6.3} {t}",

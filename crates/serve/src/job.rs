@@ -228,7 +228,16 @@ pub(crate) struct JobShared {
     pub trace: JobTrace,
     state: Mutex<(JobState, Option<JobOutcome>)>,
     done: Condvar,
+    /// Run once, after the outcome is published (see
+    /// [`JobHandle::on_finish`]); empty again from then on.
+    on_finish: Mutex<Option<FinishHook>>,
 }
+
+/// What [`JobHandle::on_finish`] runs. Shared rather than boxed per
+/// job: a tier hands every job a clone of its one hook, so a job costs
+/// the hook no allocation on the submitting thread to be freed on the
+/// executor's.
+pub type FinishHook = Arc<dyn Fn() + Send + Sync>;
 
 impl JobShared {
     pub fn new(id: JobId) -> Arc<JobShared> {
@@ -240,6 +249,7 @@ impl JobShared {
             trace: JobTrace::new(),
             state: Mutex::new((JobState::Queued, None)),
             done: Condvar::new(),
+            on_finish: Mutex::new(None),
         })
     }
 
@@ -252,12 +262,31 @@ impl JobShared {
         self.state.lock().unwrap().0
     }
 
-    /// Publish the final outcome and wake every waiter.
+    /// Publish the final outcome, wake every waiter, then run the
+    /// finish hooks.
     pub fn finish(&self, outcome: JobOutcome) {
-        let mut s = self.state.lock().unwrap();
-        s.0 = outcome.state;
-        s.1 = Some(outcome);
-        self.done.notify_all();
+        {
+            let mut s = self.state.lock().unwrap();
+            s.0 = outcome.state;
+            s.1 = Some(outcome);
+            self.done.notify_all();
+        }
+        // Taken after the outcome is published: a hook registered from
+        // here on sees the terminal state and runs at once instead.
+        let hook = self.on_finish.lock().unwrap().take();
+        if let Some(hook) = hook {
+            hook();
+        }
+    }
+
+    fn on_finish(&self, hook: FinishHook) {
+        let mut slot = self.on_finish.lock().unwrap();
+        if self.state.lock().unwrap().1.is_none() {
+            *slot = Some(hook);
+            return;
+        }
+        drop(slot);
+        hook();
     }
 
     pub fn wait(&self) -> JobOutcome {
@@ -334,6 +363,16 @@ impl JobHandle {
         self.shared.try_outcome()
     }
 
+    /// Run `hook` once the job is terminal, on the thread that
+    /// publishes its outcome — or at once, here, if it already is.
+    /// The hook runs after the outcome is readable, so it may read it;
+    /// it should return quickly, since the executor runs it. A job
+    /// holds one hook: a second registered before the job ends replaces
+    /// the first. The job keeps nothing of it afterwards.
+    pub fn on_finish(&self, hook: FinishHook) {
+        self.shared.on_finish(hook);
+    }
+
     /// The state and the outcome as of one instant. Reading them
     /// through [`JobHandle::state`] and [`JobHandle::try_outcome`]
     /// takes the lock twice, and a job finishing in between shows a
@@ -386,6 +425,41 @@ mod tests {
         assert_eq!(outcome.ligands_done, 3);
         assert_eq!(handle.state(), JobState::Completed);
         assert!(handle.try_outcome().is_some());
+    }
+
+    #[test]
+    fn finish_hooks_run_once_after_the_outcome_is_published() {
+        let shared = JobShared::new(3);
+        let handle = JobHandle {
+            shared: Arc::clone(&shared),
+        };
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let hook = |tag: &'static str| -> FinishHook {
+            let (seen, handle) = (Arc::clone(&seen), handle.clone());
+            Arc::new(move || {
+                seen.lock()
+                    .unwrap()
+                    .push((tag, handle.try_outcome().is_some()))
+            })
+        };
+        handle.on_finish(hook("before"));
+        assert!(seen.lock().unwrap().is_empty(), "not finished yet");
+        shared.finish(JobOutcome {
+            id: 3,
+            name: "t".into(),
+            state: JobState::Cancelled,
+            ligands_done: 0,
+            chunks_done: 0,
+            replayed_chunks: 0,
+            grid_cache_hit: false,
+            stopped_early: false,
+            top: Vec::new(),
+            elapsed: Duration::ZERO,
+            error: None,
+        });
+        handle.on_finish(hook("after"));
+        assert_eq!(*seen.lock().unwrap(), [("before", true), ("after", true)]);
+        assert!(shared.on_finish.lock().unwrap().is_none(), "nothing kept");
     }
 
     #[test]

@@ -107,11 +107,13 @@ pub use cache::trace::{read_trace, Trace, TraceEvent, TraceEventKind, TraceHeade
 pub use cache::{CacheStats, GridCache, GridCacheBuilder, SpillConfig};
 pub use ingest::LigandSource;
 pub use job::{
-    ChunkProgress, JobHandle, JobId, JobOutcome, JobSpec, JobState, LigandSlice, Priority,
-    ProgressFn, RankedLigand,
+    ChunkProgress, FinishHook, JobHandle, JobId, JobOutcome, JobSpec, JobState, LigandSlice,
+    Priority, ProgressFn, RankedLigand,
 };
 pub use mudock_obs::{GridSource, Registry, StageTimings};
-pub use net::{Body, FrontendBuilder, HttpFrontend, JobTier, NetConfig, NetServer, Response};
+pub use net::{
+    Body, FrontendBuilder, HttpFrontend, JobTier, JobWaker, NetConfig, NetServer, Response,
+};
 pub use queue::{ShardStat, SubmitError};
 pub use server::{ScreenService, ServeConfig, ServiceStats};
 pub use sink::{Checkpoint, JsonlSink};

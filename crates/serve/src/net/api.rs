@@ -13,24 +13,36 @@
 //! refusals, the `201` body, `DELETE` → `202`, results as
 //! `application/x-ndjson`, status bodies through
 //! [`wire::status_to_json`], `/metrics` from the frontend's registry,
-//! and [`NetConfig::max_retained_jobs`](super::NetConfig::max_retained_jobs)
-//! as a cap over *terminal* jobs only.
+//! [`NetConfig::max_retained_jobs`](super::NetConfig::max_retained_jobs)
+//! as a cap over *terminal* jobs only, and the long-poll
+//! `GET /jobs/{id}?wait_ms=N`: a job that is not terminal parks the
+//! request on the event loop until the tier wakes it
+//! ([`JobWaker`](super::JobWaker)) or `N` ms pass, then answers the
+//! body a plain `GET` would.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use mudock_core::autovec;
 use mudock_grids::SimdLevel;
 use mudock_mol::Molecule;
 use mudock_obs::Registry;
 
-use super::frontend::HttpRoutes;
+use super::frontend::{HttpRoutes, Parked, Routed};
 use super::http::{Body, Response};
+use super::MAX_WAIT_MS;
 use crate::job::{JobId, JobState};
 use crate::wire::{self, JobStatus, Json, Submission, WireError};
 
 /// What a tier plugs into the job API. Every method runs on an
 /// event-loop thread and must not block on slow work.
+///
+/// A tier calls [`JobWaker::wake`](super::JobWaker::wake) (from
+/// [`FrontendBuilder::waker`](super::FrontendBuilder::waker)) each time
+/// one of its jobs turns terminal, after [`JobTier::is_terminal`] says
+/// so; a long-poll parked on the job is otherwise answered only at its
+/// deadline.
 pub trait JobTier: Send + Sync + 'static {
     /// One tracked job, shared between the job table and whatever runs it.
     type Job: Send + Sync + 'static;
@@ -71,7 +83,8 @@ pub trait JobTier: Send + Sync + 'static {
 
 /// The one [`HttpRoutes`] implementation: the job API over a tier.
 pub(super) struct JobRoutes<T: JobTier> {
-    pub(super) tier: T,
+    /// Shared with the requests parked on its jobs.
+    pub(super) tier: Arc<T>,
     pub(super) jobs: Mutex<HashMap<JobId, Arc<T::Job>>>,
     /// What `/metrics` renders: the registry the frontend's own
     /// instruments live in, so one scrape shows both.
@@ -88,15 +101,26 @@ impl<T: JobTier> HttpRoutes for JobRoutes<T> {
         method == "POST" && path.split('/').filter(|s| !s.is_empty()).eq(["jobs"])
     }
 
-    fn route(
+    fn route(&self, method: &str, raw_path: &str, body: Option<Result<Json, WireError>>) -> Routed {
+        let (path, query) = raw_path.split_once('?').unwrap_or((raw_path, ""));
+        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
+        if let ("GET", ["jobs", id]) = (method, segments.as_slice()) {
+            return self.poll(id, query);
+        }
+        self.answer(method, path, &segments, body).into()
+    }
+}
+
+impl<T: JobTier> JobRoutes<T> {
+    /// Every route but the status poll, which may park.
+    fn answer(
         &self,
         method: &str,
-        raw_path: &str,
+        path: &str,
+        segments: &[&str],
         body: Option<Result<Json, WireError>>,
     ) -> Response {
-        let path = raw_path.split('?').next().unwrap_or("");
-        let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        match (method, segments.as_slice()) {
+        match (method, segments) {
             ("GET", ["healthz"]) => {
                 // A plain 200 for clients that only check the status;
                 // the body carries the boot-random node id (a restart
@@ -126,7 +150,6 @@ impl<T: JobTier> HttpRoutes for JobRoutes<T> {
                 self.registry.render_prometheus(),
             ),
             ("POST", ["jobs"]) => self.submit(body),
-            ("GET", ["jobs", id]) => self.with_job(id, |job| self.status(200, job)),
             ("GET", ["jobs", id, "results"]) => {
                 self.with_job(id, |job| match self.tier.results(job) {
                     Ok(body) => Response {
@@ -139,7 +162,7 @@ impl<T: JobTier> HttpRoutes for JobRoutes<T> {
             }
             ("DELETE", ["jobs", id]) => self.with_job(id, |job| {
                 self.tier.cancel(job);
-                self.status(202, job)
+                status_response(&*self.tier, job, 202)
             }),
             (_, ["jobs", ..]) | (_, ["healthz"]) | (_, ["stats"]) | (_, ["metrics"]) => {
                 Response::error(405, format!("method {method} not allowed on {path}"))
@@ -147,9 +170,29 @@ impl<T: JobTier> HttpRoutes for JobRoutes<T> {
             _ => Response::error(404, format!("no route for {path}")),
         }
     }
-}
 
-impl<T: JobTier> JobRoutes<T> {
+    /// `GET /jobs/{id}[?wait_ms=N]`: the status now, or — when `N` > 0
+    /// and the job is not terminal — parked until it is or `N` ms pass.
+    /// A bad `wait_ms` is refused before the id is looked up.
+    fn poll(&self, id: &str, query: &str) -> Routed {
+        let wait = match wait_ms(query) {
+            Ok(wait) => wait,
+            Err(e) => return Response::error(400, e).into(),
+        };
+        let job = match self.lookup(id) {
+            Ok(job) => job,
+            Err(not_found) => return not_found.into(),
+        };
+        if wait.is_zero() || self.tier.is_terminal(&job) {
+            return status_response(&*self.tier, &job, 200).into();
+        }
+        let poll = ParkedStatus {
+            tier: Arc::clone(&self.tier),
+            job,
+        };
+        Routed::Park(Box::new(poll), wait)
+    }
+
     fn submit(&self, body: Option<Result<Json, WireError>>) -> Response {
         let parsed = match body {
             Some(Ok(v)) => v,
@@ -202,22 +245,64 @@ impl<T: JobTier> JobRoutes<T> {
         )
     }
 
-    /// Look a job up and run `f` on it, or 404. The table lock is held
-    /// only for the lookup — never across `f` (which may open a large
-    /// results file).
+    /// Look a job up and run `f` on it, or 404.
     fn with_job(&self, id: &str, f: impl FnOnce(&T::Job) -> Response) -> Response {
-        let Ok(id) = id.parse::<JobId>() else {
-            return Response::error(404, format!("job id '{id}' is not a number"));
-        };
-        let job = self.jobs.lock().unwrap().get(&id).cloned();
-        match job {
-            Some(job) => f(&job),
-            None => Response::error(404, format!("no job {id}")),
+        match self.lookup(id) {
+            Ok(job) => f(&job),
+            Err(not_found) => not_found,
         }
     }
 
-    fn status(&self, code: u16, job: &T::Job) -> Response {
-        Response::json(code, &wire::status_to_json(&self.tier.status(job)))
+    /// The job, or the `404` for it. The table lock is held only for
+    /// the lookup — never across what the caller does next (which may
+    /// open a large results file).
+    fn lookup(&self, id: &str) -> Result<Arc<T::Job>, Response> {
+        let Ok(id) = id.parse::<JobId>() else {
+            return Err(Response::error(
+                404,
+                format!("job id '{id}' is not a number"),
+            ));
+        };
+        let job = self.jobs.lock().unwrap().get(&id).cloned();
+        job.ok_or_else(|| Response::error(404, format!("no job {id}")))
+    }
+}
+
+fn status_response<T: JobTier>(tier: &T, job: &T::Job, code: u16) -> Response {
+    Response::json(code, &wire::status_to_json(&tier.status(job)))
+}
+
+/// The `wait_ms` of a status query (the first, if repeated; other
+/// parameters are ignored): absent is zero, and anything but a whole
+/// number of milliseconds up to [`MAX_WAIT_MS`] is the text of a `400`.
+fn wait_ms(query: &str) -> Result<Duration, String> {
+    let Some(value) = query
+        .split('&')
+        .find_map(|pair| pair.strip_prefix("wait_ms="))
+    else {
+        return Ok(Duration::ZERO);
+    };
+    let ms = Some(value)
+        .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|v| v.parse::<u64>().ok())
+        .ok_or_else(|| format!("wait_ms must be a whole number of milliseconds, not '{value}'"))?;
+    if ms > MAX_WAIT_MS {
+        return Err(format!("wait_ms {ms} exceeds the {MAX_WAIT_MS} ms cap"));
+    }
+    Ok(Duration::from_millis(ms))
+}
+
+/// A status poll parked on a job that was not terminal yet. It holds
+/// the job and the tier (two pointers), nothing else.
+struct ParkedStatus<T: JobTier> {
+    tier: Arc<T>,
+    job: Arc<T::Job>,
+}
+
+impl<T: JobTier> Parked for ParkedStatus<T> {
+    fn answer(&self, expired: bool) -> Option<Response> {
+        (expired || self.tier.is_terminal(&self.job))
+            .then(|| status_response(&*self.tier, &self.job, 200))
     }
 }
 
@@ -254,6 +339,28 @@ fn evict_terminal_jobs<J>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wait_ms_is_a_bounded_whole_number_of_milliseconds() {
+        assert_eq!(wait_ms(""), Ok(Duration::ZERO));
+        assert_eq!(wait_ms("other=1"), Ok(Duration::ZERO));
+        assert_eq!(wait_ms("wait_ms=0"), Ok(Duration::ZERO));
+        assert_eq!(wait_ms("x=1&wait_ms=250"), Ok(Duration::from_millis(250)));
+        let cap = format!("wait_ms={MAX_WAIT_MS}");
+        assert_eq!(wait_ms(&cap), Ok(Duration::from_millis(MAX_WAIT_MS)));
+        for bad in [
+            "wait_ms=",
+            "wait_ms=-1",
+            "wait_ms=+5",
+            "wait_ms=1.5",
+            "wait_ms=abc",
+        ] {
+            assert!(wait_ms(bad).is_err(), "{bad}");
+        }
+        let over = format!("wait_ms={}", MAX_WAIT_MS + 1);
+        assert!(wait_ms(&over).unwrap_err().contains("cap"));
+        assert!(wait_ms("wait_ms=99999999999999999999999").is_err());
+    }
 
     #[test]
     fn eviction_drops_only_the_oldest_terminal_jobs() {

@@ -1,8 +1,10 @@
 //! The matching blocking HTTP client. [`Client`] keeps its connection
 //! open across requests (HTTP/1.1 keep-alive), so a poll loop pays one
-//! TCP handshake total instead of one per poll. Used by the CLI
-//! (`mudock submit`, `mudock poll`, `mudock stats`), the cluster
-//! coordinator, and the integration tests.
+//! TCP handshake total instead of one per poll, and [`Client::poll`]
+//! long-polls (`wait_ms`), so it hears of a finished job as the server
+//! does instead of after a sleep. Used by the CLI (`mudock submit`,
+//! `mudock poll`, `mudock stats`), the cluster coordinator, and the
+//! integration tests.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -10,9 +12,16 @@ use std::time::Duration;
 
 use mudock_core::CampaignSpec;
 
+use super::MAX_WAIT_MS;
 use crate::ingest::LigandSource;
 use crate::job::{JobId, LigandSlice, Priority};
 use crate::wire::{self, JobStatus, Json, ReceptorSource, WireError};
+
+/// How long one [`Client::poll`] lets the server hold it: a job that
+/// is not terminal by then is answered with its status as it stands,
+/// and the caller polls again. Below [`MAX_WAIT_MS`] and the 30 s read
+/// timeout.
+pub const POLL_WAIT: Duration = Duration::from_secs(1);
 
 /// A client-side failure.
 ///
@@ -273,21 +282,40 @@ impl Client {
         }
     }
 
-    /// `GET /jobs/{id}`: one status snapshot.
+    /// `GET /jobs/{id}`: the status now, without waiting.
+    pub fn status(&mut self, id: JobId) -> Result<JobStatus, ClientError> {
+        self.poll_within(id, Duration::ZERO)
+    }
+
+    /// `GET /jobs/{id}?wait_ms=…` for [`POLL_WAIT`]: the status as soon
+    /// as the job is terminal, or as it stands after `POLL_WAIT`.
     pub fn poll(&mut self, id: JobId) -> Result<JobStatus, ClientError> {
-        let resp = self.request("GET", &format!("/jobs/{id}"), None)?.ok()?;
+        self.poll_within(id, POLL_WAIT)
+    }
+
+    /// The status as soon as the job is terminal, or as it stands once
+    /// `wait` has passed. `wait` is rounded up to whole milliseconds
+    /// and capped at [`MAX_WAIT_MS`]; zero is a plain snapshot.
+    pub fn poll_within(&mut self, id: JobId, wait: Duration) -> Result<JobStatus, ClientError> {
+        let ms = wait.as_micros().div_ceil(1000).min(u128::from(MAX_WAIT_MS));
+        let path = match ms {
+            0 => format!("/jobs/{id}"),
+            ms => format!("/jobs/{id}?wait_ms={ms}"),
+        };
+        let resp = self.request("GET", &path, None)?.ok()?;
         Ok(wire::status_from_json(&wire::parse(&resp.body)?)?)
     }
 
     /// Poll until the job reaches a terminal state — over one
-    /// connection, not one per poll.
+    /// connection, not one per poll. Each poll waits at most
+    /// `interval` on the server (see [`Client::poll_within`]); there is
+    /// no sleep between polls.
     pub fn wait(&mut self, id: JobId, interval: Duration) -> Result<JobStatus, ClientError> {
         loop {
-            let status = self.poll(id)?;
+            let status = self.poll_within(id, interval.max(Duration::from_millis(1)))?;
             if status.is_terminal() {
                 return Ok(status);
             }
-            std::thread::sleep(interval);
         }
     }
 

@@ -1,6 +1,6 @@
 //! One connection's request/response state machine (idle → header →
-//! body → write), driven by the readiness events the event loop
-//! delivers. Everything here runs on that loop's thread.
+//! body → [parked →] write), driven by the readiness events the event
+//! loop delivers. Everything here runs on that loop's thread.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use mudock_obs::now_ns;
 
-use super::frontend::FrontendShared;
+use super::frontend::{FrontendShared, Parked, Routed};
 use super::http::{find_head_end, parse_head, reason, Body, RequestHead, Response, MAX_HEAD_BYTES};
 use crate::reactor::{Interest, Token};
 use crate::wire::{parse_bytes, WireError};
@@ -38,6 +38,14 @@ enum Phase {
     /// parsed in one pass; other bodies are dropped, their bytes drained
     /// for framing either way.
     Body { head: RequestHead },
+    /// The request was routed and waits for its answer (a long-poll on
+    /// a job that is not terminal yet); `deadline` is when it is
+    /// answered regardless. Reads pause: pipelined requests wait in the
+    /// socket behind this one.
+    Parked {
+        poll: Box<dyn Parked>,
+        keep_alive: bool,
+    },
     /// Close-bound: drain (bounded) whatever the peer still sends so
     /// the final response is delivered, then close.
     Lingering { budget: usize },
@@ -99,12 +107,16 @@ impl Conn {
         !self.out.is_empty()
     }
 
+    pub(super) fn is_parked(&self) -> bool {
+        matches!(self.phase, Phase::Parked { .. })
+    }
+
     /// The interest this connection should be registered with: read
-    /// unless output backpressure says pause, write only while output
-    /// is queued.
+    /// unless its request is parked or output backpressure says pause,
+    /// write only while output is queued.
     pub(super) fn wanted_interest(&self) -> Interest {
         Interest {
-            readable: self.pending_out() <= MAX_PENDING_OUT,
+            readable: !self.is_parked() && self.pending_out() <= MAX_PENDING_OUT,
             writable: self.has_output(),
         }
     }
@@ -245,26 +257,30 @@ fn process_input(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action 
                 }
                 // Panic isolation: a panicking route must cost one
                 // response, never the whole event loop.
-                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let routed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     ctx.routes.route(&head.method, &head.path, body)
                 }))
-                .unwrap_or_else(|_| Response::error(500, "internal error"));
+                .unwrap_or_else(|_| Response::error(500, "internal error").into());
                 ctx.metrics.requests.inc();
-                queue_response(conn, response, head.keep_alive, now, ctx);
-                if conn.close_after_flush {
-                    conn.buf.clear();
-                    conn.phase = Phase::Lingering {
-                        budget: DRAIN_BUDGET,
-                    };
-                    return Action::Keep;
-                }
-                // Keep-alive: loop — pipelined bytes may already hold
-                // the next request.
-                if conn.buf.is_empty() {
-                    conn.deadline = now + ctx.cfg.idle_timeout.max(ctx.cfg.write_timeout);
-                    return Action::Keep;
+                match routed {
+                    Routed::Answer(response) => {
+                        if answered(conn, ctx, now, response, head.keep_alive) {
+                            return Action::Keep;
+                        }
+                    }
+                    Routed::Park(poll, wait) => {
+                        conn.phase = Phase::Parked {
+                            poll,
+                            keep_alive: head.keep_alive,
+                        };
+                        conn.deadline = now + wait;
+                        return Action::Keep;
+                    }
                 }
             }
+            // Bytes that arrive behind a parked request (read on a
+            // hangup) stay buffered until it is answered.
+            Phase::Parked { .. } => return Action::Keep,
             Phase::Lingering { budget } => {
                 *budget = budget.saturating_sub(conn.buf.len());
                 conn.buf.clear();
@@ -275,6 +291,55 @@ fn process_input(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action 
             }
         }
     }
+}
+
+/// Queue the answer to the request just routed or resumed and return
+/// the connection to between requests. `true` when there is nothing
+/// more to parse now (close-bound, or no pipelined bytes buffered).
+fn answered(
+    conn: &mut Conn,
+    ctx: &FrontendShared,
+    now: Instant,
+    response: Response,
+    keep_alive: bool,
+) -> bool {
+    conn.phase = Phase::Idle;
+    queue_response(conn, response, keep_alive, now, ctx);
+    if conn.close_after_flush {
+        conn.buf.clear();
+        conn.phase = Phase::Lingering {
+            budget: DRAIN_BUDGET,
+        };
+        return true;
+    }
+    // Keep-alive: pipelined bytes may already hold the next request.
+    if conn.buf.is_empty() {
+        conn.deadline = now + ctx.cfg.idle_timeout.max(ctx.cfg.write_timeout);
+        return true;
+    }
+    false
+}
+
+/// Ask a parked request for its answer (`expired`: its deadline came,
+/// so it must give one) and, once answered, carry on with whatever was
+/// pipelined behind it. `None` when the connection is not parked or
+/// its request stays parked.
+pub(super) fn resume(
+    conn: &mut Conn,
+    ctx: &FrontendShared,
+    now: Instant,
+    expired: bool,
+) -> Option<Action> {
+    let Phase::Parked { poll, keep_alive } = &conn.phase else {
+        return None;
+    };
+    let keep_alive = *keep_alive;
+    let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| poll.answer(expired)))
+        .unwrap_or_else(|_| Some(Response::error(500, "internal error")))?;
+    if answered(conn, ctx, now, response, keep_alive) {
+        return Some(Action::Keep);
+    }
+    Some(process_input(conn, ctx, now))
 }
 
 /// Queue a protocol-level refusal and mark the connection close-bound

@@ -1,7 +1,7 @@
 //! The frontend: one listener, one reactor and the one event-loop
 //! thread that drives every connection, plus the metrics it writes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use mudock_obs::{now_ns, Counter, Gauge, Histogram, Registry};
 
 use super::api::{JobRoutes, JobTier};
-use super::conn::{do_read, do_write, Action, Conn};
+use super::conn::{do_read, do_write, resume, Action, Conn};
 use super::http::Response;
 use super::NetConfig;
 use crate::reactor::{Event, Interest, Reactor, Token};
@@ -130,9 +130,10 @@ pub struct ConnectionStats {
 /// [`JobTier`]) is the one implementation.
 ///
 /// `route` runs on the event-loop thread: it must not block on slow
-/// work. Submissions go through non-blocking `try_submit`-style paths
-/// and large payloads stream from disk via
-/// [`Body::File`](super::Body::File).
+/// work. Submissions go through non-blocking `try_submit`-style paths,
+/// large payloads stream from disk via
+/// [`Body::File`](super::Body::File), and a request that has to wait
+/// for a job is [`Routed::Park`]ed instead of holding the thread.
 pub(super) trait HttpRoutes: Send + Sync + 'static {
     /// Whether `method path` carries a JSON body, parsed once all of it
     /// has arrived. Bodies of other requests are drained for framing and
@@ -143,7 +144,44 @@ pub(super) trait HttpRoutes: Send + Sync + 'static {
     /// [`HttpRoutes::wants_body`] said yes — `Err` when the body bytes
     /// were not valid JSON (the HTTP framing was still intact, so the
     /// connection survives).
-    fn route(&self, method: &str, path: &str, body: Option<Result<Json, WireError>>) -> Response;
+    fn route(&self, method: &str, path: &str, body: Option<Result<Json, WireError>>) -> Routed;
+}
+
+/// What a route hands back: an answer now, or a request to hold until
+/// its job is terminal or the wait runs out.
+pub(super) enum Routed {
+    Answer(Response),
+    Park(Box<dyn Parked>, Duration),
+}
+
+impl From<Response> for Routed {
+    fn from(response: Response) -> Routed {
+        Routed::Answer(response)
+    }
+}
+
+/// A parked request. The event loop asks it again after every
+/// [`JobWaker::wake`] and once at its deadline; it holds no thread.
+pub(super) trait Parked {
+    /// The response, once there is one to give: `None` keeps the
+    /// request parked. `expired` (the deadline came) always answers.
+    fn answer(&self, expired: bool) -> Option<Response>;
+}
+
+/// Wakes a frontend's event loop so it asks its parked requests again.
+/// A [`JobTier`] calls [`JobWaker::wake`] after each of its jobs turns
+/// terminal (after the terminal status is readable); without it a
+/// parked long-poll is answered only at its deadline. Cheap to clone;
+/// waking a frontend that has shut down does nothing.
+#[derive(Clone)]
+pub struct JobWaker(Arc<UnixStream>);
+
+impl JobWaker {
+    /// One byte on the loop's waker pair. A full pair (`WouldBlock`)
+    /// already holds a wakeup, so the write error is of no interest.
+    pub fn wake(&self) {
+        let _ = (&*self.0).write(&[1]);
+    }
 }
 
 /// What the event loop and its [`HttpFrontend`] handle share.
@@ -161,6 +199,9 @@ pub struct FrontendBuilder {
     node_id: u64,
     cfg: NetConfig,
     listener: TcpListener,
+    /// The waker pair: shutdown and [`JobWaker`]s write, the loop reads.
+    waker: JobWaker,
+    waker_rx: UnixStream,
 }
 
 impl FrontendBuilder {
@@ -181,11 +222,18 @@ impl FrontendBuilder {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        // A waker pair, so neither shutdown nor a finished job waits
+        // out a reactor timeout.
+        let (waker, waker_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        waker_rx.set_nonblocking(true)?;
         Ok(FrontendBuilder {
             addr,
             node_id: boot_node_id(addr),
             cfg,
             listener,
+            waker: JobWaker(Arc::new(waker)),
+            waker_rx,
         })
     }
 
@@ -199,6 +247,11 @@ impl FrontendBuilder {
         self.node_id
     }
 
+    /// The waker a tier calls when one of its jobs turns terminal.
+    pub fn waker(&self) -> JobWaker {
+        self.waker.clone()
+    }
+
     /// Phase two: register metrics in `registry` (also what `/metrics`
     /// renders), spawn the event loop, and start serving the job API
     /// over `tier`. [`NetConfig::allow_path_sources`] and
@@ -206,7 +259,7 @@ impl FrontendBuilder {
     pub fn start<T: JobTier>(self, tier: T, registry: &Registry) -> io::Result<HttpFrontend> {
         let shared = Arc::new(FrontendShared {
             routes: Arc::new(JobRoutes {
-                tier,
+                tier: Arc::new(tier),
                 jobs: Mutex::new(HashMap::new()),
                 registry: registry.clone(),
                 node_id: self.node_id,
@@ -216,14 +269,11 @@ impl FrontendBuilder {
             cfg: self.cfg,
             metrics: NetMetrics::register(registry),
         });
-        // A waker pair, so shutdown never waits out a reactor timeout.
-        let (waker, waker_rx) = UnixStream::pair()?;
-        waker.set_nonblocking(true)?;
-        waker_rx.set_nonblocking(true)?;
         let reactor = Reactor::new()?;
         let stop = Arc::new(AtomicBool::new(false));
         let thread = {
-            let (listener, shared, stop) = (self.listener, Arc::clone(&shared), Arc::clone(&stop));
+            let (listener, waker_rx) = (self.listener, self.waker_rx);
+            let (shared, stop) = (Arc::clone(&shared), Arc::clone(&stop));
             std::thread::Builder::new()
                 .name("net-loop".into())
                 .spawn(move || event_loop(listener, waker_rx, reactor, &shared, &stop))?
@@ -232,7 +282,7 @@ impl FrontendBuilder {
             addr: self.addr,
             shared,
             stop,
-            waker,
+            waker: self.waker,
             thread: Some(thread),
         })
     }
@@ -263,7 +313,7 @@ pub struct HttpFrontend {
     addr: SocketAddr,
     shared: Arc<FrontendShared>,
     stop: Arc<AtomicBool>,
-    waker: UnixStream,
+    waker: JobWaker,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -283,7 +333,7 @@ impl HttpFrontend {
     pub fn shutdown(&mut self) {
         if let Some(t) = self.thread.take() {
             self.stop.store(true, Ordering::SeqCst);
-            let _ = (&self.waker).write(&[1]);
+            self.waker.wake();
             let _ = t.join();
         }
     }
@@ -297,7 +347,7 @@ impl Drop for HttpFrontend {
 
 const LISTENER: Token = Token(0);
 /// The read end of the loop's waker pair, poked by
-/// [`HttpFrontend::shutdown`].
+/// [`HttpFrontend::shutdown`] and by [`JobWaker::wake`].
 const WAKER: Token = Token(1);
 /// Connection tokens start above the reserved ones.
 const FIRST_CONN_TOKEN: usize = 2;
@@ -318,6 +368,9 @@ fn event_loop(
     stop: &AtomicBool,
 ) {
     let mut conns: HashMap<usize, Conn> = HashMap::new();
+    // The connections whose current request is parked: what a wakeup
+    // asks again, without scanning the whole table.
+    let mut parked: HashSet<usize> = HashSet::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events: Vec<Event> = Vec::new();
     let listener_fd = listener.as_raw_fd();
@@ -357,9 +410,11 @@ fn event_loop(
                 .is_err()
                 .then_some(now + ACCEPT_PAUSE);
         }
-        // Deadlines: a connection past its phase deadline (or its
-        // oldest request's end-to-end bound) is closed — that is the
-        // slow-loris/dead-peer/wedged-response bound.
+        // Deadlines: a parked request past its deadline is answered
+        // with the status as it stands; any other connection past its
+        // phase deadline (or its oldest request's end-to-end bound) is
+        // closed — that is the slow-loris/dead-peer/wedged-response
+        // bound.
         if next_deadline.is_none_or(|d| now >= d) {
             let expired: Vec<usize> = conns
                 .iter()
@@ -367,7 +422,10 @@ fn event_loop(
                 .map(|(&id, _)| id)
                 .collect();
             for id in expired {
-                close_conn(&mut reactor, &mut conns, id, metrics);
+                if let Some(conn) = conns.get_mut(&id) {
+                    let action = resume(conn, ctx, now, true).unwrap_or(Action::Close);
+                    settle(&mut reactor, &mut conns, &mut parked, id, action, ctx);
+                }
             }
             next_deadline = conns
                 .values()
@@ -394,6 +452,7 @@ fn event_loop(
         }
         let now = Instant::now();
         let mut adopted_any = false;
+        let mut woken = false;
         for &ev in &events {
             if ev.token == LISTENER {
                 let paused = Interest {
@@ -411,7 +470,11 @@ fn event_loop(
                 continue;
             }
             if ev.token == WAKER {
+                // Drained before the parked requests are asked again
+                // (below), so a wake that lands after this drain leaves
+                // a byte for the next wait.
                 drain_waker(&waker_rx);
+                woken = true;
                 continue;
             }
             let Some(conn) = conns.get_mut(&ev.token.0) else {
@@ -424,25 +487,30 @@ fn event_loop(
             if action == Action::Keep && (ev.writable || conn.has_output()) {
                 action = do_write(conn, now, ctx);
             }
-            if action == Action::Close {
-                close_conn(&mut reactor, &mut conns, ev.token.0, metrics);
-            } else if let Some(conn) = conns.get_mut(&ev.token.0) {
-                // Re-arm interest for the connection this event
-                // touched. Untouched connections kept their interest —
-                // no table scan.
-                let want = conn.wanted_interest();
-                if want != conn.interest
-                    && reactor
-                        .modify(conn.stream.as_raw_fd(), conn.token, want)
-                        .is_ok()
-                {
-                    conn.interest = want;
+            // Fold the (possibly now earlier) deadline into the cache —
+            // a fresh request start binds it to `request_timeout` even
+            // under a lazier phase deadline.
+            let d = settle(
+                &mut reactor,
+                &mut conns,
+                &mut parked,
+                ev.token.0,
+                action,
+                ctx,
+            );
+            next_deadline = earliest(next_deadline, d);
+        }
+        if woken {
+            // A job turned terminal: ask every parked request again.
+            let waiting: Vec<usize> = parked.iter().copied().collect();
+            for id in waiting {
+                let Some(conn) = conns.get_mut(&id) else {
+                    continue;
+                };
+                if let Some(action) = resume(conn, ctx, now, false) {
+                    let d = settle(&mut reactor, &mut conns, &mut parked, id, action, ctx);
+                    next_deadline = earliest(next_deadline, d);
                 }
-                // Fold the (possibly now earlier) deadline into the
-                // cache — a fresh request start binds it to
-                // `request_timeout` even under a lazier phase deadline.
-                let d = conn.effective_deadline(request_timeout);
-                next_deadline = Some(next_deadline.map_or(d, |nd| nd.min(d)));
             }
         }
         if adopted_any {
@@ -467,20 +535,60 @@ fn event_loop(
     // the same registry counts in the same gauge.
     let open: Vec<usize> = conns.keys().copied().collect();
     for id in open {
-        close_conn(&mut reactor, &mut conns, id, metrics);
+        settle(
+            &mut reactor,
+            &mut conns,
+            &mut parked,
+            id,
+            Action::Close,
+            ctx,
+        );
     }
 }
 
-fn close_conn(
+/// The nearer of a cached deadline and a new one.
+fn earliest(cached: Option<Instant>, d: Option<Instant>) -> Option<Instant> {
+    match (cached, d) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
+/// Apply what handling connection `id` decided: close it, or re-arm
+/// its interest (only a connection an event or a wakeup touched can
+/// want a change, so there is no table scan) and record whether its
+/// request is parked. Returns the open connection's effective deadline.
+fn settle(
     reactor: &mut Reactor,
     conns: &mut HashMap<usize, Conn>,
+    parked: &mut HashSet<usize>,
     id: usize,
-    metrics: &NetMetrics,
-) {
-    if let Some(conn) = conns.remove(&id) {
-        let _ = reactor.deregister(conn.stream.as_raw_fd());
-        metrics.open.sub(1);
+    action: Action,
+    ctx: &FrontendShared,
+) -> Option<Instant> {
+    if action == Action::Close {
+        parked.remove(&id);
+        if let Some(conn) = conns.remove(&id) {
+            let _ = reactor.deregister(conn.stream.as_raw_fd());
+            ctx.metrics.open.sub(1);
+        }
+        return None;
     }
+    let conn = conns.get_mut(&id)?;
+    let want = conn.wanted_interest();
+    if want != conn.interest
+        && reactor
+            .modify(conn.stream.as_raw_fd(), conn.token, want)
+            .is_ok()
+    {
+        conn.interest = want;
+    }
+    if conn.is_parked() {
+        parked.insert(id);
+    } else {
+        parked.remove(&id);
+    }
+    Some(conn.effective_deadline(ctx.cfg.request_timeout))
 }
 
 /// Swallow whatever bytes are queued on the waker pair; each byte was

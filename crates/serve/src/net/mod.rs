@@ -10,6 +10,7 @@
 //! |----------|----------------------|-------------------------------------------|
 //! | `POST`   | `/jobs`              | submit a campaign + receptor + ligands    |
 //! | `GET`    | `/jobs/{id}`         | status / progress / terminal outcome      |
+//! | `GET`    | `/jobs/{id}?wait_ms=N` | the same, once terminal or after `N` ms |
 //! | `GET`    | `/jobs/{id}/results` | the job's per-ligand JSONL stream so far  |
 //! | `DELETE` | `/jobs/{id}`         | request cancellation                      |
 //! | `GET`    | `/healthz`           | liveness, boot-random node id, version, selected SIMD kernels |
@@ -27,7 +28,12 @@
 //! HTTP/1.1 **keep-alive** by default and requests may be
 //! **pipelined**: each completed request is answered in order, and any
 //! bytes already buffered behind it are processed immediately. A
-//! request body is held until all of it has arrived, then parsed in one
+//! long-poll (`GET /jobs/{id}?wait_ms=N`, `N` ≤ [`MAX_WAIT_MS`]) on a job
+//! that is not terminal is *parked*: the connection stops reading (so
+//! requests pipelined behind it wait) and costs no thread, until the
+//! job's tier pokes the loop's waker pair through a [`JobWaker`] or
+//! the `N` ms deadline comes; either way the answer is the body a plain
+//! `GET` returns at that moment. A request body is held until all of it has arrived, then parsed in one
 //! pass ([`wire::parse_bytes`](crate::wire::parse_bytes)) on the loop's
 //! thread, so one large body stalls every connection on the node
 //! while it parses; [`NetConfig::max_body_bytes`] bounds both the bytes
@@ -87,9 +93,14 @@ mod http;
 mod node;
 
 pub use api::JobTier;
-pub use frontend::{ConnectionStats, FrontendBuilder, HttpFrontend};
+pub use frontend::{ConnectionStats, FrontendBuilder, HttpFrontend, JobWaker};
 pub use http::{Body, Response};
 pub use node::NetServer;
+
+/// The longest `wait_ms` a `GET /jobs/{id}` may ask for; more is a
+/// `400`. Below [`client::Client`]'s 30 s read timeout, so a client
+/// never gives up on a poll the server is still holding.
+pub const MAX_WAIT_MS: u64 = 10_000;
 
 /// Network-frontend sizing and timeouts. `Default` fits a CI host.
 #[derive(Clone, Debug)]

@@ -12,7 +12,7 @@ use super::api::JobTier;
 use super::frontend::{ConnectionStats, FrontendBuilder, HttpFrontend, NetMetrics};
 use super::http::Body;
 use super::NetConfig;
-use crate::job::{JobHandle, JobId, JobSpec};
+use crate::job::{FinishHook, JobHandle, JobId, JobSpec};
 use crate::server::ScreenService;
 use crate::wire::{self, JobStatus, Json, Submission};
 
@@ -33,6 +33,9 @@ struct NodeTier {
     /// handles and `/stats` can read them without any plumbing from
     /// the event loop.
     metrics: NetMetrics,
+    /// Every job the node starts runs this when it finishes: it pokes
+    /// the frontend's waker, so polls parked on the job are answered.
+    finished: FinishHook,
 }
 
 /// Monotonic counter naming result files (assigned pre-submit, before
@@ -66,6 +69,10 @@ impl NetServer {
             service,
             results_dir: cfg.results_dir,
             metrics: NetMetrics::register(&registry),
+            finished: {
+                let waker = builder.waker();
+                Arc::new(move || waker.wake())
+            },
         };
         let frontend = builder.start(tier, &registry)?;
         Ok(NetServer { frontend, node_id })
@@ -143,6 +150,7 @@ impl JobTier for NodeTier {
         // the wire (503 + retry), never the event loop blocked on a
         // condvar while every other connection starves.
         let handle = self.service.try_submit(spec).map_err(|e| e.to_string())?;
+        handle.on_finish(Arc::clone(&self.finished));
         let job = NetJob {
             handle,
             name,

@@ -533,7 +533,7 @@ fn a_terminal_status_always_carries_its_outcome() {
             )
             .unwrap();
         loop {
-            let status = c.poll(id).unwrap();
+            let status = c.status(id).unwrap();
             assert_eq!(
                 status.is_terminal(),
                 status.outcome.is_some(),

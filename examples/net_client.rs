@@ -18,7 +18,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use mudock::core::{Campaign, ChunkPolicy};
 use mudock::grids::GridDims;
@@ -69,7 +68,9 @@ fn main() {
         .expect("submit over the socket");
     println!("submitted job {id}");
 
-    // Poll until terminal, showing progress as chunks land.
+    // Poll until terminal, showing progress as it stands each time the
+    // server answers: at the latest after `POLL_WAIT` (1 s), and at
+    // once when the job ends.
     loop {
         let status = client.poll(id).expect("poll");
         println!(
@@ -86,7 +87,6 @@ fn main() {
             }
             break;
         }
-        std::thread::sleep(Duration::from_millis(50));
     }
 
     // The per-ligand stream the job wrote while running.
