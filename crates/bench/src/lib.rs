@@ -4,9 +4,9 @@
 //! paper (`paper [TARGET...]`, all of them by default; README,
 //! "Reproducing the paper") from the [`report`] functions and drops CSV
 //! files under `results/`. Next to it sit the three ablation studies
-//! (`ablation_soa`, `ablation_gather`, `ablation_ga`), the portable arm's
-//! codegen check (`codegen_autovec`) and the grid-cache trace replayer
-//! (`cache_replay`). Everything this crate times goes through one loop,
+//! (`ablation_soa`, `ablation_gather`, `ablation_ga`) and the portable
+//! arm's codegen check (`codegen_autovec`); none of them links the
+//! service (`mudock-serve`). Everything this crate times goes through one loop,
 //! [`take_turns`]: the arms of a table take turns and each keeps its
 //! fastest pass. Recorded kernel and end-to-end timings are
 //! `bench_ladder/`'s job (the stand-alone crate at the repo root), not

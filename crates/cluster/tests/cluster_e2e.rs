@@ -180,9 +180,7 @@ fn two_node_scatter_is_bit_identical_to_a_single_stream() {
             Priority::Normal,
         )
         .expect("submit to the coordinator");
-    let status = conn
-        .wait(id, Duration::from_millis(20))
-        .expect("poll the coordinator to terminal");
+    let status = conn.wait(id).expect("poll the coordinator to terminal");
     assert_eq!(status.state, JobState::Completed);
     assert_eq!(status.ligands_done, N_LIGANDS);
     let outcome = status.outcome.expect("terminal outcome");
@@ -244,7 +242,7 @@ fn member_death_mid_campaign_redispatches_and_stays_bit_identical() {
     drop(m2);
 
     let status = conn
-        .wait(id, Duration::from_millis(20))
+        .wait(id)
         .expect("the campaign survives the member death");
     assert_eq!(
         status.state,
@@ -308,7 +306,7 @@ fn repeat_receptor_routes_by_affinity_and_cluster_endpoints_answer() {
             Priority::Normal,
         )
         .unwrap();
-    let status = conn.wait(id, Duration::from_millis(20)).unwrap();
+    let status = conn.wait(id).unwrap();
     assert_eq!(status.state, JobState::Completed);
 
     // Let the probe round pick up the members' shard tables.
@@ -340,7 +338,7 @@ fn repeat_receptor_routes_by_affinity_and_cluster_endpoints_answer() {
         )
         .unwrap();
     assert_ne!(id, id2);
-    let status2 = conn.wait(id2, Duration::from_millis(20)).unwrap();
+    let status2 = conn.wait(id2).unwrap();
     assert_eq!(status2.state, JobState::Completed);
 
     let metrics = conn.request("GET", "/metrics", None).unwrap().ok().unwrap();

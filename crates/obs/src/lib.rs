@@ -19,7 +19,7 @@
 //!   per span close) for offline analysis.
 //! - [`json`]: the workspace's one JSON codec — the
 //!   [`Json`](json::Json) tree, its encoder and parser — behind every
-//!   JSON line the stack writes or reads: span and cache traces, result
+//!   JSON line the stack writes or reads: span traces, checkpoints, result
 //!   files, wire bodies.
 //!
 //! Time is the crate's own monotonic clock ([`now_ns`]): nanoseconds

@@ -4,10 +4,10 @@
 //!
 //! Resident entries form a segmented LRU: a new entry lands in
 //! *probation*, its first hit promotes it to a *protected* segment of at
-//! most `protected` entries (the least recently used protected entry is
+//! most half the capacity (the least recently used protected entry is
 //! demoted to make room), and victims come from probation — so a burst
-//! of one-shot receptors cannot flush the proven-hot ones. A protected
-//! bound of 0 is plain LRU, which every capacity-1 cache therefore is.
+//! of one-shot receptors cannot flush the proven-hot ones. A capacity-1
+//! cache protects nothing, so it is plain LRU.
 //!
 //! Evicted keys go to a spill-file table bounded by `spill` files (0 =
 //! no spill tier). A key is written once — grid content is immutable per
@@ -23,19 +23,13 @@
 //! rescan, racing spill) is always registered.
 //!
 //! The live [`GridCache`](super::GridCache) consults it under its mutex
-//! and performs the I/O it plans; [`policy::replay`](super::policy::replay)
-//! drives the same type from a recorded trace.
+//! and performs the I/O it plans; nothing else drives it.
 
-/// Name of the replacement policy (`/stats`, trace header, replay row).
+/// Name of the replacement policy (`/stats` `cache.policy`).
 pub const POLICY_NAME: &str = "slru";
 
 /// Demand accesses between two halvings of every access count.
 const AGING_PERIOD: u32 = 64;
-
-/// Protected-segment bound the live cache uses at `capacity` entries.
-pub fn default_protected(capacity: usize) -> usize {
-    capacity / 2
-}
 
 struct Resident<K> {
     key: K,
@@ -83,13 +77,13 @@ pub enum Lookup<K> {
 
 impl<K: Copy + Eq> Directory<K> {
     /// A directory of `capacity >= 1` resident entries, of which at most
-    /// `protected` (clamped below `capacity`) are shielded from
-    /// eviction, over `spill` spill files.
-    pub fn new(capacity: usize, protected: usize, spill: usize) -> Directory<K> {
+    /// `capacity / 2` are shielded from eviction, over `spill` spill
+    /// files.
+    pub fn new(capacity: usize, spill: usize) -> Directory<K> {
         assert!(capacity >= 1, "capacity 0 means no cache, not an empty one");
         Directory {
             capacity,
-            protected: protected.min(capacity - 1),
+            protected: capacity / 2,
             spill,
             resident: Vec::new(),
             files: Vec::new(),
@@ -226,22 +220,22 @@ impl<K: Copy + Eq> Directory<K> {
     pub fn sizes(&self) -> (usize, usize) {
         (self.resident.len(), self.files.len())
     }
-
-    /// Spilled keys, oldest file first.
-    pub fn spilled(&self) -> Vec<K> {
-        let mut files = self.files.clone();
-        files.sort_by_key(|f| f.1);
-        files.into_iter().map(|f| f.0).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every victim is spillable, as in a sequential replay.
+    /// Every victim is spillable, as when lookups run one at a time.
     fn get(d: &mut Directory<u32>, key: u32) -> Lookup<u32> {
         d.lookup(key, |_| true)
+    }
+
+    /// Spilled keys, oldest file first.
+    fn spilled(d: &Directory<u32>) -> Vec<u32> {
+        let mut files = d.files.clone();
+        files.sort_by_key(|f| f.1);
+        files.into_iter().map(|f| f.0).collect()
     }
 
     fn miss(d: &mut Directory<u32>, key: u32) -> Admission<u32> {
@@ -253,7 +247,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_entry() {
-        let mut d = Directory::new(2, 0, 0);
+        let mut d = Directory::new(2, 0);
         assert_eq!(miss(&mut d, 1).evicted, None);
         assert_eq!(miss(&mut d, 2).evicted, None);
         assert_eq!(get(&mut d, 1), Lookup::Hit); // 1 hot, 2 cold
@@ -265,11 +259,11 @@ mod tests {
     #[test]
     fn slru_protects_a_hot_entry_from_a_scan() {
         // A is accessed twice (promoted), then a scan of one-shot keys
-        // pours through. With a protected segment the scan churns
-        // probation and A survives; without one the same sequence
-        // evicts A.
-        let run = |protected: usize| {
-            let mut d = Directory::new(2, protected, 0);
+        // pours through. At capacity 2 the protected segment holds A and
+        // the scan churns probation; at capacity 1 (plain LRU) the same
+        // sequence evicts A.
+        let run = |capacity: usize| {
+            let mut d = Directory::new(capacity, 0);
             get(&mut d, 1);
             get(&mut d, 1);
             for key in 2..=4 {
@@ -277,13 +271,13 @@ mod tests {
             }
             get(&mut d, 1)
         };
-        assert_eq!(run(default_protected(2)), Lookup::Hit);
-        assert!(matches!(run(0), Lookup::Miss(_)), "plain lru loses A");
+        assert_eq!(run(2), Lookup::Hit);
+        assert!(matches!(run(1), Lookup::Miss(_)), "plain lru loses A");
     }
 
     #[test]
     fn promotion_demotes_to_keep_the_protected_segment_bounded() {
-        let mut d = Directory::new(4, 2, 0);
+        let mut d = Directory::new(4, 0);
         for key in [1, 2, 3, 4, 1, 2, 3, 4, 2, 1] {
             get(&mut d, key);
             let shielded = d.resident.iter().filter(|e| e.protected).count();
@@ -292,8 +286,9 @@ mod tests {
         // 3 and 4 were promoted first and demoted again by 1 and 2: the
         // next miss takes the colder of them.
         assert_eq!(miss(&mut d, 5).evicted, Some(3));
-        // An over-large bound is clamped so probation is never empty.
-        let mut d = Directory::new(2, 9, 0);
+        // At capacity 2 one entry is protected, so probation is never
+        // empty.
+        let mut d = Directory::new(2, 0);
         for key in [1, 1, 2, 2] {
             get(&mut d, key);
         }
@@ -302,7 +297,7 @@ mod tests {
 
     #[test]
     fn file_ages_strictly_increase_and_a_key_spills_once() {
-        let mut d = Directory::new(1, 0, 4);
+        let mut d = Directory::new(1, 4);
         let mut newest = 0;
         let mut check = |d: &Directory<u32>, touched: u32| {
             let age = d
@@ -336,44 +331,44 @@ mod tests {
         // Capacity 1 over a one-file tier, A B A B A: the file A reloads
         // from outlives the access, and B's spill — which that access
         // would write and prune at once — is not written at all.
-        let mut d = Directory::new(1, 0, 1);
+        let mut d = Directory::new(1, 1);
         let plans: Vec<_> = [1, 2, 1, 2, 1].iter().map(|&k| miss(&mut d, k)).collect();
         let reloads: Vec<bool> = plans.iter().map(|p| p.reload).collect();
         assert_eq!(reloads, [false, false, true, false, true]);
         let spills: Vec<bool> = plans.iter().map(|p| p.spill).collect();
         assert_eq!(spills, [false, true, false, false, false]);
         assert!(plans.iter().all(|p| p.pruned.is_none()));
-        assert_eq!(d.spilled(), [1]);
+        assert_eq!(spilled(&d), [1]);
         // Without a reload in play, a more frequent victim displaces the
         // file.
-        let mut d = Directory::new(1, 0, 1);
+        let mut d = Directory::new(1, 1);
         miss(&mut d, 1);
         miss(&mut d, 2);
         assert_eq!(get(&mut d, 2), Lookup::Hit);
         let plan = miss(&mut d, 3);
         assert!(plan.spill);
-        assert_eq!((plan.pruned, d.spilled()), (Some(1), vec![2]));
+        assert_eq!((plan.pruned, spilled(&d)), (Some(1), vec![2]));
     }
 
     #[test]
     fn restore_is_oldest_first_and_bounded() {
-        let mut d = Directory::new(1, 0, 2);
+        let mut d = Directory::new(1, 2);
         assert_eq!((d.restore(7), d.restore(8)), (None, None));
         assert_eq!(d.restore(9), Some(7), "the oldest restore goes");
-        assert_eq!(d.spilled(), [8, 9]);
+        assert_eq!(spilled(&d), [8, 9]);
         assert!(
             miss(&mut d, 8).reload,
             "a restored file serves the first miss"
         );
         d.forget_file(9);
-        assert_eq!((d.spilled(), d.sizes()), (vec![8], (1, 1)));
-        let mut untiered = Directory::new(1, 0, 0);
-        assert_eq!((untiered.restore(1), untiered.spilled()), (None, vec![]));
+        assert_eq!((spilled(&d), d.sizes()), (vec![8], (1, 1)));
+        let mut untiered = Directory::new(1, 0);
+        assert_eq!((untiered.restore(1), spilled(&untiered)), (None, vec![]));
     }
 
     #[test]
     fn a_scan_of_one_shot_keys_never_displaces_a_more_frequent_file() {
-        let mut d = Directory::new(1, 0, 1);
+        let mut d = Directory::new(1, 1);
         for _ in 0..3 {
             get(&mut d, 1);
         }
@@ -382,7 +377,7 @@ mod tests {
             let plan = miss(&mut d, key);
             assert_eq!((plan.spill, plan.pruned), (false, None), "scan key {key}");
         }
-        assert_eq!(d.spilled(), [1]);
+        assert_eq!(spilled(&d), [1]);
         assert!(miss(&mut d, 1).reload, "the frequent key still reloads");
     }
 
@@ -391,7 +386,7 @@ mod tests {
         // Six keys through two resident slots and two files: every
         // access misses. The first two files stay and serve their keys'
         // misses; no other eviction is written.
-        let mut d = Directory::new(2, default_protected(2), 2);
+        let mut d = Directory::new(2, 2);
         let mut pass = || {
             let plans: Vec<_> = (0..6).map(|key| miss(&mut d, key)).collect();
             let spills = plans.iter().filter(|p| p.spill).count();
@@ -407,41 +402,41 @@ mod tests {
         // at most one write per halving, against one per access.
         let writes: usize = (0..200).map(|_| pass().0).sum();
         assert!(writes <= 1200 / AGING_PERIOD as usize, "{writes} writes");
-        assert_eq!(d.spilled().len(), 2);
+        assert_eq!(spilled(&d).len(), 2);
     }
 
     #[test]
     fn equally_cold_files_give_way_oldest_first() {
-        let mut d = Directory::new(1, 0, 2);
+        let mut d = Directory::new(1, 2);
         for key in [1, 2, 3, 3] {
             get(&mut d, key);
         }
-        assert_eq!(d.spilled(), [1, 2], "1 and 2 were each seen once");
+        assert_eq!(spilled(&d), [1, 2], "1 and 2 were each seen once");
         let plan = miss(&mut d, 4);
         assert!(plan.spill, "3 was seen twice");
-        assert_eq!((plan.pruned, d.spilled()), (Some(1), vec![2, 3]));
+        assert_eq!((plan.pruned, spilled(&d)), (Some(1), vec![2, 3]));
     }
 
     #[test]
     fn restore_registers_even_a_cold_key_within_the_bound() {
-        let mut d = Directory::new(1, 0, 2);
+        let mut d = Directory::new(1, 2);
         for key in [1, 1, 1, 2, 2, 2, 3] {
             get(&mut d, key);
         }
-        assert_eq!(d.spilled(), [1, 2]);
+        assert_eq!(spilled(&d), [1, 2]);
         assert_eq!(d.restore(9), Some(1), "9 was never seen, yet it stays");
-        assert_eq!(d.spilled(), [2, 9]);
+        assert_eq!(spilled(&d), [2, 9]);
         assert_eq!(d.restore(9), None, "a registered file is only refreshed");
         for key in 10..20 {
             d.restore(key);
-            assert!(d.spilled().len() <= 2);
-            assert_eq!(d.spilled().last(), Some(&key));
+            assert!(spilled(&d).len() <= 2);
+            assert_eq!(spilled(&d).last(), Some(&key));
         }
     }
 
     #[test]
     fn the_count_table_stays_bounded_under_distinct_keys() {
-        let mut d = Directory::new(2, 1, 2);
+        let mut d = Directory::new(2, 2);
         for key in 0..10_000 {
             get(&mut d, key);
             assert!(d.counts.len() <= AGING_PERIOD as usize, "after {key}");
@@ -450,7 +445,7 @@ mod tests {
 
     #[test]
     fn a_victim_still_being_built_has_nothing_to_write() {
-        let mut d = Directory::new(1, 0, 2);
+        let mut d = Directory::new(1, 2);
         miss(&mut d, 1);
         let plan = d.lookup(2, |_| false);
         assert_eq!(
@@ -460,6 +455,6 @@ mod tests {
                 ..Admission::default()
             })
         );
-        assert_eq!(d.spilled(), Vec::<u32>::new());
+        assert_eq!(spilled(&d), Vec::<u32>::new());
     }
 }

@@ -1,5 +1,5 @@
 //! Cache of built grid sets, keyed by receptor + lattice content +
-//! build level — with a policy lab bolted to its side.
+//! build level.
 //!
 //! AutoGrid-style precomputation is the dominant *fixed* cost of a
 //! screening job; campaigns hammer the same few targets with millions of
@@ -21,7 +21,7 @@
 //! `mudock_grid_build_seconds` histogram, one observation per AutoGrid
 //! run (hits and reloads record nothing).
 //!
-//! # One directory, two drivers
+//! # One directory
 //!
 //! Which key is resident, which is evicted, what spills and what is
 //! pruned is decided in one place: the I/O-free [`Directory`]. The
@@ -29,11 +29,10 @@
 //! access does, and performs the disk work it plans *outside* the lock
 //! (only same-key lookups ever wait on disk or a build, inside their
 //! shared `OnceLock`). A demand lookup in [`GridCache::get_or_build`]
-//! is the only way an entry is admitted. The offline replayer
-//! ([`policy`], driven by `cache_replay` in `mudock-bench`) feeds the
-//! same type from a recorded [`trace`]. Replacement steers
-//! *performance* only: reloaded grids are byte-equal to fresh builds,
-//! and the build-once-per-key invariant holds whatever is evicted.
+//! is the only way an entry is admitted, and the only code that drives
+//! the directory. Replacement steers *performance* only: reloaded grids
+//! are byte-equal to fresh builds, and the build-once-per-key invariant
+//! holds whatever is evicted.
 //!
 //! # The spill tier
 //!
@@ -58,18 +57,9 @@
 //! *quarantined*: renamed with a `.bad` suffix and counted in
 //! [`CacheStats::quarantined`], never loaded and never silently
 //! deleted, so an operator can inspect what went wrong.
-//!
-//! # The trace
-//!
-//! Every event (accesses, evictions, spills, spill prunes, restores)
-//! can be recorded to a `*.trace` file ([`GridCacheBuilder::trace`]);
-//! the tracer has its own writer mutex and never takes the cache's, so
-//! neither lock is held across the other.
 #![deny(missing_docs)]
 
 pub mod directory;
-pub mod policy;
-pub mod trace;
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -82,7 +72,9 @@ use mudock_mol::Molecule;
 use mudock_obs::{Counter, GridSource, Histogram, Registry};
 
 use directory::{Admission, Directory, Lookup};
-use trace::{CacheTracer, TraceEventKind, TraceHeader, TraceKey as Key, TRACE_VERSION};
+
+/// A cache key: content fingerprint plus build level.
+type Key = (u64, SimdLevel);
 
 /// Histogram of grid-build wall time, one observation per AutoGrid run.
 pub const GRID_BUILD_METRIC: &str = "mudock_grid_build_seconds";
@@ -95,8 +87,8 @@ const SOURCES: [GridSource; 3] = [GridSource::Hit, GridSource::Built, GridSource
 pub struct SpillConfig {
     /// Directory spill files are written into (created on first use).
     pub dir: PathBuf,
-    /// Maximum spill files kept on disk, so the directory never grows
-    /// without bound; beyond it the coldest file gives way.
+    /// Maximum spill files kept on disk (at least 1), so the directory
+    /// never grows without bound; beyond it the coldest file gives way.
     pub capacity: usize,
 }
 
@@ -156,33 +148,27 @@ struct Inner {
     slots: HashMap<Key, Slot>,
 }
 
-/// Thread-safe cache of built grid sets with segmented-LRU replacement,
-/// an optional on-disk spill tier (warm across restarts), and an
-/// optional event trace. Construct through [`GridCache::new`],
-/// [`GridCache::with_spill`], or the full [`GridCache::builder`].
+/// Thread-safe cache of built grid sets with segmented-LRU replacement
+/// and an optional on-disk spill tier (warm across restarts). Construct
+/// through [`GridCache::new`], [`GridCache::with_spill`], or the full
+/// [`GridCache::builder`].
 pub struct GridCache {
     capacity: usize,
     spill_dir: Option<PathBuf>,
     inner: Mutex<Inner>,
-    tracer: Option<CacheTracer>,
     build_seconds: Arc<Histogram>,
     /// Lookups by how they were served, indexed as [`SOURCES`].
     fetches: [Arc<Counter>; 3],
     evictions: AtomicU64,
     spills: AtomicU64,
     quarantined: AtomicU64,
-    /// Lookups numbered so far: each takes its number under the lock in
-    /// which the directory resolves it, so the trace's `seq` is the
-    /// directory's order even where builds finish out of it.
-    lookups: AtomicU64,
 }
 
-/// Configures a [`GridCache`] beyond its capacity: spill tier, trace
-/// recording, and metrics. Obtained from [`GridCache::builder`].
+/// Configures a [`GridCache`] beyond its capacity: spill tier and
+/// metrics. Obtained from [`GridCache::builder`].
 pub struct GridCacheBuilder {
     capacity: usize,
     spill: Option<SpillConfig>,
-    trace_path: Option<PathBuf>,
     build_seconds: Arc<Histogram>,
     fetches: [Arc<Counter>; 3],
 }
@@ -192,13 +178,6 @@ impl GridCacheBuilder {
     /// build time so the tier comes up warm across restarts.
     pub fn spill(mut self, spill: SpillConfig) -> GridCacheBuilder {
         self.spill = Some(spill);
-        self
-    }
-
-    /// Record every cache event to a `*.trace` JSONL file at `path`
-    /// (created/truncated at build time) — see [`trace`].
-    pub fn trace(mut self, path: impl Into<PathBuf>) -> GridCacheBuilder {
-        self.trace_path = Some(path.into());
         self
     }
 
@@ -223,24 +202,28 @@ impl GridCacheBuilder {
         self
     }
 
-    /// Build the cache. Fails if a spill tier is configured with
-    /// capacity 0 (nothing could ever spill), if the spill directory
-    /// cannot be created or rescanned, or if the trace file cannot be
-    /// created — all at service start, not mid-traffic.
+    /// Build the cache. Fails if a spill tier is configured with cache
+    /// capacity 0 or room for 0 files (nothing could ever spill), or if
+    /// the spill directory cannot be created or rescanned — all at
+    /// service start, not mid-traffic.
     pub fn build(self) -> std::io::Result<GridCache> {
-        if self.spill.is_some() && self.capacity == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "a spill tier needs cache capacity >= 1 (capacity 0 disables caching, \
-                 so nothing would ever spill or reload)",
-            ));
+        let invalid = |msg| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+        match &self.spill {
+            Some(_) if self.capacity == 0 => {
+                return invalid(
+                    "a spill tier needs cache capacity >= 1 (capacity 0 disables caching, \
+                     so nothing would ever spill or reload)",
+                )
+            }
+            Some(s) if s.capacity == 0 => {
+                return invalid(
+                    "a spill tier needs room for >= 1 file (leave the tier out to spill nothing)",
+                )
+            }
+            _ => {}
         }
-        let spill_capacity = self.spill.as_ref().map_or(0, |s| s.capacity.max(1));
-        let mut dir = Directory::new(
-            self.capacity.max(1),
-            directory::default_protected(self.capacity),
-            spill_capacity,
-        );
+        let spill_capacity = self.spill.as_ref().map_or(0, |s| s.capacity);
+        let mut dir = Directory::new(self.capacity.max(1), spill_capacity);
         let mut quarantined = 0u64;
         if let Some(cfg) = &self.spill {
             std::fs::create_dir_all(&cfg.dir)?;
@@ -253,26 +236,6 @@ impl GridCacheBuilder {
                 }
             }
         }
-        let header = TraceHeader {
-            version: TRACE_VERSION,
-            capacity: self.capacity,
-            spill_capacity,
-            policy: directory::POLICY_NAME.to_string(),
-        };
-        let trace_path = self.trace_path.as_deref();
-        let tracer = trace_path
-            .map(|p| CacheTracer::create(p, &header))
-            .transpose()?;
-        if let (Some(t), Some(_)) = (&tracer, &self.spill) {
-            let restored = dir.spilled();
-            t.emit(TraceEventKind::Warm {
-                restored: restored.len() as u64,
-                quarantined,
-            });
-            for key in restored {
-                t.emit(TraceEventKind::Restore { key });
-            }
-        }
         Ok(GridCache {
             capacity: self.capacity,
             spill_dir: self.spill.map(|s| s.dir),
@@ -280,13 +243,11 @@ impl GridCacheBuilder {
                 dir,
                 slots: HashMap::new(),
             }),
-            tracer,
             build_seconds: self.build_seconds,
             fetches: self.fetches,
             evictions: AtomicU64::new(0),
             spills: AtomicU64::new(0),
             quarantined: AtomicU64::new(quarantined),
-            lookups: AtomicU64::new(0),
         })
     }
 }
@@ -367,7 +328,6 @@ impl GridCache {
         GridCacheBuilder {
             capacity,
             spill: None,
-            trace_path: None,
             build_seconds: Arc::new(Histogram::new()),
             fetches: SOURCES.map(|_| Arc::new(Counter::new())),
         }
@@ -379,16 +339,6 @@ impl GridCache {
     /// for every job after it.
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn trace_event(&self, kind: TraceEventKind) {
-        if let Some(t) = &self.tracer {
-            t.emit(kind);
-        }
-    }
-
-    fn grid_bytes(grids: &GridSet) -> u64 {
-        (grids.data.len() * std::mem::size_of::<f32>()) as u64
     }
 
     /// `key`'s spill file; the directory plans reloads, spills and
@@ -416,37 +366,26 @@ impl GridCache {
         level: SimdLevel,
         threads: usize,
     ) -> (Arc<GridSet>, GridSource) {
-        let key = (grid_cache_key(receptor, &dims), level);
-        let t0 = Instant::now();
-
         if self.capacity == 0 {
-            let seq = self.lookups.fetch_add(1, Ordering::Relaxed);
             let grids = self.build(receptor, dims, level, threads);
             self.fetched(GridSource::Built).inc();
-            self.trace_event(TraceEventKind::Access {
-                key,
-                seq,
-                source: GridSource::Built,
-                bytes: Self::grid_bytes(&grids),
-                dur_ns: elapsed_ns(t0),
-            });
             return (grids, GridSource::Built);
         }
 
-        let (slot, admitted, seq) = {
+        let key = (grid_cache_key(receptor, &dims), level);
+        let (slot, admitted) = {
             let mut inner = self.lock();
-            let seq = self.lookups.fetch_add(1, Ordering::Relaxed);
             let Inner { dir, slots } = &mut *inner;
             // An entry evicted while its build is in flight has nothing
             // to spill yet.
             let spillable = |victim| slots.get(&victim).is_some_and(|s: &Slot| s.get().is_some());
             match dir.lookup(key, spillable) {
-                Lookup::Hit => (Arc::clone(&slots[&key]), None, seq),
+                Lookup::Hit => (Arc::clone(&slots[&key]), None),
                 Lookup::Miss(plan) => {
                     let slot = Slot::default();
                     let evicted = plan.evicted.and_then(|k| slots.remove(&k));
                     slots.insert(key, Arc::clone(&slot));
-                    (slot, Some((plan, evicted)), seq)
+                    (slot, Some((plan, evicted)))
                 }
             }
         };
@@ -478,13 +417,6 @@ impl GridCache {
         }));
         let source = source.get();
         self.fetched(source).inc();
-        self.trace_event(TraceEventKind::Access {
-            key,
-            seq,
-            source,
-            bytes: Self::grid_bytes(&grids),
-            dur_ns: elapsed_ns(t0),
-        });
         (grids, source)
     }
 
@@ -505,7 +437,6 @@ impl GridCache {
     fn drop_file(&self, pruned: Option<Key>) {
         if let Some(key) = pruned {
             std::fs::remove_file(self.spill_file(key)).ok();
-            self.trace_event(TraceEventKind::SpillDrop { key });
         }
     }
 
@@ -514,7 +445,6 @@ impl GridCache {
     fn commit(&self, plan: Admission<Key>, evicted: Option<Slot>) {
         let Some(key) = plan.evicted else { return };
         self.evictions.fetch_add(1, Ordering::Relaxed);
-        self.trace_event(TraceEventKind::Evict { key });
         self.drop_file(plan.pruned);
         if !plan.spill {
             return;
@@ -523,10 +453,6 @@ impl GridCache {
         let grids = grids.expect("the directory spills only what `spillable` vouched for");
         if Self::save_atomic(grids, &self.spill_file(key)).is_ok() {
             self.spills.fetch_add(1, Ordering::Relaxed);
-            self.trace_event(TraceEventKind::Spill {
-                key,
-                bytes: Self::grid_bytes(grids),
-            });
             // A concurrent reload-miss may have hit ENOENT in the window
             // before our rename landed and deregistered the file. It is
             // on disk now: restore it, or it would escape the capacity
@@ -588,10 +514,6 @@ impl GridCache {
             policy: directory::POLICY_NAME,
         }
     }
-}
-
-fn elapsed_ns(t0: Instant) -> u64 {
-    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -703,6 +625,22 @@ mod tests {
             Ok(_) => panic!("capacity 0 with a spill tier must be refused"),
         };
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn spill_refuses_a_tier_of_zero_files() {
+        let dir = spill_dir("zero-files");
+        std::fs::remove_dir_all(&dir).ok();
+        let spill = SpillConfig {
+            dir: dir.clone(),
+            capacity: 0,
+        };
+        let err = match GridCache::with_spill(2, spill) {
+            Err(e) => e,
+            Ok(_) => panic!("a spill tier of 0 files must be refused"),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(!dir.exists(), "a refused tier writes nothing to disk");
     }
 
     #[test]
@@ -878,71 +816,22 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_what_the_counters_count() {
-        let dir = spill_dir("trace");
+    fn the_counters_count_every_lookup_eviction_and_spill() {
+        let dir = spill_dir("counters");
         std::fs::remove_dir_all(&dir).ok();
-        let trace_path =
-            std::env::temp_dir().join(format!("mudock-cache-{}-events.trace", std::process::id()));
         let r1 = synthetic_receptor(1, 30, 5.0);
         let r2 = synthetic_receptor(2, 30, 5.0);
-        let cache = GridCache::builder(1)
-            .spill(SpillConfig::new(&dir))
-            .trace(&trace_path)
-            .build()
-            .unwrap();
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1); // build
-        cache.get_or_build(&r2, dims(), SimdLevel::detect(), 1); // build, spills r1
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1); // reload, spills r2
-        cache.get_or_build(&r1, dims(), SimdLevel::detect(), 1); // hit
+        let cache = GridCache::with_spill(1, SpillConfig::new(&dir)).unwrap();
+        let sources =
+            [&r1, &r2, &r1, &r1].map(|r| cache.get_or_build(r, dims(), SimdLevel::detect(), 1).1);
+        use GridSource::{Built, Hit, Reloaded};
+        // build; build, spills r1; reload, spills r2; hit.
+        assert_eq!(sources, [Built, Built, Reloaded, Hit]);
         let s = cache.stats();
-
-        let t = trace::read_trace(&trace_path).unwrap();
-        let header = t.header.expect("trace must begin with its header");
-        assert_eq!((header.version, header.capacity), (TRACE_VERSION, 1));
-        assert_eq!(header.policy, s.policy);
-        let count = |pred: &dyn Fn(&TraceEventKind) -> bool| {
-            t.events.iter().filter(|e| pred(&e.kind)).count() as u64
-        };
-        assert_eq!(
-            count(&|k| matches!(
-                k,
-                TraceEventKind::Access {
-                    source: GridSource::Hit,
-                    ..
-                }
-            )),
-            s.hits
-        );
-        assert_eq!(
-            count(&|k| matches!(
-                k,
-                TraceEventKind::Access {
-                    source: GridSource::Built,
-                    ..
-                }
-            )),
-            s.misses - s.reloads
-        );
-        assert_eq!(
-            count(&|k| matches!(
-                k,
-                TraceEventKind::Access {
-                    source: GridSource::Reloaded,
-                    ..
-                }
-            )),
-            s.reloads
-        );
-        assert_eq!(
-            count(&|k| matches!(k, TraceEventKind::Evict { .. })),
-            s.evictions
-        );
-        assert_eq!(
-            count(&|k| matches!(k, TraceEventKind::Spill { .. })),
-            s.spills
-        );
+        assert_eq!((s.hits, s.misses, s.reloads), (1, 3, 1));
+        assert_eq!((s.evictions, s.spills, s.spilled), (2, 2, 2));
+        assert_eq!(s.policy, directory::POLICY_NAME);
         std::fs::remove_dir_all(&dir).ok();
-        std::fs::remove_file(&trace_path).ok();
     }
 
     #[test]

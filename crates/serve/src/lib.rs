@@ -102,8 +102,6 @@ pub mod sink;
 pub mod telemetry;
 pub mod wire;
 
-pub use cache::policy::{ModelConfig, ModelStats};
-pub use cache::trace::{read_trace, Trace, TraceEvent, TraceEventKind, TraceHeader};
 pub use cache::{CacheStats, GridCache, GridCacheBuilder, SpillConfig};
 pub use ingest::LigandSource;
 pub use job::{

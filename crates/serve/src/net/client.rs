@@ -307,12 +307,12 @@ impl Client {
     }
 
     /// Poll until the job reaches a terminal state — over one
-    /// connection, not one per poll. Each poll waits at most
-    /// `interval` on the server (see [`Client::poll_within`]); there is
-    /// no sleep between polls.
-    pub fn wait(&mut self, id: JobId, interval: Duration) -> Result<JobStatus, ClientError> {
+    /// connection, not one per poll. Each poll is a [`Client::poll`],
+    /// parked on the server for up to [`POLL_WAIT`]; there is no sleep
+    /// between polls.
+    pub fn wait(&mut self, id: JobId) -> Result<JobStatus, ClientError> {
         loop {
-            let status = self.poll_within(id, interval.max(Duration::from_millis(1)))?;
+            let status = self.poll(id)?;
             if status.is_terminal() {
                 return Ok(status);
             }

@@ -431,7 +431,7 @@ fn metrics_expose_prometheus_text_that_agrees_with_stats() {
         Some(Json::Num(n)) => n.as_u64().unwrap(),
         other => panic!("no id in submit response: {other:?}"),
     };
-    let status = c.wait(id, Duration::from_millis(20)).unwrap();
+    let status = c.wait(id).unwrap();
     assert_eq!(status.state, JobState::Completed);
     let stages = status.stages.expect("status carries stage timings");
     assert!(stages.queue_wait_ns.is_some(), "queue wait unstamped");

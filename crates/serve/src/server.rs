@@ -47,10 +47,6 @@ pub struct ServeConfig {
     /// default) rebuilds after eviction, as before. The directory is
     /// rescanned at start, so a restarted node comes up warm.
     pub spill: Option<SpillConfig>,
-    /// Record every grid-cache event (accesses, evictions, spills,
-    /// restores) to this JSONL `*.trace` file for offline policy replay
-    /// with `cache_replay`. `None` (the default) records nothing.
-    pub cache_trace: Option<std::path::PathBuf>,
     /// Write one JSONL line per closed job stage to this bounded trace
     /// file. `None` (the default) disables tracing; metrics still work.
     pub trace: Option<TraceConfig>,
@@ -64,7 +60,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             cache_capacity: 4,
             spill: None,
-            cache_trace: None,
             trace: None,
         }
     }
@@ -160,7 +155,7 @@ impl ScreenService {
 
     /// Fallible [`ScreenService::start`]: the only runtime failures are
     /// preparing the spill directory (creating it, rescanning it for
-    /// warm-restart files) and creating the configured trace files.
+    /// warm-restart files) and creating the configured span trace file.
     pub fn try_start(cfg: ServeConfig) -> std::io::Result<ScreenService> {
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         let registry = Registry::new();
@@ -169,9 +164,6 @@ impl ScreenService {
         let mut builder = GridCache::builder(cfg.cache_capacity).registry(obs.registry());
         if let Some(spill) = cfg.spill {
             builder = builder.spill(spill);
-        }
-        if let Some(path) = cfg.cache_trace {
-            builder = builder.trace(path);
         }
         let cache = Arc::new(builder.build()?);
         let active = Arc::new(AtomicUsize::new(0));

@@ -5,7 +5,6 @@
 //! for the same spec and seed.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use mudock_core::{screen_campaign, Campaign, CampaignSpec, ChunkPolicy, StopPolicy};
 use mudock_grids::{GridBuilder, GridDims};
@@ -137,9 +136,7 @@ fn submit_poll_results_match_the_in_process_ranking_exactly() {
         )
         .expect("submit over the socket");
 
-    let status = client
-        .wait(id, Duration::from_millis(20))
-        .expect("poll to terminal");
+    let status = client.wait(id).expect("poll to terminal");
     assert_eq!(status.state, JobState::Completed);
     assert_eq!(status.ligands_done, N_LIGANDS);
     let outcome = status.outcome.expect("terminal outcome over the wire");
@@ -239,7 +236,7 @@ fn delete_cancels_a_running_job_over_the_socket() {
         "cancel snapshot: {:?}",
         cancelled.state
     );
-    let status = client.wait(id, Duration::from_millis(20)).unwrap();
+    let status = client.wait(id).unwrap();
     assert_eq!(status.state, JobState::Cancelled);
     assert!(
         status.ligands_done < 400,
@@ -285,7 +282,7 @@ fn a_lattice_without_a_cell_is_a_422_and_the_node_keeps_serving() {
             Priority::Normal,
         )
         .expect("the node still takes jobs");
-    let status = client.wait(id, Duration::from_millis(20)).unwrap();
+    let status = client.wait(id).unwrap();
     assert_eq!(status.state, JobState::Completed);
 }
 
@@ -322,7 +319,7 @@ fn queued_priorities_and_results_paths_hold_under_concurrent_submissions() {
     ids.dedup();
     assert_eq!(ids.len(), 3);
     for id in &ids {
-        let status = client.wait(*id, Duration::from_millis(20)).unwrap();
+        let status = client.wait(*id).unwrap();
         assert_eq!(status.state, JobState::Completed, "job {id}");
         assert_eq!(client.results(*id).unwrap().lines().count(), 8);
     }

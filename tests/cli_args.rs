@@ -97,6 +97,35 @@ fn malformed_numbers_exit_2_naming_the_flag() {
             "--cache-prefetch",
         ),
         (
+            &["serve", "--demo", "1", "--cache-trace", "grids.trace"],
+            "unknown flag --cache-trace",
+        ),
+        (
+            &[
+                "poll",
+                "--addr",
+                "127.0.0.1:1",
+                "--wait",
+                "--interval-ms",
+                "50",
+                "3",
+            ],
+            "unknown flag --interval-ms",
+        ),
+        // A spill tier sized to 0 files is refused, not run with one.
+        (
+            &[
+                "serve",
+                "--demo",
+                "1",
+                "--spill-dir",
+                "spill-cap-0",
+                "--spill-cap",
+                "0",
+            ],
+            "--spill-cap",
+        ),
+        (
             &["screen", "--demo", "2", "--popluation", "8"],
             "--popluation",
         ),

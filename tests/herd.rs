@@ -137,9 +137,7 @@ fn an_idle_herd_and_a_slow_loris_do_not_disturb_a_job_cycle() {
             Priority::Normal,
         )
         .expect("submit through the churn");
-    let status = active
-        .wait(id, Duration::from_millis(20))
-        .expect("poll through the churn");
+    let status = active.wait(id).expect("poll through the churn");
     assert_eq!(status.state, JobState::Completed, "churn job failed");
     assert_eq!(status.ligands_done, 32);
     let results = active.results(id).expect("results through the churn");
@@ -159,9 +157,7 @@ fn an_idle_herd_and_a_slow_loris_do_not_disturb_a_job_cycle() {
         )
         .expect("second submit");
     active.cancel(id2).expect("cancel through the churn");
-    let status2 = active
-        .wait(id2, Duration::from_millis(20))
-        .expect("wait cancelled");
+    let status2 = active.wait(id2).expect("wait cancelled");
     assert!(
         status2.is_terminal(),
         "cancelled job never reached a terminal state"
