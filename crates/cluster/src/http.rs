@@ -7,7 +7,7 @@
 //! bar `"role":"coordinator"` and a `/stats` that describes members
 //! instead of shards. Nothing here blocks the event loop: a started
 //! submission fans out on its own gather thread
-//! ([`scatter::run`]), and reads are lock-scoped views of a [`ClusterJob`].
+//! (`scatter::spawn`), and reads are lock-scoped views of a [`ClusterJob`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,7 +57,6 @@ impl JobTier for CoordinatorTier {
                     ),
                     ("restarts".into(), Json::u64(m.restarts)),
                     ("inflight".into(), Json::usize(m.inflight)),
-                    ("stats_generation".into(), Json::u64(m.stats_generation)),
                     ("shard_count".into(), Json::usize(m.shard_count)),
                 ])
             })
@@ -106,11 +105,7 @@ impl JobTier for CoordinatorTier {
         ));
         self.gather.metrics.jobs_submitted.inc();
 
-        let (runner_job, gather) = (Arc::clone(&job), Arc::clone(&self.gather));
-        std::thread::Builder::new()
-            .name(format!("cluster-job-{id}"))
-            .spawn(move || scatter::run(runner_job, sub, fingerprint, &gather))
-            .ok();
+        scatter::spawn(Arc::clone(&job), sub, fingerprint, Arc::clone(&self.gather));
         Ok((id, job))
     }
 

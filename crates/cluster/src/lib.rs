@@ -17,11 +17,11 @@
 //!
 //! * [`membership`] — `/healthz` probing with per-member backoff,
 //!   dead-after-N-consecutive-failures, boot-id restart detection, and
-//!   the ETag-cached view of each member's `/stats` shard table;
+//!   the cached view of each member's `/stats` shard table;
 //! * [`router`] — affinity first, lowest-occupancy fallback,
 //!   round-robin tiebreak;
-//! * [`scatter`] — per-job gather loop: dispatch, poll, re-dispatch
-//!   unfinished windows off dead members, merge;
+//! * [`scatter`] — one driver thread per window: place, submit, wait,
+//!   re-dispatch off a dead member; the job's thread merges;
 //! * `http` (private) — the coordinator's tier of `serve::net`'s job
 //!   API: the routes, job table and one-loop frontend are the node's
 //!   own;
@@ -54,7 +54,7 @@ pub mod scatter;
 mod http;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -81,9 +81,9 @@ pub struct ClusterConfig {
     pub scatter_min_ligands: usize,
     /// Upper bound on scatter fan-out (actual lanes = min(alive, this)).
     pub max_parts: usize,
-    /// The longest one gather sweep waits on member sub-jobs: it
-    /// long-polls one running part for at most this long, so it hears
-    /// of that part's end at once and of any other's within this bound.
+    /// The longest one part waits on its sub-job (a long-poll) before
+    /// it re-checks cancellation and shutdown; it hears the sub-job end
+    /// at once.
     pub poll_interval: Duration,
     /// Dispatch attempts per window before the cluster job fails.
     pub max_attempts: u32,
@@ -170,6 +170,7 @@ impl Coordinator {
                 max_attempts: cfg.max_attempts,
                 stop: Arc::clone(&stop),
                 waker: builder.waker(),
+                placement: Mutex::default(),
             }),
             cfg,
             next_id: AtomicU64::new(1),
@@ -227,9 +228,9 @@ impl Coordinator {
         &self.membership
     }
 
-    /// Stop the frontend, the health thread, and every gather loop.
-    /// In-flight sub-jobs on members are left to finish or be evicted
-    /// there; the coordinator stops tracking them.
+    /// Stop the frontend, the health thread, and every gather thread:
+    /// each part cancels its sub-job on its member within
+    /// `poll_interval`, and the coordinator stops tracking its jobs.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.frontend.shutdown();

@@ -15,10 +15,10 @@
 //!   restarted (grid cache cold, in-flight sub-jobs gone), so the
 //!   cached shard table is dropped even though the socket kept
 //!   answering;
-//! * **shard-table refresh** — alive members also serve `GET /stats`;
-//!   the body is fingerprinted (FNV, ETag-style) and only a *changed*
-//!   body is re-parsed and bumps the member's `stats_generation`. The
-//!   router reads this cache; it never blocks on a network round-trip.
+//! * **shard-table refresh** — alive members also serve `GET /stats`
+//!   (a few hundred bytes), parsed on every probe into the member's
+//!   cached shard table. The router reads this cache; it never blocks
+//!   on a network round-trip.
 //!
 //! Dispatch-path failures (`report_failure`) feed the same consecutive
 //! counter, so a member that refuses connections mid-campaign goes dead
@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mudock_grids::Fnv64;
 use mudock_serve::net::client::{self, ClientError};
 use mudock_serve::wire::{self, Json};
 
@@ -73,10 +72,6 @@ struct MemberInner {
     restarts: u64,
     /// Cached shard table, refreshed by the probe round.
     stats: MemberStats,
-    /// FNV of the last `/stats` body (the ETag).
-    stats_hash: u64,
-    /// Bumped every time the body actually changed.
-    stats_generation: u64,
     /// Probe backoff: skip probing until this instant.
     next_probe: Option<Instant>,
 }
@@ -101,7 +96,6 @@ pub struct MemberSnapshot {
     pub consecutive_failures: u32,
     pub restarts: u64,
     pub inflight: usize,
-    pub stats_generation: u64,
     pub shard_count: usize,
 }
 
@@ -117,8 +111,6 @@ impl Member {
                 consecutive_failures: 0,
                 restarts: 0,
                 stats: MemberStats::default(),
-                stats_hash: 0,
-                stats_generation: 0,
                 next_probe: None,
             }),
             inflight: AtomicUsize::new(0),
@@ -173,7 +165,6 @@ impl Member {
             consecutive_failures: inner.consecutive_failures,
             restarts: inner.restarts,
             inflight: self.inflight(),
-            stats_generation: inner.stats_generation,
             shard_count: inner.stats.shard_keys.len(),
         }
     }
@@ -283,8 +274,6 @@ impl Membership {
                 // cached shard view so affinity re-learns from scratch.
                 inner.restarts += 1;
                 inner.stats = MemberStats::default();
-                inner.stats_hash = 0;
-                inner.stats_generation += 1;
                 self.metrics.member_restarts.inc();
             }
         }
@@ -306,24 +295,13 @@ impl Membership {
         inner.next_probe = Some(Instant::now() + self.probe_interval * (1u32 << shift));
     }
 
-    /// Refresh the cached shard table, ETag-style: hash the body first
-    /// and re-parse only when it changed.
+    /// Refresh the cached shard table from the member's `/stats`.
     fn refresh_stats(&self, member: &Arc<Member>, conn: &mut client::Client) {
-        let body = match conn.request("GET", "/stats", None).and_then(|r| r.ok()) {
-            Ok(resp) => resp.body,
-            // Stats failing while healthz succeeds is odd but not
-            // fatal; keep the stale cache and let liveness stand.
-            Err(_) => return,
-        };
-        let hash = Fnv64::new().write(body.as_bytes()).finish();
-        let mut inner = member.inner.lock().unwrap();
-        if inner.stats_hash == hash {
-            return; // unchanged body — cached parse stays valid
-        }
-        if let Some(stats) = parse_member_stats(&body) {
-            inner.stats = stats;
-            inner.stats_hash = hash;
-            inner.stats_generation += 1;
+        // Stats failing while healthz succeeds is odd but not fatal;
+        // keep the stale cache and let liveness stand.
+        let resp = conn.request("GET", "/stats", None).and_then(|r| r.ok());
+        if let Some(stats) = resp.ok().and_then(|r| parse_member_stats(&r.body)) {
+            member.inner.lock().unwrap().stats = stats;
         }
     }
 
@@ -405,7 +383,6 @@ mod tests {
         {
             let mut inner = m.inner.lock().unwrap();
             inner.stats.shard_keys.push(0xabc);
-            inner.stats_hash = 99;
         }
         assert!(m.has_shard(0xabc));
         ms.record_success(m, Some(2));

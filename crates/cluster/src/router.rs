@@ -58,7 +58,7 @@ impl Router {
     /// scattered job's windows all share one receptor fingerprint, so
     /// honoring affinity there would pile every window onto the first
     /// member whose shard table lists the receptor — the probe round
-    /// races the dispatch loop and can flip `has_shard` mid-fan-out,
+    /// races the placements and can flip `has_shard` mid-fan-out,
     /// collapsing the scatter onto one node. Scattered windows pass
     /// `None` and spread by occupancy instead: the fan-out needs K
     /// members either way, and each pays its grid build exactly once.

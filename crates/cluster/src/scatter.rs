@@ -1,6 +1,6 @@
 //! Scatter/gather job tracking: one cluster job fanned out as sliced
-//! sub-jobs, polled to completion, failed over on member death, and
-//! merged back into a single bit-identical ranking.
+//! sub-jobs, each driven to its end by its own thread, failed over on
+//! member death, and merged back into a single bit-identical ranking.
 //!
 //! ## Why the result is bit-identical
 //!
@@ -14,22 +14,26 @@
 //! preserves this for free: a re-dispatched part carries the same
 //! slice, so whichever member reruns it computes the same bits.
 //!
-//! ## Failover
+//! ## One driver per part
 //!
-//! Any transport error while dispatching or polling a part counts a
-//! failure against that member (feeding the membership's dead-node
-//! accounting) and immediately re-dispatches the part to another alive
-//! member — bounded by `max_attempts` per part, after which the cluster
-//! job reports `failed`. A part whose *remote* outcome is `failed` is
-//! terminal without retry: node-side failures (invalid grid, unreadable
-//! input) are deterministic and would fail anywhere.
+//! The job's gather thread runs one driver per part and joins them. A
+//! driver places and submits its part, then long-polls its sub-job for
+//! at most `poll_interval` at a time: it hears the sub-job end at once,
+//! and between polls cancels it and returns if the job was cancelled, a
+//! sibling part failed or the coordinator is shutting down.
+//!
+//! A transport error counts a failure against that member (feeding the
+//! membership's dead-node accounting) and re-dispatches the part to
+//! another alive member, up to `max_attempts` placements per part. A
+//! *remote* `failed` or `cancelled` is final: node-side failures
+//! (invalid grid, unreadable input) are deterministic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mudock_core::merge_ranked_partials;
-use mudock_serve::net::client;
+use mudock_serve::net::client::{Client, ClientError};
 use mudock_serve::wire::{JobStatus, Submission};
 use mudock_serve::{JobId, JobOutcome, JobState, JobWaker, LigandSlice, RankedLigand};
 
@@ -37,41 +41,61 @@ use crate::membership::{Member, Membership};
 use crate::metrics::ClusterMetrics;
 use crate::router::{RouteReason, Router};
 
-/// What every gather loop of one coordinator shares.
+/// What every gather thread of one coordinator shares.
 pub(crate) struct Gather {
     pub membership: Arc<Membership>,
     pub router: Router,
     pub metrics: Arc<ClusterMetrics>,
-    /// The longest a sweep waits for its parts: one running part is
-    /// long-polled for at most this long.
+    /// The longest a part waits on its sub-job before it re-checks
+    /// cancellation, sibling failure and shutdown.
     pub poll_interval: Duration,
     /// Dispatch attempts per part before the job fails.
     pub max_attempts: u32,
-    /// Set at shutdown; gather loops watch it.
+    /// Set at shutdown; drivers watch it.
     pub stop: Arc<AtomicBool>,
     /// The coordinator frontend's: poked as each cluster job finishes,
     /// so polls parked on it are answered.
     pub waker: JobWaker,
+    /// Held from routing a part until its member counts the sub-job, so
+    /// a fan-out spreads across members instead of racing onto one.
+    pub placement: Mutex<()>,
 }
 
-/// One sub-job: a slice of the stream plus where it currently runs.
+impl Gather {
+    /// Route a part to the alive members minus `exclude` (the one that
+    /// just failed it) unless that leaves none, and count the sub-job
+    /// against the chosen member. `None` when no member is alive.
+    fn place(&self, exclude: Option<&str>, fingerprint: Option<u64>) -> Option<Arc<Member>> {
+        let _serial = self.placement.lock();
+        let alive = self.membership.alive();
+        let others: Vec<Arc<Member>> = (alive.iter())
+            .filter(|m| Some(m.addr.as_str()) != exclude)
+            .cloned()
+            .collect();
+        let candidates = if others.is_empty() { alive } else { others };
+        let (member, reason) = self.router.route(&candidates, fingerprint)?;
+        match reason {
+            RouteReason::Affinity => self.metrics.routed_affinity.inc(),
+            RouteReason::Occupancy => self.metrics.routed_occupancy.inc(),
+        }
+        member.begin_subjob();
+        Some(member)
+    }
+}
+
+/// One sub-job: a slice of the stream and what its driver published.
+#[derive(Default)]
 struct Part {
     /// `None` = the whole stream (single-part job, or a pre-sliced
     /// submission passed through).
     slice: Option<LigandSlice>,
-    /// Current assignee, while dispatched.
-    member: Option<Arc<Member>>,
-    /// Member to avoid on the next dispatch (it just failed us).
-    exclude: Option<String>,
-    remote_id: Option<JobId>,
-    attempts: u32,
     /// Last polled status (progress reporting while running).
     last: Option<JobStatus>,
     /// Terminal remote outcome.
     outcome: Option<JobOutcome>,
     /// The part's JSONL results, fetched at completion.
     results: Option<String>,
-    /// Permanent failure, after retries were exhausted.
+    /// Permanent failure: a remote failure, or retries exhausted.
     failed: Option<String>,
 }
 
@@ -98,18 +122,10 @@ impl ClusterJob {
         top_k: usize,
         slices: Vec<Option<LigandSlice>>,
     ) -> ClusterJob {
-        let parts = slices
-            .into_iter()
+        let parts = (slices.into_iter())
             .map(|slice| Part {
                 slice,
-                member: None,
-                exclude: None,
-                remote_id: None,
-                attempts: 0,
-                last: None,
-                outcome: None,
-                results: None,
-                failed: None,
+                ..Part::default()
             })
             .collect();
         ClusterJob {
@@ -125,19 +141,25 @@ impl ClusterJob {
         }
     }
 
-    /// Request cancellation; the gather loop propagates it to members.
+    /// The job's state. A driver that panicked holding the lock has
+    /// already failed its part, so a poisoned lock is read as is.
+    fn lock(&self) -> MutexGuard<'_, JobInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Request cancellation; every driver cancels its sub-job.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the gather loop has published the merged outcome.
+    /// Whether the gather thread has published the merged outcome.
     pub fn is_terminal(&self) -> bool {
-        self.inner.lock().unwrap().state.is_terminal()
+        self.lock().state.is_terminal()
     }
 
     /// Point-in-time aggregated view, in the shape a node reports a job.
     pub fn status(&self) -> JobStatus {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut ligands = 0;
         let mut chunks = 0;
         for p in &inner.parts {
@@ -168,7 +190,7 @@ impl ClusterJob {
     /// the stream a client tails only ever grows like a single node's
     /// file would.
     pub fn results(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         let mut out = String::new();
         for p in &inner.parts {
             match &p.results {
@@ -178,260 +200,174 @@ impl ClusterJob {
         }
         out
     }
-}
 
-/// The gather loop: dispatch every part, poll to terminal, fail over on
-/// member errors, merge. Runs on its own thread, one per cluster job.
-pub(crate) fn run(job: Arc<ClusterJob>, submission: Submission, fingerprint: u64, gather: &Gather) {
-    let Gather {
-        membership,
-        router,
-        metrics,
-        poll_interval,
-        max_attempts,
-        stop,
-        waker: _,
-    } = gather;
-    let t0 = Instant::now();
-    let n_parts = job.inner.lock().unwrap().parts.len();
-    // Affinity steers whole jobs only. A scattered job's windows all
-    // share one fingerprint, so affinity would pile the fan-out onto
-    // whichever member registers the shard first (the probe round races
-    // the dispatch loop); windows spread by occupancy instead.
-    let route_fp = if n_parts == 1 {
-        Some(fingerprint)
-    } else {
-        None
-    };
-    // Per-part keep-alive connections, keyed to the current assignee.
-    let mut conns: Vec<Option<client::Client>> = (0..n_parts).map(|_| None).collect();
+    /// Fail part `i` for good; its siblings see it and stop.
+    fn fail_part(&self, i: usize, error: String) {
+        self.lock().parts[i].failed.get_or_insert(error);
+    }
 
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return; // coordinator shutting down; abandon tracking
-        }
-        if job.cancel.load(Ordering::SeqCst) {
-            cancel_parts(&job, &mut conns);
-            finish(&job, gather, JobState::Cancelled, None, t0);
-            return;
-        }
-
-        // Dispatch every part that needs a (re-)home.
-        for (i, conn_slot) in conns.iter_mut().enumerate() {
-            let todo = {
-                let inner = job.inner.lock().unwrap();
-                let p = &inner.parts[i];
-                if p.outcome.is_some() || p.failed.is_some() || p.remote_id.is_some() {
-                    None
-                } else {
-                    Some((p.slice, p.exclude.clone(), p.attempts))
-                }
-            };
-            let Some((slice, exclude, attempts)) = todo else {
-                continue;
-            };
-            if attempts >= *max_attempts {
-                let mut inner = job.inner.lock().unwrap();
-                inner.parts[i].failed = Some(format!(
-                    "part {i}: no member accepted it after {attempts} attempts"
-                ));
-                continue;
-            }
-            // Prefer not to land on the member that just failed this
-            // part — unless it is the only one left alive.
-            let alive = membership.alive();
-            let mut candidates: Vec<Arc<Member>> = alive
-                .iter()
-                .filter(|m| Some(&m.addr) != exclude.as_ref())
-                .cloned()
-                .collect();
-            if candidates.is_empty() {
-                candidates = alive;
-            }
-            let Some((member, reason)) = router.route(&candidates, route_fp) else {
-                // Nobody alive. Count the attempt so a permanently
-                // empty cluster terminates instead of spinning.
-                let mut inner = job.inner.lock().unwrap();
-                inner.parts[i].attempts += 1;
-                continue;
-            };
-            match reason {
-                RouteReason::Affinity => metrics.routed_affinity.inc(),
-                RouteReason::Occupancy => metrics.routed_occupancy.inc(),
-            }
-            let mut conn = client::Client::new(&member.addr);
-            let submitted = conn.submit_sliced(
-                &submission.campaign,
-                &submission.receptor,
-                &submission.ligands,
-                slice,
-                submission.priority,
-            );
-            let mut inner = job.inner.lock().unwrap();
-            let p = &mut inner.parts[i];
-            p.attempts += 1;
-            match submitted {
-                Ok(remote_id) => {
-                    member.begin_subjob();
-                    metrics.subjobs_dispatched.inc();
-                    if p.attempts > 1 {
-                        metrics.redispatches.inc();
-                    }
-                    p.member = Some(Arc::clone(&member));
-                    p.remote_id = Some(remote_id);
-                    p.exclude = None;
-                    *conn_slot = Some(conn);
-                    if inner.state == JobState::Queued {
-                        inner.state = JobState::Running;
-                    }
-                }
-                Err(e) => {
-                    p.exclude = Some(member.addr.clone());
-                    drop(inner);
-                    membership.report_failure(&member, &e);
-                }
-            }
-        }
-
-        // Poll every dispatched, non-terminal part: the last of them is
-        // long-polled for up to `poll_interval`, the rest are snapshots
-        // taken first. That park is the sweep's only wait, so a sweep
-        // ends as soon as that part finishes, and never later than
-        // `poll_interval` after the snapshots.
-        let targets: Vec<(usize, Arc<Member>, JobId)> = {
-            let inner = job.inner.lock().unwrap();
-            (inner.parts.iter().enumerate())
-                .filter_map(|(i, p)| match (&p.member, p.remote_id, &p.outcome) {
-                    (Some(m), Some(id), None) => Some((i, Arc::clone(m), id)),
-                    _ => None,
-                })
-                .collect()
-        };
-        let parked_on = targets.last().map(|(i, ..)| *i);
-        for (i, member, remote_id) in targets {
-            let wait = if parked_on == Some(i) {
-                *poll_interval
-            } else {
-                Duration::ZERO
-            };
-            let conn_slot = &mut conns[i];
-            let conn = conn_slot.get_or_insert_with(|| client::Client::new(&member.addr));
-            match conn.poll_within(remote_id, wait) {
-                Ok(status) if status.is_terminal() => {
-                    member.end_subjob();
-                    match status.state {
-                        JobState::Completed => {
-                            // Fetch the window's JSONL before marking
-                            // done, so `results()` never serves a
-                            // completed part without its lines.
-                            let results = conn.results(remote_id).unwrap_or_default();
-                            let mut inner = job.inner.lock().unwrap();
-                            let p = &mut inner.parts[i];
-                            p.results = Some(results);
-                            p.outcome = status.outcome.clone();
-                            p.last = Some(status);
-                        }
-                        _ => {
-                            // Remote failed/cancelled: deterministic —
-                            // re-running the same slice would do the
-                            // same — so it is a permanent part failure.
-                            let mut inner = job.inner.lock().unwrap();
-                            let p = &mut inner.parts[i];
-                            let msg = status
-                                .outcome
-                                .as_ref()
-                                .and_then(|o| o.error.clone())
-                                .unwrap_or_else(|| {
-                                    format!("member {} reported {:?}", member.addr, status.state)
-                                });
-                            p.failed = Some(msg);
-                            p.last = Some(status);
-                        }
-                    }
-                }
-                Ok(status) => {
-                    let mut inner = job.inner.lock().unwrap();
-                    inner.parts[i].last = Some(status);
-                }
-                Err(e) => {
-                    // Transport failure: the member (or its network) is
-                    // gone. Re-dispatch the slice elsewhere; the same
-                    // window recomputes the same bits wherever it runs.
-                    member.end_subjob();
-                    *conn_slot = None;
-                    {
-                        let mut inner = job.inner.lock().unwrap();
-                        let p = &mut inner.parts[i];
-                        p.member = None;
-                        p.remote_id = None;
-                        p.last = None;
-                        p.exclude = Some(member.addr.clone());
-                    }
-                    membership.report_failure(&member, &e);
-                }
-            }
-        }
-
-        // Aggregate.
-        {
-            let inner = job.inner.lock().unwrap();
-            if inner.parts.iter().any(|p| p.failed.is_some()) {
-                let error = inner
-                    .parts
-                    .iter()
-                    .filter_map(|p| p.failed.clone())
-                    .next()
-                    .unwrap_or_else(|| "sub-job failed".into());
-                drop(inner);
-                cancel_parts(&job, &mut conns);
-                finish(&job, gather, JobState::Failed, Some(error), t0);
-                return;
-            }
-            if inner.parts.iter().all(|p| p.outcome.is_some()) {
-                drop(inner);
-                finish(&job, gather, JobState::Completed, None, t0);
-                return;
-            }
-        }
-        if parked_on.is_none() {
-            // Nothing was running to wait on (every part still needs a
-            // member): pace the dispatch retries as before.
-            std::thread::sleep(*poll_interval);
-        }
+    /// Whether a driver should stop: the job was cancelled, a part
+    /// failed, or the coordinator is shutting down.
+    fn halted(&self, gather: &Gather) -> bool {
+        self.cancel.load(Ordering::SeqCst)
+            || gather.stop.load(Ordering::SeqCst)
+            || self.lock().parts.iter().any(|p| p.failed.is_some())
     }
 }
 
-/// Best-effort remote cancellation of every in-flight part.
-fn cancel_parts(job: &Arc<ClusterJob>, conns: &mut [Option<client::Client>]) {
-    let targets: Vec<(usize, String, JobId)> = {
-        let inner = job.inner.lock().unwrap();
-        inner
-            .parts
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match (&p.member, p.remote_id, &p.outcome) {
-                (Some(m), Some(id), None) => Some((i, m.addr.clone(), id)),
-                _ => None,
+/// Run `job` on its own gather thread. A job whose thread cannot start
+/// fails at once rather than staying `queued`.
+pub(crate) fn spawn(job: Arc<ClusterJob>, sub: Submission, fingerprint: u64, gather: Arc<Gather>) {
+    let (runner, shared) = (Arc::clone(&job), Arc::clone(&gather));
+    let spawned = std::thread::Builder::new()
+        .name(format!("cluster-job-{}", job.id))
+        .spawn(move || run(&runner, &sub, fingerprint, &shared));
+    if let Err(e) = spawned {
+        let error = format!("no gather thread: {e}");
+        finish(&job, &gather, JobState::Failed, Some(error), Instant::now());
+    }
+}
+
+/// The gather thread: one driver per part, joined, then the merged
+/// outcome. A driver that cannot start or that panics fails its part.
+fn run(job: &ClusterJob, sub: &Submission, fingerprint: u64, gather: &Gather) {
+    let t0 = Instant::now();
+    let n_parts = job.lock().parts.len();
+    // Affinity steers whole jobs only. A scattered job's windows all
+    // share one fingerprint, so affinity would pile the fan-out onto
+    // whichever member registers the shard first (the probe round races
+    // the placements); windows spread by occupancy instead.
+    let route_fp = (n_parts == 1).then_some(fingerprint);
+    std::thread::scope(|scope| {
+        let drivers: Vec<_> = (0..n_parts)
+            .filter_map(|i| {
+                let driver = std::thread::Builder::new()
+                    .name(format!("cluster-job-{}-part-{i}", job.id))
+                    .spawn_scoped(scope, move || drive(job, i, sub, route_fp, gather));
+                driver
+                    .map_err(|e| job.fail_part(i, format!("part {i}: no driver thread: {e}")))
+                    .ok()
+                    .map(|d| (i, d))
             })
-            .collect()
+            .collect();
+        for (i, driver) in drivers {
+            if driver.join().is_err() {
+                job.fail_part(i, format!("part {i}: its driver panicked"));
+            }
+        }
+    });
+    if gather.stop.load(Ordering::SeqCst) {
+        return; // coordinator shutting down; abandon tracking
+    }
+    let (state, error) = {
+        let inner = job.lock();
+        match inner.parts.iter().find_map(|p| p.failed.clone()) {
+            Some(error) => (JobState::Failed, Some(error)),
+            None if inner.parts.iter().all(|p| p.outcome.is_some()) => (JobState::Completed, None),
+            None => (JobState::Cancelled, None),
+        }
     };
-    for (i, addr, id) in targets {
-        let conn = conns[i].get_or_insert_with(|| client::Client::new(&addr));
-        let _ = conn.cancel(id);
+    finish(job, gather, state, error, t0);
+}
+
+/// Drive part `i` to its end: place and submit it, wait on its sub-job,
+/// and on a transport error fail over to another member, up to
+/// `max_attempts` placements in all.
+fn drive(job: &ClusterJob, i: usize, sub: &Submission, route_fp: Option<u64>, gather: &Gather) {
+    let slice = job.lock().parts[i].slice;
+    let mut exclude: Option<String> = None;
+    for attempt in 1..=gather.max_attempts {
+        if job.halted(gather) {
+            return;
+        }
+        let Some(member) = gather.place(exclude.as_deref(), route_fp) else {
+            // Nobody alive: the attempt counts, so a permanently empty
+            // cluster fails the job instead of spinning.
+            std::thread::sleep(gather.poll_interval);
+            continue;
+        };
+        let mut conn = Client::new(&member.addr);
+        let ended = conn
+            .submit_sliced(
+                &sub.campaign,
+                &sub.receptor,
+                &sub.ligands,
+                slice,
+                sub.priority,
+            )
+            .and_then(|remote| {
+                gather.metrics.subjobs_dispatched.inc();
+                if attempt > 1 {
+                    gather.metrics.redispatches.inc();
+                }
+                await_subjob(job, i, &mut conn, remote, &member, gather)
+            });
+        member.end_subjob();
+        let Err(e) = ended else {
+            return;
+        };
+        // The member (or its network) is gone: re-dispatch the slice
+        // elsewhere; the same window recomputes the same bits.
+        job.lock().parts[i].last = None;
+        gather.membership.report_failure(&member, &e);
+        exclude = Some(member.addr.clone());
+    }
+    let tries = gather.max_attempts;
+    let error = format!("part {i}: no member accepted it after {tries} attempts");
+    job.fail_part(i, error);
+}
+
+/// Wait on sub-job `remote` of part `i` until it ends, publishing its
+/// progress, then its outcome; or until the job halts, then cancel it.
+/// `Err` is a transport error, for the caller to fail over.
+fn await_subjob(
+    job: &ClusterJob,
+    i: usize,
+    conn: &mut Client,
+    remote: JobId,
+    member: &Member,
+    gather: &Gather,
+) -> Result<(), ClientError> {
+    // Only `finish`, after every driver returned, makes it terminal.
+    job.lock().state = JobState::Running;
+    loop {
+        if job.halted(gather) {
+            let _ = conn.cancel(remote);
+            return Ok(());
+        }
+        let status = conn.poll_within(remote, gather.poll_interval)?;
+        if !status.is_terminal() {
+            job.lock().parts[i].last = Some(status);
+            continue;
+        }
+        // Fetch the window's JSONL before publishing the outcome, so
+        // `results()` never serves a completed part without its lines.
+        let results = match status.state {
+            JobState::Completed => Some(conn.results(remote)?),
+            _ => None,
+        };
+        let mut inner = job.lock();
+        let part = &mut inner.parts[i];
+        if results.is_some() {
+            part.results = results;
+            part.outcome = status.outcome.clone();
+        } else {
+            // Remote failed/cancelled: deterministic — re-running the
+            // same slice would do the same — so the part fails for good.
+            let error = (status.outcome.as_ref()).and_then(|o| o.error.clone());
+            let reported = || format!("member {} reported {:?}", member.addr, status.state);
+            part.failed = Some(error.unwrap_or_else(reported));
+        }
+        part.last = Some(status);
+        return Ok(());
     }
 }
 
 /// Publish the merged terminal outcome, then wake the frontend for the
 /// polls parked on it.
-fn finish(
-    job: &Arc<ClusterJob>,
-    gather: &Gather,
-    state: JobState,
-    error: Option<String>,
-    t0: Instant,
-) {
+fn finish(job: &ClusterJob, gather: &Gather, state: JobState, error: Option<String>, t0: Instant) {
     let metrics = &gather.metrics;
-    let mut inner = job.inner.lock().unwrap();
+    let mut inner = job.lock();
     let mut ligands_done = 0;
     let mut chunks_done = 0;
     let mut replayed = 0;
@@ -491,8 +427,8 @@ fn finish(
 ///
 /// Returns `[None]` (a single whole-stream part) when the library is
 /// too small to be worth fanning out, when only one lane exists, or
-/// when the stream length is unknown (PDBQT files are not
-/// pre-counted). Windows are balanced to within one ligand, in stream
+/// when the stream length is unknown (a PDBQT file is not read to
+/// count it). Windows are balanced to within one ligand, in stream
 /// order, covering the stream exactly.
 pub(crate) fn plan_slices(
     total: Option<usize>,

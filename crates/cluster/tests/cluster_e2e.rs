@@ -9,7 +9,9 @@
 //! * killing a member mid-campaign re-dispatches its unfinished window
 //!   and the final ranking is *still* bit-identical;
 //! * a second submission of an already-screened receptor routes by
-//!   affinity once the probe round has refreshed the shard tables.
+//!   affinity once the probe round has refreshed the shard tables;
+//! * an inline PDBQT library scatters like a synthetic one, a malformed
+//!   model keeping its index across the window boundary.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,7 +19,7 @@ use std::time::{Duration, Instant};
 use mudock_cluster::{ClusterConfig, Coordinator};
 use mudock_core::{screen_campaign, Campaign, CampaignSpec, ChunkPolicy, StopPolicy};
 use mudock_grids::{GridBuilder, GridDims};
-use mudock_mol::Vec3;
+use mudock_mol::{Molecule, Vec3};
 use mudock_molio::mediate_like_set;
 use mudock_serve::net::client;
 use mudock_serve::{
@@ -59,14 +61,18 @@ fn receptor_source() -> ReceptorSource {
 /// `(index, name, score)` of the single-stream reference ranking — the
 /// same in-process `core::screen_campaign` oracle the node e2e uses.
 fn reference_top_for(spec: &CampaignSpec, n_ligands: usize) -> Vec<(usize, String, f32)> {
+    reference_top(spec, &mediate_like_set(SEED, n_ligands))
+}
+
+/// [`reference_top_for`] over any ligand list.
+fn reference_top(spec: &CampaignSpec, ligands: &[Molecule]) -> Vec<(usize, String, f32)> {
     let rec = mudock_molio::synthetic_receptor(RECEPTOR_SEED, RECEPTOR_ATOMS, RECEPTOR_RADIUS);
     let grids = GridBuilder::new(&rec, dims()).build_simd(spec.grid_level());
-    let ligands = mediate_like_set(SEED, n_ligands);
     let full = CampaignSpec {
         stop: StopPolicy::Complete,
         ..spec.clone()
     };
-    let summary = screen_campaign(&grids, &ligands, &full, 1);
+    let summary = screen_campaign(&grids, ligands, &full, 1);
     summary
         .top_k(spec.top_k)
         .into_iter()
@@ -366,6 +372,62 @@ fn repeat_receptor_routes_by_affinity_and_cluster_endpoints_answer() {
         "{}",
         stats.body
     );
+
+    coordinator.shutdown();
+}
+
+#[test]
+fn an_inline_pdbqt_library_scatters_and_stays_bit_identical() {
+    const N_MODELS: usize = 16;
+    const MALFORMED: usize = 9;
+    const TOP_K: usize = 5;
+    let m1 = MemberNode::start("pdbqt-1");
+    let m2 = MemberNode::start("pdbqt-2");
+    let coordinator = coordinator_over(vec![m1.addr(), m2.addr()]);
+    let addr = coordinator.local_addr().to_string();
+
+    // Model 10 (index 9, in the second window) does not parse: it docks
+    // as an unscorable ligand and every model keeps its index.
+    let text: String = (mediate_like_set(SEED, N_MODELS).iter().enumerate())
+        .map(|(i, m)| match i {
+            MALFORMED => format!("MODEL {}\nATOM garbage\nENDMDL\n", i + 1),
+            _ => format!("MODEL {}\n{}ENDMDL\n", i + 1, mudock_molio::write(m)),
+        })
+        .collect();
+    let ligands: Vec<Molecule> = (mudock_molio::parse_models(&text).enumerate())
+        .map(|(i, m)| m.unwrap_or_else(|_| Molecule::new(format!("MODEL {}", i + 1))))
+        .collect();
+
+    let spec = campaign("cluster-pdbqt", TOP_K);
+    let mut conn = client::Client::new(&addr);
+    let id = conn
+        .submit(
+            &spec,
+            &receptor_source(),
+            &LigandSource::from_pdbqt(text),
+            Priority::Normal,
+        )
+        .expect("submit to the coordinator");
+    let status = conn.wait(id).expect("poll the coordinator to terminal");
+    assert_eq!(status.state, JobState::Completed);
+    assert_eq!(status.ligands_done, N_MODELS, "the malformed model counts");
+    let outcome = status.outcome.expect("terminal outcome");
+    assert_bit_identical(
+        &outcome.top,
+        &reference_top(&spec, &ligands),
+        "inline-PDBQT scatter",
+    );
+    assert_eq!(m1.jobs_submitted(), 1, "member 1 got a window");
+    assert_eq!(m2.jobs_submitted(), 1, "member 2 got a window");
+
+    let body = conn.results(id).expect("gathered results");
+    let lines: Vec<&str> = body.lines().collect();
+    assert_eq!(lines.len(), N_MODELS, "one JSONL line per model");
+    let unscored = format!(
+        "\"index\":{MALFORMED},\"ligand\":\"MODEL {}\",\"score\":null",
+        MALFORMED + 1
+    );
+    assert!(lines[MALFORMED].contains(&unscored), "{}", lines[MALFORMED]);
 
     coordinator.shutdown();
 }

@@ -21,10 +21,8 @@ pub enum LigandSource {
     /// molecules as [`mudock_molio::mediate_like_set`], generated on
     /// demand).
     Synth { seed: u64, count: usize },
-    /// Pre-loaded molecules, shared across job clones.
-    Molecules(Arc<Vec<Molecule>>),
     /// Multi-model PDBQT text (`MODEL`/`ENDMDL`-delimited); models are
-    /// parsed lazily and malformed ones are skipped.
+    /// parsed lazily, one stream entry per model.
     PdbqtText(Arc<String>),
     /// Like `PdbqtText`, read from a file when the job starts.
     PdbqtFile(PathBuf),
@@ -36,10 +34,6 @@ impl LigandSource {
         LigandSource::Synth { seed, count }
     }
 
-    pub fn from_molecules(mols: Vec<Molecule>) -> LigandSource {
-        LigandSource::Molecules(Arc::new(mols))
-    }
-
     pub fn from_pdbqt(text: impl Into<String>) -> LigandSource {
         LigandSource::PdbqtText(Arc::new(text.into()))
     }
@@ -48,26 +42,25 @@ impl LigandSource {
         LigandSource::PdbqtFile(path.into())
     }
 
-    /// Exact ligand count when knowable without I/O or parsing.
+    /// Exact ligand count when knowable without I/O or parsing: inline
+    /// PDBQT text counts its models with a line scan.
     pub fn len_hint(&self) -> Option<usize> {
         match self {
             LigandSource::Synth { count, .. } => Some(*count),
-            LigandSource::Molecules(m) => Some(m.len()),
-            LigandSource::PdbqtText(_) | LigandSource::PdbqtFile(_) => None,
+            LigandSource::PdbqtText(text) => Some(split_models(text).len()),
+            LigandSource::PdbqtFile(_) => None,
         }
     }
 
-    /// Open the stream. Fails only on I/O (file sources); malformed
-    /// PDBQT models are skipped, not fatal — one bad library entry must
-    /// not sink the campaign.
+    /// Open the stream. Fails only on I/O (file sources). A malformed
+    /// PDBQT model is not fatal — one bad library entry must not sink
+    /// the campaign — and keeps its place: it streams as an atom-less
+    /// molecule named after its model number (`MODEL 3`), which docks
+    /// like any ligand that fails preparation (no score, 0 evaluations),
+    /// so every later ligand keeps its index and seed.
     pub fn stream(&self) -> Result<Box<dyn Iterator<Item = Molecule> + Send>, String> {
         match self {
             LigandSource::Synth { seed, count } => Ok(Box::new(MediateStream::new(*seed, *count))),
-            LigandSource::Molecules(mols) => {
-                let mols = Arc::clone(mols);
-                let n = mols.len();
-                Ok(Box::new((0..n).map(move |i| mols[i].clone())))
-            }
             LigandSource::PdbqtText(text) => Ok(parse_lazily(Arc::clone(text))),
             LigandSource::PdbqtFile(path) => {
                 let text = std::fs::read_to_string(path)
@@ -90,11 +83,10 @@ fn parse_lazily(text: Arc<String>) -> Box<dyn Iterator<Item = Molecule> + Send> 
             (start, start + m.len())
         })
         .collect();
-    Box::new(
-        ranges
-            .into_iter()
-            .filter_map(move |(a, b)| mudock_molio::parse(&text[a..b]).ok()),
-    )
+    Box::new(ranges.into_iter().enumerate().map(move |(i, (a, b))| {
+        mudock_molio::parse(&text[a..b])
+            .unwrap_or_else(|_| Molecule::new(format!("MODEL {}", i + 1)))
+    }))
 }
 
 #[cfg(test)]
@@ -124,25 +116,22 @@ mod tests {
     }
 
     #[test]
-    fn molecule_source_round_trips() {
-        let mols = mediate_like_set(1, 3);
-        let src = LigandSource::from_molecules(mols.clone());
-        assert_eq!(src.len_hint(), Some(3));
-        let out: Vec<Molecule> = src.stream().unwrap().collect();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[2].name, mols[2].name);
-    }
-
-    #[test]
-    fn pdbqt_text_skips_malformed_models() {
-        let good = write(&mediate_like_set(3, 1).pop().unwrap());
+    fn pdbqt_text_keeps_one_entry_per_model_in_order() {
+        let good = mediate_like_set(3, 1).pop().unwrap();
         let text = format!(
-            "MODEL 1\n{good}ENDMDL\nMODEL 2\nATOM garbage\nENDMDL\nMODEL 3\n{good}ENDMDL\n"
+            "MODEL 1\n{0}ENDMDL\nMODEL 2\nATOM garbage\nENDMDL\nMODEL 3\n{0}ENDMDL\n",
+            write(&good)
         );
         let src = LigandSource::from_pdbqt(text);
-        assert_eq!(src.len_hint(), None);
+        assert_eq!(src.len_hint(), Some(3));
         let parsed: Vec<Molecule> = src.stream().unwrap().collect();
-        assert_eq!(parsed.len(), 2, "the malformed model is skipped");
+        let names: Vec<&str> = parsed.iter().map(|m| m.name.as_str()).collect();
+        assert_eq!(names, [good.name.as_str(), "MODEL 2", good.name.as_str()]);
+        assert!(
+            parsed[1].atoms.is_empty(),
+            "the malformed model keeps its place"
+        );
+        assert_eq!(parsed[2].atoms.len(), good.atoms.len());
     }
 
     #[test]

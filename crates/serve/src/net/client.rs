@@ -6,13 +6,13 @@
 //! `mudock poll`, `mudock stats`), the cluster coordinator, and the
 //! integration tests.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use mudock_core::CampaignSpec;
 
-use super::MAX_WAIT_MS;
+use super::{http, MAX_WAIT_MS};
 use crate::ingest::LigandSource;
 use crate::job::{JobId, LigandSlice, Priority};
 use crate::wire::{self, JobStatus, Json, ReceptorSource, WireError};
@@ -194,55 +194,27 @@ impl Client {
         stream.write_all(body.as_bytes())?;
         stream.flush()?;
 
-        let mut status_line = String::new();
-        if reader.read_line(&mut status_line)? == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed before the status line",
-            )));
-        }
-        let status: u16 = status_line
-            .split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("bad status line '{}'", status_line.trim_end()),
-                ))
-            })?;
-        let mut content_length: Option<usize> = None;
-        let mut close = false;
-        loop {
-            let mut header = String::new();
-            let n = reader.read_line(&mut header)?;
-            let header = header.trim_end();
-            if n == 0 || header.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = header.split_once(':') {
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value.trim().parse().ok();
-                } else if name.eq_ignore_ascii_case("connection") {
-                    close = value.trim().eq_ignore_ascii_case("close");
-                }
-            }
-        }
-        let body = match content_length {
+        // The head under the limits a server reads a request head with;
+        // the body as it arrives, never allocated up front from a
+        // `Content-Length` the peer may be lying about.
+        let (status, content_length, mut close) = http::read_response_head(reader)?;
+        let mut body = Vec::new();
+        match content_length {
             Some(len) => {
-                let mut buf = vec![0u8; len];
-                reader.read_exact(&mut buf)?;
-                String::from_utf8_lossy(&buf).into_owned()
+                reader.by_ref().take(len as u64).read_to_end(&mut body)?;
+                if body.len() < len {
+                    let why = format!("closed after {} of {len} body bytes", body.len());
+                    return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, why).into());
+                }
             }
             None => {
                 // No framing: the exchange only ends at EOF, so
                 // the connection cannot be reused.
                 close = true;
-                let mut buf = String::new();
-                reader.read_to_string(&mut buf)?;
-                buf
+                reader.read_to_end(&mut body)?;
             }
-        };
+        }
+        let body = String::from_utf8_lossy(&body).into_owned();
         Ok((HttpResponse { status, body }, !close))
     }
 

@@ -1,5 +1,8 @@
-//! HTTP/1.1 framing: finding and parsing a request head, and the
-//! [`Response`] a router hands back.
+//! HTTP/1.1 framing: finding and parsing a request head, reading and
+//! parsing a response head under the same limits, and the [`Response`]
+//! a router hands back.
+
+use std::io::{self, BufRead, ErrorKind, Read};
 
 use crate::wire::{Json, WireError};
 
@@ -37,31 +40,24 @@ pub(super) fn find_head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
-/// Parse the request line + headers. `Err(status, message)` is
-/// answered as-is (and closes the connection).
-pub(super) fn parse_head(head: &[u8]) -> Result<RequestHead, (u16, String)> {
-    let mut lines = head.split(|&b| b == b'\n').map(|l| {
+/// The lines of a head, `\r` stripped, each at most `MAX_LINE_BYTES`
+/// of UTF-8.
+fn head_lines(head: &[u8]) -> impl Iterator<Item = Result<&str, (u16, String)>> {
+    head.split(|&b| b == b'\n').map(|l| {
         let l = l.strip_suffix(b"\r").unwrap_or(l);
         if l.len() > MAX_LINE_BYTES {
             return Err((400, format!("line exceeds {MAX_LINE_BYTES} bytes")));
         }
         std::str::from_utf8(l).map_err(|_| (400, "non-UTF-8 line".to_string()))
-    });
-    let line = lines.next().unwrap_or(Ok(""))?;
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or((400, "empty request line".to_string()))?
-        .to_string();
-    let path = parts
-        .next()
-        .ok_or((400, "request line without a path".to_string()))?
-        .to_string();
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err((505, format!("unsupported protocol '{version}'")));
-    }
+    })
+}
 
+/// Read the header lines (after the start line) up to the blank one:
+/// the `Content-Length`, if any, and the lowercased `Connection`. The
+/// same rules bind both ends of the wire.
+fn framing<'a>(
+    lines: impl Iterator<Item = Result<&'a str, (u16, String)>>,
+) -> Result<(Option<usize>, String), (u16, String)> {
     let mut content_length = None;
     let mut connection = String::new();
     let mut headers_seen = 0usize;
@@ -97,6 +93,28 @@ pub(super) fn parse_head(head: &[u8]) -> Result<RequestHead, (u16, String)> {
             }
         }
     }
+    Ok((content_length, connection))
+}
+
+/// Parse the request line + headers. `Err(status, message)` is
+/// answered as-is (and closes the connection).
+pub(super) fn parse_head(head: &[u8]) -> Result<RequestHead, (u16, String)> {
+    let mut lines = head_lines(head);
+    let line = lines.next().unwrap_or(Ok(""))?;
+    let mut parts = line.split_whitespace();
+    let method = parts
+        .next()
+        .ok_or((400, "empty request line".to_string()))?
+        .to_string();
+    let path = parts
+        .next()
+        .ok_or((400, "request line without a path".to_string()))?
+        .to_string();
+    let version = parts.next().unwrap_or("");
+    if !version.starts_with("HTTP/1.") {
+        return Err((505, format!("unsupported protocol '{version}'")));
+    }
+    let (content_length, connection) = framing(lines)?;
     // HTTP/1.1 defaults to keep-alive, 1.0 to close.
     let keep_alive = if version == "HTTP/1.0" {
         connection == "keep-alive"
@@ -109,6 +127,37 @@ pub(super) fn parse_head(head: &[u8]) -> Result<RequestHead, (u16, String)> {
         content_length: content_length.unwrap_or(0),
         keep_alive,
     })
+}
+
+/// Read a response head off `r`, through its blank line and no further,
+/// under the limits a request head is read with. Returns the status,
+/// the `Content-Length` (`None`: the body runs to the connection's end)
+/// and whether the server closes the connection after it.
+pub(super) fn read_response_head(r: &mut impl BufRead) -> io::Result<(u16, Option<usize>, bool)> {
+    let mut head = Vec::new();
+    loop {
+        let start = head.len();
+        let room = (MAX_HEAD_BYTES - start) as u64;
+        let n = r.by_ref().take(room).read_until(b'\n', &mut head)?;
+        if head.len() == MAX_HEAD_BYTES && (n == 0 || !head.ends_with(b"\n")) {
+            let why = format!("response head exceeds {MAX_HEAD_BYTES} bytes");
+            return Err(io::Error::new(ErrorKind::InvalidData, why));
+        } else if n == 0 || !head.ends_with(b"\n") {
+            return Err(io::Error::new(
+                ErrorKind::UnexpectedEof,
+                "closed before the response head ended",
+            ));
+        } else if matches!(&head[start..], b"\n" | b"\r\n") {
+            break;
+        }
+    }
+    let bad = |(_, why): (u16, String)| io::Error::new(ErrorKind::InvalidData, why);
+    let mut lines = head_lines(&head);
+    let line = lines.next().unwrap_or(Ok("")).map_err(bad)?;
+    let code = line.split_whitespace().nth(1).and_then(|c| c.parse().ok());
+    let status = code.ok_or_else(|| bad((0, format!("bad status line '{line}'"))))?;
+    let (content_length, connection) = framing(lines).map_err(bad)?;
+    Ok((status, content_length, connection == "close"))
 }
 
 pub(super) fn reason(status: u16) -> &'static str {

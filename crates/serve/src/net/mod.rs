@@ -113,7 +113,9 @@ pub struct NetConfig {
     /// Request bodies larger than this are refused with `413`.
     pub max_body_bytes: usize,
     /// Per-job JSONL result files are written here (served back by
-    /// `GET /jobs/{id}/results`). Created on bind.
+    /// `GET /jobs/{id}/results`). Created on bind. Empty (the default):
+    /// the server makes its own directory under the system temp dir and
+    /// removes it, with every result in it, when it shuts down.
     pub results_dir: PathBuf,
     /// Finished jobs kept queryable (status + results). When more
     /// than this many *terminal* jobs are retained, the oldest are
@@ -158,7 +160,7 @@ impl Default for NetConfig {
         NetConfig {
             max_connections: 1024,
             max_body_bytes: 8 << 20,
-            results_dir: std::env::temp_dir().join(format!("mudock-net-{}", std::process::id())),
+            results_dir: PathBuf::new(),
             max_retained_jobs: 256,
             allow_path_sources: false,
             idle_timeout: Duration::from_secs(60),

@@ -2,7 +2,7 @@
 //! [`ScreenService`], results live in files, and [`NetServer`].
 
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,16 +40,22 @@ struct NodeTier {
 
 /// Monotonic counter naming result files (assigned pre-submit, before
 /// the service id exists). Process-global, not per-server: two
-/// frontends in one process can share the default (pid-derived)
-/// `results_dir`, and per-server counters would both hand out
-/// `job-1.jsonl` — one server's eviction would then delete the other's
-/// live results.
+/// frontends in one process can be given one `results_dir`, and
+/// per-server counters would both hand out `job-1.jsonl` — one
+/// server's eviction would then delete the other's live results.
 static NEXT_FILE: AtomicU64 = AtomicU64::new(1);
+
+/// Numbers the results directories of default-configured servers: one
+/// process (a test binary, say) may run many.
+static NEXT_DIR: AtomicU64 = AtomicU64::new(1);
 
 /// A running HTTP listener bound to a [`ScreenService`].
 pub struct NetServer {
     frontend: HttpFrontend,
     node_id: u64,
+    results_dir: PathBuf,
+    /// Whether `results_dir` is the server's own, removed at shutdown.
+    owns_results: bool,
 }
 
 impl NetServer {
@@ -61,21 +67,42 @@ impl NetServer {
         service: Arc<ScreenService>,
         cfg: NetConfig,
     ) -> std::io::Result<NetServer> {
-        std::fs::create_dir_all(&cfg.results_dir)?;
-        let registry = service.registry();
-        let builder = FrontendBuilder::bind(addr, cfg.clone())?;
+        let mut results_dir = cfg.results_dir.clone();
+        let owns_results = results_dir.as_os_str().is_empty();
+        if owns_results {
+            let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+            let name = format!("mudock-net-{}-{n}", std::process::id());
+            results_dir = std::env::temp_dir().join(name);
+        }
+        let builder = FrontendBuilder::bind(addr, cfg)?;
         let node_id = builder.node_id();
+        std::fs::create_dir_all(&results_dir)?;
+        let registry = service.registry();
         let tier = NodeTier {
             service,
-            results_dir: cfg.results_dir,
+            results_dir: results_dir.clone(),
             metrics: NetMetrics::register(&registry),
             finished: {
                 let waker = builder.waker();
                 Arc::new(move || waker.wake())
             },
         };
-        let frontend = builder.start(tier, &registry)?;
-        Ok(NetServer { frontend, node_id })
+        let frontend = builder.start(tier, &registry).inspect_err(|_| {
+            if owns_results {
+                std::fs::remove_dir_all(&results_dir).ok();
+            }
+        })?;
+        Ok(NetServer {
+            frontend,
+            node_id,
+            results_dir,
+            owns_results,
+        })
+    }
+
+    /// Where the per-job JSONL result files go.
+    pub fn results_dir(&self) -> &Path {
+        &self.results_dir
     }
 
     /// The bound address (resolves the port for `…:0` binds).
@@ -94,11 +121,21 @@ impl NetServer {
     }
 
     /// Stop the event loop and join it; every open connection is
-    /// dropped. The underlying [`ScreenService`] is left running (it
-    /// may have in-process users); shut it down separately.
-    /// Idempotent; also runs on drop.
+    /// dropped, and a results directory the server made is removed.
+    /// The underlying [`ScreenService`] is left running (it may have
+    /// in-process users); shut it down separately. Idempotent; also
+    /// runs on drop.
     pub fn shutdown(&mut self) {
         self.frontend.shutdown();
+        if std::mem::take(&mut self.owns_results) {
+            std::fs::remove_dir_all(&self.results_dir).ok();
+        }
+    }
+}
+
+impl Drop for NetServer {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }
 

@@ -23,7 +23,7 @@
 //! (`File::set_len`) before anything is appended, so the next record
 //! never fuses with the torn one and a crash costs at most the chunk in
 //! flight. A checkpoint whose header is missing or carries another key
-//! — among them every checkpoint of the older, non-JSON format — or
+//! — among them every checkpoint of an older format — or
 //! that holds a whole line that parses but is not a record, starts
 //! fresh.
 
@@ -220,10 +220,12 @@ impl Checkpoint {
         })
     }
 
-    /// The first line of the checkpoint of the job keyed `key`.
+    /// The first line of the checkpoint of the job keyed `key`. Format
+    /// 3: a malformed library model keeps its stream position (format 2
+    /// skipped it), so a ligand behind one seeds differently.
     fn header(key: u64) -> String {
         Json::Obj(vec![
-            ("mudock_checkpoint".into(), Json::u64(2)),
+            ("mudock_checkpoint".into(), Json::u64(3)),
             ("key".into(), Json::u64(key)),
         ])
         .encode()

@@ -80,11 +80,6 @@ impl ServeObs {
         &self.registry
     }
 
-    /// The trace file path, when tracing is on.
-    pub fn trace_path(&self) -> Option<&std::path::Path> {
-        self.trace.as_ref().map(|t| t.path())
-    }
-
     fn span(&self, job: JobId, stage: &str, ns: u64, attrs: &[(&str, &str)]) {
         if let Some(t) = &self.trace {
             t.emit(&SpanRecord {

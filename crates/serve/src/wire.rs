@@ -679,7 +679,8 @@ pub fn submission_from_json(v: &Json) -> Result<Submission, WireError> {
 }
 
 /// Encode the submission for a campaign + molecule bindings (the client
-/// side of `POST /jobs`).
+/// side of `POST /jobs`). Every source has a wire form, so this is
+/// always `Ok`; the `Result` stays for the callers that match on it.
 pub fn submission_to_json(
     campaign: &CampaignSpec,
     receptor: &ReceptorSource,
@@ -701,7 +702,7 @@ pub fn sliced_submission_to_json(
     let mut members = vec![
         ("campaign".into(), campaign_to_json(campaign)),
         ("receptor".into(), receptor_to_json(receptor)),
-        ("ligands".into(), ligands_to_json(ligands)?),
+        ("ligands".into(), ligands_to_json(ligands)),
         ("priority".into(), Json::str(priority_name(priority))),
     ];
     if let Some(s) = slice {
@@ -796,29 +797,22 @@ fn receptor_from_json(v: &Json) -> Result<ReceptorSource, WireError> {
     Ok(src)
 }
 
-/// Encode a [`LigandSource`]. Pre-materialized
-/// [`LigandSource::Molecules`] have no wire form — ship them as PDBQT
-/// text instead.
-pub fn ligands_to_json(src: &LigandSource) -> Result<Json, WireError> {
+/// Encode a [`LigandSource`].
+pub fn ligands_to_json(src: &LigandSource) -> Json {
     match src {
-        LigandSource::Synth { seed, count } => Ok(Json::Obj(vec![(
+        LigandSource::Synth { seed, count } => Json::Obj(vec![(
             "synth".into(),
             Json::Obj(vec![
                 ("seed".into(), Json::u64(*seed)),
                 ("count".into(), Json::usize(*count)),
             ]),
-        )])),
+        )]),
         LigandSource::PdbqtText(text) => {
-            Ok(Json::Obj(vec![("pdbqt".into(), Json::str(text.as_str()))]))
+            Json::Obj(vec![("pdbqt".into(), Json::str(text.as_str()))])
         }
-        LigandSource::PdbqtFile(path) => Ok(Json::Obj(vec![(
-            "path".into(),
-            Json::str(path.to_string_lossy()),
-        )])),
-        LigandSource::Molecules(_) => Err(WireError::invalid(
-            "ligands",
-            "pre-materialized molecules have no wire form; send PDBQT text",
-        )),
+        LigandSource::PdbqtFile(path) => {
+            Json::Obj(vec![("path".into(), Json::str(path.to_string_lossy()))])
+        }
     }
 }
 
@@ -1250,14 +1244,5 @@ mod tests {
         let status = status_from_json(&parse(text).unwrap()).unwrap();
         assert_eq!(status.stages, None);
         assert_eq!(status.ligands_done, 4);
-    }
-
-    #[test]
-    fn materialized_molecules_refuse_a_wire_form() {
-        let src = LigandSource::from_molecules(vec![]);
-        assert!(matches!(
-            ligands_to_json(&src),
-            Err(WireError::Invalid { .. })
-        ));
     }
 }

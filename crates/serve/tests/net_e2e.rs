@@ -329,3 +329,39 @@ fn queued_priorities_and_results_paths_hold_under_concurrent_submissions() {
     assert_eq!(cache.misses, 1);
     assert_eq!(cache.hits, 2);
 }
+
+/// A server left on the default `results_dir` writes into a directory
+/// of its own, and the directory goes when the server shuts down.
+#[test]
+fn a_default_results_directory_is_the_servers_own_and_goes_with_it() {
+    let service = Arc::new(ScreenService::start(ServeConfig {
+        total_threads: 1,
+        job_slots: 1,
+        ..ServeConfig::default()
+    }));
+    let bind = || NetServer::bind("127.0.0.1:0", Arc::clone(&service), NetConfig::default());
+    let mut server = bind().expect("loopback bind");
+    let other = bind().expect("loopback bind");
+    let dir = server.results_dir().to_path_buf();
+    assert_ne!(dir, other.results_dir(), "two servers, two directories");
+
+    let mut client = Client::new(server.local_addr().to_string());
+    let id = client
+        .submit(
+            &campaign("own-dir"),
+            &receptor_source(),
+            &LigandSource::synth(SEED, 0),
+            Priority::Normal,
+        )
+        .expect("submit over the socket");
+    assert_eq!(client.wait(id).unwrap().state, JobState::Completed);
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(files, 1, "the job's results file is in {}", dir.display());
+
+    drop(client);
+    server.shutdown();
+    assert!(!dir.exists(), "{} outlived its server", dir.display());
+    assert!(other.results_dir().exists(), "the other server's stays");
+    drop(other);
+    service.shutdown();
+}

@@ -41,7 +41,7 @@ use mudock::grids::{GridBuilder, GridDims};
 use mudock::mol::{Molecule, Vec3};
 
 fn usage() -> &'static str {
-    "usage:\n  mudock info <file.pdbqt>\n  mudock dock --receptor R.pdbqt --ligand L.pdbqt [options]\n  mudock dock --demo [options]\n  mudock screen --demo N [--threads T] [options]\n  mudock serve --demo N [--jobs J] [--threads T] [options]\n  mudock serve --listen ADDR [--jobs J] [--threads T] [--results DIR]\n  mudock coordinator --listen ADDR --nodes HOST:PORT,HOST:PORT[,...]\n  mudock submit --addr HOST:PORT (--demo N | --receptor R --ligands L) [options]\n  mudock poll --addr HOST:PORT ID [--wait] [--results] [--cancel]\n  mudock stats --addr HOST:PORT [--metrics]\n\ncampaign options (validated; bad values exit with code 2):\n  --backend <reference|autovec|scalar|avx2|avx512>  (default: the widest of avx2 and\n                    avx512 the host runs, else autovec; naming a SIMD level\n                    pins the job's grids to that level)\n  --generations N   (default 150)\n  --population P    (default 100)\n  --seed S          (default 42)\n  --radius R        search radius in Å (default: grid-derived)\n  --local-search    enable Solis-Wets Lamarckian refinement\n  --top K           ranking size (default 10)\n  --chunk C         ligands per chunk (default 16)\n  --chunk-target-ms MS   adaptive chunks sized to ~MS wall-clock each\n  --max-evals N     stop after N pose evaluations\n  --deadline-s S    stop after S seconds of wall-clock\n  --stable-window W stop once the top-k held still for W chunks\n  --stable-eps E    score tolerance for --stable-window (default 0)\n\nother options:\n  --out FILE        write the best pose as PDBQT (dock only)\n  --threads T       worker threads (screen/serve)\n  --jobs J          concurrent service jobs (serve only, default 2)\n  --cache N         grid sets kept resident (serve only, default 4)\n  --spill-dir DIR   spill evicted grids to DIR and reload on the next\n                    miss instead of rebuilding (serve only)\n  --spill-cap N     spill files kept in --spill-dir (default 16, at least 1)\n  --jsonl DIR       stream per-ligand JSONL results into DIR (serve only)\n  --checkpoint DIR  write per-job chunk checkpoints into DIR (serve only)\n  --trace-file FILE append per-stage span JSONL to FILE, bounded (serve only)\n\nnetwork options:\n  --listen ADDR     serve the HTTP API on ADDR (port 0 picks one; serve only)\n  --results DIR     per-job JSONL result files (serve --listen only)\n  --allow-path-sources  accept server-side {\"path\": ...} sources (off by default)\n  --max-conns N     open connections held before load-shedding 503s\n                    (serve --listen only, default 1024)\n  --idle-s S        keep-alive idle-connection timeout in seconds (default 60)\n  --header-s S      request-header read deadline in seconds (default 10)\n  --addr HOST:PORT  server to talk to (submit/poll)\n\ncoordinator options:\n  --nodes A,B,...   member `mudock serve --listen` addresses (required)\n  --health-ms MS    health-probe spacing (default 500)\n  --dead-after N    consecutive failures before a member is dead (default 3)\n  --scatter-min N   smallest library worth fanning out (default 8)\n  --max-parts N     scatter fan-out ceiling (default 16)\n  --poll-ms MS      sub-job poll interval (default 20)\n  --max-attempts N  dispatch attempts per window before failing (default 4)\n  --name NAME       campaign name (submit, default 'remote')\n  --priority P      low|normal|high (submit, default normal)\n  --ligands FILE    multi-model PDBQT ligand library (submit)\n  --receptor-seed S synthetic receptor seed for submit --demo, so two\n                    submissions can target different receptors/shards\n  --wait            poll until the job is terminal\n  --results (poll)  print the job's JSONL results\n  --cancel          request cancellation\n  --metrics (stats) print the Prometheus /metrics text instead of /stats JSON"
+    "usage:\n  mudock info <file.pdbqt>\n  mudock dock --receptor R.pdbqt --ligand L.pdbqt [options]\n  mudock dock --demo [options]\n  mudock screen --demo N [--threads T] [options]\n  mudock serve --demo N [--jobs J] [--threads T] [options]\n  mudock serve --listen ADDR [--jobs J] [--threads T] [--results DIR]\n  mudock coordinator --listen ADDR --nodes HOST:PORT,HOST:PORT[,...]\n  mudock submit --addr HOST:PORT (--demo N | --receptor R --ligands L) [options]\n  mudock poll --addr HOST:PORT ID [--wait] [--results] [--cancel]\n  mudock stats --addr HOST:PORT [--metrics]\n\ncampaign options (validated; bad values exit with code 2):\n  --backend <reference|autovec|scalar|avx2|avx512>  (default: the widest of avx2 and\n                    avx512 the host runs, else autovec; naming a SIMD level\n                    pins the job's grids to that level)\n  --generations N   (default 150)\n  --population P    (default 100)\n  --seed S          (default 42)\n  --radius R        search radius in Å (default: grid-derived)\n  --local-search    enable Solis-Wets Lamarckian refinement\n  --top K           ranking size (default 10)\n  --chunk C         ligands per chunk (default 16)\n  --chunk-target-ms MS   adaptive chunks sized to ~MS wall-clock each\n  --max-evals N     stop after N pose evaluations\n  --deadline-s S    stop after S seconds of wall-clock\n  --stable-window W stop once the top-k held still for W chunks\n  --stable-eps E    score tolerance for --stable-window (default 0)\n\nother options:\n  --out FILE        write the best pose as PDBQT (dock only)\n  --threads T       worker threads (screen/serve)\n  --jobs J          concurrent service jobs (serve only, default 2)\n  --cache N         grid sets kept resident (serve only, default 4)\n  --spill-dir DIR   spill evicted grids to DIR and reload on the next\n                    miss instead of rebuilding (serve only)\n  --spill-cap N     spill files kept in --spill-dir (default 16, at least 1)\n  --jsonl DIR       stream per-ligand JSONL results into DIR (serve only)\n  --checkpoint DIR  write per-job chunk checkpoints into DIR (serve only)\n  --trace-file FILE append per-stage span JSONL to FILE, bounded (serve only)\n\nnetwork options:\n  --listen ADDR     serve the HTTP API on ADDR (port 0 picks one; serve only)\n  --results DIR     per-job JSONL result files (serve --listen only)\n  --allow-path-sources  accept server-side {\"path\": ...} sources (off by default)\n  --max-conns N     open connections held before load-shedding 503s\n                    (serve --listen only, default 1024)\n  --idle-s S        keep-alive idle-connection timeout in seconds (default 60)\n  --header-s S      request-header read deadline in seconds (default 10)\n  --addr HOST:PORT  server to talk to (submit/poll)\n\ncoordinator options:\n  --nodes A,B,...   member `mudock serve --listen` addresses (required)\n  --health-ms MS    health-probe spacing (default 500)\n  --dead-after N    consecutive failures before a member is dead (default 3)\n  --scatter-min N   smallest library worth fanning out (default 8)\n  --max-parts N     scatter fan-out ceiling (default 16)\n  --poll-ms MS      longest wait on a sub-job between cancel checks (default 20)\n  --max-attempts N  dispatch attempts per window before failing (default 4)\n  --name NAME       campaign name (submit, default 'remote')\n  --priority P      low|normal|high (submit, default normal)\n  --ligands FILE    multi-model PDBQT ligand library (submit)\n  --receptor-seed S synthetic receptor seed for submit --demo, so two\n                    submissions can target different receptors/shards\n  --wait            poll until the job is terminal\n  --results (poll)  print the job's JSONL results\n  --cancel          request cancellation\n  --metrics (stats) print the Prometheus /metrics text instead of /stats JSON"
 }
 
 /// CLI failure with its exit code: usage/validation errors (exit 2,

@@ -1,5 +1,6 @@
 //! PDBQT text from outside: bytes that are not ASCII inside the fixed
-//! columns are a typed parse error (a skipped library model, a refused
+//! columns are a typed parse error (an undocked library model that keeps
+//! its place, a refused
 //! receptor), never a panic; the writer keeps its columns past serial
 //! 999; and bond perception on a cell grid finds exactly the bonds, in
 //! the order, of the all-pairs test it replaced.
@@ -96,7 +97,12 @@ fn an_inline_library_skips_a_model_with_non_ascii_columns() {
         .expect("queued")
         .wait();
     assert_eq!(outcome.state, JobState::Completed, "{:?}", outcome.error);
-    assert_eq!(outcome.ligands_done, 2, "the poisoned model is skipped");
+    // The poisoned model is not docked, but it keeps its place: it is
+    // counted, goes unranked, and the model behind it keeps index 2.
+    assert_eq!(outcome.ligands_done, 3, "every model is counted");
+    let mut ranked: Vec<usize> = outcome.top.iter().map(|r| r.index).collect();
+    ranked.sort_unstable();
+    assert_eq!(ranked, [0, 2], "the poisoned model is skipped, in place");
     service.shutdown();
 }
 

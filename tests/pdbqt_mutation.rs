@@ -3,8 +3,10 @@
 //! column boundaries, all inside one model's records (its `MODEL` and
 //! `ENDMDL` lines stay intact). `parse` answers every mutated text with
 //! a molecule or a `ParseError`, never a panic; the mutated model is
-//! the only one it can cost; and every other model streams from
-//! `LigandSource::from_pdbqt` as the same molecule, in order.
+//! the only one it can cost; and `LigandSource::from_pdbqt` streams one
+//! entry per model, in order: every other model as the same molecule,
+//! the mutated one as what it parses to or, when it does not parse, an
+//! atom-less molecule named after its model number.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -174,9 +176,9 @@ proptest! {
         let survivor = parse_or_fail(body)?;
         parse_or_fail(&text)?;
 
-        let want: Vec<Key> = (models.into_iter().enumerate())
-            .filter_map(|(i, m)| if i == victim { survivor.clone() } else { Some(m) })
-            .collect();
+        let unparsed = (format!("MODEL {}", victim + 1), Vec::new(), Vec::new());
+        let mut want = models;
+        want[victim] = survivor.unwrap_or(unparsed);
         let streamed = catch_unwind(AssertUnwindSafe(|| {
             let source = LigandSource::from_pdbqt(text.clone());
             source.stream().expect("inline text needs no I/O").map(|m| key(&m)).collect()
