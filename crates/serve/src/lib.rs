@@ -39,9 +39,10 @@
 //! `GET /healthz`, `GET /stats`) speaking the JSON schema of [`wire`]
 //! (the codec under it is `mudock_obs::json`). One event-loop thread multiplexes the connections
 //! over one listener and one [`reactor`] ([`reactor::Reactor`]):
-//! `epoll` on Linux, `poll(2)` on every other unix. On top of that: keep-alive and pipelining,
-//! per-state plus per-request deadlines that evict slow, idle, and
-//! wedged peers, bodies held until complete and then parsed in one
+//! `epoll` on Linux, `poll(2)` on every other unix. On top of that: keep-alive, one
+//! request in flight per connection (pipelined requests answered one
+//! after another), per-phase deadlines that evict slow, idle, and
+//! non-reading peers, bodies held until complete and then parsed in one
 //! pass ([`wire::parse_bytes`]), and the same bounded-backpressure discipline
 //! at the socket edge (a capped connection count that sheds overload
 //! with `503` instead of unbounded buffering). The job API exists once
@@ -115,5 +116,5 @@ pub use net::{
 pub use queue::{ShardStat, SubmitError};
 pub use server::{ScreenService, ServeConfig, ServiceStats};
 pub use sink::{Checkpoint, JsonlSink};
-pub use telemetry::{ServeObs, TraceConfig};
+pub use telemetry::ServeObs;
 pub use wire::{JobStatus, ReceptorSource, WireError};

@@ -1,6 +1,12 @@
 //! One connection's request/response state machine (idle → header →
 //! body → [parked →] write), driven by the readiness events the event
 //! loop delivers. Everything here runs on that loop's thread.
+//!
+//! A connection owes at most one response: once a request is routed,
+//! reads pause until its answer (immediate or parked) has fully
+//! flushed, and only then is the next request parsed from whatever is
+//! already buffered. Pipelined requests are answered in order, one at
+//! a time, and each phase deadline bounds the one request in flight.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -14,10 +20,6 @@ use super::http::{find_head_end, parse_head, reason, Body, RequestHead, Response
 use crate::reactor::{Interest, Token};
 use crate::wire::{parse_bytes, WireError};
 
-/// Responses queued behind one connection beyond this pause its reads:
-/// a client pipelining requests faster than it drains responses gets
-/// TCP backpressure, not server memory growth.
-const MAX_PENDING_OUT: usize = 1 << 20;
 /// Result files stream to the socket in chunks of this size.
 const FILE_CHUNK: usize = 64 << 10;
 /// Bytes a closing connection will still drain so the final response
@@ -29,7 +31,8 @@ const LINGER: Duration = Duration::from_secs(1);
 
 /// Where a connection is in its request/response cycle.
 enum Phase {
-    /// Keep-alive, between requests.
+    /// Keep-alive, between requests (or writing the answer to the last
+    /// one: output is queued).
     Idle,
     /// Accumulating head bytes (first byte seen, terminator not yet).
     Header,
@@ -40,14 +43,14 @@ enum Phase {
     Body { head: RequestHead },
     /// The request was routed and waits for its answer (a long-poll on
     /// a job that is not terminal yet); `deadline` is when it is
-    /// answered regardless. Reads pause: pipelined requests wait in the
-    /// socket behind this one.
+    /// answered regardless.
     Parked {
         poll: Box<dyn Parked>,
         keep_alive: bool,
     },
-    /// Close-bound: drain (bounded) whatever the peer still sends so
-    /// the final response is delivered, then close.
+    /// Close-bound: once the final response has flushed, drain
+    /// (bounded) whatever the peer still sends so it is delivered,
+    /// then close.
     Lingering { budget: usize },
 }
 
@@ -60,10 +63,6 @@ enum OutItem {
         file: std::fs::File,
         remaining: u64,
     },
-    /// Zero-byte end-of-response marker: when the writer reaches it,
-    /// the oldest in-flight request's latency is recorded. Pipelined
-    /// requests match FIFO because responses are queued in order.
-    Mark,
 }
 
 pub(super) struct Conn {
@@ -71,18 +70,18 @@ pub(super) struct Conn {
     pub(super) token: Token,
     buf: Vec<u8>,
     phase: Phase,
-    deadline: Instant,
+    /// When the current phase gives up: the connection closes, or a
+    /// parked request is answered.
+    pub(super) deadline: Instant,
+    /// The response owed, queued in order.
     out: VecDeque<OutItem>,
     /// Bytes of `out.front()` already written.
     front_off: usize,
-    close_after_flush: bool,
     /// Interest currently registered with the reactor.
     pub(super) interest: Interest,
-    /// Header-first-byte stamps of requests awaiting a flushed
-    /// response, oldest first (pipelining keeps several in flight).
-    /// The `u64` is the wall-clock ns for the latency histogram; the
-    /// `Instant` anchors the request-level deadline.
-    req_starts: VecDeque<(u64, Instant)>,
+    /// Wall-clock ns of the current request's first header byte, for
+    /// the latency histogram.
+    started: u64,
 }
 
 impl Conn {
@@ -97,9 +96,8 @@ impl Conn {
             deadline,
             out: VecDeque::new(),
             front_off: 0,
-            close_after_flush: false,
             interest: Interest::READ,
-            req_starts: VecDeque::new(),
+            started: 0,
         }
     }
 
@@ -111,37 +109,18 @@ impl Conn {
         matches!(self.phase, Phase::Parked { .. })
     }
 
+    /// A routed request whose answer has not fully flushed.
+    fn owes_response(&self) -> bool {
+        self.has_output() || self.is_parked()
+    }
+
     /// The interest this connection should be registered with: read
-    /// unless its request is parked or output backpressure says pause,
-    /// write only while output is queued.
+    /// only while it owes no response, write only while output is
+    /// queued.
     pub(super) fn wanted_interest(&self) -> Interest {
         Interest {
-            readable: !self.is_parked() && self.pending_out() <= MAX_PENDING_OUT,
+            readable: !self.owes_response(),
             writable: self.has_output(),
-        }
-    }
-
-    fn pending_out(&self) -> usize {
-        self.out
-            .iter()
-            .map(|i| match i {
-                OutItem::Bytes(b) => b.len(),
-                OutItem::File { remaining, .. } => *remaining as usize,
-                OutItem::Mark => 0,
-            })
-            .sum::<usize>()
-            .saturating_sub(self.front_off)
-    }
-
-    /// The nearest of the phase deadline and the oldest unanswered
-    /// request's end-to-end bound. The phase deadlines reset as the
-    /// connection changes state; the request bound does not, so a
-    /// response wedged behind a slow route cannot be kept alive forever
-    /// by a peer that keeps the phase clocks fresh.
-    pub(super) fn effective_deadline(&self, request_timeout: Duration) -> Instant {
-        match self.req_starts.front() {
-            Some(&(_, started)) => self.deadline.min(started + request_timeout),
-            None => self.deadline,
         }
     }
 }
@@ -153,16 +132,12 @@ pub(super) enum Action {
     Close,
 }
 
-/// Drain the socket into the connection buffer and run the request
-/// state machine over whatever arrived.
+/// Drain the socket into the connection buffer and answer whatever
+/// requests arrived. Stops reading as soon as a response is owed; on a
+/// hangup it is called anyway, and what it reads then waits in `buf`.
 pub(super) fn do_read(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action {
     let mut tmp = [0u8; 16 << 10];
     loop {
-        // Backpressure: stop pulling bytes while responses are backed
-        // up (interest re-arming pauses the readiness events too).
-        if conn.pending_out() > MAX_PENDING_OUT {
-            return Action::Keep;
-        }
         match conn.stream.read(&mut tmp) {
             Ok(0) => {
                 // EOF. Clean between requests; abrupt mid-request.
@@ -177,8 +152,13 @@ pub(super) fn do_read(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Ac
                     continue;
                 }
                 conn.buf.extend_from_slice(&tmp[..n]);
-                if process_input(conn, ctx, now) == Action::Close {
+                // Owed before the read only on a hangup: the bytes wait
+                // in `buf` until that response has flushed.
+                if !conn.owes_response() && pump(conn, ctx, now) == Action::Close {
                     return Action::Close;
+                }
+                if conn.owes_response() {
+                    return Action::Keep; // reads pause until it flushes
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Action::Keep,
@@ -188,33 +168,47 @@ pub(super) fn do_read(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Ac
     }
 }
 
-/// Advance the request state machine over `conn.buf`. Loops so that
-/// pipelined requests already buffered are answered back-to-back.
-fn process_input(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action {
+/// Flush the owed response, then parse and answer the requests already
+/// buffered, one at a time: each answer flushes before the next request
+/// is parsed. Returns once the socket is full, a request parks, or the
+/// buffer holds no whole request. A loop, not a recursion, so a burst of
+/// tiny pipelined requests does not deepen the stack.
+pub(super) fn pump(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action {
+    loop {
+        if do_write(conn, now, ctx) == Action::Close {
+            return Action::Close;
+        }
+        if conn.owes_response() {
+            return Action::Keep;
+        }
+        route_next(conn, ctx, now);
+        if !conn.has_output() {
+            return Action::Keep;
+        }
+    }
+}
+
+/// Advance the request state machine over `conn.buf` until one request
+/// is routed (its answer queued or parked) or more bytes are needed.
+fn route_next(conn: &mut Conn, ctx: &FrontendShared, now: Instant) {
     loop {
         match &mut conn.phase {
             Phase::Idle => {
                 if conn.buf.is_empty() {
-                    return Action::Keep;
+                    return;
                 }
-                // Request latency (and the request-level deadline)
-                // starts at the header's first byte.
-                conn.req_starts.push_back((now_ns(), now));
+                // Request latency starts at the header's first byte.
+                conn.started = now_ns();
                 conn.phase = Phase::Header;
                 conn.deadline = now + ctx.cfg.header_timeout;
             }
             Phase::Header => {
                 let Some(head_len) = find_head_end(&conn.buf) else {
                     if conn.buf.len() > MAX_HEAD_BYTES {
-                        return refuse(
-                            conn,
-                            ctx,
-                            now,
-                            400,
-                            format!("request head exceeds {MAX_HEAD_BYTES} bytes"),
-                        );
+                        let msg = format!("request head exceeds {MAX_HEAD_BYTES} bytes");
+                        refuse(conn, ctx, now, 400, msg);
                     }
-                    return Action::Keep; // need more bytes
+                    return; // need more bytes
                 };
                 let head_bytes: Vec<u8> = conn.buf.drain(..head_len).collect();
                 let head = match parse_head(&head_bytes) {
@@ -239,7 +233,7 @@ fn process_input(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action 
             Phase::Body { head } => {
                 let len = head.content_length;
                 if conn.buf.len() < len {
-                    return Action::Keep; // need more bytes
+                    return; // need more bytes
                 }
                 let body = ctx
                     .routes
@@ -264,9 +258,7 @@ fn process_input(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action 
                 ctx.metrics.requests.inc();
                 match routed {
                     Routed::Answer(response) => {
-                        if answered(conn, ctx, now, response, head.keep_alive) {
-                            return Action::Keep;
-                        }
+                        queue_response(conn, response, head.keep_alive, now, ctx)
                     }
                     Routed::Park(poll, wait) => {
                         conn.phase = Phase::Parked {
@@ -274,50 +266,15 @@ fn process_input(conn: &mut Conn, ctx: &FrontendShared, now: Instant) -> Action 
                             keep_alive: head.keep_alive,
                         };
                         conn.deadline = now + wait;
-                        return Action::Keep;
                     }
                 }
+                return;
             }
-            // Bytes that arrive behind a parked request (read on a
-            // hangup) stay buffered until it is answered.
-            Phase::Parked { .. } => return Action::Keep,
-            Phase::Lingering { budget } => {
-                *budget = budget.saturating_sub(conn.buf.len());
-                conn.buf.clear();
-                if *budget == 0 {
-                    return Action::Close;
-                }
-                return Action::Keep;
-            }
+            // A close-bound connection parses nothing more; a parked
+            // one waits for its answer.
+            Phase::Parked { .. } | Phase::Lingering { .. } => return,
         }
     }
-}
-
-/// Queue the answer to the request just routed or resumed and return
-/// the connection to between requests. `true` when there is nothing
-/// more to parse now (close-bound, or no pipelined bytes buffered).
-fn answered(
-    conn: &mut Conn,
-    ctx: &FrontendShared,
-    now: Instant,
-    response: Response,
-    keep_alive: bool,
-) -> bool {
-    conn.phase = Phase::Idle;
-    queue_response(conn, response, keep_alive, now, ctx);
-    if conn.close_after_flush {
-        conn.buf.clear();
-        conn.phase = Phase::Lingering {
-            budget: DRAIN_BUDGET,
-        };
-        return true;
-    }
-    // Keep-alive: pipelined bytes may already hold the next request.
-    if conn.buf.is_empty() {
-        conn.deadline = now + ctx.cfg.idle_timeout.max(ctx.cfg.write_timeout);
-        return true;
-    }
-    false
 }
 
 /// Ask a parked request for its answer (`expired`: its deadline came,
@@ -336,33 +293,20 @@ pub(super) fn resume(
     let keep_alive = *keep_alive;
     let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| poll.answer(expired)))
         .unwrap_or_else(|_| Some(Response::error(500, "internal error")))?;
-    if answered(conn, ctx, now, response, keep_alive) {
-        return Some(Action::Keep);
-    }
-    Some(process_input(conn, ctx, now))
+    queue_response(conn, response, keep_alive, now, ctx);
+    Some(pump(conn, ctx, now))
 }
 
-/// Queue a protocol-level refusal and mark the connection close-bound
-/// (its framing can no longer be trusted).
-fn refuse(
-    conn: &mut Conn,
-    ctx: &FrontendShared,
-    now: Instant,
-    status: u16,
-    message: String,
-) -> Action {
+/// Queue a protocol-level refusal; the connection is close-bound (its
+/// framing can no longer be trusted).
+fn refuse(conn: &mut Conn, ctx: &FrontendShared, now: Instant, status: u16, message: String) {
     ctx.metrics.parse_errors.inc();
     queue_response(conn, Response::error(status, message), false, now, ctx);
-    conn.buf.clear();
-    conn.phase = Phase::Lingering {
-        budget: DRAIN_BUDGET,
-    };
-    Action::Keep
 }
 
-/// Serialize a response onto the connection's output queue and attempt
-/// an optimistic flush (most responses fit the socket buffer whole, so
-/// the common case never waits for a writability event).
+/// Serialize the answer to the current request onto the output queue.
+/// Without keep-alive the connection turns close-bound: what is
+/// buffered behind the request is dropped.
 fn queue_response(
     conn: &mut Conn,
     response: Response,
@@ -394,32 +338,25 @@ fn queue_response(
     };
     conn.out.push_back(OutItem::Bytes(first));
     conn.out.extend(file);
-    conn.out.push_back(OutItem::Mark);
-    conn.close_after_flush |= !keep_alive;
+    conn.phase = if keep_alive {
+        Phase::Idle
+    } else {
+        conn.buf.clear();
+        Phase::Lingering {
+            budget: DRAIN_BUDGET,
+        }
+    };
     conn.deadline = now + ctx.cfg.write_timeout;
-    let _ = do_write(conn, now, ctx);
 }
 
-/// Push queued output to the socket until it blocks or drains.
-pub(super) fn do_write(conn: &mut Conn, now: Instant, ctx: &FrontendShared) -> Action {
-    loop {
-        let Some(front) = conn.out.front_mut() else {
-            // Fully flushed.
-            if conn.close_after_flush {
-                // Half-close so the last response's bytes are
-                // delivered, then linger draining (bounded) until the
-                // peer hangs up — closing with unread input would RST
-                // the response away.
-                let _ = conn.stream.shutdown(Shutdown::Write);
-                if !matches!(conn.phase, Phase::Lingering { .. }) {
-                    conn.phase = Phase::Lingering {
-                        budget: DRAIN_BUDGET,
-                    };
-                }
-                conn.deadline = now + LINGER;
-            }
-            return Action::Keep;
-        };
+/// Push queued output to the socket until it blocks or drains. When the
+/// response drains, its latency is recorded and the connection waits
+/// for the next request (or, close-bound, half-closes and lingers).
+fn do_write(conn: &mut Conn, now: Instant, ctx: &FrontendShared) -> Action {
+    if conn.out.is_empty() {
+        return Action::Keep;
+    }
+    while let Some(front) = conn.out.front_mut() {
         match front {
             OutItem::Bytes(bytes) => {
                 while conn.front_off < bytes.len() {
@@ -458,16 +395,19 @@ pub(super) fn do_write(conn: &mut Conn, now: Instant, ctx: &FrontendShared) -> A
                     Err(_) => return Action::Close,
                 }
             }
-            OutItem::Mark => {
-                // Everything queued for this response hit the socket:
-                // the oldest in-flight request is answered.
-                conn.out.pop_front();
-                if let Some((t0, _)) = conn.req_starts.pop_front() {
-                    ctx.metrics
-                        .request_seconds
-                        .record_ns(now_ns().saturating_sub(t0));
-                }
-            }
         }
     }
+    ctx.metrics
+        .request_seconds
+        .record_ns(now_ns().saturating_sub(conn.started));
+    if matches!(conn.phase, Phase::Lingering { .. }) {
+        // Half-close so the last response's bytes are delivered, then
+        // linger draining (bounded) until the peer hangs up — closing
+        // with unread input would RST the response away.
+        let _ = conn.stream.shutdown(Shutdown::Write);
+        conn.deadline = now + LINGER;
+    } else {
+        conn.deadline = now + ctx.cfg.idle_timeout;
+    }
+    Action::Keep
 }

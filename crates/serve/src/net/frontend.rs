@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use mudock_obs::{now_ns, Counter, Gauge, Histogram, Registry};
 
 use super::api::{JobRoutes, JobTier};
-use super::conn::{do_read, do_write, resume, Action, Conn};
+use super::conn::{do_read, pump, resume, Action, Conn};
 use super::http::Response;
 use super::NetConfig;
 use crate::reactor::{Event, Interest, Reactor, Token};
@@ -383,9 +383,8 @@ fn event_loop(
     {
         return;
     }
-    let request_timeout = ctx.cfg.request_timeout;
     let metrics = &ctx.metrics;
-    // Cache of the earliest effective deadline across the table (and
+    // Cache of the earliest deadline across the table (and
     // the end of an accept pause); `None` forces a rescan. This keeps a
     // wakeup's work proportional to the events it carries, not the
     // table it guards: a deadline only moves for a connection an event
@@ -412,13 +411,12 @@ fn event_loop(
         }
         // Deadlines: a parked request past its deadline is answered
         // with the status as it stands; any other connection past its
-        // phase deadline (or its oldest request's end-to-end bound) is
-        // closed — that is the slow-loris/dead-peer/wedged-response
-        // bound.
+        // phase deadline is closed — that is the slow-loris/dead-peer/
+        // unread-response bound.
         if next_deadline.is_none_or(|d| now >= d) {
             let expired: Vec<usize> = conns
                 .iter()
-                .filter(|(_, c)| now >= c.effective_deadline(request_timeout))
+                .filter(|(_, c)| now >= c.deadline)
                 .map(|(&id, _)| id)
                 .collect();
             for id in expired {
@@ -429,7 +427,7 @@ fn event_loop(
             }
             next_deadline = conns
                 .values()
-                .map(|c| c.effective_deadline(request_timeout))
+                .map(|c| c.deadline)
                 .chain(accept_paused_until)
                 .min();
         }
@@ -485,11 +483,9 @@ fn event_loop(
                 action = do_read(conn, ctx, now);
             }
             if action == Action::Keep && (ev.writable || conn.has_output()) {
-                action = do_write(conn, now, ctx);
+                action = pump(conn, ctx, now);
             }
-            // Fold the (possibly now earlier) deadline into the cache —
-            // a fresh request start binds it to `request_timeout` even
-            // under a lazier phase deadline.
+            // Fold the (possibly now earlier) deadline into the cache.
             let d = settle(
                 &mut reactor,
                 &mut conns,
@@ -557,7 +553,7 @@ fn earliest(cached: Option<Instant>, d: Option<Instant>) -> Option<Instant> {
 /// Apply what handling connection `id` decided: close it, or re-arm
 /// its interest (only a connection an event or a wakeup touched can
 /// want a change, so there is no table scan) and record whether its
-/// request is parked. Returns the open connection's effective deadline.
+/// request is parked. Returns the open connection's deadline.
 fn settle(
     reactor: &mut Reactor,
     conns: &mut HashMap<usize, Conn>,
@@ -588,7 +584,7 @@ fn settle(
     } else {
         parked.remove(&id);
     }
-    Some(conn.effective_deadline(ctx.cfg.request_timeout))
+    Some(conn.deadline)
 }
 
 /// Swallow whatever bytes are queued on the waker pair; each byte was

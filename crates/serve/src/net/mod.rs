@@ -25,12 +25,14 @@
 //! machine (idle → header → body → write). The state machines are
 //! single-threaded and take no locks; only the metric atomics are
 //! shared, with `/stats` and in-process readers. Connections are
-//! HTTP/1.1 **keep-alive** by default and requests may be
-//! **pipelined**: each completed request is answered in order, and any
-//! bytes already buffered behind it are processed immediately. A
+//! HTTP/1.1 **keep-alive** by default, and a connection has **one
+//! request in flight**: once a request is routed, reads pause until its
+//! answer has fully flushed, then the next request is parsed from the
+//! bytes already buffered. Pipelined requests are therefore answered in
+//! order, one after another, and a client that never reads its
+//! responses costs one queued response, never a growing queue. A
 //! long-poll (`GET /jobs/{id}?wait_ms=N`, `N` ≤ [`MAX_WAIT_MS`]) on a job
-//! that is not terminal is *parked*: the connection stops reading (so
-//! requests pipelined behind it wait) and costs no thread, until the
+//! that is not terminal is *parked*: it costs no thread, until the
 //! job's tier pokes the loop's waker pair through a [`JobWaker`] or
 //! the `N` ms deadline comes; either way the answer is the body a plain
 //! `GET` returns at that moment. A request body is held until all of it has arrived, then parsed in one
@@ -39,14 +41,13 @@
 //! while it parses; [`NetConfig::max_body_bytes`] bounds both the bytes
 //! one connection holds and that pass.
 //!
-//! Slow and dead peers are bounded by per-state deadlines
+//! Slow and dead peers are bounded by per-phase deadlines
 //! ([`NetConfig::idle_timeout`], [`NetConfig::header_timeout`],
-//! [`NetConfig::body_timeout`], [`NetConfig::write_timeout`]) plus one
-//! end-to-end bound per request ([`NetConfig::request_timeout`], first
-//! header byte → response flushed — the backstop for a response stuck
-//! behind a slow downstream while the peer keeps the per-phase clocks
-//! fresh): a slow-loris client dripping header bytes is closed at the
-//! header deadline while thousands of idle keep-alive connections cost
+//! [`NetConfig::body_timeout`], [`NetConfig::write_timeout`], a parked
+//! request's `wait_ms`), and with one request in flight they bound
+//! every request: a slow-loris client dripping header bytes is closed
+//! at the header deadline, one that never reads its response at the
+//! write deadline, while thousands of idle keep-alive connections cost
 //! only their sockets. Beyond [`NetConfig::max_connections`] open
 //! connections the server sheds load gracefully: accept, answer a
 //! canned `503`, close — instead of letting the kernel backlog time
@@ -140,13 +141,6 @@ pub struct NetConfig {
     pub body_timeout: Duration,
     /// From response-queued until it is fully flushed.
     pub write_timeout: Duration,
-    /// End-to-end bound per request: first header byte until the
-    /// response is fully flushed. The per-phase deadlines above each
-    /// reset as a connection changes state; this one does not, so a
-    /// response stuck behind a slow downstream (a job poll that never
-    /// resolves, say) on a connection whose peer keeps the per-phase
-    /// clocks fresh is still bounded.
-    pub request_timeout: Duration,
     /// Kept only because the benchmark rigs set it to `1`; removed
     /// with their next change (ROADMAP item 2). The frontend runs one
     /// event loop: `0` and `1` both mean it, and any other value makes
@@ -167,7 +161,6 @@ impl Default for NetConfig {
             header_timeout: Duration::from_secs(10),
             body_timeout: Duration::from_secs(60),
             write_timeout: Duration::from_secs(60),
-            request_timeout: Duration::from_secs(300),
             event_loops: 0,
         }
     }

@@ -582,53 +582,88 @@ fn one_event_loop_serves_and_other_loop_counts_are_refused() {
     service.shutdown();
 }
 
-/// A response that can never flush (the route is fine; the *peer*
-/// never reads and keeps the connection busy) is bounded by the
-/// request-level deadline even though every per-phase deadline
-/// keeps being met.
+/// A connection owes one response at a time: a request pipelined
+/// behind an answer that cannot flush yet is not even parsed until the
+/// peer has read that answer. Then both arrive, in order.
 #[test]
-fn request_deadline_reaps_a_wedged_request() {
+fn a_pipelined_request_waits_until_the_answer_before_it_flushed() {
     let service = tiny_service();
-    let mut server = NetServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&service),
-        NetConfig {
-            request_timeout: Duration::from_millis(300),
-            // Per-phase clocks far beyond the request bound: only
-            // the end-to-end deadline can fire in this test.
-            idle_timeout: Duration::from_secs(3600),
-            header_timeout: Duration::from_secs(3600),
-            body_timeout: Duration::from_secs(3600),
-            write_timeout: Duration::from_secs(3600),
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
-    let addr = server.local_addr();
-    let mut raw = TcpStream::connect(addr).unwrap();
-    // A started-but-never-finished request: the header phase alone
-    // would allow it for an hour, the request deadline does not.
-    raw.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut buf = [0u8; 64];
-    let t0 = Instant::now();
-    // EOF (Ok(0)) once the server reaps the connection.
-    loop {
-        match raw.read(&mut buf) {
-            Ok(0) => break,
-            Ok(_) => continue,
-            Err(e) => panic!("expected server-side close, got {e}"),
-        }
+    let mut server = bind(&service);
+    let addr = server.local_addr().to_string();
+    let mut c = Client::new(&addr);
+    let body = r#"{"campaign": {"name": "big", "population": 6, "generations": 1,
+                                "search_radius": 3.0, "top_k": 1},
+                   "receptor": {"synth": {"seed": 3, "atoms": 30, "radius": 5.0}},
+                   "ligands": {"synth": {"seed": 7, "count": 1}}}"#;
+    let resp = c.request("POST", "/jobs", Some(body)).unwrap();
+    let id = match wire::parse(&resp.ok().unwrap().body).unwrap().get("id") {
+        Some(Json::Num(n)) => n.as_u64().unwrap(),
+        other => panic!("no id in submit response: {other:?}"),
+    };
+    assert_eq!(c.wait(id).unwrap().state, JobState::Completed);
+    // Far more than loopback buffers hold: the answer cannot flush
+    // until the client reads.
+    let files: Vec<_> = std::fs::read_dir(server.results_dir())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "{files:?}");
+    let big = 16usize << 20;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&files[0])
+        .unwrap()
+        .set_len(big as u64)
+        .unwrap();
+    let before = server.connection_stats().requests;
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let requests = format!(
+        "GET /jobs/{id}/results HTTP/1.1\r\nHost: t\r\n\r\nGET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+    );
+    conn.write_all(requests.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        server.connection_stats().requests,
+        before + 1,
+        "the healthz behind the unflushed results was parsed"
+    );
+    let mut reader = BufReader::new(conn);
+    let (status, results) = read_response(&mut reader);
+    assert_eq!((status, results.len()), (200, big));
+    let (status, health) = read_response(&mut reader);
+    assert_eq!(status, 200);
+    assert!(health.contains("ok"), "healthz second: {health}");
+    assert_eq!(server.connection_stats().requests, before + 2);
+    drop(c);
+    server.shutdown();
+    service.shutdown();
+}
+
+/// Answering a pipelined burst is a loop, not a recursion: ten
+/// thousand requests in one write are all answered, in order, on one
+/// connection, with the event loop's stack no deeper for it.
+#[test]
+fn a_burst_of_pipelined_requests_is_answered_one_by_one() {
+    let service = tiny_service();
+    let mut server = bind(&service);
+    let conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let n = 10_000;
+    let burst = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n".repeat(n);
+    // The server stops reading while it owes an answer, so the burst
+    // goes out on its own thread while this one reads.
+    let mut writer = conn.try_clone().unwrap();
+    let sender = std::thread::spawn(move || writer.write_all(burst.as_bytes()).unwrap());
+    let mut reader = BufReader::new(conn);
+    for i in 0..n {
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(status, 200, "response {i}: {body}");
     }
-    let elapsed = t0.elapsed();
-    assert!(
-        elapsed >= Duration::from_millis(250),
-        "closed before the request deadline: {elapsed:?}"
-    );
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "request deadline never fired: {elapsed:?}"
-    );
+    sender.join().unwrap();
+    assert_eq!(server.connection_stats().requests, n as u64);
     server.shutdown();
     service.shutdown();
 }

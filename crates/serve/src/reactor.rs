@@ -486,8 +486,9 @@ mod tests {
         s.register(server.as_raw_fd(), Token(4), Interest::READ)
             .unwrap();
         peer.write_all(b"ping").unwrap();
-        // Level-triggered: the event loop may leave bytes unread (output
-        // backpressure pauses its reads) and must be told again.
+        // Level-triggered: the event loop may leave bytes unread (a
+        // connection owing a response pauses its reads) and must be
+        // told again.
         for round in 0..2 {
             let events = wait(&mut s, Duration::from_secs(5));
             assert!(

@@ -10,6 +10,7 @@
 //! finishing job's share flows back to the survivors.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -26,7 +27,7 @@ use crate::job::{
 };
 use crate::queue::{JobQueue, ShardStat, SubmitError};
 use crate::sink::{Checkpoint, JsonlSink};
-use crate::telemetry::{ServeObs, TraceConfig};
+use crate::telemetry::ServeObs;
 use crate::wire;
 
 /// Service sizing. `Default` fits a CI host; production tunes all of it.
@@ -47,9 +48,11 @@ pub struct ServeConfig {
     /// default) rebuilds after eviction, as before. The directory is
     /// rescanned at start, so a restarted node comes up warm.
     pub spill: Option<SpillConfig>,
-    /// Write one JSONL line per closed job stage to this bounded trace
-    /// file. `None` (the default) disables tracing; metrics still work.
-    pub trace: Option<TraceConfig>,
+    /// Write one JSONL line per closed job stage to this trace file
+    /// (created or truncated at start, bounded on disk by periodic
+    /// compaction). `None` (the default) disables tracing; metrics
+    /// still work.
+    pub trace: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -160,7 +163,7 @@ impl ScreenService {
         let queue = Arc::new(JobQueue::new(cfg.queue_capacity));
         let registry = Registry::new();
         let counters = Arc::new(Counters::register(&registry));
-        let obs = Arc::new(ServeObs::new(registry, cfg.trace.as_ref())?);
+        let obs = Arc::new(ServeObs::new(registry, cfg.trace.as_deref())?);
         let mut builder = GridCache::builder(cfg.cache_capacity).registry(obs.registry());
         if let Some(spill) = cfg.spill {
             builder = builder.spill(spill);

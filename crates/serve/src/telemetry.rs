@@ -8,31 +8,12 @@
 //! All handles are pre-registered here — the job critical path never
 //! touches the registry lock, only lock-free counters and histograms.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
 use mudock_obs::{Counter, GridSource, Histogram, JobTrace, Registry, SpanRecord, TraceWriter};
 
 use crate::job::JobId;
-
-/// Where (and how much) to trace: one JSONL line per closed job stage,
-/// bounded on disk by periodic compaction.
-#[derive(Clone, Debug)]
-pub struct TraceConfig {
-    /// Trace file path (created/truncated at service start).
-    pub path: PathBuf,
-    /// Lines retained across compactions (file is bounded at 2×).
-    pub capacity: usize,
-}
-
-impl TraceConfig {
-    pub fn new(path: impl Into<PathBuf>) -> TraceConfig {
-        TraceConfig {
-            path: path.into(),
-            capacity: TraceWriter::DEFAULT_CAPACITY,
-        }
-    }
-}
 
 /// The stage histogram family, `mudock_job_stage_seconds{stage=...}`.
 const STAGE_METRIC: &str = "mudock_job_stage_seconds";
@@ -52,11 +33,13 @@ pub struct ServeObs {
 
 impl ServeObs {
     /// Register the service's metric families in `registry` and open
-    /// the trace file, if one is configured.
-    pub fn new(registry: Registry, trace: Option<&TraceConfig>) -> std::io::Result<ServeObs> {
+    /// the trace file at `trace`, if there is one: one JSONL line per
+    /// closed job stage, the last [`TraceWriter::DEFAULT_CAPACITY`]
+    /// lines kept across compactions.
+    pub fn new(registry: Registry, trace: Option<&Path>) -> std::io::Result<ServeObs> {
         let stage = |name: &str| registry.histogram(STAGE_METRIC, &[("stage", name)], STAGE_HELP);
         let trace = match trace {
-            Some(cfg) => Some(TraceWriter::create(&cfg.path, cfg.capacity)?),
+            Some(path) => Some(TraceWriter::create(path, TraceWriter::DEFAULT_CAPACITY)?),
             None => None,
         };
         Ok(ServeObs {
@@ -159,11 +142,7 @@ mod tests {
             "mudock-serve-telemetry-{}.jsonl",
             std::process::id()
         ));
-        let cfg = TraceConfig {
-            path: path.clone(),
-            capacity: 8,
-        };
-        let obs = ServeObs::new(Registry::new(), Some(&cfg)).unwrap();
+        let obs = ServeObs::new(Registry::new(), Some(&path)).unwrap();
         let trace = JobTrace::new();
         obs.job_grid(42, &trace, 1_000, GridSource::Reloaded);
         let text = std::fs::read_to_string(&path).unwrap();

@@ -91,10 +91,6 @@ impl<const FUSED: bool> Simd for OneLane<FUSED> {
         a * b
     }
     #[inline(always)]
-    fn div(self, a: f32, b: f32) -> f32 {
-        a / b
-    }
-    #[inline(always)]
     fn min(self, a: f32, b: f32) -> f32 {
         // IEEE minps semantics: returns b if either is NaN.
         if a < b {

@@ -119,7 +119,6 @@ pub trait Simd: Copy + Send + Sync + 'static {
     fn add(self, a: Self::V, b: Self::V) -> Self::V;
     fn sub(self, a: Self::V, b: Self::V) -> Self::V;
     fn mul(self, a: Self::V, b: Self::V) -> Self::V;
-    fn div(self, a: Self::V, b: Self::V) -> Self::V;
     fn min(self, a: Self::V, b: Self::V) -> Self::V;
     fn max(self, a: Self::V, b: Self::V) -> Self::V;
     /// `a * b + c`, contracted to an FMA where the ISA provides one.

@@ -100,10 +100,6 @@ impl Simd for Avx2 {
         unsafe { _mm256_mul_ps(a, b) }
     }
     #[inline(always)]
-    fn div(self, a: __m256, b: __m256) -> __m256 {
-        unsafe { _mm256_div_ps(a, b) }
-    }
-    #[inline(always)]
     fn min(self, a: __m256, b: __m256) -> __m256 {
         unsafe { _mm256_min_ps(a, b) }
     }

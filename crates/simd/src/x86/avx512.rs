@@ -99,10 +99,6 @@ impl Simd for Avx512 {
         unsafe { _mm512_mul_ps(a, b) }
     }
     #[inline(always)]
-    fn div(self, a: __m512, b: __m512) -> __m512 {
-        unsafe { _mm512_div_ps(a, b) }
-    }
-    #[inline(always)]
     fn min(self, a: __m512, b: __m512) -> __m512 {
         unsafe { _mm512_min_ps(a, b) }
     }

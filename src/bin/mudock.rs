@@ -31,6 +31,7 @@
 //! workspace's minimal dependency policy).
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mudock::core::{
@@ -443,7 +444,7 @@ fn serve_config_from(
         trace: flags
             .get("trace-file")
             .filter(|p| !p.is_empty())
-            .map(mudock::serve::TraceConfig::new),
+            .map(PathBuf::from),
         ..defaults
     })
 }
@@ -542,8 +543,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// `mudock serve --listen ADDR`: the screening node as a network
 /// service. Binds the HTTP frontend over a [`ScreenService`] and runs
-/// until killed. The resolved address (important for `--listen …:0`)
-/// is printed to stdout so scripts can capture the port.
+/// until SIGINT or SIGTERM, then shuts both down and exits 0. The
+/// resolved address (important for `--listen …:0`) is printed to
+/// stdout so scripts can capture the port.
 fn cmd_serve_listen(flags: &HashMap<String, String>) -> Result<(), CliError> {
     use mudock::serve::{NetConfig, NetServer, ScreenService};
     use std::sync::Arc;
@@ -572,7 +574,8 @@ fn cmd_serve_listen(flags: &HashMap<String, String>) -> Result<(), CliError> {
     cfg.header_timeout = std::time::Duration::from_secs(
         num(flags, "header-s", cfg.header_timeout.as_secs())?.max(1),
     );
-    let server = NetServer::bind(addr.as_str(), Arc::clone(&service), cfg)
+    stop_signal::install();
+    let mut server = NetServer::bind(addr.as_str(), Arc::clone(&service), cfg)
         .map_err(|e| CliError::Run(format!("bind {addr}: {e}")))?;
     println!("mudock-serve listening on {}", server.local_addr());
     use std::io::Write as _;
@@ -581,11 +584,12 @@ fn cmd_serve_listen(flags: &HashMap<String, String>) -> Result<(), CliError> {
         "endpoints: POST /jobs, GET /jobs/{{id}}, GET /jobs/{{id}}/results, \
          DELETE /jobs/{{id}}, GET /healthz, GET /stats, GET /metrics"
     );
-    // Serve until the process is killed; jobs run on the service's
-    // executors, connections on the frontend's event-loop thread.
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
-    }
+    // Jobs run on the service's executors, connections on the
+    // frontend's event-loop thread; this thread waits for the signal.
+    stop_signal::wait();
+    server.shutdown();
+    service.shutdown();
+    Ok(())
 }
 
 /// `mudock coordinator --listen ADDR --nodes A,B`: federate existing
@@ -636,6 +640,7 @@ fn cmd_coordinator(flags: &HashMap<String, String>) -> Result<(), CliError> {
         ..defaults
     };
     let n_nodes = cfg.nodes.len();
+    stop_signal::install();
     let coordinator = Coordinator::bind(addr.as_str(), cfg)
         .map_err(|e| CliError::Run(format!("bind {addr}: {e}")))?;
     println!(
@@ -648,8 +653,49 @@ fn cmd_coordinator(flags: &HashMap<String, String>) -> Result<(), CliError> {
         "federating {n_nodes} node(s); endpoints: POST /jobs, GET /jobs/{{id}}, \
          GET /jobs/{{id}}/results, DELETE /jobs/{{id}}, GET /healthz, GET /stats, GET /metrics"
     );
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
+    stop_signal::wait();
+    coordinator.shutdown();
+    Ok(())
+}
+
+/// SIGINT and SIGTERM end `serve --listen` and `coordinator` through
+/// their shutdown paths (a node's own results directory is removed
+/// there), not by the signal's default action.
+mod stop_signal {
+    use std::os::raw::c_int;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    const SIGINT: c_int = 2;
+    const SIGTERM: c_int = 15;
+
+    static STOP: AtomicBool = AtomicBool::new(false);
+
+    extern "C" {
+        fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
+    }
+
+    /// Only an atomic store, which is async-signal-safe.
+    extern "C" fn on_signal(_: c_int) {
+        STOP.store(true, Ordering::SeqCst);
+    }
+
+    /// Route SIGINT and SIGTERM to the flag [`wait`] watches.
+    pub fn install() {
+        // SAFETY: `on_signal` has the C handler signature and touches
+        // nothing but a static atomic; SIGINT and SIGTERM are 2 and 15
+        // on every unix this builds for.
+        unsafe {
+            signal(SIGINT, on_signal);
+            signal(SIGTERM, on_signal);
+        }
+    }
+
+    /// Block until SIGINT or SIGTERM has arrived.
+    pub fn wait() {
+        while !STOP.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(50));
+        }
     }
 }
 

@@ -60,3 +60,28 @@ fn submit_poll_results_and_stats_over_the_cli() {
         "five client commands connected, {total} accepted"
     );
 }
+
+/// `SIGTERM` ends a node through its shutdown path: exit 0, and the
+/// results directory it made for itself is gone with every result in it.
+#[test]
+fn sigterm_shuts_a_node_down_and_removes_its_own_results() {
+    let mut server = Server::start(&["serve", "--listen", "127.0.0.1:0", "--threads", "1"]);
+    let dir = std::env::temp_dir().join(format!("mudock-net-{}-1", server.pid()));
+    let id = server.cli(&[
+        "submit",
+        "--demo",
+        "2",
+        "--population",
+        "10",
+        "--generations",
+        "4",
+    ]);
+    let status = server.cli(&["poll", id.trim(), "--wait"]);
+    assert!(status.contains("completed"), "{status}");
+    assert!(dir.is_dir(), "{} holds the results", dir.display());
+    let exit = server
+        .terminate()
+        .expect("the node exits within 5 s of SIGTERM");
+    assert!(exit.success(), "SIGTERM ended the node with {exit}");
+    assert!(!dir.exists(), "{} outlived the node", dir.display());
+}

@@ -8,7 +8,7 @@
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 pub const DEADLINE: Duration = Duration::from_secs(120);
 
 /// A `mudock … --listen 127.0.0.1:0` child — a node or a coordinator —
-/// killed on drop.
+/// stopped on drop (`SIGTERM`, then `SIGKILL` after 5 s).
 pub struct Server {
     child: Child,
     pub addr: String,
@@ -104,10 +104,34 @@ impl Server {
         stdout
     }
 
+    /// The server's process id.
+    pub fn pid(&self) -> u32 {
+        self.child.id()
+    }
+
     /// Kill the process now (`SIGKILL`), as a crash would.
     pub fn kill(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
+    }
+
+    /// Send `SIGTERM` and wait up to 5 s for the process to exit; its
+    /// exit status, or `None` if it is still running.
+    pub fn terminate(&mut self) -> Option<ExitStatus> {
+        if let Ok(Some(status)) = self.child.try_wait() {
+            return Some(status);
+        }
+        let _ = Command::new("kill")
+            .args(["-TERM", &self.pid().to_string()])
+            .status();
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < give_up {
+            if let Ok(Some(status)) = self.child.try_wait() {
+                return Some(status);
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        None
     }
 }
 
@@ -121,7 +145,9 @@ fn drain(mut pipe: impl Read + Send + 'static) -> JoinHandle<String> {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.kill();
+        if self.terminate().is_none() {
+            self.kill();
+        }
         if let Some(dir) = &self.results_dir {
             std::fs::remove_dir_all(dir).ok();
         }
