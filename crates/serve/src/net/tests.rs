@@ -586,7 +586,7 @@ fn one_event_loop_serves_and_other_loop_counts_are_refused() {
 /// behind an answer that cannot flush yet is not even parsed until the
 /// peer has read that answer. Then both arrive, in order.
 #[test]
-fn a_pipelined_request_waits_until_the_answer_before_it_flushed() {
+fn a_pipelined_request_waits_for_the_answer_ahead_of_it_to_flush() {
     let service = tiny_service();
     let mut server = bind(&service);
     let addr = server.local_addr().to_string();
@@ -594,7 +594,7 @@ fn a_pipelined_request_waits_until_the_answer_before_it_flushed() {
     let body = r#"{"campaign": {"name": "big", "population": 6, "generations": 1,
                                 "search_radius": 3.0, "top_k": 1},
                    "receptor": {"synth": {"seed": 3, "atoms": 30, "radius": 5.0}},
-                   "ligands": {"synth": {"seed": 7, "count": 1}}}"#;
+                   "ligands": {"synth": {"seed": 7, "count": 0}}}"#;
     let resp = c.request("POST", "/jobs", Some(body)).unwrap();
     let id = match wire::parse(&resp.ok().unwrap().body).unwrap().get("id") {
         Some(Json::Num(n)) => n.as_u64().unwrap(),
